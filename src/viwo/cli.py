@@ -90,10 +90,7 @@ def _config_from_args(args) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, tuple(val))
-    if cfg.wheel_imu_only and not cfg.disable_gyro_calibration:
-        # without camera rows the parameter channel still runs from vehicle
-        # rows alone; that is a valid configuration, nothing to reject
-        pass
+    cfg.validate()
     return cfg
 
 

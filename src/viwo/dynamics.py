@@ -19,6 +19,7 @@ Error-state layout for the 9x9 nav Jacobian is [velocity, attitude, position]
 with the attitude error applied on the world side (see geom module docstring).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,39 +170,44 @@ def _deriv_flat(y, wx, wy, wz, ax, ay, az, gx, gy, gz):
     )
 
 
-def propagate_nav(s: NavState, imu: ImuSample, params: GyroParams, dt: float,
-                  grav: GravityModel | None = None) -> NavState:
-    """One RK4 step of the nav state with gyro-corrected rates.
+def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
+            g: np.ndarray, dt: float):
+    """One RK4 step of the nav state for corrected rates, in scalar float math.
 
-    Implemented in scalar float math; tests pin it against the coupled
-    propagator used by the filter.
+    Returns (new state, body velocities at the four RK4 stage points); the
+    filter's coupled propagator drives its feature stages with the latter.
     """
-    if not 0.0 < dt <= MAX_STEP_S:
-        raise ValueError(f"step dt={dt} outside (0, {MAX_STEP_S}]")
-    omega = correct_gyro(imu.omega_m, params)
-    g = GRAVITY_DEFAULT.g if grav is None else grav.g
-    args = (omega[0], omega[1], omega[2],
-            imu.accel_m[0], imu.accel_m[1], imu.accel_m[2],
+    args = (omega[0], omega[1], omega[2], accel[0], accel[1], accel[2],
             g[0], g[1], g[2])
     y0 = (s.vel[0], s.vel[1], s.vel[2],
           s.quat[0], s.quat[1], s.quat[2], s.quat[3],
           s.pos[0], s.pos[1], s.pos[2])
-    k1 = _deriv_flat(y0, *args)
     half = 0.5 * dt
-    k2 = _deriv_flat(tuple(a + half * b for a, b in zip(y0, k1)), *args)
-    k3 = _deriv_flat(tuple(a + half * b for a, b in zip(y0, k2)), *args)
-    k4 = _deriv_flat(tuple(a + dt * b for a, b in zip(y0, k3)), *args)
+    k1 = _deriv_flat(y0, *args)
+    y_b = tuple(a + half * b for a, b in zip(y0, k1))
+    k2 = _deriv_flat(y_b, *args)
+    y_c = tuple(a + half * b for a, b in zip(y0, k2))
+    k3 = _deriv_flat(y_c, *args)
+    y_d = tuple(a + dt * b for a, b in zip(y0, k3))
+    k4 = _deriv_flat(y_d, *args)
     sixth = dt / 6.0
     y1 = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
           for a, b, c, d, e in zip(y0, k1, k2, k3, k4)]
-    norm = np.sqrt(y1[3] ** 2 + y1[4] ** 2 + y1[5] ** 2 + y1[6] ** 2)
-    out = NavState(np.array(y1[0:3]),
-                   np.array(y1[3:7]) / norm,
-                   np.array(y1[7:10]))
-    if not (np.isfinite(out.vel).all() and np.isfinite(out.pos).all()
-            and np.isfinite(norm)):
+    if not all(map(math.isfinite, y1)):
         raise FloatingPointError("non-finite nav state after propagation step")
-    return out
+    norm = math.sqrt(y1[3] ** 2 + y1[4] ** 2 + y1[5] ** 2 + y1[6] ** 2)
+    y = np.array(y1)
+    out = NavState(y[0:3], y[3:7] / norm, y[7:10])
+    return out, (y0[0:3], y_b[0:3], y_c[0:3], y_d[0:3])
+
+
+def propagate_nav(s: NavState, imu: ImuSample, params: GyroParams, dt: float,
+                  grav: GravityModel | None = None) -> NavState:
+    """One RK4 step of the nav state with gyro-corrected rates (rk4_nav)."""
+    if not 0.0 < dt <= MAX_STEP_S:
+        raise ValueError(f"step dt={dt} outside (0, {MAX_STEP_S}]")
+    g = GRAVITY_DEFAULT.g if grav is None else grav.g
+    return rk4_nav(s, correct_gyro(imu.omega_m, params), imu.accel_m, g, dt)[0]
 
 
 def nav_jacobian(s: NavState, omega: np.ndarray,

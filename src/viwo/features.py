@@ -11,6 +11,16 @@ All Jacobian blocks below are derived from these two equations (the package
 treats finite differences of the flow as the authority; see the jacobian
 audit).  Division by rho never occurs, but a floor is enforced because the
 inverse-depth state itself degenerates at rho -> 0.
+
+The bearing frame R(q_f) = [p n1 n2] is a right-handed rotation, so with
+N = [n1 n2] and J = [[0, -1], [1, 0]]:
+
+    N^T [p]x       = [-n2^T; n1^T]
+    N^T [a]x N     = (a . p) J          for any 3-vector a
+    N^T [v]x [p]x N = -(v . p) I_2
+
+which reduce every batched block (linearize_batch) to dot products of the
+frame axes with v_C, omega_C and the columns of the twist chain.
 """
 
 from dataclasses import dataclass, field
@@ -140,111 +150,51 @@ def feature_to_landmark(f: FeatureState, s: NavState,
 
 # --- batched versions used in the filter's inner loops ----------------------
 
-def derivative_batch(qf: np.ndarray, rho: np.ndarray, v_c: np.ndarray,
-                     omega_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feature flow for (n,4)/(n,) arrays: returns (qdot (n,4), drho (n,))."""
-    frames = geom.quats_to_frames(qf)
-    p = frames[:, :, 0]
-    n = frames[:, :, 1:3]
-    rate3 = rho[:, None] * geom.cross_rows(p, v_c)
-    rate3 += omega_c[None, :]
-    # omega_left = -N N^T rate3 expressed without forming N^T explicitly
-    dtan0 = -(n[:, 0, 0] * rate3[:, 0] + n[:, 1, 0] * rate3[:, 1]
-              + n[:, 2, 0] * rate3[:, 2])
-    dtan1 = -(n[:, 0, 1] * rate3[:, 0] + n[:, 1, 1] * rate3[:, 1]
-              + n[:, 2, 1] * rate3[:, 2])
-    omega_left = np.empty_like(rate3)
-    omega_left[:, 0] = n[:, 0, 0] * dtan0 + n[:, 0, 1] * dtan1
-    omega_left[:, 1] = n[:, 1, 0] * dtan0 + n[:, 1, 1] * dtan1
-    omega_left[:, 2] = n[:, 2, 0] * dtan0 + n[:, 2, 1] * dtan1
-    qdot = 0.5 * geom.quat_mul_left_vec(omega_left, qf)
-    drho = rho ** 2 * (p @ v_c)
-    return qdot, drho
-
-
-def jacobian_batch(qf: np.ndarray, rho: np.ndarray, v_c: np.ndarray,
-                   omega_c: np.ndarray, r_cb: np.ndarray,
-                   dvc_dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature diagonal 3x3 blocks and 3x3 velocity-coupling blocks.
-
-    dvc_dv is d v_C / d v_B = R_CB.  Returns (diag (n,3,3), coupling (n,3,3))
-    with rows ordered [bearing tangent (2), rho].
-    """
-    cnt = qf.shape[0]
-    frames = geom.quats_to_frames(qf)
-    p = np.ascontiguousarray(frames[:, :, 0])
-    n = frames[:, :, 1:3]
-    nt = np.ascontiguousarray(np.swapaxes(n, 1, 2))
-    sp = geom.skew_vec(p)
-    pxv = geom.cross_rows(p, v_c)
-    rate3 = omega_c[None, :] + rho[:, None] * pxv
-
-    diag = np.zeros((cnt, 3, 3))
-    nt_srate = nt @ geom.skew_vec(rate3)
-    nt_sv_sp = (nt @ geom.skew(v_c)) @ sp
-    diag[:, 0:2, 0:2] = -(nt_srate + rho[:, None, None] * nt_sv_sp) @ n
-    diag[:, 0:2, 2] = -(nt @ pxv[:, :, None])[:, :, 0]
-    vsp = geom.cross_rows(np.broadcast_to(v_c, (cnt, 3)), p)  # v x p rows = v^T [p x]
-    diag[:, 2, 0:2] = -rho[:, None] ** 2 * (vsp[:, None, :] @ n)[:, 0, :]
-    diag[:, 2, 2] = 2.0 * rho * (p @ v_c)
-
-    coupling = np.zeros((cnt, 3, 3))
-    coupling[:, 0:2, :] = -rho[:, None, None] * ((nt @ sp) @ dvc_dv)
-    coupling[:, 2, :] = rho[:, None] ** 2 * (p @ dvc_dv)
-    return diag, coupling
-
-
-def param_jacobian_batch(qf: np.ndarray, rho: np.ndarray, r_cb: np.ndarray,
-                         lever_arm: np.ndarray, jw: np.ndarray) -> np.ndarray:
-    """Batched 3x6 parameter-sensitivity blocks, rows [bearing (2), rho]."""
-    cnt = qf.shape[0]
-    frames = geom.quats_to_frames(qf)
-    p = np.ascontiguousarray(frames[:, :, 0])
-    n = frames[:, :, 1:3]
-    nt = np.ascontiguousarray(np.swapaxes(n, 1, 2))
-    sp = geom.skew_vec(p)
-    dvc_dw = -r_cb @ geom.skew(lever_arm)
-    out = np.zeros((cnt, 3, 6))
-    dten = -(nt @ r_cb) - rho[:, None, None] * ((nt @ sp) @ dvc_dw)
-    out[:, 0:2, :] = dten @ jw
-    out[:, 2, :] = (rho[:, None] ** 2 * (p @ dvc_dw)) @ jw
-    return out
-
-
 def linearize_batch(qf: np.ndarray, rho: np.ndarray, v_c: np.ndarray,
                     omega_c: np.ndarray, r_cb: np.ndarray,
                     lever_arm: np.ndarray, jw: np.ndarray):
     """Fused per-feature blocks for the filter's prediction step.
 
     Returns (diag (n,3,3), vel coupling (n,3,3), parameter rows (n,3,6)),
-    sharing the frame decomposition across all three.
+    rows ordered [bearing tangent (2), rho].  By the frame identities of the
+    module docstring every block is an elementwise combination of one
+    product: the frame rows [p; n1; n2] against the columns
+    [v_C, omega_C, R_CB, R_CB J_w, (d v_C/d omega) J_w].
     """
     cnt = qf.shape[0]
-    frames = geom.quats_to_frames(qf)
-    p = np.ascontiguousarray(frames[:, :, 0])
-    n = frames[:, :, 1:3]
-    nt = np.ascontiguousarray(np.swapaxes(n, 1, 2))
-    sp = geom.skew_vec(p)
-    pxv = geom.cross_rows(p, v_c)
-    rate3 = omega_c[None, :] + rho[:, None] * pxv
-    nt_sp = nt @ sp
-    rho_col = rho[:, None]
+    rows = geom.quats_to_frames(qf).transpose(0, 2, 1).reshape(3 * cnt, 3)
+    cols = np.empty((3, 17))
+    cols[:, 0] = v_c
+    cols[:, 1] = omega_c
+    cols[:, 2:5] = r_cb
+    cols[:, 5:11] = r_cb @ jw
+    cols[:, 11:17] = -r_cb @ (geom.skew(lever_arm) @ jw)   # d v_C/d omega J_w
+    g = (rows @ cols).reshape(cnt, 3, 17)   # [feature, p|n1|n2, column]
+    rho2 = rho * rho
+    rpv = rho * g[:, 0, 0]
+    n1v = g[:, 1, 0]
+    n2v = g[:, 2, 0]
+    pw = g[:, 0, 1]
 
-    diag = np.zeros((cnt, 3, 3))
-    diag[:, 0:2, 0:2] = -(nt @ geom.skew_vec(rate3)
-                          + rho[:, None, None] * ((nt @ geom.skew(v_c)) @ sp)) @ n
-    diag[:, 0:2, 2] = -(nt @ pxv[:, :, None])[:, :, 0]
-    vxp = geom.cross_rows(np.broadcast_to(v_c, (cnt, 3)), p)
-    diag[:, 2, 0:2] = -rho_col ** 2 * (vxp[:, None, :] @ n)[:, 0, :]
-    diag[:, 2, 2] = 2.0 * rho * (p @ v_c)
+    diag = np.empty((cnt, 3, 3))
+    diag[:, 0, 0] = rpv
+    diag[:, 1, 1] = rpv
+    diag[:, 2, 2] = 2.0 * rpv
+    diag[:, 0, 1] = pw
+    diag[:, 1, 0] = -pw
+    diag[:, 0, 2] = n2v
+    diag[:, 1, 2] = -n1v
+    diag[:, 2, 0] = -rho2 * n2v
+    diag[:, 2, 1] = rho2 * n1v
 
-    coupling = np.zeros((cnt, 3, 3))
-    coupling[:, 0:2, :] = -rho[:, None, None] * (nt_sp @ r_cb)
-    coupling[:, 2, :] = rho_col ** 2 * (p @ r_cb)
-
-    dvc_dw = -r_cb @ geom.skew(lever_arm)
-    psi = np.zeros((cnt, 3, 6))
-    dten = -(nt @ r_cb) - rho[:, None, None] * (nt_sp @ dvc_dw)
-    psi[:, 0:2, :] = dten @ jw
-    psi[:, 2, :] = (rho_col ** 2 * (p @ dvc_dw)) @ jw
+    # rows [n2, n1, p] scaled by [rho, -rho, rho^2]: the coupling block and
+    # the lever-arm half of the parameter rows
+    row_scale = np.empty((cnt, 3, 1))
+    row_scale[:, 0, 0] = rho
+    row_scale[:, 1, 0] = -rho
+    row_scale[:, 2, 0] = rho2
+    scaled = g[:, ::-1, 2:] * row_scale
+    coupling = scaled[:, :, 0:3]
+    psi = scaled[:, :, 9:15]
+    psi[:, 0:2] -= g[:, 1:3, 5:11]
     return diag, coupling, psi

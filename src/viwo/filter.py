@@ -10,6 +10,10 @@ The error state stacks the nav tangent [velocity, attitude, position] and one
 
 Prediction integrates the coupled nav/feature dynamics with RK4 at IMU rate
 and propagates the covariance with the Euler transition matrix Phi = I + F dt.
+F is assembled over the active slots only; Phi is the identity plus F dt
+scattered through flat indices that are cached per active-slot set (which
+changes at most once per camera frame), together with the state indices and
+the process-noise diagonal.
 The update stacks all measurement rows of a camera frame, performs a standard
 EKF innovation, and then a recursive-least-squares innovation with forgetting
 factor on the six gyroscope parameters through the regressor matrix
@@ -30,9 +34,9 @@ from scipy.stats import chi2
 from . import geom
 from .dynamics import (MAX_STEP_S, GravityModel, GyroParams, ImuSample,
                        NavState, apply_gyro_error, correct_gyro,
-                       corrected_rate_param_jacobian)
+                       corrected_rate_param_jacobian, rk4_nav)
 from .features import (RHO_CEIL, RHO_FLOOR, CameraExtrinsics, FeatureState,
-                       derivative_batch, linearize_batch)
+                       linearize_batch)
 from .image import (Image, build_pyramid, detect_features, extract_patch_set,
                     klt_align)
 from .sensors import (CameraIntrinsics, ProjectionError,
@@ -80,6 +84,9 @@ class NoiseConfig:
     lateral_inflation: float = 100.0
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if not 0.0 < self.lam <= 1.0:
             raise ValueError("forgetting factor must be in (0, 1]")
         for name in ("gyro_noise", "accel_noise", "sigma_wheel", "sigma_lateral",
@@ -107,124 +114,60 @@ class RowGroup:
     h_local: np.ndarray      # (m, k)
     r_diag: np.ndarray
 
-    def dense(self, dim: int) -> np.ndarray:
-        h = np.zeros((len(self.residual), dim))
-        h[:, self.cols] = self.h_local
-        return h
-
-
-@dataclass
-class FilterState:
-    """Snapshot of the full filter state (copies; safe to share)."""
-    t: float
-    nav: NavState
-    params: GyroParams
-    slots: list
-    cov: np.ndarray
-    param_cov: np.ndarray
-    sensitivity: np.ndarray
-
 
 # --- joint propagation and linearization (also used by the jacobian audit) ---
-
-def joint_derivative(vel, quat, pos, qf, rho, omega, accel, ext, g):
-    r = geom.quat_to_rot(quat)
-    vdot = accel + r.T @ g - geom.cross3(omega, vel)
-    qdot = 0.5 * geom._mul_raw(quat, np.array([0.0, omega[0], omega[1], omega[2]]))
-    pdot = r @ vel
-    if qf.shape[0]:
-        v_c = ext.r_cb @ (vel + geom.cross3(omega, ext.lever_arm))
-        w_c = ext.r_cb @ omega
-        qfdot, rhodot = derivative_batch(qf, rho, v_c, w_c)
-    else:
-        qfdot = np.zeros((0, 4))
-        rhodot = np.zeros(0)
-    return vdot, qdot, pdot, qfdot, rhodot
-
-
-def _dir_stage(p, rho, vel, omega, ext):
-    """Feature direction/inverse-depth rates for one RK4 stage.
-
-    Direction kinematics: pdot = p x omega_C + rho * (p (p.v_C) - v_C), using
-    p x (p x v) = p (p.v) - v for unit directions; the bearing gauge is
-    reconstructed after the step by a minimal rotation, the discrete
-    analogue of the spin-free tangent lift.
-    """
-    v_c = ext.r_cb @ (vel + geom.cross3(omega, ext.lever_arm))
-    w_c = ext.r_cb @ omega
-    pv = p @ v_c
-    pp = (p * p).sum(axis=1)   # RK4 stage points are not exactly unit
-    pdot = geom.cross_rows(p, w_c)
-    pdot += rho[:, None] * (p * pv[:, None] - v_c[None, :] * pp[:, None])
-    rhodot = rho ** 2 * pv
-    return pdot, rhodot
-
 
 def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
                     omega: np.ndarray, accel: np.ndarray, dt: float,
                     ext: CameraExtrinsics, g: np.ndarray):
     """One RK4 step of the coupled nav + feature dynamics (corrected rates).
 
-    The nav block integrates in scalar float math (same formulas as
-    dynamics.propagate_nav); features integrate on the direction sphere and
-    the bearing quaternions are re-attached with the minimal (spin-free)
-    rotation, matching the left N-lift tangent convention to O(dt^3).
-    """
-    from .dynamics import _deriv_flat
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    args = (omega[0], omega[1], omega[2], accel[0], accel[1], accel[2],
-            g[0], g[1], g[2])
-    y0 = (nav.vel[0], nav.vel[1], nav.vel[2],
-          nav.quat[0], nav.quat[1], nav.quat[2], nav.quat[3],
-          nav.pos[0], nav.pos[1], nav.pos[2])
-    n1 = _deriv_flat(y0, *args)
-    y_b = tuple(a + half * b for a, b in zip(y0, n1))
-    n2 = _deriv_flat(y_b, *args)
-    y_c = tuple(a + half * b for a, b in zip(y0, n2))
-    n3 = _deriv_flat(y_c, *args)
-    y_d = tuple(a + dt * b for a, b in zip(y0, n3))
-    n4 = _deriv_flat(y_d, *args)
-    y1 = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
-          for a, b, c, d, e in zip(y0, n1, n2, n3, n4)]
-    norm = np.sqrt(y1[3] ** 2 + y1[4] ** 2 + y1[5] ** 2 + y1[6] ** 2)
-    nav_new = NavState(np.array(y1[0:3]), np.array(y1[3:7]) / norm,
-                       np.array(y1[7:10]))
-    if not (np.isfinite(nav_new.vel).all() and np.isfinite(nav_new.pos).all()
-            and np.isfinite(norm)):
-        raise FloatingPointError("non-finite state after propagation")
+    The nav block is dynamics.rk4_nav.  Features integrate on the direction
+    sphere, driven by the camera velocity at each nav stage point:
 
+        pdot = p x omega_C + rho * (p (p.v_C) - v_C |p|^2)
+        rhodot = rho^2 * p.v_C
+
+    (p x (p x v) = p (p.v) - v for unit p; RK4 stage points are not exactly
+    unit).  The bearing quaternions are re-attached with the minimal
+    (spin-free) rotation taking p0 onto p1, matching the left N-lift tangent
+    convention to O(dt^3).
+    """
+    nav_new, stage_vel = rk4_nav(nav, omega, accel, g, dt)
     if not qf.shape[0]:
         return nav_new, qf, rho
 
-    p0 = geom.quats_to_dirs(qf)
-    vel1 = np.array(y_b[0:3])   # vel at the half step (k1-based)
-    vel2 = np.array(y_c[0:3])   # vel at the half step (k2-based)
-    vel3 = np.array(y_d[0:3])   # vel at the full step (k3-based)
-    f1 = _dir_stage(p0, rho, nav.vel, omega, ext)
-    f2 = _dir_stage(p0 + half * f1[0], rho + half * f1[1], vel1, omega, ext)
-    f3 = _dir_stage(p0 + half * f2[0], rho + half * f2[1], vel2, omega, ext)
-    f4 = _dir_stage(p0 + dt * f3[0], rho + dt * f3[1], vel3, omega, ext)
-    p1 = p0 + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
-    rho_new = rho + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
-    p1 /= np.sqrt((p1 * p1).sum(axis=1))[:, None]
-    if not np.isfinite(rho_new).all():
-        raise FloatingPointError("non-finite feature state after propagation")
+    # camera velocity at the four stage points; p @ [omega_C]x is the
+    # row-wise p x omega_C
+    v_c = (np.array(stage_vel) + geom.cross3(omega, ext.lever_arm)) @ ext.r_cb.T
+    w_skew = geom.skew(ext.r_cb @ omega)
 
-    # re-attach the gauge: minimal rotation taking p0 onto p1
-    axis = geom.cross_rows(p0, p1)
-    s = np.sqrt((axis * axis).sum(axis=1))
-    c = (p0 * p1).sum(axis=1)
-    angle = np.arctan2(s, c)
-    scale = np.where(s < 1e-300, 0.0, angle / np.maximum(s, 1e-300))
-    theta = axis * scale[:, None]
-    half_ang = 0.5 * np.sqrt((theta * theta).sum(axis=1))
-    sinc = np.where(half_ang < 1e-8, 0.5, np.sin(half_ang) / np.maximum(2.0 * half_ang, 1e-300))
+    def rate(p, r, v):
+        pv = p @ v
+        pdot = p @ w_skew
+        pdot += (r * pv)[:, None] * p
+        pdot -= (r * (p * p).sum(axis=1))[:, None] * v
+        return pdot, r * r * pv
+
+    p0 = geom.quats_to_dirs(qf)
+    half = 0.5 * dt
+    k1 = rate(p0, rho, v_c[0])
+    k2 = rate(p0 + half * k1[0], rho + half * k1[1], v_c[1])
+    k3 = rate(p0 + half * k2[0], rho + half * k2[1], v_c[2])
+    k4 = rate(p0 + dt * k3[0], rho + dt * k3[1], v_c[3])
+    sixth = dt / 6.0
+    p1 = p0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    rho_new = rho + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    if not (np.isfinite(p1).all() and np.isfinite(rho_new).all()):
+        raise FloatingPointError("non-finite feature state after propagation")
+    p1 /= np.sqrt((p1 * p1).sum(axis=1))[:, None]
+
+    # minimal rotation p0 -> p1: the quaternion [1 + p0.p1, p0 x p1] up to
+    # scale, which quat_mul_batch normalizes away
     dq = np.empty((qf.shape[0], 4))
-    dq[:, 0] = np.cos(half_ang)
-    dq[:, 1:4] = theta * sinc[:, None]
-    qf_new = geom.quat_mul_batch(dq, qf)
-    return nav_new, qf_new, rho_new
+    dq[:, 0] = 1.0 + (p0 * p1).sum(axis=1)
+    dq[:, 1:4] = geom.cross_rows(p0, p1)
+    return nav_new, geom.quat_mul_batch(dq, qf), rho_new
 
 
 def assemble_linearization(nav: NavState, qf: np.ndarray, rho: np.ndarray,
@@ -251,11 +194,10 @@ def assemble_linearization(nav: NavState, qf: np.ndarray, rho: np.ndarray,
         w_c = ext.r_cb @ omega
         diag, coupling, psi_blocks = linearize_batch(
             qf, rho, v_c, w_c, ext.r_cb, ext.lever_arm, jw)
-        for k in range(cnt):
-            o = NAV_DIM + FEAT_DIM * k
-            f[o:o + 3, o:o + 3] = diag[k]
-            f[o:o + 3, 0:3] = coupling[k]
-            psi[o:o + 3, :] = psi_blocks[k]
+        k = np.arange(cnt)   # block diagonal of the feature rows and columns
+        f[NAV_DIM:, NAV_DIM:].reshape(cnt, 3, cnt, 3)[k, :, k, :] = diag
+        f[NAV_DIM:, 0:3] = coupling.reshape(-1, 3)
+        psi[NAV_DIM:] = psi_blocks.reshape(-1, 6)
     return f, psi
 
 
@@ -379,6 +321,8 @@ class AdaptiveEkf:
         self.param_cov = self.noise.s0_matrix() if self.calibrate else np.zeros((6, 6))
         self.upsilon = np.zeros((n, 6))
         self._eye = np.eye(n)
+        self._active_key = None      # active mask the cache below is for
+        self._active_cache = None
         self._miss = np.zeros(self.capacity, dtype=int)
         self._gated = np.zeros(self.capacity, dtype=int)
         self._wheel_zero_since = None
@@ -405,20 +349,32 @@ class AdaptiveEkf:
     def feature(self, slot: int) -> FeatureState:
         return FeatureState(self._qf[slot].copy(), float(self._rho[slot]))
 
-    def snapshot(self) -> FilterState:
-        return FilterState(self.t, self.nav.copy(), self.params.copy(),
-                           self.slots, self.cov.copy(), self.param_cov.copy(),
-                           self.upsilon.copy())
-
     def active_slots(self) -> list[int]:
         return [int(i) for i in np.nonzero(self._active)[0]]
 
-    def _state_indices(self, act: list[int]) -> np.ndarray:
-        idx = list(range(NAV_DIM))
-        for i in act:
-            o = NAV_DIM + FEAT_DIM * i
-            idx.extend((o, o + 1, o + 2))
-        return np.array(idx, dtype=int)
+    def _state_indices(self, act) -> np.ndarray:
+        base = NAV_DIM + FEAT_DIM * np.asarray(act, dtype=int)
+        feat = base[:, None] + np.arange(FEAT_DIM)
+        return np.concatenate((np.arange(NAV_DIM), feat.ravel()))
+
+    def _active_set(self):
+        """(active slots, their state indices, flat indices of the
+        index x index block of a dim x dim matrix, process-noise variance
+        per second), rebuilt only when the active set changes."""
+        key = self._active.tobytes()
+        if key != self._active_key:
+            act = np.flatnonzero(self._active)
+            idx = self._state_indices(act)
+            q_rate = np.zeros(self.dim)
+            q_rate[0:3] = self.noise.accel_noise ** 2
+            q_rate[3:6] = self.noise.gyro_noise ** 2
+            q_rate[6:9] = self.noise.pos_process ** 2
+            q_rate[idx[NAV_DIM:]] = np.tile([self.noise.bearing_process ** 2] * 2
+                                            + [self.noise.rho_process ** 2], len(act))
+            self._active_cache = (act, idx, (idx[:, None] * self.dim + idx).ravel(),
+                                  q_rate)
+            self._active_key = key
+        return self._active_cache
 
     def _chi2(self, dof: int) -> float:
         if dof not in self._chi2_cache:
@@ -432,35 +388,25 @@ class AdaptiveEkf:
         if not 0.0 < dt <= MAX_STEP_S:
             raise ValueError(f"IMU step dt={dt:.4f} outside (0, {MAX_STEP_S}]")
         omega = correct_gyro(imu.omega_m, self.params)
-        act = np.nonzero(self._active)[0]
+        act, idx, flat, q_rate = self._active_set()
         qf = self._qf[act]
         rho = self._rho[act]
 
         f_c, psi_c = assemble_linearization(self.nav, qf, rho, omega,
                                             imu.omega_m, self.params,
                                             self.ext, self.gravity)
-        idx = self._state_indices(act)
         phi = self._eye.copy()
-        phi[np.ix_(idx, idx)] += f_c * dt
-
-        q_diag = np.zeros(self.dim)
-        q_diag[0:3] = self.noise.accel_noise ** 2 * dt
-        q_diag[3:6] = self.noise.gyro_noise ** 2 * dt
-        q_diag[6:9] = self.noise.pos_process ** 2 * dt
-        for i in act:
-            o = NAV_DIM + FEAT_DIM * i
-            q_diag[o:o + 2] = self.noise.bearing_process ** 2 * dt
-            q_diag[o + 2] = self.noise.rho_process ** 2 * dt
+        phi.reshape(-1)[flat] += f_c.reshape(-1) * dt
 
         nav_new, qf_new, rho_new = propagate_joint(
             self.nav, qf, rho, omega, imu.accel_m, dt, self.ext, self.gravity)
 
         cov = phi @ self.cov @ phi.T
-        cov[np.diag_indices_from(cov)] += q_diag
+        cov.reshape(-1)[::self.dim + 1] += q_rate * dt
         self.cov = 0.5 * (cov + cov.T)
 
         ups = phi @ self.upsilon
-        ups[idx, :] += psi_c * dt
+        ups[idx] += psi_c * dt
         self.upsilon = ups
 
         self.nav = nav_new

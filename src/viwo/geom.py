@@ -209,74 +209,74 @@ def s2_boxminus(q_a: np.ndarray, q_b: np.ndarray) -> np.ndarray:
 
 # --- vectorized helpers (used by the filter's batched feature math) ---------
 
+def _frame_coefficients() -> np.ndarray:
+    """(16, 9) map from the products q_i q_j to R(q) - I, both flattened."""
+    w, x, y, z = range(4)
+    terms = {
+        (0, 0): {(y, y): -2, (z, z): -2},
+        (0, 1): {(x, y): 2, (w, z): -2},
+        (0, 2): {(x, z): 2, (w, y): 2},
+        (1, 0): {(x, y): 2, (w, z): 2},
+        (1, 1): {(x, x): -2, (z, z): -2},
+        (1, 2): {(y, z): 2, (w, x): -2},
+        (2, 0): {(x, z): 2, (w, y): -2},
+        (2, 1): {(y, z): 2, (w, x): 2},
+        (2, 2): {(x, x): -2, (y, y): -2},
+    }
+    coef = np.zeros((4, 4, 3, 3))
+    for (r, c), entry in terms.items():
+        for (i, j), val in entry.items():
+            coef[i, j, r, c] = val
+    return coef.reshape(16, 9)
+
+
+_FRAME_COEF = _frame_coefficients()
+_EYE_FLAT = np.eye(3).reshape(9)
+
+
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products a_i b_j of (n,k) and (n,m) (or (m,)) -> (n, k*m).
+
+    Every bilinear row-wise map below (frames, cross products, quaternion
+    products) is this array times a constant coefficient matrix: one product
+    instead of a chain of per-component numpy calls."""
+    out = a[:, :, None] * b[..., None, :]
+    return out.reshape(a.shape[0], a.shape[1] * b.shape[-1])
+
+
 def quats_to_dirs(qf: np.ndarray) -> np.ndarray:
     """Bearing directions for an (n,4) quaternion array -> (n,3)."""
-    w, x, y, z = qf[:, 0], qf[:, 1], qf[:, 2], qf[:, 3]
-    out = np.empty((qf.shape[0], 3))
-    out[:, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[:, 1] = 2.0 * (x * y + w * z)
-    out[:, 2] = 2.0 * (x * z - w * y)
-    return out
+    return _outer_rows(qf, qf) @ _FRAME_COEF[:, 0::3] + _EYE_FLAT[0::3]
+
+
+_CROSS_COEF = np.array([cross3(a, b) for a in np.eye(3) for b in np.eye(3)])
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product (n,3) x (n,3) or (n,3) x (3,) -> (n,3)."""
-    if b.ndim == 1:
-        b = b[None, :]
-    out = np.empty((a.shape[0], 3))
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
+    return _outer_rows(a, b) @ _CROSS_COEF
 
 
 def quats_to_tangents(qf: np.ndarray) -> np.ndarray:
     """Tangent bases for an (n,4) quaternion array -> (n,3,2)."""
-    w, x, y, z = qf[:, 0], qf[:, 1], qf[:, 2], qf[:, 3]
-    n = np.empty((qf.shape[0], 3, 2))
-    n[:, 0, 0] = 2.0 * (x * y - w * z)
-    n[:, 1, 0] = 1.0 - 2.0 * (x * x + z * z)
-    n[:, 2, 0] = 2.0 * (y * z + w * x)
-    n[:, 0, 1] = 2.0 * (x * z + w * y)
-    n[:, 1, 1] = 2.0 * (y * z - w * x)
-    n[:, 2, 1] = 1.0 - 2.0 * (x * x + y * y)
-    return n
+    return quats_to_frames(qf)[:, :, 1:3]
 
 
 def quats_to_frames(qf: np.ndarray) -> np.ndarray:
     """Full bearing frames for (n,4) quaternions -> rotation matrices (n,3,3).
 
-    Column 0 is the viewing direction, columns 1:3 the tangent basis; one
-    fused computation replaces separate dirs/tangents calls in hot loops.
+    Column 0 is the viewing direction, columns 1:3 the tangent basis.
     """
-    w, x, y, z = qf[:, 0], qf[:, 1], qf[:, 2], qf[:, 3]
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    r = np.empty((qf.shape[0], 3, 3))
-    r[:, 0, 0] = 1.0 - 2.0 * (yy + zz)
-    r[:, 1, 0] = 2.0 * (xy + wz)
-    r[:, 2, 0] = 2.0 * (xz - wy)
-    r[:, 0, 1] = 2.0 * (xy - wz)
-    r[:, 1, 1] = 1.0 - 2.0 * (xx + zz)
-    r[:, 2, 1] = 2.0 * (yz + wx)
-    r[:, 0, 2] = 2.0 * (xz + wy)
-    r[:, 1, 2] = 2.0 * (yz - wx)
-    r[:, 2, 2] = 1.0 - 2.0 * (xx + yy)
-    return r
+    return (_outer_rows(qf, qf) @ _FRAME_COEF + _EYE_FLAT).reshape(-1, 3, 3)
+
+
+_QUAT_PRODUCT = np.array([_mul_raw(a, b) for a in np.eye(4) for b in np.eye(4)])
 
 
 def quat_mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamilton products of (n,4) arrays, renormalized."""
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    out = np.empty_like(a)
-    out[:, 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[:, 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[:, 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[:, 3] = aw * bz + ax * by - ay * bx + az * bw
-    out /= np.sqrt((out * out).sum(axis=1))[:, None]
-    return out
+    out = _outer_rows(a, b) @ _QUAT_PRODUCT
+    return out / np.sqrt((out * out).sum(axis=1))[:, None]
 
 
 def quat_mul_left_vec(omega: np.ndarray, qf: np.ndarray) -> np.ndarray:
@@ -285,23 +285,4 @@ def quat_mul_left_vec(omega: np.ndarray, qf: np.ndarray) -> np.ndarray:
     This is the raw product (no normalization); it is the quaternion rate
     kernel: qdot = 0.5 * (0, omega) * q for world/left rates.
     """
-    ox, oy, oz = omega[:, 0], omega[:, 1], omega[:, 2]
-    bw, bx, by, bz = qf[:, 0], qf[:, 1], qf[:, 2], qf[:, 3]
-    out = np.empty_like(qf)
-    out[:, 0] = -ox * bx - oy * by - oz * bz
-    out[:, 1] = ox * bw + oy * bz - oz * by
-    out[:, 2] = -ox * bz + oy * bw + oz * bx
-    out[:, 3] = ox * by - oy * bx + oz * bw
-    return out
-
-
-def skew_vec(v: np.ndarray) -> np.ndarray:
-    """Batched skew matrices for (n,3) -> (n,3,3)."""
-    out = np.zeros((v.shape[0], 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
-    return out
+    return _outer_rows(omega, qf) @ _QUAT_PRODUCT[4:]

@@ -67,21 +67,6 @@ def random_sample(rng: np.random.Generator, n_feat: int = 1) -> JointSample:
 # batched state tuple: (vel (B,3), quat (B,4), pos (B,3), qf (B,4), rho (B,))
 # with one feature per scenario and per-scenario corrected rates (B,3).
 
-def _quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    r = np.empty((q.shape[0], 3, 3))
-    r[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    r[:, 0, 1] = 2 * (x * y - w * z)
-    r[:, 0, 2] = 2 * (x * z + w * y)
-    r[:, 1, 0] = 2 * (x * y + w * z)
-    r[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    r[:, 1, 2] = 2 * (y * z - w * x)
-    r[:, 2, 0] = 2 * (x * z - w * y)
-    r[:, 2, 1] = 2 * (y * z + w * x)
-    r[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return r
-
-
 def _mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
     bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
@@ -105,7 +90,7 @@ def _so3_log_batch(q: np.ndarray) -> np.ndarray:
 def _s2_boxminus_batch(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     pa = geom.quats_to_dirs(qa)
     pb = geom.quats_to_dirs(qb)
-    cross = np.cross(pb, pa)
+    cross = geom.cross_rows(pb, pa)
     s = np.sqrt((cross * cross).sum(axis=1))
     c = (pa * pb).sum(axis=1)
     scale = np.where(s < 1e-12, 1.0, np.arctan2(s, c) / np.maximum(s, 1e-300))
@@ -118,16 +103,17 @@ def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, g, dt):
     """Batched RK4 step of the coupled dynamics (one feature per scenario)."""
 
     def deriv(v, q, p, bq, br):
-        r = _quat_to_rot_batch(q)
-        vdot = accel[None, :] + np.einsum("bji,j->bi", r, g) - np.cross(omega, v)
+        r = geom.quats_to_frames(q)
+        vdot = (accel[None, :] + np.einsum("bji,j->bi", r, g)
+                - geom.cross_rows(omega, v))
         om4 = np.concatenate([np.zeros((omega.shape[0], 1)), omega], axis=1)
         qdot = 0.5 * _mul_batch(q, om4)
         pdot = np.einsum("bij,bj->bi", r, v)
-        v_c = (v + np.cross(omega, ext.lever_arm[None, :])) @ ext.r_cb.T
+        v_c = (v + geom.cross_rows(omega, ext.lever_arm)) @ ext.r_cb.T
         w_c = omega @ ext.r_cb.T
         pdir = geom.quats_to_dirs(bq)
         nt = geom.quats_to_tangents(bq)
-        rate3 = w_c + br[:, None] * np.cross(pdir, v_c)
+        rate3 = w_c + br[:, None] * geom.cross_rows(pdir, v_c)
         dtan = -np.einsum("bxt,bx->bt", nt, rate3)
         om_left = np.einsum("bxt,bt->bx", nt, dtan)
         bqdot = 0.5 * geom.quat_mul_left_vec(om_left, bq)

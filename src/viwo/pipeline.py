@@ -48,12 +48,16 @@ class RunConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ValueError for an invalid setting; callers that assign
+        fields after construction (config file, flags) call it again."""
         if self.measurement_mode not in ("bearing", "image"):
             raise ValueError(f"unknown measurement mode {self.measurement_mode}")
-        if self.wheel_imu_only and self.measurement_mode == "image":
-            pass  # camera unused either way
         if self.feature_slots < 1:
             raise ValueError("need at least one feature slot")
+        self.noise.validate()
 
     def injected_params(self) -> GyroParams:
         return GyroParams(np.deg2rad(np.asarray(self.inject_bias_dps, dtype=float)),
@@ -210,7 +214,7 @@ class RunResult:
 
 def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
     """Drive the filter through the dataset in timestamp order."""
-    start = time.time()
+    start = time.perf_counter()
     init_params = GyroParams()
     if cfg.init_params:
         init_params = dataio.load_gyro_params(cfg.init_params)
@@ -304,7 +308,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         np.array([r[2] for r in param_rows]),
         dict(ekf.counters),
         float(min_eig_p), float(min_eig_s),
-        time.time() - start)
+        time.perf_counter() - start)
 
 
 def cmd_run(cfg: RunConfig) -> Path:

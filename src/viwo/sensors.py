@@ -152,15 +152,6 @@ class VehicleVelocityMeasurement:
     a_y_m: float      # lateral accelerometer channel [m/s^2]
 
 
-@dataclass
-class SideSlipGradient:
-    rho_sg: float = 0.0   # [s^2/m]
-
-    def __post_init__(self):
-        if self.rho_sg < 0.0:
-            raise ValueError("side-slip gradient must be non-negative")
-
-
 def vehicle_velocity_measurement(v_x_m: float, a_y_m: float,
                                  rho_sg: float) -> np.ndarray:
     """Measured velocity vector: wheel speed, model lateral velocity, zero up."""

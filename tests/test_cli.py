@@ -130,6 +130,25 @@ def test_bad_scenario_exit_config(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_invalid_settings_after_overrides_exit_config(mini_dataset, tmp_path,
+                                                     capsys):
+    # settings from the config file and from flags are validated after they
+    # are applied; an invalid mode or slot count is no dead-reckoning run
+    bad_file = tmp_path / "bad.txt"
+    bad_file.write_text("measurement_mode = foo\nfeature_slots = 0\n")
+    bad_noise = tmp_path / "bad_noise.txt"
+    bad_noise.write_text("noise.lam = 0\n")
+    cases = [["--config", str(bad_file)], ["--feature-slots", "0"],
+             ["--config", str(bad_noise)]]
+    for i, extra in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        code = main(["run", "--dataset", str(mini_dataset), "--out", str(out)]
+                    + extra)
+        assert code == EXIT_CONFIG, extra
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_missing_dataset_exit_data(tmp_path):
     code = main(["run", "--dataset", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "out")])

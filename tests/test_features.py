@@ -3,11 +3,12 @@ import pytest
 
 from viwo import geom
 from viwo.dynamics import GyroParams, NavState, corrected_rate_param_jacobian
-from viwo.features import (CameraExtrinsics, CameraTwist, FeatureState,
-                           camera_twist, derivative_batch, feature_derivative,
+from viwo.features import (RHO_CEIL, RHO_FLOOR, CameraExtrinsics,
+                           CameraTwist, FeatureState, camera_twist,
+                           feature_derivative,
                            feature_jacobians, feature_param_jacobian,
-                           feature_to_landmark, jacobian_batch,
-                           landmark_to_feature, param_jacobian_batch)
+                           feature_to_landmark, landmark_to_feature,
+                           linearize_batch)
 from viwo.filter import propagate_joint
 
 
@@ -234,34 +235,62 @@ def test_geometric_consistency_oracle():
     assert abs(rho[0] - truth.rho) / truth.rho < 1e-3
 
 
+def _assert_linearization_matches_scalar(feats, v_c, w_c, r_cb, lever, jw,
+                                         atol=1e-12):
+    qf = np.array([f.bearing for f in feats])
+    rho = np.array([f.rho for f in feats])
+    diag, coup, psi = linearize_batch(qf, rho, v_c, w_c, r_cb, lever, jw)
+    ext = CameraExtrinsics(r_cb, lever)
+    tw = CameraTwist(v_c, w_c)
+    for i, f in enumerate(feats):
+        jac = feature_jacobians(f, tw)
+        assert np.allclose(diag[i][0:2, 0:2], jac["dq_dq"], rtol=0, atol=atol)
+        assert np.allclose(diag[i][0:2, 2], jac["dq_drho"], rtol=0, atol=atol)
+        assert np.allclose(diag[i][2, 0:2], jac["drho_dq"], rtol=0, atol=atol)
+        assert np.isclose(diag[i][2, 2], jac["drho_drho"], rtol=0, atol=atol)
+        assert np.allclose(coup[i][0:2, :], jac["dq_dvc"] @ r_cb, rtol=0, atol=atol)
+        assert np.allclose(coup[i][2, :], jac["drho_dvc"] @ r_cb, rtol=0, atol=atol)
+        assert np.allclose(psi[i], feature_param_jacobian(f, ext, jw), rtol=0,
+                           atol=atol)
+
+
 def test_batched_helpers_match_scalar(rng):
     cnt = 16
     feats = [random_feature(rng) for _ in range(cnt)]
-    qf = np.array([f.bearing for f in feats])
-    rho = np.array([f.rho for f in feats])
     v_c = rng.uniform(-10, 10, 3)
     w_c = rng.uniform(-0.5, 0.5, 3)
-    qdot, drho = derivative_batch(qf, rho, v_c, w_c)
     r_cb = geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3)))
     lever = rng.uniform(-2, 2, 3)
-    diag, coup = jacobian_batch(qf, rho, v_c, w_c, r_cb, r_cb)
     params = GyroParams(rng.normal(size=3) * 0.01, 1.02, 0.01, -0.02)
-    omega_m = rng.normal(size=3)
-    jw = corrected_rate_param_jacobian(omega_m, params)
-    psi = param_jacobian_batch(qf, rho, r_cb, lever, jw)
-    for i, f in enumerate(feats):
-        tw = CameraTwist(v_c, w_c)
-        dtan, dr = feature_derivative(f, tw)
-        n = geom.projection_n(f.bearing)
-        qdot_ref = 0.5 * geom._mul_raw(np.array([0.0, *(n @ dtan)]), f.bearing)
-        assert np.allclose(qdot[i], qdot_ref, atol=1e-12)
-        assert np.isclose(drho[i], dr)
-        jac = feature_jacobians(f, tw)
-        assert np.allclose(diag[i][0:2, 0:2], jac["dq_dq"], atol=1e-12)
-        assert np.allclose(diag[i][0:2, 2], jac["dq_drho"], atol=1e-12)
-        assert np.allclose(diag[i][2, 0:2], jac["drho_dq"], atol=1e-12)
-        assert np.isclose(diag[i][2, 2], jac["drho_drho"])
-        assert np.allclose(coup[i][0:2, :], jac["dq_dvc"] @ r_cb, atol=1e-12)
-        assert np.allclose(coup[i][2, :], jac["drho_dvc"] @ r_cb, atol=1e-12)
-        ext = CameraExtrinsics(r_cb, lever)
-        assert np.allclose(psi[i], feature_param_jacobian(f, ext, jw), atol=1e-12)
+    jw = corrected_rate_param_jacobian(rng.normal(size=3), params)
+    _assert_linearization_matches_scalar(feats, v_c, w_c, r_cb, lever, jw)
+
+
+def test_linearize_batch_edge_cases(rng):
+    """Closed-form blocks at the ends of the state range: no lever arm,
+    inverse depth at the floor and ceiling, bearings 60 deg off the axis."""
+    params = GyroParams(rng.normal(size=3) * 0.01, 1.02, 0.01, -0.02)
+    jw = corrected_rate_param_jacobian(rng.normal(size=3), params)
+    r_cb = geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3)))
+    v_c = rng.uniform(-10, 10, 3)
+    w_c = rng.uniform(-0.5, 0.5, 3)
+    off_axis = []
+    for az in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False):
+        d = np.array([np.cos(np.pi / 3), np.sin(np.pi / 3) * np.cos(az),
+                      np.sin(np.pi / 3) * np.sin(az)])
+        spin = geom.so3_exp(np.array([rng.uniform(-np.pi, np.pi), 0.0, 0.0]))
+        off_axis.append(FeatureState(geom.quat_mul(geom.bearing_from_dir(d), spin),
+                                     rng.uniform(0.01, 2.0)))
+    floor = [FeatureState(random_feature(rng).bearing, RHO_FLOOR * 1.01)
+             for _ in range(4)]
+    ceil = [FeatureState(random_feature(rng).bearing, RHO_CEIL) for _ in range(4)]
+    for feats in (off_axis, floor, ceil, off_axis + floor + ceil):
+        _assert_linearization_matches_scalar(feats, v_c, w_c, r_cb, np.zeros(3), jw)
+        _assert_linearization_matches_scalar(feats, v_c, w_c, r_cb,
+                                             rng.uniform(-2, 2, 3), jw)
+    diag, coup, psi = linearize_batch(np.zeros((0, 4)), np.zeros(0), v_c, w_c,
+                                      r_cb, np.zeros(3), jw)
+    assert diag.shape == (0, 3, 3) and coup.shape == (0, 3, 3)
+    assert psi.shape == (0, 3, 6)
+
+

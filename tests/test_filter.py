@@ -57,6 +57,36 @@ def test_transition_structure_nav_to_feature_zero(rng):
     assert np.allclose(psi[6:9, :], 0.0)
 
 
+def _dense_predict_reference(ekf, omega_m, dt):
+    """(cov, upsilon) after one predict step, with Phi scattered by np.ix_
+    and Q built slot by slot."""
+    from viwo.dynamics import correct_gyro
+    omega = correct_gyro(omega_m, ekf.params)
+    act = np.nonzero(ekf._active)[0]
+    f_c, psi_c = assemble_linearization(ekf.nav, ekf._qf[act], ekf._rho[act],
+                                        omega, omega_m, ekf.params, ekf.ext,
+                                        ekf.gravity)
+    idx = list(range(NAV_DIM))
+    for i in act:
+        idx.extend(NAV_DIM + 3 * i + k for k in range(3))
+    phi = np.eye(ekf.dim)
+    phi[np.ix_(idx, idx)] += f_c * dt
+    q_diag = np.zeros(ekf.dim)
+    q_diag[0:3] = ekf.noise.accel_noise ** 2 * dt
+    q_diag[3:6] = ekf.noise.gyro_noise ** 2 * dt
+    q_diag[6:9] = ekf.noise.pos_process ** 2 * dt
+    for i in act:
+        o = NAV_DIM + 3 * i
+        q_diag[o:o + 2] = ekf.noise.bearing_process ** 2 * dt
+        q_diag[o + 2] = ekf.noise.rho_process ** 2 * dt
+    expect = phi @ ekf.cov @ phi.T
+    expect[np.diag_indices_from(expect)] += q_diag
+    expect = 0.5 * (expect + expect.T)
+    expect_ups = phi @ ekf.upsilon
+    expect_ups[idx, :] += psi_c * dt
+    return expect, expect_ups
+
+
 def test_predict_covariance_matches_dense_oracle(rng):
     ekf = make_filter(capacity=2)
     d = np.array([1.0, 0.1, -0.2])
@@ -64,35 +94,45 @@ def test_predict_covariance_matches_dense_oracle(rng):
     ekf.nav = NavState(np.array([5.0, 0.2, -0.1]),
                        geom.so3_exp(np.array([0.05, -0.02, 0.4])),
                        np.zeros(3))
-    cov_before = ekf.cov.copy()
-    ups_before = ekf.upsilon.copy()
     omega_m = np.array([0.02, -0.01, 0.3])
     dt = 0.01
-    from viwo.dynamics import correct_gyro
-    omega = correct_gyro(omega_m, ekf.params)
-    act = np.nonzero(ekf._active)[0]
-    f_c, psi_c = assemble_linearization(ekf.nav, ekf._qf[act], ekf._rho[act],
-                                        omega, omega_m, ekf.params, ekf.ext,
-                                        ekf.gravity)
-    idx = ekf._state_indices(act)
-    phi = np.eye(ekf.dim)
-    phi[np.ix_(idx, idx)] += f_c * dt
-    q_diag = np.zeros(ekf.dim)
-    q_diag[0:3] = ekf.noise.accel_noise ** 2 * dt
-    q_diag[3:6] = ekf.noise.gyro_noise ** 2 * dt
-    q_diag[6:9] = ekf.noise.pos_process ** 2 * dt
-    o = NAV_DIM
-    q_diag[o:o + 2] = ekf.noise.bearing_process ** 2 * dt
-    q_diag[o + 2] = ekf.noise.rho_process ** 2 * dt
-    expect = phi @ cov_before @ phi.T
-    expect[np.diag_indices_from(expect)] += q_diag
-    expect = 0.5 * (expect + expect.T)
-    expect_ups = phi @ ups_before
-    expect_ups[idx, :] += psi_c * dt
-
+    expect, expect_ups = _dense_predict_reference(ekf, omega_m, dt)
     ekf.predict(ImuSample(dt, omega_m, GRAV_CANCEL))
     assert np.allclose(ekf.cov, expect, atol=1e-18, rtol=0)
     assert np.allclose(ekf.upsilon, expect_ups, atol=1e-18, rtol=0)
+
+
+def test_predict_follows_active_set_changes(rng):
+    # features come and go between predict steps, and the active set returns
+    # to sets seen before; each step must use the current set's indices
+    ekf = make_filter(capacity=5)
+    ekf.nav = NavState(np.array([9.0, 0.3, -0.1]),
+                       geom.so3_exp(np.array([0.02, -0.03, 0.7])),
+                       np.array([1.0, 2.0, 0.0]))
+
+    def init(slot):
+        d = np.array([1.0, rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)])
+        ekf.init_feature(slot, geom.bearing_from_dir(d), rng.uniform(0.05, 0.5))
+
+    schedule = [lambda: None, lambda: init(1), lambda: (init(3), init(0)),
+                lambda: ekf.drop_feature(3), lambda: None, lambda: init(3),
+                lambda: (ekf.drop_feature(0), ekf.drop_feature(3)),
+                lambda: (ekf.drop_feature(1), init(2)),
+                lambda: (ekf.drop_feature(2), init(1)),
+                lambda: init(0), lambda: ekf.drop_feature(1),
+                lambda: ekf.drop_feature(0), lambda: (init(4), init(2))]
+    seen = []
+    for change in schedule:
+        change()
+        seen.append(tuple(ekf.active_slots()))
+        omega_m = rng.uniform(-0.3, 0.3, 3)
+        dt = rng.uniform(0.005, 0.02)
+        expect, expect_ups = _dense_predict_reference(ekf, omega_m, dt)
+        ekf.predict(ImuSample(ekf.t + dt, omega_m, GRAV_CANCEL))
+        assert np.max(np.abs(ekf.cov - expect)) <= 1e-14 * np.max(np.abs(expect))
+        assert (np.max(np.abs(ekf.upsilon - expect_ups))
+                <= 1e-14 * np.max(np.abs(expect_ups)))
+    assert len(set(seen)) < len(seen)   # some active sets came back
 
 
 def test_zero_residual_changes_nothing():

@@ -148,6 +148,3 @@ def test_vectorized_helpers_match_scalar(rng):
     for i, q in enumerate(qs):
         ref = geom._mul_raw(np.array([0.0, *om[i]]), q)
         assert np.allclose(prod[i], ref, atol=1e-12)
-    sk = geom.skew_vec(om)
-    for i in range(64):
-        assert np.allclose(sk[i], geom.skew(om[i]), atol=1e-12)
