@@ -112,7 +112,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "jacobian-check":
             from .jacobian_check import format_report, run_audit
-            worst = run_audit(args.configs, args.seed, args.tol)
+            worst = run_audit(args.configs, args.seed)
             text, ok = format_report(worst, args.tol)
             print(text)
             return EXIT_OK if ok else EXIT_NUMERIC

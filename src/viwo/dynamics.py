@@ -15,8 +15,9 @@ upper-triangular matrix M plus an offset b:
 The filter always consumes corrected rates omega = M^-1 (omega_m - bias); all
 parameter Jacobians are taken through this inverse map.
 
-Error-state layout for the 9x9 nav Jacobian is [velocity, attitude, position]
-with the attitude error applied on the world side (see geom module docstring).
+The nav error state is [velocity, attitude, position] with the attitude error
+applied on the world side (see geom module docstring); its Jacobians are the
+nav block of filter.assemble_linearization.
 """
 
 import math
@@ -27,6 +28,8 @@ import numpy as np
 from . import geom
 
 GRAVITY = 9.81
+GRAVITY_VEC = np.array([0.0, 0.0, -GRAVITY])   # world frame, z up
+GRAVITY_VEC.flags.writeable = False
 
 MAX_STEP_S = 0.1
 MIN_YAW_SCALE = 1e-6
@@ -74,14 +77,6 @@ class GyroParams:
     def copy(self) -> "GyroParams":
         return GyroParams(self.bias.copy(), self.yaw_scale,
                           self.misalign_yx, self.misalign_xy)
-
-
-@dataclass
-class GravityModel:
-    g: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -GRAVITY]))
-
-
-GRAVITY_DEFAULT = GravityModel()
 
 
 def error_matrix(params: GyroParams) -> np.ndarray:
@@ -133,12 +128,11 @@ def corrected_rate_param_jacobian(omega_m: np.ndarray,
     return jac
 
 
-def nav_derivative(s: NavState, omega: np.ndarray, accel: np.ndarray,
-                   grav: GravityModel | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nav_derivative(s: NavState, omega: np.ndarray,
+                   accel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vdot, qdot, pdot) for corrected rates and measured specific force."""
-    g = GRAVITY_DEFAULT.g if grav is None else grav.g
     r = geom.quat_to_rot(s.quat)
-    vdot = accel + r.T @ g - geom.cross3(omega, s.vel)
+    vdot = accel + r.T @ GRAVITY_VEC - geom.cross3(omega, s.vel)
     qdot = 0.5 * geom._mul_raw(s.quat, np.array([0.0, omega[0], omega[1], omega[2]]))
     pdot = r @ s.vel
     return vdot, qdot, pdot
@@ -201,42 +195,11 @@ def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
     return out, (y0[0:3], y_b[0:3], y_c[0:3], y_d[0:3])
 
 
-def propagate_nav(s: NavState, imu: ImuSample, params: GyroParams, dt: float,
-                  grav: GravityModel | None = None) -> NavState:
+def propagate_nav(s: NavState, imu: ImuSample, params: GyroParams,
+                  dt: float) -> NavState:
     """One RK4 step of the nav state with gyro-corrected rates (rk4_nav)."""
     if not 0.0 < dt <= MAX_STEP_S:
         raise ValueError(f"step dt={dt} outside (0, {MAX_STEP_S}]")
-    g = GRAVITY_DEFAULT.g if grav is None else grav.g
-    return rk4_nav(s, correct_gyro(imu.omega_m, params), imu.accel_m, g, dt)[0]
+    return rk4_nav(s, correct_gyro(imu.omega_m, params), imu.accel_m,
+                   GRAVITY_VEC, dt)[0]
 
-
-def nav_jacobian(s: NavState, omega: np.ndarray,
-                 grav: GravityModel | None = None) -> np.ndarray:
-    """9x9 error-state Jacobian F_B, rows/cols [v, theta, p].
-
-    The attitude row is zero: a world-side attitude error is constant under
-    the flow when both trajectories integrate the same rates.
-    """
-    g = GRAVITY_DEFAULT.g if grav is None else grav.g
-    r = geom.quat_to_rot(s.quat)
-    f = np.zeros((9, 9))
-    f[0:3, 0:3] = -geom.skew(omega)
-    f[0:3, 3:6] = r.T @ geom.skew(g)
-    f[6:9, 0:3] = r
-    f[6:9, 3:6] = -geom.skew(r @ s.vel)
-    return f
-
-
-def nav_param_jacobian(s: NavState, omega_m: np.ndarray,
-                       params: GyroParams) -> np.ndarray:
-    """9x6 sensitivity of the nav error-state flow to the gyro parameters.
-
-    Velocity rows: [v x] d(omega)/d(params); attitude rows lift the rate
-    sensitivity to the world frame; position rows are zero.
-    """
-    jw = corrected_rate_param_jacobian(omega_m, params)
-    r = geom.quat_to_rot(s.quat)
-    psi = np.zeros((9, 6))
-    psi[0:3, :] = geom.skew(s.vel) @ jw
-    psi[3:6, :] = r @ jw
-    return psi

@@ -14,15 +14,18 @@ F is assembled over the active slots only; Phi is the identity plus F dt
 scattered through flat indices that are cached per active-slot set (which
 changes at most once per camera frame), together with the state indices and
 the process-noise diagonal.
-The update stacks all measurement rows of a camera frame, performs a standard
-EKF innovation, and then a recursive-least-squares innovation with forgetting
+The update stacks all measurement rows of a frame (vehicle and ZUPT rows,
+plus the camera rows of the active slots), performs a standard EKF
+innovation, and then a recursive-least-squares innovation with forgetting
 factor on the six gyroscope parameters through the regressor matrix
 Omega = H * Upsilon, where Upsilon tracks the sensitivity of the error state
 to the parameters.  Residuals are measured-minus-predicted everywhere.
 
 Feature slots have fixed capacity and stable indices; inactive slots keep a
 placeholder unit variance and zero cross-covariance, and their sensitivity
-rows are zeroed on (re)initialization.
+rows are zeroed on (re)initialization.  A wheel-IMU-only filter has zero
+slots: its error state is the nav block alone, and its frames carry no
+camera rows.
 """
 
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.stats import chi2
 
 from . import geom
-from .dynamics import (MAX_STEP_S, GravityModel, GyroParams, ImuSample,
+from .dynamics import (GRAVITY_VEC, MAX_STEP_S, GyroParams, ImuSample,
                        NavState, apply_gyro_error, correct_gyro,
                        corrected_rate_param_jacobian, rk4_nav)
 from .features import (RHO_CEIL, RHO_FLOOR, CameraExtrinsics, FeatureState,
@@ -48,6 +51,14 @@ from .sensors import (CameraIntrinsics, ProjectionError,
 
 NAV_DIM = 9
 FEAT_DIM = 3
+
+GATE_QUANTILE = 0.99          # chi-square quantile of the Mahalanobis gate
+MAX_MISSES = 3                # frames a slot may go unmeasured or gated
+PYRAMID_LEVELS = 2            # image mode: pyramid depth
+PATCH_SIZE = 8                # image mode: template side [px]
+FAST_THRESHOLD = 10.0         # image mode: FAST intensity threshold
+KLT_MAX_SHIFT_PX = 20.0       # image mode: alignment search radius
+PHOTOMETRIC_BASIN_PX = 1.0    # farther alignments become bearing rows
 
 
 @dataclass
@@ -216,7 +227,7 @@ def assemble_psi_compact(nav: NavState, qf: np.ndarray, rho: np.ndarray,
     """Parameter-sensitivity matrix Psi over [nav, features] (compact)."""
     omega = correct_gyro(omega_m, params)
     return assemble_linearization(nav, qf, rho, omega, omega_m, params, ext,
-                                  np.array([0.0, 0.0, -9.81]))[1]
+                                  GRAVITY_VEC)[1]
 
 
 def kalman_step(p: np.ndarray, h: np.ndarray, r_diag: np.ndarray,
@@ -280,13 +291,7 @@ class AdaptiveEkf:
                  rho_sg: float = 0.0,
                  calibrate: bool = True,
                  use_lateral: bool = True,
-                 use_vertical: bool = True,
-                 params: GyroParams | None = None,
-                 gravity: GravityModel | None = None,
-                 pyramid_levels: int = 2,
-                 patch_size: int = 8,
-                 fast_threshold: float = 10.0,
-                 gate_quantile: float = 0.99):
+                 params: GyroParams | None = None):
         self.noise = noise or NoiseConfig()
         self.ext = ext or CameraExtrinsics()
         self.intr = intr
@@ -294,14 +299,6 @@ class AdaptiveEkf:
         self.rho_sg = float(rho_sg)
         self.calibrate = bool(calibrate)
         self.use_lateral = bool(use_lateral)
-        self.use_vertical = bool(use_vertical)
-        self.gravity = (gravity or GravityModel()).g
-        self.pyramid_levels = pyramid_levels
-        self.patch_size = patch_size
-        self.fast_threshold = fast_threshold
-        self.gate_quantile = gate_quantile
-        self.klt_max_shift_px = 20.0
-        self.photometric_basin_px = 1.0
 
         self.t = 0.0
         self.nav = NavState.identity()
@@ -340,12 +337,6 @@ class AdaptiveEkf:
         self.t = float(t)
         self.nav = nav.copy()
 
-    @property
-    def slots(self) -> list:
-        """FeatureState per slot (None when inactive); built on access."""
-        return [FeatureState(self._qf[i].copy(), float(self._rho[i]))
-                if self._active[i] else None for i in range(self.capacity)]
-
     def feature(self, slot: int) -> FeatureState:
         return FeatureState(self._qf[slot].copy(), float(self._rho[slot]))
 
@@ -378,7 +369,7 @@ class AdaptiveEkf:
 
     def _chi2(self, dof: int) -> float:
         if dof not in self._chi2_cache:
-            self._chi2_cache[dof] = float(chi2.ppf(self.gate_quantile, dof))
+            self._chi2_cache[dof] = float(chi2.ppf(GATE_QUANTILE, dof))
         return self._chi2_cache[dof]
 
     # -- prediction ----------------------------------------------------------
@@ -394,12 +385,12 @@ class AdaptiveEkf:
 
         f_c, psi_c = assemble_linearization(self.nav, qf, rho, omega,
                                             imu.omega_m, self.params,
-                                            self.ext, self.gravity)
+                                            self.ext, GRAVITY_VEC)
         phi = self._eye.copy()
         phi.reshape(-1)[flat] += f_c.reshape(-1) * dt
 
         nav_new, qf_new, rho_new = propagate_joint(
-            self.nav, qf, rho, omega, imu.accel_m, dt, self.ext, self.gravity)
+            self.nav, qf, rho, omega, imu.accel_m, dt, self.ext, GRAVITY_VEC)
 
         cov = phi @ self.cov @ phi.T
         cov.reshape(-1)[::self.dim + 1] += q_rate * dt
@@ -429,7 +420,7 @@ class AdaptiveEkf:
         return (self._wheel_zero_since is not None
                 and t - self._wheel_zero_since >= hold_s)
 
-    def vehicle_groups(self, veh: VehicleVelocityMeasurement) -> list[RowGroup]:
+    def vehicle_group(self, veh: VehicleVelocityMeasurement) -> RowGroup:
         z = vehicle_velocity_measurement(veh.v_x_m, veh.a_y_m, self.rho_sg)
         pred = vehicle_predicted_measurement(self.nav.vel, veh.v_x_m, veh.a_y_m,
                                              self.rho_sg)
@@ -439,16 +430,23 @@ class AdaptiveEkf:
         if (abs(veh.v_x_m) < self.noise.lateral_min_speed
                 or abs(veh.a_y_m) > self.noise.lateral_max_ay):
             sig_lat *= self.noise.lateral_inflation
-        rows = [0, 2] if self.use_vertical else [0]
-        if self.use_lateral:
-            rows = sorted(rows + [1])
+        rows = [0, 1, 2] if self.use_lateral else [0, 2]
         r_map = {0: self.noise.sigma_wheel, 1: sig_lat, 2: self.noise.sigma_vertical}
-        return [RowGroup("vehicle", None, residual[rows], _VEL_COLS,
-                         hv[rows, :], np.array([r_map[r] ** 2 for r in rows]))]
+        return RowGroup("vehicle", None, residual[rows], _VEL_COLS,
+                        hv[rows, :], np.array([r_map[r] ** 2 for r in rows]))
 
     def zupt_group(self) -> RowGroup:
         return RowGroup("zupt", None, -self.nav.vel.copy(), _VEL_COLS,
                         np.eye(3), np.full(3, self.noise.sigma_zupt ** 2))
+
+    def _vehicle_and_zupt_groups(self, t: float,
+                                 vehicle: VehicleVelocityMeasurement | None
+                                 ) -> list[RowGroup]:
+        """The vehicle row group, plus the ZUPT group at a standstill."""
+        groups = [] if vehicle is None else [self.vehicle_group(vehicle)]
+        if self.standstill_active(t):
+            groups.append(self.zupt_group())
+        return groups
 
     def bearing_group(self, slot: int, observed: np.ndarray) -> RowGroup:
         residual = geom.s2_boxminus(observed, self._qf[slot])
@@ -484,7 +482,7 @@ class AdaptiveEkf:
         if detections is not None:
             o = NAV_DIM + FEAT_DIM * slot
             sigma_px = np.sqrt(max(self.cov[o, o], self.cov[o + 1, o + 1])) * self.intr.fx
-            r_gate = min(3.0 * sigma_px + 3.0, self.klt_max_shift_px)
+            r_gate = min(3.0 * sigma_px + 3.0, KLT_MAX_SHIFT_PX)
             near = [(u, v) for u, v in detections
                     if np.hypot(u - u0, v - v0) <= r_gate]
             if len(near) != 1:
@@ -492,11 +490,11 @@ class AdaptiveEkf:
             start = near[0]
         u, v, ok = klt_align(patch, pyramid, start[0], start[1],
                              max_shift=6.0 if detections is not None
-                             else self.klt_max_shift_px)
+                             else KLT_MAX_SHIFT_PX)
         if not ok:
             return None
         o = NAV_DIM + FEAT_DIM * slot
-        if np.hypot(u - u0, v - v0) > self.photometric_basin_px:
+        if np.hypot(u - u0, v - v0) > PHOTOMETRIC_BASIN_PX:
             try:
                 observed = unproject(u, v, self.intr)
             except ProjectionError:
@@ -660,20 +658,17 @@ class AdaptiveEkf:
     # -- per-frame orchestration ----------------------------------------------
 
     def process_bearing_frame(self, t: float, observations: list[tuple[int, np.ndarray]],
-                              vehicle: VehicleVelocityMeasurement | None = None,
-                              max_misses: int = 3) -> dict:
-        """Direct-bearing camera frame: update then feature management."""
+                              vehicle: VehicleVelocityMeasurement | None = None
+                              ) -> dict:
+        """Direct-bearing camera frame: update then feature management.  With
+        no observations it is a vehicle-only update (wheel-IMU-only runs)."""
         obs = {}
         for slot, q_obs in observations:
             if 0 <= slot < self.capacity:
                 obs[slot] = np.asarray(q_obs, dtype=float)
             else:
                 self.counters["slots_ignored"] += 1
-        groups: list[RowGroup] = []
-        if vehicle is not None:
-            groups.extend(self.vehicle_groups(vehicle))
-        if self.standstill_active(t):
-            groups.append(self.zupt_group())
+        groups = self._vehicle_and_zupt_groups(t, vehicle)
         for slot in sorted(obs):
             if self._active[slot]:
                 groups.append(self.bearing_group(slot, obs[slot]))
@@ -689,9 +684,9 @@ class AdaptiveEkf:
                     self._miss[slot] = 0
             else:
                 self._miss[slot] += 1
-            if (self._miss[slot] >= max_misses or self._health_drop(slot)):
+            if (self._miss[slot] >= MAX_MISSES or self._health_drop(slot)):
                 self.drop_feature(slot)
-            elif self._gated[slot] >= max_misses and slot in obs:
+            elif self._gated[slot] >= MAX_MISSES and slot in obs:
                 # persistent disagreement: the slot was re-assigned upstream
                 self.drop_feature(slot)
                 self.init_feature(slot, obs[slot])
@@ -701,19 +696,15 @@ class AdaptiveEkf:
         return report
 
     def process_image_frame(self, t: float, img: Image,
-                            vehicle: VehicleVelocityMeasurement | None = None,
-                            max_misses: int = 3) -> dict:
+                            vehicle: VehicleVelocityMeasurement | None = None
+                            ) -> dict:
         """Rendered/recorded-frame update via patch intensity residuals."""
         if self.intr is None:
             raise ValueError("image mode requires camera intrinsics")
-        pyramid = build_pyramid(img, self.pyramid_levels)
-        detections = detect_features(img, 256, threshold=self.fast_threshold,
+        pyramid = build_pyramid(img, PYRAMID_LEVELS)
+        detections = detect_features(img, 256, threshold=FAST_THRESHOLD,
                                      min_distance=6.0)
-        groups: list[RowGroup] = []
-        if vehicle is not None:
-            groups.extend(self.vehicle_groups(vehicle))
-        if self.standstill_active(t):
-            groups.append(self.zupt_group())
+        groups = self._vehicle_and_zupt_groups(t, vehicle)
         measured = set()
         for slot in self.active_slots():
             g = self.intensity_group(slot, pyramid, detections)
@@ -731,7 +722,7 @@ class AdaptiveEkf:
                 self._gated[slot] += 1
             else:
                 self._miss[slot] += 1
-            if (self._miss[slot] >= max_misses or self._gated[slot] >= max_misses
+            if (self._miss[slot] >= MAX_MISSES or self._gated[slot] >= MAX_MISSES
                     or self._health_drop(slot)):
                 self.drop_feature(slot)
 
@@ -752,7 +743,7 @@ class AdaptiveEkf:
                 pt = np.array([u, v])
                 if any(np.hypot(*(pt - q)) < 12.0 for q in taken):
                     continue
-                patch = extract_patch_set(pyramid, u, v, self.patch_size)
+                patch = extract_patch_set(pyramid, u, v, PATCH_SIZE)
                 if patch is None:
                     continue
                 self.init_feature(free.pop(0), unproject(u, v, self.intr),

@@ -16,7 +16,7 @@ from .dynamics import GyroParams, ImuSample, NavState
 from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
 from .filter import AdaptiveEkf, NoiseConfig
-from .image import Image, load_pgm, save_pgm
+from .image import load_pgm, save_pgm
 from .sensors import CameraIntrinsics, VehicleVelocityMeasurement
 
 DEFAULT_INTRINSICS = CameraIntrinsics(500.0, 500.0, 320.0, 240.0,
@@ -57,6 +57,8 @@ class RunConfig:
             raise ValueError(f"unknown measurement mode {self.measurement_mode}")
         if self.feature_slots < 1:
             raise ValueError("need at least one feature slot")
+        if self.laps < 1:
+            raise ValueError("need at least one lap")
         self.noise.validate()
 
     def injected_params(self) -> GyroParams:
@@ -168,11 +170,12 @@ class Dataset:
     ext: CameraExtrinsics
     rho_sg: float
     bearing_frames: list = field(default_factory=list)   # (t, [(slot, quat)])
-    image_frames: list = field(default_factory=list)     # (t, path or Image)
+    image_frames: list = field(default_factory=list)     # (t, path)
     gt: np.ndarray | None = None         # (n, 8)
 
 
-def load_dataset(root, mode: str = "bearing") -> Dataset:
+def load_dataset(root, mode: str | None = "bearing") -> Dataset:
+    """Read a dataset directory; mode None reads no camera stream."""
     paths = dataio.DatasetPaths(root)
     imu = dataio.read_csv(paths.imu, dataio.IMU_HEADER)
     wheel = dataio.read_csv(paths.wheel, dataio.WHEEL_HEADER)
@@ -219,12 +222,11 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
     if cfg.init_params:
         init_params = dataio.load_gyro_params(cfg.init_params)
 
-    use_camera = not cfg.wheel_imu_only
     ekf = AdaptiveEkf(
         noise=cfg.noise,
         ext=ds.ext,
         intr=ds.intr,
-        capacity=cfg.feature_slots if use_camera else 1,
+        capacity=0 if cfg.wheel_imu_only else cfg.feature_slots,
         rho_sg=ds.rho_sg,
         calibrate=not cfg.disable_gyro_calibration,
         use_lateral=not cfg.disable_lateral_model,
@@ -240,62 +242,59 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         nav0.vel = np.array([ds.wheel[0, 1], 0.0, 0.0])
     ekf.initialize(t0, nav0)
 
+    # (time, payload) per frame and the filter step that consumes it; a
+    # wheel-IMU-only run updates with vehicle rows alone at 10 Hz
     if cfg.wheel_imu_only:
-        frame_times = []
         stride = max(1, int(round(0.1 / max(np.median(np.diff(ds.imu[:, 0])), 1e-3))))
-        frame_times = [(ds.imu[k, 0], None) for k in range(stride - 1, ds.imu.shape[0], stride)]
+        frames = [(ds.imu[k, 0], []) for k in range(stride - 1, ds.imu.shape[0], stride)]
+        process = ekf.process_bearing_frame
     elif cfg.measurement_mode == "bearing":
-        frame_times = [(t, ("bearing", obs)) for t, obs in ds.bearing_frames]
+        frames = ds.bearing_frames
+        process = ekf.process_bearing_frame
     else:
-        frame_times = [(t, ("image", item)) for t, item in ds.image_frames]
+        frames = ds.image_frames
+
+        def process(t, path, veh):
+            return ekf.process_image_frame(t, load_pgm(path), veh)
 
     frame_idx = 0
+    frames_skipped = 0
     traj_rows = []
     param_rows = []
-    min_eig_p = np.inf
-    min_eig_s = np.inf
+    min_eig_p = min_eig_s = np.inf   # over every predict and update
 
     def log_state(t):
         traj_rows.append((t, ekf.nav.pos.copy(), ekf.nav.quat.copy()))
         vec = ekf.params.as_vector()
         param_rows.append((t, vec, np.diag(ekf.param_cov).copy()))
 
+    def check_health():
+        nonlocal min_eig_p, min_eig_s
+        if cfg.check_psd:
+            pe, se = ekf.covariance_health()
+            min_eig_p, min_eig_s = min(min_eig_p, pe), min(min_eig_s, se)
+
     log_state(t0)
     for k in range(ds.imu.shape[0]):
         row = ds.imu[k]
         imu = ImuSample(row[0], row[1:4], row[4:7])
         ekf.predict(imu)
-        if cfg.check_psd:
-            pe, se = ekf.covariance_health()
-            min_eig_p = min(min_eig_p, pe)
-            min_eig_s = min(min_eig_s, se)
+        check_health()
         if k < ds.wheel.shape[0]:
             ekf.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
-        while (frame_idx < len(frame_times)
-               and frame_times[frame_idx][0] <= imu.t + 1e-9):
-            ft, payload = frame_times[frame_idx]
+        while frame_idx < len(frames) and frames[frame_idx][0] <= imu.t + 1e-9:
+            ft, payload = frames[frame_idx]
             frame_idx += 1
             if abs(ft - imu.t) > 5e-3:
-                continue  # frame without matching imu sample
+                frames_skipped += 1  # next imu sample more than 5 ms later
+                continue
             veh = VehicleVelocityMeasurement(
                 ft, float(ds.wheel[k, 1]) if k < ds.wheel.shape[0] else 0.0,
                 float(row[5]))
-            if payload is None:
-                groups = ekf.vehicle_groups(veh)
-                if ekf.standstill_active(ft):
-                    groups.append(ekf.zupt_group())
-                ekf.update(groups)
-            elif payload[0] == "bearing":
-                ekf.process_bearing_frame(ft, payload[1], veh)
-            else:
-                item = payload[1]
-                img = item if isinstance(item, Image) else load_pgm(item)
-                ekf.process_image_frame(ft, img, veh)
+            process(ft, payload, veh)
             log_state(ft)
-            if cfg.check_psd:
-                pe, se = ekf.covariance_health()
-                min_eig_p = min(min_eig_p, pe)
-                min_eig_s = min(min_eig_s, se)
+            check_health()
+    frames_skipped += len(frames) - frame_idx   # stamped after the last imu sample
     if traj_rows[-1][0] < ds.imu[-1, 0]:
         log_state(ds.imu[-1, 0])
 
@@ -306,7 +305,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         np.array([r[0] for r in param_rows]),
         np.array([r[1] for r in param_rows]),
         np.array([r[2] for r in param_rows]),
-        dict(ekf.counters),
+        {**ekf.counters, "frames_skipped": frames_skipped},
         float(min_eig_p), float(min_eig_s),
         time.perf_counter() - start)
 
@@ -314,7 +313,8 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
 def cmd_run(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = load_dataset(cfg.dataset, cfg.measurement_mode)
+    ds = load_dataset(cfg.dataset,
+                      None if cfg.wheel_imu_only else cfg.measurement_mode)
     result = run_filter(ds, cfg)
 
     dataio.write_csv(out / "trajectory.csv", dataio.POSE_HEADER,

@@ -256,7 +256,6 @@ def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
     dt = 1.0 / spec.rate_hz
     steps = int(np.floor(profile.total_time / dt + 1e-9))
     rho = spec.rho_sg
-    g = np.array([0.0, 0.0, -GRAVITY])
 
     def inputs_at(t_mid):
         v, vdot, k, kdot, chi = profile.at(t_mid)

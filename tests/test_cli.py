@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,32 @@ def test_wheel_imu_only_never_touches_camera(mini_dataset, tmp_path):
     assert "features_initialized: 0" in report
 
 
+def test_wheel_imu_only_without_camera_files(mini_dataset, tmp_path):
+    # a wheel-IMU-only run reads no camera stream, so it needs none
+    ds = tmp_path / "no_camera"
+    shutil.copytree(mini_dataset, ds)
+    (ds / "bearings.csv").unlink()
+    out = tmp_path / "wio"
+    assert main(["run", "--dataset", str(ds), "--out", str(out),
+                 "--wheel-imu-only"]) == EXIT_OK
+    assert "camera_rows: 0" in (out / "report.txt").read_text()
+
+
+def test_frames_off_the_imu_clock_are_counted(mini_dataset, tmp_path):
+    # camera stamps 4 ms late: the next IMU sample (100 Hz) of every frame is
+    # 6 ms away, and the last frame comes after the last IMU sample
+    ds = tmp_path / "late_camera"
+    shutil.copytree(mini_dataset, ds)
+    rows = dataio.read_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER)
+    rows[:, 0] += 0.004
+    dataio.write_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER, rows.tolist())
+    out = tmp_path / "late"
+    assert main(["run", "--dataset", str(ds), "--out", str(out)]) == EXIT_OK
+    report = (out / "report.txt").read_text()
+    assert f"frames_skipped: {len(np.unique(rows[:, 0]))}\n" in report
+    assert "camera_rows: 0\n" in report
+
+
 def test_disable_calibration_freezes_params(mini_dataset, tmp_path):
     out = tmp_path / "nocal"
     assert main(["run", "--dataset", str(mini_dataset), "--out", str(out),
@@ -123,7 +150,7 @@ def test_config_file_overridden_by_flags(tmp_path):
 def test_bad_scenario_exit_config(tmp_path):
     code = main(["simulate", "--out", str(tmp_path / "x"),
                  "--scenario", "urban_loop", "--laps", "0"])
-    assert code in (EXIT_CONFIG, EXIT_OK)  # zero laps -> empty drive = config error
+    assert code == EXIT_CONFIG  # zero laps -> empty drive = config error
     cfgfile = tmp_path / "bad.txt"
     cfgfile.write_text("scenario = nonsense\n")
     code = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "y")])

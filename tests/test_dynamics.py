@@ -2,14 +2,26 @@ import numpy as np
 import pytest
 
 from viwo import geom
-from viwo.dynamics import (GRAVITY, GravityModel, GyroParams, ImuSample,
+from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample,
                            NavState, apply_gyro_error, correct_gyro,
                            corrected_rate_param_jacobian, nav_derivative,
-                           nav_jacobian, nav_param_jacobian, propagate_nav)
+                           propagate_nav)
+from viwo.features import CameraExtrinsics
+from viwo.filter import NAV_DIM, assemble_linearization
 
 
 def level_gravity_cancel():
     return np.array([0.0, 0.0, GRAVITY])
+
+
+def nav_linearization(nav, omega_m, params, ext=None):
+    """(F, Psi) of the nav error state: assemble_linearization with no
+    features."""
+    f, psi = assemble_linearization(nav, np.zeros((0, 4)), np.zeros(0),
+                                    correct_gyro(omega_m, params), omega_m,
+                                    params, ext or CameraExtrinsics(), GRAVITY_VEC)
+    assert f.shape == (NAV_DIM, NAV_DIM) and psi.shape == (NAV_DIM, 6)
+    return f, psi
 
 
 def test_apply_gyro_error_identity(rng):
@@ -176,7 +188,7 @@ def test_quaternion_norm_long_run():
 
 def test_nav_jacobian_trivial_blocks():
     s = NavState.identity()
-    f = nav_jacobian(s, np.zeros(3))
+    f, _ = nav_linearization(s, np.zeros(3), GyroParams())
     assert np.allclose(f[0:3, 0:3], 0)
     assert np.allclose(f[6:9, 0:3], np.eye(3))
     assert np.allclose(f[6:9, 3:6], 0)      # v = 0
@@ -184,35 +196,30 @@ def test_nav_jacobian_trivial_blocks():
 
 
 def test_nav_jacobian_matches_flow_fd(rng):
-    from viwo.jacobian_check import fd_dynamics_matrix, random_sample
+    from viwo.jacobian_check import fd_flow_matrices, random_sample
     for _ in range(20):
         s = random_sample(rng, 1)
-        omega = correct_gyro(s.omega_m, s.params)
-        f = nav_jacobian(s.nav, omega)
-        fd = fd_dynamics_matrix(s)[0:9, 0:9]
+        f, _ = nav_linearization(s.nav, s.omega_m, s.params, s.ext)
+        fd = fd_flow_matrices(s)[0][0:9, 0:9]
         scale = max(np.max(np.abs(fd)), 1.0)
         assert np.max(np.abs(f - fd)) / scale < 1e-5
 
 
 def test_nav_param_jacobian_zero_velocity():
     s = NavState.identity()
-    psi = nav_param_jacobian(s, np.array([0.1, 0.2, 0.3]), GyroParams())
+    _, psi = nav_linearization(s, np.array([0.1, 0.2, 0.3]), GyroParams())
     assert np.allclose(psi[0:3, :], 0)
     assert np.allclose(psi[6:9, :], 0)
 
 
 def test_nav_param_jacobian_matches_flow_fd(rng):
-    from viwo.jacobian_check import fd_param_matrix, random_sample
+    from viwo.jacobian_check import fd_flow_matrices, random_sample
     for _ in range(20):
         s = random_sample(rng, 1)
-        psi = nav_param_jacobian(s.nav, s.omega_m, s.params)
-        fd = fd_param_matrix(s)[0:9, :]
+        _, psi = nav_linearization(s.nav, s.omega_m, s.params, s.ext)
+        fd = fd_flow_matrices(s)[1][0:9, :]
         scale = max(np.max(np.abs(fd)), 1.0)
         assert np.max(np.abs(psi - fd)) / scale < 1e-5
-
-
-def test_gravity_model_default():
-    assert np.allclose(GravityModel().g, [0, 0, -9.81])
 
 
 def test_propagate_nav_matches_joint_propagator(rng):
@@ -228,11 +235,9 @@ def test_propagate_nav_matches_joint_propagator(rng):
         accel = rng.uniform(-2, 2, 3)
         dt = rng.uniform(0.001, 0.02)
         a = propagate_nav(s, ImuSample(dt, omega_m, accel), params, dt)
-        from viwo.dynamics import correct_gyro as cg
-        from viwo.features import CameraExtrinsics
         b, _, _ = propagate_joint(s, np.zeros((0, 4)), np.zeros(0),
-                                  cg(omega_m, params), accel, dt,
-                                  CameraExtrinsics(), GravityModel().g)
+                                  correct_gyro(omega_m, params), accel, dt,
+                                  CameraExtrinsics(), GRAVITY_VEC)
         assert np.allclose(a.vel, b.vel, atol=1e-13)
         assert np.allclose(a.quat, b.quat, atol=1e-13)
         assert np.allclose(a.pos, b.pos, atol=1e-13)

@@ -4,7 +4,8 @@ from scipy.stats import chi2
 
 from oracles import PlainEkf, batch_rls
 from viwo import geom
-from viwo.dynamics import GyroParams, ImuSample, NavState, apply_gyro_error
+from viwo.dynamics import (GRAVITY_VEC, GyroParams, ImuSample, NavState,
+                           apply_gyro_error)
 from viwo.features import CameraExtrinsics, landmark_to_feature
 from viwo.filter import (NAV_DIM, AdaptiveEkf, NoiseConfig, RowGroup,
                          assemble_linearization, kalman_step, rls_step)
@@ -47,7 +48,7 @@ def test_transition_structure_nav_to_feature_zero(rng):
                    np.zeros(3))
     f, psi = assemble_linearization(nav, qf, rho, np.array([0.1, 0.0, 0.4]),
                                     np.array([0.1, 0.0, 0.4]), GyroParams(),
-                                    ekf.ext, np.array([0, 0, -9.81]))
+                                    ekf.ext, GRAVITY_VEC)
     assert np.allclose(f[0:NAV_DIM, NAV_DIM:], 0.0)
     # feature rows couple only through the velocity columns of the nav block
     assert np.allclose(f[NAV_DIM:, 3:NAV_DIM], 0.0)
@@ -65,7 +66,7 @@ def _dense_predict_reference(ekf, omega_m, dt):
     act = np.nonzero(ekf._active)[0]
     f_c, psi_c = assemble_linearization(ekf.nav, ekf._qf[act], ekf._rho[act],
                                         omega, omega_m, ekf.params, ekf.ext,
-                                        ekf.gravity)
+                                        GRAVITY_VEC)
     idx = list(range(NAV_DIM))
     for i in act:
         idx.extend(NAV_DIM + 3 * i + k for k in range(3))
@@ -155,7 +156,7 @@ def test_zero_residual_changes_nothing():
         ekf.nav.vel[1] = -ekf.rho_sg * 0.0125 * 12.0
         ekf.nav.vel[2] = 0.0
         nav_before = ekf.nav.copy()
-    groups += ekf.vehicle_groups(VehicleVelocityMeasurement(0.0, ekf.nav.vel[0], 0.0125))
+    groups.append(ekf.vehicle_group(VehicleVelocityMeasurement(0.0, ekf.nav.vel[0], 0.0125)))
     for g in groups:
         assert np.allclose(g.residual, 0, atol=1e-12)
     ekf.update(groups)
@@ -410,7 +411,7 @@ def test_reduction_equivalence_bit_identical(rng):
     adaptive = AdaptiveEkf(noise=noise, ext=ds.ext, intr=ds.intr, capacity=6,
                            rho_sg=ds.rho_sg, calibrate=False)
     adaptive.initialize(0.0, nav0)
-    plain = PlainEkf(noise, ds.ext, 6, ds.rho_sg, adaptive.gravity, nav0, 0.0)
+    plain = PlainEkf(noise, ds.ext, 6, ds.rho_sg, GRAVITY_VEC, nav0, 0.0)
 
     frames = dict(ds.bearing_frames)
     poses_a, poses_p = [], []
@@ -473,3 +474,41 @@ def test_covariance_psd_over_cycles(rng):
             worst_s = min(worst_s, se)
     assert worst_p >= -1e-9
     assert worst_s >= -1e-9
+
+
+def test_zero_slot_filter_matches_empty_slot(rng):
+    """A wheel-IMU-only filter has no feature slots; it must evolve exactly
+    like a one-slot filter whose slot stays empty, standstill included."""
+    params = GyroParams(np.array([0.002, -0.001, 0.004]), 1.0, 0.0, 0.0)
+    ekfs = [AdaptiveEkf(noise=NoiseConfig(), ext=CameraExtrinsics(),
+                        capacity=cap, rho_sg=0.004) for cap in (0, 1)]
+    for ekf in ekfs:
+        ekf.initialize(0.0, NavState(np.array([8.0, 0.0, 0.0]),
+                                     geom.IDENTITY_QUAT.copy(), np.zeros(3)))
+    zupts = 0
+    for k in range(1, 401):
+        t = 0.01 * k
+        braking = 1.0 <= t < 3.0                 # 8 m/s to a stop for the last 1 s
+        speed = 8.0 - 4.0 * min(max(t - 1.0, 0.0), 2.0)
+        omega = np.array([0.0, 0.0, 0.1 if speed else 0.0])
+        accel = GRAV_CANCEL + np.array([-4.0 if braking else 0.0, 0.1 * speed, 0.0])
+        imu = ImuSample(t, apply_gyro_error(omega, params) + rng.normal(0, 1e-3, 3),
+                        accel + rng.normal(0, 1e-2, 3))
+        veh = VehicleVelocityMeasurement(t, speed + rng.normal(0, 0.02), imu.accel_m[1])
+        for ekf in ekfs:
+            ekf.predict(imu)
+            ekf.note_wheel(t, speed)
+            if k % 10 == 0:
+                report = ekf.process_bearing_frame(t, [], veh)
+        if k % 10 == 0:
+            zupts += ("zupt", None) in report["kept"]
+    assert zupts > 0 and ekfs[0].counters == ekfs[1].counters
+    zero, one = ekfs
+    assert zero.dim == NAV_DIM and one.dim == NAV_DIM + 3
+    assert np.array_equal(zero.nav.vel, one.nav.vel)
+    assert np.array_equal(zero.nav.quat, one.nav.quat)
+    assert np.array_equal(zero.nav.pos, one.nav.pos)
+    assert np.array_equal(zero.params.as_vector(), one.params.as_vector())
+    assert np.array_equal(zero.param_cov, one.param_cov)
+    assert np.array_equal(zero.cov, one.cov[:NAV_DIM, :NAV_DIM])
+    assert np.array_equal(zero.upsilon, one.upsilon[:NAV_DIM])
