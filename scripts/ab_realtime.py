@@ -1,0 +1,97 @@
+"""Realtime factor of two viwo source trees, measured in alternated pairs.
+
+    python scripts/ab_realtime.py OLD_SRC NEW_SRC DATASET [--mode bearing|image|wheel-imu-only] [--pairs N]
+
+OLD_SRC and NEW_SRC are ``src`` directories that each hold a ``viwo``
+package, for example the ``src`` of a second checkout and of this one.  Both
+are imported into this process under their own package names, so one
+interpreter, one BLAS and one machine state serve both.  Each pair runs
+``run_filter`` once per tree on DATASET, in alternating order (old first in
+even pairs, new first in odd ones), because the machine's speed drifts
+between fast and slow spells.  The realtime factor is seconds of log per
+wall-clock second of ``run_filter``, as in the benchmark.  The script prints
+each pair's factors and new/old ratio, then the median of each tree and the
+ratio of the medians.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+# one BLAS thread, as in the benchmark: the filter's matrices are small
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+
+def import_tree(src: Path, name: str):
+    """Import ``src/viwo`` as the package ``name``; return its pipeline."""
+    pkg_dir = src / "viwo"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
+    if spec is None:
+        raise SystemExit(f"no viwo package in {src}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.pipeline")
+
+
+class Tree:
+    def __init__(self, label: str, src: Path, dataset: Path, mode: str):
+        self.label = label
+        self.pipeline = import_tree(src, f"viwo_ab_{label}")
+        wheel_imu_only = mode == "wheel-imu-only"
+        self.cfg = self.pipeline.RunConfig(
+            dataset=str(dataset), wheel_imu_only=wheel_imu_only,
+            measurement_mode="bearing" if wheel_imu_only else mode)
+        self.ds = self.pipeline.load_dataset(
+            dataset, None if wheel_imu_only else mode)
+        self.log_s = self.ds.imu[-1, 0] - self.ds.imu[0, 0]
+        self.factors: list[float] = []
+
+    def run(self) -> float:
+        t0 = perf_counter()
+        self.pipeline.run_filter(self.ds, self.cfg)
+        factor = self.log_s / (perf_counter() - t0)
+        self.factors.append(factor)
+        return factor
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src", type=Path)
+    ap.add_argument("new_src", type=Path)
+    ap.add_argument("dataset", type=Path)
+    ap.add_argument("--mode", choices=("bearing", "image", "wheel-imu-only"),
+                    default="bearing")
+    ap.add_argument("--pairs", type=int, default=8)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    old = Tree("old", args.old_src.resolve(), args.dataset, args.mode)
+    new = Tree("new", args.new_src.resolve(), args.dataset, args.mode)
+    print(f"dataset {args.dataset} ({old.log_s:.1f} s of log), mode {args.mode}")
+    print(f"{'pair':>4}  {'first':>5}  {'old x':>8}  {'new x':>8}  {'new/old':>7}")
+    for pair in range(args.pairs):
+        order = (old, new) if pair % 2 == 0 else (new, old)
+        for tree in order:
+            tree.run()
+        print(f"{pair:>4}  {order[0].label:>5}  {old.factors[-1]:>8.2f}  "
+              f"{new.factors[-1]:>8.2f}  {new.factors[-1] / old.factors[-1]:>7.3f}")
+    med_old = statistics.median(old.factors)
+    med_new = statistics.median(new.factors)
+    wins = sum(n > o for o, n in zip(old.factors, new.factors))
+    print(f"median realtime factor: old {med_old:.2f}x, new {med_new:.2f}x; "
+          f"ratio of medians {med_new / med_old:.3f}; new faster in {wins} of "
+          f"{args.pairs} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

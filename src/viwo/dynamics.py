@@ -94,22 +94,25 @@ def apply_gyro_error(omega_true: np.ndarray, params: GyroParams) -> np.ndarray:
 
 
 def correct_gyro(omega_m: np.ndarray, params: GyroParams) -> np.ndarray:
-    """Invert the error model: estimated true rate from a measurement."""
+    """Invert the error model: estimated true rate from a measurement, or
+    row by row from a stack of them (..., 3)."""
     if params.yaw_scale <= MIN_YAW_SCALE:
         raise ValueError(f"degenerate yaw scale {params.yaw_scale}")
     u = omega_m - params.bias
     s = params.yaw_scale
-    wz = u[2] / s
-    return np.array([u[0] + params.misalign_yx * wz,
-                     u[1] - params.misalign_xy * wz,
-                     wz])
+    out = np.empty(u.shape)
+    out[..., 2] = wz = u[..., 2] / s
+    out[..., 0] = u[..., 0] + params.misalign_yx * wz
+    out[..., 1] = u[..., 1] - params.misalign_xy * wz
+    return out
 
 
 def corrected_rate_param_jacobian(omega_m: np.ndarray,
                                   params: GyroParams) -> np.ndarray:
     """3x6 derivative of the corrected rate w.r.t. (bias, s_z, m_yx, m_xy).
 
-    Columns follow GyroParams.as_vector ordering.
+    Columns follow GyroParams.as_vector ordering.  A stack of measured rates
+    (..., 3) gives a stack of Jacobians (..., 3, 6), entry by entry the same.
     """
     s = params.yaw_scale
     minv = np.array([
@@ -117,14 +120,14 @@ def corrected_rate_param_jacobian(omega_m: np.ndarray,
         [0.0, 1.0, -params.misalign_xy / s],
         [0.0, 0.0, 1.0 / s],
     ])
-    wz = (omega_m[2] - params.bias[2]) / s  # corrected yaw rate
-    jac = np.zeros((3, 6))
-    jac[:, :3] = -minv
-    jac[:, 3] = np.array([-params.misalign_yx * wz / s,
-                          params.misalign_xy * wz / s,
-                          -wz / s])
-    jac[:, 4] = np.array([wz, 0.0, 0.0])
-    jac[:, 5] = np.array([0.0, -wz, 0.0])
+    wz = (omega_m[..., 2] - params.bias[2]) / s  # corrected yaw rate
+    jac = np.zeros(omega_m.shape[:-1] + (3, 6))
+    jac[..., :3] = -minv
+    jac[..., 0, 3] = -params.misalign_yx * wz / s
+    jac[..., 1, 3] = params.misalign_xy * wz / s
+    jac[..., 2, 3] = -wz / s
+    jac[..., 0, 4] = wz
+    jac[..., 1, 5] = -wz
     return jac
 
 
@@ -171,18 +174,17 @@ def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
     Returns (new state, body velocities at the four RK4 stage points); the
     filter's coupled propagator drives its feature stages with the latter.
     """
-    args = (omega[0], omega[1], omega[2], accel[0], accel[1], accel[2],
-            g[0], g[1], g[2])
-    y0 = (s.vel[0], s.vel[1], s.vel[2],
-          s.quat[0], s.quat[1], s.quat[2], s.quat[3],
-          s.pos[0], s.pos[1], s.pos[2])
+    # Python floats: the same IEEE arithmetic as numpy scalars, faster
+    args = (*omega.tolist(), *accel.tolist(), *g.tolist())
+    y0 = (*s.vel.tolist(), *s.quat.tolist(), *s.pos.tolist())
+    dt = float(dt)
     half = 0.5 * dt
     k1 = _deriv_flat(y0, *args)
-    y_b = tuple(a + half * b for a, b in zip(y0, k1))
+    y_b = [a + half * b for a, b in zip(y0, k1)]
     k2 = _deriv_flat(y_b, *args)
-    y_c = tuple(a + half * b for a, b in zip(y0, k2))
+    y_c = [a + half * b for a, b in zip(y0, k2)]
     k3 = _deriv_flat(y_c, *args)
-    y_d = tuple(a + dt * b for a, b in zip(y0, k3))
+    y_d = [a + dt * b for a, b in zip(y0, k3)]
     k4 = _deriv_flat(y_d, *args)
     sixth = dt / 6.0
     y1 = [a + sixth * (b + 2.0 * c + 2.0 * d + e)

@@ -155,46 +155,50 @@ def linearize_batch(qf: np.ndarray, rho: np.ndarray, v_c: np.ndarray,
                     lever_arm: np.ndarray, jw: np.ndarray):
     """Fused per-feature blocks for the filter's prediction step.
 
-    Returns (diag (n,3,3), vel coupling (n,3,3), parameter rows (n,3,6)),
-    rows ordered [bearing tangent (2), rho].  By the frame identities of the
-    module docstring every block is an elementwise combination of one
-    product: the frame rows [p; n1; n2] against the columns
-    [v_C, omega_C, R_CB, R_CB J_w, (d v_C/d omega) J_w].
-    """
-    cnt = qf.shape[0]
-    rows = geom.quats_to_frames(qf).transpose(0, 2, 1).reshape(3 * cnt, 3)
-    cols = np.empty((3, 17))
-    cols[:, 0] = v_c
-    cols[:, 1] = omega_c
-    cols[:, 2:5] = r_cb
-    cols[:, 5:11] = r_cb @ jw
-    cols[:, 11:17] = -r_cb @ (geom.skew(lever_arm) @ jw)   # d v_C/d omega J_w
-    g = (rows @ cols).reshape(cnt, 3, 17)   # [feature, p|n1|n2, column]
-    rho2 = rho * rho
-    rpv = rho * g[:, 0, 0]
-    n1v = g[:, 1, 0]
-    n2v = g[:, 2, 0]
-    pw = g[:, 0, 1]
+    Returns (diag (..., n,3,3), vel coupling (..., n,3,3), parameter rows
+    (..., n,3,6)), rows ordered [bearing tangent (2), rho].  By the frame
+    identities of the module docstring every block is an elementwise
+    combination of one product: the frame rows [p; n1; n2] against the
+    columns [v_C, omega_C, R_CB, R_CB J_w, (d v_C/d omega) J_w].
 
-    diag = np.empty((cnt, 3, 3))
-    diag[:, 0, 0] = rpv
-    diag[:, 1, 1] = rpv
-    diag[:, 2, 2] = 2.0 * rpv
-    diag[:, 0, 1] = pw
-    diag[:, 1, 0] = -pw
-    diag[:, 0, 2] = n2v
-    diag[:, 1, 2] = -n1v
-    diag[:, 2, 0] = -rho2 * n2v
-    diag[:, 2, 1] = rho2 * n1v
+    Leading axes stack IMU steps: qf (..., n, 4), rho (..., n), v_c and
+    omega_c (..., 3), jw (..., 3, 6).  Each step is its own (3n, 3) @ (3, 17)
+    product, so a step's blocks do not depend on how many are stacked.
+    """
+    lead, cnt = qf.shape[:-2], qf.shape[-2]
+    rows = np.swapaxes(geom.quats_to_frames(qf), -1, -2).reshape(lead + (3 * cnt, 3))
+    cols = np.empty(lead + (3, 17))
+    cols[..., 0] = v_c
+    cols[..., 1] = omega_c
+    cols[..., 2:5] = r_cb
+    cols[..., 5:11] = r_cb @ jw
+    cols[..., 11:17] = -r_cb @ (geom.skew(lever_arm) @ jw)   # d v_C/d omega J_w
+    g = (rows @ cols).reshape(lead + (cnt, 3, 17))   # [feature, p|n1|n2, column]
+    rho2 = rho * rho
+    rpv = rho * g[..., 0, 0]
+    n1v = g[..., 1, 0]
+    n2v = g[..., 2, 0]
+    pw = g[..., 0, 1]
+
+    diag = np.empty(lead + (cnt, 3, 3))
+    diag[..., 0, 0] = rpv
+    diag[..., 1, 1] = rpv
+    diag[..., 2, 2] = 2.0 * rpv
+    diag[..., 0, 1] = pw
+    diag[..., 1, 0] = -pw
+    diag[..., 0, 2] = n2v
+    diag[..., 1, 2] = -n1v
+    diag[..., 2, 0] = -rho2 * n2v
+    diag[..., 2, 1] = rho2 * n1v
 
     # rows [n2, n1, p] scaled by [rho, -rho, rho^2]: the coupling block and
     # the lever-arm half of the parameter rows
-    row_scale = np.empty((cnt, 3, 1))
-    row_scale[:, 0, 0] = rho
-    row_scale[:, 1, 0] = -rho
-    row_scale[:, 2, 0] = rho2
-    scaled = g[:, ::-1, 2:] * row_scale
-    coupling = scaled[:, :, 0:3]
-    psi = scaled[:, :, 9:15]
-    psi[:, 0:2] -= g[:, 1:3, 5:11]
+    row_scale = np.empty(lead + (cnt, 3, 1))
+    row_scale[..., 0, 0] = rho
+    row_scale[..., 1, 0] = -rho
+    row_scale[..., 2, 0] = rho2
+    scaled = g[..., ::-1, 2:] * row_scale
+    coupling = scaled[..., 0:3]
+    psi = scaled[..., 9:15]
+    psi[..., 0:2, :] -= g[..., 1:3, 5:11]
     return diag, coupling, psi

@@ -10,10 +10,27 @@ The error state stacks the nav tangent [velocity, attitude, position] and one
 
 Prediction integrates the coupled nav/feature dynamics with RK4 at IMU rate
 and propagates the covariance with the Euler transition matrix Phi = I + F dt.
-F is assembled over the active slots only; Phi is the identity plus F dt
-scattered through flat indices that are cached per active-slot set (which
-changes at most once per camera frame), together with the state indices and
-the process-noise diagonal.
+Between two camera frames only the IMU changes the state: the active slots
+and the gyro parameters stay fixed.  So predict takes the whole block of IMU
+samples up to the next frame (at most PREDICT_BLOCK_MAX): it propagates the
+states sample by sample, forms every step's F and Psi with one stacked
+assemble_linearization call, builds all Phi of the block at once and then
+runs the per-step Phi P Phi^T + Q and Phi Upsilon + Psi dt recursion.  F is
+assembled over the active slots only; Phi is the identity plus F dt scattered
+through flat indices that are cached per active-slot set, together with the
+state indices and the process-noise diagonal.
+
+Batch invariance: step k's F and Psi are bit-identical whatever the block
+length, so a block predict equals the same samples predicted one at a time.
+The stacked linearization uses only elementwise arithmetic and products
+whose per-step operands have the shapes of a single step; a stacked array
+never goes through one BLAS product whose kernel could depend on its row
+count.  The single-step call is the stacked code with one step.  The frame
+update keeps the same rule for its bearings: the residuals come from one
+geom.s2_boxminus_rows call and the retraction from one s2_boxplus_rows call,
+and those row kernels are elementwise, so they equal the scalar S^2 maps row
+by row.
+
 The update stacks all measurement rows of a frame (vehicle and ZUPT rows,
 plus the camera rows of the active slots), performs a standard EKF
 innovation, and then a recursive-least-squares innovation with forgetting
@@ -28,6 +45,7 @@ slots: its error state is the nav block alone, and its frames carry no
 camera rows.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +77,7 @@ PATCH_SIZE = 8                # image mode: template side [px]
 FAST_THRESHOLD = 10.0         # image mode: FAST intensity threshold
 KLT_MAX_SHIFT_PX = 20.0       # image mode: alignment search radius
 PHOTOMETRIC_BASIN_PX = 1.0    # farther alignments become bearing rows
+PREDICT_BLOCK_MAX = 32        # IMU samples per stacked linearization
 
 
 @dataclass
@@ -181,35 +200,56 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
     return nav_new, geom.quat_mul_batch(dq, qf), rho_new
 
 
-def assemble_linearization(nav: NavState, qf: np.ndarray, rho: np.ndarray,
+def assemble_linearization(nav: NavState | Sequence[NavState],
+                           qf: np.ndarray, rho: np.ndarray,
                            omega: np.ndarray, omega_m: np.ndarray,
                            params: GyroParams, ext: CameraExtrinsics,
                            g: np.ndarray):
-    """(F, Psi) over [nav, features] in one pass (compact layout)."""
-    cnt = qf.shape[0]
+    """(F, Psi) over [nav, features] in one pass (compact layout).
+
+    Single step: nav a NavState, qf (n, 4), rho (n,), omega and omega_m (3,)
+    -> F (dim, dim), Psi (dim, 6).  Stacked: nav a sequence of T states, qf
+    (T, n, 4), rho (T, n), omega and omega_m (T, 3) -> F (T, dim, dim), Psi
+    (T, dim, 6).  The single step is the stacked code with T = 1, and step
+    k's matrices are bit-identical whatever T is: every operation is
+    elementwise or a product per step (see the module docstring).
+    """
+    single = isinstance(nav, NavState)
+    if single:
+        nav, qf, rho, omega, omega_m = [nav], qf[None], rho[None], omega[None], omega_m[None]
+    steps, cnt = qf.shape[0], qf.shape[1]
     n = NAV_DIM + FEAT_DIM * cnt
-    r = geom.quat_to_rot(nav.quat)
-    f = np.zeros((n, n))
-    f[0:3, 0:3] = -geom.skew(omega)
-    f[0:3, 3:6] = r.T @ geom.skew(g)
-    f[6:9, 0:3] = r
-    f[6:9, 3:6] = -geom.skew(r @ nav.vel)
+    vel = np.array([s.vel for s in nav])
+    r = geom.quats_to_frames(np.array([s.quat for s in nav]))
+    f = np.zeros((steps, n, n))
+    f[:, 0:3, 0:3] = -geom.skew_rows(omega)
+    f[:, 0:3, 3:6] = np.swapaxes(r, 1, 2) @ geom.skew(g)
+    f[:, 6:9, 0:3] = r
+    f[:, 6:9, 3:6] = -geom.skew_rows((r @ vel[:, :, None])[:, :, 0])
 
     jw = corrected_rate_param_jacobian(omega_m, params)
-    psi = np.zeros((n, 6))
-    psi[0:3, :] = geom.skew(nav.vel) @ jw
-    psi[3:6, :] = r @ jw
+    psi = np.zeros((steps, n, 6))
+    psi[:, 0:3, :] = geom.skew_rows(vel) @ jw
+    psi[:, 3:6, :] = r @ jw
 
     if cnt:
-        v_c = ext.r_cb @ (nav.vel + geom.cross3(omega, ext.lever_arm))
-        w_c = ext.r_cb @ omega
+        v_c = (ext.r_cb @ (vel + geom.cross_rows(omega, ext.lever_arm))[:, :, None])[:, :, 0]
+        w_c = (ext.r_cb @ omega[:, :, None])[:, :, 0]
         diag, coupling, psi_blocks = linearize_batch(
             qf, rho, v_c, w_c, ext.r_cb, ext.lever_arm, jw)
-        k = np.arange(cnt)   # block diagonal of the feature rows and columns
-        f[NAV_DIM:, NAV_DIM:].reshape(cnt, 3, cnt, 3)[k, :, k, :] = diag
-        f[NAV_DIM:, 0:3] = coupling.reshape(-1, 3)
-        psi[NAV_DIM:] = psi_blocks.reshape(-1, 6)
-    return f, psi
+        # block diagonal of the feature rows and columns
+        rows, cols = _feature_diag_indices(cnt)
+        f[:, rows, cols] = diag
+        f[:, NAV_DIM:, 0:3] = coupling.reshape(steps, -1, 3)
+        psi[:, NAV_DIM:] = psi_blocks.reshape(steps, -1, 6)
+    return (f[0], psi[0]) if single else (f, psi)
+
+
+def _feature_diag_indices(cnt: int):
+    """Row and column index arrays (cnt, 3, 3) of the 3x3 feature blocks on
+    the diagonal of the compact layout."""
+    base = NAV_DIM + FEAT_DIM * np.arange(cnt)[:, None, None]
+    return base + np.arange(3)[:, None], base + np.arange(3)
 
 
 def assemble_f_compact(nav: NavState, qf: np.ndarray, rho: np.ndarray,
@@ -279,6 +319,32 @@ _PARAM_BIAS_LIMIT = 0.1      # rad/s
 _PARAM_SCALE_RANGE = (0.5, 2.0)
 _PARAM_MISALIGN_LIMIT = 0.1
 _VEL_COLS = np.array([0, 1, 2])
+_EYE2 = np.eye(2)            # h_local of every bearing group
+_EYE2.flags.writeable = False
+
+
+def _mahalanobis2(sig: np.ndarray, r: np.ndarray) -> float | None:
+    """r^T sig^-1 r for a 2x2 sig in closed form; None unless det > 0."""
+    (a, b), (c, d) = sig.tolist()
+    det = a * d - b * c
+    if det <= 0.0:
+        return None
+    r0, r1 = r.tolist()
+    return (d * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / det
+
+
+def _mahalanobis3(sig: np.ndarray, r: np.ndarray) -> float | None:
+    """r^T sig^-1 r for a 3x3 sig by its adjugate; None unless det > 0."""
+    (a, b, c), (d, e, f), (g, h, i) = sig.tolist()
+    c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * c00 + b * c01 + c * c02
+    if det <= 0.0:
+        return None
+    r0, r1, r2 = r.tolist()
+    adj_r0 = c00 * r0 + (c * h - b * i) * r1 + (b * f - c * e) * r2
+    adj_r1 = c01 * r0 + (a * i - c * g) * r1 + (c * d - a * f) * r2
+    adj_r2 = c02 * r0 + (b * g - a * h) * r1 + (a * e - b * d) * r2
+    return (r0 * adj_r0 + r1 * adj_r1 + r2 * adj_r2) / det
 
 
 class AdaptiveEkf:
@@ -374,38 +440,65 @@ class AdaptiveEkf:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(self, imu: ImuSample) -> None:
-        dt = imu.t - self.t
-        if not 0.0 < dt <= MAX_STEP_S:
-            raise ValueError(f"IMU step dt={dt:.4f} outside (0, {MAX_STEP_S}]")
-        omega = correct_gyro(imu.omega_m, self.params)
+    def predict(self, imu: ImuSample | Sequence[ImuSample]) -> None:
+        """Propagate through one IMU sample or a block of them.
+
+        Over a block the active set and the gyro parameters stay fixed, so
+        the states are propagated sample by sample, the linearizations of
+        all steps come from one stacked call, and the covariance and
+        sensitivity recursion then runs step by step.  A block is processed
+        in chunks of at most PREDICT_BLOCK_MAX samples.
+        """
+        block = [imu] if isinstance(imu, ImuSample) else list(imu)
+        t_prev = self.t
+        for sample in block:   # check the whole block before changing state
+            dt = sample.t - t_prev
+            if not 0.0 < dt <= MAX_STEP_S:
+                raise ValueError(f"IMU step dt={dt:.4f} outside (0, {MAX_STEP_S}]")
+            t_prev = sample.t
+        for start in range(0, len(block), PREDICT_BLOCK_MAX):
+            self._predict_chunk(block[start:start + PREDICT_BLOCK_MAX])
+
+    def _predict_chunk(self, block: list[ImuSample]) -> None:
         act, idx, flat, q_rate = self._active_set()
-        qf = self._qf[act]
-        rho = self._rho[act]
+        nav, qf, rho, t = self.nav, self._qf[act], self._rho[act], self.t
+        omega_m = np.array([sample.omega_m for sample in block])
+        omegas = correct_gyro(omega_m, self.params)
+        navs, qfs, rhos, dts = [], [], [], []
+        for sample, omega in zip(block, omegas):
+            dt = sample.t - t
+            navs.append(nav)
+            qfs.append(qf)
+            rhos.append(rho)
+            dts.append(dt)
+            nav, qf, rho = propagate_joint(nav, qf, rho, omega, sample.accel_m,
+                                           dt, self.ext, GRAVITY_VEC)
+            rho = np.clip(rho, RHO_FLOOR, RHO_CEIL)
+            t = sample.t
 
-        f_c, psi_c = assemble_linearization(self.nav, qf, rho, omega,
-                                            imu.omega_m, self.params,
+        f_c, psi_c = assemble_linearization(navs, np.array(qfs), np.array(rhos),
+                                            omegas, omega_m, self.params,
                                             self.ext, GRAVITY_VEC)
-        phi = self._eye.copy()
-        phi.reshape(-1)[flat] += f_c.reshape(-1) * dt
+        steps = len(block)
+        phis = np.broadcast_to(self._eye, (steps, self.dim, self.dim)).copy()
+        phis.reshape(steps, -1)[:, flat] += f_c.reshape(steps, -1) * np.array(dts)[:, None]
 
-        nav_new, qf_new, rho_new = propagate_joint(
-            self.nav, qf, rho, omega, imu.accel_m, dt, self.ext, GRAVITY_VEC)
-
-        cov = phi @ self.cov @ phi.T
-        cov.reshape(-1)[::self.dim + 1] += q_rate * dt
-        self.cov = 0.5 * (cov + cov.T)
-
-        ups = phi @ self.upsilon
-        ups[idx] += psi_c * dt
+        cov, ups = self.cov, self.upsilon
+        for phi, psi, dt in zip(phis, psi_c, dts):
+            cov = phi @ cov @ phi.T
+            cov.reshape(-1)[::self.dim + 1] += q_rate * dt
+            cov = 0.5 * (cov + cov.T)
+            ups = phi @ ups
+            ups[idx] += psi * dt
+        self.cov = cov
         self.upsilon = ups
 
-        self.nav = nav_new
+        self.nav = nav
         if len(act):
-            self._qf[act] = qf_new
-            self._rho[act] = np.clip(rho_new, RHO_FLOOR, RHO_CEIL)
-        self.t = imu.t
-        self.counters["predicts"] += 1
+            self._qf[act] = qf
+            self._rho[act] = rho
+        self.t = t
+        self.counters["predicts"] += steps
 
     # -- measurement row construction ----------------------------------------
 
@@ -448,12 +541,17 @@ class AdaptiveEkf:
             groups.append(self.zupt_group())
         return groups
 
-    def bearing_group(self, slot: int, observed: np.ndarray) -> RowGroup:
-        residual = geom.s2_boxminus(observed, self._qf[slot])
-        o = NAV_DIM + FEAT_DIM * slot
-        return RowGroup("bearing", slot, residual,
-                        np.array([o, o + 1]), np.eye(2),
-                        np.full(2, self.noise.sigma_bearing ** 2))
+    def bearing_groups(self, slots: list[int], observed: np.ndarray) -> list[RowGroup]:
+        """One two-row group per slot; observed holds the (m, 4) measured
+        bearings.  The residuals come from one s2_boxminus_rows call."""
+        residuals = geom.s2_boxminus_rows(observed, self._qf[slots])
+        r_diag = np.full(2, self.noise.sigma_bearing ** 2)
+        groups = []
+        for slot, residual in zip(slots, residuals):
+            o = NAV_DIM + FEAT_DIM * slot
+            groups.append(RowGroup("bearing", slot, residual, np.array([o, o + 1]),
+                                   _EYE2, r_diag))
+        return groups
 
     def intensity_group(self, slot: int, pyramid: list[Image],
                         detections: list[tuple[float, float]] | None = None
@@ -525,21 +623,22 @@ class AdaptiveEkf:
 
     def gate(self, group: RowGroup) -> bool:
         """Mahalanobis test at the configured chi-square quantile."""
-        p_block = self.cov[np.ix_(group.cols, group.cols)]
-        sig = group.h_local @ p_block @ group.h_local.T + np.diag(group.r_diag)
+        cols = group.cols
+        h = group.h_local
+        sig = h @ self.cov[cols[:, None], cols] @ h.T
         r = group.residual
-        if len(r) == 2:
-            det = sig[0, 0] * sig[1, 1] - sig[0, 1] * sig[1, 0]
-            if det <= 0.0:
-                return False
-            d2 = (sig[1, 1] * r[0] * r[0] - 2.0 * sig[0, 1] * r[0] * r[1]
-                  + sig[0, 0] * r[1] * r[1]) / det
+        m = len(r)
+        sig.reshape(-1)[::m + 1] += group.r_diag
+        if m == 2:
+            d2 = _mahalanobis2(sig, r)
+        elif m == 3:
+            d2 = _mahalanobis3(sig, r)
         else:
             try:
                 d2 = float(r @ np.linalg.solve(sig, r))
             except np.linalg.LinAlgError:
                 return False
-        return d2 <= self._chi2(len(r))
+        return d2 is not None and d2 <= self._chi2(m)
 
     def update(self, groups: list[RowGroup]) -> dict:
         """Stacked EKF + RLS update; returns per-group keep/drop report."""
@@ -587,10 +686,11 @@ class AdaptiveEkf:
 
         self.cov = p_new
         self.nav = retract(self.nav, dx[0:NAV_DIM])
-        for i in np.nonzero(self._active)[0]:
-            o = NAV_DIM + FEAT_DIM * i
-            self._qf[i] = geom.s2_boxplus(self._qf[i], dx[o:o + 2])
-            self._rho[i] = np.clip(self._rho[i] + dx[o + 2], RHO_FLOOR, RHO_CEIL)
+        act, idx, _, _ = self._active_set()
+        if len(act):
+            dx_feat = dx[idx[NAV_DIM:]].reshape(-1, FEAT_DIM)
+            self._qf[act] = geom.s2_boxplus_rows(self._qf[act], dx_feat[:, 0:2])
+            self._rho[act] = np.clip(self._rho[act] + dx_feat[:, 2], RHO_FLOOR, RHO_CEIL)
 
         for g in kept:
             if g.label in ("bearing", "intensity"):
@@ -669,9 +769,9 @@ class AdaptiveEkf:
             else:
                 self.counters["slots_ignored"] += 1
         groups = self._vehicle_and_zupt_groups(t, vehicle)
-        for slot in sorted(obs):
-            if self._active[slot]:
-                groups.append(self.bearing_group(slot, obs[slot]))
+        measured = [slot for slot in sorted(obs) if self._active[slot]]
+        if measured:
+            groups += self.bearing_groups(measured, np.array([obs[s] for s in measured]))
         report = self.update(groups)
 
         gated_slots = {s for lbl, s in report["gated"] if lbl == "bearing"}

@@ -182,107 +182,153 @@ def bearing_from_dir(p: np.ndarray) -> np.ndarray:
 
 
 def s2_boxplus(q_f: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Retract a 2-vector tangent step onto the bearing."""
-    n = projection_n(q_f)
-    return quat_mul(so3_exp(n @ delta), q_f)
+    """Retract a 2-vector tangent step onto the bearing (one-row
+    s2_boxplus_rows)."""
+    return s2_boxplus_rows(q_f[None], np.asarray(delta, dtype=float)[None])[0]
 
 
 def s2_boxminus(q_a: np.ndarray, q_b: np.ndarray) -> np.ndarray:
-    """Tangent difference delta with s2_boxplus(q_b, delta) pointing like q_a.
+    """Tangent difference delta with s2_boxplus(q_b, delta) pointing like q_a
+    (one-row s2_boxminus_rows)."""
+    return s2_boxminus_rows(q_a[None], q_b[None])[0]
+
+
+# --- row kernels: one item per row of (..., k) arrays -------------------------
+#
+# Every kernel below is elementwise arithmetic, with no BLAS product and no
+# reduction kernel, so the bits of a row never depend on how many rows are
+# stacked with it.  The filter relies on this: a frame update over m bearings
+# and the scalar S^2 maps above give identical results row by row.
+
+# R(q) entry by entry, row-major: s * (q_i 2q_j + q_k (+-2q_l)) + delta with
+# w, x, y, z = 0..3; e.g. R_01 = x 2y - w 2z and R_00 = 1 - (y 2y + z 2z)
+_FRAME_LEFT = np.array([[2, 1, 1, 1, 1, 2, 1, 2, 1],
+                        [3, 0, 0, 0, 3, 0, 0, 0, 2]])
+_FRAME_RIGHT = np.array([[2, 2, 3, 2, 1, 3, 3, 3, 1],
+                         [3, 3, 2, 3, 3, 1, 2, 1, 2]])
+_FRAME_SCALE = 2.0 * np.array([[1.0] * 9, [1, -1, 1, 1, 1, -1, -1, 1, 1]])
+_FRAME_SIGN = np.array([-1.0, 1, 1, 1, -1, 1, 1, 1, -1])
+_FRAME_TABLE = (_FRAME_LEFT, _FRAME_RIGHT, _FRAME_SCALE, _FRAME_SIGN, np.eye(3).reshape(9))
+# column 0 of R (entries 0, 3, 6): the viewing direction
+_DIR_TABLE = tuple(np.ascontiguousarray(t[..., [0, 3, 6]]) for t in _FRAME_TABLE)
+
+
+def _frame_entries(qf: np.ndarray, table) -> np.ndarray:
+    left, right, scale, sign, eye = table
+    terms = qf.take(left, axis=-1) * (qf.take(right, axis=-1) * scale)
+    return (terms[..., 0, :] + terms[..., 1, :]) * sign + eye
+
+
+def quats_to_frames(qf: np.ndarray) -> np.ndarray:
+    """Rotation matrices of (..., 4) quaternions -> (..., 3, 3).
+
+    For a bearing, column 0 is the viewing direction and columns 1:3 the
+    tangent basis N.
+    """
+    return _frame_entries(qf, _FRAME_TABLE).reshape(qf.shape[:-1] + (3, 3))
+
+
+def quats_to_dirs(qf: np.ndarray) -> np.ndarray:
+    """Bearing directions p = R(q) e1 of (..., 4) quaternions -> (..., 3)."""
+    return _frame_entries(qf, _DIR_TABLE)
+
+
+def quats_to_tangents(qf: np.ndarray) -> np.ndarray:
+    """Tangent bases N of (..., 4) quaternions -> (..., 3, 2)."""
+    return quats_to_frames(qf)[..., 1:3]
+
+
+_CROSS_A = np.array([1, 2, 0])
+_CROSS_B = np.array([2, 0, 1])
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (..., 3) arrays (either may be one 3-vector)."""
+    return (a.take(_CROSS_A, axis=-1) * b.take(_CROSS_B, axis=-1)
+            - a.take(_CROSS_B, axis=-1) * b.take(_CROSS_A, axis=-1))
+
+
+def skew_rows(v: np.ndarray) -> np.ndarray:
+    """skew() of each row of a (..., 3) array -> (..., 3, 3)."""
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def _dot3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    prod = a * b
+    return prod[..., 0] + prod[..., 1] + prod[..., 2]
+
+
+# a * b = ((a_w b + a_x (X b)) + a_y (Y b)) + a_z (Z b), with X, Y, Z the
+# signed permutations of the Hamilton product
+_QUAT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QUAT_SIGN = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
+
+
+def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton products a_i * b_i of (..., 4) arrays, not
+    renormalized (for pure-vector a_i, 2 qdot = (0, omega) * q)."""
+    terms = a[..., :, None] * (b.take(_QUAT_PERM, axis=-1) * _QUAT_SIGN)
+    return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
+
+
+def _unit_rows(q: np.ndarray) -> np.ndarray:
+    sq = q * q
+    return q / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])[..., None]
+
+
+def quat_mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton products of (..., 4) arrays, renormalized."""
+    return _unit_rows(quat_mul_rows(a, b))
+
+
+def so3_exp_rows(theta: np.ndarray) -> np.ndarray:
+    """so3_exp of each row of an (m, 3) array -> (m, 4), same branches."""
+    angle = np.sqrt(_dot3_rows(theta, theta))
+    small = angle < _SMALL_ANGLE
+    half = 0.5 * angle
+    out = np.empty((theta.shape[0], 4))
+    out[:, 0] = np.where(small, 1.0, np.cos(half))
+    out[:, 1:4] = theta * np.where(small, 0.5, np.sin(half) / np.where(small, 1.0, angle))[:, None]
+    if small.any():
+        # first-order map, exact enough below the branch point
+        out[small] = _unit_rows(out[small])
+    return out
+
+
+def s2_boxplus_rows(qf: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Retract each row of (m, 2) tangent steps onto the (m, 4) bearings:
+    q_f <- exp(N(q_f) delta) * q_f."""
+    frames = quats_to_frames(qf)
+    theta = frames[:, :, 1] * delta[:, 0:1] + frames[:, :, 2] * delta[:, 1:2]
+    return quat_mul_batch(so3_exp_rows(theta), qf)
+
+
+def s2_boxminus_rows(q_a: np.ndarray, q_b: np.ndarray) -> np.ndarray:
+    """Tangent differences (m, 2) with s2_boxplus_rows(q_b, delta) pointing
+    like q_a, row by row.
 
     Only the directions enter; the gauge rotation about the bearing axis is
     quotiented out.  Raises for antipodal directions (undefined tangent).
     """
-    pa = bearing_dir(q_a)
-    pb = bearing_dir(q_b)
-    cross = cross3(pb, pa)
-    s = np.sqrt(cross @ cross)
-    c = pb @ pa
-    if c < -1.0 + 1e-9:
+    pa = quats_to_dirs(q_a)
+    frames_b = quats_to_frames(q_b)
+    pb = frames_b[:, :, 0]
+    cross = cross_rows(pb, pa)
+    s = np.sqrt(_dot3_rows(cross, cross))
+    c = _dot3_rows(pb, pa)
+    if (c < -1.0 + 1e-9).any():
         raise ValueError("antipodal bearings have no unique tangent difference")
-    if s < 1e-12:
-        theta = cross  # angle ~ sin(angle); first order
-    else:
-        theta = cross * (np.arctan2(s, c) / s)
-    return projection_n(q_b).T @ theta
-
-
-# --- vectorized helpers (used by the filter's batched feature math) ---------
-
-def _frame_coefficients() -> np.ndarray:
-    """(16, 9) map from the products q_i q_j to R(q) - I, both flattened."""
-    w, x, y, z = range(4)
-    terms = {
-        (0, 0): {(y, y): -2, (z, z): -2},
-        (0, 1): {(x, y): 2, (w, z): -2},
-        (0, 2): {(x, z): 2, (w, y): 2},
-        (1, 0): {(x, y): 2, (w, z): 2},
-        (1, 1): {(x, x): -2, (z, z): -2},
-        (1, 2): {(y, z): 2, (w, x): -2},
-        (2, 0): {(x, z): 2, (w, y): -2},
-        (2, 1): {(y, z): 2, (w, x): 2},
-        (2, 2): {(x, x): -2, (y, y): -2},
-    }
-    coef = np.zeros((4, 4, 3, 3))
-    for (r, c), entry in terms.items():
-        for (i, j), val in entry.items():
-            coef[i, j, r, c] = val
-    return coef.reshape(16, 9)
-
-
-_FRAME_COEF = _frame_coefficients()
-_EYE_FLAT = np.eye(3).reshape(9)
-
-
-def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products a_i b_j of (n,k) and (n,m) (or (m,)) -> (n, k*m).
-
-    Every bilinear row-wise map below (frames, cross products, quaternion
-    products) is this array times a constant coefficient matrix: one product
-    instead of a chain of per-component numpy calls."""
-    out = a[:, :, None] * b[..., None, :]
-    return out.reshape(a.shape[0], a.shape[1] * b.shape[-1])
-
-
-def quats_to_dirs(qf: np.ndarray) -> np.ndarray:
-    """Bearing directions for an (n,4) quaternion array -> (n,3)."""
-    return _outer_rows(qf, qf) @ _FRAME_COEF[:, 0::3] + _EYE_FLAT[0::3]
-
-
-_CROSS_COEF = np.array([cross3(a, b) for a in np.eye(3) for b in np.eye(3)])
-
-
-def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product (n,3) x (n,3) or (n,3) x (3,) -> (n,3)."""
-    return _outer_rows(a, b) @ _CROSS_COEF
-
-
-def quats_to_tangents(qf: np.ndarray) -> np.ndarray:
-    """Tangent bases for an (n,4) quaternion array -> (n,3,2)."""
-    return quats_to_frames(qf)[:, :, 1:3]
-
-
-def quats_to_frames(qf: np.ndarray) -> np.ndarray:
-    """Full bearing frames for (n,4) quaternions -> rotation matrices (n,3,3).
-
-    Column 0 is the viewing direction, columns 1:3 the tangent basis.
-    """
-    return (_outer_rows(qf, qf) @ _FRAME_COEF + _EYE_FLAT).reshape(-1, 3, 3)
-
-
-_QUAT_PRODUCT = np.array([_mul_raw(a, b) for a in np.eye(4) for b in np.eye(4)])
-
-
-def quat_mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamilton products of (n,4) arrays, renormalized."""
-    out = _outer_rows(a, b) @ _QUAT_PRODUCT
-    return out / np.sqrt((out * out).sum(axis=1))[:, None]
-
-
-def quat_mul_left_vec(omega: np.ndarray, qf: np.ndarray) -> np.ndarray:
-    """Batched pure-vector left product (0, omega_i) * q_i -> (n,4).
-
-    This is the raw product (no normalization); it is the quaternion rate
-    kernel: qdot = 0.5 * (0, omega) * q for world/left rates.
-    """
-    return _outer_rows(omega, qf) @ _QUAT_PRODUCT[4:]
+    small = s < 1e-12   # angle ~ sin(angle): first order
+    scale = np.where(small, 1.0, np.arctan2(s, c) / np.where(small, 1.0, s))
+    theta = cross * scale[:, None]
+    out = np.empty((q_a.shape[0], 2))
+    out[:, 0] = _dot3_rows(frames_b[:, :, 1], theta)
+    out[:, 1] = _dot3_rows(frames_b[:, :, 2], theta)
+    return out

@@ -66,17 +66,6 @@ def random_sample(rng: np.random.Generator, n_feat: int = 1) -> JointSample:
 # batched state tuple: (vel (B,3), quat (B,4), pos (B,3), qf (B,4), rho (B,))
 # with one feature per scenario and per-scenario corrected rates (B,3).
 
-def _mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=1)
-
-
 def _so3_log_batch(q: np.ndarray) -> np.ndarray:
     q = np.where(q[:, :1] < 0.0, -q, q)
     vec = q[:, 1:]
@@ -84,18 +73,6 @@ def _so3_log_batch(q: np.ndarray) -> np.ndarray:
     angle = 2.0 * np.arctan2(n, q[:, 0])
     scale = np.where(n < 1e-12, 2.0 / q[:, 0], angle / np.maximum(n, 1e-300))
     return vec * scale[:, None]
-
-
-def _s2_boxminus_batch(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    pa = geom.quats_to_dirs(qa)
-    pb = geom.quats_to_dirs(qb)
-    cross = geom.cross_rows(pb, pa)
-    s = np.sqrt((cross * cross).sum(axis=1))
-    c = (pa * pb).sum(axis=1)
-    scale = np.where(s < 1e-12, 1.0, np.arctan2(s, c) / np.maximum(s, 1e-300))
-    theta = cross * scale[:, None]
-    nb = geom.quats_to_tangents(qb)
-    return np.einsum("bxt,bx->bt", nb, theta)
 
 
 def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, g, dt):
@@ -106,7 +83,7 @@ def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, g, dt):
         vdot = (accel[None, :] + np.einsum("bji,j->bi", r, g)
                 - geom.cross_rows(omega, v))
         om4 = np.concatenate([np.zeros((omega.shape[0], 1)), omega], axis=1)
-        qdot = 0.5 * _mul_batch(q, om4)
+        qdot = 0.5 * geom.quat_mul_rows(q, om4)
         pdot = np.einsum("bij,bj->bi", r, v)
         v_c = (v + geom.cross_rows(omega, ext.lever_arm)) @ ext.r_cb.T
         w_c = omega @ ext.r_cb.T
@@ -114,8 +91,9 @@ def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, g, dt):
         nt = geom.quats_to_tangents(bq)
         rate3 = w_c + br[:, None] * geom.cross_rows(pdir, v_c)
         dtan = -np.einsum("bxt,bx->bt", nt, rate3)
-        om_left = np.einsum("bxt,bt->bx", nt, dtan)
-        bqdot = 0.5 * geom.quat_mul_left_vec(om_left, bq)
+        om_left = np.zeros((bq.shape[0], 4))
+        om_left[:, 1:4] = np.einsum("bxt,bt->bx", nt, dtan)
+        bqdot = 0.5 * geom.quat_mul_rows(om_left, bq)
         brdot = br ** 2 * (pdir * v_c).sum(axis=1)
         return vdot, qdot, pdot, bqdot, brdot
 
@@ -136,9 +114,9 @@ def _tangent_diff(a, b) -> np.ndarray:
     out = np.empty((a[0].shape[0], 12))
     out[:, 0:3] = a[0] - b[0]
     conj = b[1] * np.array([1.0, -1.0, -1.0, -1.0])
-    out[:, 3:6] = _so3_log_batch(_mul_batch(a[1], conj))
+    out[:, 3:6] = _so3_log_batch(geom.quat_mul_rows(a[1], conj))
     out[:, 6:9] = a[2] - b[2]
-    out[:, 9:11] = _s2_boxminus_batch(a[3], b[3])
+    out[:, 9:11] = geom.s2_boxminus_rows(a[3], b[3])
     out[:, 11] = a[4] - b[4]
     return out
 
@@ -153,11 +131,8 @@ def _perturbed_states(s: JointSample, h: float):
     cnt = deltas.shape[0]
     vel = np.tile(s.nav.vel, (cnt, 1)) + deltas[:, 0:3]
     pos = np.tile(s.nav.pos, (cnt, 1)) + deltas[:, 6:9]
-    quat = np.empty((cnt, 4))
-    qf = np.empty((cnt, 4))
-    for b in range(cnt):
-        quat[b] = geom.quat_mul(geom.so3_exp(deltas[b, 3:6]), s.nav.quat)
-        qf[b] = geom.s2_boxplus(s.qf[0], deltas[b, 9:11])
+    quat = geom.quat_mul_batch(geom.so3_exp_rows(deltas[:, 3:6]), s.nav.quat)
+    qf = geom.s2_boxplus_rows(np.tile(s.qf[0], (cnt, 1)), deltas[:, 9:11])
     rho = np.full(cnt, s.rho[0]) + deltas[:, 11]
     return vel, quat, pos, qf, rho
 

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, geom, sim
-from .dynamics import GyroParams, ImuSample, NavState
+from .dynamics import MAX_STEP_S, GyroParams, ImuSample, NavState
 from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
-from .filter import AdaptiveEkf, NoiseConfig
+from .filter import PREDICT_BLOCK_MAX, AdaptiveEkf, NoiseConfig
 from .image import load_pgm, save_pgm
 from .sensors import CameraIntrinsics, VehicleVelocityMeasurement
 
@@ -181,6 +181,13 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     wheel = dataio.read_csv(paths.wheel, dataio.WHEEL_HEADER)
     if imu.shape[0] == 0:
         raise dataio.DataError("empty imu stream")
+    steps = np.diff(imu[:, 0])
+    bad = np.flatnonzero(~((steps > 0.0) & (steps <= MAX_STEP_S)))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise dataio.DataError(
+            f"{paths.imu}: data row {k + 1} (t={imu[k, 0]:.6f}): step "
+            f"{steps[k - 1]:.4f} s from the previous row outside (0, {MAX_STEP_S}]")
     intr, ext, rho_sg = dataio.load_calib(paths.calib)
     ds = Dataset(imu, wheel, intr, ext, rho_sg)
     if paths.gt.exists():
@@ -274,22 +281,30 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
             pe, se = ekf.covariance_health()
             min_eig_p, min_eig_s = min(min_eig_p, pe), min(min_eig_s, se)
 
+    # a frame fires after the predict up to the first IMU sample stamped
+    # t >= t_frame - 1e-9, so the samples up to it form one predict block
+    # (one sample with --check-psd, which checks P after every step)
+    n_imu = ds.imu.shape[0]
+    fire = np.searchsorted(ds.imu[:, 0] + 1e-9, [f[0] for f in frames], side="left")
+    block_max = 1 if cfg.check_psd else PREDICT_BLOCK_MAX
     log_state(t0)
-    for k in range(ds.imu.shape[0]):
-        row = ds.imu[k]
-        imu = ImuSample(row[0], row[1:4], row[4:7])
-        ekf.predict(imu)
+    k = 0
+    while k < n_imu:
+        end = n_imu - 1 if frame_idx == len(frames) else max(int(fire[frame_idx]), k)
+        end = min(end, k + block_max - 1, n_imu - 1)
+        ekf.predict([ImuSample(row[0], row[1:4], row[4:7]) for row in ds.imu[k:end + 1]])
         check_health()
-        if k < ds.wheel.shape[0]:
-            ekf.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
-        while frame_idx < len(frames) and frames[frame_idx][0] <= imu.t + 1e-9:
+        for j in range(k, min(end + 1, ds.wheel.shape[0])):
+            ekf.note_wheel(ds.wheel[j, 0], ds.wheel[j, 1])
+        k, row = end + 1, ds.imu[end]
+        while frame_idx < len(frames) and frames[frame_idx][0] <= row[0] + 1e-9:
             ft, payload = frames[frame_idx]
             frame_idx += 1
-            if abs(ft - imu.t) > 5e-3:
+            if abs(ft - row[0]) > 5e-3:
                 frames_skipped += 1  # next imu sample more than 5 ms later
                 continue
             veh = VehicleVelocityMeasurement(
-                ft, float(ds.wheel[k, 1]) if k < ds.wheel.shape[0] else 0.0,
+                ft, float(ds.wheel[end, 1]) if end < ds.wheel.shape[0] else 0.0,
                 float(row[5]))
             process(ft, payload, veh)
             log_state(ft)

@@ -421,14 +421,13 @@ def synthesize_bearings(truth: list[TrajectorySample], world: LandmarkWorld,
         for lm in reversed(vis):
             if lm not in slot_of and free:
                 slot_of[lm] = free.pop(0)
-        rows = []
-        for lm, slot in sorted(slot_of.items(), key=lambda kv: kv[1]):
-            feat = landmark_to_feature(world.points[lm], s.nav, ext)
-            bearing = feat.bearing
-            if sigma_tan > 0:
-                bearing = geom.s2_boxplus(bearing, rng.normal(0.0, sigma_tan, 2))
-            rows.append((slot, bearing))
-        frames.append((s.t, rows))
+        observed = sorted(slot_of.items(), key=lambda kv: kv[1])
+        bearings = np.array([landmark_to_feature(world.points[lm], s.nav, ext).bearing
+                             for lm, _ in observed]).reshape(-1, 4)
+        if sigma_tan > 0 and observed:
+            bearings = geom.s2_boxplus_rows(
+                bearings, rng.normal(0.0, sigma_tan, (len(observed), 2)))
+        frames.append((s.t, [(slot, q) for (_, slot), q in zip(observed, bearings)]))
     return frames
 
 

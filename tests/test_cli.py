@@ -242,3 +242,64 @@ def test_image_mode_end_to_end(tmp_path):
     # image mode stays on track at desk scale
     end_err = np.linalg.norm(traj[-1, 1:4] - gt[-1, 1:4])
     assert end_err < 25.0
+
+
+def _run_with_imu_edit(mini_dataset, tmp_path, edit):
+    ds = tmp_path / "edited"
+    shutil.copytree(mini_dataset, ds)
+    rows = dataio.read_csv(ds / "imu.csv", dataio.IMU_HEADER)
+    dataio.write_csv(ds / "imu.csv", dataio.IMU_HEADER, edit(rows).tolist())
+    return main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
+
+
+def test_repeated_imu_stamp_exit_data(mini_dataset, tmp_path, capsys):
+    code = _run_with_imu_edit(mini_dataset, tmp_path,
+                              lambda rows: np.insert(rows, 200, rows[200], axis=0))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "data row 202" in err
+
+
+def test_imu_gap_exit_data(mini_dataset, tmp_path, capsys):
+    # ten dropped rows at 100 Hz: a 0.11 s step, longer than MAX_STEP_S
+    code = _run_with_imu_edit(mini_dataset, tmp_path,
+                              lambda rows: np.delete(rows, slice(200, 210), axis=0))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "data row 201" in err and "0.1100" in err
+
+
+def test_check_psd_run_matches_block_run(mini_dataset, tmp_path):
+    # --check-psd predicts one sample per call, a normal run one block of
+    # samples per camera frame; the outputs are byte-identical
+    outs = []
+    for extra in ([], ["--check-psd"]):
+        out = tmp_path / f"run{len(extra)}"
+        assert main(["run", "--dataset", str(mini_dataset), "--out", str(out)]
+                    + extra) == EXIT_OK
+        outs.append(out)
+    for name in ("trajectory.csv", "params.csv", "final-params.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_predict_blocks_capped_without_frames(mini_dataset, tmp_path, monkeypatch):
+    # camera frames end at 5 s: the rest of the log has no frame to end a
+    # predict block, so the block cap bounds every call
+    from viwo.filter import PREDICT_BLOCK_MAX, AdaptiveEkf
+    ds = tmp_path / "short_camera"
+    shutil.copytree(mini_dataset, ds)
+    rows = dataio.read_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER)
+    dataio.write_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER,
+                     rows[rows[:, 0] <= 5.0].tolist())
+    sizes = []
+    original = AdaptiveEkf.predict
+
+    def counting(self, imu):
+        sizes.append(len(imu))
+        return original(self, imu)
+
+    monkeypatch.setattr(AdaptiveEkf, "predict", counting)
+    assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")]) == EXIT_OK
+    n_imu = dataio.read_csv(ds / "imu.csv", dataio.IMU_HEADER).shape[0]
+    assert sum(sizes) == n_imu
+    assert max(sizes) == PREDICT_BLOCK_MAX

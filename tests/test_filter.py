@@ -5,10 +5,11 @@ from scipy.stats import chi2
 from oracles import PlainEkf, batch_rls
 from viwo import geom
 from viwo.dynamics import (GRAVITY_VEC, GyroParams, ImuSample, NavState,
-                           apply_gyro_error)
+                           apply_gyro_error, correct_gyro)
 from viwo.features import CameraExtrinsics, landmark_to_feature
 from viwo.filter import (NAV_DIM, AdaptiveEkf, NoiseConfig, RowGroup,
-                         assemble_linearization, kalman_step, rls_step)
+                         _mahalanobis3, assemble_linearization, kalman_step,
+                         rls_step)
 from viwo.sensors import VehicleVelocityMeasurement
 
 GRAV_CANCEL = np.array([0.0, 0.0, 9.81])
@@ -136,6 +137,86 @@ def test_predict_follows_active_set_changes(rng):
     assert len(set(seen)) < len(seen)   # some active sets came back
 
 
+@pytest.mark.parametrize("cnt", [0, 14])
+def test_stacked_linearization_matches_single_steps(rng, cnt):
+    """Step k of a stacked call is bit-identical to the single-step call,
+    whatever the number of stacked steps."""
+    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
+                           rng.uniform(-2, 2, 3))
+    params = GyroParams(rng.normal(size=3) * 0.01, 1.02, 0.01, -0.02)
+    for steps in (1, 3, 10):
+        navs = [NavState(rng.uniform(-15, 15, 3), geom.so3_exp(rng.uniform(-1.5, 1.5, 3)),
+                         rng.uniform(-50, 50, 3)) for _ in range(steps)]
+        qf = np.array([[geom.so3_exp(rng.uniform(-1.0, 1.0, 3)) for _ in range(cnt)]
+                       for _ in range(steps)]).reshape(steps, cnt, 4)
+        rho = rng.uniform(0.01, 2.0, (steps, cnt))
+        omega_m = rng.uniform(-0.6, 0.6, (steps, 3))
+        omega = correct_gyro(omega_m, params)
+        f, psi = assemble_linearization(navs, qf, rho, omega, omega_m, params, ext,
+                                        GRAVITY_VEC)
+        assert f.shape == (steps, NAV_DIM + 3 * cnt, NAV_DIM + 3 * cnt)
+        for k in range(steps):
+            f_k, psi_k = assemble_linearization(navs[k], qf[k], rho[k], omega[k],
+                                                omega_m[k], params, ext, GRAVITY_VEC)
+            assert np.array_equal(f[k], f_k)
+            assert np.array_equal(psi[k], psi_k)
+
+
+def test_block_predict_matches_single_samples(rng):
+    """A block predict equals the same samples given one at a time, across
+    feature initialization and drops between blocks and a block longer than
+    the cap."""
+    params = GyroParams(np.array([0.01, -0.005, 0.008]), 1.01, 0.004, -0.003)
+    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(np.array([0.05, -0.1, 0.02]))),
+                           np.array([1.8, 0.1, 1.2]))
+    filters = []
+    for _ in range(2):
+        ekf = AdaptiveEkf(noise=NoiseConfig(), ext=ext, capacity=6, rho_sg=0.004,
+                          params=params)
+        ekf.initialize(0.0, NavState(np.array([10.0, 0.2, 0.0]), geom.IDENTITY_QUAT.copy(),
+                                     np.zeros(3)))
+        filters.append(ekf)
+    bearings = [geom.bearing_from_dir(np.array([1.0, *rng.uniform(-0.4, 0.4, 2)]))
+                for _ in range(6)]
+    t = 0.0
+    schedule = [([("init", 0), ("init", 1), ("init", 4)], 10),
+                ([("init", 2), ("drop", 0)], 7),
+                ([("drop", 4), ("init", 5), ("init", 0)], 45),
+                ([], 1)]
+    for lifecycle, length in schedule:
+        for ekf in filters:
+            for action, slot in lifecycle:
+                if action == "init":
+                    ekf.init_feature(slot, bearings[slot], 0.05 + 0.1 * slot)
+                else:
+                    ekf.drop_feature(slot)
+        block = []
+        for _ in range(length):
+            t += 0.01
+            block.append(ImuSample(t, rng.normal(0.0, 0.2, 3),
+                                   GRAV_CANCEL + rng.normal(0.0, 0.5, 3)))
+        filters[0].predict(block)
+        for imu in block:
+            filters[1].predict(imu)
+        a, b = filters
+        assert a.t == b.t
+        for name in ("vel", "quat", "pos"):
+            assert np.array_equal(getattr(a.nav, name), getattr(b.nav, name))
+        for name in ("_qf", "_rho", "cov", "upsilon"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.counters["predicts"] == b.counters["predicts"]
+
+
+def test_gate_three_row_closed_form_matches_solve(rng):
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-6.0, 2.0)
+        a = rng.normal(size=(3, 3))
+        sig = scale * (a @ a.T + 0.2 * np.eye(3))
+        r = np.sqrt(scale) * rng.normal(size=3)
+        ref = float(r @ np.linalg.solve(sig, r))
+        assert abs(_mahalanobis3(sig, r) - ref) <= 1e-12 * ref
+
+
 def test_zero_residual_changes_nothing():
     ekf = make_filter()
     ekf.nav.vel = np.array([12.0, -0.05, 0.0])
@@ -145,7 +226,7 @@ def test_zero_residual_changes_nothing():
     params_before = ekf.params.as_vector()
     qf_before = ekf._qf[0].copy()
 
-    groups = [ekf.bearing_group(0, ekf._qf[0].copy())]
+    groups = ekf.bearing_groups([0], ekf._qf[[0]].copy())
     veh = VehicleVelocityMeasurement(0.0, 12.0, 0.0125)
     # craft a vehicle measurement whose residual is exactly zero
     from viwo.sensors import vehicle_predicted_measurement, vehicle_velocity_measurement

@@ -121,6 +121,31 @@ def test_s2_boxminus_antipodal_raises():
         geom.s2_boxminus(q_anti, q)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 14])
+def test_s2_row_kernels_match_scalar(rng, rows):
+    # row k of a stacked call equals the scalar call, bit for bit; row 0
+    # takes the small-angle branches (tiny step, identical bearings)
+    qa = np.array([random_quat(rng) for _ in range(rows)])
+    qb = np.array([random_quat(rng) for _ in range(rows)])
+    delta = rng.uniform(-0.5, 0.5, (rows, 2))
+    delta[0] = [3e-9, -4e-9]
+    qa[0] = qb[0]
+    plus = geom.s2_boxplus_rows(qb, delta)
+    minus = geom.s2_boxminus_rows(qa, qb)
+    for k in range(rows):
+        assert np.array_equal(plus[k], geom.s2_boxplus(qb[k], delta[k]))
+        assert np.array_equal(minus[k], geom.s2_boxminus(qa[k], qb[k]))
+    assert np.array_equal(minus[0], np.zeros(2))
+    assert np.allclose(geom.s2_boxminus(plus[0], qb[0]), delta[0], rtol=1e-6, atol=0.0)
+
+
+def test_s2_boxminus_rows_antipodal_raises(rng):
+    q_anti = geom.bearing_from_dir(np.array([-1.0, 0.0, 0.0]))
+    q = random_quat(rng)
+    with pytest.raises(ValueError):
+        geom.s2_boxminus_rows(np.array([q, q_anti]), np.array([q, geom.IDENTITY_QUAT]))
+
+
 def test_bearing_from_dir(rng):
     for _ in range(200):
         d = rng.normal(size=3)
@@ -143,8 +168,9 @@ def test_vectorized_helpers_match_scalar(rng):
     for i, q in enumerate(qs):
         assert np.allclose(dirs[i], geom.bearing_dir(q), atol=1e-12)
         assert np.allclose(tans[i], geom.projection_n(q), atol=1e-12)
-    om = rng.normal(size=(64, 3))
-    prod = geom.quat_mul_left_vec(om, qs)
+    om = np.zeros((64, 4))
+    om[:, 1:4] = rng.normal(size=(64, 3))
+    prod = geom.quat_mul_rows(om, qs)
     for i, q in enumerate(qs):
-        ref = geom._mul_raw(np.array([0.0, *om[i]]), q)
+        ref = geom._mul_raw(om[i], q)
         assert np.allclose(prod[i], ref, atol=1e-12)
