@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="finite-difference audit of all analytic Jacobians")
     pj.add_argument("--configs", type=int, default=1000)
     pj.add_argument("--seed", type=int, default=0)
-    pj.add_argument("--tol", type=float, default=1e-4)
     return ap
 
 
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
         if args.command == "jacobian-check":
             from .jacobian_check import format_report, run_audit
             worst = run_audit(args.configs, args.seed)
-            text, ok = format_report(worst, args.tol)
+            text, ok = format_report(worst)
             print(text)
             return EXIT_OK if ok else EXIT_NUMERIC
     except (ValueError, dataio.DataError) as exc:

@@ -46,13 +46,6 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
-
-
 def write_csv(path, header: str, rows) -> None:
     lines = [header]
     for row in rows:

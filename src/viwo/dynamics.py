@@ -131,16 +131,6 @@ def corrected_rate_param_jacobian(omega_m: np.ndarray,
     return jac
 
 
-def nav_derivative(s: NavState, omega: np.ndarray,
-                   accel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vdot, qdot, pdot) for corrected rates and measured specific force."""
-    r = geom.quat_to_rot(s.quat)
-    vdot = accel + r.T @ GRAVITY_VEC - geom.cross3(omega, s.vel)
-    qdot = 0.5 * geom._mul_raw(s.quat, np.array([0.0, omega[0], omega[1], omega[2]]))
-    pdot = r @ s.vel
-    return vdot, qdot, pdot
-
-
 def _deriv_flat(y, wx, wy, wz, ax, ay, az, gx, gy, gz):
     """RK4 stage derivative in plain float math (hot path)."""
     vx, vy, vz, qw, qx, qy, qz, px, py, pz = y

@@ -1,4 +1,5 @@
-"""Per-feature bearing/inverse-depth state and its camera-twist dynamics.
+"""Per-feature bearing/inverse-depth state, its camera-twist dynamics and
+their batched linearization (linearize_batch).
 
 A feature j is (q_f, rho): a bearing quaternion in the camera frame and the
 inverse of the range along it.  With p = R(q_f) e1 and tangent basis N, the
@@ -7,10 +8,13 @@ dynamics under a camera twist (v_C, omega_C) are
     bearing tangent rate: ddelta = -N^T (omega_C + rho * p x v_C)
     inverse-depth rate:   drho   = rho^2 * p . v_C
 
-All Jacobian blocks below are derived from these two equations (the package
-treats finite differences of the flow as the authority; see the jacobian
-audit).  Division by rho never occurs, but a floor is enforced because the
-inverse-depth state itself degenerates at rho -> 0.
+with v_C = R_CB (v + omega x lever) and omega_C = R_CB omega from the body
+velocity and the corrected body rate.  linearize_batch differentiates these
+two equations with respect to the feature state, the body velocity and the
+gyro parameters.  The package treats finite differences as the authority:
+the tests difference the two equations, and the jacobian audit differences
+the RK4 flow.  Division by rho never occurs, but a floor is enforced because
+the inverse-depth state itself degenerates at rho -> 0.
 
 The bearing frame R(q_f) = [p n1 n2] is a right-handed rotation, so with
 N = [n1 n2] and J = [[0, -1], [1, 0]]:
@@ -19,7 +23,7 @@ N = [n1 n2] and J = [[0, -1], [1, 0]]:
     N^T [a]x N     = (a . p) J          for any 3-vector a
     N^T [v]x [p]x N = -(v . p) I_2
 
-which reduce every batched block (linearize_batch) to dot products of the
+which reduce every block of linearize_batch to dot products of the
 frame axes with v_C, omega_C and the columns of the twist chain.
 """
 
@@ -50,80 +54,6 @@ class CameraExtrinsics:
     lever_arm: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-@dataclass
-class CameraTwist:
-    v_c: np.ndarray
-    omega_c: np.ndarray
-
-
-def camera_twist(s: NavState, omega: np.ndarray,
-                 ext: CameraExtrinsics) -> CameraTwist:
-    """Camera-frame velocity and rate from body velocity and body rate."""
-    v_c = ext.r_cb @ (s.vel + geom.cross3(omega, ext.lever_arm))
-    return CameraTwist(v_c, ext.r_cb @ omega)
-
-
-def feature_derivative(f: FeatureState, tw: CameraTwist) -> tuple[np.ndarray, float]:
-    """(bearing tangent rate [rad/s] as 2-vector, inverse-depth rate [1/(m s)])."""
-    p = geom.bearing_dir(f.bearing)
-    n = geom.projection_n(f.bearing)
-    dbear = -n.T @ (tw.omega_c + f.rho * geom.cross3(p, tw.v_c))
-    drho = f.rho ** 2 * (p @ tw.v_c)
-    return dbear, drho
-
-
-def feature_jacobians(f: FeatureState, tw: CameraTwist) -> dict[str, np.ndarray]:
-    """Analytic blocks of the feature flow.
-
-    Keys: 'dq_dq' (2x2), 'dq_drho' (2,), 'drho_dq' (2,), 'drho_drho' (scalar),
-    'dq_dvc' (2x3), 'drho_dvc' (3,), 'dq_dwc' (2x3).
-    """
-    if f.rho <= RHO_FLOOR:
-        raise ValueError(f"inverse depth {f.rho} at or below floor {RHO_FLOOR}")
-    p = geom.bearing_dir(f.bearing)
-    n = geom.projection_n(f.bearing)
-    v, w = tw.v_c, tw.omega_c
-    rho = f.rho
-    pxv = geom.cross3(p, v)
-    dq_dq = (-n.T @ geom.skew(w + rho * pxv) @ n
-             - rho * n.T @ geom.skew(v) @ geom.skew(p) @ n)
-    dq_drho = -n.T @ pxv
-    drho_dq = -rho ** 2 * (v @ geom.skew(p) @ n)
-    drho_drho = 2.0 * rho * (p @ v)
-    dq_dvc = -rho * n.T @ geom.skew(p)
-    drho_dvc = rho ** 2 * p
-    dq_dwc = -n.T
-    return {
-        "dq_dq": dq_dq, "dq_drho": dq_drho,
-        "drho_dq": drho_dq, "drho_drho": drho_drho,
-        "dq_dvc": dq_dvc, "drho_dvc": drho_dvc, "dq_dwc": dq_dwc,
-    }
-
-
-def feature_rate_jacobian(f: FeatureState, ext: CameraExtrinsics) -> np.ndarray:
-    """3x3 sensitivity of (dbearing, drho) to the body rate omega.
-
-    Folds the twist chain: omega_C = R_CB omega and
-    v_C = R_CB (v + omega x lever) so d v_C/d omega = -R_CB [lever x].
-    """
-    p = geom.bearing_dir(f.bearing)
-    n = geom.projection_n(f.bearing)
-    dvc_dw = -ext.r_cb @ geom.skew(ext.lever_arm)
-    out = np.zeros((3, 3))
-    out[0:2, :] = -n.T @ ext.r_cb - f.rho * n.T @ geom.skew(p) @ dvc_dw
-    out[2, :] = f.rho ** 2 * p @ dvc_dw
-    return out
-
-
-def feature_param_jacobian(f: FeatureState, ext: CameraExtrinsics,
-                           jw: np.ndarray) -> np.ndarray:
-    """3x6 sensitivity of the feature flow to the gyro parameters.
-
-    jw is the 3x6 corrected-rate parameter Jacobian (dynamics module).
-    """
-    return feature_rate_jacobian(f, ext) @ jw
-
-
 def landmark_to_feature(landmark_world: np.ndarray, s: NavState,
                         ext: CameraExtrinsics,
                         min_depth: float = 1.0 / RHO_CEIL) -> FeatureState:
@@ -138,17 +68,6 @@ def landmark_to_feature(landmark_world: np.ndarray, s: NavState,
         raise ValueError(f"landmark range {rng} below minimum depth {min_depth}")
     return FeatureState(geom.bearing_from_dir(d_cam / rng), 1.0 / rng)
 
-
-def feature_to_landmark(f: FeatureState, s: NavState,
-                        ext: CameraExtrinsics) -> np.ndarray:
-    """World point of a feature state (inverse of landmark_to_feature)."""
-    r_wb = geom.quat_to_rot(s.quat)
-    cam_world = s.pos + r_wb @ ext.lever_arm
-    d_cam = geom.bearing_dir(f.bearing) / f.rho
-    return cam_world + r_wb @ (ext.r_cb.T @ d_cam)
-
-
-# --- batched versions used in the filter's inner loops ----------------------
 
 def linearize_batch(qf: np.ndarray, rho: np.ndarray, v_c: np.ndarray,
                     omega_c: np.ndarray, r_cb: np.ndarray,

@@ -45,7 +45,7 @@ slots: its error state is the nav block alone, and its frames carry no
 camera rows.
 """
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -748,6 +748,23 @@ class AdaptiveEkf:
         self._gated[slot] = 0
         self.counters["features_dropped"] += 1
 
+    def _age_slots(self, measured: Collection[int], report: dict) -> None:
+        """Count this frame against every active slot: a gated slot counts a
+        gating, a measured one clears both counts, any other counts a miss.
+        A slot is dropped at MAX_MISSES of either count or by _health_drop."""
+        gated = {slot for _, slot in report["gated"] if slot is not None}
+        for slot in self.active_slots():
+            if slot in gated:
+                self._gated[slot] += 1
+            elif slot in measured:
+                self._gated[slot] = 0
+                self._miss[slot] = 0
+            else:
+                self._miss[slot] += 1
+            if (self._miss[slot] >= MAX_MISSES or self._gated[slot] >= MAX_MISSES
+                    or self._health_drop(slot)):
+                self.drop_feature(slot)
+
     def _health_drop(self, slot: int) -> bool:
         """Cull features with degenerate depth or runaway bearing variance."""
         o = NAV_DIM + FEAT_DIM * slot
@@ -773,23 +790,10 @@ class AdaptiveEkf:
         if measured:
             groups += self.bearing_groups(measured, np.array([obs[s] for s in measured]))
         report = self.update(groups)
-
-        gated_slots = {s for lbl, s in report["gated"] if lbl == "bearing"}
-        for slot in self.active_slots():
-            if slot in obs:
-                if slot in gated_slots:
-                    self._gated[slot] += 1
-                else:
-                    self._gated[slot] = 0
-                    self._miss[slot] = 0
-            else:
-                self._miss[slot] += 1
-            if (self._miss[slot] >= MAX_MISSES or self._health_drop(slot)):
-                self.drop_feature(slot)
-            elif self._gated[slot] >= MAX_MISSES and slot in obs:
-                # persistent disagreement: the slot was re-assigned upstream
-                self.drop_feature(slot)
-                self.init_feature(slot, obs[slot])
+        self._age_slots(measured, report)
+        # every observed inactive slot starts from this frame's bearing: new
+        # slots, and dropped ones still observed (a slot gated persistently
+        # was re-assigned upstream)
         for slot, q_obs in sorted(obs.items()):
             if not self._active[slot]:
                 self.init_feature(slot, q_obs)
@@ -812,19 +816,7 @@ class AdaptiveEkf:
                 groups.append(g)
                 measured.add(slot)
         report = self.update(groups)
-
-        gated = {s for lbl, s in report["gated"] if lbl == "intensity"}
-        for slot in self.active_slots():
-            if slot in measured and slot not in gated:
-                self._miss[slot] = 0
-                self._gated[slot] = 0
-            elif slot in gated:
-                self._gated[slot] += 1
-            else:
-                self._miss[slot] += 1
-            if (self._miss[slot] >= MAX_MISSES or self._gated[slot] >= MAX_MISSES
-                    or self._health_drop(slot)):
-                self.drop_feature(slot)
+        self._age_slots(measured, report)
 
         # top up empty slots from this frame's detections, keeping a margin
         # from the features still being tracked

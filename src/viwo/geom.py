@@ -14,27 +14,25 @@ Conventions used across the package (stated once, asserted in tests):
 
 import numpy as np
 
-QUAT_TOL = 1e-9
 _SMALL_ANGLE = 1e-8
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b, renormalized."""
+def _mul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    q = np.array([
+    return np.array([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ])
-    return q / np.sqrt(q @ q)
 
 
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a * b, renormalized."""
+    return quat_normalize(_mul_raw(a, b))
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -51,24 +49,6 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
         [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
         [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
         [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-    ])
-
-
-def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate v by q via the quaternion sandwich (used as the matrix oracle)."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    out = _mul_raw(_mul_raw(q, qv), quat_conj(q))
-    return out[1:]
-
-
-def _mul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
     ])
 
 

@@ -126,11 +126,16 @@ _FD_DT = 1e-3
 
 
 def _perturbed_states(s: JointSample, h: float):
-    """Stack of 24 scenarios: +h then -h along each of the 12 tangent dims."""
+    """Stack of 24 scenarios: +h then -h along each of the 12 tangent dims.
+
+    Positions are taken about the origin: the dynamics do not depend on
+    position, and flowing positions of tens of metres and then differencing
+    them would cost the position rows most of their digits.
+    """
     deltas = np.vstack([np.eye(12) * h, -np.eye(12) * h])
     cnt = deltas.shape[0]
     vel = np.tile(s.nav.vel, (cnt, 1)) + deltas[:, 0:3]
-    pos = np.tile(s.nav.pos, (cnt, 1)) + deltas[:, 6:9]
+    pos = deltas[:, 6:9]
     quat = geom.quat_mul_batch(geom.so3_exp_rows(deltas[:, 3:6]), s.nav.quat)
     qf = geom.s2_boxplus_rows(np.tile(s.qf[0], (cnt, 1)), deltas[:, 9:11])
     rho = np.full(cnt, s.rho[0]) + deltas[:, 11]
@@ -158,7 +163,7 @@ def fd_flow_matrices(s: JointSample, dt: float = _FD_DT,
 
     vel = np.vstack([vel_s, np.tile(s.nav.vel, (12, 1))])
     quat = np.vstack([quat_s, np.tile(s.nav.quat, (12, 1))])
-    pos = np.vstack([pos_s, np.tile(s.nav.pos, (12, 1))])
+    pos = np.vstack([pos_s, np.zeros((12, 3))])
     qf = np.vstack([qf_s, np.tile(s.qf[0], (12, 1))])
     rho = np.concatenate([rho_s, np.full(12, s.rho[0])])
     omega = np.vstack([np.tile(omega0, (24, 1)), omegas])

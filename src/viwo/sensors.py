@@ -137,12 +137,6 @@ def camera_measurement_jacobian(f: FeatureState, patch: PatchSet,
     return residual, grad @ j_proj
 
 
-def bearing_measurement(f: FeatureState, observed: np.ndarray):
-    """Direct-bearing residual (2-vector) with identity tangent Jacobian."""
-    residual = geom.s2_boxminus(observed, f.bearing)
-    return residual, np.eye(2)
-
-
 # --- vehicle velocity --------------------------------------------------------
 
 @dataclass

@@ -208,6 +208,14 @@ def test_jacobian_check_zero_configs_empty_pass(capsys):
     assert "all blocks pass" in capsys.readouterr().out
 
 
+def test_jacobian_check_position_rows_far_from_origin():
+    # seed 276 draws positions tens of metres out, where an FD reference
+    # that differences flowed positions loses the digits psi_pos needs
+    from viwo.jacobian_check import run_audit
+    worst = run_audit(100, seed=276)
+    assert max(worst.values()) <= 1e-4, worst
+
+
 def test_jacobian_check_detects_perturbed_block(monkeypatch, capsys):
     import viwo.jacobian_check as jc
     original = jc.assemble_f_compact

@@ -3,8 +3,8 @@ import pytest
 
 from viwo import geom
 from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample,
-                           NavState, apply_gyro_error, correct_gyro,
-                           corrected_rate_param_jacobian, nav_derivative,
+                           NavState, _deriv_flat, apply_gyro_error,
+                           correct_gyro, corrected_rate_param_jacobian,
                            propagate_nav)
 from viwo.features import CameraExtrinsics
 from viwo.filter import NAV_DIM, assemble_linearization
@@ -99,6 +99,14 @@ def test_corrected_rate_param_jacobian_zero_yaw():
     assert np.allclose(jac[:, 5], 0.0, atol=1e-12)
 
 
+def nav_derivative(s, omega, accel):
+    """(vdot, qdot, pdot) from _deriv_flat, the stage derivative of rk4_nav."""
+    y = (*s.vel.tolist(), *s.quat.tolist(), *s.pos.tolist())
+    d = np.array(_deriv_flat(y, *omega.tolist(), *accel.tolist(),
+                             *GRAVITY_VEC.tolist()))
+    return d[0:3], d[3:7], d[7:10]
+
+
 def test_nav_derivative_static_equilibrium():
     s = NavState.identity()
     vdot, qdot, pdot = nav_derivative(s, np.zeros(3), level_gravity_cancel())
@@ -112,6 +120,21 @@ def test_nav_derivative_coriolis_cross_oracle(rng):
     vdot, _, pdot = nav_derivative(s, omega, level_gravity_cancel())
     assert np.allclose(vdot, -np.cross(omega, v), atol=1e-12)
     assert np.allclose(pdot, v)
+
+
+def test_nav_derivative_matches_model(rng):
+    # vdot = a + R^T g - omega x v, qdot = q (0, omega) / 2, pdot = R v
+    for _ in range(50):
+        s = NavState(rng.normal(size=3) * 5, geom.so3_exp(rng.uniform(-2, 2, 3)),
+                     rng.normal(size=3) * 50)
+        omega, accel = rng.normal(size=3), rng.normal(size=3) * 3
+        r = geom.quat_to_rot(s.quat)
+        vdot, qdot, pdot = nav_derivative(s, omega, accel)
+        assert np.allclose(vdot, accel + r.T @ GRAVITY_VEC - np.cross(omega, s.vel),
+                           atol=1e-12)
+        assert np.allclose(qdot, 0.5 * geom._mul_raw(s.quat, np.array([0.0, *omega])),
+                           atol=1e-15)
+        assert np.allclose(pdot, r @ s.vel, atol=1e-12)
 
 
 def test_propagate_zero_motion():

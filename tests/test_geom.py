@@ -4,6 +4,17 @@ import pytest
 from viwo import geom
 
 
+def quat_conj(q):
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def rotate(q, v):
+    """Rotate v by q via the quaternion sandwich q (0, v) q*: the oracle of
+    the rotation matrix."""
+    qv = np.array([0.0, v[0], v[1], v[2]])
+    return geom._mul_raw(geom._mul_raw(q, qv), quat_conj(q))[1:]
+
+
 def random_quat(rng):
     return geom.so3_exp(rng.uniform(-np.pi, np.pi, 3) * rng.uniform(0, 1))
 
@@ -11,7 +22,7 @@ def random_quat(rng):
 def test_quat_mul_identity_and_inverse(rng):
     q = random_quat(rng)
     assert np.allclose(geom.quat_mul(geom.IDENTITY_QUAT, q), q, atol=1e-12)
-    prod = geom.quat_mul(q, geom.quat_conj(q))
+    prod = geom.quat_mul(q, quat_conj(q))
     assert np.allclose(np.abs(prod), [1, 0, 0, 0], atol=1e-12)
 
 
@@ -36,7 +47,7 @@ def test_quat_to_rot_orthonormal_and_sandwich(rng):
         assert np.allclose(r.T @ r, np.eye(3), atol=1e-9)
         assert np.isclose(np.linalg.det(r), 1.0, atol=1e-9)
         v = rng.normal(size=3)
-        assert np.allclose(r @ v, geom.rotate(q, v), atol=1e-9)
+        assert np.allclose(r @ v, rotate(q, v), atol=1e-9)
 
 
 def test_double_cover(rng):

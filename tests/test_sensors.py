@@ -3,11 +3,12 @@ import pytest
 
 from viwo import geom
 from viwo.features import FeatureState
+from viwo.filter import NAV_DIM, AdaptiveEkf
 from viwo.image import build_pyramid, extract_patch_set
 from viwo.jacobian_check import fd_camera_chain
 from viwo.sensors import (CameraIntrinsics, ProjectionError,
-                          bearing_measurement, camera_measurement_jacobian,
-                          project, unproject, vehicle_measurement_jacobian,
+                          camera_measurement_jacobian, project, unproject,
+                          vehicle_measurement_jacobian,
                           vehicle_predicted_measurement,
                           vehicle_velocity_measurement)
 
@@ -74,28 +75,31 @@ def test_unproject_outside_image():
         unproject(-5.0, 10.0, INTR)
 
 
-def test_bearing_measurement_zero_residual(rng):
-    d = np.array([1.0, 0.1, -0.2])
-    f = FeatureState(geom.bearing_from_dir(d), 0.2)
-    res, h = bearing_measurement(f, f.bearing)
-    assert np.allclose(res, 0, atol=1e-12)
-    assert np.allclose(h, np.eye(2))
-
-
-def test_bearing_measurement_known_offset():
-    f = FeatureState(geom.IDENTITY_QUAT.copy(), 0.2)
-    obs = geom.s2_boxplus(f.bearing, np.array([0.01, 0.0]))
-    res, _ = bearing_measurement(f, obs)
-    assert np.allclose(res, [0.01, 0.0], atol=1e-9)
-
-
 def test_bearing_measurement_boxplus_consistency(rng):
-    for _ in range(100):
-        d = np.array([1.0, rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)])
-        f = FeatureState(geom.bearing_from_dir(d), 0.5)
-        delta = rng.uniform(-0.05, 0.05, 2)
-        res, _ = bearing_measurement(f, geom.s2_boxplus(f.bearing, delta))
-        assert np.allclose(res, delta, atol=1e-8)
+    """The direct-bearing rows as the filter forms them: an observation
+    s2_boxplus(q, delta) of slot bearing q gives residual delta on the
+    slot's two tangent columns with h_local = I."""
+    ekf = AdaptiveEkf(capacity=4)
+    for slot in range(3):
+        d = np.array([1.0, *rng.uniform(-0.5, 0.5, 2)])
+        ekf.init_feature(slot, geom.bearing_from_dir(d), 0.5)
+    ekf.init_feature(3, geom.IDENTITY_QUAT.copy(), 0.2)
+    slots = [0, 1, 2, 3]
+    for _ in range(25):
+        deltas = rng.uniform(-0.05, 0.05, (4, 2))
+        deltas[0] = 0.0            # zero residual
+        deltas[3] = [0.01, 0.0]    # known offset on the optical axis
+        observed = np.array([geom.s2_boxplus(ekf.feature(s).bearing, d)
+                             for s, d in zip(slots, deltas)])
+        groups = ekf.bearing_groups(slots, observed)
+        assert [g.slot for g in groups] == slots
+        for g, delta in zip(groups, deltas):
+            o = NAV_DIM + 3 * g.slot
+            assert np.array_equal(g.cols, [o, o + 1])
+            assert np.array_equal(g.h_local, np.eye(2))
+            assert np.allclose(g.residual, delta, atol=1e-8)
+        assert np.allclose(groups[0].residual, 0.0, atol=1e-12)
+        assert np.allclose(groups[3].residual, [0.01, 0.0], atol=1e-9)
 
 
 def test_camera_chain_jacobian_fd(rng):
