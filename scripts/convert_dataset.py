@@ -5,7 +5,8 @@ The filter consumes the directory format documented in viwo.dataio:
 
     imu.csv       t,wx,wy,wz,ax,ay,az      body rates [rad/s], specific
                                            force [m/s^2], front-left-up axes
-    wheel.csv     t,vx                     rear-axle longitudinal speed [m/s]
+    wheel.csv     t,vx                     rear-axle longitudinal speed [m/s],
+                                           one row per imu.csv row, same stamp
     bearings.csv  t,slot,bx,by,bz          unit bearings in the camera frame
                                            (x = optical axis, y left, z up)
                                            with persistent slot ids, OR
@@ -25,7 +26,8 @@ Field mapping notes for typical public logs (e.g. stereo/IMU urban sets):
 * IMU axes: re-order to front-left-up; gyroscope units rad/s, accelerometer
   specific force (gravity NOT removed; a level, static vehicle reads +9.81
   on the up axis).
-* wheel speed: average of the rear wheel encoders at the axle center; emit
+* wheel speed: average of the rear wheel encoders at the axle center,
+  resampled to the IMU stamps (the filter pairs the streams by row); emit
   exactly 0.0 at standstill so zero-velocity updates trigger.
 * camera: either export a sparse tracker's unit bearings per track id
   (bearings.csv, slot = track id modulo the configured slot count), or dump

@@ -56,8 +56,7 @@ from . import geom
 from .dynamics import (GRAVITY_VEC, MAX_STEP_S, GyroParams, ImuSample,
                        NavState, apply_gyro_error, correct_gyro,
                        corrected_rate_param_jacobian, rk4_nav)
-from .features import (RHO_CEIL, RHO_FLOOR, CameraExtrinsics, FeatureState,
-                       linearize_batch)
+from .features import RHO_CEIL, RHO_FLOOR, CameraExtrinsics, linearize_batch
 from .image import (Image, build_pyramid, detect_features, extract_patch_set,
                     klt_align)
 from .sensors import (CameraIntrinsics, ProjectionError,
@@ -73,9 +72,8 @@ FEAT_DIM = 3
 GATE_QUANTILE = 0.99          # chi-square quantile of the Mahalanobis gate
 MAX_MISSES = 3                # frames a slot may go unmeasured or gated
 PYRAMID_LEVELS = 2            # image mode: pyramid depth
-PATCH_SIZE = 8                # image mode: template side [px]
 FAST_THRESHOLD = 10.0         # image mode: FAST intensity threshold
-KLT_MAX_SHIFT_PX = 20.0       # image mode: alignment search radius
+KLT_MAX_SHIFT_PX = 20.0       # image mode: cap on the detection gate radius
 PHOTOMETRIC_BASIN_PX = 1.0    # farther alignments become bearing rows
 PREDICT_BLOCK_MAX = 32        # IMU samples per stacked linearization
 
@@ -403,9 +401,6 @@ class AdaptiveEkf:
         self.t = float(t)
         self.nav = nav.copy()
 
-    def feature(self, slot: int) -> FeatureState:
-        return FeatureState(self._qf[slot].copy(), float(self._rho[slot]))
-
     def active_slots(self) -> list[int]:
         return [int(i) for i in np.nonzero(self._active)[0]]
 
@@ -554,69 +549,53 @@ class AdaptiveEkf:
         return groups
 
     def intensity_group(self, slot: int, pyramid: list[Image],
-                        detections: list[tuple[float, float]] | None = None
-                        ) -> RowGroup | None:
+                        detections: list[tuple[float, float]]) -> RowGroup | None:
         """Camera rows for one feature in image mode.
 
-        The template is acquired by a pyramidal KLT alignment.  When a
-        detection list is supplied, the start point is the single detection
-        inside the prediction gate (none or several candidates: the feature
-        is skipped this frame, rejecting ambiguous associations between
-        identical-looking targets).  Within the photometric basin the rows
-        are the intensity residuals with the full measurement chain
-        (QR-compressed to two rows); when the prior lands farther out, the
-        aligned position becomes a direct bearing observation so the
-        linearization stays valid.  Returns None when not measurable.
+        The template is acquired by a pyramidal KLT alignment started at the
+        single detection inside the prediction gate (none or several
+        candidates: the feature is skipped this frame, rejecting ambiguous
+        associations between identical-looking targets).  Within the
+        photometric basin the rows are the intensity residuals with the full
+        measurement chain (QR-compressed to two rows); when the prior lands
+        farther out, the aligned position becomes a direct bearing
+        observation so the linearization stays valid.  Returns None when not
+        measurable.
         """
-        feat = self.feature(slot)
         patch = self.patches[slot]
         if patch is None:
             return None
+        bearing = self._qf[slot]
         try:
-            (u0, v0), _ = project(feat.bearing, self.intr)
+            (u0, v0), _ = project(bearing, self.intr)
         except ProjectionError:
             return None
-        start = (u0, v0)
-        if detections is not None:
-            o = NAV_DIM + FEAT_DIM * slot
-            sigma_px = np.sqrt(max(self.cov[o, o], self.cov[o + 1, o + 1])) * self.intr.fx
-            r_gate = min(3.0 * sigma_px + 3.0, KLT_MAX_SHIFT_PX)
-            near = [(u, v) for u, v in detections
-                    if np.hypot(u - u0, v - v0) <= r_gate]
-            if len(near) != 1:
-                return None
-            start = near[0]
-        u, v, ok = klt_align(patch, pyramid, start[0], start[1],
-                             max_shift=6.0 if detections is not None
-                             else KLT_MAX_SHIFT_PX)
+        o = NAV_DIM + FEAT_DIM * slot
+        sigma_px = np.sqrt(max(self.cov[o, o], self.cov[o + 1, o + 1])) * self.intr.fx
+        r_gate = min(3.0 * sigma_px + 3.0, KLT_MAX_SHIFT_PX)
+        near = [(u, v) for u, v in detections if np.hypot(u - u0, v - v0) <= r_gate]
+        if len(near) != 1:
+            return None
+        u, v, ok = klt_align(patch, pyramid, *near[0])
         if not ok:
             return None
-        o = NAV_DIM + FEAT_DIM * slot
+        cols = np.array([o, o + 1])
         if np.hypot(u - u0, v - v0) > PHOTOMETRIC_BASIN_PX:
             try:
                 observed = unproject(u, v, self.intr)
             except ProjectionError:
                 return None
-            residual = geom.s2_boxminus(observed, feat.bearing)
             sigma_tan = self.noise.sigma_track_px / self.intr.fx
-            return RowGroup("intensity", slot, residual,
-                            np.array([o, o + 1]), np.eye(2),
-                            np.full(2, sigma_tan ** 2))
-        res_rows = []
-        jac_rows = []
-        for lvl in range(patch.num_levels):
-            out = camera_measurement_jacobian(feat, patch, pyramid, self.intr, lvl)
-            if out is None:
-                return None
-            res_rows.append(out[0])
-            jac_rows.append(out[1])
-        residual = np.concatenate(res_rows)
-        h_tan = np.vstack(jac_rows)
+            return RowGroup("intensity", slot, geom.s2_boxminus(observed, bearing),
+                            cols, _EYE2, np.full(2, sigma_tan ** 2))
+        out = camera_measurement_jacobian(bearing, patch, pyramid, self.intr)
+        if out is None:
+            return None
+        residual, h_tan = out
         q, r2 = np.linalg.qr(h_tan)
         if abs(r2[0, 0]) < 1e-9:
             return None  # textureless: no constraint
-        resid_c = q.T @ residual
-        return RowGroup("intensity", slot, resid_c, np.array([o, o + 1]), r2,
+        return RowGroup("intensity", slot, q.T @ residual, cols, r2,
                         np.full(2, self.noise.sigma_intensity ** 2))
 
     # -- update --------------------------------------------------------------
@@ -835,7 +814,7 @@ class AdaptiveEkf:
                 pt = np.array([u, v])
                 if any(np.hypot(*(pt - q)) < 12.0 for q in taken):
                     continue
-                patch = extract_patch_set(pyramid, u, v, PATCH_SIZE)
+                patch = extract_patch_set(pyramid, u, v)
                 if patch is None:
                     continue
                 self.init_feature(free.pop(0), unproject(u, v, self.intr),

@@ -21,10 +21,6 @@ class Image:
             raise ValueError("image data must be 2-D")
         self.height, self.width = self.data.shape
 
-    def contains(self, u: float, v: float, margin: float = 0.0) -> bool:
-        return (margin <= u <= self.width - 1 - margin
-                and margin <= v <= self.height - 1 - margin)
-
     def sample(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         val, _, _ = self.sample_with_grad(u, v)
         return val
@@ -48,19 +44,18 @@ class Image:
         dv = bot - top
         return val, du, dv
 
-    def downsample(self, smooth: bool = True) -> "Image":
+    def downsample(self) -> "Image":
         """Half-resolution level: binomial smoothing then 2x2 averaging.
 
         The pre-smoothing widens structures relative to the coarser grid so
         coarse-to-fine alignment keeps a useful pull-in basin.
         """
         d = self.data
-        if smooth:
-            k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-            pad = np.pad(d, ((0, 0), (2, 2)), mode="edge")
-            d = sum(k[i] * pad[:, i:i + d.shape[1]] for i in range(5))
-            pad = np.pad(d, ((2, 2), (0, 0)), mode="edge")
-            d = sum(k[i] * pad[i:i + d.shape[0], :] for i in range(5))
+        k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+        pad = np.pad(d, ((0, 0), (2, 2)), mode="edge")
+        d = sum(k[i] * pad[:, i:i + d.shape[1]] for i in range(5))
+        pad = np.pad(d, ((2, 2), (0, 0)), mode="edge")
+        d = sum(k[i] * pad[i:i + d.shape[0], :] for i in range(5))
         h = (self.height // 2) * 2
         w = (self.width // 2) * 2
         d = d[:h, :w]
@@ -75,6 +70,8 @@ def load_pgm(path) -> Image:
     tokens = []
     idx = 0
     while len(tokens) < 4:
+        if idx >= len(raw):
+            raise ValueError(f"truncated PGM header: {len(tokens)} of 4 fields")
         if raw[idx:idx + 1].isspace():
             idx += 1
             continue
@@ -82,7 +79,7 @@ def load_pgm(path) -> Image:
             idx = raw.index(b"\n", idx) + 1
             continue
         end = idx
-        while not raw[end:end + 1].isspace():
+        while end < len(raw) and not raw[end:end + 1].isspace():
             end += 1
         tokens.append(raw[idx:end])
         idx = end
@@ -124,13 +121,11 @@ def _contiguous_at_least(mask: np.ndarray, run: int) -> np.ndarray:
     return best >= run
 
 
-def detect_features(img: Image, n: int, mask: list[tuple[float, float]] | None = None,
-                    threshold: float = 10.0, min_distance: float = 12.0,
+def detect_features(img: Image, n: int, threshold: float = 10.0,
+                    min_distance: float = 12.0,
                     arc: int = 9) -> list[tuple[float, float]]:
-    """FAST-9/16 corners, strongest first, non-max suppressed and bucketed.
-
-    mask lists (u, v) positions to stay min_distance away from (existing
-    features).  Returns up to n (u, v) tuples; may return fewer.
+    """FAST-9/16 corners, strongest first, non-max suppressed and bucketed
+    min_distance apart.  Returns up to n (u, v) tuples; may return fewer.
     """
     d = img.data
     h, w = d.shape
@@ -184,7 +179,7 @@ def detect_features(img: Image, n: int, mask: list[tuple[float, float]] | None =
     cand = [(float(us[i] + 3), float(vs[i] + 3)) for i in order]
 
     out: list[tuple[float, float]] = []
-    taken = [np.array(m, dtype=float) for m in (mask or [])]
+    taken: list[np.ndarray] = []
     for u, v in cand:
         pt = np.array([u, v])
         if any(np.hypot(*(pt - q)) < min_distance for q in taken):
@@ -198,24 +193,31 @@ def detect_features(img: Image, n: int, mask: list[tuple[float, float]] | None =
 
 # --- patches -----------------------------------------------------------------
 
+PATCH_SIZE = 8                # template side [px]
+_HALF = PATCH_SIZE / 2.0 - 0.5   # centre to outermost sample [level px]
+# level-pixel offsets of the patch samples from the patch centre, row-major
+PATCH_GRID = np.stack(np.meshgrid(np.arange(PATCH_SIZE) - _HALF,
+                                  np.arange(PATCH_SIZE) - _HALF,
+                                  indexing="xy"), axis=-1).reshape(-1, 2)
+PATCH_GRID.flags.writeable = False
+
+
 @dataclass
 class PatchLevel:
-    intensities: np.ndarray   # (p*p,)
+    """Template of one pyramid level; a patch is a list of these, level 0
+    first."""
+    intensities: np.ndarray   # (p*p,) at the PATCH_GRID points
     grad: np.ndarray          # (p*p, 2) d(intensity)/d(level pixel)
-    offsets: np.ndarray       # (p*p, 2) level-pixel offsets from the center
 
 
-class PatchSet:
-    """Multi-level template patches with per-pixel gradients around a corner."""
-
-    def __init__(self, levels: list[PatchLevel]):
-        if not levels:
-            raise ValueError("patch set needs at least one level")
-        self.levels = levels
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
+def _patch_points(img: Image, cu: float, cv: float):
+    """Sample points of a patch centred at level pixel (cu, cv), or None
+    when any of them lies within one pixel of the image border (where the
+    bilinear cell would run off the grid)."""
+    if not (1.0 <= cu - _HALF and cu + _HALF <= img.width - 2.0
+            and 1.0 <= cv - _HALF and cv + _HALF <= img.height - 2.0):
+        return None
+    return cu + PATCH_GRID[:, 0], cv + PATCH_GRID[:, 1]
 
 
 def build_pyramid(img: Image, levels: int) -> list[Image]:
@@ -225,32 +227,25 @@ def build_pyramid(img: Image, levels: int) -> list[Image]:
     return pyr
 
 
-def extract_patch_set(pyramid: list[Image], u: float, v: float,
-                      patch_size: int = 8) -> PatchSet | None:
+def extract_patch_set(pyramid: list[Image], u: float,
+                      v: float) -> list[PatchLevel] | None:
     """Extract patches at (u, v) (level-0 pixels) from every pyramid level.
 
     Returns None if the footprint leaves any level.
     """
-    half = patch_size / 2.0 - 0.5
-    grid = np.stack(np.meshgrid(np.arange(patch_size) - half,
-                                np.arange(patch_size) - half,
-                                indexing="xy"), axis=-1).reshape(-1, 2)
     out = []
     for lvl, img in enumerate(pyramid):
         scale = 2.0 ** lvl
-        cu, cv = u / scale, v / scale
-        us = cu + grid[:, 0]
-        vs = cv + grid[:, 1]
-        if not (img.contains(us.min(), vs.min(), 1.0)
-                and img.contains(us.max(), vs.max(), 1.0)):
+        pts = _patch_points(img, u / scale, v / scale)
+        if pts is None:
             return None
-        val, du, dv = img.sample_with_grad(us, vs)
-        out.append(PatchLevel(val, np.stack([du, dv], axis=1), grid.copy()))
-    return PatchSet(out)
+        val, du, dv = img.sample_with_grad(*pts)
+        out.append(PatchLevel(val, np.stack([du, dv], axis=1)))
+    return out
 
 
-def klt_align(patch: PatchSet, pyramid: list[Image], u0: float, v0: float,
-              max_iter: int = 12, max_shift: float = 20.0,
+def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float, v0: float,
+              max_iter: int = 12, max_shift: float = 6.0,
               tol: float = 0.02) -> tuple[float, float, bool]:
     """Pyramidal Lucas-Kanade alignment of a template patch.
 
@@ -260,24 +255,18 @@ def klt_align(patch: PatchSet, pyramid: list[Image], u0: float, v0: float,
     """
     u, v = float(u0), float(v0)
     converged = False
-    for level in reversed(range(patch.num_levels)):
-        lv = patch.levels[level]
-        img = pyramid[level]
-        scale = 2.0 ** level
-        g = lv.grad / scale                       # d(residual)/d(level-0 px)
+    for level in reversed(range(len(patch))):
+        g = patch[level].grad / (2.0 ** level)    # d(residual)/d(level-0 px)
         gtg = g.T @ g
         det = gtg[0, 0] * gtg[1, 1] - gtg[0, 1] * gtg[1, 0]
         if det < 1e-12:
             return u, v, False
         ginv = np.array([[gtg[1, 1], -gtg[0, 1]], [-gtg[0, 1], gtg[0, 0]]]) / det
         for _ in range(max_iter):
-            us = u / scale + lv.offsets[:, 0]
-            vs = v / scale + lv.offsets[:, 1]
-            if not (img.contains(us.min(), vs.min(), 1.0)
-                    and img.contains(us.max(), vs.max(), 1.0)):
+            res = intensity_residual(patch, pyramid, (u, v), level)
+            if res is None:
                 return u, v, False
-            residual = img.sample(us, vs) - lv.intensities
-            step = ginv @ (g.T @ residual)
+            step = ginv @ (g.T @ res[0])
             u -= step[0]
             v -= step[1]
             if np.hypot(u - u0, v - v0) > max_shift:
@@ -290,7 +279,8 @@ def klt_align(patch: PatchSet, pyramid: list[Image], u0: float, v0: float,
     return u, v, converged
 
 
-def intensity_residual(patch: PatchSet, pyramid: list[Image], at: tuple[float, float],
+def intensity_residual(patch: list[PatchLevel], pyramid: list[Image],
+                       at: tuple[float, float],
                        level: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Per-pixel intensity error and its gradient w.r.t. the level-0 pixel.
 
@@ -298,16 +288,9 @@ def intensity_residual(patch: PatchSet, pyramid: list[Image], at: tuple[float, f
     matrix uses the stored template gradients (valid near convergence) scaled
     by the pyramid factor.  Returns None when the footprint leaves the image.
     """
-    lv = patch.levels[level]
-    img = pyramid[level]
+    lv = patch[level]
     scale = 2.0 ** level
-    cu, cv = at[0] / scale, at[1] / scale
-    us = cu + lv.offsets[:, 0]
-    vs = cv + lv.offsets[:, 1]
-    if not (img.contains(us.min(), vs.min(), 1.0)
-            and img.contains(us.max(), vs.max(), 1.0)):
+    pts = _patch_points(pyramid[level], at[0] / scale, at[1] / scale)
+    if pts is None:
         return None
-    val = img.sample(us, vs)
-    residual = val - lv.intensities
-    grad = lv.grad / scale
-    return residual, grad
+    return pyramid[level].sample(*pts) - lv.intensities, lv.grad / scale

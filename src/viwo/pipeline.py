@@ -165,7 +165,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
 class Dataset:
     """In-memory dataset; loaded from a directory or built directly."""
     imu: np.ndarray                      # (n, 7)
-    wheel: np.ndarray                    # (n, 2)
+    wheel: np.ndarray                    # (n, 2), row k stamped like imu row k
     intr: CameraIntrinsics
     ext: CameraExtrinsics
     rho_sg: float
@@ -188,6 +188,18 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
         raise dataio.DataError(
             f"{paths.imu}: data row {k + 1} (t={imu[k, 0]:.6f}): step "
             f"{steps[k - 1]:.4f} s from the previous row outside (0, {MAX_STEP_S}]")
+    # run_filter pairs the wheel and IMU streams row by row
+    n = min(imu.shape[0], wheel.shape[0])
+    off = np.flatnonzero(wheel[:n, 0] != imu[:n, 0])
+    if off.size:
+        k = int(off[0])
+        raise dataio.DataError(
+            f"{paths.wheel}: data row {k + 1} (t={wheel[k, 0]:.6f}): stamp differs "
+            f"from {paths.imu} data row {k + 1} (t={imu[k, 0]:.6f})")
+    if wheel.shape[0] != imu.shape[0]:
+        raise dataio.DataError(
+            f"{paths.wheel}: {wheel.shape[0]} data rows, {paths.imu} has "
+            f"{imu.shape[0]}; each wheel row takes the stamp of its imu row")
     intr, ext, rho_sg = dataio.load_calib(paths.calib)
     ds = Dataset(imu, wheel, intr, ext, rho_sg)
     if paths.gt.exists():
@@ -218,9 +230,6 @@ class RunResult:
     min_eig_s: float
     elapsed_s: float
 
-    def record(self) -> TrajectoryRecord:
-        return TrajectoryRecord(self.t, self.pos, self.quat)
-
 
 def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
     """Drive the filter through the dataset in timestamp order."""
@@ -245,8 +254,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
     if ds.gt is not None:
         nav0.pos = ds.gt[0, 1:4].copy()
         nav0.quat = geom.quat_normalize(ds.gt[0, 4:8].copy())
-    if ds.wheel.shape[0]:
-        nav0.vel = np.array([ds.wheel[0, 1], 0.0, 0.0])
+    nav0.vel = np.array([ds.wheel[0, 1], 0.0, 0.0])
     ekf.initialize(t0, nav0)
 
     # (time, payload) per frame and the filter step that consumes it; a
@@ -262,7 +270,11 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         frames = ds.image_frames
 
         def process(t, path, veh):
-            return ekf.process_image_frame(t, load_pgm(path), veh)
+            try:
+                img = load_pgm(path)
+            except ValueError as exc:
+                raise dataio.DataError(f"{path}: {exc}") from None
+            return ekf.process_image_frame(t, img, veh)
 
     frame_idx = 0
     frames_skipped = 0
@@ -294,7 +306,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         end = min(end, k + block_max - 1, n_imu - 1)
         ekf.predict([ImuSample(row[0], row[1:4], row[4:7]) for row in ds.imu[k:end + 1]])
         check_health()
-        for j in range(k, min(end + 1, ds.wheel.shape[0])):
+        for j in range(k, end + 1):
             ekf.note_wheel(ds.wheel[j, 0], ds.wheel[j, 1])
         k, row = end + 1, ds.imu[end]
         while frame_idx < len(frames) and frames[frame_idx][0] <= row[0] + 1e-9:
@@ -303,9 +315,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
             if abs(ft - row[0]) > 5e-3:
                 frames_skipped += 1  # next imu sample more than 5 ms later
                 continue
-            veh = VehicleVelocityMeasurement(
-                ft, float(ds.wheel[end, 1]) if end < ds.wheel.shape[0] else 0.0,
-                float(row[5]))
+            veh = VehicleVelocityMeasurement(ft, float(ds.wheel[end, 1]), float(row[5]))
             process(ft, payload, veh)
             log_state(ft)
             check_health()
@@ -368,14 +378,22 @@ def load_pose_csv(path) -> TrajectoryRecord:
     arr = dataio.read_csv(path, dataio.POSE_HEADER)
     if arr.shape[0] == 0:
         raise dataio.DataError(f"{path}: empty trajectory")
-    return TrajectoryRecord(arr[:, 0], arr[:, 1:4], arr[:, 4:8])
+    try:
+        return TrajectoryRecord(arr[:, 0], arr[:, 1:4], arr[:, 4:8])
+    except ValueError as exc:
+        raise dataio.DataError(f"{path}: {exc}") from None
 
 
 def cmd_eval(est_path, gt_path, segment_m: float = 100.0) -> str:
+    if not segment_m > 0.0:
+        raise ValueError(f"segment length {segment_m} m must be positive")
     est = load_pose_csv(est_path)
     gt = load_pose_csv(gt_path)
-    report = rpe(est, gt, segment_m)
-    rmse = ate_rmse(est, gt)
+    try:
+        report = rpe(est, gt, segment_m)
+        rmse = ate_rmse(est, gt)
+    except ValueError as exc:
+        raise dataio.DataError(f"{est_path} against {gt_path}: {exc}") from None
     text = [
         f"relative pose error over {segment_m:.0f} m segments"
         " (percentiles over segments)",

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .features import FeatureState
-from .image import Image, PatchSet, intensity_residual
+from .image import Image, PatchLevel, intensity_residual
 
 
 @dataclass
@@ -48,7 +47,9 @@ class ProjectionError(ValueError):
     pass
 
 
-def _distort(rx, ry, intr):
+def distort(rx, ry, intr):
+    """Radially distorted normalized coordinates (dx, dy), the factor s and
+    r^2; elementwise on arrays."""
     r2 = rx * rx + ry * ry
     s = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
     return rx * s, ry * s, s, r2
@@ -66,7 +67,7 @@ def project(bearing: np.ndarray, intr: CameraIntrinsics,
         raise ProjectionError("bearing behind the camera")
     rx = -p[1] / p[0]
     ry = -p[2] / p[0]
-    dx, dy, s, r2 = _distort(rx, ry, intr)
+    dx, dy, s, r2 = distort(rx, ry, intr)
     u = intr.cx + intr.fx * dx
     v = intr.cy + intr.fy * dy
     if require_in_image and not (0.0 <= u <= intr.width - 1 and 0.0 <= v <= intr.height - 1):
@@ -95,7 +96,7 @@ def unproject(u: float, v: float, intr: CameraIntrinsics,
     dy = (v - intr.cy) / intr.fy
     rx, ry = dx, dy
     for _ in range(max_iter):
-        ex, ey, s, r2 = _distort(rx, ry, intr)
+        ex, ey, s, r2 = distort(rx, ry, intr)
         ex -= dx
         ey -= dy
         if ex * ex + ey * ey < tol * tol:
@@ -116,25 +117,30 @@ def unproject(u: float, v: float, intr: CameraIntrinsics,
     return geom.bearing_from_dir(p)
 
 
-def camera_measurement_jacobian(f: FeatureState, patch: PatchSet,
-                                pyramid: list[Image], intr: CameraIntrinsics,
-                                level: int = 0):
-    """Intensity residual rows and their bearing-tangent Jacobian for one feature.
+def camera_measurement_jacobian(bearing: np.ndarray, patch: list[PatchLevel],
+                                pyramid: list[Image], intr: CameraIntrinsics):
+    """Intensity residual rows of every pyramid level, stacked, and their
+    bearing-tangent Jacobian for one feature.
 
     Chain: d(residual)/d[u,v] from patch gradients, then the projection chain
-    d[u,v]/d(bearing tangent).  The inverse-depth column of the measurement is
-    structurally zero and is not represented.  Returns (residual, H) or None
-    when the feature is not measurable this frame.
+    d[u,v]/d(bearing tangent), projected once for all levels.  The
+    inverse-depth column of the measurement is structurally zero and is not
+    represented.  Returns (residual, H) or None when the feature is not
+    measurable this frame.
     """
     try:
-        (u, v), j_proj = project(f.bearing, intr)
+        (u, v), j_proj = project(bearing, intr)
     except ProjectionError:
         return None
-    res = intensity_residual(patch, pyramid, (u, v), level)
-    if res is None:
-        return None
-    residual, grad = res
-    return residual, grad @ j_proj
+    res_rows = []
+    jac_rows = []
+    for level in range(len(patch)):
+        res = intensity_residual(patch, pyramid, (u, v), level)
+        if res is None:
+            return None
+        res_rows.append(res[0])
+        jac_rows.append(res[1] @ j_proj)
+    return np.concatenate(res_rows), np.vstack(jac_rows)
 
 
 # --- vehicle velocity --------------------------------------------------------

@@ -27,7 +27,7 @@ from .dynamics import (GRAVITY, GyroParams, ImuSample, NavState,
                        apply_gyro_error, propagate_nav)
 from .features import CameraExtrinsics, landmark_to_feature
 from .image import Image
-from .sensors import CameraIntrinsics, project
+from .sensors import CameraIntrinsics, distort, project
 
 MAX_LATERAL_ACCEL = 8.0     # m/s^2, feasibility gate for arcs
 
@@ -335,10 +335,9 @@ def visible_landmarks(world: LandmarkWorld, nav: NavState,
         return []
     rx = -d_cam[ok, 1] / d_cam[ok, 0]
     ry = -d_cam[ok, 2] / d_cam[ok, 0]
-    r2 = rx * rx + ry * ry
-    s = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
-    u = intr.cx + intr.fx * rx * s
-    v = intr.cy + intr.fy * ry * s
+    dx, dy, _, _ = distort(rx, ry, intr)
+    u = intr.cx + intr.fx * dx
+    v = intr.cy + intr.fy * dy
     in_img = ((u >= margin) & (u <= intr.width - 1 - margin)
               & (v >= margin) & (v <= intr.height - 1 - margin))
     idx = np.nonzero(ok)[0][in_img]

@@ -12,7 +12,7 @@ import pytest
 
 from viwo import dataio, geom
 from viwo.dynamics import GyroParams
-from viwo.evaluate import rpe
+from viwo.evaluate import TrajectoryRecord, rpe
 from viwo.filter import NoiseConfig
 from viwo.jacobian_check import format_report, run_audit
 from viwo.pipeline import (RunConfig, cmd_simulate, load_dataset,
@@ -138,7 +138,7 @@ def ablation_runs(ws):
         cfg = RunConfig(out_dir=str(ws / f"run_{tag}"), seed=17,
                         feature_slots=10, check_psd=True, **kw)
         result = run_filter(ds_cam, cfg)
-        report = rpe(result.record(), gt)
+        report = rpe(TrajectoryRecord(result.t, result.pos, result.quat), gt)
         return result, report
 
     t0 = time.time()
@@ -182,7 +182,8 @@ def test_criterion_6_closed_loop(ws):
     cfg = _simulate(ws, "ds_clean", scenario="urban_loop", zero_noise=True)
     ds = load_dataset(cfg.out_dir, "bearing")
     result = run_filter(ds, cfg)
-    report = rpe(result.record(), _gt_record(ws / "ds_clean"))
+    report = rpe(TrajectoryRecord(result.t, result.pos, result.quat),
+                 _gt_record(ws / "ds_clean"))
     ok = bool(report.maximum < 0.05)
     detail = (f"zero-noise RPE p63 {report.percentile_63:.4f} / p95 "
               f"{report.percentile_95:.4f} / max {report.maximum:.4f} % "

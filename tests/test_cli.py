@@ -1,5 +1,8 @@
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -311,3 +314,68 @@ def test_predict_blocks_capped_without_frames(mini_dataset, tmp_path, monkeypatc
     n_imu = dataio.read_csv(ds / "imu.csv", dataio.IMU_HEADER).shape[0]
     assert sum(sizes) == n_imu
     assert max(sizes) == PREDICT_BLOCK_MAX
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[::2], "wheel.csv: data row 2 (t="),          # 50 Hz
+    (lambda rows: rows[:-1], "each wheel row takes the stamp of its imu row"),
+], ids=["decimated", "short"])
+def test_wheel_rows_off_the_imu_stamps_exit_data(mini_dataset, tmp_path, capsys,
+                                                 edit, message):
+    # the filter pairs wheel.csv with imu.csv row by row
+    ds = tmp_path / "edited"
+    shutil.copytree(mini_dataset, ds)
+    rows = dataio.read_csv(ds / "wheel.csv", dataio.WHEEL_HEADER)
+    dataio.write_csv(ds / "wheel.csv", dataio.WHEEL_HEADER, edit(rows).tolist())
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    # stamped after the ground truth ends
+    (lambda rows: np.hstack([rows[:, :1] + 1000.0, rows[:, 1:]]),
+     "too few associated samples"),
+    (lambda rows: np.insert(rows, 10, rows[10], axis=0), "strictly increasing"),
+], ids=["no_overlap", "repeated_stamp"])
+def test_eval_bad_estimate_exit_data(mini_dataset, tmp_path, capsys, edit, message):
+    gt = mini_dataset / "gt.csv"
+    est = tmp_path / "estimate.csv"
+    rows = dataio.read_csv(gt, dataio.POSE_HEADER)
+    dataio.write_csv(est, dataio.POSE_HEADER, edit(rows).tolist())
+    code = main(["eval", "--estimate", str(est), "--ground-truth", str(gt)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and str(est) in err and message in err
+
+
+def test_eval_nonpositive_segment_exit_config(mini_dataset, capsys):
+    # a bad flag: a config error, where the failures on the files exit 3
+    gt = str(mini_dataset / "gt.csv")
+    code = main(["eval", "--estimate", gt, "--ground-truth", gt, "--segment-m", "0"])
+    assert code == EXIT_CONFIG
+    assert "segment length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [10, 1000], ids=["header", "pixels"])
+def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut):
+    from viwo.image import Image, save_pgm
+    ds = tmp_path / "frames"
+    shutil.copytree(mini_dataset, ds)
+    (ds / "frames").mkdir()
+    frame = ds / "frames" / "000001.pgm"
+    save_pgm(frame, Image(np.full((480, 640), 90.0)))
+    frame.write_bytes(frame.read_bytes()[:cut])
+    t = dataio.read_csv(ds / "imu.csv", dataio.IMU_HEADER)[100, 0]
+    dataio.write_csv(ds / "frames.csv", dataio.FRAMES_HEADER,
+                     [[t, "frames/000001.pgm"]])
+    # in a child process, so that a reader looping on the cut header fails
+    # the test by the timeout instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "viwo.cli", "run", "--dataset", str(ds),
+         "--out", str(tmp_path / "out"), "--mode", "image"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "data error" in proc.stderr and "000001.pgm" in proc.stderr

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from viwo import geom
-from viwo.features import FeatureState
 from viwo.filter import NAV_DIM, AdaptiveEkf
 from viwo.image import build_pyramid, extract_patch_set
 from viwo.jacobian_check import fd_camera_chain
@@ -89,7 +88,7 @@ def test_bearing_measurement_boxplus_consistency(rng):
         deltas = rng.uniform(-0.05, 0.05, (4, 2))
         deltas[0] = 0.0            # zero residual
         deltas[3] = [0.01, 0.0]    # known offset on the optical axis
-        observed = np.array([geom.s2_boxplus(ekf.feature(s).bearing, d)
+        observed = np.array([geom.s2_boxplus(ekf._qf[s], d)
                              for s, d in zip(slots, deltas)])
         groups = ekf.bearing_groups(slots, observed)
         assert [g.slot for g in groups] == slots
@@ -114,10 +113,10 @@ def test_camera_chain_zero_gradient_zero_rows():
     flat = Image(np.full((480, 640), 77.0))
     pyr = build_pyramid(flat, 2)
     patch = extract_patch_set(pyr, 320.0, 240.0)
-    f = FeatureState(geom.IDENTITY_QUAT.copy(), 0.1)
-    out = camera_measurement_jacobian(f, patch, pyr, INTR, 0)
+    out = camera_measurement_jacobian(geom.IDENTITY_QUAT.copy(), patch, pyr, INTR)
     assert out is not None
     residual, h = out
+    assert residual.shape == (2 * 64,) and h.shape == (2 * 64, 2)  # both levels
     assert np.allclose(residual, 0) and np.allclose(h, 0)
 
 
