@@ -1,4 +1,4 @@
-"""Realtime factor of two viwo source trees, measured in alternated pairs.
+"""Realtime factor and load time of two viwo source trees, in alternated pairs.
 
     python scripts/ab_realtime.py OLD_SRC NEW_SRC DATASET [--mode bearing|image|wheel-imu-only] [--pairs N]
 
@@ -6,12 +6,13 @@ OLD_SRC and NEW_SRC are ``src`` directories that each hold a ``viwo``
 package, for example the ``src`` of a second checkout and of this one.  Both
 are imported into this process under their own package names, so one
 interpreter, one BLAS and one machine state serve both.  Each pair runs
-``run_filter`` once per tree on DATASET, in alternating order (old first in
-even pairs, new first in odd ones), because the machine's speed drifts
-between fast and slow spells.  The realtime factor is seconds of log per
-wall-clock second of ``run_filter``, as in the benchmark.  The script prints
-each pair's factors and new/old ratio, then the median of each tree and the
-ratio of the medians.
+``load_dataset`` and then ``run_filter`` once per tree on DATASET, in
+alternating order (old first in even pairs, new first in odd ones), because
+the machine's speed drifts between fast and slow spells.  The realtime
+factor is seconds of log per wall-clock second of ``run_filter``, as in the
+benchmark.  The script prints each pair's load seconds, factors and new/old
+factor ratio, then each tree's median load seconds and realtime factor and
+the ratio of the median factors.
 """
 
 import argparse
@@ -49,17 +50,20 @@ class Tree:
         self.cfg = self.pipeline.RunConfig(
             dataset=str(dataset), wheel_imu_only=wheel_imu_only,
             measurement_mode="bearing" if wheel_imu_only else mode)
-        self.ds = self.pipeline.load_dataset(
-            dataset, None if wheel_imu_only else mode)
-        self.log_s = self.ds.imu[-1, 0] - self.ds.imu[0, 0]
+        self.dataset = dataset
+        self.load_mode = None if wheel_imu_only else mode
+        imu = self.pipeline.load_dataset(dataset, self.load_mode).imu
+        self.log_s = imu[-1, 0] - imu[0, 0]
+        self.load_s: list[float] = []
         self.factors: list[float] = []
 
-    def run(self) -> float:
+    def run(self) -> None:
         t0 = perf_counter()
-        self.pipeline.run_filter(self.ds, self.cfg)
-        factor = self.log_s / (perf_counter() - t0)
-        self.factors.append(factor)
-        return factor
+        ds = self.pipeline.load_dataset(self.dataset, self.load_mode)
+        t1 = perf_counter()
+        self.pipeline.run_filter(ds, self.cfg)
+        self.load_s.append(t1 - t0)
+        self.factors.append(self.log_s / (perf_counter() - t1))
 
 
 def main(argv=None) -> int:
@@ -77,19 +81,24 @@ def main(argv=None) -> int:
     old = Tree("old", args.old_src.resolve(), args.dataset, args.mode)
     new = Tree("new", args.new_src.resolve(), args.dataset, args.mode)
     print(f"dataset {args.dataset} ({old.log_s:.1f} s of log), mode {args.mode}")
-    print(f"{'pair':>4}  {'first':>5}  {'old x':>8}  {'new x':>8}  {'new/old':>7}")
+    print(f"{'pair':>4}  {'first':>5}  {'old load s':>10}  {'new load s':>10}  "
+          f"{'old x':>8}  {'new x':>8}  {'new/old':>7}")
     for pair in range(args.pairs):
         order = (old, new) if pair % 2 == 0 else (new, old)
         for tree in order:
             tree.run()
-        print(f"{pair:>4}  {order[0].label:>5}  {old.factors[-1]:>8.2f}  "
+        print(f"{pair:>4}  {order[0].label:>5}  {old.load_s[-1]:>10.3f}  "
+              f"{new.load_s[-1]:>10.3f}  {old.factors[-1]:>8.2f}  "
               f"{new.factors[-1]:>8.2f}  {new.factors[-1] / old.factors[-1]:>7.3f}")
+    for tree in (old, new):
+        print(f"{tree.label}: median load_dataset {statistics.median(tree.load_s):.3f} s, "
+              f"median realtime factor {statistics.median(tree.factors):.2f}x")
     med_old = statistics.median(old.factors)
     med_new = statistics.median(new.factors)
     wins = sum(n > o for o, n in zip(old.factors, new.factors))
-    print(f"median realtime factor: old {med_old:.2f}x, new {med_new:.2f}x; "
-          f"ratio of medians {med_new / med_old:.3f}; new faster in {wins} of "
-          f"{args.pairs} pairs")
+    load_wins = sum(n < o for o, n in zip(old.load_s, new.load_s))
+    print(f"ratio of median factors {med_new / med_old:.3f}; new faster in {wins} of "
+          f"{args.pairs} pairs; new loads faster in {load_wins} of {args.pairs}")
     return 0
 
 

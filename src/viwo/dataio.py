@@ -16,6 +16,7 @@ scripts/convert_dataset.py for the field mapping.  All writes go through a
 temp-file-and-rename so partially written datasets are never observed.
 """
 
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,20 +72,36 @@ def read_csv(path, header: str) -> np.ndarray:
         first = fh.readline().strip()
         if first != header:
             raise DataError(f"{path}: expected header '{header}', got '{first}'")
-        rows = []
-        width = len(header.split(","))
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} fields, "
-                                f"got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+        body = fh.read()
+    width = len(header.split(","))
+    if not body.strip():
+        return np.zeros((0, width))   # loadtxt would warn and give (0, 1)
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] == width:
+            return rows
+    except ValueError:
+        pass
+    return _read_csv_lines(path, body, width)
+
+
+def _read_csv_lines(path: Path, body: str, width: int) -> np.ndarray:
+    """The CSV body parsed line by line: read_csv's fallback when loadtxt
+    refuses it.  Names the line of a malformed row, and accepts what the
+    fast path does not but float() does, such as whitespace-only lines."""
+    rows = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} fields, "
+                            f"got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return np.array(rows) if rows else np.zeros((0, width))
 
 

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.stats import chi2
 
 from . import geom
 from .dynamics import (GRAVITY_VEC, MAX_STEP_S, GyroParams, ImuSample,
@@ -70,6 +69,10 @@ NAV_DIM = 9
 FEAT_DIM = 3
 
 GATE_QUANTILE = 0.99          # chi-square quantile of the Mahalanobis gate
+# chi2.ppf(GATE_QUANTILE, dof) for every group size the filter makes: vehicle
+# (2 or 3 rows), ZUPT (3), bearing and QR-compressed intensity (2).  Written
+# out, since importing scipy.stats would take most of the package's import time.
+GATE_LIMIT = {2: 9.21034037197618, 3: 11.344866730144373}
 MAX_MISSES = 3                # frames a slot may go unmeasured or gated
 PYRAMID_LEVELS = 2            # image mode: pyramid depth
 FAST_THRESHOLD = 10.0         # image mode: FAST intensity threshold
@@ -387,7 +390,6 @@ class AdaptiveEkf:
         self._miss = np.zeros(self.capacity, dtype=int)
         self._gated = np.zeros(self.capacity, dtype=int)
         self._wheel_zero_since = None
-        self._chi2_cache: dict[int, float] = {}
         self.counters = {
             "predicts": 0, "updates": 0, "updates_skipped": 0,
             "groups_gated": 0, "camera_rows": 0, "vehicle_rows": 0,
@@ -427,11 +429,6 @@ class AdaptiveEkf:
                                   q_rate)
             self._active_key = key
         return self._active_cache
-
-    def _chi2(self, dof: int) -> float:
-        if dof not in self._chi2_cache:
-            self._chi2_cache[dof] = float(chi2.ppf(GATE_QUANTILE, dof))
-        return self._chi2_cache[dof]
 
     # -- prediction ----------------------------------------------------------
 
@@ -601,7 +598,8 @@ class AdaptiveEkf:
     # -- update --------------------------------------------------------------
 
     def gate(self, group: RowGroup) -> bool:
-        """Mahalanobis test at the configured chi-square quantile."""
+        """Mahalanobis test at the GATE_QUANTILE chi-square quantile; raises
+        ValueError for a group of other than 2 or 3 rows."""
         cols = group.cols
         h = group.h_local
         sig = h @ self.cov[cols[:, None], cols] @ h.T
@@ -613,11 +611,8 @@ class AdaptiveEkf:
         elif m == 3:
             d2 = _mahalanobis3(sig, r)
         else:
-            try:
-                d2 = float(r @ np.linalg.solve(sig, r))
-            except np.linalg.LinAlgError:
-                return False
-        return d2 is not None and d2 <= self._chi2(m)
+            raise ValueError(f"{group.label} group of {m} rows: gate takes 2 or 3")
+        return d2 is not None and d2 <= GATE_LIMIT[m]
 
     def update(self, groups: list[RowGroup]) -> dict:
         """Stacked EKF + RLS update; returns per-group keep/drop report."""

@@ -17,6 +17,7 @@ import numpy as np
 _SMALL_ANGLE = 1e-8
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+_ANTIPODAL_BEARING = np.array([0.0, 0.0, 0.0, 1.0])  # pi about e3: e1 -> -e1
 
 
 def _mul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,10 +156,40 @@ def bearing_from_dir(p: np.ndarray) -> np.ndarray:
     if s < 1e-12:
         if c > 0.0:
             return IDENTITY_QUAT.copy()
-        # antipodal: rotate pi about e3
-        return np.array([0.0, 0.0, 0.0, 1.0])
+        return _ANTIPODAL_BEARING.copy()
     angle = np.arctan2(s, c)
     return so3_exp(axis * (angle / s))
+
+
+def _matmul_dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i @ b_i as stacked matmuls: the same bits as the 1-D ``@``
+    of the scalar maps, which an elementwise sum does not reproduce."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def bearing_from_dir_rows(p: np.ndarray) -> np.ndarray:
+    """bearing_from_dir (with its so3_exp) of each row of an (m, 3) array
+    -> (m, 4), bit for bit.  The scalar stays for one direction at a time,
+    where it is cheaper than a one-row call."""
+    p = p / np.sqrt(_matmul_dot_rows(p, p))[:, None]
+    c = p[:, 0]
+    axis = np.zeros_like(p)
+    axis[:, 1] = -p[:, 2]
+    axis[:, 2] = p[:, 1]
+    s = np.sqrt(_matmul_dot_rows(axis, axis))
+    on_axis = s < 1e-12
+    theta = axis * (np.arctan2(s, c) / np.where(on_axis, 1.0, s))[:, None]
+    angle = np.sqrt(_matmul_dot_rows(theta, theta))
+    small = angle < _SMALL_ANGLE
+    half = 0.5 * angle
+    out = np.empty((p.shape[0], 4))
+    out[:, 0] = np.cos(half)
+    out[:, 1:4] = theta * (np.sin(half) / np.where(small, 1.0, angle))[:, None]
+    if small.any():
+        q = np.concatenate((np.ones((small.sum(), 1)), 0.5 * theta[small]), axis=1)
+        out[small] = q / np.sqrt(_matmul_dot_rows(q, q))[:, None]
+    out[on_axis] = np.where((c[on_axis] > 0.0)[:, None], IDENTITY_QUAT, _ANTIPODAL_BEARING)
+    return out
 
 
 def s2_boxplus(q_f: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -205,16 +205,40 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     if paths.gt.exists():
         ds.gt = dataio.read_csv(paths.gt, dataio.POSE_HEADER)
     if mode == "bearing":
-        rows = dataio.read_csv(paths.bearings, dataio.BEARINGS_HEADER)
-        frames: dict[float, list] = {}
-        for row in rows:
-            frames.setdefault(row[0], []).append(
-                (int(row[1]), geom.bearing_from_dir(row[2:5])))
-        ds.bearing_frames = sorted(frames.items())
+        ds.bearing_frames = _bearing_frames(
+            paths.bearings, dataio.read_csv(paths.bearings, dataio.BEARINGS_HEADER))
     elif mode == "image":
         ds.image_frames = [(t, Path(root) / name)
                            for t, name in dataio.read_frames_csv(paths.frames_csv)]
     return ds
+
+
+def _bearing_frames(path, rows: np.ndarray) -> list:
+    """bearings.csv rows -> one (t, [(slot, bearing quaternion)]) per stamp,
+    in stamp order and in file order within a stamp.  A row with a
+    non-finite value, a direction of zero (or overflowing) length, or a slot
+    that is not a non-negative integer is a DataError naming its data row;
+    slots at or above the filter's capacity are counted by the filter."""
+    if rows.shape[0] == 0:
+        return []
+    slot = rows[:, 1]
+    norm2 = (rows[:, 2:5] * rows[:, 2:5]).sum(axis=1)
+    checks = ((np.isfinite(rows).all(axis=1), "a value is not finite"),
+              ((norm2 > 0.0) & (norm2 < np.inf), "direction of zero or overflowing length"),
+              ((slot >= 0.0) & (slot == np.floor(slot)), "slot is not a non-negative integer"))
+    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
+    if bad.size:
+        k = int(bad[0])
+        reason = next(why for ok, why in checks if not ok[k])
+        raise dataio.DataError(f"{path}: data row {k + 1} (t={rows[k, 0]:.6f}, "
+                               f"slot={slot[k]:g}): {reason}")
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    quats = geom.bearing_from_dir_rows(rows[:, 2:5])
+    slots = list(map(int, rows[:, 1].tolist()))
+    t = rows[:, 0]
+    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]]).tolist()
+    ends = starts[1:] + [len(t)]
+    return [(t[a], list(zip(slots[a:b], quats[a:b]))) for a, b in zip(starts, ends)]
 
 
 @dataclass

@@ -101,6 +101,16 @@ def test_wheel_imu_only_without_camera_files(mini_dataset, tmp_path):
     assert "camera_rows: 0" in (out / "report.txt").read_text()
 
 
+def test_header_only_bearings_runs_without_camera(mini_dataset, tmp_path):
+    # a bearings.csv with no data rows is a drive without camera frames
+    ds = tmp_path / "empty_camera"
+    shutil.copytree(mini_dataset, ds)
+    dataio.write_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER, [])
+    out = tmp_path / "empty"
+    assert main(["run", "--dataset", str(ds), "--out", str(out)]) == EXIT_OK
+    assert "camera_rows: 0" in (out / "report.txt").read_text()
+
+
 def test_frames_off_the_imu_clock_are_counted(mini_dataset, tmp_path):
     # camera stamps 4 ms late: the next IMU sample (100 Hz) of every frame is
     # 6 ms away, and the last frame comes after the last IMU sample
@@ -331,6 +341,25 @@ def test_wheel_rows_off_the_imu_stamps_exit_data(mini_dataset, tmp_path, capsys,
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and message in err
+
+
+@pytest.mark.parametrize("cols, value, message", [
+    (slice(2, 5), 0.0, "direction of zero"),
+    (3, np.nan, "not finite"),
+    (1, 2.7, "slot is not a non-negative integer"),
+    (1, -1.0, "slot is not a non-negative integer"),
+], ids=["zero", "nan", "fractional_slot", "negative_slot"])
+def test_bad_bearing_row_exit_data(mini_dataset, tmp_path, capsys, cols, value, message):
+    # refused with its row named, rather than gated or its slot truncated
+    ds = tmp_path / "edited"
+    shutil.copytree(mini_dataset, ds)
+    rows = dataio.read_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER)
+    rows[40, cols] = value
+    dataio.write_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER, rows.tolist())
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "bearings.csv: data row 41 (t=" in err and message in err
 
 
 @pytest.mark.parametrize("edit, message", [

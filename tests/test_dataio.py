@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,31 @@ def test_csv_malformed_row_reports_line(tmp_path):
     with pytest.raises(dataio.DataError) as err:
         dataio.read_csv(path, dataio.WHEEL_HEADER)
     assert ":3:" in str(err.value)
+
+
+def test_csv_comment_line_is_a_malformed_row(tmp_path):
+    path = tmp_path / "wheel.csv"
+    path.write_text("t,vx\n0.0,1.0\n# a note\n0.1,1.0\n")
+    with pytest.raises(dataio.DataError, match=":3: expected 2 fields, got 1"):
+        dataio.read_csv(path, dataio.WHEEL_HEADER)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n\r\n"], ids=["none", "blank", "spaces"])
+def test_csv_header_only_is_empty(tmp_path, body):
+    path = tmp_path / "bearings.csv"
+    path.write_text(dataio.BEARINGS_HEADER + "\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = dataio.read_csv(path, dataio.BEARINGS_HEADER)
+    assert rows.shape == (0, 5)
+
+
+def test_csv_layout_variants_parse_alike(tmp_path):
+    # blank and whitespace-only lines, CRLF ends and padded fields
+    path = tmp_path / "wheel.csv"
+    path.write_bytes(b"t,vx\r\n0.0, 1.5\r\n\r\n  \n 0.1 ,\t2.5\n0.2,3.5")
+    rows = dataio.read_csv(path, dataio.WHEEL_HEADER)
+    assert np.array_equal(rows, [[0.0, 1.5], [0.1, 2.5], [0.2, 3.5]])
 
 
 def test_missing_file():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -7,7 +12,8 @@ from viwo import geom
 from viwo.dynamics import (GRAVITY_VEC, GyroParams, ImuSample, NavState,
                            apply_gyro_error, correct_gyro)
 from viwo.features import CameraExtrinsics, landmark_to_feature
-from viwo.filter import (NAV_DIM, AdaptiveEkf, NoiseConfig, RowGroup,
+from viwo.filter import (GATE_LIMIT, GATE_QUANTILE, NAV_DIM, AdaptiveEkf,
+                         NoiseConfig, RowGroup,
                          _mahalanobis3, assemble_linearization, kalman_step,
                          rls_step)
 from viwo.sensors import VehicleVelocityMeasurement
@@ -271,6 +277,29 @@ def test_gate_boundary_chi2():
                    np.array([o, o + 1]), np.eye(2),
                    np.full(2, ekf.noise.sigma_bearing ** 2))
     assert not ekf.gate(big)
+
+
+def test_gate_limit_table_is_the_chi2_quantile():
+    assert GATE_LIMIT == {dof: chi2.ppf(GATE_QUANTILE, dof) for dof in (2, 3)}
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_gate_rejects_group_sizes_the_filter_never_makes(m):
+    ekf = make_filter()
+    group = RowGroup("vehicle", None, np.zeros(m), np.arange(m), np.eye(m), np.ones(m))
+    with pytest.raises(ValueError, match=f"{m} rows"):
+        ekf.gate(group)
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats took most of the package's import time for two numbers
+    probe = ("import sys, viwo, viwo.pipeline, viwo.jacobian_check; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kalman_step_singular_sigma_returns_none():

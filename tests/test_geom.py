@@ -164,6 +164,22 @@ def test_bearing_from_dir(rng):
         assert np.allclose(geom.bearing_dir(geom.bearing_from_dir(d)), d, atol=1e-9)
 
 
+def test_bearing_from_dir_rows_matches_scalar_bits(rng):
+    # the dataset loader lifts bearings.csv with the row kernel, everything
+    # else one direction at a time with the scalar: both give the same bits
+    e1 = np.array([1.0, 0.0, 0.0])
+    dirs = np.vstack([
+        rng.normal(size=(10000, 3)) * rng.uniform(0.01, 100.0, size=(10000, 1)),
+        [e1, -e1, 3.0 * e1, -0.5 * e1],
+        [[1.0, 1e-13, 0.0], [1.0, 0.0, -1e-13], [1.0, 7e-14, 7e-14],
+         [-1.0, 1e-13, 0.0], [1.0, 1e-10, 0.0], [1.0, 0.0, 1e-9]],
+    ])
+    rows = geom.bearing_from_dir_rows(dirs)
+    scalar = np.array([geom.bearing_from_dir(d) for d in dirs])
+    assert np.array_equal(rows, scalar)
+    assert np.array_equal(geom.bearing_from_dir_rows(dirs[:1]), scalar[:1])
+
+
 def test_frame_convention_body_to_world():
     # R(q_B) maps body coordinates into the world frame: after a +90 degree
     # yaw the body x axis points along world y.
