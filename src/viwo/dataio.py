@@ -11,9 +11,10 @@ units, timestamps in decimal seconds):
     calib.txt     key = value calibration (camera, extrinsics, side-slip)
     truth-params.txt  injected gyroscope parameters (simulated sets only)
 
-Recorded logs from other sources can be converted into this layout; see
-scripts/convert_dataset.py for the field mapping.  All writes go through a
-temp-file-and-rename so partially written datasets are never observed.
+Recorded logs from other sources run once they are written in this layout;
+the README's "Recorded logs" section gives the field mapping.  All writes go
+through a temp-file-and-rename so partially written datasets are never
+observed.
 """
 
 import io

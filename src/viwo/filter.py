@@ -12,9 +12,9 @@ Prediction integrates the coupled nav/feature dynamics with RK4 at IMU rate
 and propagates the covariance with the Euler transition matrix Phi = I + F dt.
 Between two camera frames only the IMU changes the state: the active slots
 and the gyro parameters stay fixed.  So predict takes the whole block of IMU
-samples up to the next frame (at most PREDICT_BLOCK_MAX): it propagates the
-states sample by sample, forms every step's F and Psi with one stacked
-assemble_linearization call, builds all Phi of the block at once and then
+samples up to the next frame, in chunks of at most PREDICT_BLOCK_MAX: per
+chunk it propagates the states sample by sample, forms every step's F and Psi
+with one stacked assemble_linearization call, builds all Phi at once and then
 runs the per-step Phi P Phi^T + Q and Phi Upsilon + Psi dt recursion.  F is
 assembled over the active slots only; Phi is the identity plus F dt scattered
 through flat indices that are cached per active-slot set, together with the
@@ -43,6 +43,10 @@ placeholder unit variance and zero cross-covariance, and their sensitivity
 rows are zeroed on (re)initialization.  A wheel-IMU-only filter has zero
 slots: its error state is the nav block alone, and its frames carry no
 camera rows.
+
+With check_psd, min_eig_p and min_eig_s keep the smallest eigenvalue of P
+(after every step of the predict recursion and every frame) and of S (at
+construction and after every frame; a predict never changes S).
 """
 
 from collections.abc import Collection, Sequence
@@ -358,7 +362,8 @@ class AdaptiveEkf:
                  rho_sg: float = 0.0,
                  calibrate: bool = True,
                  use_lateral: bool = True,
-                 params: GyroParams | None = None):
+                 params: GyroParams | None = None,
+                 check_psd: bool = False):
         self.noise = noise or NoiseConfig()
         self.ext = ext or CameraExtrinsics()
         self.intr = intr
@@ -366,6 +371,7 @@ class AdaptiveEkf:
         self.rho_sg = float(rho_sg)
         self.calibrate = bool(calibrate)
         self.use_lateral = bool(use_lateral)
+        self.check_psd = bool(check_psd)
 
         self.t = 0.0
         self.nav = NavState.identity()
@@ -390,6 +396,8 @@ class AdaptiveEkf:
         self._miss = np.zeros(self.capacity, dtype=int)
         self._gated = np.zeros(self.capacity, dtype=int)
         self._wheel_zero_since = None
+        self.min_eig_p = np.inf
+        self.min_eig_s = float(np.linalg.eigvalsh(self.param_cov)[0]) if check_psd else np.inf
         self.counters = {
             "predicts": 0, "updates": 0, "updates_skipped": 0,
             "groups_gated": 0, "camera_rows": 0, "vehicle_rows": 0,
@@ -482,6 +490,8 @@ class AdaptiveEkf:
             cov = 0.5 * (cov + cov.T)
             ups = phi @ ups
             ups[idx] += psi * dt
+            if self.check_psd:
+                self.min_eig_p = min(self.min_eig_p, float(np.linalg.eigvalsh(cov)[0]))
         self.cov = cov
         self.upsilon = ups
 
@@ -771,6 +781,7 @@ class AdaptiveEkf:
         for slot, q_obs in sorted(obs.items()):
             if not self._active[slot]:
                 self.init_feature(slot, q_obs)
+        self._check_covariances()
         return report
 
     def process_image_frame(self, t: float, img: Image,
@@ -815,12 +826,11 @@ class AdaptiveEkf:
                 self.init_feature(free.pop(0), unproject(u, v, self.intr),
                                   patch=patch)
                 taken.append(pt)
+        self._check_covariances()
         return report
 
-    # -- diagnostics -----------------------------------------------------------
-
-    def covariance_health(self) -> tuple[float, float]:
-        """(min eigenvalue of P, min eigenvalue of S); symmetric by upkeep."""
-        p_min = float(np.linalg.eigvalsh(self.cov)[0])
-        s_min = float(np.linalg.eigvalsh(self.param_cov)[0])
-        return p_min, s_min
+    def _check_covariances(self) -> None:
+        """With check_psd, fold P and S after a frame into the minima."""
+        if self.check_psd:
+            self.min_eig_p = min(self.min_eig_p, float(np.linalg.eigvalsh(self.cov)[0]))
+            self.min_eig_s = min(self.min_eig_s, float(np.linalg.eigvalsh(self.param_cov)[0]))

@@ -15,7 +15,7 @@ from . import dataio, geom, sim
 from .dynamics import MAX_STEP_S, GyroParams, ImuSample, NavState
 from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
-from .filter import PREDICT_BLOCK_MAX, AdaptiveEkf, NoiseConfig
+from .filter import AdaptiveEkf, NoiseConfig
 from .image import load_pgm, save_pgm
 from .sensors import CameraIntrinsics, VehicleVelocityMeasurement
 
@@ -179,8 +179,11 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     paths = dataio.DatasetPaths(root)
     imu = dataio.read_csv(paths.imu, dataio.IMU_HEADER)
     wheel = dataio.read_csv(paths.wheel, dataio.WHEEL_HEADER)
-    if imu.shape[0] == 0:
-        raise dataio.DataError("empty imu stream")
+    _check_finite(paths.imu, imu, dataio.IMU_HEADER)
+    _check_finite(paths.wheel, wheel, dataio.WHEEL_HEADER)
+    if imu.shape[0] < 2:
+        raise dataio.DataError(f"{paths.imu}: the filter needs at least two data "
+                               f"rows, found {imu.shape[0]}")
     steps = np.diff(imu[:, 0])
     bad = np.flatnonzero(~((steps > 0.0) & (steps <= MAX_STEP_S)))
     if bad.size:
@@ -204,6 +207,15 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     ds = Dataset(imu, wheel, intr, ext, rho_sg)
     if paths.gt.exists():
         ds.gt = dataio.read_csv(paths.gt, dataio.POSE_HEADER)
+        # the filter starts at the first ground-truth pose and steps to the
+        # first IMU sample from there
+        if ds.gt.shape[0] == 0:
+            raise dataio.DataError(f"{paths.gt}: no data rows")
+        lead = imu[0, 0] - ds.gt[0, 0]
+        if not 0.0 < lead <= MAX_STEP_S:
+            raise dataio.DataError(
+                f"{paths.imu}: data row 1 (t={imu[0, 0]:.6f}): {lead:.4f} s after "
+                f"{paths.gt} data row 1 (t={ds.gt[0, 0]:.6f}), outside (0, {MAX_STEP_S}]")
     if mode == "bearing":
         ds.bearing_frames = _bearing_frames(
             paths.bearings, dataio.read_csv(paths.bearings, dataio.BEARINGS_HEADER))
@@ -211,6 +223,16 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
         ds.image_frames = [(t, Path(root) / name)
                            for t, name in dataio.read_frames_csv(paths.frames_csv)]
     return ds
+
+
+def _check_finite(path, rows: np.ndarray, header: str) -> None:
+    """A DataError naming the first data row that holds a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        col = header.split(",")[int(np.flatnonzero(~np.isfinite(rows[k]))[0])]
+        raise dataio.DataError(f"{path}: data row {k + 1} (t={rows[k, 0]:.6f}): "
+                               f"{col} is not finite")
 
 
 def _bearing_frames(path, rows: np.ndarray) -> list:
@@ -221,10 +243,10 @@ def _bearing_frames(path, rows: np.ndarray) -> list:
     slots at or above the filter's capacity are counted by the filter."""
     if rows.shape[0] == 0:
         return []
+    _check_finite(path, rows, dataio.BEARINGS_HEADER)
     slot = rows[:, 1]
     norm2 = (rows[:, 2:5] * rows[:, 2:5]).sum(axis=1)
-    checks = ((np.isfinite(rows).all(axis=1), "a value is not finite"),
-              ((norm2 > 0.0) & (norm2 < np.inf), "direction of zero or overflowing length"),
+    checks = (((norm2 > 0.0) & (norm2 < np.inf), "direction of zero or overflowing length"),
               ((slot >= 0.0) & (slot == np.floor(slot)), "slot is not a non-negative integer"))
     bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
     if bad.size:
@@ -271,6 +293,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         calibrate=not cfg.disable_gyro_calibration,
         use_lateral=not cfg.disable_lateral_model,
         params=init_params,
+        check_psd=cfg.check_psd,
     )
 
     t0 = ds.imu[0, 0] - np.median(np.diff(ds.imu[:, 0])) if ds.gt is None else ds.gt[0, 0]
@@ -304,32 +327,21 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
     frames_skipped = 0
     traj_rows = []
     param_rows = []
-    min_eig_p = min_eig_s = np.inf   # over every predict and update
 
     def log_state(t):
         traj_rows.append((t, ekf.nav.pos.copy(), ekf.nav.quat.copy()))
         vec = ekf.params.as_vector()
         param_rows.append((t, vec, np.diag(ekf.param_cov).copy()))
 
-    def check_health():
-        nonlocal min_eig_p, min_eig_s
-        if cfg.check_psd:
-            pe, se = ekf.covariance_health()
-            min_eig_p, min_eig_s = min(min_eig_p, pe), min(min_eig_s, se)
-
     # a frame fires after the predict up to the first IMU sample stamped
-    # t >= t_frame - 1e-9, so the samples up to it form one predict block
-    # (one sample with --check-psd, which checks P after every step)
+    # t >= t_frame - 1e-9 (or the last one): the samples up to it are one block
     n_imu = ds.imu.shape[0]
-    fire = np.searchsorted(ds.imu[:, 0] + 1e-9, [f[0] for f in frames], side="left")
-    block_max = 1 if cfg.check_psd else PREDICT_BLOCK_MAX
+    fire = np.searchsorted(ds.imu[:-1, 0] + 1e-9, [f[0] for f in frames], side="left")
     log_state(t0)
     k = 0
     while k < n_imu:
         end = n_imu - 1 if frame_idx == len(frames) else max(int(fire[frame_idx]), k)
-        end = min(end, k + block_max - 1, n_imu - 1)
         ekf.predict([ImuSample(row[0], row[1:4], row[4:7]) for row in ds.imu[k:end + 1]])
-        check_health()
         for j in range(k, end + 1):
             ekf.note_wheel(ds.wheel[j, 0], ds.wheel[j, 1])
         k, row = end + 1, ds.imu[end]
@@ -342,7 +354,6 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
             veh = VehicleVelocityMeasurement(ft, float(ds.wheel[end, 1]), float(row[5]))
             process(ft, payload, veh)
             log_state(ft)
-            check_health()
     frames_skipped += len(frames) - frame_idx   # stamped after the last imu sample
     if traj_rows[-1][0] < ds.imu[-1, 0]:
         log_state(ds.imu[-1, 0])
@@ -355,7 +366,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         np.array([r[1] for r in param_rows]),
         np.array([r[2] for r in param_rows]),
         {**ekf.counters, "frames_skipped": frames_skipped},
-        float(min_eig_p), float(min_eig_s),
+        ekf.min_eig_p, ekf.min_eig_s,
         time.perf_counter() - start)
 
 

@@ -290,22 +290,31 @@ def test_imu_gap_exit_data(mini_dataset, tmp_path, capsys):
     assert "data error" in err and "data row 201" in err and "0.1100" in err
 
 
-def test_check_psd_run_matches_block_run(mini_dataset, tmp_path):
-    # --check-psd predicts one sample per call, a normal run one block of
-    # samples per camera frame; the outputs are byte-identical
+def test_check_psd_run_matches_block_run(mini_dataset, tmp_path, monkeypatch):
+    # a plain run, a --check-psd run and a --check-psd run that predicts one
+    # sample per chunk write byte-identical files; the two checked runs
+    # report the same covariance minima
+    import viwo.filter
+    runs = [([], None), (["--check-psd"], None), (["--check-psd"], 1)]
     outs = []
-    for extra in ([], ["--check-psd"]):
-        out = tmp_path / f"run{len(extra)}"
+    for k, (extra, chunk_max) in enumerate(runs):
+        if chunk_max is not None:
+            monkeypatch.setattr(viwo.filter, "PREDICT_BLOCK_MAX", chunk_max)
+        out = tmp_path / f"run{k}"
         assert main(["run", "--dataset", str(mini_dataset), "--out", str(out)]
                     + extra) == EXIT_OK
         outs.append(out)
     for name in ("trajectory.csv", "params.csv", "final-params.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    minima = [[line for line in (out / "report.txt").read_text().splitlines()
+               if line.startswith("min_eig_")] for out in outs]
+    assert minima[0] == [] and len(minima[1]) == 2 and minima[1] == minima[2]
 
 
 def test_predict_blocks_capped_without_frames(mini_dataset, tmp_path, monkeypatch):
     # camera frames end at 5 s: the rest of the log has no frame to end a
-    # predict block, so the block cap bounds every call
+    # predict block, so predict's chunk cap bounds every chunk
     from viwo.filter import PREDICT_BLOCK_MAX, AdaptiveEkf
     ds = tmp_path / "short_camera"
     shutil.copytree(mini_dataset, ds)
@@ -313,13 +322,13 @@ def test_predict_blocks_capped_without_frames(mini_dataset, tmp_path, monkeypatc
     dataio.write_csv(ds / "bearings.csv", dataio.BEARINGS_HEADER,
                      rows[rows[:, 0] <= 5.0].tolist())
     sizes = []
-    original = AdaptiveEkf.predict
+    original = AdaptiveEkf._predict_chunk
 
-    def counting(self, imu):
-        sizes.append(len(imu))
-        return original(self, imu)
+    def counting(self, block):
+        sizes.append(len(block))
+        return original(self, block)
 
-    monkeypatch.setattr(AdaptiveEkf, "predict", counting)
+    monkeypatch.setattr(AdaptiveEkf, "_predict_chunk", counting)
     assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")]) == EXIT_OK
     n_imu = dataio.read_csv(ds / "imu.csv", dataio.IMU_HEADER).shape[0]
     assert sum(sizes) == n_imu
@@ -337,6 +346,59 @@ def test_wheel_rows_off_the_imu_stamps_exit_data(mini_dataset, tmp_path, capsys,
     shutil.copytree(mini_dataset, ds)
     rows = dataio.read_csv(ds / "wheel.csv", dataio.WHEEL_HEADER)
     dataio.write_csv(ds / "wheel.csv", dataio.WHEEL_HEADER, edit(rows).tolist())
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name, header, col", [
+    ("imu.csv", dataio.IMU_HEADER, "wx"),
+    ("wheel.csv", dataio.WHEEL_HEADER, "vx"),
+], ids=["imu", "wheel"])
+def test_non_finite_imu_or_wheel_value_exit_data(mini_dataset, tmp_path, capsys,
+                                                 name, header, col, value):
+    # refused with its file, row and stamp named, rather than gated silently
+    # (wheel) or failing as a numerical error (imu)
+    ds = tmp_path / "edited"
+    shutil.copytree(mini_dataset, ds)
+    rows = dataio.read_csv(ds / name, header)
+    rows[500, 1] = value
+    dataio.write_csv(ds / name, header, rows.tolist())
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{name}: data row 501 (t={rows[500, 0]:.6f}): {col} is not finite" in err
+
+
+def _shift_gt(ds, shift):
+    rows = dataio.read_csv(ds / "gt.csv", dataio.POSE_HEADER)
+    rows[:, 0] += shift
+    dataio.write_csv(ds / "gt.csv", dataio.POSE_HEADER, rows.tolist())
+
+
+def _one_imu_row_no_gt(ds):
+    for name, header in (("imu.csv", dataio.IMU_HEADER), ("wheel.csv", dataio.WHEEL_HEADER)):
+        rows = dataio.read_csv(ds / name, header)
+        dataio.write_csv(ds / name, header, rows[:1].tolist())
+    (ds / "gt.csv").unlink()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_one_imu_row_no_gt, "imu.csv: the filter needs at least two data rows, found 1"),
+    (lambda ds: _shift_gt(ds, 0.1), "imu.csv: data row 1 (t=0.010000): -0.0900 s after"),
+    (lambda ds: _shift_gt(ds, -0.5), "imu.csv: data row 1 (t=0.010000): 0.5100 s after"),
+    (lambda ds: dataio.write_csv(ds / "gt.csv", dataio.POSE_HEADER, []),
+     "gt.csv: no data rows"),
+], ids=["one_imu_row", "gt_late", "gt_early", "gt_header_only"])
+def test_imu_start_off_the_first_pose_exit_data(mini_dataset, tmp_path, capsys,
+                                                edit, message):
+    # the filter steps from the first ground-truth pose (or one median IMU
+    # step before the first sample) to the first IMU sample
+    ds = tmp_path / "edited"
+    shutil.copytree(mini_dataset, ds)
+    edit(ds)
     code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     err = capsys.readouterr().err

@@ -12,8 +12,8 @@ from viwo import geom
 from viwo.dynamics import (GRAVITY_VEC, GyroParams, ImuSample, NavState,
                            apply_gyro_error, correct_gyro)
 from viwo.features import CameraExtrinsics, landmark_to_feature
-from viwo.filter import (GATE_LIMIT, GATE_QUANTILE, NAV_DIM, AdaptiveEkf,
-                         NoiseConfig, RowGroup,
+from viwo.filter import (GATE_LIMIT, GATE_QUANTILE, NAV_DIM, PREDICT_BLOCK_MAX,
+                         AdaptiveEkf, NoiseConfig, RowGroup,
                          _mahalanobis3, assemble_linearization, kalman_step,
                          rls_step)
 from viwo.sensors import VehicleVelocityMeasurement
@@ -558,32 +558,77 @@ def test_reduction_equivalence_bit_identical(rng):
     assert np.array_equal(frozen.params.as_vector(), GyroParams().as_vector())
 
 
+def _noisy_frame(rng, ekf, landmarks, t):
+    """Noisy bearings of the visible landmarks and a noisy vehicle row."""
+    obs = []
+    for i, lm in enumerate(landmarks):
+        try:
+            f = landmark_to_feature(lm, ekf.nav, ekf.ext)
+        except ValueError:
+            continue
+        obs.append((i, geom.s2_boxplus(f.bearing, rng.normal(0, 1e-3, 2))))
+    veh = VehicleVelocityMeasurement(t, ekf.nav.vel[0] + rng.normal(0, 0.05),
+                                     rng.normal(0, 0.2))
+    return obs, veh
+
+
 def test_covariance_psd_over_cycles(rng):
     ext, nav, landmarks = _static_scene(rng, n_feat=5)
-    ekf = AdaptiveEkf(noise=NoiseConfig(), ext=ext, capacity=6, rho_sg=0.002)
+    ekf = AdaptiveEkf(noise=NoiseConfig(), ext=ext, capacity=6, rho_sg=0.002,
+                      check_psd=True)
     ekf.initialize(0.0, nav)
     t = 0.0
-    worst_p, worst_s = np.inf, np.inf
     for step in range(400):
         t += 0.01
         omega_m = np.array([0.01, -0.02, 0.2]) + rng.normal(0, 1e-3, 3)
         ekf.predict(ImuSample(t, omega_m, GRAV_CANCEL + rng.normal(0, 1e-3, 3)))
         if step % 10 == 9:
-            obs = []
-            for i, lm in enumerate(landmarks):
-                try:
-                    f = landmark_to_feature(lm, ekf.nav, ext)
-                except ValueError:
-                    continue
-                obs.append((i, geom.s2_boxplus(f.bearing, rng.normal(0, 1e-3, 2))))
-            veh = VehicleVelocityMeasurement(t, ekf.nav.vel[0] + rng.normal(0, 0.05),
-                                             rng.normal(0, 0.2))
+            ekf.process_bearing_frame(t, *_noisy_frame(rng, ekf, landmarks, t))
+    assert -1e-9 <= ekf.min_eig_p < np.inf
+    assert -1e-9 <= ekf.min_eig_s < np.inf
+
+
+def test_check_psd_minima_match_per_step_reference(rng):
+    """With check_psd, block predicts fold the smallest eigenvalue of P after
+    every step into min_eig_p, and the frames fold in P and S; the minima
+    equal eigvalsh after every step and frame of one-sample predicts.  The
+    check changes no state."""
+    ext, nav, landmarks = _static_scene(rng, n_feat=5)
+    checked, ref = [AdaptiveEkf(noise=NoiseConfig(), ext=ext, capacity=4, rho_sg=0.002,
+                                check_psd=psd) for psd in (True, False)]
+    for ekf in (checked, ref):
+        ekf.initialize(0.0, nav)
+    ref_p, ref_s = np.inf, float(np.linalg.eigvalsh(ref.param_cov)[0])
+    assert checked.min_eig_s == ref_s and ref.min_eig_s == np.inf
+    t = 0.0
+    inner_minima = 0   # blocks whose new minimum falls strictly inside a chunk
+    for k, length in enumerate([10] * 8 + [45] + [10] * 8):   # one block past the cap
+        block = []
+        for _ in range(length):
+            t += 0.01
+            omega_m = np.array([0.01, -0.02, 0.2]) + rng.normal(0, 0.2, 3)
+            block.append(ImuSample(t, omega_m, GRAV_CANCEL + rng.normal(0, 0.5, 3)))
+        checked.predict(block)
+        eigs = []
+        for imu in block:
+            ref.predict(imu)
+            eigs.append(float(np.linalg.eigvalsh(ref.cov)[0]))
+        chunk_ends = eigs[PREDICT_BLOCK_MAX - 1::PREDICT_BLOCK_MAX] + eigs[-1:]
+        inner_minima += min(eigs) < min(ref_p, *chunk_ends)
+        ref_p = min(ref_p, *eigs)
+        assert checked.min_eig_p == ref_p
+        obs, veh = _noisy_frame(rng, checked, landmarks, t)
+        if 3 <= k < 7:   # slot 0 unseen until it is dropped, then re-initialized
+            obs = [o for o in obs if o[0] != 0]
+        for ekf in (checked, ref):
             ekf.process_bearing_frame(t, obs, veh)
-            pe, se = ekf.covariance_health()
-            worst_p = min(worst_p, pe)
-            worst_s = min(worst_s, se)
-    assert worst_p >= -1e-9
-    assert worst_s >= -1e-9
+        ref_p = min(ref_p, float(np.linalg.eigvalsh(ref.cov)[0]))
+        ref_s = min(ref_s, float(np.linalg.eigvalsh(ref.param_cov)[0]))
+        assert (checked.min_eig_p, checked.min_eig_s) == (ref_p, ref_s)
+        assert np.array_equal(checked.cov, ref.cov)
+        assert np.array_equal(checked.param_cov, ref.param_cov)
+    assert checked.counters["features_dropped"] > 0 and inner_minima > 0
+    assert ref.min_eig_p == ref.min_eig_s == np.inf
 
 
 def test_zero_slot_filter_matches_empty_slot(rng):
