@@ -12,7 +12,10 @@ the machine's speed drifts between fast and slow spells.  The realtime
 factor is seconds of log per wall-clock second of ``run_filter``, as in the
 benchmark.  The script prints each pair's load seconds, factors and new/old
 factor ratio, then each tree's median load seconds and realtime factor and
-the ratio of the median factors.
+the ratio of the median factors.  When DATASET has a ``gt.csv``, each tree's
+line also gives the RPE p95 over 100 m segments and the ATE of its last run,
+as ``viwo eval`` computes them, so a speedup that changes bits shows its
+accuracy in the same table.
 """
 
 import argparse
@@ -46,6 +49,7 @@ class Tree:
     def __init__(self, label: str, src: Path, dataset: Path, mode: str):
         self.label = label
         self.pipeline = import_tree(src, f"viwo_ab_{label}")
+        self.evaluate = importlib.import_module(f"{self.pipeline.__package__}.evaluate")
         wheel_imu_only = mode == "wheel-imu-only"
         self.cfg = self.pipeline.RunConfig(
             dataset=str(dataset), wheel_imu_only=wheel_imu_only,
@@ -56,14 +60,21 @@ class Tree:
         self.log_s = imu[-1, 0] - imu[0, 0]
         self.load_s: list[float] = []
         self.factors: list[float] = []
+        self.accuracy = ""
 
     def run(self) -> None:
         t0 = perf_counter()
         ds = self.pipeline.load_dataset(self.dataset, self.load_mode)
         t1 = perf_counter()
-        self.pipeline.run_filter(ds, self.cfg)
+        result = self.pipeline.run_filter(ds, self.cfg)
         self.load_s.append(t1 - t0)
         self.factors.append(self.log_s / (perf_counter() - t1))
+        if ds.gt is not None:
+            ev = self.evaluate
+            est = ev.TrajectoryRecord(result.t, result.pos, result.quat)
+            gt = ev.TrajectoryRecord(ds.gt[:, 0], ds.gt[:, 1:4], ds.gt[:, 4:8])
+            self.accuracy = (f", RPE p95 {ev.rpe(est, gt, 100.0).percentile_95:.6f} %"
+                             f", ATE {ev.ate_rmse(est, gt):.6f} m")
 
 
 def main(argv=None) -> int:
@@ -92,7 +103,8 @@ def main(argv=None) -> int:
               f"{new.factors[-1]:>8.2f}  {new.factors[-1] / old.factors[-1]:>7.3f}")
     for tree in (old, new):
         print(f"{tree.label}: median load_dataset {statistics.median(tree.load_s):.3f} s, "
-              f"median realtime factor {statistics.median(tree.factors):.2f}x")
+              f"median realtime factor {statistics.median(tree.factors):.2f}x"
+              f"{tree.accuracy}")
     med_old = statistics.median(old.factors)
     med_new = statistics.median(new.factors)
     wins = sum(n > o for o, n in zip(old.factors, new.factors))

@@ -166,12 +166,27 @@ def format_kv(entries: dict) -> str:
 
 
 def kv_floats(kv: dict, key: str, count: int | None = None) -> np.ndarray:
+    """The values of key; a DataError for a missing key, a value that is not
+    a finite number or a count other than the one given."""
     if key not in kv:
         raise DataError(f"missing key '{key}'")
-    vals = np.array([float(v) for v in kv[key]])
+    try:
+        vals = np.array([float(v) for v in kv[key]])
+    except ValueError:
+        vals = np.array([np.nan])
+    if not np.isfinite(vals).all():
+        raise DataError(f"key '{key}': expected finite numbers, got '{' '.join(kv[key])}'")
     if count is not None and len(vals) != count:
         raise DataError(f"key '{key}': expected {count} values, got {len(vals)}")
     return vals
+
+
+def _kv_size(kv: dict, key: str) -> int:
+    """The one value of key as a positive integer (an image dimension)."""
+    val = kv_floats(kv, key, 1)[0]
+    if not (val >= 1.0 and val == np.floor(val)):
+        raise DataError(f"key '{key}': {kv[key][0]} is not a positive integer")
+    return int(val)
 
 
 # --- calibration and parameter files -------------------------------------------
@@ -191,20 +206,25 @@ def save_calib(path, intr: CameraIntrinsics, ext: CameraExtrinsics,
 
 
 def load_calib(path):
+    """(intrinsics, extrinsics, rho_sg); a bad key or value, or intrinsics
+    that CameraIntrinsics refuses, is a DataError naming the file."""
     kv = load_kv(path)
-    intr = CameraIntrinsics(
-        fx=float(kv_floats(kv, "cam.fx", 1)[0]),
-        fy=float(kv_floats(kv, "cam.fy", 1)[0]),
-        cx=float(kv_floats(kv, "cam.cx", 1)[0]),
-        cy=float(kv_floats(kv, "cam.cy", 1)[0]),
-        k1=float(kv_floats(kv, "cam.k1", 1)[0]),
-        k2=float(kv_floats(kv, "cam.k2", 1)[0]),
-        width=int(kv_floats(kv, "cam.width", 1)[0]),
-        height=int(kv_floats(kv, "cam.height", 1)[0]))
-    ext = CameraExtrinsics(
-        geom.quat_to_rot(geom.so3_exp(kv_floats(kv, "ext.rotvec_cb", 3))),
-        kv_floats(kv, "ext.lever_arm", 3))
-    rho_sg = float(kv_floats(kv, "vehicle.rho_sg", 1)[0])
+    try:
+        intr = CameraIntrinsics(
+            fx=float(kv_floats(kv, "cam.fx", 1)[0]),
+            fy=float(kv_floats(kv, "cam.fy", 1)[0]),
+            cx=float(kv_floats(kv, "cam.cx", 1)[0]),
+            cy=float(kv_floats(kv, "cam.cy", 1)[0]),
+            k1=float(kv_floats(kv, "cam.k1", 1)[0]),
+            k2=float(kv_floats(kv, "cam.k2", 1)[0]),
+            width=_kv_size(kv, "cam.width"),
+            height=_kv_size(kv, "cam.height"))
+        ext = CameraExtrinsics(
+            geom.quat_to_rot(geom.so3_exp(kv_floats(kv, "ext.rotvec_cb", 3))),
+            kv_floats(kv, "ext.lever_arm", 3))
+        rho_sg = float(kv_floats(kv, "vehicle.rho_sg", 1)[0])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return intr, ext, rho_sg
 
 
@@ -219,10 +239,13 @@ def save_gyro_params(path, params: GyroParams) -> None:
 
 def load_gyro_params(path) -> GyroParams:
     kv = load_kv(path)
-    return GyroParams(kv_floats(kv, "gyro.bias", 3),
-                      float(kv_floats(kv, "gyro.yaw_scale", 1)[0]),
-                      float(kv_floats(kv, "gyro.misalign_yx", 1)[0]),
-                      float(kv_floats(kv, "gyro.misalign_xy", 1)[0]))
+    try:
+        return GyroParams(kv_floats(kv, "gyro.bias", 3),
+                          float(kv_floats(kv, "gyro.yaw_scale", 1)[0]),
+                          float(kv_floats(kv, "gyro.misalign_yx", 1)[0]),
+                          float(kv_floats(kv, "gyro.misalign_xy", 1)[0]))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -158,12 +158,8 @@ def _deriv_flat(y, wx, wy, wz, ax, ay, az, gx, gy, gz):
 
 
 def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
-            g: np.ndarray, dt: float):
-    """One RK4 step of the nav state for corrected rates, in scalar float math.
-
-    Returns (new state, body velocities at the four RK4 stage points); the
-    filter's coupled propagator drives its feature stages with the latter.
-    """
+            g: np.ndarray, dt: float) -> NavState:
+    """One RK4 step of the nav state for corrected rates, in scalar float math."""
     # Python floats: the same IEEE arithmetic as numpy scalars, faster
     args = (*omega.tolist(), *accel.tolist(), *g.tolist())
     y0 = (*s.vel.tolist(), *s.quat.tolist(), *s.pos.tolist())
@@ -183,8 +179,7 @@ def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
         raise FloatingPointError("non-finite nav state after propagation step")
     norm = math.sqrt(y1[3] ** 2 + y1[4] ** 2 + y1[5] ** 2 + y1[6] ** 2)
     y = np.array(y1)
-    out = NavState(y[0:3], y[3:7] / norm, y[7:10])
-    return out, (y0[0:3], y_b[0:3], y_c[0:3], y_d[0:3])
+    return NavState(y[0:3], y[3:7] / norm, y[7:10])
 
 
 def propagate_nav(s: NavState, imu: ImuSample, params: GyroParams,
@@ -193,5 +188,5 @@ def propagate_nav(s: NavState, imu: ImuSample, params: GyroParams,
     if not 0.0 < dt <= MAX_STEP_S:
         raise ValueError(f"step dt={dt} outside (0, {MAX_STEP_S}]")
     return rk4_nav(s, correct_gyro(imu.omega_m, params), imu.accel_m,
-                   GRAVITY_VEC, dt)[0]
+                   GRAVITY_VEC, dt)
 

@@ -11,10 +11,13 @@ dynamics under a camera twist (v_C, omega_C) are
 with v_C = R_CB (v + omega x lever) and omega_C = R_CB omega from the body
 velocity and the corrected body rate.  linearize_batch differentiates these
 two equations with respect to the feature state, the body velocity and the
-gyro parameters.  The package treats finite differences as the authority:
-the tests difference the two equations, and the jacobian audit differences
-the RK4 flow.  Division by rho never occurs, but a floor is enforced because
-the inverse-depth state itself degenerates at rho -> 0.
+gyro parameters.  The filter does not integrate them: a feature is a static
+point, so filter.propagate_joint moves it by the exact rigid transform
+between two camera poses, which is their flow.  The package treats finite
+differences as the authority: the tests difference the two equations, and
+the jacobian audit differences their RK4 flow.  Division by rho never
+occurs, but a floor is enforced because the inverse-depth state itself
+degenerates at rho -> 0.
 
 The bearing frame R(q_f) = [p n1 n2] is a right-handed rotation, so with
 N = [n1 n2] and J = [[0, -1], [1, 0]]:

@@ -8,8 +8,11 @@ The error state stacks the nav tangent [velocity, attitude, position] and one
     index 6:9   world position error
     index 9+3i  slot i feature error
 
-Prediction integrates the coupled nav/feature dynamics with RK4 at IMU rate
-and propagates the covariance with the Euler transition matrix Phi = I + F dt.
+Prediction steps the nav state with RK4 at IMU rate and moves each feature
+by the exact rigid transform between the camera poses before and after the
+step (propagate_joint); it propagates the covariance with the Euler
+transition matrix Phi = I + F dt of the joint nav/feature ODE, whose F the
+Jacobian audit differences against the ODE flow.
 Between two camera frames only the IMU changes the state: the active slots
 and the gyro parameters stay fixed.  So predict takes the whole block of IMU
 samples up to the next frame, in chunks of at most PREDICT_BLOCK_MAX: per
@@ -155,54 +158,44 @@ class RowGroup:
 def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
                     omega: np.ndarray, accel: np.ndarray, dt: float,
                     ext: CameraExtrinsics, g: np.ndarray):
-    """One RK4 step of the coupled nav + feature dynamics (corrected rates).
+    """One step of the nav state and the features it carries (corrected rates).
 
-    The nav block is dynamics.rk4_nav.  Features integrate on the direction
-    sphere, driven by the camera velocity at each nav stage point:
+    The nav block is one dynamics.rk4_nav step.  A feature is a static point
+    p / rho in the camera frame, so it moves with the exact rigid transform
+    between the camera poses before and after the step, not by integrating
+    its ODE.  With body attitudes R0, R1, body positions p_W0, p_W1 and the
+    lever arm l:
 
-        pdot = p x omega_C + rho * (p (p.v_C) - v_C |p|^2)
-        rhodot = rho^2 * p.v_C
+        A = R_CB R1^T R0 R_CB^T,   b = R_CB (R1^T (R0 l + p_W0 - p_W1) - l)
+        m = A p + rho b,           p' = m / |m|,   rho' = rho / |m|
 
-    (p x (p x v) = p (p.v) - v for unit p; RK4 stage points are not exactly
-    unit).  The bearing quaternions are re-attached with the minimal
-    (spin-free) rotation taking p0 onto p1, matching the left N-lift tangent
-    convention to O(dt^3).
+    The bearing quaternions are re-attached with the minimal (spin-free)
+    rotation taking p onto p', matching the left N-lift tangent convention
+    to O(dt^3).
     """
-    nav_new, stage_vel = rk4_nav(nav, omega, accel, g, dt)
+    nav_new = rk4_nav(nav, omega, accel, g, dt)
     if not qf.shape[0]:
         return nav_new, qf, rho
 
-    # camera velocity at the four stage points; p @ [omega_C]x is the
-    # row-wise p x omega_C
-    v_c = (np.array(stage_vel) + geom.cross3(omega, ext.lever_arm)) @ ext.r_cb.T
-    w_skew = geom.skew(ext.r_cb @ omega)
-
-    def rate(p, r, v):
-        pv = p @ v
-        pdot = p @ w_skew
-        pdot += (r * pv)[:, None] * p
-        pdot -= (r * (p * p).sum(axis=1))[:, None] * v
-        return pdot, r * r * pv
-
+    r0 = geom.quat_to_rot(nav.quat)
+    r1t = geom.quat_to_rot(nav_new.quat).T
+    r_cb, lever = ext.r_cb, ext.lever_arm
+    a = r_cb @ (r1t @ r0) @ r_cb.T
+    b = r_cb @ (r1t @ (r0 @ lever + nav.pos - nav_new.pos) - lever)
     p0 = geom.quats_to_dirs(qf)
-    half = 0.5 * dt
-    k1 = rate(p0, rho, v_c[0])
-    k2 = rate(p0 + half * k1[0], rho + half * k1[1], v_c[1])
-    k3 = rate(p0 + half * k2[0], rho + half * k2[1], v_c[2])
-    k4 = rate(p0 + dt * k3[0], rho + dt * k3[1], v_c[3])
-    sixth = dt / 6.0
-    p1 = p0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    rho_new = rho + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    if not (np.isfinite(p1).all() and np.isfinite(rho_new).all()):
+    m = p0 @ a.T
+    m += rho[:, None] * b
+    norm = np.sqrt((m * m).sum(axis=1))
+    # a zero range has no direction
+    if not (np.isfinite(norm).all() and norm.all()):
         raise FloatingPointError("non-finite feature state after propagation")
-    p1 /= np.sqrt((p1 * p1).sum(axis=1))[:, None]
 
-    # minimal rotation p0 -> p1: the quaternion [1 + p0.p1, p0 x p1] up to
-    # scale, which quat_mul_batch normalizes away
+    # minimal rotation p0 -> p1 = m / |m|: the quaternion [1 + p0.p1, p0 x p1]
+    # times |m|, a scale that quat_mul_batch normalizes away
     dq = np.empty((qf.shape[0], 4))
-    dq[:, 0] = 1.0 + (p0 * p1).sum(axis=1)
-    dq[:, 1:4] = geom.cross_rows(p0, p1)
-    return nav_new, geom.quat_mul_batch(dq, qf), rho_new
+    dq[:, 0] = norm + (p0 * m).sum(axis=1)
+    dq[:, 1:4] = geom.cross_rows(p0, m)
+    return nav_new, geom.quat_mul_batch(dq, qf), rho / norm
 
 
 def assemble_linearization(nav: NavState | Sequence[NavState],

@@ -42,7 +42,8 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion (body-to-world for attitudes)."""
-    w, x, y, z = q
+    # Python floats: the same IEEE arithmetic as numpy scalars, faster
+    w, x, y, z = q.tolist()
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
@@ -60,13 +61,6 @@ def skew(v: np.ndarray) -> np.ndarray:
         [v[2], 0.0, -v[0]],
         [-v[1], v[0], 0.0],
     ])
-
-
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors (np.cross has high scalar overhead)."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
 
 
 def so3_exp(theta: np.ndarray) -> np.ndarray:

@@ -184,13 +184,7 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     if imu.shape[0] < 2:
         raise dataio.DataError(f"{paths.imu}: the filter needs at least two data "
                                f"rows, found {imu.shape[0]}")
-    steps = np.diff(imu[:, 0])
-    bad = np.flatnonzero(~((steps > 0.0) & (steps <= MAX_STEP_S)))
-    if bad.size:
-        k = int(bad[0]) + 1
-        raise dataio.DataError(
-            f"{paths.imu}: data row {k + 1} (t={imu[k, 0]:.6f}): step "
-            f"{steps[k - 1]:.4f} s from the previous row outside (0, {MAX_STEP_S}]")
+    _check_steps(paths.imu, imu[:, 0], MAX_STEP_S)
     # run_filter pairs the wheel and IMU streams row by row
     n = min(imu.shape[0], wheel.shape[0])
     off = np.flatnonzero(wheel[:n, 0] != imu[:n, 0])
@@ -207,6 +201,7 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     ds = Dataset(imu, wheel, intr, ext, rho_sg)
     if paths.gt.exists():
         ds.gt = dataio.read_csv(paths.gt, dataio.POSE_HEADER)
+        _check_finite(paths.gt, ds.gt, dataio.POSE_HEADER)
         # the filter starts at the first ground-truth pose and steps to the
         # first IMU sample from there
         if ds.gt.shape[0] == 0:
@@ -220,8 +215,11 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
         ds.bearing_frames = _bearing_frames(
             paths.bearings, dataio.read_csv(paths.bearings, dataio.BEARINGS_HEADER))
     elif mode == "image":
-        ds.image_frames = [(t, Path(root) / name)
-                           for t, name in dataio.read_frames_csv(paths.frames_csv)]
+        frames = dataio.read_frames_csv(paths.frames_csv)
+        stamps = np.array([t for t, _ in frames]).reshape(-1, 1)
+        _check_finite(paths.frames_csv, stamps, "t")
+        _check_steps(paths.frames_csv, stamps[:, 0])
+        ds.image_frames = [(t, Path(root) / name) for t, name in frames]
     return ds
 
 
@@ -233,6 +231,18 @@ def _check_finite(path, rows: np.ndarray, header: str) -> None:
         col = header.split(",")[int(np.flatnonzero(~np.isfinite(rows[k]))[0])]
         raise dataio.DataError(f"{path}: data row {k + 1} (t={rows[k, 0]:.6f}): "
                                f"{col} is not finite")
+
+
+def _check_steps(path, t: np.ndarray, max_step: float = np.inf) -> None:
+    """A DataError naming the first data row whose stamp does not follow
+    the previous one by a step in (0, max_step]."""
+    steps = np.diff(t)
+    bad = np.flatnonzero(~((steps > 0.0) & (steps <= max_step)))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise dataio.DataError(
+            f"{path}: data row {k + 1} (t={t[k]:.6f}): step {steps[k - 1]:.4f} s "
+            f"from the previous row outside (0, {max_step}]")
 
 
 def _bearing_frames(path, rows: np.ndarray) -> list:

@@ -470,3 +470,70 @@ def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut):
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == EXIT_DATA, proc.stderr
     assert "data error" in proc.stderr and "000001.pgm" in proc.stderr
+
+
+def _nan_stamp(t):
+    t[4] = np.nan
+    return t
+
+
+def _repeated_stamp(t):
+    t[4] = t[3]
+    return t
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_nan_stamp, "frames.csv: data row 5 (t=nan): t is not finite"),
+    (_repeated_stamp, "frames.csv: data row 5 (t={t4:.6f}): step 0.0000 s from the previous row"),
+], ids=["nan", "repeated"])
+def test_bad_frame_stamp_exit_data(mini_dataset, tmp_path, capsys, edit, message):
+    # refused with its row named, rather than every later frame skipped
+    from viwo.image import Image, save_pgm
+    ds = tmp_path / "frames"
+    shutil.copytree(mini_dataset, ds)
+    (ds / "frames").mkdir()
+    save_pgm(ds / "frames" / "000001.pgm", Image(np.full((480, 640), 90.0)))
+    t = edit(dataio.read_csv(ds / "imu.csv", dataio.IMU_HEADER)[100:180:10, 0])
+    dataio.write_csv(ds / "frames.csv", dataio.FRAMES_HEADER,
+                     [[s, "frames/000001.pgm"] for s in t])
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out"),
+                 "--mode", "image"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and message.format(t4=t[4]) in err
+
+
+def test_non_finite_gt_value_exit_data(mini_dataset, tmp_path, capsys):
+    # the filter starts from the first pose: a numerical failure at the parent
+    ds = tmp_path / "edited"
+    shutil.copytree(mini_dataset, ds)
+    rows = dataio.read_csv(ds / "gt.csv", dataio.POSE_HEADER)
+    rows[0, 1] = np.nan
+    dataio.write_csv(ds / "gt.csv", dataio.POSE_HEADER, rows.tolist())
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"gt.csv: data row 1 (t={rows[0, 0]:.6f}): px is not finite" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cam.fx", "nan"),
+    ("cam.width", "nan"),
+    ("cam.width", "abc"),
+    ("cam.height", "480.5"),
+    ("cam.height", "0"),
+    ("ext.lever_arm", "nan 0 1.2"),
+], ids=["fx_nan", "width_nan", "width_text", "height_fractional", "height_zero",
+        "lever_arm_nan"])
+def test_bad_calib_value_exit_data(mini_dataset, tmp_path, capsys, key, value):
+    # refused with the file and key named, in bearing mode too, where the
+    # intrinsics are not used and the lever arm moves every feature
+    ds = tmp_path / "edited"
+    shutil.copytree(mini_dataset, ds)
+    kv = dataio.load_kv(ds / "calib.txt")
+    kv[key] = value.split()
+    (ds / "calib.txt").write_text("".join(f"{k} = {' '.join(v)}\n" for k, v in kv.items()))
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "calib.txt" in err and f"key '{key}'" in err
