@@ -15,7 +15,9 @@ factor ratio, then each tree's median load seconds and realtime factor and
 the ratio of the median factors.  When DATASET has a ``gt.csv``, each tree's
 line also gives the RPE p95 over 100 m segments and the ATE of its last run,
 as ``viwo eval`` computes them, so a speedup that changes bits shows its
-accuracy in the same table.
+accuracy in the same table.  The last line says whether the two trees' last
+runs gave bit-identical outputs, and if not, names the first of t, pos,
+quat, params, params_var and counters that differs.
 """
 
 import argparse
@@ -61,6 +63,7 @@ class Tree:
         self.load_s: list[float] = []
         self.factors: list[float] = []
         self.accuracy = ""
+        self.result = None
 
     def run(self) -> None:
         t0 = perf_counter()
@@ -69,12 +72,30 @@ class Tree:
         result = self.pipeline.run_filter(ds, self.cfg)
         self.load_s.append(t1 - t0)
         self.factors.append(self.log_s / (perf_counter() - t1))
+        self.result = result
         if ds.gt is not None:
             ev = self.evaluate
             est = ev.TrajectoryRecord(result.t, result.pos, result.quat)
             gt = ev.TrajectoryRecord(ds.gt[:, 0], ds.gt[:, 1:4], ds.gt[:, 4:8])
             self.accuracy = (f", RPE p95 {ev.rpe(est, gt, 100.0).percentile_95:.6f} %"
                              f", ATE {ev.ate_rmse(est, gt):.6f} m")
+
+
+OUTPUTS = ("t", "pos", "quat", "params", "params_var", "counters")
+
+
+def first_difference(a, b) -> str | None:
+    """Name of the first output of OUTPUTS whose bits differ between two
+    RunResults, or None when all are bit-identical."""
+    for name in OUTPUTS:
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "counters":
+            same = x == y
+        else:
+            same = x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        if not same:
+            return name
+    return None
 
 
 def main(argv=None) -> int:
@@ -111,6 +132,9 @@ def main(argv=None) -> int:
     load_wins = sum(n < o for o, n in zip(old.load_s, new.load_s))
     print(f"ratio of median factors {med_new / med_old:.3f}; new faster in {wins} of "
           f"{args.pairs} pairs; new loads faster in {load_wins} of {args.pairs}")
+    differs = first_difference(old.result, new.result)
+    print("outputs bit-identical: "
+          + ("yes" if differs is None else f"no ({differs} differs)"))
     return 0
 
 

@@ -7,6 +7,7 @@ via --config; explicit flags override file entries.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import dataio
 from .pipeline import RunConfig, apply_config_overrides, cmd_eval, cmd_run, cmd_simulate
@@ -77,18 +78,11 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = apply_config_overrides(cfg, dataio.load_kv(args.config))
-    for key in ("out_dir", "dataset", "scenario", "laps", "seed",
-                "measurement_mode", "feature_slots", "rho_sg", "zero_noise",
-                "disable_gyro_calibration", "disable_lateral_model",
-                "wheel_imu_only", "init_params", "check_psd",
-                "inject_yaw_scale"):
-        val = getattr(args, key, None)
+    # every flag is stored under the name of its RunConfig field
+    for f in fields(RunConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(cfg, key, val)
-    for key in ("inject_bias_dps", "inject_misalign_deg"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, tuple(val))
+            setattr(cfg, f.name, tuple(val) if isinstance(f.default, tuple) else val)
     cfg.validate()
     return cfg
 

@@ -182,11 +182,3 @@ def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
     return NavState(y[0:3], y[3:7] / norm, y[7:10])
 
 
-def propagate_nav(s: NavState, imu: ImuSample, params: GyroParams,
-                  dt: float) -> NavState:
-    """One RK4 step of the nav state with gyro-corrected rates (rk4_nav)."""
-    if not 0.0 < dt <= MAX_STEP_S:
-        raise ValueError(f"step dt={dt} outside (0, {MAX_STEP_S}]")
-    return rk4_nav(s, correct_gyro(imu.omega_m, params), imu.accel_m,
-                   GRAVITY_VEC, dt)
-

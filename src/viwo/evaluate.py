@@ -44,15 +44,14 @@ class RpeReport:
             raise ValueError("percentiles must be ordered")
 
 
-def associate(est: TrajectoryRecord, gt: TrajectoryRecord,
-              tol_s: float = ASSOC_TOL_S):
-    """Indices (est, gt) of nearest-timestamp pairs within tol."""
+def associate(est: TrajectoryRecord, gt: TrajectoryRecord):
+    """Indices (est, gt) of nearest-timestamp pairs within ASSOC_TOL_S."""
     gi = np.searchsorted(gt.t, est.t)
     gi = np.clip(gi, 1, len(gt.t) - 1)
     left = np.abs(gt.t[gi - 1] - est.t)
     right = np.abs(gt.t[gi] - est.t)
     gi = np.where(left < right, gi - 1, gi)
-    ok = np.abs(gt.t[gi] - est.t) <= tol_s
+    ok = np.abs(gt.t[gi] - est.t) <= ASSOC_TOL_S
     return np.nonzero(ok)[0], gi[ok]
 
 

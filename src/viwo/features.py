@@ -58,8 +58,7 @@ class CameraExtrinsics:
 
 
 def landmark_to_feature(landmark_world: np.ndarray, s: NavState,
-                        ext: CameraExtrinsics,
-                        min_depth: float = 1.0 / RHO_CEIL) -> FeatureState:
+                        ext: CameraExtrinsics) -> FeatureState:
     """Exact feature state of a world point (simulator / oracle use)."""
     r_wb = geom.quat_to_rot(s.quat)
     cam_world = s.pos + r_wb @ ext.lever_arm
@@ -67,8 +66,8 @@ def landmark_to_feature(landmark_world: np.ndarray, s: NavState,
     rng = np.sqrt(d_cam @ d_cam)
     if d_cam[0] <= 0.0:
         raise ValueError("landmark behind the camera")
-    if rng < min_depth:
-        raise ValueError(f"landmark range {rng} below minimum depth {min_depth}")
+    if rng < 1.0 / RHO_CEIL:
+        raise ValueError(f"landmark range {rng} below minimum depth {1.0 / RHO_CEIL}")
     return FeatureState(geom.bearing_from_dir(d_cam / rng), 1.0 / rng)
 
 

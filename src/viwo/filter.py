@@ -53,7 +53,7 @@ construction and after every frame; a predict never changes S).
 """
 
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -86,6 +86,12 @@ FAST_THRESHOLD = 10.0         # image mode: FAST intensity threshold
 KLT_MAX_SHIFT_PX = 20.0       # image mode: cap on the detection gate radius
 PHOTOMETRIC_BASIN_PX = 1.0    # farther alignments become bearing rows
 PREDICT_BLOCK_MAX = 32        # IMU samples per stacked linearization
+ZUPT_HOLD_S = 0.5             # s of zero wheel speed before ZUPT rows
+
+# NoiseConfig fields that are no noise density, process noise or standard
+# deviation, so need not be positive
+_NOT_STD_FIELDS = ("lam", "rho0", "lateral_min_speed", "lateral_max_ay",
+                   "lateral_inflation")
 
 
 @dataclass
@@ -125,13 +131,18 @@ class NoiseConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Raise ValueError naming the first field that is not finite, or a
+        noise density, process noise or standard deviation that is not
+        positive; the forgetting factor must be in (0, 1]."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"noise.{f.name} must be finite, found {value}")
+            if f.name not in _NOT_STD_FIELDS and value <= 0.0:
+                raise ValueError(f"noise.{f.name} must be positive, found {value}")
         if not 0.0 < self.lam <= 1.0:
-            raise ValueError("forgetting factor must be in (0, 1]")
-        for name in ("gyro_noise", "accel_noise", "sigma_wheel", "sigma_lateral",
-                     "sigma_vertical", "sigma_bearing", "sigma_intensity",
-                     "sigma_zupt"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            raise ValueError(f"noise.lam (forgetting factor) must be in (0, 1], "
+                             f"found {self.lam}")
 
     def s0_matrix(self) -> np.ndarray:
         return np.diag([self.s0_bias ** 2] * 3 + [self.s0_scale ** 2]
@@ -504,9 +515,9 @@ class AdaptiveEkf:
         elif self._wheel_zero_since is None:
             self._wheel_zero_since = t
 
-    def standstill_active(self, t: float, hold_s: float = 0.5) -> bool:
+    def standstill_active(self, t: float) -> bool:
         return (self._wheel_zero_since is not None
-                and t - self._wheel_zero_since >= hold_s)
+                and t - self._wheel_zero_since >= ZUPT_HOLD_S)
 
     def vehicle_group(self, veh: VehicleVelocityMeasurement) -> RowGroup:
         z = vehicle_velocity_measurement(veh.v_x_m, veh.a_y_m, self.rho_sg)
@@ -692,16 +703,14 @@ class AdaptiveEkf:
 
     # -- feature lifecycle ----------------------------------------------------
 
-    def init_feature(self, slot: int, bearing: np.ndarray,
-                     rho: float | None = None,
-                     patch=None) -> None:
+    def init_feature(self, slot: int, bearing: np.ndarray, patch=None) -> None:
         if not 0 <= slot < self.capacity:
             self.counters["slots_ignored"] += 1
             return
         o = NAV_DIM + FEAT_DIM * slot
         self._active[slot] = True
         self._qf[slot] = geom.quat_normalize(np.asarray(bearing, dtype=float))
-        self._rho[slot] = self.noise.rho0 if rho is None else float(rho)
+        self._rho[slot] = self.noise.rho0
         self.patches[slot] = patch
         self.cov[o:o + 3, :] = 0.0
         self.cov[:, o:o + 3] = 0.0

@@ -122,8 +122,7 @@ def _contiguous_at_least(mask: np.ndarray, run: int) -> np.ndarray:
 
 
 def detect_features(img: Image, n: int, threshold: float = 10.0,
-                    min_distance: float = 12.0,
-                    arc: int = 9) -> list[tuple[float, float]]:
+                    min_distance: float = 12.0) -> list[tuple[float, float]]:
     """FAST-9/16 corners, strongest first, non-max suppressed and bucketed
     min_distance apart.  Returns up to n (u, v) tuples; may return fewer.
     """
@@ -153,8 +152,8 @@ def detect_features(img: Image, n: int, threshold: float = 10.0,
     c = center[vs0, us0]
     brighter = (ring > c[None] + threshold).T
     darker = (ring < c[None] - threshold).T
-    is_corner = (_contiguous_at_least(brighter, arc)
-                 | _contiguous_at_least(darker, arc))
+    is_corner = (_contiguous_at_least(brighter, 9)
+                 | _contiguous_at_least(darker, 9))
     if not is_corner.any():
         return []
     vs0, us0 = vs0[is_corner], us0[is_corner]
@@ -244,14 +243,14 @@ def extract_patch_set(pyramid: list[Image], u: float,
     return out
 
 
-def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float, v0: float,
-              max_iter: int = 12, max_shift: float = 6.0,
-              tol: float = 0.02) -> tuple[float, float, bool]:
+def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float,
+              v0: float) -> tuple[float, float, bool]:
     """Pyramidal Lucas-Kanade alignment of a template patch.
 
     Gauss-Newton on the level-0 pixel position using the stored template
-    gradients, coarse level first.  Returns (u, v, converged); the search is
-    abandoned beyond max_shift pixels from the start.
+    gradients, coarse level first, at most 12 steps per level, converged at
+    a step under 0.02 px.  Returns (u, v, converged); the search is
+    abandoned beyond 6 px from the start.
     """
     u, v = float(u0), float(v0)
     converged = False
@@ -262,16 +261,16 @@ def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float, v0: floa
         if det < 1e-12:
             return u, v, False
         ginv = np.array([[gtg[1, 1], -gtg[0, 1]], [-gtg[0, 1], gtg[0, 0]]]) / det
-        for _ in range(max_iter):
+        for _ in range(12):
             res = intensity_residual(patch, pyramid, (u, v), level)
             if res is None:
                 return u, v, False
             step = ginv @ (g.T @ res[0])
             u -= step[0]
             v -= step[1]
-            if np.hypot(u - u0, v - v0) > max_shift:
+            if np.hypot(u - u0, v - v0) > 6.0:
                 return u, v, False
-            if np.hypot(step[0], step[1]) < tol:
+            if np.hypot(step[0], step[1]) < 0.02:
                 converged = True
                 break
         else:

@@ -119,18 +119,20 @@ def _tangent_diff(a, b) -> np.ndarray:
     return out
 
 
-_FD_H = 2e-5
-_FD_DT = 1e-3
+_FD_H = 2e-5           # state and parameter step of the flow differences
+_FD_DT = 1e-3          # longest flow step of the Richardson extrapolation
+_FD_H_MEAS = 1e-6      # step of the measurement-side central differences
 
 
-def _perturbed_states(s: JointSample, h: float):
-    """Stack of 24 scenarios: +h then -h along each of the 12 tangent dims.
+def _perturbed_states(s: JointSample):
+    """Stack of 24 scenarios: +_FD_H then -_FD_H along each of the 12
+    tangent dims.
 
     Positions are taken about the origin: the dynamics do not depend on
     position, and flowing positions of tens of metres and then differencing
     them would cost the position rows most of their digits.
     """
-    deltas = np.vstack([np.eye(12) * h, -np.eye(12) * h])
+    deltas = np.vstack([np.eye(12) * _FD_H, -np.eye(12) * _FD_H])
     cnt = deltas.shape[0]
     vel = np.tile(s.nav.vel, (cnt, 1)) + deltas[:, 0:3]
     pos = deltas[:, 6:9]
@@ -140,15 +142,14 @@ def _perturbed_states(s: JointSample, h: float):
     return vel, quat, pos, qf, rho
 
 
-def fd_flow_matrices(s: JointSample, dt: float = _FD_DT,
-                     h: float = _FD_H) -> tuple[np.ndarray, np.ndarray]:
+def fd_flow_matrices(s: JointSample) -> tuple[np.ndarray, np.ndarray]:
     """Flow-based FD of the error-state dynamics matrix F and sensitivity Psi.
 
     All state and parameter perturbations for one dt level are flowed as a
     single batch; three-level Richardson extrapolation in the step length
     removes the O(dt) and O(dt^2) terms.
     """
-    vel_s, quat_s, pos_s, qf_s, rho_s = _perturbed_states(s, h)
+    vel_s, quat_s, pos_s, qf_s, rho_s = _perturbed_states(s)
     omega0 = correct_gyro(s.omega_m, s.params)
 
     base = s.params.as_vector()
@@ -156,7 +157,7 @@ def fd_flow_matrices(s: JointSample, dt: float = _FD_DT,
     for k in range(6):
         for sgn, row in ((1.0, k), (-1.0, 6 + k)):
             vec = base.copy()
-            vec[k] += sgn * h
+            vec[k] += sgn * _FD_H
             omegas[row] = correct_gyro(s.omega_m, GyroParams.from_vector(vec))
 
     vel = np.vstack([vel_s, np.tile(s.nav.vel, (12, 1))])
@@ -170,49 +171,49 @@ def fd_flow_matrices(s: JointSample, dt: float = _FD_DT,
         flowed = _flow_batch(vel, quat, pos, qf, rho, omega, s.accel,
                              s.ext, GRAVITY_VEC, step)
         phi = _tangent_diff(tuple(x[0:12] for x in flowed),
-                            tuple(x[12:24] for x in flowed)).T / (2.0 * h)
+                            tuple(x[12:24] for x in flowed)).T / (2.0 * _FD_H)
         f_mat = (phi - np.eye(12)) / step
         psi = _tangent_diff(tuple(x[24:30] for x in flowed),
-                            tuple(x[30:36] for x in flowed)).T / (2.0 * h * step)
+                            tuple(x[30:36] for x in flowed)).T / (2.0 * _FD_H * step)
         return f_mat, psi
 
-    (f1, p1), (f2, p2), (f4, p4) = at(dt), at(dt / 2.0), at(dt / 4.0)
+    (f1, p1), (f2, p2), (f4, p4) = at(_FD_DT), at(_FD_DT / 2.0), at(_FD_DT / 4.0)
     f_out = (4.0 * (2.0 * f4 - f2) - (2.0 * f2 - f1)) / 3.0
     p_out = (4.0 * (2.0 * p4 - p2) - (2.0 * p2 - p1)) / 3.0
     return f_out, p_out
 
 
-def _rel_err(analytic: np.ndarray, fd: np.ndarray, scale: float = 0.0,
-             floor: float = 1e-6) -> float:
+def _rel_err(analytic: np.ndarray, fd: np.ndarray, scale: float = 0.0) -> float:
     """Block max-abs difference over the block scale.
 
     Structurally-zero blocks are judged against a fraction of the full-matrix
     scale so FD noise in an exactly-zero block is not read as 100% error.
     """
-    denom = max(float(np.max(np.abs(fd))), 1e-2 * scale, floor)
+    denom = max(float(np.max(np.abs(fd))), 1e-2 * scale, 1e-6)
     return float(np.max(np.abs(analytic - fd))) / denom
 
 
 # --- measurement-side probes -------------------------------------------------
 
-def fd_vehicle_jacobian(vel, v_x_m, a_y_m, rho_sg, h=1e-6) -> np.ndarray:
+def fd_vehicle_jacobian(vel, v_x_m, a_y_m, rho_sg) -> np.ndarray:
     out = np.empty((3, 3))
     for j in range(3):
         d = np.zeros(3)
-        d[j] = h
+        d[j] = _FD_H_MEAS
         out[:, j] = (vehicle_predicted_measurement(vel + d, v_x_m, a_y_m, rho_sg)
-                     - vehicle_predicted_measurement(vel - d, v_x_m, a_y_m, rho_sg)) / (2 * h)
+                     - vehicle_predicted_measurement(vel - d, v_x_m, a_y_m, rho_sg)
+                     ) / (2 * _FD_H_MEAS)
     return out
 
 
-def fd_projection_jacobian(bearing, intr, h=1e-6) -> np.ndarray:
+def fd_projection_jacobian(bearing, intr) -> np.ndarray:
     out = np.empty((2, 2))
     for j in range(2):
         d = np.zeros(2)
-        d[j] = h
+        d[j] = _FD_H_MEAS
         (up, vp), _ = project(geom.s2_boxplus(bearing, d), intr, require_in_image=False)
         (um, vm), _ = project(geom.s2_boxplus(bearing, -d), intr, require_in_image=False)
-        out[:, j] = np.array([up - um, vp - vm]) / (2 * h)
+        out[:, j] = np.array([up - um, vp - vm]) / (2 * _FD_H_MEAS)
     return out
 
 
@@ -235,14 +236,14 @@ def _probe_off_lattice(u: float, v: float) -> bool:
     return True
 
 
-def fd_camera_chain(rng: np.random.Generator, intr: CameraIntrinsics,
-                    h: float = 1e-6, max_draws: int = 50):
+def fd_camera_chain(rng: np.random.Generator, intr: CameraIntrinsics):
     """(analytic H, FD H) for the full photometric chain on a smooth scene.
 
     Both come from the filter's camera_measurement_jacobian: H as returned,
-    and each FD column from its residuals at the bearing moved by +-h.
+    and each FD column from its residuals at the bearing moved by +-_FD_H_MEAS,
+    on the first of 50 drawn bearings that makes a valid probe.
     """
-    for _ in range(max_draws):
+    for _ in range(50):
         d = np.array([1.0, rng.uniform(-0.35, 0.35), rng.uniform(-0.25, 0.25)])
         bearing = geom.bearing_from_dir(d)
         try:
@@ -269,12 +270,12 @@ def fd_camera_chain(rng: np.random.Generator, intr: CameraIntrinsics,
         fd = np.empty_like(analytic)
         for j in range(2):
             delta = np.zeros(2)
-            delta[j] = h
+            delta[j] = _FD_H_MEAS
             plus = camera_measurement_jacobian(geom.s2_boxplus(bearing, delta),
                                                patch, pyramid, intr)
             minus = camera_measurement_jacobian(geom.s2_boxplus(bearing, -delta),
                                                 patch, pyramid, intr)
-            fd[:, j] = (plus[0] - minus[0]) / (2 * h)
+            fd[:, j] = (plus[0] - minus[0]) / (2 * _FD_H_MEAS)
         return analytic, fd
     raise RuntimeError("could not draw a valid photometric probe")
 

@@ -69,28 +69,32 @@ class RunConfig:
 
 
 def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]]) -> RunConfig:
-    """Apply 'key = value' entries; 'noise.<field>' reaches the NoiseConfig."""
-    simple = {f.name: f.type for f in fields(RunConfig)}
+    """Apply 'key = value' entries; 'noise.<field>' reaches the NoiseConfig.
+    An unknown key is a DataError.  A key takes as many values as its field
+    holds (3 for inject_bias_dps, 2 for inject_misalign_deg, 1 otherwise);
+    another count is a ValueError naming the key."""
     for key, tokens in kv.items():
         if key.startswith("noise."):
-            name = key[6:]
-            if not hasattr(cfg.noise, name):
+            target, name = cfg.noise, key[6:]
+            if name not in {f.name for f in fields(NoiseConfig)}:
                 raise dataio.DataError(f"unknown noise key '{name}'")
-            setattr(cfg.noise, name, float(tokens[0]))
-        elif key in ("inject_bias_dps", "inject_misalign_deg"):
-            setattr(cfg, key, tuple(float(t) for t in tokens))
-        elif key in simple:
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                setattr(cfg, key, tokens[0].lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(tokens[0]))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(tokens[0]))
-            else:
-                setattr(cfg, key, tokens[0])
+        elif key in {f.name for f in fields(RunConfig)} - {"noise"}:
+            target, name = cfg, key
         else:
             raise dataio.DataError(f"unknown config key '{key}'")
+        current = getattr(target, name)
+        count = len(current) if isinstance(current, tuple) else 1
+        if len(tokens) != count:
+            raise ValueError(f"config key '{key}' takes {count} value(s), "
+                             f"found {len(tokens)}")
+        if isinstance(current, tuple):
+            setattr(target, name, tuple(float(t) for t in tokens))
+        elif isinstance(current, bool):
+            setattr(target, name, tokens[0].lower() in ("1", "true", "yes"))
+        elif isinstance(current, (int, float)):
+            setattr(target, name, type(current)(tokens[0]))
+        else:
+            setattr(target, name, tokens[0])
     return cfg
 
 
@@ -118,12 +122,11 @@ def cmd_simulate(cfg: RunConfig) -> Path:
         err.pixel_noise = err.image_noise = 0.0
 
     truth = sim.generate_trajectory(spec)
-    stride = int(round(spec.rate_hz / spec.camera_rate_hz))
     world = sim.generate_world(truth, seed=cfg.seed)
     world = sim.ensure_coverage(world, truth, DEFAULT_INTRINSICS,
-                                DEFAULT_EXTRINSICS, stride, seed=cfg.seed)
+                                DEFAULT_EXTRINSICS, seed=cfg.seed)
 
-    imu = sim.synthesize_imu(truth, err, spec.rate_hz)
+    imu = sim.synthesize_imu(truth, err)
     wheel = sim.synthesize_wheel(truth, err)
     dataio.write_csv(paths.imu, dataio.IMU_HEADER,
                      ([m.t, *m.omega_m, *m.accel_m] for m in imu))
@@ -135,7 +138,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     dataio.save_gyro_params(paths.truth_params, err.params)
 
     frames = sim.synthesize_bearings(truth, world, DEFAULT_INTRINSICS,
-                                     DEFAULT_EXTRINSICS, err, stride,
+                                     DEFAULT_EXTRINSICS, err,
                                      n_slots=cfg.feature_slots)
     rows = []
     for t, obs in frames:
@@ -147,7 +150,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
         paths.frames_dir.mkdir(exist_ok=True)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 4]))
         frame_rows = []
-        for k, s in enumerate(truth[::stride]):
+        for k, s in enumerate(truth[::sim.CAMERA_STRIDE]):
             if s.t == 0.0:
                 continue
             img = sim.render_frame(s.nav, world, DEFAULT_INTRINSICS,

@@ -87,19 +87,19 @@ def project(bearing: np.ndarray, intr: CameraIntrinsics,
     return (u, v), j_pix @ j_norm @ dp_dtan
 
 
-def unproject(u: float, v: float, intr: CameraIntrinsics,
-              max_iter: int = 20, tol: float = 1e-10) -> np.ndarray:
-    """Bearing quaternion of a pixel (iterative distortion inversion)."""
+def unproject(u: float, v: float, intr: CameraIntrinsics) -> np.ndarray:
+    """Bearing quaternion of a pixel: at most 20 Newton steps of the
+    distortion inversion, to a residual of 1e-10 on the normalized plane."""
     if not (0.0 <= u <= intr.width - 1 and 0.0 <= v <= intr.height - 1):
         raise ProjectionError("pixel outside image")
     dx = (u - intr.cx) / intr.fx
     dy = (v - intr.cy) / intr.fy
     rx, ry = dx, dy
-    for _ in range(max_iter):
+    for _ in range(20):
         ex, ey, s, r2 = distort(rx, ry, intr)
         ex -= dx
         ey -= dy
-        if ex * ex + ey * ey < tol * tol:
+        if ex * ex + ey * ey < 1e-10 * 1e-10:
             break
         # Newton step with the exact forward-distortion Jacobian
         ds = intr.k1 + 2.0 * intr.k2 * r2

@@ -9,10 +9,15 @@ model holds exactly in steady cornering:
 
     v_y = -rho_sg * a_y * v_x,   heading = path tangent + rho_sg * V^2 * kappa
 
-Ground truth is *defined* as the RK4 flow of the nav dynamics under the
-emitted rate/force samples (sampled mid-interval).  Sensors synthesized from
-that flow are therefore exactly kinematically consistent with it: a filter
-fed noise-free streams reproduces the truth to integrator precision.
+Ground truth is *defined* as the RK4 flow (dynamics.rk4_nav) of the nav
+dynamics under the emitted rate/force samples (sampled mid-interval).
+Sensors synthesized from that flow are therefore exactly kinematically
+consistent with it: a filter fed noise-free streams reproduces the truth to
+integrator precision.
+
+The rates are fixed: ground truth, IMU and wheel speed at IMU_RATE_HZ
+(100 Hz), camera frames (bearings or rendered images) at every
+CAMERA_STRIDE-th sample (10 Hz).
 
 The body origin sits at the rear-axle center, so wheel speed and the lateral
 model need no extra lever arm.
@@ -23,13 +28,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .dynamics import (GRAVITY, GyroParams, ImuSample, NavState,
-                       apply_gyro_error, propagate_nav)
+from .dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample, NavState,
+                       apply_gyro_error, rk4_nav)
 from .features import CameraExtrinsics, landmark_to_feature
 from .image import Image
 from .sensors import CameraIntrinsics, distort, project
 
+IMU_RATE_HZ = 100.0         # IMU, wheel and ground-truth sample rate
+CAMERA_STRIDE = 10          # IMU samples per camera frame: 10 Hz frames
 MAX_LATERAL_ACCEL = 8.0     # m/s^2, feasibility gate for arcs
+ACCEL_LIMIT = 1.5           # m/s^2, longitudinal ramp limit
+BLEND_TIME_S = 1.2          # curvature blend duration
 
 
 @dataclass
@@ -53,17 +62,9 @@ class Stop:
 @dataclass
 class TrajectorySpec:
     segments: list
-    rate_hz: float = 100.0
-    camera_rate_hz: float = 10.0
     rho_sg: float = 0.004        # s^2/m
-    accel_limit: float = 1.5     # m/s^2 longitudinal ramp limit
-    blend_time: float = 1.2      # s, curvature blend duration
 
     def __post_init__(self):
-        if self.rate_hz < 50.0:
-            raise ValueError("sample rate must be at least 50 Hz")
-        if self.rate_hz % self.camera_rate_hz != 0:
-            raise ValueError("camera rate must divide the IMU rate")
         for seg in self.segments:
             if isinstance(seg, (Straight, Arc)) and seg.speed < 0:
                 raise ValueError("segment speeds must be non-negative")
@@ -183,7 +184,6 @@ def _compile_phases(spec: TrajectorySpec) -> list[Phase]:
         return None
 
     phases: list[Phase] = []
-    a_lim = spec.accel_limit
     for i, item in enumerate(items):
         if item["kind"] == "stop":
             phases.append(Phase.const(item["duration"], 0.0, 0.0, 0.0))
@@ -200,21 +200,21 @@ def _compile_phases(spec: TrajectorySpec) -> list[Phase]:
 
         pieces = []
         if prev_k is not None and prev_k != kappa:
-            t_b = spec.blend_time / 2.0
+            t_b = BLEND_TIME_S / 2.0
             pieces.append(Phase.const(t_b, v_in, 0.5 * (prev_k + kappa), kappa))
             length -= v_in * t_b
         if v_in < v:
             # smoothstep ramp: peak accel 1.5 dv/T kept inside the limit
-            t_r = 1.5 * (v - v_in) / a_lim
+            t_r = 1.5 * (v - v_in) / ACCEL_LIMIT
             pieces.append(Phase.ramp(t_r, v_in, v, kappa))
             length -= (v + v_in) / 2.0 * t_r
         tail = []
         if v_out < v:
-            t_r = 1.5 * (v - v_out) / a_lim
+            t_r = 1.5 * (v - v_out) / ACCEL_LIMIT
             tail.append(Phase.ramp(t_r, v, v_out, kappa))
             length -= (v + v_out) / 2.0 * t_r
         if next_k is not None and next_k != kappa:
-            t_b = spec.blend_time / 2.0
+            t_b = BLEND_TIME_S / 2.0
             tail.append(Phase.const(t_b, v_out, kappa, 0.5 * (kappa + next_k)))
             length -= v_out * t_b
         if length <= 0.0:
@@ -253,7 +253,7 @@ class _Profile:
 def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
     """Ground-truth stream: RK4 flow of the analytic rate/force profiles."""
     profile = _Profile(_compile_phases(spec))
-    dt = 1.0 / spec.rate_hz
+    dt = 1.0 / IMU_RATE_HZ
     steps = int(np.floor(profile.total_time / dt + 1e-9))
     rho = spec.rho_sg
 
@@ -276,13 +276,12 @@ def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
 
     omega0, accel0, psi0, vbody0 = inputs_at(0.0)
     nav = NavState(vbody0, geom.so3_exp(np.array([0.0, 0.0, psi0])), np.zeros(3))
-    identity = GyroParams()
     out = [TrajectorySample(0.0, nav.copy(), omega0, accel0)]
     t = 0.0
     for k in range(steps):
         t_next = (k + 1) * dt
         omega, accel, _, _ = inputs_at(t + dt / 2.0)
-        nav = propagate_nav(nav, ImuSample(t_next, omega, accel), identity, dt)
+        nav = rk4_nav(nav, omega, accel, GRAVITY_VEC, dt)
         out.append(TrajectorySample(t_next, nav.copy(), omega, accel))
         t = t_next
     return out
@@ -295,10 +294,9 @@ class LandmarkWorld:
     points: np.ndarray   # (n, 3) world coordinates
 
 
-def generate_world(truth: list[TrajectorySample], seed: int = 0,
-                   spacing_m: float = 10.0, per_station: int = 4,
-                   lateral=(3.0, 30.0), height=(-1.0, 10.0)) -> LandmarkWorld:
-    """Corridor of landmarks along the driven path."""
+def generate_world(truth: list[TrajectorySample], seed: int = 0) -> LandmarkWorld:
+    """Corridor of landmarks along the driven path: every 10 m, four points
+    3-30 m to either side and 1 m below to 10 m above the axle."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
     pts = []
     dist = 0.0
@@ -307,14 +305,14 @@ def generate_world(truth: list[TrajectorySample], seed: int = 0,
         step = np.linalg.norm(s.nav.pos - last)
         dist += step
         last = s.nav.pos
-        if dist >= spacing_m or not pts:
+        if dist >= 10.0 or not pts:
             dist = 0.0
             heading = geom.quat_to_rot(s.nav.quat) @ np.array([1.0, 0.0, 0.0])
             lateral_dir = np.array([-heading[1], heading[0], 0.0])
-            for _ in range(per_station):
+            for _ in range(4):
                 side = rng.choice([-1.0, 1.0])
-                off = rng.uniform(*lateral)
-                h = rng.uniform(*height)
+                off = rng.uniform(3.0, 30.0)
+                h = rng.uniform(-1.0, 10.0)
                 ahead = rng.uniform(5.0, 40.0)
                 pts.append(s.nav.pos + heading * ahead
                            + lateral_dir * side * off + np.array([0, 0, h]))
@@ -322,15 +320,14 @@ def generate_world(truth: list[TrajectorySample], seed: int = 0,
 
 
 def visible_landmarks(world: LandmarkWorld, nav: NavState,
-                      intr: CameraIntrinsics, ext: CameraExtrinsics,
-                      min_depth: float = 2.0, max_depth: float = 80.0,
-                      margin: float = 8.0) -> list[int]:
-    """Indices of world points inside the camera frustum, nearest first."""
+                      intr: CameraIntrinsics, ext: CameraExtrinsics) -> list[int]:
+    """Indices of world points 2-80 m from the camera that project at
+    least 8 px inside the image, nearest first."""
     r_wb = geom.quat_to_rot(nav.quat)
     cam_world = nav.pos + r_wb @ ext.lever_arm
     d_cam = (world.points - cam_world) @ (ext.r_cb @ r_wb.T).T
     rng_m = np.sqrt((d_cam * d_cam).sum(axis=1))
-    ok = (d_cam[:, 0] > 1e-6) & (rng_m >= min_depth) & (rng_m <= max_depth)
+    ok = (d_cam[:, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= 80.0)
     if not ok.any():
         return []
     rx = -d_cam[ok, 1] / d_cam[ok, 0]
@@ -338,8 +335,8 @@ def visible_landmarks(world: LandmarkWorld, nav: NavState,
     dx, dy, _, _ = distort(rx, ry, intr)
     u = intr.cx + intr.fx * dx
     v = intr.cy + intr.fy * dy
-    in_img = ((u >= margin) & (u <= intr.width - 1 - margin)
-              & (v >= margin) & (v <= intr.height - 1 - margin))
+    in_img = ((u >= 8.0) & (u <= intr.width - 1 - 8.0)
+              & (v >= 8.0) & (v <= intr.height - 1 - 8.0))
     idx = np.nonzero(ok)[0][in_img]
     order = np.argsort(rng_m[idx], kind="stable")
     return [int(i) for i in idx[order]]
@@ -347,15 +344,14 @@ def visible_landmarks(world: LandmarkWorld, nav: NavState,
 
 def ensure_coverage(world: LandmarkWorld, truth: list[TrajectorySample],
                     intr: CameraIntrinsics, ext: CameraExtrinsics,
-                    frame_stride: int, min_visible: int = 8,
                     seed: int = 1) -> LandmarkWorld:
-    """Densify the world until every camera pose sees enough landmarks."""
+    """Densify the world until every camera pose sees at least 8 landmarks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     pts = list(world.points)
-    for s in truth[::frame_stride]:
+    for s in truth[::CAMERA_STRIDE]:
         for _ in range(40):
             vis = visible_landmarks(LandmarkWorld(np.array(pts)), s.nav, intr, ext)
-            if len(vis) >= min_visible:
+            if len(vis) >= 8:
                 break
             heading = geom.quat_to_rot(s.nav.quat) @ np.array([1.0, 0.0, 0.0])
             lateral_dir = np.array([-heading[1], heading[0], 0.0])
@@ -368,11 +364,11 @@ def ensure_coverage(world: LandmarkWorld, truth: list[TrajectorySample],
 # --- sensor synthesis -----------------------------------------------------------
 
 def synthesize_imu(truth: list[TrajectorySample],
-                   err: SensorErrorSpec, rate_hz: float) -> list[ImuSample]:
+                   err: SensorErrorSpec) -> list[ImuSample]:
     """Measured rates/forces: forward gyro error model plus white noise."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 1]))
-    sg = err.gyro_noise * np.sqrt(rate_hz)
-    sa = err.accel_noise * np.sqrt(rate_hz)
+    sg = err.gyro_noise * np.sqrt(IMU_RATE_HZ)
+    sa = err.accel_noise * np.sqrt(IMU_RATE_HZ)
     out = []
     for s in truth[1:]:
         omega_m = apply_gyro_error(s.omega, err.params)
@@ -400,14 +396,13 @@ def synthesize_wheel(truth: list[TrajectorySample],
 
 def synthesize_bearings(truth: list[TrajectorySample], world: LandmarkWorld,
                         intr: CameraIntrinsics, ext: CameraExtrinsics,
-                        err: SensorErrorSpec, frame_stride: int,
-                        n_slots: int = 16):
+                        err: SensorErrorSpec, n_slots: int = 16):
     """Per-frame (t, slot, bearing) observations with persistent slot ids."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 3]))
     sigma_tan = err.pixel_noise / intr.fx
     slot_of: dict[int, int] = {}
     frames = []
-    for s in truth[::frame_stride]:
+    for s in truth[::CAMERA_STRIDE]:
         if s.t == 0.0:
             continue
         vis = visible_landmarks(world, s.nav, intr, ext)
@@ -432,11 +427,10 @@ def synthesize_bearings(truth: list[TrajectorySample], world: LandmarkWorld,
 
 def render_frame(nav: NavState, world: LandmarkWorld, intr: CameraIntrinsics,
                  ext: CameraExtrinsics, err: SensorErrorSpec,
-                 rng: np.random.Generator | None = None,
-                 blob_sigma: float = 1.5, blob_amp: float = 200.0,
-                 background: float = 10.0) -> Image:
-    """Landmarks drawn as Gaussian blobs on a uniform gray background."""
-    data = np.full((intr.height, intr.width), background)
+                 rng: np.random.Generator | None = None) -> Image:
+    """Landmarks drawn as Gaussian blobs (sigma 1.5 px, peak 200) on a
+    uniform background of 10."""
+    data = np.full((intr.height, intr.width), 10.0)
     for idx in visible_landmarks(world, nav, intr, ext):
         feat = landmark_to_feature(world.points[idx], nav, ext)
         (u, v), _ = project(feat.bearing, intr, require_in_image=False)
@@ -446,8 +440,8 @@ def render_frame(nav: NavState, world: LandmarkWorld, intr: CameraIntrinsics,
             continue
         uu, vv = np.meshgrid(np.arange(lo_u, hi_u, dtype=float),
                              np.arange(lo_v, hi_v, dtype=float))
-        data[lo_v:hi_v, lo_u:hi_u] += blob_amp * np.exp(
-            -((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * blob_sigma ** 2))
+        data[lo_v:hi_v, lo_u:hi_u] += 200.0 * np.exp(
+            -((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 1.5 ** 2))
     if rng is not None and err.image_noise > 0:
         data = data + rng.normal(0.0, err.image_noise, data.shape)
     return Image(np.clip(data, 0.0, 255.0))
@@ -455,16 +449,15 @@ def render_frame(nav: NavState, world: LandmarkWorld, intr: CameraIntrinsics,
 
 # --- scenario presets -----------------------------------------------------------
 
-def urban_loop(laps: int = 1, stop_s: float = 10.0,
-               straight_speed: float = 14.0, turn_speed: float = 6.0,
-               rho_sg: float = 0.004) -> TrajectorySpec:
-    """Square loop: four 200 m straights joined by 90-degree turns (R=15 m),
-    preceded by a standstill phase.  Turns run slow enough to stay feasible."""
-    segs: list = [Stop(stop_s)]
+def urban_loop(laps: int = 1, rho_sg: float = 0.004) -> TrajectorySpec:
+    """Square loop: four 200 m straights at 14 m/s joined by 90-degree turns
+    (R=15 m) at 6 m/s, preceded by a 10 s standstill.  Turns run slow enough
+    to stay feasible."""
+    segs: list = [Stop(10.0)]
     for _ in range(laps):
         for _ in range(4):
-            segs.append(Straight(200.0, straight_speed))
-            segs.append(Arc(15.0, 90.0, turn_speed))
+            segs.append(Straight(200.0, 14.0))
+            segs.append(Arc(15.0, 90.0, 6.0))
     return TrajectorySpec(segs, rho_sg=rho_sg)
 
 
@@ -474,14 +467,14 @@ def mini_loop(rho_sg: float = 0.004) -> TrajectorySpec:
                            Straight(100.0, 12.0)], rho_sg=rho_sg)
 
 
-def highway_route(n_curves: int = 8, straight_m: float = 500.0,
-                  radius: float = 60.0, speed: float = 13.0,
-                  rho_sg: float = 0.004) -> TrajectorySpec:
+def highway_route(rho_sg: float = 0.004) -> TrajectorySpec:
     """Sweeping-curve route that keeps the lateral-velocity model inside its
-    validity envelope (v > 10 m/s, |a_y| < 4 m/s^2); about 5 km total."""
+    validity envelope (v > 10 m/s, |a_y| < 4 m/s^2): nine 500 m straights and
+    eight alternating 90-degree curves (R=60 m), all at 13 m/s, after a 5 s
+    standstill; about 5 km total."""
     segs: list = [Stop(5.0)]
-    for i in range(n_curves):
-        segs.append(Straight(straight_m, speed))
-        segs.append(Arc(radius, 90.0 if i % 2 == 0 else -90.0, speed))
-    segs.append(Straight(straight_m, speed))
+    for i in range(8):
+        segs.append(Straight(500.0, 13.0))
+        segs.append(Arc(60.0, 90.0 if i % 2 == 0 else -90.0, 13.0))
+    segs.append(Straight(500.0, 13.0))
     return TrajectorySpec(segs, rho_sg=rho_sg)

@@ -209,6 +209,28 @@ def test_unknown_config_key_exit_data(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("line, key", [
+    ("seed =", "seed"),
+    ("check_psd =", "check_psd"),
+    ("inject_misalign_deg = 1", "inject_misalign_deg"),
+    ("inject_bias_dps = 0.1 0.2", "inject_bias_dps"),
+    ("inject_bias_dps = 0.1 0.2 0.3 0.4", "inject_bias_dps"),
+    ("noise.sigma_wheel = nan", "noise.sigma_wheel"),
+], ids=["no_value", "no_flag_value", "misalign_one", "bias_two", "bias_four",
+        "noise_nan"])
+def test_bad_config_value_exit_config(tmp_path, capsys, line, key):
+    # a config-file value of the wrong count or a non-finite noise value is
+    # a config error naming its key, found before anything is written
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(f"scenario = mini_loop\n{line}\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfgfile), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
 def test_jacobian_check_command(capsys):
     assert main(["jacobian-check", "--configs", "25", "--seed", "3"]) == EXIT_OK
     text = capsys.readouterr().out

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from viwo import geom
-from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample,
-                           NavState, _deriv_flat, apply_gyro_error,
-                           correct_gyro, corrected_rate_param_jacobian,
-                           propagate_nav)
+from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, NavState,
+                           _deriv_flat, apply_gyro_error, correct_gyro,
+                           corrected_rate_param_jacobian, rk4_nav)
 from viwo.features import CameraExtrinsics
 from viwo.filter import NAV_DIM, assemble_linearization
 
@@ -139,8 +138,8 @@ def test_nav_derivative_matches_model(rng):
 
 def test_propagate_zero_motion():
     s = NavState.identity()
-    imu = ImuSample(0.01, np.zeros(3), level_gravity_cancel())
-    out = propagate_nav(s, imu, GyroParams(), 0.01)
+    out = rk4_nav(s, correct_gyro(np.zeros(3), GyroParams()), level_gravity_cancel(),
+                  GRAVITY_VEC, 0.01)
     assert np.allclose(out.vel, 0, atol=1e-15)
     assert np.allclose(out.pos, 0, atol=1e-15)
     assert np.allclose(out.quat, [1, 0, 0, 0], atol=1e-15)
@@ -149,11 +148,9 @@ def test_propagate_zero_motion():
 def test_propagate_constant_yaw_closed_form():
     rate = 0.4
     s = NavState.identity()
-    t = 0.0
     for _ in range(500):
-        imu = ImuSample(t + 0.01, np.array([0, 0, rate]), level_gravity_cancel())
-        s = propagate_nav(s, imu, GyroParams(), 0.01)
-        t += 0.01
+        s = rk4_nav(s, correct_gyro(np.array([0, 0, rate]), GyroParams()),
+                    level_gravity_cancel(), GRAVITY_VEC, 0.01)
     heading = geom.so3_log(s.quat)
     assert abs(heading[2] - rate * 5.0) < 1e-6
     assert abs(heading[0]) < 1e-9 and abs(heading[1]) < 1e-9
@@ -161,11 +158,9 @@ def test_propagate_constant_yaw_closed_form():
 
 def test_propagate_straight_drive_closed_form():
     s = NavState(np.array([10.0, 0, 0]), geom.IDENTITY_QUAT.copy(), np.zeros(3))
-    t = 0.0
     for _ in range(100):
-        imu = ImuSample(t + 0.01, np.zeros(3), level_gravity_cancel())
-        s = propagate_nav(s, imu, GyroParams(), 0.01)
-        t += 0.01
+        s = rk4_nav(s, correct_gyro(np.zeros(3), GyroParams()), level_gravity_cancel(),
+                    GRAVITY_VEC, 0.01)
     assert abs(s.pos[0] - 10.0) < 1e-6
     assert np.allclose(s.vel, [10, 0, 0], atol=1e-9)
 
@@ -175,21 +170,10 @@ def test_propagate_free_fall_closed_form():
     q0 = geom.so3_exp(np.array([0.3, -0.2, 0.9]))
     s = NavState(np.array([1.0, 2.0, 3.0]), q0, np.zeros(3))
     g_body = geom.quat_to_rot(q0).T @ np.array([0, 0, -GRAVITY])
-    t = 0.0
     for _ in range(200):
-        imu = ImuSample(t + 0.005, np.zeros(3), np.zeros(3))
-        s = propagate_nav(s, imu, GyroParams(), 0.005)
-        t += 0.005
+        s = rk4_nav(s, correct_gyro(np.zeros(3), GyroParams()), np.zeros(3),
+                    GRAVITY_VEC, 0.005)
     assert np.allclose(s.vel, np.array([1.0, 2.0, 3.0]) + g_body * 1.0, atol=1e-9)
-
-
-def test_propagate_rejects_bad_dt():
-    s = NavState.identity()
-    imu = ImuSample(1.0, np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        propagate_nav(s, imu, GyroParams(), 0.0)
-    with pytest.raises(ValueError):
-        propagate_nav(s, imu, GyroParams(), 0.2)
 
 
 def test_quaternion_norm_long_run():
@@ -199,10 +183,8 @@ def test_quaternion_norm_long_run():
     omega = np.array([0.02, -0.01, 0.3])
     accel = level_gravity_cancel()
     worst = 0.0
-    t = 0.0
     for k in range(1_000_000):
-        t += 0.001
-        s = propagate_nav(s, ImuSample(t, omega, accel), params, 0.001)
+        s = rk4_nav(s, correct_gyro(omega, params), accel, GRAVITY_VEC, 0.001)
         if k % 10_000 == 0:
             worst = max(worst, abs(np.linalg.norm(s.quat) - 1.0))
     worst = max(worst, abs(np.linalg.norm(s.quat) - 1.0))
@@ -257,7 +239,7 @@ def test_propagate_nav_matches_joint_propagator(rng):
         omega_m = rng.uniform(-0.5, 0.5, 3)
         accel = rng.uniform(-2, 2, 3)
         dt = rng.uniform(0.001, 0.02)
-        a = propagate_nav(s, ImuSample(dt, omega_m, accel), params, dt)
+        a = rk4_nav(s, correct_gyro(omega_m, params), accel, GRAVITY_VEC, dt)
         b, _, _ = propagate_joint(s, np.zeros((0, 4)), np.zeros(0),
                                   correct_gyro(omega_m, params), accel, dt,
                                   CameraExtrinsics(), GRAVITY_VEC)

@@ -33,6 +33,14 @@ def test_noise_config_validation():
         NoiseConfig(lam=0.0)
     with pytest.raises(ValueError):
         NoiseConfig(sigma_wheel=-1.0)
+    # every field finite; every noise density, process noise and standard
+    # deviation positive; each error names its key
+    for name, value in [("sigma_wheel", np.nan), ("rho0", np.nan), ("lam", np.nan),
+                        ("lateral_max_ay", np.inf), ("gyro_noise", -np.inf),
+                        ("p0_vel", -1.0), ("pos_process", 0.0), ("s0_bias", -0.1),
+                        ("sigma_rho0", 0.0), ("sigma_track_px", -1.0)]:
+        with pytest.raises(ValueError, match=f"noise.{name} "):
+            NoiseConfig(**{name: value})
 
 
 def test_predict_rejects_bad_dt():
@@ -48,7 +56,8 @@ def test_transition_structure_nav_to_feature_zero(rng):
     ekf = make_filter()
     for i in range(3):
         d = np.array([1.0, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)])
-        ekf.init_feature(i, geom.bearing_from_dir(d), 0.2)
+        ekf.init_feature(i, geom.bearing_from_dir(d))
+        ekf._rho[i] = 0.2
     qf = ekf._qf[0:3]
     rho = ekf._rho[0:3]
     nav = NavState(np.array([10.0, 0.5, 0.0]), geom.so3_exp(rng.uniform(-1, 1, 3)),
@@ -98,7 +107,8 @@ def _dense_predict_reference(ekf, omega_m, dt):
 def test_predict_covariance_matches_dense_oracle(rng):
     ekf = make_filter(capacity=2)
     d = np.array([1.0, 0.1, -0.2])
-    ekf.init_feature(0, geom.bearing_from_dir(d), 0.3)
+    ekf.init_feature(0, geom.bearing_from_dir(d))
+    ekf._rho[0] = 0.3
     ekf.nav = NavState(np.array([5.0, 0.2, -0.1]),
                        geom.so3_exp(np.array([0.05, -0.02, 0.4])),
                        np.zeros(3))
@@ -120,7 +130,8 @@ def test_predict_follows_active_set_changes(rng):
 
     def init(slot):
         d = np.array([1.0, rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)])
-        ekf.init_feature(slot, geom.bearing_from_dir(d), rng.uniform(0.05, 0.5))
+        ekf.init_feature(slot, geom.bearing_from_dir(d))
+        ekf._rho[slot] = rng.uniform(0.05, 0.5)
 
     schedule = [lambda: None, lambda: init(1), lambda: (init(3), init(0)),
                 lambda: ekf.drop_feature(3), lambda: None, lambda: init(3),
@@ -193,7 +204,8 @@ def test_block_predict_matches_single_samples(rng):
         for ekf in filters:
             for action, slot in lifecycle:
                 if action == "init":
-                    ekf.init_feature(slot, bearings[slot], 0.05 + 0.1 * slot)
+                    ekf.init_feature(slot, bearings[slot])
+                    ekf._rho[slot] = 0.05 + 0.1 * slot
                 else:
                     ekf.drop_feature(slot)
         block = []
@@ -227,7 +239,8 @@ def test_zero_residual_changes_nothing():
     ekf = make_filter()
     ekf.nav.vel = np.array([12.0, -0.05, 0.0])
     d = np.array([1.0, 0.2, 0.1])
-    ekf.init_feature(0, geom.bearing_from_dir(d), 0.2)
+    ekf.init_feature(0, geom.bearing_from_dir(d))
+    ekf._rho[0] = 0.2
     nav_before = ekf.nav.copy()
     params_before = ekf.params.as_vector()
     qf_before = ekf._qf[0].copy()
@@ -256,7 +269,8 @@ def test_zero_residual_changes_nothing():
 def test_gate_boundary_chi2():
     ekf = make_filter()
     o = NAV_DIM
-    ekf.init_feature(0, geom.IDENTITY_QUAT.copy(), 0.2)
+    ekf.init_feature(0, geom.IDENTITY_QUAT.copy())
+    ekf._rho[0] = 0.2
     # bearing block covariance = (sigma^2) I so Sigma = (cov + R) I
     sig2 = ekf.cov[o, o] + ekf.noise.sigma_bearing ** 2
     limit = chi2.ppf(0.99, 2)
@@ -397,7 +411,8 @@ def test_parameter_stationarity_with_truth_supplied(rng):
     ekf.initialize(0.0, nav)
     for i, lm in enumerate(landmarks):
         f = landmark_to_feature(lm, nav, ext)
-        ekf.init_feature(i, f.bearing, f.rho)
+        ekf.init_feature(i, f.bearing)
+        ekf._rho[i] = f.rho
     theta0 = ekf.params.as_vector()
     t = 0.0
     omega_m = apply_gyro_error(np.zeros(3), true_params)
@@ -422,7 +437,8 @@ def test_standstill_bias_convergence(rng):
     ekf.initialize(0.0, nav)
     for i, lm in enumerate(landmarks):
         f = landmark_to_feature(lm, nav, ext)
-        ekf.init_feature(i, f.bearing, f.rho)
+        ekf.init_feature(i, f.bearing)
+        ekf._rho[i] = f.rho
     t = 0.0
     omega_m = apply_gyro_error(np.zeros(3), true_params)
     for step in range(1000):
@@ -455,8 +471,10 @@ def test_standstill_requires_hold():
 def test_manage_features_miss_and_health(rng):
     ekf = make_filter(capacity=3)
     d = np.array([1.0, 0.1, 0.0])
-    ekf.init_feature(0, geom.bearing_from_dir(d), 0.2)
-    ekf.init_feature(1, geom.bearing_from_dir(np.array([1.0, -0.1, 0.1])), 0.2)
+    ekf.init_feature(0, geom.bearing_from_dir(d))
+    ekf._rho[0] = 0.2
+    ekf.init_feature(1, geom.bearing_from_dir(np.array([1.0, -0.1, 0.1])))
+    ekf._rho[1] = 0.2
     # slot 1 stops being observed: dropped after 3 misses
     for k in range(3):
         obs = [(0, ekf._qf[0].copy())]

@@ -81,8 +81,10 @@ def test_bearing_measurement_boxplus_consistency(rng):
     ekf = AdaptiveEkf(capacity=4)
     for slot in range(3):
         d = np.array([1.0, *rng.uniform(-0.5, 0.5, 2)])
-        ekf.init_feature(slot, geom.bearing_from_dir(d), 0.5)
-    ekf.init_feature(3, geom.IDENTITY_QUAT.copy(), 0.2)
+        ekf.init_feature(slot, geom.bearing_from_dir(d))
+        ekf._rho[slot] = 0.5
+    ekf.init_feature(3, geom.IDENTITY_QUAT.copy())
+    ekf._rho[3] = 0.2
     slots = [0, 1, 2, 3]
     for _ in range(25):
         deltas = rng.uniform(-0.05, 0.05, (4, 2))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from viwo import geom
-from viwo.dynamics import GyroParams, correct_gyro, propagate_nav
+from viwo.dynamics import GRAVITY_VEC, GyroParams, correct_gyro, rk4_nav
 from viwo.features import CameraExtrinsics, landmark_to_feature
 from viwo.sensors import CameraIntrinsics
-from viwo.sim import (Arc, LandmarkWorld, SensorErrorSpec, Stop, Straight,
-                      TrajectorySpec, ensure_coverage, generate_trajectory,
+from viwo.sim import (CAMERA_STRIDE, Arc, LandmarkWorld, SensorErrorSpec, Stop,
+                      Straight, TrajectorySpec, ensure_coverage, generate_trajectory,
                       generate_world, highway_route, render_frame,
                       synthesize_bearings, synthesize_imu, synthesize_wheel,
                       urban_loop, visible_landmarks)
@@ -83,12 +83,13 @@ def test_closed_loop_zero_noise():
     spec = urban_loop()
     truth = generate_trajectory(spec)
     err = SensorErrorSpec(GyroParams(), 0.0, 0.0, 0.0, 0.0, 0.0)
-    imu = synthesize_imu(truth, err, spec.rate_hz)
+    imu = synthesize_imu(truth, err)
     nav = truth[0].nav.copy()
     t = 0.0
     worst = 0.0
     for s, m in zip(truth[1:], imu):
-        nav = propagate_nav(nav, m, GyroParams(), m.t - t)
+        nav = rk4_nav(nav, correct_gyro(m.omega_m, GyroParams()), m.accel_m,
+                      GRAVITY_VEC, m.t - t)
         t = m.t
         worst = max(worst, float(np.max(np.abs(nav.pos - s.nav.pos))))
     assert worst < 1e-3
@@ -99,7 +100,7 @@ def test_imu_forward_error_model(rng):
     truth = generate_trajectory(spec)
     params = GyroParams(np.array([0.01, -0.02, 0.005]), 1.02, 0.01, -0.015)
     err = SensorErrorSpec(params, 0.0, 0.0, 0.0, 0.0, 0.0)
-    imu = synthesize_imu(truth, err, spec.rate_hz)
+    imu = synthesize_imu(truth, err)
     for s, m in list(zip(truth[1:], imu))[::37]:
         assert np.allclose(correct_gyro(m.omega_m, params), s.omega, atol=1e-12)
 
@@ -109,7 +110,7 @@ def test_injected_standstill_bias_visible():
     truth = generate_trajectory(spec)
     bias = np.deg2rad(np.array([0.0, 0.0, 0.5]))
     err = SensorErrorSpec(GyroParams(bias.copy()), 0.0, 0.0, 0.0, 0.0, 0.0)
-    imu = synthesize_imu(truth, err, spec.rate_hz)
+    imu = synthesize_imu(truth, err)
     mean_z = np.mean([m.omega_m[2] for m in imu])
     assert abs(mean_z - bias[2]) < 1e-12
 
@@ -132,8 +133,8 @@ def test_determinism_bit_identical():
     t2 = generate_trajectory(spec)
     assert all(np.array_equal(a.nav.pos, b.nav.pos) for a, b in zip(t1, t2))
     err = SensorErrorSpec(GyroParams(), seed=9)
-    i1 = synthesize_imu(t1, err, spec.rate_hz)
-    i2 = synthesize_imu(t2, err, spec.rate_hz)
+    i1 = synthesize_imu(t1, err)
+    i2 = synthesize_imu(t2, err)
     assert all(np.array_equal(a.omega_m, b.omega_m) for a, b in zip(i1, i2))
     w1 = generate_world(t1, seed=2)
     w2 = generate_world(t2, seed=2)
@@ -143,10 +144,9 @@ def test_determinism_bit_identical():
 def test_world_coverage_invariant():
     spec = urban_loop()
     truth = generate_trajectory(spec)
-    stride = int(round(spec.rate_hz / spec.camera_rate_hz))
     world = generate_world(truth, seed=0)
-    world = ensure_coverage(world, truth, INTR, EXT, stride, min_visible=8)
-    for s in truth[::stride * 5]:
+    world = ensure_coverage(world, truth, INTR, EXT)
+    for s in truth[::CAMERA_STRIDE * 5]:
         assert len(visible_landmarks(world, s.nav, INTR, EXT)) >= 8
 
 
@@ -155,7 +155,7 @@ def test_bearings_match_landmark_oracle():
     truth = generate_trajectory(spec)
     world = generate_world(truth, seed=1)
     err = SensorErrorSpec(GyroParams(), pixel_noise=0.0, seed=0)
-    frames = synthesize_bearings(truth, world, INTR, EXT, err, 10, n_slots=8)
+    frames = synthesize_bearings(truth, world, INTR, EXT, err, n_slots=8)
     t_by_time = {round(s.t, 6): s for s in truth}
     checked = 0
     for t, rows in frames[::4]:
@@ -180,7 +180,7 @@ def test_bearing_slot_persistence():
     truth = generate_trajectory(spec)
     world = generate_world(truth, seed=3)
     err = SensorErrorSpec(GyroParams(), pixel_noise=0.0)
-    frames = synthesize_bearings(truth, world, INTR, EXT, err, 10, n_slots=6)
+    frames = synthesize_bearings(truth, world, INTR, EXT, err, n_slots=6)
     # slots persist: most frame-to-frame transitions track one landmark
     # smoothly; occasional jumps mark slot reuse after a track ends
     prev = {}
@@ -233,7 +233,3 @@ def test_highway_route_length_and_validity():
     assert speeds.min() > 10.0     # stays inside the lateral-model validity
     assert lat.max() < 4.0
 
-
-def test_camera_rate_must_divide():
-    with pytest.raises(ValueError):
-        TrajectorySpec([Straight(10, 5)], rate_hz=100.0, camera_rate_hz=7.0)
