@@ -63,9 +63,8 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def read_csv(path, header: str) -> np.ndarray:
-    """Numeric CSV with an exact expected header; malformed rows abort with
-    their line number."""
+def _csv_body(path, header: str) -> tuple[Path, str]:
+    """The path and the text after its first line, which must be header."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
@@ -73,7 +72,13 @@ def read_csv(path, header: str) -> np.ndarray:
         first = fh.readline().strip()
         if first != header:
             raise DataError(f"{path}: expected header '{header}', got '{first}'")
-        body = fh.read()
+        return path, fh.read()
+
+
+def read_csv(path, header: str) -> np.ndarray:
+    """Numeric CSV with an exact expected header; malformed rows abort with
+    their line number."""
+    path, body = _csv_body(path, header)
     width = len(header.split(","))
     if not body.strip():
         return np.zeros((0, width))   # loadtxt would warn and give (0, 1)
@@ -83,13 +88,15 @@ def read_csv(path, header: str) -> np.ndarray:
             return rows
     except ValueError:
         pass
-    return _read_csv_lines(path, body, width)
+    # the line-by-line parse names the line of a malformed row, and accepts
+    # what loadtxt does not but float() does, such as whitespace-only lines
+    rows = _csv_lines(path, body, width, lambda parts: [float(p) for p in parts])
+    return np.array(rows) if rows else np.zeros((0, width))
 
 
-def _read_csv_lines(path: Path, body: str, width: int) -> np.ndarray:
-    """The CSV body parsed line by line: read_csv's fallback when loadtxt
-    refuses it.  Names the line of a malformed row, and accepts what the
-    fast path does not but float() does, such as whitespace-only lines."""
+def _csv_lines(path: Path, body: str, width: int, convert) -> list:
+    """convert(fields) of each non-blank line of a CSV body; a line of
+    another field count, or one convert refuses, is a DataError naming it."""
     rows = []
     for lineno, line in enumerate(body.split("\n"), start=2):
         line = line.strip()
@@ -100,33 +107,15 @@ def _read_csv_lines(path: Path, body: str, width: int) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: expected {width} fields, "
                             f"got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            rows.append(convert(parts))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-    return np.array(rows) if rows else np.zeros((0, width))
+    return rows
 
 
 def read_frames_csv(path) -> list[tuple[float, str]]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    out = []
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != FRAMES_HEADER:
-            raise DataError(f"{path}: expected header '{FRAMES_HEADER}'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields")
-            try:
-                out.append((float(parts[0]), parts[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    return out
+    path, body = _csv_body(path, FRAMES_HEADER)
+    return _csv_lines(path, body, 2, lambda parts: (float(parts[0]), parts[1]))
 
 
 # --- hierarchical key-value text ----------------------------------------------

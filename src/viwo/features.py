@@ -93,7 +93,7 @@ def linearize_batch(qf: np.ndarray, rho: np.ndarray, v_c: np.ndarray,
     cols[..., 1] = omega_c
     cols[..., 2:5] = r_cb
     cols[..., 5:11] = r_cb @ jw
-    cols[..., 11:17] = -r_cb @ (geom.skew(lever_arm) @ jw)   # d v_C/d omega J_w
+    cols[..., 11:17] = -r_cb @ (geom.skew_rows(lever_arm) @ jw)   # d v_C/d omega J_w
     g = (rows @ cols).reshape(lead + (cnt, 3, 17))   # [feature, p|n1|n2, column]
     rho2 = rho * rho
     rpv = rho * g[..., 0, 0]

@@ -232,7 +232,7 @@ def assemble_linearization(nav: NavState | Sequence[NavState],
     r = geom.quats_to_frames(np.array([s.quat for s in nav]))
     f = np.zeros((steps, n, n))
     f[:, 0:3, 0:3] = -geom.skew_rows(omega)
-    f[:, 0:3, 3:6] = np.swapaxes(r, 1, 2) @ geom.skew(g)
+    f[:, 0:3, 3:6] = np.swapaxes(r, 1, 2) @ geom.skew_rows(g)
     f[:, 6:9, 0:3] = r
     f[:, 6:9, 3:6] = -geom.skew_rows((r @ vel[:, :, None])[:, :, 0])
 
@@ -707,32 +707,30 @@ class AdaptiveEkf:
         if not 0 <= slot < self.capacity:
             self.counters["slots_ignored"] += 1
             return
-        o = NAV_DIM + FEAT_DIM * slot
         self._active[slot] = True
         self._qf[slot] = geom.quat_normalize(np.asarray(bearing, dtype=float))
         self._rho[slot] = self.noise.rho0
         self.patches[slot] = patch
-        self.cov[o:o + 3, :] = 0.0
-        self.cov[:, o:o + 3] = 0.0
-        self.cov[o, o] = self.noise.sigma_bearing0 ** 2
-        self.cov[o + 1, o + 1] = self.noise.sigma_bearing0 ** 2
-        self.cov[o + 2, o + 2] = self.noise.sigma_rho0 ** 2
-        self.upsilon[o:o + 3, :] = 0.0
-        self._miss[slot] = 0
-        self._gated[slot] = 0
+        bearing_var = self.noise.sigma_bearing0 ** 2
+        self._reset_slot(slot, (bearing_var, bearing_var, self.noise.sigma_rho0 ** 2))
         self.counters["features_initialized"] += 1
 
     def drop_feature(self, slot: int) -> None:
-        o = NAV_DIM + FEAT_DIM * slot
         self._active[slot] = False
         self.patches[slot] = None
+        self._reset_slot(slot, (1.0, 1.0, 1.0))
+        self.counters["features_dropped"] += 1
+
+    def _reset_slot(self, slot: int, variances) -> None:
+        """Decouple the slot's rows: covariance rows and columns zero but for
+        the given diagonal variances, sensitivity rows zero, counts zero."""
+        o = NAV_DIM + FEAT_DIM * slot
         self.cov[o:o + 3, :] = 0.0
         self.cov[:, o:o + 3] = 0.0
-        self.cov[o, o] = self.cov[o + 1, o + 1] = self.cov[o + 2, o + 2] = 1.0
+        self.cov[o:o + 3, o:o + 3] = np.diag(variances)
         self.upsilon[o:o + 3, :] = 0.0
         self._miss[slot] = 0
         self._gated[slot] = 0
-        self.counters["features_dropped"] += 1
 
     def _age_slots(self, measured: Collection[int], report: dict) -> None:
         """Count this frame against every active slot: a gated slot counts a

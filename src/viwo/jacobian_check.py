@@ -23,7 +23,8 @@ from .dynamics import (GRAVITY_VEC, GyroParams, NavState, apply_gyro_error,
 from .features import CameraExtrinsics
 from .filter import NAV_DIM, assemble_f_compact, assemble_psi_compact
 from .image import Image, build_pyramid, extract_patch_set
-from .sensors import (CameraIntrinsics, camera_measurement_jacobian, project,
+from .sensors import (DEFAULT_INTRINSICS, CameraIntrinsics,
+                      camera_measurement_jacobian, project,
                       vehicle_measurement_jacobian,
                       vehicle_predicted_measurement)
 
@@ -64,15 +65,6 @@ def random_sample(rng: np.random.Generator, n_feat: int = 1) -> JointSample:
 # batched state tuple: (vel (B,3), quat (B,4), pos (B,3), qf (B,4), rho (B,))
 # with one feature per scenario and per-scenario corrected rates (B,3).
 
-def _so3_log_batch(q: np.ndarray) -> np.ndarray:
-    q = np.where(q[:, :1] < 0.0, -q, q)
-    vec = q[:, 1:]
-    n = np.sqrt((vec * vec).sum(axis=1))
-    angle = 2.0 * np.arctan2(n, q[:, 0])
-    scale = np.where(n < 1e-12, 2.0 / q[:, 0], angle / np.maximum(n, 1e-300))
-    return vec * scale[:, None]
-
-
 def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, g, dt):
     """Batched RK4 step of the coupled dynamics (one feature per scenario)."""
 
@@ -112,7 +104,7 @@ def _tangent_diff(a, b) -> np.ndarray:
     out = np.empty((a[0].shape[0], 12))
     out[:, 0:3] = a[0] - b[0]
     conj = b[1] * np.array([1.0, -1.0, -1.0, -1.0])
-    out[:, 3:6] = _so3_log_batch(geom.quat_mul_rows(a[1], conj))
+    out[:, 3:6] = geom.so3_log(geom.quat_mul_rows(a[1], conj))
     out[:, 6:9] = a[2] - b[2]
     out[:, 9:11] = geom.s2_boxminus_rows(a[3], b[3])
     out[:, 11] = a[4] - b[4]
@@ -195,26 +187,14 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray, scale: float = 0.0) -> float:
 
 # --- measurement-side probes -------------------------------------------------
 
-def fd_vehicle_jacobian(vel, v_x_m, a_y_m, rho_sg) -> np.ndarray:
-    out = np.empty((3, 3))
-    for j in range(3):
-        d = np.zeros(3)
+def _central_diff(f, dim: int) -> np.ndarray:
+    """Columns (f(+h e_j) - f(-h e_j)) / 2h, j < dim, with h = _FD_H_MEAS."""
+    cols = []
+    for j in range(dim):
+        d = np.zeros(dim)
         d[j] = _FD_H_MEAS
-        out[:, j] = (vehicle_predicted_measurement(vel + d, v_x_m, a_y_m, rho_sg)
-                     - vehicle_predicted_measurement(vel - d, v_x_m, a_y_m, rho_sg)
-                     ) / (2 * _FD_H_MEAS)
-    return out
-
-
-def fd_projection_jacobian(bearing, intr) -> np.ndarray:
-    out = np.empty((2, 2))
-    for j in range(2):
-        d = np.zeros(2)
-        d[j] = _FD_H_MEAS
-        (up, vp), _ = project(geom.s2_boxplus(bearing, d), intr, require_in_image=False)
-        (um, vm), _ = project(geom.s2_boxplus(bearing, -d), intr, require_in_image=False)
-        out[:, j] = np.array([up - um, vp - vm]) / (2 * _FD_H_MEAS)
-    return out
+        cols.append((f(d) - f(-d)) / (2 * _FD_H_MEAS))
+    return np.stack(cols, axis=1)
 
 
 def render_smooth_probe(intr: CameraIntrinsics, u: float, v: float) -> Image:
@@ -266,17 +246,9 @@ def fd_camera_chain(rng: np.random.Generator, intr: CameraIntrinsics):
         out = camera_measurement_jacobian(bearing, patch, pyramid, intr)
         if out is None:
             continue
-        analytic = out[1]
-        fd = np.empty_like(analytic)
-        for j in range(2):
-            delta = np.zeros(2)
-            delta[j] = _FD_H_MEAS
-            plus = camera_measurement_jacobian(geom.s2_boxplus(bearing, delta),
-                                               patch, pyramid, intr)
-            minus = camera_measurement_jacobian(geom.s2_boxplus(bearing, -delta),
-                                                patch, pyramid, intr)
-            fd[:, j] = (plus[0] - minus[0]) / (2 * _FD_H_MEAS)
-        return analytic, fd
+        fd = _central_diff(lambda delta: camera_measurement_jacobian(
+            geom.s2_boxplus(bearing, delta), patch, pyramid, intr)[0], 2)
+        return out[1], fd
     raise RuntimeError("could not draw a valid photometric probe")
 
 
@@ -306,7 +278,6 @@ def run_audit(n_configs: int = 1000, seed: int = 0) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 
-    intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, -0.05, 0.01, 640, 480)
     for i in range(n_configs):
         s = random_sample(rng, n_feat=1)
         f_an = assemble_f_compact(s.nav, s.qf, s.rho,
@@ -329,19 +300,22 @@ def run_audit(n_configs: int = 1000, seed: int = 0) -> dict[str, float]:
         v_x_m, a_y_m = float(vel[0]), rng.uniform(-4, 4)
         rho_sg = rng.uniform(0.0, 0.006)
         hv_an = vehicle_measurement_jacobian(rho_sg, a_y_m)
-        hv_fd = fd_vehicle_jacobian(vel, v_x_m, a_y_m, rho_sg)
+        hv_fd = _central_diff(lambda d: vehicle_predicted_measurement(
+            vel + d, v_x_m, a_y_m, rho_sg), 3)
         worst["h_vehicle"] = max(worst.get("h_vehicle", 0.0),
                                  _rel_err(hv_an, hv_fd))
 
         d = np.array([1.0, rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)])
         bearing = geom.bearing_from_dir(d)
-        _, j_an = project(bearing, intr, require_in_image=False)
-        j_fd = fd_projection_jacobian(bearing, intr)
+        _, j_an = project(bearing, DEFAULT_INTRINSICS, require_in_image=False)
+        j_fd = _central_diff(lambda delta: np.array(project(
+            geom.s2_boxplus(bearing, delta), DEFAULT_INTRINSICS,
+            require_in_image=False)[0]), 2)
         worst["projection_tangent"] = max(worst.get("projection_tangent", 0.0),
                                           _rel_err(j_an, j_fd))
 
         if i % 20 == 0:
-            h_an, h_fd = fd_camera_chain(rng, intr)
+            h_an, h_fd = fd_camera_chain(rng, DEFAULT_INTRINSICS)
             worst["camera_chain"] = max(worst.get("camera_chain", 0.0),
                                         _rel_err(h_an, h_fd))
     return worst

@@ -17,10 +17,8 @@ from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
 from .filter import AdaptiveEkf, NoiseConfig
 from .image import load_pgm, save_pgm
-from .sensors import CameraIntrinsics, VehicleVelocityMeasurement
+from .sensors import DEFAULT_INTRINSICS, CameraIntrinsics, VehicleVelocityMeasurement
 
-DEFAULT_INTRINSICS = CameraIntrinsics(500.0, 500.0, 320.0, 240.0,
-                                      -0.05, 0.01, 640, 480)
 DEFAULT_EXTRINSICS = CameraExtrinsics(np.eye(3), np.array([1.8, 0.0, 1.2]))
 
 
@@ -59,6 +57,9 @@ class RunConfig:
             raise ValueError("need at least one feature slot")
         if self.laps < 1:
             raise ValueError("need at least one lap")
+        for name in ("rho_sg", "inject_yaw_scale", "inject_bias_dps", "inject_misalign_deg"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         self.noise.validate()
 
     def injected_params(self) -> GyroParams:
@@ -68,11 +69,16 @@ class RunConfig:
                           float(np.deg2rad(self.inject_misalign_deg[1])))
 
 
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+
+
 def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]]) -> RunConfig:
     """Apply 'key = value' entries; 'noise.<field>' reaches the NoiseConfig.
     An unknown key is a DataError.  A key takes as many values as its field
-    holds (3 for inject_bias_dps, 2 for inject_misalign_deg, 1 otherwise);
-    another count is a ValueError naming the key."""
+    holds (3 for inject_bias_dps, 2 for inject_misalign_deg, 1 otherwise),
+    and a bool key one of true/false/yes/no/1/0 in any case; another count,
+    or a value that does not parse, is a ValueError naming the key."""
     for key, tokens in kv.items():
         if key.startswith("noise."):
             target, name = cfg.noise, key[6:]
@@ -87,14 +93,19 @@ def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]]) -> RunConfi
         if len(tokens) != count:
             raise ValueError(f"config key '{key}' takes {count} value(s), "
                              f"found {len(tokens)}")
-        if isinstance(current, tuple):
-            setattr(target, name, tuple(float(t) for t in tokens))
-        elif isinstance(current, bool):
-            setattr(target, name, tokens[0].lower() in ("1", "true", "yes"))
-        elif isinstance(current, (int, float)):
-            setattr(target, name, type(current)(tokens[0]))
-        else:
-            setattr(target, name, tokens[0])
+        try:
+            if isinstance(current, tuple):
+                value = tuple(float(t) for t in tokens)
+            elif isinstance(current, bool):
+                value = _BOOL_WORDS[tokens[0].lower()]
+            elif isinstance(current, (int, float)):
+                value = type(current)(tokens[0])
+            else:
+                value = tokens[0]
+        except (KeyError, ValueError):
+            raise ValueError(f"config key '{key}': cannot read '{' '.join(tokens)}' "
+                             f"as {type(current).__name__}") from None
+        setattr(target, name, value)
     return cfg
 
 
@@ -140,11 +151,10 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     frames = sim.synthesize_bearings(truth, world, DEFAULT_INTRINSICS,
                                      DEFAULT_EXTRINSICS, err,
                                      n_slots=cfg.feature_slots)
-    rows = []
-    for t, obs in frames:
-        for slot, bearing in obs:
-            rows.append([t, slot, *geom.bearing_dir(bearing)])
-    dataio.write_csv(paths.bearings, dataio.BEARINGS_HEADER, rows)
+    obs = [(t, slot, bearing) for t, seen in frames for slot, bearing in seen]
+    dirs = geom.quats_to_dirs(np.array([b for _, _, b in obs]).reshape(-1, 4))
+    dataio.write_csv(paths.bearings, dataio.BEARINGS_HEADER,
+                     ([t, slot, *p] for (t, slot, _), p in zip(obs, dirs)))
 
     if cfg.measurement_mode == "image":
         paths.frames_dir.mkdir(exist_ok=True)

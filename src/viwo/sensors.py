@@ -43,6 +43,11 @@ class CameraIntrinsics:
             raise ValueError("principal point outside image")
 
 
+# the camera of every simulated dataset and of the Jacobian audit
+DEFAULT_INTRINSICS = CameraIntrinsics(500.0, 500.0, 320.0, 240.0,
+                                      -0.05, 0.01, 640, 480)
+
+
 class ProjectionError(ValueError):
     pass
 
@@ -62,7 +67,8 @@ def project(bearing: np.ndarray, intr: CameraIntrinsics,
     Returns ((u, v), J) with J = d[u,v]/d(bearing tangent).  Raises
     ProjectionError behind the camera or (optionally) outside the image.
     """
-    p = geom.bearing_dir(bearing)
+    frame = geom.quats_to_frames(bearing)   # [p N]
+    p = frame[:, 0]
     if p[0] <= 1e-9:
         raise ProjectionError("bearing behind the camera")
     rx = -p[1] / p[0]
@@ -83,7 +89,7 @@ def project(bearing: np.ndarray, intr: CameraIntrinsics,
         [p[1] / p[0] ** 2, -1.0 / p[0], 0.0],
         [p[2] / p[0] ** 2, 0.0, -1.0 / p[0]],
     ])
-    dp_dtan = -geom.skew(p) @ geom.projection_n(bearing)
+    dp_dtan = -geom.skew_rows(p) @ frame[:, 1:3]
     return (u, v), j_pix @ j_norm @ dp_dtan
 
 

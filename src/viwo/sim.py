@@ -289,14 +289,10 @@ def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
 
 # --- worlds -------------------------------------------------------------------
 
-@dataclass
-class LandmarkWorld:
-    points: np.ndarray   # (n, 3) world coordinates
-
-
-def generate_world(truth: list[TrajectorySample], seed: int = 0) -> LandmarkWorld:
-    """Corridor of landmarks along the driven path: every 10 m, four points
-    3-30 m to either side and 1 m below to 10 m above the axle."""
+def generate_world(truth: list[TrajectorySample], seed: int = 0) -> np.ndarray:
+    """(n, 3) world points, a corridor of landmarks along the driven path:
+    every 10 m, four points 3-30 m to either side and 1 m below to 10 m
+    above the axle."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
     pts = []
     dist = 0.0
@@ -307,7 +303,7 @@ def generate_world(truth: list[TrajectorySample], seed: int = 0) -> LandmarkWorl
         last = s.nav.pos
         if dist >= 10.0 or not pts:
             dist = 0.0
-            heading = geom.quat_to_rot(s.nav.quat) @ np.array([1.0, 0.0, 0.0])
+            heading = geom.quats_to_dirs(s.nav.quat)
             lateral_dir = np.array([-heading[1], heading[0], 0.0])
             for _ in range(4):
                 side = rng.choice([-1.0, 1.0])
@@ -316,16 +312,16 @@ def generate_world(truth: list[TrajectorySample], seed: int = 0) -> LandmarkWorl
                 ahead = rng.uniform(5.0, 40.0)
                 pts.append(s.nav.pos + heading * ahead
                            + lateral_dir * side * off + np.array([0, 0, h]))
-    return LandmarkWorld(np.array(pts))
+    return np.array(pts)
 
 
-def visible_landmarks(world: LandmarkWorld, nav: NavState,
+def visible_landmarks(world: np.ndarray, nav: NavState,
                       intr: CameraIntrinsics, ext: CameraExtrinsics) -> list[int]:
     """Indices of world points 2-80 m from the camera that project at
     least 8 px inside the image, nearest first."""
     r_wb = geom.quat_to_rot(nav.quat)
     cam_world = nav.pos + r_wb @ ext.lever_arm
-    d_cam = (world.points - cam_world) @ (ext.r_cb @ r_wb.T).T
+    d_cam = (world - cam_world) @ (ext.r_cb @ r_wb.T).T
     rng_m = np.sqrt((d_cam * d_cam).sum(axis=1))
     ok = (d_cam[:, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= 80.0)
     if not ok.any():
@@ -342,23 +338,23 @@ def visible_landmarks(world: LandmarkWorld, nav: NavState,
     return [int(i) for i in idx[order]]
 
 
-def ensure_coverage(world: LandmarkWorld, truth: list[TrajectorySample],
+def ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
                     intr: CameraIntrinsics, ext: CameraExtrinsics,
-                    seed: int = 1) -> LandmarkWorld:
+                    seed: int = 1) -> np.ndarray:
     """Densify the world until every camera pose sees at least 8 landmarks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
-    pts = list(world.points)
+    pts = list(world)
     for s in truth[::CAMERA_STRIDE]:
         for _ in range(40):
-            vis = visible_landmarks(LandmarkWorld(np.array(pts)), s.nav, intr, ext)
+            vis = visible_landmarks(np.array(pts), s.nav, intr, ext)
             if len(vis) >= 8:
                 break
-            heading = geom.quat_to_rot(s.nav.quat) @ np.array([1.0, 0.0, 0.0])
+            heading = geom.quats_to_dirs(s.nav.quat)
             lateral_dir = np.array([-heading[1], heading[0], 0.0])
             pts.append(s.nav.pos + heading * rng.uniform(8, 35)
                        + lateral_dir * rng.uniform(-12, 12)
                        + np.array([0, 0, rng.uniform(0.0, 6.0)]))
-    return LandmarkWorld(np.array(pts))
+    return np.array(pts)
 
 
 # --- sensor synthesis -----------------------------------------------------------
@@ -394,7 +390,7 @@ def synthesize_wheel(truth: list[TrajectorySample],
     return out
 
 
-def synthesize_bearings(truth: list[TrajectorySample], world: LandmarkWorld,
+def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
                         intr: CameraIntrinsics, ext: CameraExtrinsics,
                         err: SensorErrorSpec, n_slots: int = 16):
     """Per-frame (t, slot, bearing) observations with persistent slot ids."""
@@ -416,7 +412,7 @@ def synthesize_bearings(truth: list[TrajectorySample], world: LandmarkWorld,
             if lm not in slot_of and free:
                 slot_of[lm] = free.pop(0)
         observed = sorted(slot_of.items(), key=lambda kv: kv[1])
-        bearings = np.array([landmark_to_feature(world.points[lm], s.nav, ext).bearing
+        bearings = np.array([landmark_to_feature(world[lm], s.nav, ext).bearing
                              for lm, _ in observed]).reshape(-1, 4)
         if sigma_tan > 0 and observed:
             bearings = geom.s2_boxplus_rows(
@@ -425,14 +421,14 @@ def synthesize_bearings(truth: list[TrajectorySample], world: LandmarkWorld,
     return frames
 
 
-def render_frame(nav: NavState, world: LandmarkWorld, intr: CameraIntrinsics,
+def render_frame(nav: NavState, world: np.ndarray, intr: CameraIntrinsics,
                  ext: CameraExtrinsics, err: SensorErrorSpec,
                  rng: np.random.Generator | None = None) -> Image:
     """Landmarks drawn as Gaussian blobs (sigma 1.5 px, peak 200) on a
     uniform background of 10."""
     data = np.full((intr.height, intr.width), 10.0)
     for idx in visible_landmarks(world, nav, intr, ext):
-        feat = landmark_to_feature(world.points[idx], nav, ext)
+        feat = landmark_to_feature(world[idx], nav, ext)
         (u, v), _ = project(feat.bearing, intr, require_in_image=False)
         lo_u, hi_u = int(max(0, u - 6)), int(min(intr.width, u + 7))
         lo_v, hi_v = int(max(0, v - 6)), int(min(intr.height, v + 7))

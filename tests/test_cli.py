@@ -209,22 +209,31 @@ def test_unknown_config_key_exit_data(tmp_path):
     assert code == EXIT_DATA
 
 
-@pytest.mark.parametrize("line, key", [
-    ("seed =", "seed"),
-    ("check_psd =", "check_psd"),
-    ("inject_misalign_deg = 1", "inject_misalign_deg"),
-    ("inject_bias_dps = 0.1 0.2", "inject_bias_dps"),
-    ("inject_bias_dps = 0.1 0.2 0.3 0.4", "inject_bias_dps"),
-    ("noise.sigma_wheel = nan", "noise.sigma_wheel"),
+@pytest.mark.parametrize("line, flags, key", [
+    ("seed =", [], "seed"),
+    ("check_psd =", [], "check_psd"),
+    ("inject_misalign_deg = 1", [], "inject_misalign_deg"),
+    ("inject_bias_dps = 0.1 0.2", [], "inject_bias_dps"),
+    ("inject_bias_dps = 0.1 0.2 0.3 0.4", [], "inject_bias_dps"),
+    ("noise.sigma_wheel = nan", [], "noise.sigma_wheel"),
+    ("rho_sg = nan", [], "rho_sg"),
+    ("inject_yaw_scale = inf", [], "inject_yaw_scale"),
+    ("inject_bias_dps = 0.1 nan 0.3", [], "inject_bias_dps"),
+    ("inject_misalign_deg = 0.5 -inf", [], "inject_misalign_deg"),
+    ("", ["--inject-yaw-scale", "inf"], "inject_yaw_scale"),
+    ("zero_noise = ture", [], "zero_noise"),
+    ("seed = 1.5", [], "seed"),
 ], ids=["no_value", "no_flag_value", "misalign_one", "bias_two", "bias_four",
-        "noise_nan"])
-def test_bad_config_value_exit_config(tmp_path, capsys, line, key):
-    # a config-file value of the wrong count or a non-finite noise value is
-    # a config error naming its key, found before anything is written
+        "noise_nan", "rho_sg_nan", "yaw_scale_inf", "bias_nan", "misalign_inf",
+        "yaw_scale_flag_inf", "bool_typo", "int_fraction"])
+def test_bad_config_value_exit_config(tmp_path, capsys, line, flags, key):
+    # a config-file value of the wrong count, that does not parse or that is
+    # not finite, and a non-finite flag value, is a config error naming its
+    # key, found before anything is written
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text(f"scenario = mini_loop\n{line}\n")
     out = tmp_path / "out"
-    code = main(["simulate", "--config", str(cfgfile), "--out", str(out)])
+    code = main(["simulate", "--config", str(cfgfile), "--out", str(out)] + flags)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and key in err

@@ -19,7 +19,8 @@ def random_feature(rng, rho_lo=0.01, rho_hi=2.0):
 def feature_ode(bearing, rho, v_c, omega_c):
     """The feature ODE of the features module docstring as one 3-vector
     [bearing tangent rate (2), inverse-depth rate]."""
-    p, n = geom.bearing_dir(bearing), geom.projection_n(bearing)
+    frame = geom.quats_to_frames(bearing)
+    p, n = frame[:, 0], frame[:, 1:3]
     return np.append(-n.T @ (omega_c + rho * np.cross(p, v_c)), rho ** 2 * (p @ v_c))
 
 
@@ -194,7 +195,7 @@ def test_feature_derivative_forward_motion_on_axis():
     # drho/dt = 3 rho^2 gives rho(t) = rho0 / (1 - 3 rho0 t)
     f = FeatureState(geom.IDENTITY_QUAT.copy(), 0.2)
     qf, rho = _one_step(f, np.array([3.0, 0.0, 0.0]), np.zeros(3))
-    assert np.allclose(geom.bearing_dir(qf), [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(geom.quats_to_dirs(qf), [1.0, 0.0, 0.0], atol=1e-12)
     assert np.isclose(rho, 0.2 / (1.0 - 3.0 * 0.2 * 0.01), rtol=1e-10, atol=0)
 
 
@@ -205,8 +206,8 @@ def test_feature_derivative_far_feature_pure_rotation(rng):
     f.rho = 1e-3
     omega = rng.normal(size=3) * 0.4
     qf, rho = _one_step(f, np.zeros(3), omega)
-    expect = geom.quat_to_rot(geom.so3_exp(-omega * 0.01)) @ geom.bearing_dir(f.bearing)
-    assert np.allclose(geom.bearing_dir(qf), expect, atol=1e-12)
+    expect = geom.quat_to_rot(geom.so3_exp(-omega * 0.01)) @ geom.quats_to_dirs(f.bearing)
+    assert np.allclose(geom.quats_to_dirs(qf), expect, atol=1e-12)
     assert rho == pytest.approx(f.rho, rel=4 * np.finfo(float).eps, abs=0)
 
 
@@ -216,7 +217,7 @@ def test_transport_is_the_exact_rigid_motion(rng):
     to 21 m/s and inverse depths up to 1.9 /m."""
     dt = 0.01
     for _ in range(40):
-        nav = NavState(geom.bearing_dir(geom.so3_exp(rng.uniform(-np.pi, np.pi, 3)))
+        nav = NavState(geom.quats_to_dirs(geom.so3_exp(rng.uniform(-np.pi, np.pi, 3)))
                        * rng.uniform(0.0, 21.0),
                        geom.so3_exp(rng.uniform(-1, 1, 3)), rng.normal(size=3) * 10)
         ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
@@ -235,7 +236,7 @@ def test_transport_is_the_exact_rigid_motion(rng):
         for x, q, r in zip(landmarks, qf, rho):
             truth = landmark_to_feature(x, nav_new, ext)
             # the chord between unit vectors is the angle to O(angle^3)
-            assert np.linalg.norm(geom.bearing_dir(q) - geom.bearing_dir(truth.bearing)) < 1e-12
+            assert np.linalg.norm(geom.quats_to_dirs(q) - geom.quats_to_dirs(truth.bearing)) < 1e-12
             assert abs(r - truth.rho) < 1e-12 * truth.rho
 
 
@@ -251,7 +252,7 @@ def test_landmark_round_trip(rng):
         landmark = (cam_world + fwd_world * rng.uniform(2, 50)
                     + rng.normal(size=3) * 0.5)
         f = landmark_to_feature(landmark, nav, ext)
-        d_cam = geom.bearing_dir(f.bearing) / f.rho
+        d_cam = geom.quats_to_dirs(f.bearing) / f.rho
         back = cam_world + geom.quat_to_rot(nav.quat) @ ext.r_cb.T @ d_cam
         assert np.allclose(back, landmark, atol=1e-9)
 
@@ -260,7 +261,7 @@ def test_landmark_on_axis():
     nav = NavState.identity()
     f = landmark_to_feature(np.array([5.0, 0.0, 0.0]), nav, CameraExtrinsics())
     assert np.isclose(f.rho, 0.2)
-    assert np.allclose(geom.bearing_dir(f.bearing), [1, 0, 0], atol=1e-12)
+    assert np.allclose(geom.quats_to_dirs(f.bearing), [1, 0, 0], atol=1e-12)
 
 
 def test_landmark_behind_camera_rejected():
@@ -288,7 +289,7 @@ def test_geometric_consistency_oracle():
         nav, qf, rho = propagate_joint(nav, qf, rho, omega, accel, dt, ext, g)
         assert rho[0] > 0.0
     truth = landmark_to_feature(landmark, nav, ext)
-    angle = np.arccos(np.clip(geom.bearing_dir(qf[0]) @ geom.bearing_dir(truth.bearing),
+    angle = np.arccos(np.clip(geom.quats_to_dirs(qf[0]) @ geom.quats_to_dirs(truth.bearing),
                               -1.0, 1.0))
     assert angle < 1e-4
     assert abs(rho[0] - truth.rho) / truth.rho < 1e-3

@@ -54,7 +54,7 @@ def test_project_jacobian_fd(rng):
 
 def test_unproject_principal_point():
     b = unproject(320.0, 240.0, INTR)
-    assert np.allclose(geom.bearing_dir(b), [1, 0, 0], atol=1e-12)
+    assert np.allclose(geom.quats_to_dirs(b), [1, 0, 0], atol=1e-12)
 
 
 def test_unproject_round_trip_sweep(rng):

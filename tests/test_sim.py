@@ -5,7 +5,7 @@ from viwo import geom
 from viwo.dynamics import GRAVITY_VEC, GyroParams, correct_gyro, rk4_nav
 from viwo.features import CameraExtrinsics, landmark_to_feature
 from viwo.sensors import CameraIntrinsics
-from viwo.sim import (CAMERA_STRIDE, Arc, LandmarkWorld, SensorErrorSpec, Stop,
+from viwo.sim import (CAMERA_STRIDE, Arc, SensorErrorSpec, Stop,
                       Straight, TrajectorySpec, ensure_coverage, generate_trajectory,
                       generate_world, highway_route, render_frame,
                       synthesize_bearings, synthesize_imu, synthesize_wheel,
@@ -138,7 +138,7 @@ def test_determinism_bit_identical():
     assert all(np.array_equal(a.omega_m, b.omega_m) for a, b in zip(i1, i2))
     w1 = generate_world(t1, seed=2)
     w2 = generate_world(t2, seed=2)
-    assert np.array_equal(w1.points, w2.points)
+    assert np.array_equal(w1, w2)
 
 
 def test_world_coverage_invariant():
@@ -161,15 +161,15 @@ def test_bearings_match_landmark_oracle():
     for t, rows in frames[::4]:
         nav = t_by_time[round(t, 6)].nav
         for slot, bearing in rows:
-            p_obs = geom.bearing_dir(bearing)
+            p_obs = geom.quats_to_dirs(bearing)
             angles = []
-            for pt in world.points:
+            for pt in world:
                 try:
                     f = landmark_to_feature(pt, nav, EXT)
                 except ValueError:
                     continue
                 angles.append(np.arccos(np.clip(
-                    p_obs @ geom.bearing_dir(f.bearing), -1, 1)))
+                    p_obs @ geom.quats_to_dirs(f.bearing), -1, 1)))
             assert min(angles) < 1e-7  # arccos resolution near zero angle
             checked += 1
     assert checked > 20
@@ -189,7 +189,7 @@ def test_bearing_slot_persistence():
     run = {}
     best_run = 0
     for t, rows in frames:
-        cur = {slot: geom.bearing_dir(b) for slot, b in rows}
+        cur = {slot: geom.quats_to_dirs(b) for slot, b in rows}
         for slot in cur:
             if slot in prev:
                 ang = np.arccos(np.clip(cur[slot] @ prev[slot], -1, 1))
@@ -208,13 +208,13 @@ def test_bearing_slot_persistence():
 def test_render_frame_blob_positions():
     spec = TrajectorySpec([Straight(30.0, 5.0)])
     truth = generate_trajectory(spec)
-    world = LandmarkWorld(np.array([[25.0, 2.0, 1.5]]))
+    world = np.array([[25.0, 2.0, 1.5]])
     err = SensorErrorSpec(GyroParams(), image_noise=0.0)
     nav = truth[0].nav
     img = render_frame(nav, world, INTR, EXT, err)
     from viwo.image import detect_features
     from viwo.sensors import project
-    feat = landmark_to_feature(world.points[0], nav, EXT)
+    feat = landmark_to_feature(world[0], nav, EXT)
     (u, v), _ = project(feat.bearing, INTR)
     pts = detect_features(img, 3, threshold=10.0)
     assert pts, "blob not detected"
