@@ -10,13 +10,15 @@ tree runs the command-line front end as a subprocess with its own
 * ``viwo simulate`` with seed 17 and all six gyro errors injected
   (``--inject-bias 0.3 -0.2 0.5 --inject-yaw-scale 1.01 --inject-misalign
   0.5 0.5``): urban_loop and highway in bearing mode, mini_loop in image mode;
-* ``viwo run`` on OLD's datasets: urban_loop in bearing mode, urban_loop with
-  ``--wheel-imu-only`` and mini_loop in image mode;
+* ``viwo run`` on OLD's datasets: urban_loop in bearing mode, with
+  ``--check-psd`` and with ``--wheel-imu-only``, and mini_loop in image mode;
 * ``viwo jacobian-check --configs 200 --seed 0``.
 
 It compares the simulated dataset trees file by file, then each run's
-``trajectory.csv``, ``params.csv`` and ``final-params.txt``, then the audit's
-exit code and text, and prints one ``identical: yes|no`` line per item.  The
+``trajectory.csv``, ``params.csv``, ``final-params.txt`` and ``report.txt``
+without its ``elapsed_s`` line (so the counters and, with ``--check-psd``,
+the ``min_eig_P``/``min_eig_S`` lines too), then the audit's exit code and
+text, and prints one ``identical: yes|no`` line per item.  The
 exit code is 0 when every item is identical, 1 when any differs and 2 when a
 command fails.  Timing comparisons are ``scripts/ab_realtime.py``'s job.
 """
@@ -35,6 +37,7 @@ SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop"],
                "mini_loop": ["--scenario", "mini_loop", "--mode", "image"]}
 # run name -> (dataset, flags)
 RUNS = {"urban_loop bearing": ("urban_loop", []),
+        "urban_loop bearing check-psd": ("urban_loop", ["--check-psd"]),
         "urban_loop wheel-imu-only": ("urban_loop", ["--wheel-imu-only"]),
         "mini_loop image": ("mini_loop", ["--mode", "image"])}
 RUN_FILES = ("trajectory.csv", "params.csv", "final-params.txt")
@@ -60,6 +63,12 @@ def viwo(src: Path, args: list[str], check: bool = True) -> subprocess.Completed
 def tree_files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def without_elapsed(report: bytes) -> bytes:
+    """A run report without its wall-clock line."""
+    return b"".join(line for line in report.splitlines(keepends=True)
+                    if not line.startswith(b"elapsed_s:"))
 
 
 def differences(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
@@ -102,6 +111,7 @@ def main(argv=None) -> int:
                 viwo(src, ["run", "--dataset", str(work / "old" / "sim" / dataset),
                            "--out", str(outs[label]), *flags])
             files = {label: {f: (out / f).read_bytes() for f in RUN_FILES}
+                     | {"report.txt": without_elapsed((out / "report.txt").read_bytes())}
                      for label, out in outs.items()}
             ok &= report(f"run {name}", differences(files["old"], files["new"]))
         audits = {label: viwo(src, AUDIT, check=False) for label, src in trees.items()}

@@ -15,24 +15,28 @@ transition matrix Phi = I + F dt of the joint nav/feature ODE, whose F the
 Jacobian audit differences against the ODE flow.
 Between two camera frames only the IMU changes the state: the active slots
 and the gyro parameters stay fixed.  So predict takes the whole block of IMU
-samples up to the next frame, in chunks of at most PREDICT_BLOCK_MAX: per
-chunk it propagates the states sample by sample, forms every step's F and Psi
-with one stacked assemble_linearization call, builds all Phi at once and then
-runs the per-step Phi P Phi^T + Q and Phi Upsilon + Psi dt recursion.  F is
-assembled over the active slots only; Phi is the identity plus F dt scattered
-through flat indices that are cached per active-slot set, together with the
-state indices and the process-noise diagonal.
+samples up to the next frame, in chunks of at most PREDICT_BLOCK_MAX.  Per
+chunk one propagate_joint call runs the RK4 nav steps, forms every step's
+rigid transform in one stacked pass and keeps only the per-feature
+recurrence in a per-step loop; one stacked assemble_linearization call forms
+every step's F and Psi; all Phi are built at once; and then the per-step
+Phi P Phi^T + Q and Phi Upsilon + Psi dt recursion runs.  F is assembled
+over the active slots only.  When they cover the whole state (every slot
+active, or a filter without slots) Phi is F dt plus the identity; otherwise
+F dt is scattered onto the identity through flat indices, which are cached
+per active-slot set together with the state indices and the process-noise
+diagonal.
 
-Batch invariance: step k's F and Psi are bit-identical whatever the block
-length, so a block predict equals the same samples predicted one at a time.
-The stacked linearization uses only elementwise arithmetic and products
-whose per-step operands have the shapes of a single step; a stacked array
-never goes through one BLAS product whose kernel could depend on its row
-count.  The single-step call is the stacked code with one step.  The frame
-update keeps the same rule for its bearings: the residuals come from one
-geom.s2_boxminus_rows call and the retraction from one s2_boxplus_rows call,
-and those row kernels are elementwise, so they equal the scalar S^2 maps row
-by row.
+Batch invariance: step k's states, F and Psi are bit-identical whatever the
+chunk length, so a block predict equals the same samples predicted one at a
+time.  The stacked transport and linearization use only elementwise
+arithmetic and products whose per-step operands have the shapes of a single
+step; a stacked array never goes through one BLAS product whose kernel could
+depend on its row count.  The single-step calls are the stacked code with
+one step.  The frame update keeps the same rule for its bearings: the
+residuals come from one geom.s2_boxminus_rows call and the retraction from
+one s2_boxplus_rows call, and those row kernels are elementwise, so they
+equal the scalar S^2 maps row by row.
 
 The update stacks all measurement rows of a frame (vehicle and ZUPT rows,
 plus the camera rows of the active slots), performs a standard EKF
@@ -167,46 +171,81 @@ class RowGroup:
 # --- joint propagation and linearization (also used by the jacobian audit) ---
 
 def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
-                    omega: np.ndarray, accel: np.ndarray, dt: float,
+                    omega: np.ndarray, accel: np.ndarray, dt: float | np.ndarray,
                     ext: CameraExtrinsics, g: np.ndarray):
-    """One step of the nav state and the features it carries (corrected rates).
+    """The nav state and the features it carries over one IMU step or a
+    chunk of them (corrected rates).
 
-    The nav block is one dynamics.rk4_nav step.  A feature is a static point
-    p / rho in the camera frame, so it moves with the exact rigid transform
-    between the camera poses before and after the step, not by integrating
-    its ODE.  With body attitudes R0, R1, body positions p_W0, p_W1 and the
-    lever arm l:
+    Single step: omega and accel (3,), dt a float -> (nav', qf' (n, 4),
+    rho' (n,)).  Chunk: omega and accel (T, 3), dt (T,) -> (navs, qfs
+    (T + 1, n, 4), rhos (T + 1, n)), the states before each step and after
+    the last (navs a list of T + 1 NavStates).  Between the steps of a chunk
+    rho is clipped to [RHO_FLOOR, RHO_CEIL], as the filter clips after every
+    step; the last rho is returned unclipped.  So a chunk gives, bit for bit,
+    the states of T single steps with the clip between them.
+
+    The nav block is one dynamics.rk4_nav step per IMU step.  A feature is a
+    static point p / rho in the camera frame, so it moves with the exact
+    rigid transform between the camera poses before and after the step, not
+    by integrating its ODE.  With body attitudes R0, R1, body positions p_W0,
+    p_W1 and the lever arm l:
 
         A = R_CB R1^T R0 R_CB^T,   b = R_CB (R1^T (R0 l + p_W0 - p_W1) - l)
         m = A p + rho b,           p' = m / |m|,   rho' = rho / |m|
 
+    All nav steps run first; every step's A and b then come from one stacked
+    pass (row-kernel frames and per-step products, so the bits of a step do
+    not depend on T), and only the per-feature recurrence is step by step.
     The bearing quaternions are re-attached with the minimal (spin-free)
     rotation taking p onto p', matching the left N-lift tangent convention
-    to O(dt^3).
+    to O(dt^3).  Raises FloatingPointError on a non-finite or zero range.
     """
-    nav_new = rk4_nav(nav, omega, accel, g, dt)
-    if not qf.shape[0]:
-        return nav_new, qf, rho
-
-    r0 = geom.quat_to_rot(nav.quat)
-    r1t = geom.quat_to_rot(nav_new.quat).T
-    r_cb, lever = ext.r_cb, ext.lever_arm
-    a = r_cb @ (r1t @ r0) @ r_cb.T
-    b = r_cb @ (r1t @ (r0 @ lever + nav.pos - nav_new.pos) - lever)
-    p0 = geom.quats_to_dirs(qf)
-    m = p0 @ a.T
-    m += rho[:, None] * b
-    norm = np.sqrt((m * m).sum(axis=1))
-    # a zero range has no direction
-    if not (np.isfinite(norm).all() and norm.all()):
-        raise FloatingPointError("non-finite feature state after propagation")
-
-    # minimal rotation p0 -> p1 = m / |m|: the quaternion [1 + p0.p1, p0 x p1]
-    # times |m|, a scale that quat_mul_batch normalizes away
-    dq = np.empty((qf.shape[0], 4))
-    dq[:, 0] = norm + (p0 * m).sum(axis=1)
-    dq[:, 1:4] = geom.cross_rows(p0, m)
-    return nav_new, geom.quat_mul_batch(dq, qf), rho / norm
+    single = np.ndim(dt) == 0
+    if single:
+        omega, accel, dt = omega[None], accel[None], [dt]
+    navs = [nav]
+    for w, a, h in zip(omega, accel, dt):
+        navs.append(rk4_nav(navs[-1], w, a, g, h))
+    steps = len(navs) - 1
+    qfs, rhos = [qf], [rho]
+    if qf.shape[0]:
+        frames = geom.quats_to_frames(np.array([s.quat for s in navs]))
+        pos = np.array([s.pos for s in navs])
+        r0, r1t = frames[:-1], np.swapaxes(frames[1:], 1, 2)
+        r_cb, lever = ext.r_cb, ext.lever_arm
+        a_all = r_cb @ (r1t @ r0) @ r_cb.T
+        shift = (r1t @ (r0 @ lever + pos[:-1] - pos[1:])[:, :, None])[:, :, 0] - lever
+        b_all = (r_cb @ shift[:, :, None])[:, :, 0]
+        norms = []
+        # a zero range has no direction; it and a non-finite one are caught
+        # once the chunk is done, the steps after them only carry inf and nan
+        with np.errstate(all="ignore"):
+            for k, (a, b) in enumerate(zip(a_all, b_all)):
+                p0 = geom.quats_to_dirs(qf)
+                m = p0 @ a.T
+                m += rho[:, None] * b
+                norm = np.sqrt((m * m).sum(axis=1))
+                # minimal rotation p0 -> p1 = m / |m|: the quaternion
+                # [1 + p0.p1, p0 x p1] times |m|, a scale that
+                # quat_mul_batch normalizes away
+                dq = np.empty((qf.shape[0], 4))
+                dq[:, 0] = norm + (p0 * m).sum(axis=1)
+                dq[:, 1:4] = geom.cross_rows(p0, m)
+                qf = geom.quat_mul_batch(dq, qf)
+                rho = rho / norm
+                if k + 1 < steps:   # np.clip, without its wrapper's cost
+                    rho = np.minimum(np.maximum(rho, RHO_FLOOR), RHO_CEIL)
+                norms.append(norm)
+                qfs.append(qf)
+                rhos.append(rho)
+        norms = np.array(norms)
+        if not (np.isfinite(norms).all() and norms.all()):
+            raise FloatingPointError("non-finite feature state after propagation")
+    else:
+        qfs, rhos = qfs * (steps + 1), rhos * (steps + 1)
+    if single:
+        return navs[1], qfs[1], rhos[1]
+    return navs, np.array(qfs), np.array(rhos)
 
 
 def assemble_linearization(nav: NavState | Sequence[NavState],
@@ -425,8 +464,9 @@ class AdaptiveEkf:
 
     def _active_set(self):
         """(active slots, their state indices, flat indices of the
-        index x index block of a dim x dim matrix, process-noise variance
-        per second), rebuilt only when the active set changes."""
+        index x index block of a dim x dim matrix or None when the indices
+        cover the whole state, process-noise variance per second), rebuilt
+        only when the active set changes."""
         key = self._active.tobytes()
         if key != self._active_key:
             act = np.flatnonzero(self._active)
@@ -437,8 +477,8 @@ class AdaptiveEkf:
             q_rate[6:9] = self.noise.pos_process ** 2
             q_rate[idx[NAV_DIM:]] = np.tile([self.noise.bearing_process ** 2] * 2
                                             + [self.noise.rho_process ** 2], len(act))
-            self._active_cache = (act, idx, (idx[:, None] * self.dim + idx).ravel(),
-                                  q_rate)
+            flat = None if len(idx) == self.dim else (idx[:, None] * self.dim + idx).ravel()
+            self._active_cache = (act, idx, flat, q_rate)
             self._active_key = key
         return self._active_cache
 
@@ -448,10 +488,11 @@ class AdaptiveEkf:
         """Propagate through one IMU sample or a block of them.
 
         Over a block the active set and the gyro parameters stay fixed, so
-        the states are propagated sample by sample, the linearizations of
-        all steps come from one stacked call, and the covariance and
-        sensitivity recursion then runs step by step.  A block is processed
-        in chunks of at most PREDICT_BLOCK_MAX samples.
+        the states of a chunk come from one propagate_joint call, the
+        linearizations of all its steps from one stacked call, and the
+        covariance and sensitivity recursion then runs step by step.  A
+        block is processed in chunks of at most PREDICT_BLOCK_MAX samples;
+        a FloatingPointError leaves the chunk it is raised in unapplied.
         """
         block = [imu] if isinstance(imu, ImuSample) else list(imu)
         t_prev = self.t
@@ -465,27 +506,26 @@ class AdaptiveEkf:
 
     def _predict_chunk(self, block: list[ImuSample]) -> None:
         act, idx, flat, q_rate = self._active_set()
-        nav, qf, rho, t = self.nav, self._qf[act], self._rho[act], self.t
         omega_m = np.array([sample.omega_m for sample in block])
         omegas = correct_gyro(omega_m, self.params)
-        navs, qfs, rhos, dts = [], [], [], []
-        for sample, omega in zip(block, omegas):
-            dt = sample.t - t
-            navs.append(nav)
-            qfs.append(qf)
-            rhos.append(rho)
-            dts.append(dt)
-            nav, qf, rho = propagate_joint(nav, qf, rho, omega, sample.accel_m,
-                                           dt, self.ext, GRAVITY_VEC)
-            rho = np.clip(rho, RHO_FLOOR, RHO_CEIL)
-            t = sample.t
+        dts = np.diff([self.t] + [sample.t for sample in block])
+        navs, qfs, rhos = propagate_joint(
+            self.nav, self._qf[act], self._rho[act], omegas,
+            np.array([sample.accel_m for sample in block]), dts, self.ext,
+            GRAVITY_VEC)
 
-        f_c, psi_c = assemble_linearization(navs, np.array(qfs), np.array(rhos),
+        f_c, psi_c = assemble_linearization(navs[:-1], qfs[:-1], rhos[:-1],
                                             omegas, omega_m, self.params,
                                             self.ext, GRAVITY_VEC)
         steps = len(block)
-        phis = np.broadcast_to(self._eye, (steps, self.dim, self.dim)).copy()
-        phis.reshape(steps, -1)[:, flat] += f_c.reshape(steps, -1) * np.array(dts)[:, None]
+        if flat is None:     # F covers the whole state
+            phis = f_c * dts[:, None, None]
+            phis += self._eye
+            rows = slice(None)
+        else:
+            phis = np.broadcast_to(self._eye, (steps, self.dim, self.dim)).copy()
+            phis.reshape(steps, -1)[:, flat] += f_c.reshape(steps, -1) * dts[:, None]
+            rows = idx
 
         cov, ups = self.cov, self.upsilon
         for phi, psi, dt in zip(phis, psi_c, dts):
@@ -493,17 +533,17 @@ class AdaptiveEkf:
             cov.reshape(-1)[::self.dim + 1] += q_rate * dt
             cov = 0.5 * (cov + cov.T)
             ups = phi @ ups
-            ups[idx] += psi * dt
+            ups[rows] += psi * dt
             if self.check_psd:
                 self.min_eig_p = min(self.min_eig_p, float(np.linalg.eigvalsh(cov)[0]))
         self.cov = cov
         self.upsilon = ups
 
-        self.nav = nav
+        self.nav = navs[-1]
         if len(act):
-            self._qf[act] = qf
-            self._rho[act] = rho
-        self.t = t
+            self._qf[act] = qfs[-1]
+            self._rho[act] = np.clip(rhos[-1], RHO_FLOOR, RHO_CEIL)
+        self.t = block[-1].t
         self.counters["predicts"] += steps
 
     # -- measurement row construction ----------------------------------------

@@ -123,10 +123,10 @@ def build_scenario(cfg: RunConfig) -> sim.TrajectorySpec:
 
 def cmd_simulate(cfg: RunConfig) -> Path:
     """Write a deterministic dataset directory for the configured scenario."""
+    spec = build_scenario(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = dataio.DatasetPaths(out)
-    spec = build_scenario(cfg)
     err = sim.SensorErrorSpec(params=cfg.injected_params(), seed=cfg.seed)
     if cfg.zero_noise:
         err.gyro_noise = err.accel_noise = err.wheel_noise = 0.0
@@ -394,10 +394,10 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
 
 
 def cmd_run(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(cfg.dataset,
                       None if cfg.wheel_imu_only else cfg.measurement_mode)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result = run_filter(ds, cfg)
 
     dataio.write_csv(out / "trajectory.csv", dataio.POSE_HEADER,

@@ -161,13 +161,16 @@ def test_config_file_overridden_by_flags(tmp_path):
 
 
 def test_bad_scenario_exit_config(tmp_path):
+    # refused before the output directory is made
     code = main(["simulate", "--out", str(tmp_path / "x"),
                  "--scenario", "urban_loop", "--laps", "0"])
     assert code == EXIT_CONFIG  # zero laps -> empty drive = config error
+    assert not (tmp_path / "x").exists()
     cfgfile = tmp_path / "bad.txt"
     cfgfile.write_text("scenario = nonsense\n")
     code = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "y")])
     assert code == EXIT_CONFIG
+    assert not (tmp_path / "y").exists()
 
 
 def test_invalid_settings_after_overrides_exit_config(mini_dataset, tmp_path,
@@ -391,7 +394,8 @@ def test_wheel_rows_off_the_imu_stamps_exit_data(mini_dataset, tmp_path, capsys,
 def test_non_finite_imu_or_wheel_value_exit_data(mini_dataset, tmp_path, capsys,
                                                  name, header, col, value):
     # refused with its file, row and stamp named, rather than gated silently
-    # (wheel) or failing as a numerical error (imu)
+    # (wheel) or failing as a numerical error (imu), and before the output
+    # directory is made
     ds = tmp_path / "edited"
     shutil.copytree(mini_dataset, ds)
     rows = dataio.read_csv(ds / name, header)
@@ -399,6 +403,7 @@ def test_non_finite_imu_or_wheel_value_exit_data(mini_dataset, tmp_path, capsys,
     dataio.write_csv(ds / name, header, rows.tolist())
     code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert f"{name}: data row 501 (t={rows[500, 0]:.6f}): {col} is not finite" in err
 

@@ -240,6 +240,47 @@ def test_transport_is_the_exact_rigid_motion(rng):
             assert abs(r - truth.rho) < 1e-12 * truth.rho
 
 
+def test_chunk_transport_matches_single_steps(rng):
+    """A T-step propagate_joint call returns, bit for bit, the states of T
+    single-step calls with the rho clip between them; one feature, 0.27 m
+    ahead of a camera moving at 10 m/s, passes RHO_CEIL mid-chunk."""
+    steps = 12
+    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.02, 0.02, 3))),
+                           rng.uniform(-0.05, 0.05, 3))
+    nav = NavState(np.array([10.0, 0.1, 0.0]), geom.so3_exp(rng.uniform(-0.1, 0.1, 3)),
+                   rng.normal(size=3) * 10)
+    feats = [random_feature(rng) for _ in range(5)]
+    qf = np.array([geom.IDENTITY_QUAT] + [f.bearing for f in feats])
+    rho = np.array([1.0 / 0.27] + [f.rho for f in feats])
+    omega = rng.normal(size=(steps, 3)) * 0.05
+    accel = -GRAVITY_VEC + rng.normal(size=(steps, 3)) * 0.1
+    dts = rng.uniform(0.004, 0.006, steps)
+    navs, qfs, rhos = propagate_joint(nav, qf, rho, omega, accel, dts, ext, GRAVITY_VEC)
+    assert len(navs) == steps + 1
+    assert qfs.shape == (steps + 1, 6, 4) and rhos.shape == (steps + 1, 6)
+
+    s, q, r = nav, qf, rho
+    past_ceil = []
+    for k in range(steps + 1):
+        if 0 < k < steps:   # the last state is returned unclipped
+            if r[0] > RHO_CEIL:
+                past_ceil.append(k)
+            r = np.clip(r, RHO_FLOOR, RHO_CEIL)
+        for name in ("vel", "quat", "pos"):
+            assert np.array_equal(getattr(navs[k], name), getattr(s, name)), (k, name)
+        assert np.array_equal(qfs[k], q) and np.array_equal(rhos[k], r), k
+        if k < steps:
+            s, q, r = propagate_joint(s, q, r, omega[k], accel[k], dts[k], ext,
+                                      GRAVITY_VEC)
+    assert past_ceil and 1 < past_ceil[0] < steps - 1
+
+    # without features a chunk still steps the nav state
+    navs0, qfs0, rhos0 = propagate_joint(nav, qf[:0], rho[:0], omega, accel, dts, ext,
+                                         GRAVITY_VEC)
+    assert qfs0.shape == (steps + 1, 0, 4) and rhos0.shape == (steps + 1, 0)
+    assert all(np.array_equal(a.pos, b.pos) for a, b in zip(navs0, navs))
+
+
 def test_landmark_round_trip(rng):
     for _ in range(200):
         nav = NavState(rng.normal(size=3), geom.so3_exp(rng.uniform(-1, 1, 3)),

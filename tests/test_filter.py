@@ -181,8 +181,8 @@ def test_stacked_linearization_matches_single_steps(rng, cnt):
 
 def test_block_predict_matches_single_samples(rng):
     """A block predict equals the same samples given one at a time, across
-    feature initialization and drops between blocks and a block longer than
-    the cap."""
+    feature initialization and drops between blocks, a block longer than
+    the cap and blocks with every slot active."""
     params = GyroParams(np.array([0.01, -0.005, 0.008]), 1.01, 0.004, -0.003)
     ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(np.array([0.05, -0.1, 0.02]))),
                            np.array([1.8, 0.1, 1.2]))
@@ -199,6 +199,7 @@ def test_block_predict_matches_single_samples(rng):
     schedule = [([("init", 0), ("init", 1), ("init", 4)], 10),
                 ([("init", 2), ("drop", 0)], 7),
                 ([("drop", 4), ("init", 5), ("init", 0)], 45),
+                ([("init", 3), ("init", 4)], 40),   # every slot active
                 ([], 1)]
     for lifecycle, length in schedule:
         for ekf in filters:
@@ -223,6 +224,27 @@ def test_block_predict_matches_single_samples(rng):
         for name in ("_qf", "_rho", "cov", "upsilon"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.counters["predicts"] == b.counters["predicts"]
+
+
+def test_zero_range_predict_raises_and_changes_nothing():
+    """A feature that the camera reaches within a chunk has no direction:
+    predict raises FloatingPointError and leaves the state as it was.  At
+    8 m/s and 1/16 s steps the camera is exactly 1 m further after two."""
+    ekf = make_filter(capacity=3)
+    ekf.nav.vel = np.array([8.0, 0.0, 0.0])
+    ekf.init_feature(0, geom.IDENTITY_QUAT)      # 1 m straight ahead
+    ekf._rho[0] = 1.0
+    ekf.init_feature(2, geom.bearing_from_dir(np.array([1.0, 0.2, 0.1])))
+    before = {name: getattr(ekf, name).copy() for name in ("_qf", "_rho", "cov", "upsilon")}
+    nav = ekf.nav.copy()
+    block = [ImuSample(k / 16.0, np.zeros(3), GRAV_CANCEL) for k in range(1, 5)]
+    with pytest.raises(FloatingPointError, match="feature state"):
+        ekf.predict(block)
+    assert ekf.t == 0.0 and ekf.counters["predicts"] == 0
+    for name in ("vel", "quat", "pos"):
+        assert np.array_equal(getattr(ekf.nav, name), getattr(nav, name))
+    for name, value in before.items():
+        assert np.array_equal(getattr(ekf, name), value), name
 
 
 def test_gate_three_row_closed_form_matches_solve(rng):
