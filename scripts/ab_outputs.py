@@ -10,6 +10,8 @@ tree runs the command-line front end as a subprocess with its own
 * ``viwo simulate`` with seed 17 and all six gyro errors injected
   (``--inject-bias 0.3 -0.2 0.5 --inject-yaw-scale 1.01 --inject-misalign
   0.5 0.5``): urban_loop and highway in bearing mode, mini_loop in image mode;
+  and with seed 17, no injected errors and ``--zero-noise``: urban_loop in
+  bearing mode, the acceptance suite's closed-loop (criterion 6) dataset;
 * ``viwo run`` on OLD's datasets: urban_loop in bearing mode, with
   ``--check-psd`` and with ``--wheel-imu-only``, and mini_loop in image mode;
 * ``viwo jacobian-check --configs 200 --seed 0``.
@@ -30,11 +32,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-INJECT = ["--seed", "17", "--inject-bias", "0.3", "-0.2", "0.5",
+INJECT = ["--inject-bias", "0.3", "-0.2", "0.5",
           "--inject-yaw-scale", "1.01", "--inject-misalign", "0.5", "0.5"]
-SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop"],
-               "highway": ["--scenario", "highway"],
-               "mini_loop": ["--scenario", "mini_loop", "--mode", "image"]}
+# every simulation uses seed 17
+SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop", *INJECT],
+               "highway": ["--scenario", "highway", *INJECT],
+               "mini_loop": ["--scenario", "mini_loop", "--mode", "image", *INJECT],
+               "urban_loop_zero_noise": ["--scenario", "urban_loop", "--zero-noise"]}
 # run name -> (dataset, flags)
 RUNS = {"urban_loop bearing": ("urban_loop", []),
         "urban_loop bearing check-psd": ("urban_loop", ["--check-psd"]),
@@ -100,7 +104,7 @@ def main(argv=None) -> int:
         for name, flags in SIMULATIONS.items():
             for label, src in trees.items():
                 viwo(src, ["simulate", "--out", str(work / label / "sim" / name),
-                           *flags, *INJECT])
+                           *flags, "--seed", "17"])
             ok &= report(f"simulate {name}",
                          differences(tree_files(work / "old" / "sim" / name),
                                      tree_files(work / "new" / "sim" / name)))

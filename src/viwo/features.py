@@ -46,9 +46,6 @@ class FeatureState:
     bearing: np.ndarray          # unit quaternion, camera frame
     rho: float                   # inverse depth [1/m]
 
-    def copy(self) -> "FeatureState":
-        return FeatureState(self.bearing.copy(), self.rho)
-
 
 @dataclass
 class CameraExtrinsics:

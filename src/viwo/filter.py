@@ -85,8 +85,6 @@ GATE_QUANTILE = 0.99          # chi-square quantile of the Mahalanobis gate
 # out, since importing scipy.stats would take most of the package's import time.
 GATE_LIMIT = {2: 9.21034037197618, 3: 11.344866730144373}
 MAX_MISSES = 3                # frames a slot may go unmeasured or gated
-PYRAMID_LEVELS = 2            # image mode: pyramid depth
-FAST_THRESHOLD = 10.0         # image mode: FAST intensity threshold
 KLT_MAX_SHIFT_PX = 20.0       # image mode: cap on the detection gate radius
 PHOTOMETRIC_BASIN_PX = 1.0    # farther alignments become bearing rows
 PREDICT_BLOCK_MAX = 32        # IMU samples per stacked linearization
@@ -301,12 +299,11 @@ def _feature_diag_indices(cnt: int):
 
 
 def assemble_f_compact(nav: NavState, qf: np.ndarray, rho: np.ndarray,
-                       omega: np.ndarray, ext: CameraExtrinsics,
-                       g: np.ndarray) -> np.ndarray:
+                       omega: np.ndarray, ext: CameraExtrinsics) -> np.ndarray:
     """Error-state dynamics matrix over [nav, features] (compact layout)."""
     omega_m = apply_gyro_error(omega, GyroParams())
     return assemble_linearization(nav, qf, rho, omega, omega_m, GyroParams(),
-                                  ext, g)[0]
+                                  ext, GRAVITY_VEC)[0]
 
 
 def assemble_psi_compact(nav: NavState, qf: np.ndarray, rho: np.ndarray,
@@ -830,9 +827,8 @@ class AdaptiveEkf:
         """Rendered/recorded-frame update via patch intensity residuals."""
         if self.intr is None:
             raise ValueError("image mode requires camera intrinsics")
-        pyramid = build_pyramid(img, PYRAMID_LEVELS)
-        detections = detect_features(img, 256, threshold=FAST_THRESHOLD,
-                                     min_distance=6.0)
+        pyramid = build_pyramid(img)
+        detections = detect_features(img)
         groups = self._vehicle_and_zupt_groups(t, vehicle)
         measured = set()
         for slot in self.active_slots():

@@ -7,6 +7,7 @@ is exact on lattice points and differentiable inside each unit cell; the
 returned gradients are the exact in-cell derivatives of the interpolant.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,13 +95,21 @@ def load_pgm(path) -> Image:
 
 
 def save_pgm(path, img: Image) -> None:
+    """Write a binary (P5) 8-bit PGM through a temp file and a rename, so a
+    failed write leaves no partial frame at path."""
     data = np.clip(np.round(img.data), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(f"P5\n{img.width} {img.height}\n255\n".encode())
         fh.write(data.tobytes())
+    os.replace(tmp, path)
 
 
 # --- FAST-9/16 corner detection ---------------------------------------------
+
+FAST_THRESHOLD = 10.0         # intensity threshold
+FAST_MAX_CORNERS = 256        # corners detect_features returns at most
+FAST_MIN_DISTANCE_PX = 6.0    # least distance between two returned corners
 
 _FAST_OFFSETS = np.array([
     (0, -3), (1, -3), (2, -2), (3, -1),
@@ -110,21 +119,21 @@ _FAST_OFFSETS = np.array([
 ])
 
 
-def _contiguous_at_least(mask: np.ndarray, run: int) -> np.ndarray:
-    """True where a 16-bit circular mask (n,16) has >= run contiguous Trues."""
+def _contiguous_at_least(mask: np.ndarray) -> np.ndarray:
+    """True where a 16-bit circular mask (n,16) has >= 9 contiguous Trues."""
     doubled = np.concatenate([mask, mask], axis=1).astype(np.int16)
     best = np.zeros(mask.shape[0], dtype=np.int16)
     cur = np.zeros(mask.shape[0], dtype=np.int16)
     for k in range(doubled.shape[1]):
         cur = (cur + 1) * doubled[:, k]
         best = np.maximum(best, cur)
-    return best >= run
+    return best >= 9
 
 
-def detect_features(img: Image, n: int, threshold: float = 10.0,
-                    min_distance: float = 12.0) -> list[tuple[float, float]]:
-    """FAST-9/16 corners, strongest first, non-max suppressed and bucketed
-    min_distance apart.  Returns up to n (u, v) tuples; may return fewer.
+def detect_features(img: Image) -> list[tuple[float, float]]:
+    """FAST-9/16 corners at FAST_THRESHOLD, strongest first, non-max
+    suppressed and bucketed FAST_MIN_DISTANCE_PX apart.  Returns up to
+    FAST_MAX_CORNERS (u, v) tuples; may return fewer.
     """
     d = img.data
     h, w = d.shape
@@ -139,8 +148,8 @@ def detect_features(img: Image, n: int, threshold: float = 10.0,
     for k in (0, 4, 8, 12):
         du, dv = _FAST_OFFSETS[k]
         val = d[3 + dv:h - 3 + dv, 3 + du:w - 3 + du]
-        compass_hits_b += val > center + threshold
-        compass_hits_d += val < center - threshold
+        compass_hits_b += val > center + FAST_THRESHOLD
+        compass_hits_d += val < center - FAST_THRESHOLD
     cand_mask = (compass_hits_b >= 2) | (compass_hits_d >= 2)
     if not cand_mask.any():
         return []
@@ -150,10 +159,9 @@ def detect_features(img: Image, n: int, threshold: float = 10.0,
     for k, (du, dv) in enumerate(_FAST_OFFSETS):
         ring[k] = d[vs0 + 3 + dv, us0 + 3 + du]
     c = center[vs0, us0]
-    brighter = (ring > c[None] + threshold).T
-    darker = (ring < c[None] - threshold).T
-    is_corner = (_contiguous_at_least(brighter, 9)
-                 | _contiguous_at_least(darker, 9))
+    brighter = (ring > c[None] + FAST_THRESHOLD).T
+    darker = (ring < c[None] - FAST_THRESHOLD).T
+    is_corner = _contiguous_at_least(brighter) | _contiguous_at_least(darker)
     if not is_corner.any():
         return []
     vs0, us0 = vs0[is_corner], us0[is_corner]
@@ -161,7 +169,7 @@ def detect_features(img: Image, n: int, threshold: float = 10.0,
     c = c[is_corner]
 
     # score: sum of absolute exceedances over the threshold
-    score_vals = np.maximum(np.abs(ring - c[None]) - threshold, 0.0).sum(axis=0)
+    score_vals = np.maximum(np.abs(ring - c[None]) - FAST_THRESHOLD, 0.0).sum(axis=0)
     score = np.zeros(center.shape)
     score[vs0, us0] = score_vals
 
@@ -181,17 +189,18 @@ def detect_features(img: Image, n: int, threshold: float = 10.0,
     taken: list[np.ndarray] = []
     for u, v in cand:
         pt = np.array([u, v])
-        if any(np.hypot(*(pt - q)) < min_distance for q in taken):
+        if any(np.hypot(*(pt - q)) < FAST_MIN_DISTANCE_PX for q in taken):
             continue
         out.append((u, v))
         taken.append(pt)
-        if len(out) >= n:
+        if len(out) >= FAST_MAX_CORNERS:
             break
     return out
 
 
 # --- patches -----------------------------------------------------------------
 
+PYRAMID_LEVELS = 2            # pyramid depth, level 0 included
 PATCH_SIZE = 8                # template side [px]
 _HALF = PATCH_SIZE / 2.0 - 0.5   # centre to outermost sample [level px]
 # level-pixel offsets of the patch samples from the patch centre, row-major
@@ -219,9 +228,10 @@ def _patch_points(img: Image, cu: float, cv: float):
     return cu + PATCH_GRID[:, 0], cv + PATCH_GRID[:, 1]
 
 
-def build_pyramid(img: Image, levels: int) -> list[Image]:
+def build_pyramid(img: Image) -> list[Image]:
+    """img and its PYRAMID_LEVELS - 1 successive half-resolution levels."""
     pyr = [img]
-    for _ in range(1, levels):
+    for _ in range(1, PYRAMID_LEVELS):
         pyr.append(pyr[-1].downsample())
     return pyr
 

@@ -41,16 +41,15 @@ class JointSample:
     ext: CameraExtrinsics
 
 
-def random_sample(rng: np.random.Generator, n_feat: int = 1) -> JointSample:
+def random_sample(rng: np.random.Generator) -> JointSample:
+    """A random linearization point with one feature."""
     nav = NavState(rng.uniform(-15, 15, 3),
                    geom.so3_exp(rng.uniform(-1.5, 1.5, 3)),
                    rng.uniform(-50, 50, 3))
-    qf = np.empty((n_feat, 4))
-    for j in range(n_feat):
-        d = np.array([1.0, *rng.uniform(-0.5, 0.5, 2)])
-        qf[j] = geom.quat_mul(geom.bearing_from_dir(d),
-                              geom.so3_exp(np.array([rng.uniform(-np.pi, np.pi), 0, 0])))
-    rho = rng.uniform(0.01, 2.0, n_feat)
+    d = np.array([1.0, *rng.uniform(-0.5, 0.5, 2)])
+    qf = geom.quat_mul(geom.bearing_from_dir(d),
+                       geom.so3_exp(np.array([rng.uniform(-np.pi, np.pi), 0, 0])))[None]
+    rho = rng.uniform(0.01, 2.0, 1)
     params = GyroParams(rng.uniform(-0.02, 0.02, 3),
                         rng.uniform(0.97, 1.03),
                         rng.uniform(-0.02, 0.02),
@@ -65,12 +64,12 @@ def random_sample(rng: np.random.Generator, n_feat: int = 1) -> JointSample:
 # batched state tuple: (vel (B,3), quat (B,4), pos (B,3), qf (B,4), rho (B,))
 # with one feature per scenario and per-scenario corrected rates (B,3).
 
-def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, g, dt):
+def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, dt):
     """Batched RK4 step of the coupled dynamics (one feature per scenario)."""
 
     def deriv(v, q, p, bq, br):
         r = geom.quats_to_frames(q)
-        vdot = (accel[None, :] + np.einsum("bji,j->bi", r, g)
+        vdot = (accel[None, :] + np.einsum("bji,j->bi", r, GRAVITY_VEC)
                 - geom.cross_rows(omega, v))
         om4 = np.concatenate([np.zeros((omega.shape[0], 1)), omega], axis=1)
         qdot = 0.5 * geom.quat_mul_rows(q, om4)
@@ -160,8 +159,7 @@ def fd_flow_matrices(s: JointSample) -> tuple[np.ndarray, np.ndarray]:
     omega = np.vstack([np.tile(omega0, (24, 1)), omegas])
 
     def at(step):
-        flowed = _flow_batch(vel, quat, pos, qf, rho, omega, s.accel,
-                             s.ext, GRAVITY_VEC, step)
+        flowed = _flow_batch(vel, quat, pos, qf, rho, omega, s.accel, s.ext, step)
         phi = _tangent_diff(tuple(x[0:12] for x in flowed),
                             tuple(x[12:24] for x in flowed)).T / (2.0 * _FD_H)
         f_mat = (phi - np.eye(12)) / step
@@ -235,7 +233,7 @@ def fd_camera_chain(rng: np.random.Generator, intr: CameraIntrinsics):
         if not _probe_off_lattice(u, v):
             continue
         img = render_smooth_probe(intr, u + 2.0, v + 1.5)
-        pyramid = build_pyramid(img, 2)
+        pyramid = build_pyramid(img)
         patch = extract_patch_set(pyramid, u, v)
         if patch is None:
             continue
@@ -279,10 +277,9 @@ def run_audit(n_configs: int = 1000, seed: int = 0) -> dict[str, float]:
     worst: dict[str, float] = {}
 
     for i in range(n_configs):
-        s = random_sample(rng, n_feat=1)
+        s = random_sample(rng)
         f_an = assemble_f_compact(s.nav, s.qf, s.rho,
-                                  correct_gyro(s.omega_m, s.params), s.ext,
-                                  GRAVITY_VEC)
+                                  correct_gyro(s.omega_m, s.params), s.ext)
         f_fd, psi_fd = fd_flow_matrices(s)
         f_scale = float(np.max(np.abs(f_fd)))
         for name, (r, c) in DYNAMIC_BLOCKS.items():

@@ -19,8 +19,6 @@ from .filter import AdaptiveEkf, NoiseConfig
 from .image import load_pgm, save_pgm
 from .sensors import DEFAULT_INTRINSICS, CameraIntrinsics, VehicleVelocityMeasurement
 
-DEFAULT_EXTRINSICS = CameraExtrinsics(np.eye(3), np.array([1.8, 0.0, 1.2]))
-
 
 @dataclass
 class RunConfig:
@@ -127,15 +125,12 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = dataio.DatasetPaths(out)
-    err = sim.SensorErrorSpec(params=cfg.injected_params(), seed=cfg.seed)
-    if cfg.zero_noise:
-        err.gyro_noise = err.accel_noise = err.wheel_noise = 0.0
-        err.pixel_noise = err.image_noise = 0.0
+    err = sim.SensorErrorSpec(params=cfg.injected_params(), seed=cfg.seed,
+                              zero_noise=cfg.zero_noise)
 
     truth = sim.generate_trajectory(spec)
     world = sim.generate_world(truth, seed=cfg.seed)
-    world = sim.ensure_coverage(world, truth, DEFAULT_INTRINSICS,
-                                DEFAULT_EXTRINSICS, seed=cfg.seed)
+    world = sim.ensure_coverage(world, truth, seed=cfg.seed)
 
     imu = sim.synthesize_imu(truth, err)
     wheel = sim.synthesize_wheel(truth, err)
@@ -144,13 +139,11 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     dataio.write_csv(paths.wheel, dataio.WHEEL_HEADER, wheel)
     dataio.write_csv(paths.gt, dataio.POSE_HEADER,
                      dataio.pose_rows((s.t, s.nav.pos, s.nav.quat) for s in truth))
-    dataio.save_calib(paths.calib, DEFAULT_INTRINSICS, DEFAULT_EXTRINSICS,
+    dataio.save_calib(paths.calib, DEFAULT_INTRINSICS, sim.CAMERA_EXTRINSICS,
                       spec.rho_sg)
     dataio.save_gyro_params(paths.truth_params, err.params)
 
-    frames = sim.synthesize_bearings(truth, world, DEFAULT_INTRINSICS,
-                                     DEFAULT_EXTRINSICS, err,
-                                     n_slots=cfg.feature_slots)
+    frames = sim.synthesize_bearings(truth, world, err, n_slots=cfg.feature_slots)
     obs = [(t, slot, bearing) for t, seen in frames for slot, bearing in seen]
     dirs = geom.quats_to_dirs(np.array([b for _, _, b in obs]).reshape(-1, 4))
     dataio.write_csv(paths.bearings, dataio.BEARINGS_HEADER,
@@ -163,8 +156,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
         for k, s in enumerate(truth[::sim.CAMERA_STRIDE]):
             if s.t == 0.0:
                 continue
-            img = sim.render_frame(s.nav, world, DEFAULT_INTRINSICS,
-                                   DEFAULT_EXTRINSICS, err, rng)
+            img = sim.render_frame(s.nav, world, err, rng)
             name = f"{k:06d}.pgm"
             save_pgm(paths.frames_dir / name, img)
             frame_rows.append([s.t, f"frames/{name}"])

@@ -31,10 +31,10 @@ class CameraIntrinsics:
     fy: float
     cx: float
     cy: float
-    k1: float = 0.0
-    k2: float = 0.0
-    width: int = 640
-    height: int = 480
+    k1: float
+    k2: float
+    width: int
+    height: int
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:

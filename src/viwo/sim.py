@@ -21,6 +21,13 @@ CAMERA_STRIDE-th sample (10 Hz).
 
 The body origin sits at the rear-axle center, so wheel speed and the lateral
 model need no extra lever arm.
+
+The rig is fixed too: every dataset comes from one camera,
+sensors.DEFAULT_INTRINSICS, mounted as CAMERA_EXTRINSICS, and from one set of
+sensor-noise levels, the *_NOISE constants below.  A dataset either has all
+five noise levels or, with SensorErrorSpec.zero_noise, none of them.
+Other rigs and sensor faults are to be made by editing simulated datasets,
+not by settings here.
 """
 
 from dataclasses import dataclass, field
@@ -32,13 +39,22 @@ from .dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample, NavState,
                        apply_gyro_error, rk4_nav)
 from .features import CameraExtrinsics, landmark_to_feature
 from .image import Image
-from .sensors import CameraIntrinsics, distort, project
+from .sensors import DEFAULT_INTRINSICS, distort, project
 
 IMU_RATE_HZ = 100.0         # IMU, wheel and ground-truth sample rate
 CAMERA_STRIDE = 10          # IMU samples per camera frame: 10 Hz frames
 MAX_LATERAL_ACCEL = 8.0     # m/s^2, feasibility gate for arcs
 ACCEL_LIMIT = 1.5           # m/s^2, longitudinal ramp limit
 BLEND_TIME_S = 1.2          # curvature blend duration
+
+# camera mount: axes aligned with the body, 1.8 m ahead of and 1.2 m above
+# the rear axle
+CAMERA_EXTRINSICS = CameraExtrinsics(np.eye(3), np.array([1.8, 0.0, 1.2]))
+GYRO_NOISE = 2.618e-4       # rad/s/sqrt(Hz)  (0.015 deg/s/sqrt(Hz))
+ACCEL_NOISE = 2.0e-3        # m/s^2/sqrt(Hz)
+WHEEL_NOISE = 0.05          # m/s
+PIXEL_NOISE = 0.5           # px equivalent bearing noise
+IMAGE_NOISE = 0.5           # intensity units (image mode)
 
 
 @dataclass
@@ -79,19 +95,11 @@ class TrajectorySpec:
 
 @dataclass
 class SensorErrorSpec:
+    """Injected gyro errors, the noise seed, and whether the streams carry
+    the *_NOISE levels (the default) or no noise at all."""
     params: GyroParams = field(default_factory=GyroParams)
-    gyro_noise: float = 2.618e-4    # rad/s/sqrt(Hz)  (0.015 deg/s/sqrt(Hz))
-    accel_noise: float = 2.0e-3     # m/s^2/sqrt(Hz)
-    wheel_noise: float = 0.05       # m/s
-    pixel_noise: float = 0.5        # px equivalent bearing noise
-    image_noise: float = 0.5        # intensity units (image mode)
     seed: int = 0
-
-    def __post_init__(self):
-        for name in ("gyro_noise", "accel_noise", "wheel_noise",
-                     "pixel_noise", "image_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+    zero_noise: bool = False
 
 
 @dataclass
@@ -315,10 +323,10 @@ def generate_world(truth: list[TrajectorySample], seed: int = 0) -> np.ndarray:
     return np.array(pts)
 
 
-def visible_landmarks(world: np.ndarray, nav: NavState,
-                      intr: CameraIntrinsics, ext: CameraExtrinsics) -> list[int]:
+def visible_landmarks(world: np.ndarray, nav: NavState) -> list[int]:
     """Indices of world points 2-80 m from the camera that project at
     least 8 px inside the image, nearest first."""
+    intr, ext = DEFAULT_INTRINSICS, CAMERA_EXTRINSICS
     r_wb = geom.quat_to_rot(nav.quat)
     cam_world = nav.pos + r_wb @ ext.lever_arm
     d_cam = (world - cam_world) @ (ext.r_cb @ r_wb.T).T
@@ -339,14 +347,13 @@ def visible_landmarks(world: np.ndarray, nav: NavState,
 
 
 def ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
-                    intr: CameraIntrinsics, ext: CameraExtrinsics,
                     seed: int = 1) -> np.ndarray:
     """Densify the world until every camera pose sees at least 8 landmarks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     pts = list(world)
     for s in truth[::CAMERA_STRIDE]:
         for _ in range(40):
-            vis = visible_landmarks(np.array(pts), s.nav, intr, ext)
+            vis = visible_landmarks(np.array(pts), s.nav)
             if len(vis) >= 8:
                 break
             heading = geom.quats_to_dirs(s.nav.quat)
@@ -361,16 +368,18 @@ def ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
 
 def synthesize_imu(truth: list[TrajectorySample],
                    err: SensorErrorSpec) -> list[ImuSample]:
-    """Measured rates/forces: forward gyro error model plus white noise."""
+    """Measured rates/forces: forward gyro error model plus white noise
+    (none with zero_noise)."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 1]))
-    sg = err.gyro_noise * np.sqrt(IMU_RATE_HZ)
-    sa = err.accel_noise * np.sqrt(IMU_RATE_HZ)
+    noisy = not err.zero_noise
+    sg = GYRO_NOISE * np.sqrt(IMU_RATE_HZ)
+    sa = ACCEL_NOISE * np.sqrt(IMU_RATE_HZ)
     out = []
     for s in truth[1:]:
         omega_m = apply_gyro_error(s.omega, err.params)
-        if sg > 0:
+        if noisy:
             omega_m = omega_m + rng.normal(0.0, sg, 3)
-        accel_m = s.accel + (rng.normal(0.0, sa, 3) if sa > 0 else 0.0)
+        accel_m = s.accel + (rng.normal(0.0, sa, 3) if noisy else 0.0)
         out.append(ImuSample(s.t, omega_m, accel_m))
     return out
 
@@ -385,23 +394,22 @@ def synthesize_wheel(truth: list[TrajectorySample],
         if abs(v) < 5e-3:
             out.append((s.t, 0.0))
         else:
-            n = rng.normal(0.0, err.wheel_noise) if err.wheel_noise > 0 else 0.0
+            n = 0.0 if err.zero_noise else rng.normal(0.0, WHEEL_NOISE)
             out.append((s.t, v + n))
     return out
 
 
 def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
-                        intr: CameraIntrinsics, ext: CameraExtrinsics,
                         err: SensorErrorSpec, n_slots: int = 16):
     """Per-frame (t, slot, bearing) observations with persistent slot ids."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 3]))
-    sigma_tan = err.pixel_noise / intr.fx
+    sigma_tan = PIXEL_NOISE / DEFAULT_INTRINSICS.fx
     slot_of: dict[int, int] = {}
     frames = []
     for s in truth[::CAMERA_STRIDE]:
         if s.t == 0.0:
             continue
-        vis = visible_landmarks(world, s.nav, intr, ext)
+        vis = visible_landmarks(world, s.nav)
         vis_set = set(vis)
         for lm, slot in list(slot_of.items()):
             if lm not in vis_set:
@@ -412,23 +420,24 @@ def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
             if lm not in slot_of and free:
                 slot_of[lm] = free.pop(0)
         observed = sorted(slot_of.items(), key=lambda kv: kv[1])
-        bearings = np.array([landmark_to_feature(world[lm], s.nav, ext).bearing
+        bearings = np.array([landmark_to_feature(world[lm], s.nav,
+                                                 CAMERA_EXTRINSICS).bearing
                              for lm, _ in observed]).reshape(-1, 4)
-        if sigma_tan > 0 and observed:
+        if not err.zero_noise and observed:
             bearings = geom.s2_boxplus_rows(
                 bearings, rng.normal(0.0, sigma_tan, (len(observed), 2)))
         frames.append((s.t, [(slot, q) for (_, slot), q in zip(observed, bearings)]))
     return frames
 
 
-def render_frame(nav: NavState, world: np.ndarray, intr: CameraIntrinsics,
-                 ext: CameraExtrinsics, err: SensorErrorSpec,
-                 rng: np.random.Generator | None = None) -> Image:
+def render_frame(nav: NavState, world: np.ndarray, err: SensorErrorSpec,
+                 rng: np.random.Generator) -> Image:
     """Landmarks drawn as Gaussian blobs (sigma 1.5 px, peak 200) on a
-    uniform background of 10."""
+    uniform background of 10, plus IMAGE_NOISE drawn from rng."""
+    intr = DEFAULT_INTRINSICS
     data = np.full((intr.height, intr.width), 10.0)
-    for idx in visible_landmarks(world, nav, intr, ext):
-        feat = landmark_to_feature(world[idx], nav, ext)
+    for idx in visible_landmarks(world, nav):
+        feat = landmark_to_feature(world[idx], nav, CAMERA_EXTRINSICS)
         (u, v), _ = project(feat.bearing, intr, require_in_image=False)
         lo_u, hi_u = int(max(0, u - 6)), int(min(intr.width, u + 7))
         lo_v, hi_v = int(max(0, v - 6)), int(min(intr.height, v + 7))
@@ -438,8 +447,8 @@ def render_frame(nav: NavState, world: np.ndarray, intr: CameraIntrinsics,
                              np.arange(lo_v, hi_v, dtype=float))
         data[lo_v:hi_v, lo_u:hi_u] += 200.0 * np.exp(
             -((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 1.5 ** 2))
-    if rng is not None and err.image_noise > 0:
-        data = data + rng.normal(0.0, err.image_noise, data.shape)
+    if not err.zero_noise:
+        data = data + rng.normal(0.0, IMAGE_NOISE, data.shape)
     return Image(np.clip(data, 0.0, 255.0))
 
 

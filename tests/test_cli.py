@@ -10,6 +10,8 @@ import pytest
 
 from viwo import dataio
 from viwo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from viwo.sensors import DEFAULT_INTRINSICS
+from viwo.sim import CAMERA_EXTRINSICS
 
 
 def tree_digest(root: Path) -> dict:
@@ -33,6 +35,13 @@ def test_simulate_writes_all_files(mini_dataset):
     for name in ("imu.csv", "wheel.csv", "bearings.csv", "gt.csv",
                  "calib.txt", "truth-params.txt"):
         assert (mini_dataset / name).exists(), name
+
+
+def test_simulated_calib_is_the_rig(mini_dataset):
+    intr, ext, _ = dataio.load_calib(mini_dataset / "calib.txt")
+    assert intr == DEFAULT_INTRINSICS
+    assert np.array_equal(ext.r_cb, CAMERA_EXTRINSICS.r_cb)
+    assert np.array_equal(ext.lever_arm, CAMERA_EXTRINSICS.lever_arm)
 
 
 def test_simulate_deterministic_bytes(tmp_path):

@@ -203,7 +203,7 @@ def test_nav_jacobian_trivial_blocks():
 def test_nav_jacobian_matches_flow_fd(rng):
     from viwo.jacobian_check import fd_flow_matrices, random_sample
     for _ in range(20):
-        s = random_sample(rng, 1)
+        s = random_sample(rng)
         f, _ = nav_linearization(s.nav, s.omega_m, s.params, s.ext)
         fd = fd_flow_matrices(s)[0][0:9, 0:9]
         scale = max(np.max(np.abs(fd)), 1.0)
@@ -220,7 +220,7 @@ def test_nav_param_jacobian_zero_velocity():
 def test_nav_param_jacobian_matches_flow_fd(rng):
     from viwo.jacobian_check import fd_flow_matrices, random_sample
     for _ in range(20):
-        s = random_sample(rng, 1)
+        s = random_sample(rng)
         _, psi = nav_linearization(s.nav, s.omega_m, s.params, s.ext)
         fd = fd_flow_matrices(s)[1][0:9, :]
         scale = max(np.max(np.abs(fd)), 1.0)

@@ -534,13 +534,13 @@ def test_out_of_range_slot_ignored():
     assert not ekf._active.any()
 
 
-def test_reduction_equivalence_bit_identical(rng):
+def test_reduction_equivalence_bit_identical(rng, tmp_path):
     """Parameter channel disabled == plain EKF, bit for bit, over 60 s."""
     from viwo.pipeline import RunConfig, cmd_simulate, load_dataset
     from viwo.sim import Arc, Stop, Straight, TrajectorySpec
     import viwo.pipeline as pl
 
-    cfg = RunConfig(out_dir="/tmp/viwo_red", seed=11,
+    cfg = RunConfig(out_dir=str(tmp_path), seed=11,
                     inject_bias_dps=(0.2, -0.1, 0.3), feature_slots=6)
     spec = TrajectorySpec([Stop(3.0), Straight(200.0, 12.0), Arc(25.0, 90.0, 7.0),
                            Straight(150.0, 12.0)])
@@ -550,7 +550,7 @@ def test_reduction_equivalence_bit_identical(rng):
         cmd_simulate(cfg)
     finally:
         pl.build_scenario = old
-    ds = load_dataset("/tmp/viwo_red", "bearing")
+    ds = load_dataset(tmp_path, "bearing")
 
     noise = NoiseConfig()
     nav0 = NavState.identity()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from viwo.image import (Image, build_pyramid, detect_features,
+import viwo.image
+from viwo.image import (FAST_MIN_DISTANCE_PX, Image, build_pyramid, detect_features,
                         extract_patch_set, intensity_residual, load_pgm,
                         save_pgm)
 
@@ -45,6 +46,25 @@ def test_pgm_round_trip(tmp_path, rng):
     assert np.array_equal(back.data, img.data)
 
 
+def test_pgm_failed_pixel_write_leaves_no_frame(tmp_path, monkeypatch):
+    def open_failing_after_header(*args):
+        fh = open(*args)
+        write_header = fh.write
+
+        def write(data):
+            if not data.startswith(b"P5"):
+                raise OSError("no space left on device")
+            return write_header(data)
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(viwo.image, "open", open_failing_after_header, raising=False)
+    path = tmp_path / "frame.pgm"
+    with pytest.raises(OSError):
+        save_pgm(path, Image(np.zeros((8, 8))))
+    assert not path.exists()
+
+
 def test_downsample_shapes_and_box_mode():
     img = Image(np.arange(16, dtype=float).reshape(4, 4))
     assert img.downsample().data.shape == (2, 2)
@@ -58,27 +78,29 @@ def test_downsample_shapes_and_box_mode():
 
 def test_detect_uniform_image_empty():
     img = Image(np.full((48, 48), 50.0))
-    assert detect_features(img, 10) == []
+    assert detect_features(img) == []
 
 
 def test_detect_single_blob():
     img = gaussian_blob(64, 64, 31.3, 24.8)
-    pts = detect_features(img, 5, threshold=10.0)
+    pts = detect_features(img)
     assert len(pts) >= 1
     u, v = pts[0]
     assert np.hypot(u - 31.3, v - 24.8) < 1.5
 
 
 def test_detect_two_close_blobs_bucketed():
+    # two corners, 4 px apart: closer than the bucket distance
+    assert FAST_MIN_DISTANCE_PX > 4.0
     img = Image(gaussian_blob(64, 64, 30.0, 30.0).data
-                + gaussian_blob(64, 64, 36.0, 30.0).data - 10.0)
-    pts = detect_features(img, 10, min_distance=12.0)
+                + gaussian_blob(64, 64, 34.0, 30.0).data - 10.0)
+    pts = detect_features(img)
     assert len(pts) == 1
 
 
 def test_patch_residual_zero_at_source():
     img = gaussian_blob(64, 64, 31.0, 24.0)
-    pyr = build_pyramid(img, 2)
+    pyr = build_pyramid(img)
     patch = extract_patch_set(pyr, 31.0, 24.0)
     assert patch is not None and len(patch) == 2
     for lvl in range(2):
@@ -90,7 +112,7 @@ def test_patch_residual_linear_ramp_shift():
     # on a pure ramp, a half-pixel shift produces slope * 0.5 residual
     uu = np.meshgrid(np.arange(64, dtype=float), np.arange(64, dtype=float))[0]
     img = Image(2.0 * uu)
-    pyr = build_pyramid(img, 1)
+    pyr = build_pyramid(img)
     patch = extract_patch_set(pyr, 30.0, 30.0)
     res, _ = intensity_residual(patch, pyr, (30.5, 30.0), 0)
     assert np.allclose(res, 1.0, atol=1e-12)
@@ -98,7 +120,7 @@ def test_patch_residual_linear_ramp_shift():
 
 def test_patch_gradient_matches_fd():
     img = gaussian_blob(64, 64, 32.2, 30.7, sigma=4.0, amp=150.0)
-    pyr = build_pyramid(img, 2)
+    pyr = build_pyramid(img)
     patch = extract_patch_set(pyr, 30.3, 29.6)
     h = 1e-6
     for lvl in range(2):
@@ -114,7 +136,7 @@ def test_patch_gradient_matches_fd():
 def test_pyramid_gradient_scales_with_level():
     uu = np.meshgrid(np.arange(64, dtype=float), np.arange(64, dtype=float))[0]
     img = Image(2.0 * uu)  # constant slope 2 per level-0 pixel
-    pyr = build_pyramid(img, 2)
+    pyr = build_pyramid(img)
     patch = extract_patch_set(pyr, 30.0, 30.0)
     _, g0 = intensity_residual(patch, pyr, (30.0, 30.0), 0)
     _, g1 = intensity_residual(patch, pyr, (30.0, 30.0), 1)
@@ -127,7 +149,7 @@ def test_pyramid_gradient_scales_with_level():
 
 def test_patch_out_of_bounds():
     img = gaussian_blob(64, 64, 5.0, 5.0)
-    pyr = build_pyramid(img, 2)
+    pyr = build_pyramid(img)
     assert extract_patch_set(pyr, 2.0, 2.0) is None
     patch = extract_patch_set(pyr, 30.0, 30.0)
     assert intensity_residual(patch, pyr, (1.0, 30.0), 0) is None

@@ -113,7 +113,7 @@ def test_camera_chain_jacobian_fd(rng):
 def test_camera_chain_zero_gradient_zero_rows():
     from viwo.image import Image
     flat = Image(np.full((480, 640), 77.0))
-    pyr = build_pyramid(flat, 2)
+    pyr = build_pyramid(flat)
     patch = extract_patch_set(pyr, 320.0, 240.0)
     out = camera_measurement_jacobian(geom.IDENTITY_QUAT.copy(), patch, pyr, INTR)
     assert out is not None
@@ -165,6 +165,6 @@ def test_vehicle_residual_centered_at_truth(rng):
 
 def test_intrinsics_validation():
     with pytest.raises(ValueError):
-        CameraIntrinsics(-1.0, 500.0, 320.0, 240.0)
+        CameraIntrinsics(-1.0, 500.0, 320.0, 240.0, 0.0, 0.0, 640, 480)
     with pytest.raises(ValueError):
-        CameraIntrinsics(500.0, 500.0, 900.0, 240.0)
+        CameraIntrinsics(500.0, 500.0, 900.0, 240.0, 0.0, 0.0, 640, 480)

@@ -3,16 +3,13 @@ import pytest
 
 from viwo import geom
 from viwo.dynamics import GRAVITY_VEC, GyroParams, correct_gyro, rk4_nav
-from viwo.features import CameraExtrinsics, landmark_to_feature
-from viwo.sensors import CameraIntrinsics
-from viwo.sim import (CAMERA_STRIDE, Arc, SensorErrorSpec, Stop,
-                      Straight, TrajectorySpec, ensure_coverage, generate_trajectory,
-                      generate_world, highway_route, render_frame,
+from viwo.features import landmark_to_feature
+from viwo.sensors import DEFAULT_INTRINSICS
+from viwo.sim import (CAMERA_EXTRINSICS, CAMERA_STRIDE, WHEEL_NOISE, Arc,
+                      SensorErrorSpec, Stop, Straight, TrajectorySpec, ensure_coverage,
+                      generate_trajectory, generate_world, highway_route, render_frame,
                       synthesize_bearings, synthesize_imu, synthesize_wheel,
                       urban_loop, visible_landmarks)
-
-INTR = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, -0.05, 0.01, 640, 480)
-EXT = CameraExtrinsics(np.eye(3), np.array([1.8, 0.0, 1.2]))
 
 
 def test_single_straight_duration_and_heading():
@@ -82,7 +79,7 @@ def test_lateral_model_self_consistency():
 def test_closed_loop_zero_noise():
     spec = urban_loop()
     truth = generate_trajectory(spec)
-    err = SensorErrorSpec(GyroParams(), 0.0, 0.0, 0.0, 0.0, 0.0)
+    err = SensorErrorSpec(GyroParams(), zero_noise=True)
     imu = synthesize_imu(truth, err)
     nav = truth[0].nav.copy()
     t = 0.0
@@ -99,7 +96,7 @@ def test_imu_forward_error_model(rng):
     spec = TrajectorySpec([Straight(50.0, 10.0), Arc(30.0, 45.0, 8.0)])
     truth = generate_trajectory(spec)
     params = GyroParams(np.array([0.01, -0.02, 0.005]), 1.02, 0.01, -0.015)
-    err = SensorErrorSpec(params, 0.0, 0.0, 0.0, 0.0, 0.0)
+    err = SensorErrorSpec(params, zero_noise=True)
     imu = synthesize_imu(truth, err)
     for s, m in list(zip(truth[1:], imu))[::37]:
         assert np.allclose(correct_gyro(m.omega_m, params), s.omega, atol=1e-12)
@@ -109,7 +106,7 @@ def test_injected_standstill_bias_visible():
     spec = TrajectorySpec([Stop(2.0)])
     truth = generate_trajectory(spec)
     bias = np.deg2rad(np.array([0.0, 0.0, 0.5]))
-    err = SensorErrorSpec(GyroParams(bias.copy()), 0.0, 0.0, 0.0, 0.0, 0.0)
+    err = SensorErrorSpec(GyroParams(bias.copy()), zero_noise=True)
     imu = synthesize_imu(truth, err)
     mean_z = np.mean([m.omega_m[2] for m in imu])
     assert abs(mean_z - bias[2]) < 1e-12
@@ -118,13 +115,13 @@ def test_injected_standstill_bias_visible():
 def test_wheel_standstill_and_noise_stats():
     spec = TrajectorySpec([Stop(1.0), Straight(1200.0, 10.0)])
     truth = generate_trajectory(spec)
-    err = SensorErrorSpec(GyroParams(), wheel_noise=0.05, seed=5)
+    err = SensorErrorSpec(GyroParams(), seed=5)
     wheel = synthesize_wheel(truth, err)
     still = [v for t, v in wheel if t < 0.9]
     assert all(v == 0.0 for v in still)
     moving = np.array([v - 10.0 for t, v in wheel if 12.0 < t])  # past the ramp
     assert len(moving) > 10_000
-    assert abs(np.std(moving) - 0.05) / 0.05 < 0.05
+    assert abs(np.std(moving) - WHEEL_NOISE) / WHEEL_NOISE < 0.05
 
 
 def test_determinism_bit_identical():
@@ -145,17 +142,17 @@ def test_world_coverage_invariant():
     spec = urban_loop()
     truth = generate_trajectory(spec)
     world = generate_world(truth, seed=0)
-    world = ensure_coverage(world, truth, INTR, EXT)
+    world = ensure_coverage(world, truth)
     for s in truth[::CAMERA_STRIDE * 5]:
-        assert len(visible_landmarks(world, s.nav, INTR, EXT)) >= 8
+        assert len(visible_landmarks(world, s.nav)) >= 8
 
 
 def test_bearings_match_landmark_oracle():
     spec = TrajectorySpec([Straight(60.0, 10.0)])
     truth = generate_trajectory(spec)
     world = generate_world(truth, seed=1)
-    err = SensorErrorSpec(GyroParams(), pixel_noise=0.0, seed=0)
-    frames = synthesize_bearings(truth, world, INTR, EXT, err, n_slots=8)
+    err = SensorErrorSpec(GyroParams(), seed=0, zero_noise=True)
+    frames = synthesize_bearings(truth, world, err, n_slots=8)
     t_by_time = {round(s.t, 6): s for s in truth}
     checked = 0
     for t, rows in frames[::4]:
@@ -165,7 +162,7 @@ def test_bearings_match_landmark_oracle():
             angles = []
             for pt in world:
                 try:
-                    f = landmark_to_feature(pt, nav, EXT)
+                    f = landmark_to_feature(pt, nav, CAMERA_EXTRINSICS)
                 except ValueError:
                     continue
                 angles.append(np.arccos(np.clip(
@@ -179,8 +176,8 @@ def test_bearing_slot_persistence():
     spec = TrajectorySpec([Straight(120.0, 10.0)])
     truth = generate_trajectory(spec)
     world = generate_world(truth, seed=3)
-    err = SensorErrorSpec(GyroParams(), pixel_noise=0.0)
-    frames = synthesize_bearings(truth, world, INTR, EXT, err, n_slots=6)
+    err = SensorErrorSpec(GyroParams(), zero_noise=True)
+    frames = synthesize_bearings(truth, world, err, n_slots=6)
     # slots persist: most frame-to-frame transitions track one landmark
     # smoothly; occasional jumps mark slot reuse after a track ends
     prev = {}
@@ -205,18 +202,18 @@ def test_bearing_slot_persistence():
     assert best_run >= 10
 
 
-def test_render_frame_blob_positions():
+def test_render_frame_blob_positions(rng):
     spec = TrajectorySpec([Straight(30.0, 5.0)])
     truth = generate_trajectory(spec)
     world = np.array([[25.0, 2.0, 1.5]])
-    err = SensorErrorSpec(GyroParams(), image_noise=0.0)
+    err = SensorErrorSpec(GyroParams(), zero_noise=True)
     nav = truth[0].nav
-    img = render_frame(nav, world, INTR, EXT, err)
+    img = render_frame(nav, world, err, rng)
     from viwo.image import detect_features
     from viwo.sensors import project
-    feat = landmark_to_feature(world[0], nav, EXT)
-    (u, v), _ = project(feat.bearing, INTR)
-    pts = detect_features(img, 3, threshold=10.0)
+    feat = landmark_to_feature(world[0], nav, CAMERA_EXTRINSICS)
+    (u, v), _ = project(feat.bearing, DEFAULT_INTRINSICS)
+    pts = detect_features(img)
     assert pts, "blob not detected"
     assert np.hypot(pts[0][0] - u, pts[0][1] - v) < 0.5
 
