@@ -10,10 +10,14 @@ tree runs the command-line front end as a subprocess with its own
 * ``viwo simulate`` with seed 17 and all six gyro errors injected
   (``--inject-bias 0.3 -0.2 0.5 --inject-yaw-scale 1.01 --inject-misalign
   0.5 0.5``): urban_loop and highway in bearing mode, mini_loop in image mode;
-  and with seed 17, no injected errors and ``--zero-noise``: urban_loop in
-  bearing mode, the acceptance suite's closed-loop (criterion 6) dataset;
+  with seed 17 and no injected errors: mini_loop in image mode, the
+  benchmark's ``mini_image`` data; and with seed 17, no injected errors and
+  ``--zero-noise``: urban_loop in bearing mode, the acceptance suite's
+  closed-loop (criterion 6) dataset;
 * ``viwo run`` on OLD's datasets: urban_loop in bearing mode, with
-  ``--check-psd`` and with ``--wheel-imu-only``, and mini_loop in image mode;
+  ``--check-psd`` and with ``--wheel-imu-only``, and both mini_loop datasets
+  in image mode (with injected errors the image run diverges, so the clean
+  one is the run whose numbers mean something);
 * ``viwo jacobian-check --configs 200 --seed 0``.
 
 It compares the simulated dataset trees file by file, then each run's
@@ -38,12 +42,14 @@ INJECT = ["--inject-bias", "0.3", "-0.2", "0.5",
 SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop", *INJECT],
                "highway": ["--scenario", "highway", *INJECT],
                "mini_loop": ["--scenario", "mini_loop", "--mode", "image", *INJECT],
+               "mini_loop_clean": ["--scenario", "mini_loop", "--mode", "image"],
                "urban_loop_zero_noise": ["--scenario", "urban_loop", "--zero-noise"]}
 # run name -> (dataset, flags)
 RUNS = {"urban_loop bearing": ("urban_loop", []),
         "urban_loop bearing check-psd": ("urban_loop", ["--check-psd"]),
         "urban_loop wheel-imu-only": ("urban_loop", ["--wheel-imu-only"]),
-        "mini_loop image": ("mini_loop", ["--mode", "image"])}
+        "mini_loop image": ("mini_loop", ["--mode", "image"]),
+        "mini_loop_clean image": ("mini_loop_clean", ["--mode", "image"])}
 RUN_FILES = ("trajectory.csv", "params.csv", "final-params.txt")
 AUDIT = ["jacobian-check", "--configs", "200", "--seed", "0"]
 

@@ -14,7 +14,7 @@ units, timestamps in decimal seconds):
 Recorded logs from other sources run once they are written in this layout;
 the README's "Recorded logs" section gives the field mapping.  All writes go
 through a temp-file-and-rename so partially written datasets are never
-observed.
+observed; a failed write removes its temp file.
 """
 
 import io
@@ -42,10 +42,16 @@ class DataError(ValueError):
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write text to <name>.tmp and rename it to path; on failure remove the
+    temp file and re-raise."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -597,18 +597,18 @@ class AdaptiveEkf:
         return groups
 
     def intensity_group(self, slot: int, pyramid: list[Image],
-                        detections: list[tuple[float, float]]) -> RowGroup | None:
+                        detections: np.ndarray) -> RowGroup | None:
         """Camera rows for one feature in image mode.
 
         The template is acquired by a pyramidal KLT alignment started at the
-        single detection inside the prediction gate (none or several
-        candidates: the feature is skipped this frame, rejecting ambiguous
-        associations between identical-looking targets).  Within the
-        photometric basin the rows are the intensity residuals with the full
-        measurement chain (QR-compressed to two rows); when the prior lands
-        farther out, the aligned position becomes a direct bearing
-        observation so the linearization stays valid.  Returns None when not
-        measurable.
+        single detection (a row (u, v) of detections) inside the prediction
+        gate (none or several candidates: the feature is skipped this frame,
+        rejecting ambiguous associations between identical-looking
+        targets).  Within the photometric basin the rows are the intensity
+        residuals with the full measurement chain (QR-compressed to two
+        rows); when the prior lands farther out, the aligned position
+        becomes a direct bearing observation so the linearization stays
+        valid.  Returns None when not measurable.
         """
         patch = self.patches[slot]
         if patch is None:
@@ -621,10 +621,11 @@ class AdaptiveEkf:
         o = NAV_DIM + FEAT_DIM * slot
         sigma_px = np.sqrt(max(self.cov[o, o], self.cov[o + 1, o + 1])) * self.intr.fx
         r_gate = min(3.0 * sigma_px + 3.0, KLT_MAX_SHIFT_PX)
-        near = [(u, v) for u, v in detections if np.hypot(u - u0, v - v0) <= r_gate]
+        near = np.flatnonzero(np.hypot(detections[:, 0] - u0,
+                                       detections[:, 1] - v0) <= r_gate)
         if len(near) != 1:
             return None
-        u, v, ok = klt_align(patch, pyramid, *near[0])
+        u, v, ok = klt_align(patch, pyramid, *detections[near[0]])
         if not ok:
             return None
         cols = np.array([o, o + 1])
@@ -829,10 +830,11 @@ class AdaptiveEkf:
             raise ValueError("image mode requires camera intrinsics")
         pyramid = build_pyramid(img)
         detections = detect_features(img)
+        det_uv = np.array(detections).reshape(-1, 2)
         groups = self._vehicle_and_zupt_groups(t, vehicle)
         measured = set()
         for slot in self.active_slots():
-            g = self.intensity_group(slot, pyramid, detections)
+            g = self.intensity_group(slot, pyramid, det_uv)
             if g is not None:
                 groups.append(g)
                 measured.add(slot)

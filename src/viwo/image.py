@@ -5,6 +5,14 @@ Pixel coordinates are (u, v) with u along columns (x) and v along rows (y);
 the sample at integer (u, v) is the array element [v, u].  Bilinear sampling
 is exact on lattice points and differentiable inside each unit cell; the
 returned gradients are the exact in-cell derivatives of the interpolant.
+
+The front end's floating-point arithmetic is fixed, because rounding-level
+changes move image-mode accuracy by several percent.  The detector, the
+pyramid step and the samplers do the operations of the full-frame
+implementations kept in tests/test_image.py, in the same order, and must
+match them bit for bit; they only make fewer elements go through them, by
+working on flat indices, at the candidate pixels and in strips of rows that
+stay in cache.
 """
 
 import os
@@ -12,56 +20,92 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# rows per strip in the full-frame passes of downsample and detect_features,
+# so that each strip's temporaries stay in cache
+_STRIP_ROWS = 32
+
 
 class Image:
     """Float intensity grid (8-bit scale) with sub-pixel access."""
 
     def __init__(self, data: np.ndarray):
-        self.data = np.asarray(data, dtype=float)
+        # C order, so the samplers and the detector can index the flat buffer
+        self.data = np.ascontiguousarray(data, dtype=float)
         if self.data.ndim != 2:
             raise ValueError("image data must be 2-D")
         self.height, self.width = self.data.shape
 
+    def _cells(self, u, v):
+        """Corner values i00, i01, i10, i11 of the bilinear cell holding each
+        (u, v), clipped to the grid, and the offsets fu, fv inside it."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        u0 = np.minimum(np.maximum(np.floor(u).astype(int), 0), self.width - 2)
+        v0 = np.minimum(np.maximum(np.floor(v).astype(int), 0), self.height - 2)
+        flat = self.data.ravel()
+        i00 = v0 * self.width + u0
+        i10 = i00 + self.width
+        return flat[i00], flat[i00 + 1], flat[i10], flat[i10 + 1], u - u0, v - v0
+
     def sample(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        val, _, _ = self.sample_with_grad(u, v)
-        return val
+        """Bilinear value at (u, v); vectorized."""
+        i00, i01, i10, i11, fu, fv = self._cells(u, v)
+        gu = 1.0 - fu
+        return (i00 * gu + i01 * fu) * (1.0 - fv) + (i10 * gu + i11 * fu) * fv
 
     def sample_with_grad(self, u, v):
         """Bilinear value and exact in-cell gradient at (u, v); vectorized."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u0 = np.clip(np.floor(u).astype(int), 0, self.width - 2)
-        v0 = np.clip(np.floor(v).astype(int), 0, self.height - 2)
-        fu = u - u0
-        fv = v - v0
-        i00 = self.data[v0, u0]
-        i01 = self.data[v0, u0 + 1]
-        i10 = self.data[v0 + 1, u0]
-        i11 = self.data[v0 + 1, u0 + 1]
-        top = i00 * (1.0 - fu) + i01 * fu
-        bot = i10 * (1.0 - fu) + i11 * fu
-        val = top * (1.0 - fv) + bot * fv
-        du = (i01 - i00) * (1.0 - fv) + (i11 - i10) * fv
-        dv = bot - top
-        return val, du, dv
+        i00, i01, i10, i11, fu, fv = self._cells(u, v)
+        gu = 1.0 - fu
+        gv = 1.0 - fv
+        top = i00 * gu + i01 * fu
+        bot = i10 * gu + i11 * fu
+        return top * gv + bot * fv, (i01 - i00) * gv + (i11 - i10) * fv, bot - top
 
     def downsample(self) -> "Image":
         """Half-resolution level: binomial smoothing then 2x2 averaging.
 
         The pre-smoothing widens structures relative to the coarser grid so
-        coarse-to-fine alignment keeps a useful pull-in basin.
+        coarse-to-fine alignment keeps a useful pull-in basin.  Each 5-tap
+        pass sums its terms left to right over edge-replicated borders.
         """
         d = self.data
+        h, w = d.shape
         k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-        pad = np.pad(d, ((0, 0), (2, 2)), mode="edge")
-        d = sum(k[i] * pad[:, i:i + d.shape[1]] for i in range(5))
-        pad = np.pad(d, ((2, 2), (0, 0)), mode="edge")
-        d = sum(k[i] * pad[i:i + d.shape[0], :] for i in range(5))
-        h = (self.height // 2) * 2
-        w = (self.width // 2) * 2
-        d = d[:h, :w]
-        return Image(0.25 * (d[0::2, 0::2] + d[0::2, 1::2]
-                             + d[1::2, 0::2] + d[1::2, 1::2]))
+        hh = (h // 2) * 2
+        ww = (w // 2) * 2
+        out = np.empty((hh // 2, ww // 2))
+        # Each strip of rows is smoothed on a flat copy with 2 edge pixels
+        # added on every side, so that the taps of both passes are
+        # contiguous slices.  The 4 added columns of a row take sums across
+        # row ends and are never read; the 4 zeros after the last row keep
+        # those sums finite.
+        pw = w + 4
+        for r0 in range(0, hh, _STRIP_ROWS):
+            r1 = min(r0 + _STRIP_ROWS, hh)
+            n = r1 - r0
+            m = (n + 4) * pw
+            flat = np.empty(m + 4)
+            flat[m:] = 0.0
+            pad = flat[:m].reshape(n + 4, pw)
+            np.take(d, np.arange(r0 - 2, r1 + 2), axis=0, mode="clip", out=pad[:, 2:w + 2])
+            pad[:, :2] = pad[:, 2:3]
+            pad[:, w + 2:] = pad[:, w + 1:w + 2]
+            term = np.empty(m)
+            across = np.multiply(flat[0:m], k[0])
+            for i in range(1, 5):
+                across += np.multiply(flat[i:i + m], k[i], out=term)
+            term = term[:n * pw]
+            down = np.multiply(across[0:n * pw], k[0])
+            for i in range(1, 5):
+                down += np.multiply(across[i * pw:(i + n) * pw], k[i], out=term)
+            down = down.reshape(n, pw)
+            quad = out[r0 // 2:r1 // 2]
+            np.add(down[0::2, 0:ww:2], down[0::2, 1:ww:2], out=quad)
+            quad += down[1::2, 0:ww:2]
+            quad += down[1::2, 1:ww:2]
+            quad *= 0.25
+        return Image(out)
 
 
 def load_pgm(path) -> Image:
@@ -87,8 +131,11 @@ def load_pgm(path) -> Image:
     if tokens[0] != b"P5":
         raise ValueError(f"not a binary PGM: magic {tokens[0]!r}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval > 255:
-        raise ValueError("only 8-bit PGM supported")
+    for name, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise ValueError(f"PGM {name} {size}: must be at least 1")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"PGM maxval {maxval}: only 8-bit PGM (maxval 1 to 255) supported")
     idx += 1  # single whitespace after maxval
     pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=idx)
     return Image(pixels.reshape(height, width).astype(float))
@@ -96,13 +143,19 @@ def load_pgm(path) -> Image:
 
 def save_pgm(path, img: Image) -> None:
     """Write a binary (P5) 8-bit PGM through a temp file and a rename, so a
-    failed write leaves no partial frame at path."""
-    data = np.clip(np.round(img.data), 0, 255).astype(np.uint8)
+    failed write leaves neither a partial frame at path nor the temp file."""
+    data = np.round(img.data)
+    data = np.clip(data, 0, 255, out=data).astype(np.uint8)
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode())
-        fh.write(data.tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(f"P5\n{img.width} {img.height}\n255\n".encode())
+            fh.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # --- FAST-9/16 corner detection ---------------------------------------------
@@ -120,13 +173,15 @@ _FAST_OFFSETS = np.array([
 
 
 def _contiguous_at_least(mask: np.ndarray) -> np.ndarray:
-    """True where a 16-bit circular mask (n,16) has >= 9 contiguous Trues."""
-    doubled = np.concatenate([mask, mask], axis=1).astype(np.int16)
-    best = np.zeros(mask.shape[0], dtype=np.int16)
-    cur = np.zeros(mask.shape[0], dtype=np.int16)
-    for k in range(doubled.shape[1]):
-        cur = (cur + 1) * doubled[:, k]
-        best = np.maximum(best, cur)
+    """True where a column of a 16-row circular mask (16, n) has >= 9
+    contiguous Trues."""
+    best = np.zeros(mask.shape[1], dtype=np.int16)
+    cur = np.zeros(mask.shape[1], dtype=np.int16)
+    # a circular run of 9 or more lies whole in entries 0 to 23 (16 + 8)
+    for k in range(16 + 8):
+        cur += 1
+        cur *= mask[k % 16]
+        np.maximum(best, cur, out=best)
     return best >= 9
 
 
@@ -139,60 +194,72 @@ def detect_features(img: Image) -> list[tuple[float, float]]:
     h, w = d.shape
     if h < 8 or w < 8:
         return []
-    center = d[3:h - 3, 3:w - 3]
+    # pixels are flat indices into d; the ring of a pixel 3 or more rows
+    # from the top and bottom lies inside d, and a pixel within 3 columns of
+    # the left or right edge (its ring would wrap onto another row) is
+    # dropped
+    flat = d.ravel()
+    ring_at = _FAST_OFFSETS[:, 1] * w + _FAST_OFFSETS[:, 0]
 
     # high-speed pretest on the four compass points: a 9-contiguous ring
-    # needs at least two of them on the same side of the threshold band
-    compass_hits_b = np.zeros(center.shape, dtype=np.int8)
-    compass_hits_d = np.zeros(center.shape, dtype=np.int8)
-    for k in (0, 4, 8, 12):
-        du, dv = _FAST_OFFSETS[k]
-        val = d[3 + dv:h - 3 + dv, 3 + du:w - 3 + du]
-        compass_hits_b += val > center + FAST_THRESHOLD
-        compass_hits_d += val < center - FAST_THRESHOLD
-    cand_mask = (compass_hits_b >= 2) | (compass_hits_d >= 2)
-    if not cand_mask.any():
+    # needs at least two of them on the same side of the threshold band;
+    # whole rows at a time, in strips
+    found = []
+    for r0 in range(3, h - 3, _STRIP_ROWS):
+        a, b = r0 * w, min(r0 + _STRIP_ROWS, h - 3) * w
+        center = flat[a:b]
+        hi = center + FAST_THRESHOLD
+        lo = center - FAST_THRESHOLD
+        compass_hits_b = np.zeros(b - a, dtype=np.int8)
+        compass_hits_d = np.zeros(b - a, dtype=np.int8)
+        for k in (0, 4, 8, 12):
+            val = flat[a + ring_at[k]:b + ring_at[k]]
+            compass_hits_b += val > hi
+            compass_hits_d += val < lo
+        found.append(a + np.flatnonzero((compass_hits_b >= 2) | (compass_hits_d >= 2)))
+    at = np.concatenate(found)
+    col = at % w
+    at = at[(col >= 3) & (col < w - 3)]
+    if len(at) == 0:
         return []
-    vs0, us0 = np.nonzero(cand_mask)
 
-    ring = np.empty((16, len(vs0)))
-    for k, (du, dv) in enumerate(_FAST_OFFSETS):
-        ring[k] = d[vs0 + 3 + dv, us0 + 3 + du]
-    c = center[vs0, us0]
-    brighter = (ring > c[None] + FAST_THRESHOLD).T
-    darker = (ring < c[None] - FAST_THRESHOLD).T
-    is_corner = _contiguous_at_least(brighter) | _contiguous_at_least(darker)
+    ring = flat[at + ring_at[:, None]]
+    c = flat[at]
+    is_corner = (_contiguous_at_least(ring > c + FAST_THRESHOLD)
+                 | _contiguous_at_least(ring < c - FAST_THRESHOLD))
     if not is_corner.any():
         return []
-    vs0, us0 = vs0[is_corner], us0[is_corner]
+    at = at[is_corner]
     ring = ring[:, is_corner]
     c = c[is_corner]
 
     # score: sum of absolute exceedances over the threshold
-    score_vals = np.maximum(np.abs(ring - c[None]) - FAST_THRESHOLD, 0.0).sum(axis=0)
-    score = np.zeros(center.shape)
-    score[vs0, us0] = score_vals
+    score = np.maximum(np.abs(ring - c) - FAST_THRESHOLD, 0.0).sum(axis=0)
 
-    # 3x3 non-max suppression
-    padded = np.pad(score, 1, constant_values=0.0)
-    neigh = np.max(np.stack([padded[i:i + score.shape[0], j:j + score.shape[1]]
-                             for i in range(3) for j in range(3) if not (i == 1 and j == 1)]),
-                   axis=0)
-    keep = (score > 0.0) & (score >= neigh)
-    vs, us = np.nonzero(keep)
-    if len(us) == 0:
+    # 3x3 non-max suppression: a neighbour that is no corner scores 0 (at
+    # is sorted, so searchsorted finds the corners among the neighbours)
+    nb = at + np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])[:, None]
+    j = np.minimum(np.searchsorted(at, nb), len(at) - 1)
+    neigh = np.where(at[j] == nb, score[j], 0.0)
+    keep = (score > 0.0) & (score >= neigh.max(axis=0))
+    if not keep.any():
         return []
-    order = np.argsort(score[vs, us])[::-1]
-    cand = [(float(us[i] + 3), float(vs[i] + 3)) for i in order]
+    vs, us = np.divmod(at[keep], w)
+    us = us.tolist()
+    vs = vs.tolist()
+    order = np.argsort(score[keep])[::-1]
 
     out: list[tuple[float, float]] = []
-    taken: list[np.ndarray] = []
-    for u, v in cand:
-        pt = np.array([u, v])
-        if any(np.hypot(*(pt - q)) < FAST_MIN_DISTANCE_PX for q in taken):
+    taken_u = np.empty(FAST_MAX_CORNERS)
+    taken_v = np.empty(FAST_MAX_CORNERS)
+    for i in order:
+        u, v = float(us[i]), float(vs[i])
+        n = len(out)
+        if (np.hypot(u - taken_u[:n], v - taken_v[:n]) < FAST_MIN_DISTANCE_PX).any():
             continue
         out.append((u, v))
-        taken.append(pt)
+        taken_u[n] = u
+        taken_v[n] = v
         if len(out) >= FAST_MAX_CORNERS:
             break
     return out

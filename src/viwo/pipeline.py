@@ -336,6 +336,10 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
                 img = load_pgm(path)
             except ValueError as exc:
                 raise dataio.DataError(f"{path}: {exc}") from None
+            if (img.width, img.height) != (ds.intr.width, ds.intr.height):
+                raise dataio.DataError(
+                    f"{path}: frame is {img.width}x{img.height} px, calib.txt "
+                    f"cam.width x cam.height is {ds.intr.width}x{ds.intr.height}")
             return ekf.process_image_frame(t, img, veh)
 
     frame_idx = 0

@@ -448,8 +448,8 @@ def render_frame(nav: NavState, world: np.ndarray, err: SensorErrorSpec,
         data[lo_v:hi_v, lo_u:hi_u] += 200.0 * np.exp(
             -((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 1.5 ** 2))
     if not err.zero_noise:
-        data = data + rng.normal(0.0, IMAGE_NOISE, data.shape)
-    return Image(np.clip(data, 0.0, 255.0))
+        data += rng.normal(0.0, IMAGE_NOISE, data.shape)
+    return Image(np.clip(data, 0.0, 255.0, out=data))
 
 
 # --- scenario presets -----------------------------------------------------------

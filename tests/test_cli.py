@@ -517,6 +517,24 @@ def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut):
     assert "data error" in proc.stderr and "000001.pgm" in proc.stderr
 
 
+def test_frame_size_differs_from_calib_exit_data(mini_dataset, tmp_path, capsys):
+    # a frame cropped to 320x240 against the 640x480 of calib.txt
+    from viwo.image import Image, save_pgm
+    ds = tmp_path / "frames"
+    shutil.copytree(mini_dataset, ds)
+    (ds / "frames").mkdir()
+    save_pgm(ds / "frames" / "000001.pgm", Image(np.full((240, 320), 90.0)))
+    t = dataio.read_csv(ds / "imu.csv", dataio.IMU_HEADER)[100, 0]
+    dataio.write_csv(ds / "frames.csv", dataio.FRAMES_HEADER,
+                     [[t, "frames/000001.pgm"]])
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out"),
+                 "--mode", "image"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "000001.pgm" in err
+    assert "320x240" in err and f"{DEFAULT_INTRINSICS.width}x{DEFAULT_INTRINSICS.height}" in err
+
+
 def _nan_stamp(t):
     t[4] = np.nan
     return t

@@ -17,6 +17,19 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(back, rows)   # 17 significant digits round-trip
 
 
+def test_csv_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    def write_then_fail(self, text):
+        with open(self, "w") as fh:
+            fh.write(text[:10])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(dataio.Path, "write_text", write_then_fail)
+    path = tmp_path / "wheel.csv"
+    with pytest.raises(OSError):
+        dataio.write_csv(path, dataio.WHEEL_HEADER, [[0.0, 1.0], [0.1, 1.5]])
+    assert list(tmp_path.iterdir()) == [], "a partial file or the temp file is left behind"
+
+
 def test_csv_wrong_header(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b\n1,2\n")

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 import viwo.image
-from viwo.image import (FAST_MIN_DISTANCE_PX, Image, build_pyramid, detect_features,
-                        extract_patch_set, intensity_residual, load_pgm,
-                        save_pgm)
+from viwo.dynamics import GyroParams
+from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
+                        FAST_THRESHOLD, Image, _contiguous_at_least, build_pyramid,
+                        detect_features, extract_patch_set, intensity_residual,
+                        load_pgm, save_pgm)
+from viwo.sim import (SensorErrorSpec, Straight, TrajectorySpec, generate_trajectory,
+                      generate_world, render_frame)
 
 
 def gaussian_blob(width, height, u0, v0, sigma=1.5, amp=200.0, bg=10.0):
@@ -63,6 +67,7 @@ def test_pgm_failed_pixel_write_leaves_no_frame(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_pgm(path, Image(np.zeros((8, 8))))
     assert not path.exists()
+    assert list(tmp_path.iterdir()) == [], "the temp file is left behind"
 
 
 def test_downsample_shapes_and_box_mode():
@@ -160,3 +165,212 @@ def test_load_pgm_rejects_bad_magic(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(ValueError):
         load_pgm(path)
+
+
+@pytest.mark.parametrize("header, field", [
+    (b"P5 -1 1 255\n", "width"),
+    (b"P5 1 -1 255\n", "height"),
+    (b"P5 0 0 255\n", "width"),
+    (b"P5 2 2 0\n", "maxval"),
+    (b"P5 2 2 256\n", "maxval"),
+], ids=["negative_width", "negative_height", "zero_size", "maxval_zero", "maxval_16bit"])
+def test_load_pgm_rejects_bad_size_or_maxval(tmp_path, header, field):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ValueError, match=field):
+        load_pgm(path)
+
+
+# --- bit-identity with the full-frame implementations -------------------------
+# The three functions below are the earlier full-frame front end, kept as the
+# reference: the detector, the pyramid step and the sampler must return
+# exactly what they return, bit for bit.
+
+def reference_contiguous_at_least(mask):
+    doubled = np.concatenate([mask, mask], axis=1).astype(np.int16)
+    best = np.zeros(mask.shape[0], dtype=np.int16)
+    cur = np.zeros(mask.shape[0], dtype=np.int16)
+    for k in range(doubled.shape[1]):
+        cur = (cur + 1) * doubled[:, k]
+        best = np.maximum(best, cur)
+    return best >= 9
+
+
+def reference_detect_features(img):
+    d = img.data
+    h, w = d.shape
+    if h < 8 or w < 8:
+        return []
+    center = d[3:h - 3, 3:w - 3]
+
+    compass_hits_b = np.zeros(center.shape, dtype=np.int8)
+    compass_hits_d = np.zeros(center.shape, dtype=np.int8)
+    for k in (0, 4, 8, 12):
+        du, dv = _FAST_OFFSETS[k]
+        val = d[3 + dv:h - 3 + dv, 3 + du:w - 3 + du]
+        compass_hits_b += val > center + FAST_THRESHOLD
+        compass_hits_d += val < center - FAST_THRESHOLD
+    cand_mask = (compass_hits_b >= 2) | (compass_hits_d >= 2)
+    if not cand_mask.any():
+        return []
+    vs0, us0 = np.nonzero(cand_mask)
+
+    ring = np.empty((16, len(vs0)))
+    for k, (du, dv) in enumerate(_FAST_OFFSETS):
+        ring[k] = d[vs0 + 3 + dv, us0 + 3 + du]
+    c = center[vs0, us0]
+    brighter = (ring > c[None] + FAST_THRESHOLD).T
+    darker = (ring < c[None] - FAST_THRESHOLD).T
+    is_corner = reference_contiguous_at_least(brighter) | reference_contiguous_at_least(darker)
+    if not is_corner.any():
+        return []
+    vs0, us0 = vs0[is_corner], us0[is_corner]
+    ring = ring[:, is_corner]
+    c = c[is_corner]
+
+    score_vals = np.maximum(np.abs(ring - c[None]) - FAST_THRESHOLD, 0.0).sum(axis=0)
+    score = np.zeros(center.shape)
+    score[vs0, us0] = score_vals
+
+    padded = np.pad(score, 1, constant_values=0.0)
+    neigh = np.max(np.stack([padded[i:i + score.shape[0], j:j + score.shape[1]]
+                             for i in range(3) for j in range(3) if not (i == 1 and j == 1)]),
+                   axis=0)
+    keep = (score > 0.0) & (score >= neigh)
+    vs, us = np.nonzero(keep)
+    if len(us) == 0:
+        return []
+    order = np.argsort(score[vs, us])[::-1]
+    cand = [(float(us[i] + 3), float(vs[i] + 3)) for i in order]
+
+    out = []
+    taken = []
+    for u, v in cand:
+        pt = np.array([u, v])
+        if any(np.hypot(*(pt - q)) < FAST_MIN_DISTANCE_PX for q in taken):
+            continue
+        out.append((u, v))
+        taken.append(pt)
+        if len(out) >= FAST_MAX_CORNERS:
+            break
+    return out
+
+
+def reference_downsample(img):
+    d = img.data
+    k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    pad = np.pad(d, ((0, 0), (2, 2)), mode="edge")
+    d = sum(k[i] * pad[:, i:i + d.shape[1]] for i in range(5))
+    pad = np.pad(d, ((2, 2), (0, 0)), mode="edge")
+    d = sum(k[i] * pad[i:i + d.shape[0], :] for i in range(5))
+    h = (img.height // 2) * 2
+    w = (img.width // 2) * 2
+    d = d[:h, :w]
+    return 0.25 * (d[0::2, 0::2] + d[0::2, 1::2] + d[1::2, 0::2] + d[1::2, 1::2])
+
+
+def reference_sample_with_grad(img, u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u0 = np.clip(np.floor(u).astype(int), 0, img.width - 2)
+    v0 = np.clip(np.floor(v).astype(int), 0, img.height - 2)
+    fu = u - u0
+    fv = v - v0
+    i00 = img.data[v0, u0]
+    i01 = img.data[v0, u0 + 1]
+    i10 = img.data[v0 + 1, u0]
+    i11 = img.data[v0 + 1, u0 + 1]
+    top = i00 * (1.0 - fu) + i01 * fu
+    bot = i10 * (1.0 - fu) + i11 * fu
+    val = top * (1.0 - fv) + bot * fv
+    du = (i01 - i00) * (1.0 - fv) + (i11 - i10) * fv
+    dv = bot - top
+    return val, du, dv
+
+
+def rendered_frames(seed):
+    """Two noisy simulated camera frames of a seeded landmark world."""
+    truth = generate_trajectory(TrajectorySpec([Straight(30.0, 5.0)]))
+    world = generate_world(truth, seed=seed)
+    err = SensorErrorSpec(GyroParams(), seed=seed)
+    rng = np.random.default_rng(seed)
+    return [render_frame(truth[k].nav, world, err, rng) for k in (0, len(truth) // 2)]
+
+
+def _test_images():
+    rng = np.random.default_rng(7)
+    yield "uniform", np.full((48, 48), 50.0)
+    yield "8x8", rng.uniform(0.0, 255.0, (8, 8))
+    yield "odd", rng.uniform(0.0, 255.0, (37, 53))
+    yield "odd_tall", rng.uniform(0.0, 255.0, (61, 9))
+    yield "tiny", rng.uniform(0.0, 255.0, (3, 5))
+    yield "1x1", np.full((1, 1), 7.0)
+    yield "float", rng.normal(100.0, 40.0, (120, 160))
+    yield "random_640x480", rng.uniform(0.0, 255.0, (480, 640))
+    # few levels: many FAST scores tie, so the sort order of ties is tested
+    yield "quantized", 40.0 * rng.integers(0, 4, (96, 128)).astype(float)
+    yield "quantized_fine", np.round(rng.uniform(0.0, 60.0, (64, 80)))
+    for seed in (1, 2, 3):
+        for i, img in enumerate(rendered_frames(seed)):
+            yield f"rendered_seed{seed}_{i}", img.data
+
+
+TEST_IMAGES = dict(_test_images())
+
+
+def test_contiguous_run_matches_reference_on_every_ring():
+    rings = ((np.arange(1 << 16)[:, None] >> np.arange(16)) & 1).astype(bool)
+    assert np.array_equal(_contiguous_at_least(rings.T),
+                          reference_contiguous_at_least(rings))
+
+
+@pytest.mark.parametrize("name", TEST_IMAGES)
+def test_detect_features_matches_reference(name):
+    img = Image(TEST_IMAGES[name])
+    assert detect_features(img) == reference_detect_features(img)
+
+
+def test_reference_cases_reach_the_corner_limit_and_tie():
+    # the cases above exercise the early stop and equal scores
+    assert len(reference_detect_features(Image(TEST_IMAGES["random_640x480"]))) \
+        == FAST_MAX_CORNERS
+    assert reference_detect_features(Image(TEST_IMAGES["uniform"])) == []
+    img = Image(TEST_IMAGES["quantized"])
+    pts = reference_detect_features(img)
+    d = img.data
+    scores = [np.maximum(np.abs(d[int(v) + _FAST_OFFSETS[:, 1], int(u) + _FAST_OFFSETS[:, 0]]
+                                - d[int(v), int(u)]) - FAST_THRESHOLD, 0.0).sum()
+              for u, v in pts]
+    assert len(pts) > 10 and len(set(scores)) < len(scores)
+
+
+@pytest.mark.parametrize("name", TEST_IMAGES)
+def test_downsample_matches_reference(name):
+    img = Image(TEST_IMAGES[name])
+    got = img.downsample().data
+    want = reference_downsample(img)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["8x8", "odd", "float", "rendered_seed1_0"])
+def test_sample_matches_reference(name):
+    img = Image(TEST_IMAGES[name])
+    rng = np.random.default_rng(11)
+    h, w = img.data.shape
+    u = np.concatenate([
+        rng.uniform(0.0, w - 1.0, 200),                       # inside
+        rng.integers(0, w, 40).astype(float),                 # on the lattice
+        [0.0, w - 1.0, w - 2.0, 0.0, w - 1.0, 0.5, w - 1.5],  # on the border
+        rng.uniform(-5.0, w + 4.0, 60)])                      # outside: clipped
+    v = np.concatenate([
+        rng.uniform(0.0, h - 1.0, 200),
+        rng.integers(0, h, 40).astype(float),
+        [0.0, h - 1.0, 0.0, h - 2.0, h - 1.0, h - 1.5, 0.5],
+        rng.uniform(-5.0, h + 4.0, 60)])
+    want = reference_sample_with_grad(img, u, v)
+    got = img.sample_with_grad(u, v)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert img.sample(u, v).tobytes() == want[0].tobytes()
+    # a scalar point, as the patch samplers never pass but callers may
+    assert img.sample(3.25, 2.5) == reference_sample_with_grad(img, 3.25, 2.5)[0]
