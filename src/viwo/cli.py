@@ -105,6 +105,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "jacobian-check":
             from .jacobian_check import format_report, run_audit
+            if args.configs < 1:
+                raise ValueError(f"--configs {args.configs}: must be at least 1")
             worst = run_audit(args.configs, args.seed)
             text, ok = format_report(worst)
             print(text)

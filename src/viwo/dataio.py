@@ -19,7 +19,6 @@ observed; a failed write removes its temp file.
 
 import io
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -243,44 +242,19 @@ def load_gyro_params(path) -> GyroParams:
         raise DataError(f"{path}: {exc}") from None
 
 
-@dataclass
 class DatasetPaths:
-    root: Path
+    """The files of a dataset directory."""
 
     def __init__(self, root):
         self.root = Path(root)
-
-    @property
-    def imu(self):
-        return self.root / "imu.csv"
-
-    @property
-    def wheel(self):
-        return self.root / "wheel.csv"
-
-    @property
-    def bearings(self):
-        return self.root / "bearings.csv"
-
-    @property
-    def frames_csv(self):
-        return self.root / "frames.csv"
-
-    @property
-    def frames_dir(self):
-        return self.root / "frames"
-
-    @property
-    def gt(self):
-        return self.root / "gt.csv"
-
-    @property
-    def calib(self):
-        return self.root / "calib.txt"
-
-    @property
-    def truth_params(self):
-        return self.root / "truth-params.txt"
+        self.imu = self.root / "imu.csv"
+        self.wheel = self.root / "wheel.csv"
+        self.bearings = self.root / "bearings.csv"
+        self.frames_csv = self.root / "frames.csv"
+        self.frames_dir = self.root / "frames"
+        self.gt = self.root / "gt.csv"
+        self.calib = self.root / "calib.txt"
+        self.truth_params = self.root / "truth-params.txt"
 
 
 def pose_rows(records) -> list:

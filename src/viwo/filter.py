@@ -830,11 +830,10 @@ class AdaptiveEkf:
             raise ValueError("image mode requires camera intrinsics")
         pyramid = build_pyramid(img)
         detections = detect_features(img)
-        det_uv = np.array(detections).reshape(-1, 2)
         groups = self._vehicle_and_zupt_groups(t, vehicle)
         measured = set()
         for slot in self.active_slots():
-            g = self.intensity_group(slot, pyramid, det_uv)
+            g = self.intensity_group(slot, pyramid, detections)
             if g is not None:
                 groups.append(g)
                 measured.add(slot)
@@ -845,25 +844,27 @@ class AdaptiveEkf:
         # from the features still being tracked
         free = [int(i) for i in np.nonzero(~self._active)[0]]
         if free:
-            taken = []
+            # every slot adds at most one taken position
+            taken = np.empty((self.capacity, 2))
+            m = 0
             for slot in self.active_slots():
                 try:
-                    (u, v), _ = project(self._qf[slot], self.intr)
-                    taken.append(np.array([u, v]))
+                    taken[m], _ = project(self._qf[slot], self.intr)
                 except ProjectionError:
                     continue
+                m += 1
             for u, v in detections:
                 if not free:
                     break
-                pt = np.array([u, v])
-                if any(np.hypot(*(pt - q)) < 12.0 for q in taken):
+                if (np.hypot(u - taken[:m, 0], v - taken[:m, 1]) < 12.0).any():
                     continue
                 patch = extract_patch_set(pyramid, u, v)
                 if patch is None:
                     continue
                 self.init_feature(free.pop(0), unproject(u, v, self.intr),
                                   patch=patch)
-                taken.append(pt)
+                taken[m] = u, v
+                m += 1
         self._check_covariances()
         return report
 

@@ -109,7 +109,7 @@ class Image:
 
 
 def load_pgm(path) -> Image:
-    """Read a binary (P5) 8-bit PGM."""
+    """Read a binary (P5) 8-bit PGM, scaled to maxval 255."""
     with open(path, "rb") as fh:
         raw = fh.read()
     tokens = []
@@ -138,7 +138,11 @@ def load_pgm(path) -> Image:
         raise ValueError(f"PGM maxval {maxval}: only 8-bit PGM (maxval 1 to 255) supported")
     idx += 1  # single whitespace after maxval
     pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=idx)
-    return Image(pixels.reshape(height, width).astype(float))
+    top = int(pixels.max())
+    if top > maxval:
+        raise ValueError(f"PGM pixel value {top} above maxval {maxval}")
+    # to the 8-bit scale; at maxval 255 a multiply by 1.0
+    return Image(pixels.reshape(height, width) * (255.0 / maxval))
 
 
 def save_pgm(path, img: Image) -> None:
@@ -185,15 +189,15 @@ def _contiguous_at_least(mask: np.ndarray) -> np.ndarray:
     return best >= 9
 
 
-def detect_features(img: Image) -> list[tuple[float, float]]:
+def detect_features(img: Image) -> np.ndarray:
     """FAST-9/16 corners at FAST_THRESHOLD, strongest first, non-max
-    suppressed and bucketed FAST_MIN_DISTANCE_PX apart.  Returns up to
-    FAST_MAX_CORNERS (u, v) tuples; may return fewer.
+    suppressed and bucketed FAST_MIN_DISTANCE_PX apart.  Returns an (n, 2)
+    array of (u, v) rows, n at most FAST_MAX_CORNERS and possibly 0.
     """
     d = img.data
     h, w = d.shape
     if h < 8 or w < 8:
-        return []
+        return np.empty((0, 2))
     # pixels are flat indices into d; the ring of a pixel 3 or more rows
     # from the top and bottom lies inside d, and a pixel within 3 columns of
     # the left or right edge (its ring would wrap onto another row) is
@@ -220,15 +224,13 @@ def detect_features(img: Image) -> list[tuple[float, float]]:
     at = np.concatenate(found)
     col = at % w
     at = at[(col >= 3) & (col < w - 3)]
-    if len(at) == 0:
-        return []
 
     ring = flat[at + ring_at[:, None]]
     c = flat[at]
     is_corner = (_contiguous_at_least(ring > c + FAST_THRESHOLD)
                  | _contiguous_at_least(ring < c - FAST_THRESHOLD))
     if not is_corner.any():
-        return []
+        return np.empty((0, 2))
     at = at[is_corner]
     ring = ring[:, is_corner]
     c = c[is_corner]
@@ -242,27 +244,22 @@ def detect_features(img: Image) -> list[tuple[float, float]]:
     j = np.minimum(np.searchsorted(at, nb), len(at) - 1)
     neigh = np.where(at[j] == nb, score[j], 0.0)
     keep = (score > 0.0) & (score >= neigh.max(axis=0))
-    if not keep.any():
-        return []
     vs, us = np.divmod(at[keep], w)
     us = us.tolist()
     vs = vs.tolist()
     order = np.argsort(score[keep])[::-1]
 
-    out: list[tuple[float, float]] = []
-    taken_u = np.empty(FAST_MAX_CORNERS)
-    taken_v = np.empty(FAST_MAX_CORNERS)
+    out = np.empty((FAST_MAX_CORNERS, 2))
+    n = 0
     for i in order:
-        u, v = float(us[i]), float(vs[i])
-        n = len(out)
-        if (np.hypot(u - taken_u[:n], v - taken_v[:n]) < FAST_MIN_DISTANCE_PX).any():
+        u, v = us[i], vs[i]
+        if (np.hypot(u - out[:n, 0], v - out[:n, 1]) < FAST_MIN_DISTANCE_PX).any():
             continue
-        out.append((u, v))
-        taken_u[n] = u
-        taken_v[n] = v
-        if len(out) >= FAST_MAX_CORNERS:
+        out[n] = u, v
+        n += 1
+        if n == FAST_MAX_CORNERS:
             break
-    return out
+    return out[:n]
 
 
 # --- patches -----------------------------------------------------------------
@@ -282,7 +279,7 @@ class PatchLevel:
     """Template of one pyramid level; a patch is a list of these, level 0
     first."""
     intensities: np.ndarray   # (p*p,) at the PATCH_GRID points
-    grad: np.ndarray          # (p*p, 2) d(intensity)/d(level pixel)
+    grad: np.ndarray          # (p*p, 2) d(intensity)/d(level-0 pixel)
 
 
 def _patch_points(img: Image, cu: float, cv: float):
@@ -307,7 +304,9 @@ def extract_patch_set(pyramid: list[Image], u: float,
                       v: float) -> list[PatchLevel] | None:
     """Extract patches at (u, v) (level-0 pixels) from every pyramid level.
 
-    Returns None if the footprint leaves any level.
+    Each level's gradient is divided by the level's scale, a power of two
+    (so exactly), to give it per level-0 pixel.  Returns None if the
+    footprint leaves any level.
     """
     out = []
     for lvl, img in enumerate(pyramid):
@@ -316,7 +315,7 @@ def extract_patch_set(pyramid: list[Image], u: float,
         if pts is None:
             return None
         val, du, dv = img.sample_with_grad(*pts)
-        out.append(PatchLevel(val, np.stack([du, dv], axis=1)))
+        out.append(PatchLevel(val, np.stack([du, dv], axis=1) / scale))
     return out
 
 
@@ -332,7 +331,7 @@ def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float,
     u, v = float(u0), float(v0)
     converged = False
     for level in reversed(range(len(patch))):
-        g = patch[level].grad / (2.0 ** level)    # d(residual)/d(level-0 px)
+        g = patch[level].grad
         gtg = g.T @ g
         det = gtg[0, 0] * gtg[1, 1] - gtg[0, 1] * gtg[1, 0]
         if det < 1e-12:
@@ -342,7 +341,7 @@ def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float,
             res = intensity_residual(patch, pyramid, (u, v), level)
             if res is None:
                 return u, v, False
-            step = ginv @ (g.T @ res[0])
+            step = ginv @ (g.T @ res)
             u -= step[0]
             v -= step[1]
             if np.hypot(u - u0, v - v0) > 6.0:
@@ -356,17 +355,11 @@ def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float,
 
 
 def intensity_residual(patch: list[PatchLevel], pyramid: list[Image],
-                       at: tuple[float, float],
-                       level: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-pixel intensity error and its gradient w.r.t. the level-0 pixel.
-
-    residual = image(sample points around `at`) - template.  The gradient
-    matrix uses the stored template gradients (valid near convergence) scaled
-    by the pyramid factor.  Returns None when the footprint leaves the image.
-    """
-    lv = patch[level]
+                       at: tuple[float, float], level: int) -> np.ndarray | None:
+    """Per-pixel intensity error of one level, image(sample points around
+    `at`) - template, or None when the footprint leaves the image."""
     scale = 2.0 ** level
     pts = _patch_points(pyramid[level], at[0] / scale, at[1] / scale)
     if pts is None:
         return None
-    return pyramid[level].sample(*pts) - lv.intensities, lv.grad / scale
+    return pyramid[level].sample(*pts) - patch[level].intensities

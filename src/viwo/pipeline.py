@@ -439,8 +439,8 @@ def load_pose_csv(path) -> TrajectoryRecord:
 
 
 def cmd_eval(est_path, gt_path, segment_m: float = 100.0) -> str:
-    if not segment_m > 0.0:
-        raise ValueError(f"segment length {segment_m} m must be positive")
+    if not 0.0 < segment_m < np.inf:
+        raise ValueError(f"--segment-m {segment_m}: segment length must be positive and finite")
     est = load_pose_csv(est_path)
     gt = load_pose_csv(gt_path)
     try:

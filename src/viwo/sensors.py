@@ -139,14 +139,12 @@ def camera_measurement_jacobian(bearing: np.ndarray, patch: list[PatchLevel],
     except ProjectionError:
         return None
     res_rows = []
-    jac_rows = []
     for level in range(len(patch)):
         res = intensity_residual(patch, pyramid, (u, v), level)
         if res is None:
             return None
-        res_rows.append(res[0])
-        jac_rows.append(res[1] @ j_proj)
-    return np.concatenate(res_rows), np.vstack(jac_rows)
+        res_rows.append(res)
+    return np.concatenate(res_rows), np.vstack([lv.grad @ j_proj for lv in patch])
 
 
 # --- vehicle velocity --------------------------------------------------------

@@ -259,9 +259,12 @@ def test_jacobian_check_command(capsys):
     assert "camera_chain" in text
 
 
-def test_jacobian_check_zero_configs_empty_pass(capsys):
-    assert main(["jacobian-check", "--configs", "0"]) == EXIT_OK
-    assert "all blocks pass" in capsys.readouterr().out
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_jacobian_check_no_configs_exit_config(capsys, n):
+    # an audit of nothing is no pass
+    assert main(["jacobian-check", "--configs", n]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "--configs" in err and "all blocks pass" not in out
 
 
 def test_jacobian_check_position_rows_far_from_origin():
@@ -492,6 +495,13 @@ def test_eval_nonpositive_segment_exit_config(mini_dataset, capsys):
     code = main(["eval", "--estimate", gt, "--ground-truth", gt, "--segment-m", "0"])
     assert code == EXIT_CONFIG
     assert "segment length" in capsys.readouterr().err
+
+
+def test_eval_infinite_segment_exit_config(mini_dataset, capsys):
+    gt = str(mini_dataset / "gt.csv")
+    code = main(["eval", "--estimate", gt, "--ground-truth", gt, "--segment-m", "inf"])
+    assert code == EXIT_CONFIG
+    assert "--segment-m" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cut", [10, 1000], ids=["header", "pixels"])

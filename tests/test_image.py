@@ -6,7 +6,7 @@ from viwo.dynamics import GyroParams
 from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
                         FAST_THRESHOLD, Image, _contiguous_at_least, build_pyramid,
                         detect_features, extract_patch_set, intensity_residual,
-                        load_pgm, save_pgm)
+                        klt_align, load_pgm, save_pgm)
 from viwo.sim import (SensorErrorSpec, Straight, TrajectorySpec, generate_trajectory,
                       generate_world, render_frame)
 
@@ -83,7 +83,7 @@ def test_downsample_shapes_and_box_mode():
 
 def test_detect_uniform_image_empty():
     img = Image(np.full((48, 48), 50.0))
-    assert detect_features(img) == []
+    assert detect_features(img).shape == (0, 2)
 
 
 def test_detect_single_blob():
@@ -109,7 +109,7 @@ def test_patch_residual_zero_at_source():
     patch = extract_patch_set(pyr, 31.0, 24.0)
     assert patch is not None and len(patch) == 2
     for lvl in range(2):
-        res, _ = intensity_residual(patch, pyr, (31.0, 24.0), lvl)
+        res = intensity_residual(patch, pyr, (31.0, 24.0), lvl)
         assert np.allclose(res, 0.0, atol=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_patch_residual_linear_ramp_shift():
     img = Image(2.0 * uu)
     pyr = build_pyramid(img)
     patch = extract_patch_set(pyr, 30.0, 30.0)
-    res, _ = intensity_residual(patch, pyr, (30.5, 30.0), 0)
+    res = intensity_residual(patch, pyr, (30.5, 30.0), 0)
     assert np.allclose(res, 1.0, atol=1e-12)
 
 
@@ -130,9 +130,9 @@ def test_patch_gradient_matches_fd():
     h = 1e-6
     for lvl in range(2):
         at = (30.3, 29.6)
-        _, grad = intensity_residual(patch, pyr, at, lvl)
-        rp, _ = intensity_residual(patch, pyr, (at[0] + h, at[1]), lvl)
-        rm, _ = intensity_residual(patch, pyr, (at[0] - h, at[1]), lvl)
+        grad = patch[lvl].grad
+        rp = intensity_residual(patch, pyr, (at[0] + h, at[1]), lvl)
+        rm = intensity_residual(patch, pyr, (at[0] - h, at[1]), lvl)
         fd_u = (rp - rm) / (2 * h)
         # template gradients approximate the image gradient at extraction
         assert np.max(np.abs(grad[:, 0] - fd_u)) < 1e-3 * max(np.max(np.abs(fd_u)), 1.0)
@@ -143,13 +143,21 @@ def test_pyramid_gradient_scales_with_level():
     img = Image(2.0 * uu)  # constant slope 2 per level-0 pixel
     pyr = build_pyramid(img)
     patch = extract_patch_set(pyr, 30.0, 30.0)
-    _, g0 = intensity_residual(patch, pyr, (30.0, 30.0), 0)
-    _, g1 = intensity_residual(patch, pyr, (30.0, 30.0), 1)
     # d(intensity)/d(level-0 pixel) is identical: level-1 slope 4 halved back
-    assert np.allclose(g0[:, 0], 2.0, atol=1e-12)
-    assert np.allclose(g1[:, 0], 2.0, atol=1e-12)
-    # the raw per-level-pixel gradient doubles with the downsampling factor
-    assert np.allclose(patch[1].grad[:, 0], 4.0, atol=1e-12)
+    assert np.allclose(patch[0].grad[:, 0], 2.0, atol=1e-12)
+    assert np.allclose(patch[1].grad[:, 0], 2.0, atol=1e-12)
+
+
+def test_klt_align_recovers_subpixel_shift():
+    pyr = build_pyramid(gaussian_blob(64, 64, 32.0, 30.0, sigma=2.0))
+    assert len(pyr) == 2
+    patch = extract_patch_set(pyr, 32.0, 30.0)
+    moved = build_pyramid(gaussian_blob(64, 64, 33.3, 29.3, sigma=2.0))
+    u, v, converged = klt_align(patch, moved, 32.0, 30.0)
+    assert converged
+    assert np.hypot(u - 33.3, v - 29.3) < 0.05
+    # a start whose footprint leaves the image
+    assert not klt_align(patch, moved, 2.0, 2.0)[2]
 
 
 def test_patch_out_of_bounds():
@@ -178,6 +186,23 @@ def test_load_pgm_rejects_bad_size_or_maxval(tmp_path, header, field):
     path = tmp_path / "bad.pgm"
     path.write_bytes(header + bytes(16))
     with pytest.raises(ValueError, match=field):
+        load_pgm(path)
+
+
+def test_load_pgm_scales_to_maxval_255(tmp_path):
+    img = gaussian_blob(64, 64, 31.3, 24.8)
+    path = tmp_path / "frame15.pgm"
+    raw = np.round(img.data * 15.0 / 255.0).astype(np.uint8)
+    path.write_bytes(b"P5\n64 64\n15\n" + raw.tobytes())
+    back = load_pgm(path)
+    assert abs(back.data.max() - 204.0) <= 1.0
+    assert len(detect_features(back)) == 1
+
+
+def test_load_pgm_rejects_pixel_above_maxval(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5 2 2 15\n" + bytes([0, 16, 0, 0]))
+    with pytest.raises(ValueError, match="16"):
         load_pgm(path)
 
 
@@ -327,7 +352,8 @@ def test_contiguous_run_matches_reference_on_every_ring():
 @pytest.mark.parametrize("name", TEST_IMAGES)
 def test_detect_features_matches_reference(name):
     img = Image(TEST_IMAGES[name])
-    assert detect_features(img) == reference_detect_features(img)
+    assert detect_features(img).tobytes() == \
+        np.array(reference_detect_features(img), float).reshape(-1, 2).tobytes()
 
 
 def test_reference_cases_reach_the_corner_limit_and_tie():

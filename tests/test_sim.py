@@ -214,7 +214,7 @@ def test_render_frame_blob_positions(rng):
     feat = landmark_to_feature(world[0], nav, CAMERA_EXTRINSICS)
     (u, v), _ = project(feat.bearing, DEFAULT_INTRINSICS)
     pts = detect_features(img)
-    assert pts, "blob not detected"
+    assert len(pts), "blob not detected"
     assert np.hypot(pts[0][0] - u, pts[0][1] - v) < 0.5
 
 
