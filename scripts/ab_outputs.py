@@ -13,7 +13,8 @@ tree runs the command-line front end as a subprocess with its own
   with seed 17 and no injected errors: mini_loop in image mode, the
   benchmark's ``mini_image`` data; and with seed 17, no injected errors and
   ``--zero-noise``: urban_loop in bearing mode, the acceptance suite's
-  closed-loop (criterion 6) dataset;
+  closed-loop (criterion 6) dataset, and mini_loop in image mode, the
+  rendering path that draws no image noise;
 * ``viwo run`` on OLD's datasets: urban_loop in bearing mode, with
   ``--check-psd`` and with ``--wheel-imu-only``, and both mini_loop datasets
   in image mode (with injected errors the image run diverges, so the clean
@@ -43,7 +44,9 @@ SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop", *INJECT],
                "highway": ["--scenario", "highway", *INJECT],
                "mini_loop": ["--scenario", "mini_loop", "--mode", "image", *INJECT],
                "mini_loop_clean": ["--scenario", "mini_loop", "--mode", "image"],
-               "urban_loop_zero_noise": ["--scenario", "urban_loop", "--zero-noise"]}
+               "urban_loop_zero_noise": ["--scenario", "urban_loop", "--zero-noise"],
+               "mini_loop_zero_noise": ["--scenario", "mini_loop", "--mode", "image",
+                                        "--zero-noise"]}
 # run name -> (dataset, flags)
 RUNS = {"urban_loop bearing": ("urban_loop", []),
         "urban_loop bearing check-psd": ("urban_loop", ["--check-psd"]),

@@ -1,6 +1,7 @@
 """Realtime factor and load time of two viwo source trees, in alternated pairs.
 
     python scripts/ab_realtime.py OLD_SRC NEW_SRC DATASET [--mode bearing|image|wheel-imu-only] [--pairs N]
+    python scripts/ab_realtime.py OLD_SRC NEW_SRC --simulate SCENARIO [--mode bearing|image] [--seed N] [--pairs N]
 
 OLD_SRC and NEW_SRC are ``src`` directories that each hold a ``viwo``
 package, for example the ``src`` of a second checkout and of this one.  Both
@@ -18,6 +19,14 @@ as ``viwo eval`` computes them, so a speedup that changes bits shows its
 accuracy in the same table.  The last line says whether the two trees' last
 runs gave bit-identical outputs, and if not, names the first of t, pos,
 quat, params, params_var and counters that differs.
+
+With ``--simulate`` the script times ``cmd_simulate`` of SCENARIO in the
+given mode and seed (17 by default) instead, each sample in a new
+interpreter that imports one tree, so that no sample follows a filter run
+or another simulation in the same process.  The pairs alternate as above;
+the script prints each pair's seconds and new/old ratio, each tree's
+median seconds and the ratio of the medians.  ``scripts/ab_outputs.py``
+compares the datasets themselves.
 """
 
 import argparse
@@ -25,6 +34,7 @@ import importlib
 import importlib.util
 import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -98,17 +108,74 @@ def first_difference(a, b) -> str | None:
     return None
 
 
+# one timed cmd_simulate in a new interpreter; argv: scenario, mode, seed
+SIMULATE_PROBE = """\
+import sys, tempfile
+from time import perf_counter
+from viwo.pipeline import RunConfig, cmd_simulate
+with tempfile.TemporaryDirectory() as out:
+    cfg = RunConfig(out_dir=out, scenario=sys.argv[1], measurement_mode=sys.argv[2],
+                    seed=int(sys.argv[3]))
+    t0 = perf_counter()
+    cmd_simulate(cfg)
+    print(perf_counter() - t0)
+"""
+
+
+def simulate_s(src: Path, scenario: str, mode: str, seed: int) -> float:
+    """Seconds of one cmd_simulate of the tree src, in a new interpreter."""
+    done = subprocess.run([sys.executable, "-c", SIMULATE_PROBE, scenario, mode, str(seed)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                          capture_output=True, text=True)
+    return float(done.stdout)
+
+
+def compare_simulate(old_src: Path, new_src: Path, scenario: str, mode: str,
+                     seed: int, pairs: int) -> None:
+    trees = {"old": old_src, "new": new_src}
+    times: dict[str, list[float]] = {"old": [], "new": []}
+    print(f"simulate {scenario}, mode {mode}, seed {seed}, each sample in a new interpreter")
+    print(f"{'pair':>4}  {'first':>5}  {'old s':>7}  {'new s':>7}  {'new/old':>7}")
+    for pair in range(pairs):
+        order = ("old", "new") if pair % 2 == 0 else ("new", "old")
+        for label in order:
+            times[label].append(simulate_s(trees[label], scenario, mode, seed))
+        print(f"{pair:>4}  {order[0]:>5}  {times['old'][-1]:>7.3f}  {times['new'][-1]:>7.3f}  "
+              f"{times['new'][-1] / times['old'][-1]:>7.3f}")
+    for label, samples in times.items():
+        print(f"{label}: median simulate {statistics.median(samples):.3f} s")
+    wins = sum(n < o for o, n in zip(times["old"], times["new"]))
+    print(f"ratio of medians old/new "
+          f"{statistics.median(times['old']) / statistics.median(times['new']):.3f}; "
+          f"new faster in {wins} of {pairs} pairs")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", type=Path)
     ap.add_argument("new_src", type=Path)
-    ap.add_argument("dataset", type=Path)
+    ap.add_argument("dataset", type=Path, nargs="?")
     ap.add_argument("--mode", choices=("bearing", "image", "wheel-imu-only"),
                     default="bearing")
     ap.add_argument("--pairs", type=int, default=8)
+    ap.add_argument("--simulate", metavar="SCENARIO",
+                    choices=("urban_loop", "highway", "mini_loop"),
+                    help="time cmd_simulate of SCENARIO instead of runs on DATASET")
+    ap.add_argument("--seed", type=int, default=17, help="seed of --simulate")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if (args.dataset is None) == (args.simulate is None):
+        ap.error("give either DATASET or --simulate SCENARIO")
+    if args.simulate is not None:
+        if args.mode == "wheel-imu-only":
+            ap.error("--simulate takes --mode bearing or image")
+        for src in (args.old_src, args.new_src):
+            if not (src / "viwo" / "pipeline.py").is_file():
+                ap.error(f"no viwo package in {src}")
+        compare_simulate(args.old_src.resolve(), args.new_src.resolve(), args.simulate,
+                         args.mode, args.seed, args.pairs)
+        return 0
 
     old = Tree("old", args.old_src.resolve(), args.dataset, args.mode)
     new = Tree("new", args.new_src.resolve(), args.dataset, args.mode)

@@ -6,6 +6,7 @@ timestamp order, and evaluate estimate-vs-truth trajectories.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -125,6 +126,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = dataio.DatasetPaths(out)
+    _remove_image_stream(paths)
     err = sim.SensorErrorSpec(params=cfg.injected_params(), seed=cfg.seed,
                               zero_noise=cfg.zero_noise)
 
@@ -151,17 +153,43 @@ def cmd_simulate(cfg: RunConfig) -> Path:
 
     if cfg.measurement_mode == "image":
         paths.frames_dir.mkdir(exist_ok=True)
+        shots = [(k, s) for k, s in enumerate(truth[::sim.CAMERA_STRIDE]) if s.t != 0.0]
+        # One worker is the frame generator's only user.  It draws frame
+        # i+1's noise into one buffer while frame i is rendered from the
+        # other; draws are submitted in frame order, so the stream is the
+        # serial one.  Rendering and writing stay on this thread.
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 4]))
+        buffers = [np.empty((DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width))
+                   for _ in range(2)]
         frame_rows = []
-        for k, s in enumerate(truth[::sim.CAMERA_STRIDE]):
-            if s.t == 0.0:
-                continue
-            img = sim.render_frame(s.nav, world, err, rng)
-            name = f"{k:06d}.pgm"
-            save_pgm(paths.frames_dir / name, img)
-            frame_rows.append([s.t, f"frames/{name}"])
+        with ThreadPoolExecutor(1) as pool:
+            def draw(i):
+                if err.zero_noise or i == len(shots):
+                    return None
+                return pool.submit(sim.draw_image_noise, rng, buffers[i % 2])
+
+            pending = draw(0)
+            for i, (k, s) in enumerate(shots):
+                noise = None if pending is None else pending.result()
+                pending = draw(i + 1)
+                img = sim.render_frame(s.nav, world, noise)
+                name = f"{k:06d}.pgm"
+                save_pgm(paths.frames_dir / name, img)
+                frame_rows.append([s.t, f"frames/{name}"])
         dataio.write_csv(paths.frames_csv, dataio.FRAMES_HEADER, frame_rows)
     return out
+
+
+def _remove_image_stream(paths: dataio.DatasetPaths) -> None:
+    """Delete the frames.csv and frames/NNNNNN.pgm files that an earlier
+    simulate wrote into this directory, so that a dataset simulated over
+    another never pairs its data with the old frames."""
+    paths.frames_csv.unlink(missing_ok=True)
+    if paths.frames_dir.is_dir():
+        for frame in paths.frames_dir.glob("[0-9]" * 6 + ".pgm"):
+            frame.unlink()
+        if not any(paths.frames_dir.iterdir()):
+            paths.frames_dir.rmdir()
 
 
 # --- run ------------------------------------------------------------------------

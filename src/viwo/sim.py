@@ -19,6 +19,10 @@ The rates are fixed: ground truth, IMU and wheel speed at IMU_RATE_HZ
 (100 Hz), camera frames (bearings or rendered images) at every
 CAMERA_STRIDE-th sample (10 Hz).
 
+A rendered frame takes its image noise as an argument: render_frame adds a
+given (height, width) array, which draw_image_noise fills from the frame
+generator, so the caller decides where and when the noise is drawn.
+
 The body origin sits at the rear-axle center, so wheel speed and the lateral
 model need no extra lever arm.
 
@@ -430,10 +434,19 @@ def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
     return frames
 
 
-def render_frame(nav: NavState, world: np.ndarray, err: SensorErrorSpec,
-                 rng: np.random.Generator) -> Image:
+def draw_image_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with IMAGE_NOISE white noise from rng and return it: the
+    same draws and the same bits as rng.normal(0.0, IMAGE_NOISE, out.shape),
+    since the scale is a power of two, with no new array."""
+    rng.standard_normal(out=out)
+    out *= IMAGE_NOISE
+    return out
+
+
+def render_frame(nav: NavState, world: np.ndarray, noise: np.ndarray | None) -> Image:
     """Landmarks drawn as Gaussian blobs (sigma 1.5 px, peak 200) on a
-    uniform background of 10, plus IMAGE_NOISE drawn from rng."""
+    uniform background of 10, plus noise, a (height, width) array that the
+    caller drew (see draw_image_noise), or none when noise is None."""
     intr = DEFAULT_INTRINSICS
     data = np.full((intr.height, intr.width), 10.0)
     for idx in visible_landmarks(world, nav):
@@ -447,8 +460,8 @@ def render_frame(nav: NavState, world: np.ndarray, err: SensorErrorSpec,
                              np.arange(lo_v, hi_v, dtype=float))
         data[lo_v:hi_v, lo_u:hi_u] += 200.0 * np.exp(
             -((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 1.5 ** 2))
-    if not err.zero_noise:
-        data += rng.normal(0.0, IMAGE_NOISE, data.shape)
+    if noise is not None:
+        data += noise
     return Image(np.clip(data, 0.0, 255.0, out=data))
 
 

@@ -311,6 +311,26 @@ def test_image_mode_end_to_end(tmp_path):
     assert end_err < 25.0
 
 
+def test_resimulated_bearing_dataset_has_no_old_frames(tmp_path):
+    # a bearing-mode simulate over an image dataset takes its image stream
+    # away, so an image run on it fails instead of pairing new IMU data with
+    # the old frames; a rejected scenario removes nothing
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--scenario", "mini_loop",
+                 "--seed", "17", "--mode", "image"]) == EXIT_OK
+    cfgfile = tmp_path / "bad.txt"
+    cfgfile.write_text("scenario = nonsense\n")
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(ds)]) == EXIT_CONFIG
+    assert (ds / "frames.csv").exists()
+    assert main(["simulate", "--out", str(ds), "--scenario", "mini_loop", "--seed", "3",
+                 "--inject-bias", "0.3", "0", "0"]) == EXIT_OK
+    assert not (ds / "frames.csv").exists()
+    assert not (ds / "frames").exists()
+    code = main(["run", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                 "--mode", "image"])
+    assert code == EXIT_DATA
+
+
 def _run_with_imu_edit(mini_dataset, tmp_path, edit):
     ds = tmp_path / "edited"
     shutil.copytree(mini_dataset, ds)

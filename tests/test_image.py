@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 import viwo.image
-from viwo.dynamics import GyroParams
 from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
                         FAST_THRESHOLD, Image, _contiguous_at_least, build_pyramid,
                         detect_features, extract_patch_set, intensity_residual,
                         klt_align, load_pgm, save_pgm)
-from viwo.sim import (SensorErrorSpec, Straight, TrajectorySpec, generate_trajectory,
+from viwo.sim import (IMAGE_NOISE, Straight, TrajectorySpec, generate_trajectory,
                       generate_world, render_frame)
 
 
@@ -317,9 +316,9 @@ def rendered_frames(seed):
     """Two noisy simulated camera frames of a seeded landmark world."""
     truth = generate_trajectory(TrajectorySpec([Straight(30.0, 5.0)]))
     world = generate_world(truth, seed=seed)
-    err = SensorErrorSpec(GyroParams(), seed=seed)
     rng = np.random.default_rng(seed)
-    return [render_frame(truth[k].nav, world, err, rng) for k in (0, len(truth) // 2)]
+    return [render_frame(truth[k].nav, world, rng.normal(0.0, IMAGE_NOISE, (480, 640)))
+            for k in (0, len(truth) // 2)]
 
 
 def _test_images():

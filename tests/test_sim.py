@@ -1,15 +1,20 @@
+import errno
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from viwo import geom
+from viwo import geom, pipeline
 from viwo.dynamics import GRAVITY_VEC, GyroParams, correct_gyro, rk4_nav
 from viwo.features import landmark_to_feature
+from viwo.image import save_pgm
 from viwo.sensors import DEFAULT_INTRINSICS
-from viwo.sim import (CAMERA_EXTRINSICS, CAMERA_STRIDE, WHEEL_NOISE, Arc,
+from viwo.sim import (CAMERA_EXTRINSICS, CAMERA_STRIDE, IMAGE_NOISE, WHEEL_NOISE, Arc,
                       SensorErrorSpec, Stop, Straight, TrajectorySpec, ensure_coverage,
-                      generate_trajectory, generate_world, highway_route, render_frame,
-                      synthesize_bearings, synthesize_imu, synthesize_wheel,
-                      urban_loop, visible_landmarks)
+                      generate_trajectory, generate_world, highway_route, mini_loop,
+                      render_frame, synthesize_bearings, synthesize_imu,
+                      synthesize_wheel, urban_loop, visible_landmarks)
 
 
 def test_single_straight_duration_and_heading():
@@ -202,13 +207,12 @@ def test_bearing_slot_persistence():
     assert best_run >= 10
 
 
-def test_render_frame_blob_positions(rng):
+def test_render_frame_blob_positions():
     spec = TrajectorySpec([Straight(30.0, 5.0)])
     truth = generate_trajectory(spec)
     world = np.array([[25.0, 2.0, 1.5]])
-    err = SensorErrorSpec(GyroParams(), zero_noise=True)
     nav = truth[0].nav
-    img = render_frame(nav, world, err, rng)
+    img = render_frame(nav, world, None)
     from viwo.image import detect_features
     from viwo.sensors import project
     feat = landmark_to_feature(world[0], nav, CAMERA_EXTRINSICS)
@@ -216,6 +220,64 @@ def test_render_frame_blob_positions(rng):
     pts = detect_features(img)
     assert len(pts), "blob not detected"
     assert np.hypot(pts[0][0] - u, pts[0][1] - v) < 0.5
+
+
+def test_simulated_frames_match_a_serial_render(tmp_path):
+    # simulate draws each frame's noise on a worker thread one frame ahead;
+    # every frame must still be the one a serial render writes, whose noise
+    # is the next rng.normal draw of a fresh frame generator
+    seed = 6
+    out = tmp_path / "ds"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)    # switch threads often, so a race would show
+    try:
+        pipeline.cmd_simulate(pipeline.RunConfig(out_dir=str(out), scenario="mini_loop",
+                                                 seed=seed, measurement_mode="image"))
+    finally:
+        sys.setswitchinterval(interval)
+    truth = generate_trajectory(mini_loop())
+    world = ensure_coverage(generate_world(truth, seed=seed), truth, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    shape = (DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width)
+    serial = tmp_path / "serial.pgm"
+    names = []
+    for k, s in enumerate(truth[::CAMERA_STRIDE]):
+        if s.t == 0.0:
+            continue
+        names.append(f"{k:06d}.pgm")
+        save_pgm(serial, render_frame(s.nav, world, rng.normal(0.0, IMAGE_NOISE, shape)))
+        assert serial.read_bytes() == (out / "frames" / names[-1]).read_bytes(), names[-1]
+    assert sorted(p.name for p in (out / "frames").iterdir()) == names
+
+
+class _FullDisk:
+    """A frame whose PGM header write fails after save_pgm opened its temp file."""
+
+    def __init__(self, img):
+        self.data = img.data
+
+    @property
+    def width(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_simulate_leaves_no_thread_after_a_failed_write(tmp_path, monkeypatch):
+    real_save_pgm = pipeline.save_pgm
+    threads_at_save = []
+
+    def save_pgm_failing_third(path, img):
+        threads_at_save.append(threading.active_count())
+        real_save_pgm(path, _FullDisk(img) if len(threads_at_save) == 3 else img)
+
+    monkeypatch.setattr(pipeline, "save_pgm", save_pgm_failing_third)
+    cfg = pipeline.RunConfig(out_dir=str(tmp_path / "ds"), scenario="mini_loop",
+                             seed=1, measurement_mode="image")
+    before = threading.active_count()
+    with pytest.raises(OSError):
+        pipeline.cmd_simulate(cfg)
+    assert threads_at_save == [before + 1] * 3    # the noise worker ran
+    assert threading.active_count() == before
+    assert not list(tmp_path.rglob("*.pgm.tmp"))
 
 
 def test_highway_route_length_and_validity():
