@@ -1,7 +1,7 @@
 """Realtime factor and load time of two viwo source trees, in alternated pairs.
 
     python scripts/ab_realtime.py OLD_SRC NEW_SRC DATASET [--mode bearing|image|wheel-imu-only] [--pairs N]
-    python scripts/ab_realtime.py OLD_SRC NEW_SRC --simulate SCENARIO [--mode bearing|image] [--seed N] [--pairs N]
+    python scripts/ab_realtime.py OLD_SRC NEW_SRC --simulate SCENARIO [--mode bearing|image] [--pairs N]
 
 OLD_SRC and NEW_SRC are ``src`` directories that each hold a ``viwo``
 package, for example the ``src`` of a second checkout and of this one.  Both
@@ -21,7 +21,7 @@ runs gave bit-identical outputs, and if not, names the first of t, pos,
 quat, params, params_var and counters that differs.
 
 With ``--simulate`` the script times ``cmd_simulate`` of SCENARIO in the
-given mode and seed (17 by default) instead, each sample in a new
+given mode and seed 17 instead, each sample in a new
 interpreter that imports one tree, so that no sample follows a filter run
 or another simulation in the same process.  The pairs alternate as above;
 the script prints each pair's seconds and new/old ratio, each tree's
@@ -108,38 +108,38 @@ def first_difference(a, b) -> str | None:
     return None
 
 
-# one timed cmd_simulate in a new interpreter; argv: scenario, mode, seed
+# one timed seed-17 cmd_simulate in a new interpreter; argv: scenario, mode
 SIMULATE_PROBE = """\
 import sys, tempfile
 from time import perf_counter
 from viwo.pipeline import RunConfig, cmd_simulate
 with tempfile.TemporaryDirectory() as out:
     cfg = RunConfig(out_dir=out, scenario=sys.argv[1], measurement_mode=sys.argv[2],
-                    seed=int(sys.argv[3]))
+                    seed=17)
     t0 = perf_counter()
     cmd_simulate(cfg)
     print(perf_counter() - t0)
 """
 
 
-def simulate_s(src: Path, scenario: str, mode: str, seed: int) -> float:
+def simulate_s(src: Path, scenario: str, mode: str) -> float:
     """Seconds of one cmd_simulate of the tree src, in a new interpreter."""
-    done = subprocess.run([sys.executable, "-c", SIMULATE_PROBE, scenario, mode, str(seed)],
+    done = subprocess.run([sys.executable, "-c", SIMULATE_PROBE, scenario, mode],
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True,
                           capture_output=True, text=True)
     return float(done.stdout)
 
 
 def compare_simulate(old_src: Path, new_src: Path, scenario: str, mode: str,
-                     seed: int, pairs: int) -> None:
+                     pairs: int) -> None:
     trees = {"old": old_src, "new": new_src}
     times: dict[str, list[float]] = {"old": [], "new": []}
-    print(f"simulate {scenario}, mode {mode}, seed {seed}, each sample in a new interpreter")
+    print(f"simulate {scenario}, mode {mode}, seed 17, each sample in a new interpreter")
     print(f"{'pair':>4}  {'first':>5}  {'old s':>7}  {'new s':>7}  {'new/old':>7}")
     for pair in range(pairs):
         order = ("old", "new") if pair % 2 == 0 else ("new", "old")
         for label in order:
-            times[label].append(simulate_s(trees[label], scenario, mode, seed))
+            times[label].append(simulate_s(trees[label], scenario, mode))
         print(f"{pair:>4}  {order[0]:>5}  {times['old'][-1]:>7.3f}  {times['new'][-1]:>7.3f}  "
               f"{times['new'][-1] / times['old'][-1]:>7.3f}")
     for label, samples in times.items():
@@ -161,7 +161,6 @@ def main(argv=None) -> int:
     ap.add_argument("--simulate", metavar="SCENARIO",
                     choices=("urban_loop", "highway", "mini_loop"),
                     help="time cmd_simulate of SCENARIO instead of runs on DATASET")
-    ap.add_argument("--seed", type=int, default=17, help="seed of --simulate")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
             if not (src / "viwo" / "pipeline.py").is_file():
                 ap.error(f"no viwo package in {src}")
         compare_simulate(args.old_src.resolve(), args.new_src.resolve(), args.simulate,
-                         args.mode, args.seed, args.pairs)
+                         args.mode, args.pairs)
         return 0
 
     old = Tree("old", args.old_src.resolve(), args.dataset, args.mode)

@@ -250,24 +250,15 @@ def test_simulated_frames_match_a_serial_render(tmp_path):
     assert sorted(p.name for p in (out / "frames").iterdir()) == names
 
 
-class _FullDisk:
-    """A frame whose PGM header write fails after save_pgm opened its temp file."""
-
-    def __init__(self, img):
-        self.data = img.data
-
-    @property
-    def width(self):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def test_simulate_leaves_no_thread_after_a_failed_write(tmp_path, monkeypatch):
     real_save_pgm = pipeline.save_pgm
     threads_at_save = []
 
     def save_pgm_failing_third(path, img):
         threads_at_save.append(threading.active_count())
-        real_save_pgm(path, _FullDisk(img) if len(threads_at_save) == 3 else img)
+        if len(threads_at_save) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_save_pgm(path, img)
 
     monkeypatch.setattr(pipeline, "save_pgm", save_pgm_failing_third)
     cfg = pipeline.RunConfig(out_dir=str(tmp_path / "ds"), scenario="mini_loop",
