@@ -10,8 +10,10 @@ tree runs the command-line front end as a subprocess with its own
 * ``viwo simulate`` with seed 17 and all six gyro errors injected
   (``--inject-bias 0.3 -0.2 0.5 --inject-yaw-scale 1.01 --inject-misalign
   0.5 0.5``): urban_loop and highway in bearing mode, mini_loop in image mode;
-  with seed 17 and no injected errors: mini_loop in image mode, the
-  benchmark's ``mini_image`` data; and with seed 17, no injected errors and
+  with seed 5 and the six errors: urban_loop in bearing mode, a second world
+  and noise draw; with seed 17 and no injected errors: mini_loop in image
+  mode, the benchmark's ``mini_image`` data; and with seed 17, no injected
+  errors and
   ``--zero-noise``: urban_loop in bearing mode, the acceptance suite's
   closed-loop (criterion 6) dataset, and mini_loop in image mode, the
   rendering path that draws no image noise;
@@ -39,14 +41,17 @@ from pathlib import Path
 
 INJECT = ["--inject-bias", "0.3", "-0.2", "0.5",
           "--inject-yaw-scale", "1.01", "--inject-misalign", "0.5", "0.5"]
-# every simulation uses seed 17
-SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop", *INJECT],
-               "highway": ["--scenario", "highway", *INJECT],
-               "mini_loop": ["--scenario", "mini_loop", "--mode", "image", *INJECT],
-               "mini_loop_clean": ["--scenario", "mini_loop", "--mode", "image"],
-               "urban_loop_zero_noise": ["--scenario", "urban_loop", "--zero-noise"],
+SEED_17 = ["--seed", "17"]
+SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop", *INJECT, *SEED_17],
+               "urban_loop_seed5": ["--scenario", "urban_loop", *INJECT, "--seed", "5"],
+               "highway": ["--scenario", "highway", *INJECT, *SEED_17],
+               "mini_loop": ["--scenario", "mini_loop", "--mode", "image", *INJECT,
+                             *SEED_17],
+               "mini_loop_clean": ["--scenario", "mini_loop", "--mode", "image", *SEED_17],
+               "urban_loop_zero_noise": ["--scenario", "urban_loop", "--zero-noise",
+                                         *SEED_17],
                "mini_loop_zero_noise": ["--scenario", "mini_loop", "--mode", "image",
-                                        "--zero-noise"]}
+                                        "--zero-noise", *SEED_17]}
 # run name -> (dataset, flags)
 RUNS = {"urban_loop bearing": ("urban_loop", []),
         "urban_loop bearing check-psd": ("urban_loop", ["--check-psd"]),
@@ -112,8 +117,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         for name, flags in SIMULATIONS.items():
             for label, src in trees.items():
-                viwo(src, ["simulate", "--out", str(work / label / "sim" / name),
-                           *flags, "--seed", "17"])
+                viwo(src, ["simulate", "--out", str(work / label / "sim" / name), *flags])
             ok &= report(f"simulate {name}",
                          differences(tree_files(work / "old" / "sim" / name),
                                      tree_files(work / "new" / "sim" / name)))

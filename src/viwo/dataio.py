@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GyroParams
+from .dynamics import MIN_YAW_SCALE, GyroParams
 from .features import CameraExtrinsics
 from .sensors import CameraIntrinsics
 from . import geom
@@ -54,18 +54,26 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: str, rows) -> None:
+    """The header line, then one line per row of a sequence of rows (a list
+    of lists is the fastest).  Each column is written with the %-format of
+    its value in the first row (see _format_of), so every row must hold the
+    first row's kinds of value."""
     lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    if len(rows):
+        line = ",".join(_format_of(x) for x in rows[0])
+        lines.extend(line % tuple(row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _fmt(x) -> str:
+def _format_of(x) -> str:
+    """The %-format of one written value: a str as itself, an integer in
+    decimal, anything else as a float with 17 significant digits, which
+    reads back to the same bits ("%.17g" % x is format(x, ".17g"))."""
     if isinstance(x, str):
-        return x
+        return "%s"
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+        return "%d"
+    return "%.17g"
 
 
 def _csv_body(path, header: str) -> tuple[Path, str]:
@@ -153,9 +161,9 @@ def format_kv(entries: dict) -> str:
     lines = []
     for key, value in entries.items():
         if isinstance(value, (list, tuple, np.ndarray)):
-            lines.append(f"{key} = " + " ".join(_fmt(v) for v in value))
+            lines.append(f"{key} = " + " ".join(_format_of(v) % v for v in value))
         else:
-            lines.append(f"{key} = {_fmt(value)}")
+            lines.append(f"{key} = " + _format_of(value) % value)
     return "\n".join(lines) + "\n"
 
 
@@ -232,14 +240,20 @@ def save_gyro_params(path, params: GyroParams) -> None:
 
 
 def load_gyro_params(path) -> GyroParams:
+    """The parameters of a gyro-parameter file; a bad key or value, or a
+    yaw scale the error model cannot invert, is a DataError naming the file."""
     kv = load_kv(path)
     try:
-        return GyroParams(kv_floats(kv, "gyro.bias", 3),
-                          float(kv_floats(kv, "gyro.yaw_scale", 1)[0]),
-                          float(kv_floats(kv, "gyro.misalign_yx", 1)[0]),
-                          float(kv_floats(kv, "gyro.misalign_xy", 1)[0]))
+        params = GyroParams(kv_floats(kv, "gyro.bias", 3),
+                            float(kv_floats(kv, "gyro.yaw_scale", 1)[0]),
+                            float(kv_floats(kv, "gyro.misalign_yx", 1)[0]),
+                            float(kv_floats(kv, "gyro.misalign_xy", 1)[0]))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    if params.yaw_scale <= MIN_YAW_SCALE:
+        raise DataError(f"{path}: key 'gyro.yaw_scale': {params.yaw_scale} is not "
+                        f"above the minimum yaw scale {MIN_YAW_SCALE}")
+    return params
 
 
 class DatasetPaths:
@@ -256,11 +270,3 @@ class DatasetPaths:
         self.calib = self.root / "calib.txt"
         self.truth_params = self.root / "truth-params.txt"
 
-
-def pose_rows(records) -> list:
-    """(t, NavState-like. pos, quat) tuples -> pose CSV rows."""
-    rows = []
-    for t, pos, quat in records:
-        rows.append([t, pos[0], pos[1], pos[2],
-                     quat[0], quat[1], quat[2], quat[3]])
-    return rows

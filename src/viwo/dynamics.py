@@ -89,8 +89,10 @@ def error_matrix(params: GyroParams) -> np.ndarray:
 
 
 def apply_gyro_error(omega_true: np.ndarray, params: GyroParams) -> np.ndarray:
-    """Forward error map: what the gyro outputs for a true rate."""
-    return error_matrix(params) @ omega_true + params.bias
+    """Forward error map: what the gyro outputs for a true rate, or row by
+    row for a stack of them (..., 3); each row is its own matrix-vector
+    product, so it has the bits of a one-rate call."""
+    return np.matmul(error_matrix(params), omega_true[..., None])[..., 0] + params.bias
 
 
 def correct_gyro(omega_m: np.ndarray, params: GyroParams) -> np.ndarray:

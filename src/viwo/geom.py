@@ -15,10 +15,10 @@ Each map is written once, as a row kernel over ``(..., k)`` arrays, except
 five scalar maps kept beside their row twins for a measured reason:
 
 * ``quat_to_rot`` and ``bearing_from_dir`` are single-item hot paths,
-  where a one-row call of the row kernel costs 2-4x as much.  The simulator
-  calls both once per visible landmark per frame through
-  ``features.landmark_to_feature`` (14 807 times for seed-17 urban_loop),
-  and ``evaluate.rpe`` calls ``quat_to_rot`` twice per segment.
+  where a one-row call of the row kernel costs 2-4x as much.  The image
+  front end calls ``bearing_from_dir`` once per pixel it turns into a
+  bearing (``sensors.unproject``), the simulator ``quat_to_rot`` once per
+  camera pose, and ``evaluate.rpe`` ``quat_to_rot`` twice per segment.
 * ``so3_exp``, ``quat_mul`` and ``quat_normalize`` take their norms with
   ``@``, which differs in the last bit from the row kernels' elementwise
   sums (in 2007 of 20 000 random rows for ``so3_exp``, 1127 of 10 000 for
@@ -127,25 +127,26 @@ def bearing_from_dir(p: np.ndarray) -> np.ndarray:
     return so3_exp(axis * (angle / s))
 
 
-def _matmul_dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a_i @ b_i as stacked matmuls: the same bits as the 1-D ``@``
-    of the scalar maps, which an elementwise sum does not reproduce."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def matmul_dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i @ b_i of (..., k) arrays as stacked matmuls: the same
+    bits as the 1-D ``@`` (and ``np.linalg.norm``) of the scalar maps, which
+    an elementwise sum does not reproduce."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def bearing_from_dir_rows(p: np.ndarray) -> np.ndarray:
     """bearing_from_dir (with its so3_exp) of each row of an (m, 3) array
     -> (m, 4), bit for bit.  The scalar stays for one direction at a time,
     where it is cheaper than a one-row call."""
-    p = p / np.sqrt(_matmul_dot_rows(p, p))[:, None]
+    p = p / np.sqrt(matmul_dot_rows(p, p))[:, None]
     c = p[:, 0]
     axis = np.zeros_like(p)
     axis[:, 1] = -p[:, 2]
     axis[:, 2] = p[:, 1]
-    s = np.sqrt(_matmul_dot_rows(axis, axis))
+    s = np.sqrt(matmul_dot_rows(axis, axis))
     on_axis = s < 1e-12
     theta = axis * (np.arctan2(s, c) / np.where(on_axis, 1.0, s))[:, None]
-    angle = np.sqrt(_matmul_dot_rows(theta, theta))
+    angle = np.sqrt(matmul_dot_rows(theta, theta))
     small = angle < _SMALL_ANGLE
     half = 0.5 * angle
     out = np.empty((p.shape[0], 4))
@@ -153,7 +154,7 @@ def bearing_from_dir_rows(p: np.ndarray) -> np.ndarray:
     out[:, 1:4] = theta * (np.sin(half) / np.where(small, 1.0, angle))[:, None]
     if small.any():
         q = np.concatenate((np.ones((small.sum(), 1)), 0.5 * theta[small]), axis=1)
-        out[small] = q / np.sqrt(_matmul_dot_rows(q, q))[:, None]
+        out[small] = q / np.sqrt(matmul_dot_rows(q, q))[:, None]
     out[on_axis] = np.where((c[on_axis] > 0.0)[:, None], IDENTITY_QUAT, _ANTIPODAL_BEARING)
     return out
 

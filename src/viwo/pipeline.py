@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, geom, sim
-from .dynamics import MAX_STEP_S, GyroParams, ImuSample, NavState
+from .dynamics import MAX_STEP_S, MIN_YAW_SCALE, GyroParams, ImuSample, NavState
 from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
 from .filter import AdaptiveEkf, NoiseConfig
@@ -59,6 +59,10 @@ class RunConfig:
         for name in ("rho_sg", "inject_yaw_scale", "inject_bias_dps", "inject_misalign_deg"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.inject_yaw_scale <= MIN_YAW_SCALE:
+            # the filter's error model divides by the yaw scale
+            raise ValueError(f"inject_yaw_scale must exceed {MIN_YAW_SCALE}, "
+                             f"got {self.inject_yaw_scale}")
         self.noise.validate()
 
     def injected_params(self) -> GyroParams:
@@ -134,13 +138,12 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     world = sim.generate_world(truth, seed=cfg.seed)
     world = sim.ensure_coverage(world, truth, seed=cfg.seed)
 
-    imu = sim.synthesize_imu(truth, err)
-    wheel = sim.synthesize_wheel(truth, err)
-    dataio.write_csv(paths.imu, dataio.IMU_HEADER,
-                     ([m.t, *m.omega_m, *m.accel_m] for m in imu))
-    dataio.write_csv(paths.wheel, dataio.WHEEL_HEADER, wheel)
-    dataio.write_csv(paths.gt, dataio.POSE_HEADER,
-                     dataio.pose_rows((s.t, s.nav.pos, s.nav.quat) for s in truth))
+    dataio.write_csv(paths.imu, dataio.IMU_HEADER, sim.synthesize_imu(truth, err).tolist())
+    dataio.write_csv(paths.wheel, dataio.WHEEL_HEADER,
+                     sim.synthesize_wheel(truth, err).tolist())
+    dataio.write_csv(paths.gt, dataio.POSE_HEADER, np.column_stack((
+        [s.t for s in truth], [s.nav.pos for s in truth],
+        [s.nav.quat for s in truth])).tolist())
     dataio.save_calib(paths.calib, DEFAULT_INTRINSICS, sim.CAMERA_EXTRINSICS,
                       spec.rho_sg)
     dataio.save_gyro_params(paths.truth_params, err.params)
@@ -149,7 +152,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     obs = [(t, slot, bearing) for t, seen in frames for slot, bearing in seen]
     dirs = geom.quats_to_dirs(np.array([b for _, _, b in obs]).reshape(-1, 4))
     dataio.write_csv(paths.bearings, dataio.BEARINGS_HEADER,
-                     ([t, slot, *p] for (t, slot, _), p in zip(obs, dirs)))
+                     [(t, slot, *p) for (t, slot, _), p in zip(obs, dirs.tolist())])
 
     if cfg.measurement_mode == "image":
         paths.frames_dir.mkdir(exist_ok=True)
@@ -420,16 +423,14 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
 def cmd_run(cfg: RunConfig) -> Path:
     ds = load_dataset(cfg.dataset,
                       None if cfg.wheel_imu_only else cfg.measurement_mode)
+    result = run_filter(ds, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_filter(ds, cfg)
 
     dataio.write_csv(out / "trajectory.csv", dataio.POSE_HEADER,
-                     dataio.pose_rows(zip(result.t, result.pos, result.quat)))
-    rows = []
-    for t, vec, var in zip(result.params_t, result.params, result.params_var):
-        rows.append([t, *vec, *var])
-    dataio.write_csv(out / "params.csv", dataio.PARAMS_HEADER, rows)
+                     np.column_stack((result.t, result.pos, result.quat)).tolist())
+    dataio.write_csv(out / "params.csv", dataio.PARAMS_HEADER, np.column_stack(
+        (result.params_t, result.params, result.params_var)).tolist())
     dataio.save_gyro_params(out / "final-params.txt",
                             GyroParams.from_vector(result.params[-1]))
 

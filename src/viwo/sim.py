@@ -32,6 +32,17 @@ sensor-noise levels, the *_NOISE constants below.  A dataset either has all
 five noise levels or, with SensorErrorSpec.zero_noise, none of them.
 Other rigs and sensor faults are to be made by editing simulated datasets,
 not by settings here.
+
+A simulated dataset is fixed to the byte: datasets from the seeds named in
+ROADMAP.md and the acceptance suite are what every accuracy figure rests
+on.  The trajectory, the world and the sensor streams are computed in
+array passes, per frame or per stream, that do the operations of the
+per-sample and per-landmark loops kept in tests/test_sim.py, in the same
+order, and must match them bit for bit: rotations of stacked vectors are
+one matrix-vector product per row, norms one 1-D dot per row, powers go
+through the scalar pow (np.float_power, not the array ``**``, which
+squares), and each stream's normal draws are taken in the serial order.
+scripts/ab_outputs.py checks the written datasets against another tree.
 """
 
 from dataclasses import dataclass, field
@@ -39,8 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample, NavState,
-                       apply_gyro_error, rk4_nav)
+from .dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, NavState, apply_gyro_error,
+                       rk4_nav)
 from .features import CameraExtrinsics, landmark_to_feature
 from .image import Image
 from .sensors import DEFAULT_INTRINSICS, distort, project
@@ -138,30 +149,6 @@ class Phase:
         return Phase(t, (v0, 0.0, 3.0 * dv / t ** 2, -2.0 * dv / t ** 3),
                      kappa, kappa)
 
-    @property
-    def kdot(self):
-        return (self.k1 - self.k0) / self.duration
-
-    def speed(self, tau: float) -> float:
-        c0, c1, c2, c3 = self.c
-        return c0 + tau * (c1 + tau * (c2 + tau * c3))
-
-    def speed_dot(self, tau: float) -> float:
-        _, c1, c2, c3 = self.c
-        return c1 + tau * (2.0 * c2 + 3.0 * tau * c3)
-
-    def distance(self, tau: float) -> float:
-        c0, c1, c2, c3 = self.c
-        return tau * (c0 + tau * (c1 / 2.0 + tau * (c2 / 3.0 + tau * c3 / 4.0)))
-
-    def chi_increment(self, tau: float) -> float:
-        c0, c1, c2, c3 = self.c
-        kd = self.kdot
-        k0 = self.k0
-        return (k0 * self.distance(tau)
-                + kd * tau ** 2 * (c0 / 2.0 + tau * (c1 / 3.0
-                                                     + tau * (c2 / 4.0 + tau * c3 / 5.0))))
-
 
 def _compile_phases(spec: TrajectorySpec) -> list[Phase]:
     """Segments -> time phases with ramps and curvature blends carved in.
@@ -237,29 +224,45 @@ def _compile_phases(spec: TrajectorySpec) -> list[Phase]:
     return [p for p in phases if p.duration > 1e-9]
 
 
+def _chi_increment(c: np.ndarray, k0: np.ndarray, kd: np.ndarray,
+                   tau: np.ndarray) -> np.ndarray:
+    """Heading change after tau into phases with speed coefficients c (n, 4)
+    and curvature k0 + kd tau: the integral of kappa V."""
+    c0, c1, c2, c3 = c.T
+    distance = tau * (c0 + tau * (c1 / 2.0 + tau * (c2 / 3.0 + tau * c3 / 4.0)))
+    tail = c0 / 2.0 + tau * (c1 / 3.0 + tau * (c2 / 4.0 + tau * c3 / 5.0))
+    # pow, as the scalar tau ** 2 takes it; the array ** would square
+    return k0 * distance + kd * np.float_power(tau, 2.0) * tail
+
+
 class _Profile:
-    """Analytic lookup of (V, Vdot, kappa, kappadot, chi) over time."""
+    """Analytic lookup of (V, Vdot, kappa, kappadot, chi) at an array of
+    times."""
 
     def __init__(self, phases: list[Phase]):
-        self.phases = phases
-        self.starts = np.concatenate([[0.0], np.cumsum([p.duration for p in phases])])
-        self.chi0 = np.zeros(len(phases) + 1)
-        for i, p in enumerate(phases):
-            self.chi0[i + 1] = self.chi0[i] + p.chi_increment(p.duration)
+        self.c = np.array([p.c for p in phases], dtype=float)
+        self.k0 = np.array([p.k0 for p in phases], dtype=float)
+        durations = np.array([p.duration for p in phases], dtype=float)
+        self.kdot = (np.array([p.k1 for p in phases], dtype=float) - self.k0) / durations
+        self.starts = np.concatenate([[0.0], np.cumsum(durations)])
+        # chi0[i + 1] = chi0[i] + increment of phase i, from chi0[0] = 0.0
+        self.chi0 = np.cumsum(np.concatenate(
+            [[0.0], _chi_increment(self.c, self.k0, self.kdot, durations)]))
 
     @property
     def total_time(self) -> float:
         return float(self.starts[-1])
 
-    def at(self, t: float):
-        idx = int(np.searchsorted(self.starts, t, side="right") - 1)
-        idx = min(max(idx, 0), len(self.phases) - 1)
-        p = self.phases[idx]
+    def at(self, t: np.ndarray):
+        idx = np.clip(np.searchsorted(self.starts, t, side="right") - 1, 0, len(self.k0) - 1)
         tau = t - self.starts[idx]
-        v = p.speed(tau)
-        k = p.k0 + p.kdot * tau
-        chi = self.chi0[idx] + p.chi_increment(tau)
-        return v, p.speed_dot(tau), k, p.kdot, chi
+        c = self.c[idx]
+        c0, c1, c2, c3 = c.T
+        k0, kd = self.k0[idx], self.kdot[idx]
+        v = c0 + tau * (c1 + tau * (c2 + tau * c3))
+        vdot = c1 + tau * (2.0 * c2 + 3.0 * tau * c3)
+        chi = self.chi0[idx] + _chi_increment(c, k0, kd, tau)
+        return v, vdot, k0 + kd * tau, kd, chi
 
 
 def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
@@ -269,33 +272,31 @@ def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
     steps = int(np.floor(profile.total_time / dt + 1e-9))
     rho = spec.rho_sg
 
-    def inputs_at(t_mid):
-        v, vdot, k, kdot, chi = profile.at(t_mid)
-        a_lat = v * v * k
-        psi = chi + rho * a_lat
-        psidot = v * k + rho * (2.0 * v * vdot * k + v * v * kdot)
-        beta = np.arctan(-rho * a_lat) if v > 0 else 0.0
-        v_body = np.array([v * np.cos(beta), v * np.sin(beta), 0.0])
-        # world acceleration of the axle point, then specific force
-        pxdd = vdot * np.cos(chi) - v * (v * k) * np.sin(chi)
-        pydd = vdot * np.sin(chi) + v * (v * k) * np.cos(chi)
-        cos_p, sin_p = np.cos(psi), np.sin(psi)
-        a_body = np.array([cos_p * pxdd + sin_p * pydd,
-                           -sin_p * pxdd + cos_p * pydd,
-                           GRAVITY])
-        omega = np.array([0.0, 0.0, psidot])
-        return omega, a_body, psi, v_body
+    # the inputs at t = 0 and at each step's midpoint k dt + dt / 2
+    t_in = np.concatenate([[0.0], np.arange(steps) * dt + dt / 2.0])
+    v, vdot, k, kdot, chi = profile.at(t_in)
+    a_lat = v * v * k
+    psi = chi + rho * a_lat
+    # world acceleration of the axle point, then specific force
+    pxdd = vdot * np.cos(chi) - v * (v * k) * np.sin(chi)
+    pydd = vdot * np.sin(chi) + v * (v * k) * np.cos(chi)
+    cos_p, sin_p = np.cos(psi), np.sin(psi)
+    accel = np.empty((steps + 1, 3))
+    accel[:, 0] = cos_p * pxdd + sin_p * pydd
+    accel[:, 1] = -sin_p * pxdd + cos_p * pydd
+    accel[:, 2] = GRAVITY
+    omega = np.zeros((steps + 1, 3))
+    omega[:, 2] = v * k + rho * (2.0 * v * vdot * k + v * v * kdot)
 
-    omega0, accel0, psi0, vbody0 = inputs_at(0.0)
-    nav = NavState(vbody0, geom.so3_exp(np.array([0.0, 0.0, psi0])), np.zeros(3))
-    out = [TrajectorySample(0.0, nav.copy(), omega0, accel0)]
-    t = 0.0
-    for k in range(steps):
-        t_next = (k + 1) * dt
-        omega, accel, _, _ = inputs_at(t + dt / 2.0)
-        nav = rk4_nav(nav, omega, accel, GRAVITY_VEC, dt)
-        out.append(TrajectorySample(t_next, nav.copy(), omega, accel))
-        t = t_next
+    v0 = v[0]
+    beta0 = np.arctan(-rho * a_lat[0]) if v0 > 0 else 0.0
+    nav = NavState(np.array([v0 * np.cos(beta0), v0 * np.sin(beta0), 0.0]),
+                   geom.so3_exp(np.array([0.0, 0.0, psi[0]])), np.zeros(3))
+    out = [TrajectorySample(0.0, nav, omega[0], accel[0])]
+    for i in range(1, steps + 1):
+        # rk4_nav returns a new state, so the samples need no copies
+        nav = rk4_nav(nav, omega[i], accel[i], GRAVITY_VEC, dt)
+        out.append(TrajectorySample(i * dt, nav, omega[i], accel[i]))
     return out
 
 
@@ -306,13 +307,13 @@ def generate_world(truth: list[TrajectorySample], seed: int = 0) -> np.ndarray:
     every 10 m, four points 3-30 m to either side and 1 m below to 10 m
     above the axle."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
+    pos = np.array([s.nav.pos for s in truth])
+    delta = np.diff(pos, axis=0, prepend=pos[:1])
     pts = []
     dist = 0.0
-    last = truth[0].nav.pos
-    for s in truth:
-        step = np.linalg.norm(s.nav.pos - last)
+    # the path length since the last drop, step by step in sample order
+    for s, step in zip(truth, np.sqrt(geom.matmul_dot_rows(delta, delta)).tolist()):
         dist += step
-        last = s.nav.pos
         if dist >= 10.0 or not pts:
             dist = 0.0
             heading = geom.quats_to_dirs(s.nav.quat)
@@ -354,53 +355,54 @@ def ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
                     seed: int = 1) -> np.ndarray:
     """Densify the world until every camera pose sees at least 8 landmarks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
-    pts = list(world)
+    pts = np.array(world, dtype=float)
     for s in truth[::CAMERA_STRIDE]:
         for _ in range(40):
-            vis = visible_landmarks(np.array(pts), s.nav)
-            if len(vis) >= 8:
+            if len(visible_landmarks(pts, s.nav)) >= 8:
                 break
             heading = geom.quats_to_dirs(s.nav.quat)
             lateral_dir = np.array([-heading[1], heading[0], 0.0])
-            pts.append(s.nav.pos + heading * rng.uniform(8, 35)
-                       + lateral_dir * rng.uniform(-12, 12)
-                       + np.array([0, 0, rng.uniform(0.0, 6.0)]))
-    return np.array(pts)
+            pts = np.vstack([pts, s.nav.pos + heading * rng.uniform(8, 35)
+                             + lateral_dir * rng.uniform(-12, 12)
+                             + np.array([0, 0, rng.uniform(0.0, 6.0)])])
+    return pts
 
 
 # --- sensor synthesis -----------------------------------------------------------
 
-def synthesize_imu(truth: list[TrajectorySample],
-                   err: SensorErrorSpec) -> list[ImuSample]:
-    """Measured rates/forces: forward gyro error model plus white noise
-    (none with zero_noise)."""
+def synthesize_imu(truth: list[TrajectorySample], err: SensorErrorSpec) -> np.ndarray:
+    """imu.csv rows (n, 7) for the samples after the first: t, measured
+    rates (the forward gyro error model) and measured forces, each plus
+    white noise (none with zero_noise).  The noise is one draw per row of
+    three gyro then three accelerometer values, as sample-by-sample draws
+    take them."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 1]))
-    noisy = not err.zero_noise
-    sg = GYRO_NOISE * np.sqrt(IMU_RATE_HZ)
-    sa = ACCEL_NOISE * np.sqrt(IMU_RATE_HZ)
-    out = []
-    for s in truth[1:]:
-        omega_m = apply_gyro_error(s.omega, err.params)
-        if noisy:
-            omega_m = omega_m + rng.normal(0.0, sg, 3)
-        accel_m = s.accel + (rng.normal(0.0, sa, 3) if noisy else 0.0)
-        out.append(ImuSample(s.t, omega_m, accel_m))
-    return out
+    samples = truth[1:]
+    omega_m = apply_gyro_error(np.array([s.omega for s in samples]), err.params)
+    accel = np.array([s.accel for s in samples])
+    if err.zero_noise:
+        accel_m = accel + 0.0    # as the per-sample form: a -0.0 force is written 0
+    else:
+        sg = GYRO_NOISE * np.sqrt(IMU_RATE_HZ)
+        sa = ACCEL_NOISE * np.sqrt(IMU_RATE_HZ)
+        noise = rng.normal(0.0, [sg, sg, sg, sa, sa, sa], (len(samples), 6))
+        omega_m = omega_m + noise[:, :3]
+        accel_m = accel + noise[:, 3:]
+    return np.column_stack(([s.t for s in samples], omega_m, accel_m))
 
 
-def synthesize_wheel(truth: list[TrajectorySample],
-                     err: SensorErrorSpec) -> list[tuple[float, float]]:
-    """(t, v_x measured) stream; exact zero at standstill."""
+def synthesize_wheel(truth: list[TrajectorySample], err: SensorErrorSpec) -> np.ndarray:
+    """wheel.csv rows (n, 2) for the samples after the first: t and the
+    measured v_x, exact zero at standstill and otherwise plus one noise draw
+    (none with zero_noise), in sample order."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 2]))
-    out = []
-    for s in truth[1:]:
-        v = float(s.nav.vel[0])
-        if abs(v) < 5e-3:
-            out.append((s.t, 0.0))
-        else:
-            n = 0.0 if err.zero_noise else rng.normal(0.0, WHEEL_NOISE)
-            out.append((s.t, v + n))
-    return out
+    samples = truth[1:]
+    v = np.array([s.nav.vel[0] for s in samples])
+    moving = ~(np.abs(v) < 5e-3)
+    v_m = np.zeros(len(samples))
+    v_m[moving] = v[moving] if err.zero_noise else (
+        v[moving] + rng.normal(0.0, WHEEL_NOISE, int(moving.sum())))
+    return np.column_stack(([s.t for s in samples], v_m))
 
 
 def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
@@ -424,9 +426,8 @@ def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
             if lm not in slot_of and free:
                 slot_of[lm] = free.pop(0)
         observed = sorted(slot_of.items(), key=lambda kv: kv[1])
-        bearings = np.array([landmark_to_feature(world[lm], s.nav,
-                                                 CAMERA_EXTRINSICS).bearing
-                             for lm, _ in observed]).reshape(-1, 4)
+        bearings = landmark_to_feature(world[[lm for lm, _ in observed]], s.nav,
+                                       CAMERA_EXTRINSICS).bearing
         if not err.zero_noise and observed:
             bearings = geom.s2_boxplus_rows(
                 bearings, rng.normal(0.0, sigma_tan, (len(observed), 2)))
@@ -449,9 +450,9 @@ def render_frame(nav: NavState, world: np.ndarray, noise: np.ndarray | None) -> 
     caller drew (see draw_image_noise), or none when noise is None."""
     intr = DEFAULT_INTRINSICS
     data = np.full((intr.height, intr.width), 10.0)
-    for idx in visible_landmarks(world, nav):
-        feat = landmark_to_feature(world[idx], nav, CAMERA_EXTRINSICS)
-        (u, v), _ = project(feat.bearing, intr, require_in_image=False)
+    vis = visible_landmarks(world, nav)
+    for bearing in landmark_to_feature(world[vis], nav, CAMERA_EXTRINSICS).bearing:
+        (u, v), _ = project(bearing, intr, require_in_image=False)
         lo_u, hi_u = int(max(0, u - 6)), int(min(intr.width, u + 7))
         lo_v, hi_v = int(max(0, v - 6)), int(min(intr.height, v + 7))
         if lo_u >= hi_u or lo_v >= hi_v:

@@ -155,6 +155,23 @@ def test_init_params_flag(mini_dataset, tmp_path):
     assert np.allclose(params[-1, 1:4], truth.bias)
 
 
+@pytest.mark.parametrize("yaw_scale", ["0", "-1", "1e-6"])
+def test_degenerate_init_yaw_scale_exit_data(mini_dataset, tmp_path, capsys, yaw_scale):
+    # a yaw scale the gyro error model cannot invert is bad file content:
+    # a data error naming the file and the key, and no output directory
+    params = tmp_path / "params.txt"
+    params.write_text((mini_dataset / "truth-params.txt").read_text().replace(
+        "gyro.yaw_scale = 1\n", f"gyro.yaw_scale = {yaw_scale}\n"))
+    assert dataio.load_kv(params)["gyro.yaw_scale"] == [yaw_scale]
+    out = tmp_path / "out"
+    code = main(["run", "--dataset", str(mini_dataset), "--out", str(out),
+                 "--init-params", str(params)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and str(params) in err and "gyro.yaw_scale" in err
+    assert not out.exists()
+
+
 def test_config_file_overridden_by_flags(tmp_path):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text("scenario = mini_loop\nseed = 4\n"
@@ -235,13 +252,18 @@ def test_unknown_config_key_exit_data(tmp_path):
     ("", ["--inject-yaw-scale", "inf"], "inject_yaw_scale"),
     ("zero_noise = ture", [], "zero_noise"),
     ("seed = 1.5", [], "seed"),
+    ("inject_yaw_scale = 0", [], "inject_yaw_scale"),
+    ("", ["--inject-yaw-scale", "-1"], "inject_yaw_scale"),
+    ("", ["--inject-yaw-scale", "1e-6"], "inject_yaw_scale"),
 ], ids=["no_value", "no_flag_value", "misalign_one", "bias_two", "bias_four",
         "noise_nan", "rho_sg_nan", "yaw_scale_inf", "bias_nan", "misalign_inf",
-        "yaw_scale_flag_inf", "bool_typo", "int_fraction"])
+        "yaw_scale_flag_inf", "bool_typo", "int_fraction", "yaw_scale_zero",
+        "yaw_scale_flag_negative", "yaw_scale_flag_at_minimum"])
 def test_bad_config_value_exit_config(tmp_path, capsys, line, flags, key):
     # a config-file value of the wrong count, that does not parse or that is
-    # not finite, and a non-finite flag value, is a config error naming its
-    # key, found before anything is written
+    # not finite, a non-finite flag value, and an injected yaw scale the gyro
+    # error model cannot invert, is a config error naming its key, found
+    # before anything is written
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text(f"scenario = mini_loop\n{line}\n")
     out = tmp_path / "out"

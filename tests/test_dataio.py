@@ -17,6 +17,52 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(back, rows)   # 17 significant digits round-trip
 
 
+
+def _fmt(x) -> str:
+    """How write_csv wrote one value before it took one format per column."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def reference_csv_text(header: str, rows) -> str:
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(_fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+               1.0000000000000002, 2.0 ** 53 + 1.0, 2.0 ** 53 + 2.0, 1e300, 0.1, 1e16,
+               123456789.0, np.float64(-0.0), np.float64(5e-324), np.float64(0.1),
+               np.float64(2.0 ** 53 + 2.0)]
+
+
+def test_csv_text_matches_the_per_value_format(tmp_path, rng):
+    # float, np.float64, int, np.int64 and str columns, edge values included
+    floats = EDGE_FLOATS + rng.normal(0.0, 1e3, 40).tolist() + list(rng.normal(size=20))
+    ints = [0, -1, 7, 2 ** 62, np.int64(-5), np.int64(2 ** 63 - 1)]
+    rows = [[floats[k], ints[k % len(ints)], np.int64(k), f"frames/{k:06d}.pgm",
+             floats[-1 - k]] for k in range(len(floats))]
+    header = "a,b,c,d,e"
+    path = tmp_path / "mixed.csv"
+    dataio.write_csv(path, header, rows)
+    assert path.read_text() == reference_csv_text(header, rows)
+    # a 2-D array and its list of lists: np.float64 and float values
+    table = np.array([[f, -f] for f in EDGE_FLOATS], dtype=float)
+    for form in (table, table.tolist()):
+        dataio.write_csv(path, "x,y", form)
+        assert path.read_text() == reference_csv_text("x,y", table)
+
+
+@pytest.mark.parametrize("rows", [[], np.zeros((0, 7))], ids=["list", "array"])
+def test_csv_with_no_rows_is_the_header_alone(tmp_path, rows):
+    path = tmp_path / "imu.csv"
+    dataio.write_csv(path, dataio.IMU_HEADER, rows)
+    assert path.read_text() == dataio.IMU_HEADER + "\n"
+
 def test_csv_failed_write_leaves_no_file(tmp_path, monkeypatch):
     def write_then_fail(self, text):
         with open(self, "w") as fh:

@@ -5,13 +5,15 @@ import threading
 import numpy as np
 import pytest
 
-from viwo import geom, pipeline
-from viwo.dynamics import GRAVITY_VEC, GyroParams, correct_gyro, rk4_nav
-from viwo.features import landmark_to_feature
-from viwo.image import save_pgm
-from viwo.sensors import DEFAULT_INTRINSICS
-from viwo.sim import (CAMERA_EXTRINSICS, CAMERA_STRIDE, IMAGE_NOISE, WHEEL_NOISE, Arc,
-                      SensorErrorSpec, Stop, Straight, TrajectorySpec, ensure_coverage,
+from viwo import geom, pipeline, sim
+from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample, NavState,
+                           apply_gyro_error, correct_gyro, rk4_nav)
+from viwo.features import RHO_CEIL, FeatureState, landmark_to_feature
+from viwo.image import Image, save_pgm
+from viwo.sensors import DEFAULT_INTRINSICS, project
+from viwo.sim import (ACCEL_NOISE, CAMERA_EXTRINSICS, CAMERA_STRIDE, GYRO_NOISE, IMAGE_NOISE,
+                      IMU_RATE_HZ, PIXEL_NOISE, WHEEL_NOISE, Arc, Phase, SensorErrorSpec, Stop,
+                      Straight, TrajectorySample, TrajectorySpec, ensure_coverage,
                       generate_trajectory, generate_world, highway_route, mini_loop,
                       render_frame, synthesize_bearings, synthesize_imu,
                       synthesize_wheel, urban_loop, visible_landmarks)
@@ -90,9 +92,9 @@ def test_closed_loop_zero_noise():
     t = 0.0
     worst = 0.0
     for s, m in zip(truth[1:], imu):
-        nav = rk4_nav(nav, correct_gyro(m.omega_m, GyroParams()), m.accel_m,
-                      GRAVITY_VEC, m.t - t)
-        t = m.t
+        nav = rk4_nav(nav, correct_gyro(m[1:4], GyroParams()), m[4:7],
+                      GRAVITY_VEC, m[0] - t)
+        t = m[0]
         worst = max(worst, float(np.max(np.abs(nav.pos - s.nav.pos))))
     assert worst < 1e-3
 
@@ -104,7 +106,7 @@ def test_imu_forward_error_model(rng):
     err = SensorErrorSpec(params, zero_noise=True)
     imu = synthesize_imu(truth, err)
     for s, m in list(zip(truth[1:], imu))[::37]:
-        assert np.allclose(correct_gyro(m.omega_m, params), s.omega, atol=1e-12)
+        assert np.allclose(correct_gyro(m[1:4], params), s.omega, atol=1e-12)
 
 
 def test_injected_standstill_bias_visible():
@@ -113,7 +115,7 @@ def test_injected_standstill_bias_visible():
     bias = np.deg2rad(np.array([0.0, 0.0, 0.5]))
     err = SensorErrorSpec(GyroParams(bias.copy()), zero_noise=True)
     imu = synthesize_imu(truth, err)
-    mean_z = np.mean([m.omega_m[2] for m in imu])
+    mean_z = np.mean(imu[:, 3])
     assert abs(mean_z - bias[2]) < 1e-12
 
 
@@ -137,7 +139,7 @@ def test_determinism_bit_identical():
     err = SensorErrorSpec(GyroParams(), seed=9)
     i1 = synthesize_imu(t1, err)
     i2 = synthesize_imu(t2, err)
-    assert all(np.array_equal(a.omega_m, b.omega_m) for a, b in zip(i1, i2))
+    assert np.array_equal(i1, i2)
     w1 = generate_world(t1, seed=2)
     w2 = generate_world(t2, seed=2)
     assert np.array_equal(w1, w2)
@@ -283,3 +285,327 @@ def test_highway_route_length_and_validity():
     assert speeds.min() > 10.0     # stays inside the lateral-model validity
     assert lat.max() < 4.0
 
+
+
+# --- the per-sample and per-landmark simulator, kept as the reference ---------
+#
+# The simulator computes its trajectory inputs, world, sensor streams and
+# bearings in array passes.  The functions below are the loops those passes
+# replaced, kept verbatim (a Phase's polynomials were its methods); every
+# array pass must give their bytes.
+
+class ReferencePhase(Phase):
+    @property
+    def kdot(self):
+        return (self.k1 - self.k0) / self.duration
+
+    def speed(self, tau: float) -> float:
+        c0, c1, c2, c3 = self.c
+        return c0 + tau * (c1 + tau * (c2 + tau * c3))
+
+    def speed_dot(self, tau: float) -> float:
+        _, c1, c2, c3 = self.c
+        return c1 + tau * (2.0 * c2 + 3.0 * tau * c3)
+
+    def distance(self, tau: float) -> float:
+        c0, c1, c2, c3 = self.c
+        return tau * (c0 + tau * (c1 / 2.0 + tau * (c2 / 3.0 + tau * c3 / 4.0)))
+
+    def chi_increment(self, tau: float) -> float:
+        c0, c1, c2, c3 = self.c
+        kd = self.kdot
+        k0 = self.k0
+        return (k0 * self.distance(tau)
+                + kd * tau ** 2 * (c0 / 2.0 + tau * (c1 / 3.0
+                                                     + tau * (c2 / 4.0 + tau * c3 / 5.0))))
+
+
+class ReferenceProfile:
+    """Analytic lookup of (V, Vdot, kappa, kappadot, chi) over time."""
+
+    def __init__(self, phases: list[Phase]):
+        self.phases = phases
+        self.starts = np.concatenate([[0.0], np.cumsum([p.duration for p in phases])])
+        self.chi0 = np.zeros(len(phases) + 1)
+        for i, p in enumerate(phases):
+            self.chi0[i + 1] = self.chi0[i] + p.chi_increment(p.duration)
+
+    @property
+    def total_time(self) -> float:
+        return float(self.starts[-1])
+
+    def at(self, t: float):
+        idx = int(np.searchsorted(self.starts, t, side="right") - 1)
+        idx = min(max(idx, 0), len(self.phases) - 1)
+        p = self.phases[idx]
+        tau = t - self.starts[idx]
+        v = p.speed(tau)
+        k = p.k0 + p.kdot * tau
+        chi = self.chi0[idx] + p.chi_increment(tau)
+        return v, p.speed_dot(tau), k, p.kdot, chi
+
+
+def reference_generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
+    profile = ReferenceProfile([ReferencePhase(p.duration, p.c, p.k0, p.k1)
+                                for p in sim._compile_phases(spec)])
+    dt = 1.0 / IMU_RATE_HZ
+    steps = int(np.floor(profile.total_time / dt + 1e-9))
+    rho = spec.rho_sg
+
+    def inputs_at(t_mid):
+        v, vdot, k, kdot, chi = profile.at(t_mid)
+        a_lat = v * v * k
+        psi = chi + rho * a_lat
+        psidot = v * k + rho * (2.0 * v * vdot * k + v * v * kdot)
+        beta = np.arctan(-rho * a_lat) if v > 0 else 0.0
+        v_body = np.array([v * np.cos(beta), v * np.sin(beta), 0.0])
+        # world acceleration of the axle point, then specific force
+        pxdd = vdot * np.cos(chi) - v * (v * k) * np.sin(chi)
+        pydd = vdot * np.sin(chi) + v * (v * k) * np.cos(chi)
+        cos_p, sin_p = np.cos(psi), np.sin(psi)
+        a_body = np.array([cos_p * pxdd + sin_p * pydd,
+                           -sin_p * pxdd + cos_p * pydd,
+                           GRAVITY])
+        omega = np.array([0.0, 0.0, psidot])
+        return omega, a_body, psi, v_body
+
+    omega0, accel0, psi0, vbody0 = inputs_at(0.0)
+    nav = NavState(vbody0, geom.so3_exp(np.array([0.0, 0.0, psi0])), np.zeros(3))
+    out = [TrajectorySample(0.0, nav.copy(), omega0, accel0)]
+    t = 0.0
+    for k in range(steps):
+        t_next = (k + 1) * dt
+        omega, accel, _, _ = inputs_at(t + dt / 2.0)
+        nav = rk4_nav(nav, omega, accel, GRAVITY_VEC, dt)
+        out.append(TrajectorySample(t_next, nav.copy(), omega, accel))
+        t = t_next
+    return out
+
+
+def reference_generate_world(truth: list[TrajectorySample], seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
+    pts = []
+    dist = 0.0
+    last = truth[0].nav.pos
+    for s in truth:
+        step = np.linalg.norm(s.nav.pos - last)
+        dist += step
+        last = s.nav.pos
+        if dist >= 10.0 or not pts:
+            dist = 0.0
+            heading = geom.quats_to_dirs(s.nav.quat)
+            lateral_dir = np.array([-heading[1], heading[0], 0.0])
+            for _ in range(4):
+                side = rng.choice([-1.0, 1.0])
+                off = rng.uniform(3.0, 30.0)
+                h = rng.uniform(-1.0, 10.0)
+                ahead = rng.uniform(5.0, 40.0)
+                pts.append(s.nav.pos + heading * ahead
+                           + lateral_dir * side * off + np.array([0, 0, h]))
+    return np.array(pts)
+
+
+def reference_ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
+                              seed: int = 1) -> np.ndarray:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
+    pts = list(world)
+    for s in truth[::CAMERA_STRIDE]:
+        for _ in range(40):
+            vis = visible_landmarks(np.array(pts), s.nav)
+            if len(vis) >= 8:
+                break
+            heading = geom.quats_to_dirs(s.nav.quat)
+            lateral_dir = np.array([-heading[1], heading[0], 0.0])
+            pts.append(s.nav.pos + heading * rng.uniform(8, 35)
+                       + lateral_dir * rng.uniform(-12, 12)
+                       + np.array([0, 0, rng.uniform(0.0, 6.0)]))
+    return np.array(pts)
+
+
+def reference_synthesize_imu(truth: list[TrajectorySample],
+                             err: SensorErrorSpec) -> list[ImuSample]:
+    rng = np.random.default_rng(np.random.SeedSequence([err.seed, 1]))
+    noisy = not err.zero_noise
+    sg = GYRO_NOISE * np.sqrt(IMU_RATE_HZ)
+    sa = ACCEL_NOISE * np.sqrt(IMU_RATE_HZ)
+    out = []
+    for s in truth[1:]:
+        omega_m = apply_gyro_error(s.omega, err.params)
+        if noisy:
+            omega_m = omega_m + rng.normal(0.0, sg, 3)
+        accel_m = s.accel + (rng.normal(0.0, sa, 3) if noisy else 0.0)
+        out.append(ImuSample(s.t, omega_m, accel_m))
+    return out
+
+
+def reference_synthesize_wheel(truth: list[TrajectorySample],
+                               err: SensorErrorSpec) -> list[tuple[float, float]]:
+    rng = np.random.default_rng(np.random.SeedSequence([err.seed, 2]))
+    out = []
+    for s in truth[1:]:
+        v = float(s.nav.vel[0])
+        if abs(v) < 5e-3:
+            out.append((s.t, 0.0))
+        else:
+            n = 0.0 if err.zero_noise else rng.normal(0.0, WHEEL_NOISE)
+            out.append((s.t, v + n))
+    return out
+
+
+def reference_landmark_to_feature(landmark_world: np.ndarray, s: NavState,
+                                  ext) -> FeatureState:
+    r_wb = geom.quat_to_rot(s.quat)
+    cam_world = s.pos + r_wb @ ext.lever_arm
+    d_cam = ext.r_cb @ (r_wb.T @ (landmark_world - cam_world))
+    rng = np.sqrt(d_cam @ d_cam)
+    if d_cam[0] <= 0.0:
+        raise ValueError("landmark behind the camera")
+    if rng < 1.0 / RHO_CEIL:
+        raise ValueError(f"landmark range {rng} below minimum depth {1.0 / RHO_CEIL}")
+    return FeatureState(geom.bearing_from_dir(d_cam / rng), 1.0 / rng)
+
+
+def reference_synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
+                                  err: SensorErrorSpec, n_slots: int = 16):
+    rng = np.random.default_rng(np.random.SeedSequence([err.seed, 3]))
+    sigma_tan = PIXEL_NOISE / DEFAULT_INTRINSICS.fx
+    slot_of: dict[int, int] = {}
+    frames = []
+    for s in truth[::CAMERA_STRIDE]:
+        if s.t == 0.0:
+            continue
+        vis = visible_landmarks(world, s.nav)
+        vis_set = set(vis)
+        for lm, slot in list(slot_of.items()):
+            if lm not in vis_set:
+                del slot_of[lm]
+        free = sorted(set(range(n_slots)) - set(slot_of.values()))
+        # assign fresh slots to far landmarks: they stay in view longest
+        for lm in reversed(vis):
+            if lm not in slot_of and free:
+                slot_of[lm] = free.pop(0)
+        observed = sorted(slot_of.items(), key=lambda kv: kv[1])
+        bearings = np.array([reference_landmark_to_feature(world[lm], s.nav,
+                                                           CAMERA_EXTRINSICS).bearing
+                             for lm, _ in observed]).reshape(-1, 4)
+        if not err.zero_noise and observed:
+            bearings = geom.s2_boxplus_rows(
+                bearings, rng.normal(0.0, sigma_tan, (len(observed), 2)))
+        frames.append((s.t, [(slot, q) for (_, slot), q in zip(observed, bearings)]))
+    return frames
+
+
+def reference_render_frame(nav: NavState, world: np.ndarray, noise: np.ndarray | None) -> Image:
+    intr = DEFAULT_INTRINSICS
+    data = np.full((intr.height, intr.width), 10.0)
+    for idx in visible_landmarks(world, nav):
+        feat = reference_landmark_to_feature(world[idx], nav, CAMERA_EXTRINSICS)
+        (u, v), _ = project(feat.bearing, intr, require_in_image=False)
+        lo_u, hi_u = int(max(0, u - 6)), int(min(intr.width, u + 7))
+        lo_v, hi_v = int(max(0, v - 6)), int(min(intr.height, v + 7))
+        if lo_u >= hi_u or lo_v >= hi_v:
+            continue
+        uu, vv = np.meshgrid(np.arange(lo_u, hi_u, dtype=float),
+                             np.arange(lo_v, hi_v, dtype=float))
+        data[lo_v:hi_v, lo_u:hi_u] += 200.0 * np.exp(
+            -((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 1.5 ** 2))
+    if noise is not None:
+        data += noise
+    return Image(np.clip(data, 0.0, 255.0, out=data))
+
+
+def _truth_bytes(truth) -> bytes:
+    return np.array([[s.t, *s.nav.vel, *s.nav.quat, *s.nav.pos, *s.omega, *s.accel]
+                     for s in truth]).tobytes()
+
+
+def _frame_bytes(frames) -> tuple:
+    return ([t for t, _ in frames], [[slot for slot, _ in seen] for _, seen in frames],
+            np.array([q for _, seen in frames for _, q in seen]).tobytes())
+
+
+# mini_loop, and highway's standstill, first straight and first curve
+SCENARIOS = {"mini_loop": mini_loop(),
+             "highway_prefix": TrajectorySpec(highway_route().segments[:3])}
+INJECTED = GyroParams(np.deg2rad([0.3, -0.2, 0.5]), 1.01, np.deg2rad(0.5), np.deg2rad(0.5))
+
+
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def simulated(request):
+    """A scenario's truth and world, from the array passes and from the
+    reference loops."""
+    spec = SCENARIOS[request.param]
+    truth = generate_trajectory(spec)
+    ref_truth = reference_generate_trajectory(spec)
+    world = generate_world(truth, seed=17)
+    ref_world = reference_generate_world(ref_truth, seed=17)
+    return {"truth": truth, "ref_truth": ref_truth,
+            "world": world, "ref_world": ref_world,
+            "covered": ensure_coverage(world, truth, seed=17),
+            "ref_covered": reference_ensure_coverage(ref_world, ref_truth, seed=17)}
+
+
+def test_truth_and_world_match_the_reference_loops(simulated):
+    assert _truth_bytes(simulated["truth"]) == _truth_bytes(simulated["ref_truth"])
+    assert simulated["world"].tobytes() == simulated["ref_world"].tobytes()
+    assert simulated["covered"].shape[0] > simulated["world"].shape[0]   # points added
+    assert simulated["covered"].tobytes() == simulated["ref_covered"].tobytes()
+
+
+@pytest.mark.parametrize("zero_noise", [False, True], ids=["noisy", "zero_noise"])
+def test_sensor_streams_match_the_reference_loops(simulated, zero_noise):
+    truth, world = simulated["truth"], simulated["covered"]
+    err = SensorErrorSpec(INJECTED.copy(), seed=17, zero_noise=zero_noise)
+    imu = synthesize_imu(truth, err)
+    ref_imu = reference_synthesize_imu(truth, err)
+    assert imu.tobytes() == np.array([[m.t, *m.omega_m, *m.accel_m]
+                                      for m in ref_imu]).tobytes()
+    assert synthesize_wheel(truth, err).tobytes() == np.array(
+        reference_synthesize_wheel(truth, err)).tobytes()
+    frames = synthesize_bearings(truth, world, err, n_slots=14)
+    assert _frame_bytes(frames) == _frame_bytes(
+        reference_synthesize_bearings(truth, world, err, n_slots=14))
+
+
+def test_rendered_frames_match_the_reference_loop(simulated):
+    truth, world = simulated["truth"], simulated["covered"]
+    for s in truth[CAMERA_STRIDE::CAMERA_STRIDE * 40]:
+        assert (render_frame(s.nav, world, None).data.tobytes()
+                == reference_render_frame(s.nav, world, None).data.tobytes())
+
+
+@pytest.mark.parametrize("offset", [[-5.0, 0.3, 0.2], [0.05, 0.0, 0.01]],
+                         ids=["behind_the_camera", "below_minimum_depth"])
+def test_landmark_kernel_raises_like_the_scalar(offset):
+    nav = generate_trajectory(mini_loop())[500].nav
+    r_wb = geom.quat_to_rot(nav.quat)
+    cam = nav.pos + r_wb @ CAMERA_EXTRINSICS.lever_arm
+    bad = cam + r_wb @ CAMERA_EXTRINSICS.r_cb.T @ np.array(offset)
+    good = cam + r_wb @ np.array([20.0, 1.0, 0.5])
+    with pytest.raises(ValueError) as scalar:
+        reference_landmark_to_feature(bad, nav, CAMERA_EXTRINSICS)
+    for stack in (bad, np.array([bad]), np.array([good, bad, good])):
+        with pytest.raises(ValueError) as rows:
+            landmark_to_feature(stack, nav, CAMERA_EXTRINSICS)
+        assert str(rows.value) == str(scalar.value)
+    feat = landmark_to_feature(np.array([good, good]), nav, CAMERA_EXTRINSICS)
+    ref = reference_landmark_to_feature(good, nav, CAMERA_EXTRINSICS)
+    assert feat.bearing.tobytes() == np.array([ref.bearing, ref.bearing]).tobytes()
+    assert feat.rho.tobytes() == np.array([ref.rho, ref.rho]).tobytes()
+
+
+def test_profile_matches_the_reference_phases_at_any_time():
+    # random times, most of them in curvature blends, where the pow(tau, 2)
+    # term counts: it and tau * tau round apart for about 1 tau in 1200,
+    # which the trajectories' few thousand midpoints need not reach
+    rng = np.random.default_rng(3)
+    for spec in (urban_loop(), highway_route(), mini_loop()):
+        phases = sim._compile_phases(spec)
+        profile = sim._Profile(phases)
+        ref = ReferenceProfile([ReferencePhase(p.duration, p.c, p.k0, p.k1) for p in phases])
+        t = np.concatenate([rng.uniform(0.0, profile.total_time, 2000)]
+                           + [profile.starts[i] + rng.uniform(0.0, p.duration, 4000)
+                              for i, p in enumerate(phases) if p.k1 != p.k0])
+        got = np.column_stack(profile.at(t))
+        want = np.array([[float(x) for x in ref.at(ti)] for ti in t])
+        assert got.tobytes() == want.tobytes()
