@@ -2,6 +2,7 @@
 
     python scripts/ab_realtime.py OLD_SRC NEW_SRC DATASET [--mode bearing|image|wheel-imu-only] [--pairs N]
     python scripts/ab_realtime.py OLD_SRC NEW_SRC --simulate SCENARIO [--mode bearing|image] [--pairs N]
+    python scripts/ab_realtime.py OLD_SRC NEW_SRC --audit [--pairs N]
 
 OLD_SRC and NEW_SRC are ``src`` directories that each hold a ``viwo``
 package, for example the ``src`` of a second checkout and of this one.  Both
@@ -27,6 +28,13 @@ or another simulation in the same process.  The pairs alternate as above;
 the script prints each pair's seconds and new/old ratio, each tree's
 median seconds and the ratio of the medians.  ``scripts/ab_outputs.py``
 compares the datasets themselves.
+
+With ``--audit`` the script times the benchmark's Jacobian audit instead:
+the 24 calls ``run_audit(10, seed=k)``, k = 0 to 23, per tree and pair, in
+this process with both trees imported, the pairs alternating as above.  It
+prints each pair's audit configurations per second and new/old ratio, each
+tree's median and the ratio of the medians, and whether the two trees gave
+bit-identical worst-block dictionaries in every call.
 """
 
 import argparse
@@ -150,6 +158,50 @@ def compare_simulate(old_src: Path, new_src: Path, scenario: str, mode: str,
           f"new faster in {wins} of {pairs} pairs")
 
 
+AUDIT_SEEDS = range(24)      # the benchmark's audit calls, seeds 0 to 23
+AUDIT_CONFIGS = 10           # configurations per call
+
+
+class AuditTree:
+    def __init__(self, label: str, src: Path):
+        self.label = label
+        package = import_tree(src, f"viwo_ab_{label}").__package__
+        self.jacobian_check = importlib.import_module(f"{package}.jacobian_check")
+        self.rates: list[float] = []
+        self.worst: list[dict[str, float]] = []
+
+    def run(self) -> None:
+        t0 = perf_counter()
+        worst = [self.jacobian_check.run_audit(AUDIT_CONFIGS, seed=k) for k in AUDIT_SEEDS]
+        self.rates.append(len(AUDIT_SEEDS) * AUDIT_CONFIGS / (perf_counter() - t0))
+        self.worst = worst
+
+
+def same_bits(a: dict[str, float], b: dict[str, float]) -> bool:
+    return a.keys() == b.keys() and all(a[k].hex() == b[k].hex() for k in a)
+
+
+def compare_audit(old_src: Path, new_src: Path, pairs: int) -> None:
+    old, new = AuditTree("old", old_src), AuditTree("new", new_src)
+    print(f"audit: run_audit({AUDIT_CONFIGS}, seed=k) for k = 0 to {len(AUDIT_SEEDS) - 1}")
+    print(f"{'pair':>4}  {'first':>5}  {'old cfg/s':>9}  {'new cfg/s':>9}  {'new/old':>7}")
+    for pair in range(pairs):
+        order = (old, new) if pair % 2 == 0 else (new, old)
+        for tree in order:
+            tree.run()
+        print(f"{pair:>4}  {order[0].label:>5}  {old.rates[-1]:>9.1f}  {new.rates[-1]:>9.1f}  "
+              f"{new.rates[-1] / old.rates[-1]:>7.3f}")
+    for tree in (old, new):
+        print(f"{tree.label}: median {statistics.median(tree.rates):.1f} configs/s")
+    wins = sum(n > o for o, n in zip(old.rates, new.rates))
+    print(f"ratio of medians new/old "
+          f"{statistics.median(new.rates) / statistics.median(old.rates):.3f}; "
+          f"new faster in {wins} of {pairs} pairs")
+    moved = [k for k, a, b in zip(AUDIT_SEEDS, old.worst, new.worst) if not same_bits(a, b)]
+    print("worst-block dictionaries bit-identical: "
+          + ("yes" if not moved else f"no (seeds {moved})"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", type=Path)
@@ -161,11 +213,16 @@ def main(argv=None) -> int:
     ap.add_argument("--simulate", metavar="SCENARIO",
                     choices=("urban_loop", "highway", "mini_loop"),
                     help="time cmd_simulate of SCENARIO instead of runs on DATASET")
+    ap.add_argument("--audit", action="store_true",
+                    help="time the benchmark's Jacobian audit calls instead")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    if (args.dataset is None) == (args.simulate is None):
-        ap.error("give either DATASET or --simulate SCENARIO")
+    if (args.dataset is not None) + (args.simulate is not None) + args.audit != 1:
+        ap.error("give one of DATASET, --simulate SCENARIO and --audit")
+    if args.audit:
+        compare_audit(args.old_src.resolve(), args.new_src.resolve(), args.pairs)
+        return 0
     if args.simulate is not None:
         if args.mode == "wheel-imu-only":
             ap.error("--simulate takes --mode bearing or image")

@@ -13,6 +13,7 @@ functions.  The photometric probe keeps its sample points away from bilinear
 cell boundaries, where the interpolant is not differentiable.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .dynamics import (GRAVITY_VEC, GyroParams, NavState, apply_gyro_error,
 from .features import CameraExtrinsics
 from .filter import NAV_DIM, assemble_f_compact, assemble_psi_compact
 from .image import Image, build_pyramid, extract_patch_set
-from .sensors import (DEFAULT_INTRINSICS, CameraIntrinsics,
+from .sensors import (DEFAULT_INTRINSICS, CameraIntrinsics, ProjectionError,
                       camera_measurement_jacobian, project,
                       vehicle_measurement_jacobian,
                       vehicle_predicted_measurement)
@@ -62,20 +63,32 @@ def random_sample(rng: np.random.Generator) -> JointSample:
 
 
 # batched state tuple: (vel (B,3), quat (B,4), pos (B,3), qf (B,4), rho (B,))
-# with one feature per scenario and per-scenario corrected rates (B,3).
+# with one feature per row and per-row corrected rates (B,3).
 
-def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, dt):
-    """Batched RK4 step of the coupled dynamics (one feature per scenario)."""
+def _flow_batch(vel, quat, pos, qf, rho, omega, accel, lever_arm, r_cb, dt):
+    """Batched RK4 step of the coupled dynamics (one feature per row).
+
+    accel, lever_arm and the step length dt are per row.  r_cb (G, 3, 3)
+    holds the camera rotation of each of G equal groups of consecutive rows;
+    each group is rotated by its own matrix product, so the products keep
+    the shape, and the bits, of a flow of that group alone.
+    """
+    groups = r_cb.shape[0]
+    r_bc = np.swapaxes(r_cb, 1, 2)
+
+    def to_camera(x):
+        return (x.reshape(groups, -1, 3) @ r_bc).reshape(x.shape)
+
+    om4 = np.concatenate([np.zeros((omega.shape[0], 1)), omega], axis=1)
+    w_c = to_camera(omega)
 
     def deriv(v, q, p, bq, br):
         r = geom.quats_to_frames(q)
-        vdot = (accel[None, :] + np.einsum("bji,j->bi", r, GRAVITY_VEC)
+        vdot = (accel + np.einsum("bji,j->bi", r, GRAVITY_VEC)
                 - geom.cross_rows(omega, v))
-        om4 = np.concatenate([np.zeros((omega.shape[0], 1)), omega], axis=1)
         qdot = 0.5 * geom.quat_mul_rows(q, om4)
         pdot = np.einsum("bij,bj->bi", r, v)
-        v_c = (v + geom.cross_rows(omega, ext.lever_arm)) @ ext.r_cb.T
-        w_c = omega @ ext.r_cb.T
+        v_c = to_camera(v + geom.cross_rows(omega, lever_arm))
         pdir = geom.quats_to_dirs(bq)
         nt = geom.quats_to_tangents(bq)
         rate3 = w_c + br[:, None] * geom.cross_rows(pdir, v_c)
@@ -87,12 +100,18 @@ def _flow_batch(vel, quat, pos, qf, rho, omega, accel, ext, dt):
         return vdot, qdot, pdot, bqdot, brdot
 
     y = (vel, quat, pos, qf, rho)
+
+    def per_row(h):
+        """The per-row step h, shaped to scale each state component."""
+        return [h[:, None] if yi.ndim == 2 else h for yi in y]
+
+    half, full, sixth = per_row(0.5 * dt), per_row(dt), per_row(dt / 6.0)
     k1 = deriv(*y)
-    k2 = deriv(*(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
-    k3 = deriv(*(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
-    k4 = deriv(*(yi + dt * ki for yi, ki in zip(y, k3)))
-    out = [yi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-           for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    k2 = deriv(*(yi + hi * ki for yi, hi, ki in zip(y, half, k1)))
+    k3 = deriv(*(yi + hi * ki for yi, hi, ki in zip(y, half, k2)))
+    k4 = deriv(*(yi + hi * ki for yi, hi, ki in zip(y, full, k3)))
+    out = [yi + hi * (a + 2 * b + 2 * c + d)
+           for yi, hi, a, b, c, d in zip(y, sixth, k1, k2, k3, k4)]
     out[1] = out[1] / np.sqrt((out[1] * out[1]).sum(axis=1))[:, None]
     out[3] = out[3] / np.sqrt((out[3] * out[3]).sum(axis=1))[:, None]
     return tuple(out)
@@ -111,66 +130,100 @@ def _tangent_diff(a, b) -> np.ndarray:
 
 
 _FD_H = 2e-5           # state and parameter step of the flow differences
-_FD_DT = 1e-3          # longest flow step of the Richardson extrapolation
+# flow step lengths of the Richardson extrapolation, longest first
+_FD_DTS = np.array([1e-3, 1e-3 / 2.0, 1e-3 / 4.0])
 _FD_H_MEAS = 1e-6      # step of the measurement-side central differences
+_FLOW_ROWS = 36        # flowed rows per sample and step length
+# samples per fd_flow_matrices call of run_audit: larger blocks gain little
+# speed and cost memory (all 1000 of a full audit in one block peak at
+# three times the resident memory)
+_AUDIT_BLOCK = 20
 
 
-def _perturbed_states(s: JointSample):
-    """Stack of 24 scenarios: +_FD_H then -_FD_H along each of the 12
-    tangent dims.
+def _flow_rows(samples: list[JointSample]):
+    """The _FLOW_ROWS rows each sample flows at every step length, as
+    (vel, quat, pos, qf, rho, omega), each (S, _FLOW_ROWS, ...).
 
-    Positions are taken about the origin: the dynamics do not depend on
-    position, and flowing positions of tens of metres and then differencing
-    them would cost the position rows most of their digits.
+    A sample's rows are 24 state perturbations, +_FD_H then -_FD_H along
+    each of the 12 tangent dims, then the unperturbed state under +_FD_H
+    and then -_FD_H along each of the 6 gyro parameters.  Positions are
+    taken about the origin: the dynamics do not depend on position, and
+    flowing positions of tens of metres and then differencing them would
+    cost the position rows most of their digits.
     """
+    n = len(samples)
     deltas = np.vstack([np.eye(12) * _FD_H, -np.eye(12) * _FD_H])
-    cnt = deltas.shape[0]
-    vel = np.tile(s.nav.vel, (cnt, 1)) + deltas[:, 0:3]
-    pos = deltas[:, 6:9]
-    quat = geom.quat_mul_batch(geom.so3_exp_rows(deltas[:, 3:6]), s.nav.quat)
-    qf = geom.s2_boxplus_rows(np.tile(s.qf[0], (cnt, 1)), deltas[:, 9:11])
-    rho = np.full(cnt, s.rho[0]) + deltas[:, 11]
-    return vel, quat, pos, qf, rho
+    states = deltas.shape[0]
+    nav_quat = np.array([s.nav.quat for s in samples])
+    qf0 = np.array([s.qf[0] for s in samples])
+    rho0 = np.array([s.rho[0] for s in samples])
+
+    vel = np.repeat(np.array([s.nav.vel for s in samples])[:, None], _FLOW_ROWS, axis=1)
+    vel[:, :states] += deltas[:, 0:3]
+    quat = np.repeat(nav_quat[:, None], _FLOW_ROWS, axis=1)
+    quat[:, :states] = geom.quat_mul_batch(geom.so3_exp_rows(deltas[:, 3:6]),
+                                           nav_quat[:, None])
+    pos = np.zeros((n, _FLOW_ROWS, 3))
+    pos[:, :states] = deltas[:, 6:9]
+    qf = np.repeat(qf0[:, None], _FLOW_ROWS, axis=1)
+    qf[:, :states] = geom.s2_boxplus_rows(np.repeat(qf0, states, axis=0),
+                                          np.tile(deltas[:, 9:11], (n, 1))
+                                          ).reshape(n, states, 4)
+    rho = np.repeat(rho0[:, None], _FLOW_ROWS, axis=1)
+    rho[:, :states] += deltas[:, 11]
+
+    omega = np.empty((n, _FLOW_ROWS, 3))
+    for s, rates in zip(samples, omega):
+        rates[:states] = correct_gyro(s.omega_m, s.params)
+        base = s.params.as_vector()
+        for k in range(6):
+            for sgn, row in ((1.0, k), (-1.0, 6 + k)):
+                vec = base.copy()
+                vec[k] += sgn * _FD_H
+                rates[states + row] = correct_gyro(s.omega_m, GyroParams.from_vector(vec))
+    return vel, quat, pos, qf, rho, omega
 
 
-def fd_flow_matrices(s: JointSample) -> tuple[np.ndarray, np.ndarray]:
-    """Flow-based FD of the error-state dynamics matrix F and sensitivity Psi.
+def fd_flow_matrices(samples: list[JointSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Flow-based FD of the error-state dynamics matrix F (S, 12, 12) and
+    sensitivity Psi (S, 12, 6) of each of S samples.
 
-    All state and parameter perturbations for one dt level are flowed as a
-    single batch; three-level Richardson extrapolation in the step length
-    removes the O(dt) and O(dt^2) terms.
+    Every sample's state and parameter perturbations are flowed at all
+    three step lengths in one batch, each (sample, step length) a group of
+    _FLOW_ROWS consecutive rows; three-level Richardson extrapolation in the
+    step length removes the O(dt) and O(dt^2) terms.  Each sample's result
+    does not depend on the other samples of the block.
     """
-    vel_s, quat_s, pos_s, qf_s, rho_s = _perturbed_states(s)
-    omega0 = correct_gyro(s.omega_m, s.params)
+    n = len(samples)
+    levels = len(_FD_DTS)
+    reps = levels * _FLOW_ROWS
+    vel, quat, pos, qf, rho, omega = (
+        np.repeat(x, levels, axis=0).reshape((n * reps,) + x.shape[2:])
+        for x in _flow_rows(samples))
+    flowed = _flow_batch(
+        vel, quat, pos, qf, rho, omega,
+        np.repeat([s.accel for s in samples], reps, axis=0),
+        np.repeat([s.ext.lever_arm for s in samples], reps, axis=0),
+        np.repeat([s.ext.r_cb for s in samples], levels, axis=0),
+        np.repeat(np.tile(_FD_DTS, n), _FLOW_ROWS))
 
-    base = s.params.as_vector()
-    omegas = np.empty((12, 3))
-    for k in range(6):
-        for sgn, row in ((1.0, k), (-1.0, 6 + k)):
-            vec = base.copy()
-            vec[k] += sgn * _FD_H
-            omegas[row] = correct_gyro(s.omega_m, GyroParams.from_vector(vec))
+    def group_rows(lo, hi):
+        """Rows lo:hi of every group of the flowed state."""
+        return tuple(x.reshape((n * levels, _FLOW_ROWS) + x.shape[1:])[:, lo:hi]
+                     .reshape((-1,) + x.shape[1:]) for x in flowed)
 
-    vel = np.vstack([vel_s, np.tile(s.nav.vel, (12, 1))])
-    quat = np.vstack([quat_s, np.tile(s.nav.quat, (12, 1))])
-    pos = np.vstack([pos_s, np.zeros((12, 3))])
-    qf = np.vstack([qf_s, np.tile(s.qf[0], (12, 1))])
-    rho = np.concatenate([rho_s, np.full(12, s.rho[0])])
-    omega = np.vstack([np.tile(omega0, (24, 1)), omegas])
+    steps = _FD_DTS[:, None, None]
+    state_diff = _tangent_diff(group_rows(0, 12), group_rows(12, 24))
+    phi = np.swapaxes(state_diff.reshape(n, levels, 12, 12), 2, 3) / (2.0 * _FD_H)
+    f_mat = (phi - np.eye(12)) / steps
+    param_diff = _tangent_diff(group_rows(24, 30), group_rows(30, 36))
+    psi = np.swapaxes(param_diff.reshape(n, levels, 6, 12), 2, 3) / (2.0 * _FD_H * steps)
 
-    def at(step):
-        flowed = _flow_batch(vel, quat, pos, qf, rho, omega, s.accel, s.ext, step)
-        phi = _tangent_diff(tuple(x[0:12] for x in flowed),
-                            tuple(x[12:24] for x in flowed)).T / (2.0 * _FD_H)
-        f_mat = (phi - np.eye(12)) / step
-        psi = _tangent_diff(tuple(x[24:30] for x in flowed),
-                            tuple(x[30:36] for x in flowed)).T / (2.0 * _FD_H * step)
-        return f_mat, psi
+    def richardson(m):
+        m1, m2, m4 = m[:, 0], m[:, 1], m[:, 2]
+        return (4.0 * (2.0 * m4 - m2) - (2.0 * m2 - m1)) / 3.0
 
-    (f1, p1), (f2, p2), (f4, p4) = at(_FD_DT), at(_FD_DT / 2.0), at(_FD_DT / 4.0)
-    f_out = (4.0 * (2.0 * f4 - f2) - (2.0 * f2 - f1)) / 3.0
-    p_out = (4.0 * (2.0 * p4 - p2) - (2.0 * p2 - p1)) / 3.0
-    return f_out, p_out
+    return richardson(f_mat), richardson(psi)
 
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray, scale: float = 0.0) -> float:
@@ -195,13 +248,31 @@ def _central_diff(f, dim: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+# half side [px] of the rendered square of a probe.  fd_camera_chain's patch
+# lies 2.5 px from the blob centre, and the pixels the chain reads through
+# both pyramid levels (patch, bilinear cells, the 5-tap smoothing and the
+# 2x2 averaging) lie within 16 px of it.
+_PROBE_RADIUS = 32
+
+
 def render_smooth_probe(intr: CameraIntrinsics, u: float, v: float) -> Image:
-    """Blob plus tilted plane: smooth scene with gradient everywhere."""
-    uu, vv = np.meshgrid(np.arange(intr.width, dtype=float),
-                         np.arange(intr.height, dtype=float))
+    """Blob at (u, v) plus tilted plane: smooth scene with gradient
+    everywhere near the blob.
+
+    Only the square of pixels within _PROBE_RADIUS of (u, v) along each axis
+    is rendered; the rest of the frame holds 0.
+    """
+    cu, cv = math.floor(u), math.floor(v)
+    c0, r0 = max(cu - _PROBE_RADIUS, 0), max(cv - _PROBE_RADIUS, 0)
+    c1 = min(cu + _PROBE_RADIUS + 1, intr.width)
+    r1 = min(cv + _PROBE_RADIUS + 1, intr.height)
+    uu, vv = np.meshgrid(np.arange(c0, c1, dtype=float),
+                         np.arange(r0, r1, dtype=float))
     blob = 120.0 * np.exp(-((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 6.0 ** 2))
     plane = 40.0 + 0.12 * uu + 0.07 * vv
-    return Image(np.clip(plane + blob, 0.0, 255.0))
+    data = np.zeros((intr.height, intr.width))
+    data[r0:r1, c0:c1] = np.clip(plane + blob, 0.0, 255.0)
+    return Image(data)
 
 
 def _probe_off_lattice(u: float, v: float) -> bool:
@@ -226,7 +297,7 @@ def fd_camera_chain(rng: np.random.Generator, intr: CameraIntrinsics):
         bearing = geom.bearing_from_dir(d)
         try:
             (u, v), _ = project(bearing, intr)
-        except Exception:
+        except ProjectionError:
             continue
         if not (16 < u < intr.width - 16 and 16 < v < intr.height - 16):
             continue
@@ -272,49 +343,60 @@ PARAM_BLOCKS = {
 
 def run_audit(n_configs: int = 1000, seed: int = 0) -> dict[str, float]:
     """Max relative error per named block over random configurations;
-    format_report judges them against the tolerance."""
+    format_report judges them against the tolerance.
+
+    The configurations are drawn one after another from one stream; the
+    flow differences of each block of _AUDIT_BLOCK of them then run in one
+    fd_flow_matrices call.
+    """
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 
-    for i in range(n_configs):
-        s = random_sample(rng)
-        f_an = assemble_f_compact(s.nav, s.qf, s.rho,
-                                  correct_gyro(s.omega_m, s.params), s.ext)
-        f_fd, psi_fd = fd_flow_matrices(s)
-        f_scale = float(np.max(np.abs(f_fd)))
-        for name, (r, c) in DYNAMIC_BLOCKS.items():
-            err = _rel_err(f_an[r, c], f_fd[r, c], f_scale)
-            worst[name] = max(worst.get(name, 0.0), err)
+    def note(name: str, err: float) -> None:
+        worst[name] = max(worst.get(name, 0.0), err)
 
-        psi_an = assemble_psi_compact(s.nav, s.qf, s.rho, s.omega_m,
-                                      s.params, s.ext)
-        psi_scale = float(np.max(np.abs(psi_fd)))
-        for name, r in PARAM_BLOCKS.items():
-            err = _rel_err(psi_an[r, :], psi_fd[r, :], psi_scale)
-            worst[name] = max(worst.get(name, 0.0), err)
+    for start in range(0, n_configs, _AUDIT_BLOCK):
+        samples = []
+        # (block name, error) of the measurement-side probes, noted after
+        # the dynamics blocks so that worst keeps its order of names
+        measured = []
+        for i in range(start, min(start + _AUDIT_BLOCK, n_configs)):
+            samples.append(random_sample(rng))
 
-        vel = rng.uniform(-20, 20, 3)
-        v_x_m, a_y_m = float(vel[0]), rng.uniform(-4, 4)
-        rho_sg = rng.uniform(0.0, 0.006)
-        hv_an = vehicle_measurement_jacobian(rho_sg, a_y_m)
-        hv_fd = _central_diff(lambda d: vehicle_predicted_measurement(
-            vel + d, v_x_m, a_y_m, rho_sg), 3)
-        worst["h_vehicle"] = max(worst.get("h_vehicle", 0.0),
-                                 _rel_err(hv_an, hv_fd))
+            vel = rng.uniform(-20, 20, 3)
+            v_x_m, a_y_m = float(vel[0]), rng.uniform(-4, 4)
+            rho_sg = rng.uniform(0.0, 0.006)
+            hv_an = vehicle_measurement_jacobian(rho_sg, a_y_m)
+            hv_fd = _central_diff(lambda d: vehicle_predicted_measurement(
+                vel + d, v_x_m, a_y_m, rho_sg), 3)
+            measured.append(("h_vehicle", _rel_err(hv_an, hv_fd)))
 
-        d = np.array([1.0, rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)])
-        bearing = geom.bearing_from_dir(d)
-        _, j_an = project(bearing, DEFAULT_INTRINSICS, require_in_image=False)
-        j_fd = _central_diff(lambda delta: np.array(project(
-            geom.s2_boxplus(bearing, delta), DEFAULT_INTRINSICS,
-            require_in_image=False)[0]), 2)
-        worst["projection_tangent"] = max(worst.get("projection_tangent", 0.0),
-                                          _rel_err(j_an, j_fd))
+            d = np.array([1.0, rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)])
+            bearing = geom.bearing_from_dir(d)
+            _, j_an = project(bearing, DEFAULT_INTRINSICS, require_in_image=False)
+            j_fd = _central_diff(lambda delta: np.array(project(
+                geom.s2_boxplus(bearing, delta), DEFAULT_INTRINSICS,
+                require_in_image=False)[0]), 2)
+            measured.append(("projection_tangent", _rel_err(j_an, j_fd)))
 
-        if i % 20 == 0:
-            h_an, h_fd = fd_camera_chain(rng, DEFAULT_INTRINSICS)
-            worst["camera_chain"] = max(worst.get("camera_chain", 0.0),
-                                        _rel_err(h_an, h_fd))
+            if i % 20 == 0:
+                h_an, h_fd = fd_camera_chain(rng, DEFAULT_INTRINSICS)
+                measured.append(("camera_chain", _rel_err(h_an, h_fd)))
+
+        for s, f_fd, psi_fd in zip(samples, *fd_flow_matrices(samples)):
+            f_an = assemble_f_compact(s.nav, s.qf, s.rho,
+                                      correct_gyro(s.omega_m, s.params), s.ext)
+            f_scale = float(np.max(np.abs(f_fd)))
+            for name, (r, c) in DYNAMIC_BLOCKS.items():
+                note(name, _rel_err(f_an[r, c], f_fd[r, c], f_scale))
+
+            psi_an = assemble_psi_compact(s.nav, s.qf, s.rho, s.omega_m,
+                                          s.params, s.ext)
+            psi_scale = float(np.max(np.abs(psi_fd)))
+            for name, r in PARAM_BLOCKS.items():
+                note(name, _rel_err(psi_an[r, :], psi_fd[r, :], psi_scale))
+        for name, err in measured:
+            note(name, err)
     return worst
 
 

@@ -202,10 +202,10 @@ def test_nav_jacobian_trivial_blocks():
 
 def test_nav_jacobian_matches_flow_fd(rng):
     from viwo.jacobian_check import fd_flow_matrices, random_sample
-    for _ in range(20):
-        s = random_sample(rng)
+    samples = [random_sample(rng) for _ in range(20)]
+    for s, f_fd in zip(samples, fd_flow_matrices(samples)[0]):
         f, _ = nav_linearization(s.nav, s.omega_m, s.params, s.ext)
-        fd = fd_flow_matrices(s)[0][0:9, 0:9]
+        fd = f_fd[0:9, 0:9]
         scale = max(np.max(np.abs(fd)), 1.0)
         assert np.max(np.abs(f - fd)) / scale < 1e-5
 
@@ -219,10 +219,10 @@ def test_nav_param_jacobian_zero_velocity():
 
 def test_nav_param_jacobian_matches_flow_fd(rng):
     from viwo.jacobian_check import fd_flow_matrices, random_sample
-    for _ in range(20):
-        s = random_sample(rng)
+    samples = [random_sample(rng) for _ in range(20)]
+    for s, psi_fd in zip(samples, fd_flow_matrices(samples)[1]):
         _, psi = nav_linearization(s.nav, s.omega_m, s.params, s.ext)
-        fd = fd_flow_matrices(s)[1][0:9, :]
+        fd = psi_fd[0:9, :]
         scale = max(np.max(np.abs(fd)), 1.0)
         assert np.max(np.abs(psi - fd)) / scale < 1e-5
 
