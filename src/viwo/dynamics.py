@@ -49,6 +49,11 @@ class NavState:
     def copy(self) -> "NavState":
         return NavState(self.vel.copy(), self.quat.copy(), self.pos.copy())
 
+    @staticmethod
+    def from_row(y: np.ndarray) -> "NavState":
+        """The state of a [vel, quat, pos] row (10,), as views of it."""
+        return NavState(y[0:3], y[3:7], y[7:10])
+
 
 @dataclass
 class ImuSample:
@@ -133,9 +138,9 @@ def corrected_rate_param_jacobian(omega_m: np.ndarray,
     return jac
 
 
-def _deriv_flat(y, wx, wy, wz, ax, ay, az, gx, gy, gz):
-    """RK4 stage derivative in plain float math (hot path)."""
-    vx, vy, vz, qw, qx, qy, qz, px, py, pz = y
+def _deriv_flat(vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, ax, ay, az, gx, gy, gz):
+    """RK4 stage derivative (vdot, qdot, pdot) in plain float math (hot
+    path); the position does not enter it."""
     r00 = 1.0 - 2.0 * (qy * qy + qz * qz)
     r01 = 2.0 * (qx * qy - qw * qz)
     r02 = 2.0 * (qx * qz + qw * qy)
@@ -160,27 +165,57 @@ def _deriv_flat(y, wx, wy, wz, ax, ay, az, gx, gy, gz):
 
 
 def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
-            g: np.ndarray, dt: float) -> NavState:
-    """One RK4 step of the nav state for corrected rates, in scalar float math."""
+            g: np.ndarray, dt: float | np.ndarray):
+    """RK4 steps of the nav state for corrected rates, in scalar float math.
+
+    Single step: omega and accel (3,), dt a float -> the NavState after the
+    step.  Chunk: omega and accel (T, 3), dt (T,) -> (T + 1, 10) rows
+    [vel, quat, pos]: s, then the state after each step.  The single step is
+    the chunk code with T = 1, so a chunk gives the states of T single steps
+    bit for bit.  Each step normalizes the quaternion; a non-finite state
+    raises FloatingPointError.
+    """
+    single = np.ndim(dt) == 0
+    if single:
+        omega, accel, dt = omega[None], accel[None], [dt]
     # Python floats: the same IEEE arithmetic as numpy scalars, faster
-    args = (*omega.tolist(), *accel.tolist(), *g.tolist())
-    y0 = (*s.vel.tolist(), *s.quat.tolist(), *s.pos.tolist())
-    dt = float(dt)
-    half = 0.5 * dt
-    k1 = _deriv_flat(y0, *args)
-    y_b = [a + half * b for a, b in zip(y0, k1)]
-    k2 = _deriv_flat(y_b, *args)
-    y_c = [a + half * b for a, b in zip(y0, k2)]
-    k3 = _deriv_flat(y_c, *args)
-    y_d = [a + dt * b for a, b in zip(y0, k3)]
-    k4 = _deriv_flat(y_d, *args)
-    sixth = dt / 6.0
-    y1 = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
-          for a, b, c, d, e in zip(y0, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, y1)):
-        raise FloatingPointError("non-finite nav state after propagation step")
-    norm = math.sqrt(y1[3] ** 2 + y1[4] ** 2 + y1[5] ** 2 + y1[6] ** 2)
-    y = np.array(y1)
-    return NavState(y[0:3], y[3:7] / norm, y[7:10])
-
-
+    gx, gy, gz = g.tolist()
+    y = (*s.vel.tolist(), *s.quat.tolist(), *s.pos.tolist())
+    vx, vy, vz, qw, qx, qy, qz, px, py, pz = y
+    rows = [y]
+    for (wx, wy, wz), (ax, ay, az), h in zip(omega.tolist(), accel.tolist(),
+                                             np.asarray(dt, dtype=float).tolist()):
+        half = 0.5 * h
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _deriv_flat(
+            vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, ax, ay, az, gx, gy, gz)
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = _deriv_flat(
+            vx + half * a0, vy + half * a1, vz + half * a2, qw + half * a3,
+            qx + half * a4, qy + half * a5, qz + half * a6,
+            wx, wy, wz, ax, ay, az, gx, gy, gz)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = _deriv_flat(
+            vx + half * b0, vy + half * b1, vz + half * b2, qw + half * b3,
+            qx + half * b4, qy + half * b5, qz + half * b6,
+            wx, wy, wz, ax, ay, az, gx, gy, gz)
+        d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = _deriv_flat(
+            vx + h * c0, vy + h * c1, vz + h * c2, qw + h * c3,
+            qx + h * c4, qy + h * c5, qz + h * c6,
+            wx, wy, wz, ax, ay, az, gx, gy, gz)
+        sixth = h / 6.0
+        y = (vx + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+             vy + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             vz + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             qw + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+             qx + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+             qy + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+             qz + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+             px + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
+             py + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8),
+             pz + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9))
+        if not all(map(math.isfinite, y)):
+            raise FloatingPointError("non-finite nav state after propagation step")
+        vx, vy, vz, qw, qx, qy, qz, px, py, pz = y
+        norm = math.sqrt(qw ** 2 + qx ** 2 + qy ** 2 + qz ** 2)
+        qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+        rows.append((vx, vy, vz, qw, qx, qy, qz, px, py, pz))
+    rows = np.array(rows)
+    return NavState.from_row(rows[1]) if single else rows

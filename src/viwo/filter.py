@@ -60,7 +60,7 @@ from collections.abc import Collection, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import geom
 from .dynamics import (GRAVITY_VEC, MAX_STEP_S, GyroParams, ImuSample,
@@ -175,14 +175,14 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
     chunk of them (corrected rates).
 
     Single step: omega and accel (3,), dt a float -> (nav', qf' (n, 4),
-    rho' (n,)).  Chunk: omega and accel (T, 3), dt (T,) -> (navs, qfs
-    (T + 1, n, 4), rhos (T + 1, n)), the states before each step and after
-    the last (navs a list of T + 1 NavStates).  Between the steps of a chunk
-    rho is clipped to [RHO_FLOOR, RHO_CEIL], as the filter clips after every
-    step; the last rho is returned unclipped.  So a chunk gives, bit for bit,
-    the states of T single steps with the clip between them.
+    rho' (n,)).  Chunk: omega and accel (T, 3), dt (T,) -> (navs (T + 1,
+    10), qfs (T + 1, n, 4), rhos (T + 1, n)), the states before each step
+    and after the last, navs as [vel, quat, pos] rows.  Between the steps of
+    a chunk rho is clipped to [RHO_FLOOR, RHO_CEIL], as the filter clips
+    after every step; the last rho is returned unclipped.  So a chunk gives,
+    bit for bit, the states of T single steps with the clip between them.
 
-    The nav block is one dynamics.rk4_nav step per IMU step.  A feature is a
+    The nav block is one dynamics.rk4_nav call over all steps.  A feature is a
     static point p / rho in the camera frame, so it moves with the exact
     rigid transform between the camera poses before and after the step, not
     by integrating its ODE.  With body attitudes R0, R1, body positions p_W0,
@@ -201,14 +201,12 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
     single = np.ndim(dt) == 0
     if single:
         omega, accel, dt = omega[None], accel[None], [dt]
-    navs = [nav]
-    for w, a, h in zip(omega, accel, dt):
-        navs.append(rk4_nav(navs[-1], w, a, g, h))
+    navs = rk4_nav(nav, omega, accel, g, dt)
     steps = len(navs) - 1
     qfs, rhos = [qf], [rho]
     if qf.shape[0]:
-        frames = geom.quats_to_frames(np.array([s.quat for s in navs]))
-        pos = np.array([s.pos for s in navs])
+        frames = geom.quats_to_frames(navs[:, 3:7])
+        pos = navs[:, 7:10]
         r0, r1t = frames[:-1], np.swapaxes(frames[1:], 1, 2)
         r_cb, lever = ext.r_cb, ext.lever_arm
         a_all = r_cb @ (r1t @ r0) @ r_cb.T
@@ -242,11 +240,11 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
     else:
         qfs, rhos = qfs * (steps + 1), rhos * (steps + 1)
     if single:
-        return navs[1], qfs[1], rhos[1]
+        return NavState.from_row(navs[1]), qfs[1], rhos[1]
     return navs, np.array(qfs), np.array(rhos)
 
 
-def assemble_linearization(nav: NavState | Sequence[NavState],
+def assemble_linearization(nav: NavState | np.ndarray,
                            qf: np.ndarray, rho: np.ndarray,
                            omega: np.ndarray, omega_m: np.ndarray,
                            params: GyroParams, ext: CameraExtrinsics,
@@ -254,19 +252,21 @@ def assemble_linearization(nav: NavState | Sequence[NavState],
     """(F, Psi) over [nav, features] in one pass (compact layout).
 
     Single step: nav a NavState, qf (n, 4), rho (n,), omega and omega_m (3,)
-    -> F (dim, dim), Psi (dim, 6).  Stacked: nav a sequence of T states, qf
-    (T, n, 4), rho (T, n), omega and omega_m (T, 3) -> F (T, dim, dim), Psi
-    (T, dim, 6).  The single step is the stacked code with T = 1, and step
-    k's matrices are bit-identical whatever T is: every operation is
-    elementwise or a product per step (see the module docstring).
+    -> F (dim, dim), Psi (dim, 6).  Stacked: nav (T, 10) [vel, quat, pos]
+    rows, qf (T, n, 4), rho (T, n), omega and omega_m (T, 3) -> F (T, dim,
+    dim), Psi (T, dim, 6).  The single step is the stacked code with T = 1,
+    and step k's matrices are bit-identical whatever T is: every operation
+    is elementwise or a product per step (see the module docstring).
     """
     single = isinstance(nav, NavState)
     if single:
-        nav, qf, rho, omega, omega_m = [nav], qf[None], rho[None], omega[None], omega_m[None]
+        vel, quat = nav.vel[None], nav.quat[None]
+        qf, rho, omega, omega_m = qf[None], rho[None], omega[None], omega_m[None]
+    else:
+        vel, quat = nav[:, 0:3], nav[:, 3:7]
     steps, cnt = qf.shape[0], qf.shape[1]
     n = NAV_DIM + FEAT_DIM * cnt
-    vel = np.array([s.vel for s in nav])
-    r = geom.quats_to_frames(np.array([s.quat for s in nav]))
+    r = geom.quats_to_frames(quat)
     f = np.zeros((steps, n, n))
     f[:, 0:3, 0:3] = -geom.skew_rows(omega)
     f[:, 0:3, 3:6] = np.swapaxes(r, 1, 2) @ geom.skew_rows(g)
@@ -321,11 +321,12 @@ def kalman_step(p: np.ndarray, h: np.ndarray, r_diag: np.ndarray,
     the innovation covariance is not positive definite."""
     pht = p @ h.T
     sigma = h @ pht + np.diag(r_diag)
-    try:
-        cho = cho_factor(0.5 * (sigma + sigma.T), lower=True, check_finite=False)
-    except LinAlgError:
+    # the LAPACK routines of scipy's cho_factor and cho_solve, without
+    # their wrappers' checks
+    chol, info = dpotrf(0.5 * (sigma + sigma.T), lower=1, clean=0)
+    if info > 0:
         return None
-    k = cho_solve(cho, pht.T, check_finite=False).T
+    k = dpotrs(chol, pht.T, lower=1)[0].T
     dx = k @ residual
     ikh = np.eye(p.shape[0]) - k @ h
     p_new = ikh @ p
@@ -341,12 +342,10 @@ def rls_step(s: np.ndarray, omega: np.ndarray, sigma: np.ndarray,
     s_new = (S - gamma Omega S) / lam.
     """
     lam_mat = sigma + omega @ s @ omega.T
-    try:
-        cho = cho_factor(0.5 * (lam_mat + lam_mat.T), lower=True,
-                         check_finite=False)
-    except LinAlgError:
+    chol, info = dpotrf(0.5 * (lam_mat + lam_mat.T), lower=1, clean=0)
+    if info > 0:
         return None
-    gamma = cho_solve(cho, omega @ s, check_finite=False).T
+    gamma = dpotrs(chol, omega @ s, lower=1)[0].T
     dtheta = gamma @ residual
     s_new = (s - gamma @ omega @ s) / lam
     s_new = 0.5 * (s_new + s_new.T)
@@ -536,7 +535,7 @@ class AdaptiveEkf:
         self.cov = cov
         self.upsilon = ups
 
-        self.nav = navs[-1]
+        self.nav = NavState.from_row(navs[-1])
         if len(act):
             self._qf[act] = qfs[-1]
             self._rho[act] = np.clip(rhos[-1], RHO_FLOOR, RHO_CEIL)

@@ -62,26 +62,37 @@ class Image:
         bot = i10 * gu + i11 * fu
         return top * gv + bot * fv, (i01 - i00) * gv + (i11 - i10) * fv, bot - top
 
-    def downsample(self) -> "Image":
+    def downsample(self, rows: range | None = None) -> "Image":
         """Half-resolution level: binomial smoothing then 2x2 averaging.
 
         The pre-smoothing widens structures relative to the coarser grid so
         coarse-to-fine alignment keeps a useful pull-in basin.  Each 5-tap
         pass sums its terms left to right over edge-replicated borders.
+
+        The level is computed in strips of _STRIP_ROWS rows, each from the
+        rows of this image alone.  With rows, only the strips holding those
+        rows of this image are computed, bit for bit as in the full level,
+        and every other row of the level holds 0.
         """
         d = self.data
         h, w = d.shape
         k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
         hh = (h // 2) * 2
         ww = (w // 2) * 2
-        out = np.empty((hh // 2, ww // 2))
+        if rows is None:
+            strips = range(0, hh, _STRIP_ROWS)
+            out = np.empty((hh // 2, ww // 2))
+        else:
+            strips = range(max(rows.start, 0) // _STRIP_ROWS * _STRIP_ROWS,
+                           min(rows.stop, hh), _STRIP_ROWS)
+            out = np.zeros((hh // 2, ww // 2))
         # Each strip of rows is smoothed on a flat copy with 2 edge pixels
         # added on every side, so that the taps of both passes are
         # contiguous slices.  The 4 added columns of a row take sums across
         # row ends and are never read; the 4 zeros after the last row keep
         # those sums finite.
         pw = w + 4
-        for r0 in range(0, hh, _STRIP_ROWS):
+        for r0 in strips:
             r1 = min(r0 + _STRIP_ROWS, hh)
             n = r1 - r0
             m = (n + 4) * pw

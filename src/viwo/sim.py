@@ -9,8 +9,9 @@ model holds exactly in steady cornering:
 
     v_y = -rho_sg * a_y * v_x,   heading = path tangent + rho_sg * V^2 * kappa
 
-Ground truth is *defined* as the RK4 flow (dynamics.rk4_nav) of the nav
-dynamics under the emitted rate/force samples (sampled mid-interval).
+Ground truth is *defined* as the RK4 flow of the nav dynamics under the
+emitted rate/force samples (sampled mid-interval): one dynamics.rk4_nav
+call over the whole trajectory, the kernel the filter's predict runs.
 Sensors synthesized from that flow are therefore exactly kinematically
 consistent with it: a filter fed noise-free streams reproduces the truth to
 integrator precision.
@@ -292,12 +293,11 @@ def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
     beta0 = np.arctan(-rho * a_lat[0]) if v0 > 0 else 0.0
     nav = NavState(np.array([v0 * np.cos(beta0), v0 * np.sin(beta0), 0.0]),
                    geom.so3_exp(np.array([0.0, 0.0, psi[0]])), np.zeros(3))
-    out = [TrajectorySample(0.0, nav, omega[0], accel[0])]
-    for i in range(1, steps + 1):
-        # rk4_nav returns a new state, so the samples need no copies
-        nav = rk4_nav(nav, omega[i], accel[i], GRAVITY_VEC, dt)
-        out.append(TrajectorySample(i * dt, nav, omega[i], accel[i]))
-    return out
+    # step i runs on the inputs of sample i; each sample's state is a view
+    # of its row
+    navs = rk4_nav(nav, omega[1:], accel[1:], GRAVITY_VEC, np.full(steps, dt))
+    return [TrajectorySample(i * dt, NavState.from_row(y), omega[i], accel[i])
+            for i, y in enumerate(navs)]
 
 
 # --- worlds -------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from viwo import dataio
 from viwo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from viwo.sensors import DEFAULT_INTRINSICS
 from viwo.sim import CAMERA_EXTRINSICS
+
+PINNED_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed5_outputs.json"
 
 
 def tree_digest(root: Path) -> dict:
@@ -80,6 +84,25 @@ def test_run_deterministic(mini_dataset, tmp_path):
                      "--out", str(out)]) == EXIT_OK
         outs.append((out / "trajectory.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_outputs_bits_pinned(mini_dataset, tmp_path):
+    # the simulated dataset and the outputs of a bearing and a wheel-IMU-only
+    # run on it; a change that means to move these bits updates the table in
+    # the same commit (report.txt is left out: it holds the dataset path)
+    table = json.loads(PINNED_OUTPUTS.read_text())
+    got = {f"dataset/{name}": value for name, value in tree_digest(mini_dataset).items()}
+    for run, flags in (("bearing", []), ("wheel-imu-only", ["--wheel-imu-only"])):
+        out = tmp_path / run
+        assert main(["run", "--dataset", str(mini_dataset), "--out", str(out),
+                     *flags]) == EXIT_OK
+        for name in ("trajectory.csv", "params.csv", "final-params.txt"):
+            got[f"{run}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    moved = sorted(name for name in table["sha256"].keys() | got.keys()
+                   if table["sha256"].get(name) != got.get(name))
+    assert not moved, (
+        f"output files moved: {moved}; table recorded with {table['recorded_with']}, "
+        f"this is numpy {np.__version__} on {platform.system()} {platform.machine()}")
 
 
 def test_eval_identical_files_zero(mini_dataset, capsys):

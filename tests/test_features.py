@@ -256,7 +256,7 @@ def test_chunk_transport_matches_single_steps(rng):
     accel = -GRAVITY_VEC + rng.normal(size=(steps, 3)) * 0.1
     dts = rng.uniform(0.004, 0.006, steps)
     navs, qfs, rhos = propagate_joint(nav, qf, rho, omega, accel, dts, ext, GRAVITY_VEC)
-    assert len(navs) == steps + 1
+    assert navs.shape == (steps + 1, 10)
     assert qfs.shape == (steps + 1, 6, 4) and rhos.shape == (steps + 1, 6)
 
     s, q, r = nav, qf, rho
@@ -266,8 +266,7 @@ def test_chunk_transport_matches_single_steps(rng):
             if r[0] > RHO_CEIL:
                 past_ceil.append(k)
             r = np.clip(r, RHO_FLOOR, RHO_CEIL)
-        for name in ("vel", "quat", "pos"):
-            assert np.array_equal(getattr(navs[k], name), getattr(s, name)), (k, name)
+        assert np.array_equal(navs[k], np.concatenate((s.vel, s.quat, s.pos))), k
         assert np.array_equal(qfs[k], q) and np.array_equal(rhos[k], r), k
         if k < steps:
             s, q, r = propagate_joint(s, q, r, omega[k], accel[k], dts[k], ext,
@@ -278,7 +277,7 @@ def test_chunk_transport_matches_single_steps(rng):
     navs0, qfs0, rhos0 = propagate_joint(nav, qf[:0], rho[:0], omega, accel, dts, ext,
                                          GRAVITY_VEC)
     assert qfs0.shape == (steps + 1, 0, 4) and rhos0.shape == (steps + 1, 0)
-    assert all(np.array_equal(a.pos, b.pos) for a, b in zip(navs0, navs))
+    assert np.array_equal(navs0, navs)
 
 
 def test_landmark_round_trip(rng):

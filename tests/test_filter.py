@@ -169,7 +169,8 @@ def test_stacked_linearization_matches_single_steps(rng, cnt):
         rho = rng.uniform(0.01, 2.0, (steps, cnt))
         omega_m = rng.uniform(-0.6, 0.6, (steps, 3))
         omega = correct_gyro(omega_m, params)
-        f, psi = assemble_linearization(navs, qf, rho, omega, omega_m, params, ext,
+        rows = np.array([np.concatenate((s.vel, s.quat, s.pos)) for s in navs])
+        f, psi = assemble_linearization(rows, qf, rho, omega, omega_m, params, ext,
                                         GRAVITY_VEC)
         assert f.shape == (steps, NAV_DIM + 3 * cnt, NAV_DIM + 3 * cnt)
         for k in range(steps):
@@ -239,6 +240,24 @@ def test_zero_range_predict_raises_and_changes_nothing():
     nav = ekf.nav.copy()
     block = [ImuSample(k / 16.0, np.zeros(3), GRAV_CANCEL) for k in range(1, 5)]
     with pytest.raises(FloatingPointError, match="feature state"):
+        ekf.predict(block)
+    assert ekf.t == 0.0 and ekf.counters["predicts"] == 0
+    for name in ("vel", "quat", "pos"):
+        assert np.array_equal(getattr(ekf.nav, name), getattr(nav, name))
+    for name, value in before.items():
+        assert np.array_equal(getattr(ekf, name), value), name
+
+
+def test_non_finite_nav_predict_raises_and_changes_nothing():
+    """A block whose third IMU sample sends the nav state to inf: predict
+    raises FloatingPointError and leaves the state as it was."""
+    ekf = make_filter(capacity=0)
+    ekf.nav.vel = np.array([8.0, 0.0, 0.0])
+    before = {name: getattr(ekf, name).copy() for name in ("cov", "upsilon")}
+    nav = ekf.nav.copy()
+    block = [ImuSample(k * 0.01, np.zeros(3), GRAV_CANCEL) for k in range(1, 6)]
+    block[2] = ImuSample(0.03, np.zeros(3), np.array([1e308, 0.0, 9.81]))
+    with pytest.raises(FloatingPointError, match="non-finite nav state"):
         ekf.predict(block)
     assert ekf.t == 0.0 and ekf.counters["predicts"] == 0
     for name in ("vel", "quat", "pos"):
@@ -342,6 +361,41 @@ def test_kalman_step_singular_sigma_returns_none():
     p = np.zeros((3, 3))
     h = np.eye(3)[:1]
     assert kalman_step(p, h, np.zeros(1), np.zeros(1)) is None
+
+
+def test_not_positive_definite_steps_return_none():
+    # a negative measurement variance makes the innovation matrices of both
+    # steps negative definite
+    assert kalman_step(np.eye(3), np.eye(3), np.full(3, -2.0), np.ones(3)) is None
+    assert rls_step(np.eye(6), np.zeros((3, 6)), -np.eye(3), np.ones(3), 0.999) is None
+
+
+def test_not_positive_definite_update_is_skipped_and_changes_nothing():
+    """Two velocity groups that each pass the gate, but whose stacked
+    innovation matrix is not positive definite: the update is counted as
+    skipped and leaves the state as it was."""
+    ekf = make_filter(capacity=0)
+    ekf.predict([ImuSample(k * 0.01, np.array([0.01, -0.02, 0.1]), GRAV_CANCEL)
+                 for k in range(1, 6)])
+    assert np.abs(ekf.upsilon).max() > 0.0
+    p_vel = ekf.cov[0, 0]
+    groups = [RowGroup("vehicle", None, np.zeros(3), np.arange(3), np.eye(3),
+                       np.full(3, 0.01 * p_vel)),
+              RowGroup("zupt", None, np.zeros(3), np.arange(3), np.eye(3),
+                       np.full(3, -0.5 * p_vel))]
+    assert all(ekf.gate(g) for g in groups)
+    before = {name: getattr(ekf, name).copy()
+              for name in ("cov", "upsilon", "param_cov")}
+    nav, params = ekf.nav.copy(), ekf.params.as_vector()
+    counters = dict(ekf.counters)
+    report = ekf.update(groups)
+    assert report["skipped"] and len(report["kept"]) == 2
+    assert ekf.counters == {**counters, "updates_skipped": 1}
+    for name, value in before.items():
+        assert getattr(ekf, name).tobytes() == value.tobytes(), name
+    for name in ("vel", "quat", "pos"):
+        assert getattr(ekf.nav, name).tobytes() == getattr(nav, name).tobytes(), name
+    assert ekf.params.as_vector().tobytes() == params.tobytes()
 
 
 def test_batch_equals_sequential_updates(rng):

@@ -377,6 +377,24 @@ def test_downsample_matches_reference(name):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [range(-40, 3), range(100, 101), range(250, 330),
+                                  range(470, 600), range(-5, 500)])
+def test_downsample_rows_computes_its_strips_as_the_full_level(rows):
+    # the level rows of each strip holding an asked row have the bits of the
+    # full level; every other row holds 0
+    img = Image(TEST_IMAGES["random_640x480"])
+    full = img.downsample().data
+    part = img.downsample(rows).data
+    assert part.shape == full.shape
+    asked = [r for r in rows if 0 <= r < img.height]
+    strips = {r // viwo.image._STRIP_ROWS for r in asked}
+    computed = [(2 * i) // viwo.image._STRIP_ROWS in strips for i in range(part.shape[0])]
+    assert all(computed[r // 2] for r in asked)
+    for i, done in enumerate(computed):
+        want = full[i] if done else np.zeros_like(full[i])
+        assert part[i].tobytes() == want.tobytes(), i
+
+
 @pytest.mark.parametrize("name", ["8x8", "odd", "float", "rendered_seed1_0"])
 def test_sample_matches_reference(name):
     img = Image(TEST_IMAGES[name])
