@@ -16,6 +16,7 @@ from viwo.sensors import DEFAULT_INTRINSICS
 from viwo.sim import CAMERA_EXTRINSICS
 
 PINNED_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed5_outputs.json"
+PINNED_IMAGE_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed2_image_outputs.json"
 
 
 def tree_digest(root: Path) -> dict:
@@ -24,6 +25,22 @@ def tree_digest(root: Path) -> dict:
         if p.is_file():
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def run_digests(out: Path, run: str) -> dict:
+    return {f"{run}/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("trajectory.csv", "params.csv", "final-params.txt")}
+
+
+def assert_digests_pinned(pinned: Path, got: dict) -> None:
+    # a change that means to move these bits updates the table in the same
+    # commit (report.txt is left out: it holds the dataset path)
+    table = json.loads(pinned.read_text())
+    moved = sorted(name for name in table["sha256"].keys() | got.keys()
+                   if table["sha256"].get(name) != got.get(name))
+    assert not moved, (
+        f"output files moved: {moved}; table recorded with {table['recorded_with']}, "
+        f"this is numpy {np.__version__} on {platform.system()} {platform.machine()}")
 
 
 @pytest.fixture(scope="module")
@@ -88,21 +105,14 @@ def test_run_deterministic(mini_dataset, tmp_path):
 
 def test_outputs_bits_pinned(mini_dataset, tmp_path):
     # the simulated dataset and the outputs of a bearing and a wheel-IMU-only
-    # run on it; a change that means to move these bits updates the table in
-    # the same commit (report.txt is left out: it holds the dataset path)
-    table = json.loads(PINNED_OUTPUTS.read_text())
+    # run on it
     got = {f"dataset/{name}": value for name, value in tree_digest(mini_dataset).items()}
     for run, flags in (("bearing", []), ("wheel-imu-only", ["--wheel-imu-only"])):
         out = tmp_path / run
         assert main(["run", "--dataset", str(mini_dataset), "--out", str(out),
                      *flags]) == EXIT_OK
-        for name in ("trajectory.csv", "params.csv", "final-params.txt"):
-            got[f"{run}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
-    moved = sorted(name for name in table["sha256"].keys() | got.keys()
-                   if table["sha256"].get(name) != got.get(name))
-    assert not moved, (
-        f"output files moved: {moved}; table recorded with {table['recorded_with']}, "
-        f"this is numpy {np.__version__} on {platform.system()} {platform.machine()}")
+        got.update(run_digests(out, run))
+    assert_digests_pinned(PINNED_OUTPUTS, got)
 
 
 def test_eval_identical_files_zero(mini_dataset, capsys):
@@ -341,7 +351,7 @@ def test_image_mode_end_to_end(tmp_path):
                  "--seed", "2", "--mode", "image"])
     assert code == EXIT_OK
     assert (ds / "frames.csv").exists()
-    frames = list((ds / "frames").glob("*.pgm"))
+    frames = sorted((ds / "frames").glob("*.pgm"))
     assert len(frames) > 50
     out = tmp_path / "imrun"
     code = main(["run", "--dataset", str(ds), "--out", str(out),
@@ -354,6 +364,15 @@ def test_image_mode_end_to_end(tmp_path):
     # image mode stays on track at desk scale
     end_err = np.linalg.norm(traj[-1, 1:4] - gt[-1, 1:4])
     assert end_err < 25.0
+    # the dataset files, the frames in name order and the run's outputs
+    got = {f"dataset/{name}": value for name, value in tree_digest(ds).items()
+           if not name.startswith("frames/")}
+    frames_digest = hashlib.sha256()
+    for p in frames:
+        frames_digest.update(p.read_bytes())
+    got["dataset/frames/*.pgm"] = frames_digest.hexdigest()
+    got.update(run_digests(out, "image"))
+    assert_digests_pinned(PINNED_IMAGE_OUTPUTS, got)
 
 
 def test_resimulated_bearing_dataset_has_no_old_frames(tmp_path):
