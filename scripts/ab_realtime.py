@@ -57,8 +57,6 @@ def import_tree(src: Path, name: str):
     pkg_dir = src / "viwo"
     spec = importlib.util.spec_from_file_location(
         name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
-    if spec is None:
-        raise SystemExit(f"no viwo package in {src}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
@@ -220,15 +218,15 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
     if (args.dataset is not None) + (args.simulate is not None) + args.audit != 1:
         ap.error("give one of DATASET, --simulate SCENARIO and --audit")
+    for src in (args.old_src, args.new_src):
+        if not (src / "viwo" / "__init__.py").is_file():
+            ap.error(f"no viwo package in {src}")
     if args.audit:
         compare_audit(args.old_src.resolve(), args.new_src.resolve(), args.pairs)
         return 0
     if args.simulate is not None:
         if args.mode == "wheel-imu-only":
             ap.error("--simulate takes --mode bearing or image")
-        for src in (args.old_src, args.new_src):
-            if not (src / "viwo" / "pipeline.py").is_file():
-                ap.error(f"no viwo package in {src}")
         compare_simulate(args.old_src.resolve(), args.new_src.resolve(), args.simulate,
                          args.mode, args.pairs)
         return 0

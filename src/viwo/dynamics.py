@@ -165,19 +165,14 @@ def _deriv_flat(vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, ax, ay, az, gx, gy, gz):
 
 
 def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
-            g: np.ndarray, dt: float | np.ndarray):
+            g: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """RK4 steps of the nav state for corrected rates, in scalar float math.
 
-    Single step: omega and accel (3,), dt a float -> the NavState after the
-    step.  Chunk: omega and accel (T, 3), dt (T,) -> (T + 1, 10) rows
-    [vel, quat, pos]: s, then the state after each step.  The single step is
-    the chunk code with T = 1, so a chunk gives the states of T single steps
-    bit for bit.  Each step normalizes the quaternion; a non-finite state
-    raises FloatingPointError.
+    omega and accel (T, 3), dt (T,) -> (T + 1, 10) rows [vel, quat, pos]: s,
+    then the state after each step.  Each step is done alone, so a chunk
+    gives the states of T one-step (T = 1) calls bit for bit.  Each step
+    normalizes the quaternion; a non-finite state raises FloatingPointError.
     """
-    single = np.ndim(dt) == 0
-    if single:
-        omega, accel, dt = omega[None], accel[None], [dt]
     # Python floats: the same IEEE arithmetic as numpy scalars, faster
     gx, gy, gz = g.tolist()
     y = (*s.vel.tolist(), *s.quat.tolist(), *s.pos.tolist())
@@ -217,5 +212,4 @@ def rk4_nav(s: NavState, omega: np.ndarray, accel: np.ndarray,
         norm = math.sqrt(qw ** 2 + qx ** 2 + qy ** 2 + qz ** 2)
         qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
         rows.append((vx, vy, vz, qw, qx, qy, qz, px, py, pz))
-    rows = np.array(rows)
-    return NavState.from_row(rows[1]) if single else rows
+    return np.array(rows)

@@ -359,9 +359,10 @@ def retract(nav: NavState, dx_nav: np.ndarray) -> NavState:
                     nav.pos + dx_nav[6:9])
 
 
-_PARAM_BIAS_LIMIT = 0.1      # rad/s
-_PARAM_SCALE_RANGE = (0.5, 2.0)
-_PARAM_MISALIGN_LIMIT = 0.1
+# bounds of the gyro parameters, in GyroParams.as_vector order: offsets
+# [rad/s], yaw scale, misalignments [rad]
+_PARAM_LOWER = np.array([-0.1, -0.1, -0.1, 0.5, -0.1, -0.1])
+_PARAM_UPPER = np.array([0.1, 0.1, 0.1, 2.0, 0.1, 0.1])
 _VEL_COLS = np.array([0, 1, 2])
 _EYE2 = np.eye(2)            # h_local of every bearing group
 _EYE2.flags.writeable = False
@@ -729,12 +730,9 @@ class AdaptiveEkf:
 
     def _apply_param_step(self, dtheta: np.ndarray) -> None:
         vec = self.params.as_vector() + dtheta
-        clipped = vec.copy()
-        clipped[0:3] = np.clip(vec[0:3], -_PARAM_BIAS_LIMIT, _PARAM_BIAS_LIMIT)
-        clipped[3] = np.clip(vec[3], *_PARAM_SCALE_RANGE)
-        clipped[4:6] = np.clip(vec[4:6], -_PARAM_MISALIGN_LIMIT,
-                               _PARAM_MISALIGN_LIMIT)
-        if not np.array_equal(vec, clipped):
+        clipped = np.clip(vec, _PARAM_LOWER, _PARAM_UPPER)
+        # NaN != NaN, so a NaN parameter counts as a clamp
+        if (clipped != vec).any():
             self.counters["param_clamps"] += 1
         self.params = GyroParams.from_vector(clipped)
 

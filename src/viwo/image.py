@@ -12,7 +12,9 @@ pyramid step and the samplers do the operations of the full-frame
 implementations kept in tests/test_image.py, in the same order, and must
 match them bit for bit; they only make fewer elements go through them, by
 working on flat indices, at the candidate pixels and in strips of rows that
-stay in cache.
+stay in cache.  A pyramid's coarse level computes each strip the first time
+a sampler reads one of its rows, from rows of the finer image alone, so its
+bits do not depend on which strips are ever computed, or in which order.
 """
 
 import os
@@ -30,19 +32,36 @@ class Image:
 
     def __init__(self, data: np.ndarray):
         # C order, so the samplers and the detector can index the flat buffer
-        self.data = np.ascontiguousarray(data, dtype=float)
-        if self.data.ndim != 2:
+        self._data = np.ascontiguousarray(data, dtype=float)
+        if self._data.ndim != 2:
             raise ValueError("image data must be 2-D")
-        self.height, self.width = self.data.shape
+        self.height, self.width = self._data.shape
+        # first finer-image rows of the strips still to compute (downsample)
+        self._pending: set[int] = set()
+
+    @property
+    def data(self) -> np.ndarray:
+        """The pixel grid, every strip computed."""
+        for r0 in sorted(self._pending):
+            self._compute_strip(r0)
+        return self._data
 
     def _cells(self, u, v):
         """Corner values i00, i01, i10, i11 of the bilinear cell holding each
-        (u, v), clipped to the grid, and the offsets fu, fv inside it."""
+        (u, v), clipped to the grid, and the offsets fu, fv inside it.  The
+        only place where pixels are read by sub-pixel access, so a
+        downsampled level computes here the strips holding the rows read."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         u0 = np.minimum(np.maximum(np.floor(u).astype(int), 0), self.width - 2)
         v0 = np.minimum(np.maximum(np.floor(v).astype(int), 0), self.height - 2)
-        flat = self.data.ravel()
+        if self._pending:
+            # the strips holding level rows v0.min() to v0.max() + 1
+            for r0 in range(2 * int(v0.min()) // _STRIP_ROWS * _STRIP_ROWS,
+                            2 * int(v0.max()) + 3, _STRIP_ROWS):
+                if r0 in self._pending:
+                    self._compute_strip(r0)
+        flat = self._data.ravel()
         i00 = v0 * self.width + u0
         i10 = i00 + self.width
         return flat[i00], flat[i00 + 1], flat[i10], flat[i10 + 1], u - u0, v - v0
@@ -62,61 +81,59 @@ class Image:
         bot = i10 * gu + i11 * fu
         return top * gv + bot * fv, (i01 - i00) * gv + (i11 - i10) * fv, bot - top
 
-    def downsample(self, rows: range | None = None) -> "Image":
+    def downsample(self) -> "Image":
         """Half-resolution level: binomial smoothing then 2x2 averaging.
 
         The pre-smoothing widens structures relative to the coarser grid so
         coarse-to-fine alignment keeps a useful pull-in basin.  Each 5-tap
         pass sums its terms left to right over edge-replicated borders.
 
-        The level is computed in strips of _STRIP_ROWS rows, each from the
-        rows of this image alone.  With rows, only the strips holding those
-        rows of this image are computed, bit for bit as in the full level,
-        and every other row of the level holds 0.
+        The level is computed in strips of _STRIP_ROWS rows of this image:
+        each as the samplers first read it, and all left when data is read.
         """
-        d = self.data
+        hh = (self.height // 2) * 2
+        level = Image(np.empty((hh // 2, self.width // 2)))
+        level._source = self
+        level._pending = set(range(0, hh, _STRIP_ROWS))
+        return level
+
+    def _compute_strip(self, r0: int) -> None:
+        """Compute the level rows of the finer image's strip from row r0."""
+        self._pending.discard(r0)
+        d = self._source.data
         h, w = d.shape
         k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
         hh = (h // 2) * 2
         ww = (w // 2) * 2
-        if rows is None:
-            strips = range(0, hh, _STRIP_ROWS)
-            out = np.empty((hh // 2, ww // 2))
-        else:
-            strips = range(max(rows.start, 0) // _STRIP_ROWS * _STRIP_ROWS,
-                           min(rows.stop, hh), _STRIP_ROWS)
-            out = np.zeros((hh // 2, ww // 2))
-        # Each strip of rows is smoothed on a flat copy with 2 edge pixels
+        # The strip of rows is smoothed on a flat copy with 2 edge pixels
         # added on every side, so that the taps of both passes are
         # contiguous slices.  The 4 added columns of a row take sums across
         # row ends and are never read; the 4 zeros after the last row keep
         # those sums finite.
         pw = w + 4
-        for r0 in strips:
-            r1 = min(r0 + _STRIP_ROWS, hh)
-            n = r1 - r0
-            m = (n + 4) * pw
-            flat = np.empty(m + 4)
-            flat[m:] = 0.0
-            pad = flat[:m].reshape(n + 4, pw)
-            np.take(d, np.arange(r0 - 2, r1 + 2), axis=0, mode="clip", out=pad[:, 2:w + 2])
-            pad[:, :2] = pad[:, 2:3]
-            pad[:, w + 2:] = pad[:, w + 1:w + 2]
-            term = np.empty(m)
-            across = np.multiply(flat[0:m], k[0])
-            for i in range(1, 5):
-                across += np.multiply(flat[i:i + m], k[i], out=term)
-            term = term[:n * pw]
-            down = np.multiply(across[0:n * pw], k[0])
-            for i in range(1, 5):
-                down += np.multiply(across[i * pw:(i + n) * pw], k[i], out=term)
-            down = down.reshape(n, pw)
-            quad = out[r0 // 2:r1 // 2]
-            np.add(down[0::2, 0:ww:2], down[0::2, 1:ww:2], out=quad)
-            quad += down[1::2, 0:ww:2]
-            quad += down[1::2, 1:ww:2]
-            quad *= 0.25
-        return Image(out)
+        r1 = min(r0 + _STRIP_ROWS, hh)
+        n = r1 - r0
+        m = (n + 4) * pw
+        flat = np.empty(m + 4)
+        flat[m:] = 0.0
+        pad = flat[:m].reshape(n + 4, pw)
+        np.take(d, np.arange(r0 - 2, r1 + 2), axis=0, mode="clip", out=pad[:, 2:w + 2])
+        pad[:, :2] = pad[:, 2:3]
+        pad[:, w + 2:] = pad[:, w + 1:w + 2]
+        term = np.empty(m)
+        across = np.multiply(flat[0:m], k[0])
+        for i in range(1, 5):
+            across += np.multiply(flat[i:i + m], k[i], out=term)
+        term = term[:n * pw]
+        down = np.multiply(across[0:n * pw], k[0])
+        for i in range(1, 5):
+            down += np.multiply(across[i * pw:(i + n) * pw], k[i], out=term)
+        down = down.reshape(n, pw)
+        quad = self._data[r0 // 2:r1 // 2]
+        np.add(down[0::2, 0:ww:2], down[0::2, 1:ww:2], out=quad)
+        quad += down[1::2, 0:ww:2]
+        quad += down[1::2, 1:ww:2]
+        quad *= 0.25
 
 
 def load_pgm(path) -> Image:

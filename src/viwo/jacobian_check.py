@@ -23,7 +23,7 @@ from .dynamics import (GRAVITY_VEC, GyroParams, NavState, apply_gyro_error,
                        correct_gyro)
 from .features import CameraExtrinsics
 from .filter import NAV_DIM, assemble_f_compact, assemble_psi_compact
-from .image import PYRAMID_LEVELS, Image, extract_patch_set
+from .image import Image, build_pyramid, extract_patch_set
 from .sensors import (DEFAULT_INTRINSICS, CameraIntrinsics, ProjectionError,
                       camera_measurement_jacobian, project,
                       vehicle_measurement_jacobian,
@@ -275,19 +275,6 @@ def render_smooth_probe(intr: CameraIntrinsics, u: float, v: float) -> Image:
     return Image(data)
 
 
-def _probe_pyramid(img: Image, v: float) -> list[Image]:
-    """build_pyramid of a probe rendered about row v, each coarser level
-    computed only in the strips that hold the rendered rows, the only rows
-    the chain reads (image.Image.downsample)."""
-    cv = math.floor(v)
-    rows = range(cv - _PROBE_RADIUS, cv + _PROBE_RADIUS + 1)
-    pyr = [img]
-    for _ in range(1, PYRAMID_LEVELS):
-        pyr.append(pyr[-1].downsample(rows))
-        rows = range(rows.start // 2, (rows.stop + 1) // 2)
-    return pyr
-
-
 def _probe_off_lattice(u: float, v: float) -> bool:
     """Keep patch sample fractions clear of bilinear cell boundaries."""
     for scale in (1.0, 2.0):
@@ -316,7 +303,7 @@ def fd_camera_chain(rng: np.random.Generator, intr: CameraIntrinsics):
             continue
         if not _probe_off_lattice(u, v):
             continue
-        pyramid = _probe_pyramid(render_smooth_probe(intr, u + 2.0, v + 1.5), v + 1.5)
+        pyramid = build_pyramid(render_smooth_probe(intr, u + 2.0, v + 1.5))
         patch = extract_patch_set(pyramid, u, v)
         if patch is None:
             continue

@@ -135,10 +135,15 @@ def test_nav_derivative_matches_model(rng):
         assert np.allclose(pdot, r @ s.vel, atol=1e-12)
 
 
+def nav_step(s, omega, accel, dt):
+    """The NavState after one rk4_nav step: the T = 1 chunk."""
+    return NavState.from_row(rk4_nav(s, omega[None], accel[None], GRAVITY_VEC,
+                                     np.array([dt]))[1])
+
+
 def test_propagate_zero_motion():
     s = NavState.identity()
-    out = rk4_nav(s, correct_gyro(np.zeros(3), GyroParams()), level_gravity_cancel(),
-                  GRAVITY_VEC, 0.01)
+    out = nav_step(s, correct_gyro(np.zeros(3), GyroParams()), level_gravity_cancel(), 0.01)
     assert np.allclose(out.vel, 0, atol=1e-15)
     assert np.allclose(out.pos, 0, atol=1e-15)
     assert np.allclose(out.quat, [1, 0, 0, 0], atol=1e-15)
@@ -148,8 +153,8 @@ def test_propagate_constant_yaw_closed_form():
     rate = 0.4
     s = NavState.identity()
     for _ in range(500):
-        s = rk4_nav(s, correct_gyro(np.array([0, 0, rate]), GyroParams()),
-                    level_gravity_cancel(), GRAVITY_VEC, 0.01)
+        s = nav_step(s, correct_gyro(np.array([0, 0, rate]), GyroParams()),
+                     level_gravity_cancel(), 0.01)
     heading = geom.so3_log(s.quat)
     assert abs(heading[2] - rate * 5.0) < 1e-6
     assert abs(heading[0]) < 1e-9 and abs(heading[1]) < 1e-9
@@ -158,8 +163,7 @@ def test_propagate_constant_yaw_closed_form():
 def test_propagate_straight_drive_closed_form():
     s = NavState(np.array([10.0, 0, 0]), geom.IDENTITY_QUAT.copy(), np.zeros(3))
     for _ in range(100):
-        s = rk4_nav(s, correct_gyro(np.zeros(3), GyroParams()), level_gravity_cancel(),
-                    GRAVITY_VEC, 0.01)
+        s = nav_step(s, correct_gyro(np.zeros(3), GyroParams()), level_gravity_cancel(), 0.01)
     assert abs(s.pos[0] - 10.0) < 1e-6
     assert np.allclose(s.vel, [10, 0, 0], atol=1e-9)
 
@@ -170,8 +174,7 @@ def test_propagate_free_fall_closed_form():
     s = NavState(np.array([1.0, 2.0, 3.0]), q0, np.zeros(3))
     g_body = geom.quat_to_rot(q0).T @ np.array([0, 0, -GRAVITY])
     for _ in range(200):
-        s = rk4_nav(s, correct_gyro(np.zeros(3), GyroParams()), np.zeros(3),
-                    GRAVITY_VEC, 0.005)
+        s = nav_step(s, correct_gyro(np.zeros(3), GyroParams()), np.zeros(3), 0.005)
     assert np.allclose(s.vel, np.array([1.0, 2.0, 3.0]) + g_body * 1.0, atol=1e-9)
 
 
@@ -242,7 +245,7 @@ def test_propagate_nav_matches_joint_propagator(rng):
         omega_m = rng.uniform(-0.5, 0.5, 3)
         accel = rng.uniform(-2, 2, 3)
         dt = rng.uniform(0.001, 0.02)
-        a = rk4_nav(s, correct_gyro(omega_m, params), accel, GRAVITY_VEC, dt)
+        a = nav_step(s, correct_gyro(omega_m, params), accel, dt)
         b, _, _ = propagate_joint(s, np.zeros((0, 4)), np.zeros(0),
                                   correct_gyro(omega_m, params), accel, dt,
                                   CameraExtrinsics(), GRAVITY_VEC)

@@ -398,6 +398,28 @@ def test_not_positive_definite_update_is_skipped_and_changes_nothing():
     assert ekf.params.as_vector().tobytes() == params.tobytes()
 
 
+# the clamp of each gyro parameter: offsets [rad/s], yaw scale, misalignments
+PARAM_BOUNDS = [(-0.1, 0.1)] * 3 + [(0.5, 2.0)] + [(-0.1, 0.1)] * 2
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("index", range(6))
+def test_param_step_past_a_bound_is_clipped_and_counted_once(index, side):
+    ekf = make_filter()
+    start = ekf.params.as_vector()
+    bound = PARAM_BOUNDS[index][side]
+    dtheta = np.full(6, 0.01)
+    dtheta[index] = bound - start[index] + (0.05 if side else -0.05)
+    ekf._apply_param_step(dtheta)
+    want = start + dtheta
+    want[index] = bound
+    assert ekf.params.as_vector().tobytes() == want.tobytes()
+    assert ekf.counters["param_clamps"] == 1
+    # back towards the start, inside every bound: not counted
+    ekf._apply_param_step(0.5 * (start - want))
+    assert ekf.counters["param_clamps"] == 1
+
+
 def test_batch_equals_sequential_updates(rng):
     # order invariance on a linear system: one stacked update equals two
     # sequential updates with independent rows (within first-order tolerance)

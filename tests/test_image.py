@@ -3,9 +3,9 @@ import pytest
 
 import viwo.image
 from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
-                        FAST_THRESHOLD, Image, _contiguous_at_least, build_pyramid,
-                        detect_features, extract_patch_set, intensity_residual,
-                        klt_align, load_pgm, save_pgm)
+                        FAST_THRESHOLD, PATCH_GRID, Image, _contiguous_at_least,
+                        build_pyramid, detect_features, extract_patch_set,
+                        intensity_residual, klt_align, load_pgm, save_pgm)
 from viwo.sim import (IMAGE_NOISE, Straight, TrajectorySpec, generate_trajectory,
                       generate_world, render_frame)
 
@@ -380,19 +380,29 @@ def test_downsample_matches_reference(name):
 @pytest.mark.parametrize("rows", [range(-40, 3), range(100, 101), range(250, 330),
                                   range(470, 600), range(-5, 500)])
 def test_downsample_rows_computes_its_strips_as_the_full_level(rows):
-    # the level rows of each strip holding an asked row have the bits of the
-    # full level; every other row holds 0
+    # patches read on a fresh level over the level rows of these image rows
+    # (the top edge, strip boundaries, the bottom edge, every row) sample the
+    # bits of the reference level and compute only the strips holding the
+    # rows read; the level's data then holds the reference bytes
     img = Image(TEST_IMAGES["random_640x480"])
-    full = img.downsample().data
-    part = img.downsample(rows).data
-    assert part.shape == full.shape
-    asked = [r for r in rows if 0 <= r < img.height]
-    strips = {r // viwo.image._STRIP_ROWS for r in asked}
-    computed = [(2 * i) // viwo.image._STRIP_ROWS in strips for i in range(part.shape[0])]
-    assert all(computed[r // 2] for r in asked)
-    for i, done in enumerate(computed):
-        want = full[i] if done else np.zeros_like(full[i])
-        assert part[i].tobytes() == want.tobytes(), i
+    want = Image(reference_downsample(img))
+    level = img.downsample()
+    top = max(rows.start, 0) // 2
+    bottom = min(rows.stop - 1, img.height - 1) // 2
+    read = set()
+    for cv in np.arange(top, bottom + 1) + 0.3:
+        u, v = 100.4 + PATCH_GRID[:, 0], cv + PATCH_GRID[:, 1]
+        got = level.sample_with_grad(u, v)
+        ref = reference_sample_with_grad(want, u, v)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref], cv
+        assert level.sample(u, v).tobytes() == ref[0].tobytes(), cv
+        v0 = np.clip(np.floor(v).astype(int), 0, level.height - 2)
+        read.update(v0.tolist(), (v0 + 1).tolist())
+    strip = viwo.image._STRIP_ROWS
+    computed = set(range(0, img.height, strip)) - level._pending
+    assert computed == {(2 * r) // strip * strip for r in read}
+    assert level.data.tobytes() == want.data.tobytes()
+    assert not level._pending
 
 
 @pytest.mark.parametrize("name", ["8x8", "odd", "float", "rendered_seed1_0"])

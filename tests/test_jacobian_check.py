@@ -64,10 +64,10 @@ def test_windowed_probe_reads_as_full_frame(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_probe_pyramid_reads_as_full_pyramid(seed):
-    # the chain of fd_camera_chain on the probe pyramid, whose level 1 holds
-    # only the strips of the rendered rows, and on build_pyramid of the same
-    # probe: every residual and Jacobian byte agrees.  Even seeds put the
-    # patch near the top or bottom of the frame.
+    # the chain of fd_camera_chain on a probe pyramid whose level 1 computes
+    # its strips as the chain reads them, and on one whose level 1 was
+    # computed whole first: every residual and Jacobian byte agrees.  Even
+    # seeds put the patch near the top or bottom of the frame.
     intr = DEFAULT_INTRINSICS
     rng = np.random.default_rng(100 + seed)
     u = rng.uniform(16.5, intr.width - 16.5)
@@ -78,8 +78,10 @@ def test_probe_pyramid_reads_as_full_pyramid(seed):
     bearing = unproject(u, v, intr)
     (u, v), _ = project(bearing, intr)
     img = jc.render_smooth_probe(intr, u + 2.0, v + 1.5)
+    whole = build_pyramid(img)
+    assert whole[1].data.shape == (intr.height // 2, intr.width // 2)
     chains = []
-    for pyramid in (jc._probe_pyramid(img, v + 1.5), build_pyramid(img)):
+    for pyramid in (build_pyramid(img), whole):
         patch = extract_patch_set(pyramid, u, v)
         assert patch is not None
         bearings = [bearing] + [geom.s2_boxplus(bearing, d)

@@ -92,8 +92,8 @@ def test_closed_loop_zero_noise():
     t = 0.0
     worst = 0.0
     for s, m in zip(truth[1:], imu):
-        nav = rk4_nav(nav, correct_gyro(m[1:4], GyroParams()), m[4:7],
-                      GRAVITY_VEC, m[0] - t)
+        nav = NavState.from_row(rk4_nav(nav, correct_gyro(m[1:4], GyroParams())[None],
+                                        m[None, 4:7], GRAVITY_VEC, np.array([m[0] - t]))[1])
         t = m[0]
         worst = max(worst, float(np.max(np.abs(nav.pos - s.nav.pos))))
     assert worst < 1e-3
@@ -376,7 +376,8 @@ def reference_generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample
     for k in range(steps):
         t_next = (k + 1) * dt
         omega, accel, _, _ = inputs_at(t + dt / 2.0)
-        nav = rk4_nav(nav, omega, accel, GRAVITY_VEC, dt)
+        nav = NavState.from_row(rk4_nav(nav, omega[None], accel[None], GRAVITY_VEC,
+                                        np.array([dt]))[1])
         out.append(TrajectorySample(t_next, nav.copy(), omega, accel))
         t = t_next
     return out
