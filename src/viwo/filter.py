@@ -596,39 +596,45 @@ class AdaptiveEkf:
                                    _EYE2, r_diag))
         return groups
 
-    def intensity_group(self, slot: int, pyramid: list[Image],
-                        detections: np.ndarray) -> RowGroup | None:
-        """Camera rows for one feature in image mode.
+    def _gate_slots(self, detections: np.ndarray) -> list[tuple]:
+        """(slot, predicted (u, v), start) of each active slot with a
+        template and exactly one detection (a row (u, v) of detections)
+        inside its prediction gate, in slot order.  With none or several
+        candidates the slot is skipped this frame, rejecting ambiguous
+        associations between identical-looking targets."""
+        gated = []
+        for slot in self.active_slots():
+            if self.patches[slot] is None:
+                continue
+            try:
+                (u0, v0), _ = project(self._qf[slot], self.intr)
+            except ProjectionError:
+                continue
+            o = NAV_DIM + FEAT_DIM * slot
+            sigma_px = np.sqrt(max(self.cov[o, o], self.cov[o + 1, o + 1])) * self.intr.fx
+            r_gate = min(3.0 * sigma_px + 3.0, KLT_MAX_SHIFT_PX)
+            near = np.flatnonzero(np.hypot(detections[:, 0] - u0,
+                                           detections[:, 1] - v0) <= r_gate)
+            if len(near) == 1:
+                gated.append((slot, (u0, v0), detections[near[0]]))
+        return gated
 
-        The template is acquired by a pyramidal KLT alignment started at the
-        single detection (a row (u, v) of detections) inside the prediction
-        gate (none or several candidates: the feature is skipped this frame,
-        rejecting ambiguous associations between identical-looking
-        targets).  Within the photometric basin the rows are the intensity
-        residuals with the full measurement chain (QR-compressed to two
-        rows); when the prior lands farther out, the aligned position
-        becomes a direct bearing observation so the linearization stays
-        valid.  Returns None when not measurable.
+    def intensity_group(self, slot: int, pyramid: list[Image],
+                        predicted: tuple[float, float],
+                        aligned: tuple[float, float]) -> RowGroup | None:
+        """Camera rows for one feature in image mode, from the position
+        its template was aligned to.
+
+        Within the photometric basin of the predicted position the rows are
+        the intensity residuals with the full measurement chain
+        (QR-compressed to two rows); when the prior lands farther out, the
+        aligned position becomes a direct bearing observation so the
+        linearization stays valid.  Returns None when not measurable.
         """
-        patch = self.patches[slot]
-        if patch is None:
-            return None
         bearing = self._qf[slot]
-        try:
-            (u0, v0), _ = project(bearing, self.intr)
-        except ProjectionError:
-            return None
         o = NAV_DIM + FEAT_DIM * slot
-        sigma_px = np.sqrt(max(self.cov[o, o], self.cov[o + 1, o + 1])) * self.intr.fx
-        r_gate = min(3.0 * sigma_px + 3.0, KLT_MAX_SHIFT_PX)
-        near = np.flatnonzero(np.hypot(detections[:, 0] - u0,
-                                       detections[:, 1] - v0) <= r_gate)
-        if len(near) != 1:
-            return None
-        u, v, ok = klt_align(patch, pyramid, *detections[near[0]])
-        if not ok:
-            return None
         cols = np.array([o, o + 1])
+        (u0, v0), (u, v) = predicted, aligned
         if np.hypot(u - u0, v - v0) > PHOTOMETRIC_BASIN_PX:
             try:
                 observed = unproject(u, v, self.intr)
@@ -637,7 +643,7 @@ class AdaptiveEkf:
             sigma_tan = self.noise.sigma_track_px / self.intr.fx
             return RowGroup("intensity", slot, geom.s2_boxminus(observed, bearing),
                             cols, _EYE2, np.full(2, sigma_tan ** 2))
-        out = camera_measurement_jacobian(bearing, patch, pyramid, self.intr)
+        out = camera_measurement_jacobian(bearing, self.patches[slot], pyramid, self.intr)
         if out is None:
             return None
         residual, h_tan = out
@@ -828,9 +834,16 @@ class AdaptiveEkf:
         pyramid = build_pyramid(img)
         detections = detect_features(img)
         groups = self._vehicle_and_zupt_groups(t, vehicle)
+        # every gated template is aligned in one lockstep call; the groups
+        # keep slot order, which fixes the order of the stacked rows
+        gated = self._gate_slots(detections)
+        tracks = klt_align([self.patches[slot] for slot, _, _ in gated], pyramid,
+                           [start for _, _, start in gated])
         measured = set()
-        for slot in self.active_slots():
-            g = self.intensity_group(slot, pyramid, detections)
+        for (slot, predicted, _), u, v, ok in zip(gated, *tracks):
+            if not ok:
+                continue
+            g = self.intensity_group(slot, pyramid, predicted, (u, v))
             if g is not None:
                 groups.append(g)
                 measured.add(slot)

@@ -12,7 +12,9 @@ pyramid step and the samplers do the operations of the full-frame
 implementations kept in tests/test_image.py, in the same order, and must
 match them bit for bit; they only make fewer elements go through them, by
 working on flat indices, at the candidate pixels and in strips of rows that
-stay in cache.  A pyramid's coarse level computes each strip the first time
+stay in cache.  Likewise the tracker aligns a frame's templates in lockstep,
+one sampler call per step for all of them, and must match the tracker of
+one template at a time kept there.  A pyramid's coarse level computes each strip the first time
 a sampler reads one of its rows, from rows of the finer image alone, so its
 bits do not depend on which strips are ever computed, or in which order.
 """
@@ -56,11 +58,13 @@ class Image:
         u0 = np.minimum(np.maximum(np.floor(u).astype(int), 0), self.width - 2)
         v0 = np.minimum(np.maximum(np.floor(v).astype(int), 0), self.height - 2)
         if self._pending:
-            # the strips holding level rows v0.min() to v0.max() + 1
-            for r0 in range(2 * int(v0.min()) // _STRIP_ROWS * _STRIP_ROWS,
-                            2 * int(v0.max()) + 3, _STRIP_ROWS):
-                if r0 in self._pending:
-                    self._compute_strip(r0)
+            # the strips holding a level row v0 or v0 + 1
+            hit = np.zeros(2 * self.height // _STRIP_ROWS + 1, dtype=bool)
+            hit[2 * v0 // _STRIP_ROWS] = True
+            hit[(2 * v0 + 2) // _STRIP_ROWS] = True
+            for strip in np.flatnonzero(hit).tolist():
+                if strip * _STRIP_ROWS in self._pending:
+                    self._compute_strip(strip * _STRIP_ROWS)
         flat = self._data.ravel()
         i00 = v0 * self.width + u0
         i10 = i00 + self.width
@@ -233,30 +237,43 @@ def detect_features(img: Image) -> np.ndarray:
     flat = d.ravel()
     ring_at = _FAST_OFFSETS[:, 1] * w + _FAST_OFFSETS[:, 0]
 
-    # high-speed pretest on the four compass points: a 9-contiguous ring
-    # needs at least two of them on the same side of the threshold band;
-    # whole rows at a time, in strips
+    # high-speed pretest in two stages.  A 9-contiguous arc of the ring
+    # holds ring point 0 or 8, on its side of the threshold band, so stage 1
+    # keeps the pixels where one of the two is outside the band: whole rows
+    # at a time, in strips.  A 9-contiguous arc also holds at least two of
+    # the four compass points 0, 4, 8 and 12, so stage 2 keeps the stage-1
+    # pixels where two of them are on the same side.  Either stage drops
+    # only pixels that are no corner.
     found = []
     for r0 in range(3, h - 3, _STRIP_ROWS):
         a, b = r0 * w, min(r0 + _STRIP_ROWS, h - 3) * w
         center = flat[a:b]
         hi = center + FAST_THRESHOLD
         lo = center - FAST_THRESHOLD
-        compass_hits_b = np.zeros(b - a, dtype=np.int8)
-        compass_hits_d = np.zeros(b - a, dtype=np.int8)
-        for k in (0, 4, 8, 12):
-            val = flat[a + ring_at[k]:b + ring_at[k]]
-            compass_hits_b += val > hi
-            compass_hits_d += val < lo
-        found.append(a + np.flatnonzero((compass_hits_b >= 2) | (compass_hits_d >= 2)))
+        top = flat[a + ring_at[0]:b + ring_at[0]]
+        bottom = flat[a + ring_at[8]:b + ring_at[8]]
+        outside = top > hi
+        outside |= top < lo
+        outside |= bottom > hi
+        outside |= bottom < lo
+        found.append(a + np.flatnonzero(outside))
     at = np.concatenate(found)
     col = at % w
     at = at[(col >= 3) & (col < w - 3)]
+    c = flat[at]
+    hi = c + FAST_THRESHOLD
+    lo = c - FAST_THRESHOLD
+    compass_hits_b = np.zeros(len(at), dtype=np.int8)
+    compass_hits_d = np.zeros(len(at), dtype=np.int8)
+    for k in (0, 4, 8, 12):
+        val = flat[at + ring_at[k]]
+        compass_hits_b += val > hi
+        compass_hits_d += val < lo
+    keep = (compass_hits_b >= 2) | (compass_hits_d >= 2)
+    at, c, hi, lo = at[keep], c[keep], hi[keep], lo[keep]
 
     ring = flat[at + ring_at[:, None]]
-    c = flat[at]
-    is_corner = (_contiguous_at_least(ring > c + FAST_THRESHOLD)
-                 | _contiguous_at_least(ring < c - FAST_THRESHOLD))
+    is_corner = _contiguous_at_least(ring > hi) | _contiguous_at_least(ring < lo)
     if not is_corner.any():
         return np.empty((0, 2))
     at = at[is_corner]
@@ -347,39 +364,72 @@ def extract_patch_set(pyramid: list[Image], u: float,
     return out
 
 
-def klt_align(patch: list[PatchLevel], pyramid: list[Image], u0: float,
-              v0: float) -> tuple[float, float, bool]:
-    """Pyramidal Lucas-Kanade alignment of a template patch.
+def klt_align(patches: list[list[PatchLevel]], pyramid: list[Image],
+              starts) -> tuple[tuple, tuple, tuple]:
+    """Pyramidal Lucas-Kanade alignment of template patches, in lockstep.
 
-    Gauss-Newton on the level-0 pixel position using the stored template
-    gradients, coarse level first, at most 12 steps per level, converged at
-    a step under 0.02 px.  Returns (u, v, converged); the search is
-    abandoned beyond 6 px from the start.
+    Gauss-Newton on each template's level-0 pixel position, from its start
+    (a row (u, v) of starts), with its stored template gradients: coarse
+    level first, at most 12 steps per level, converged at a step under
+    0.02 px.  A template is abandoned when its footprint leaves the image,
+    its level's gradients are degenerate or it moves beyond 6 px from its
+    start.  Each step samples the points of every template still running
+    in one call; each template's own arithmetic, and so its result, is that
+    of aligning it alone.  Returns the tuples (u, v, converged), one entry
+    per template.
     """
-    u, v = float(u0), float(v0)
-    converged = False
-    for level in reversed(range(len(patch))):
-        g = patch[level].grad
-        gtg = g.T @ g
-        det = gtg[0, 0] * gtg[1, 1] - gtg[0, 1] * gtg[1, 0]
-        if det < 1e-12:
-            return u, v, False
-        ginv = np.array([[gtg[1, 1], -gtg[0, 1]], [-gtg[0, 1], gtg[0, 0]]]) / det
+    n = len(patches)
+    start = np.array(starts, dtype=float).reshape(n, 2)
+    u0, v0 = start[:, 0], start[:, 1]
+    u, v = u0.copy(), v0.copy()
+    converged = np.zeros(n, dtype=bool)
+    abandoned = np.zeros(n, dtype=bool)
+    for level in reversed(range(len(pyramid))):
+        img = pyramid[level]
+        scale = 2.0 ** level
+        # the running templates' gradients and inverse normal matrices
+        run, grads, ginvs = [], [], []
+        for k in np.flatnonzero(~abandoned).tolist():
+            g = patches[k][level].grad
+            gtg = g.T @ g
+            det = gtg[0, 0] * gtg[1, 1] - gtg[0, 1] * gtg[1, 0]
+            if det < 1e-12:
+                abandoned[k] = True
+                continue
+            run.append(k)
+            grads.append(g)
+            ginvs.append(np.array([[gtg[1, 1], -gtg[0, 1]],
+                                   [-gtg[0, 1], gtg[0, 0]]]) / det)
+        run = np.array(run, dtype=int)
+        template = np.array([patches[k][level].intensities
+                             for k in run.tolist()]).reshape(-1, PATCH_SIZE ** 2)
+        act = np.arange(len(run))   # positions in run of the templates stepping
         for _ in range(12):
-            res = intensity_residual(patch, pyramid, (u, v), level)
-            if res is None:
-                return u, v, False
-            step = ginv @ (g.T @ res)
-            u -= step[0]
-            v -= step[1]
-            if np.hypot(u - u0, v - v0) > 6.0:
-                return u, v, False
-            if np.hypot(step[0], step[1]) < 0.02:
-                converged = True
+            k = run[act]
+            cu = u[k] / scale
+            cv = v[k] / scale
+            inside = ((1.0 <= cu - _HALF) & (cu + _HALF <= img.width - 2.0)
+                      & (1.0 <= cv - _HALF) & (cv + _HALF <= img.height - 2.0))
+            abandoned[k[~inside]] = True
+            act, k, cu, cv = act[inside], k[inside], cu[inside], cv[inside]
+            if not len(act):
                 break
-        else:
-            converged = False
-    return u, v, converged
+            res = img.sample((cu[:, None] + PATCH_GRID[:, 0]).ravel(),
+                             (cv[:, None] + PATCH_GRID[:, 1]).ravel())
+            res = res.reshape(-1, PATCH_SIZE ** 2) - template[act]
+            step = np.array([ginvs[j] @ (grads[j].T @ r)
+                             for j, r in zip(act.tolist(), res)])
+            u[k] -= step[:, 0]
+            v[k] -= step[:, 1]
+            drift = np.hypot(u[k] - u0[k], v[k] - v0[k]) > 6.0
+            done = np.hypot(step[:, 0], step[:, 1]) < 0.02
+            abandoned[k[drift]] = True
+            converged[k[done]] = True
+            act = act[~(done | drift)]
+        # out of steps at this level
+        converged[run[act]] = False
+    converged[abandoned] = False
+    return tuple(u.tolist()), tuple(v.tolist()), tuple(converged.tolist())
 
 
 def intensity_residual(patch: list[PatchLevel], pyramid: list[Image],

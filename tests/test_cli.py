@@ -17,6 +17,8 @@ from viwo.sim import CAMERA_EXTRINSICS
 
 PINNED_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed5_outputs.json"
 PINNED_IMAGE_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed2_image_outputs.json"
+PINNED_ZERO_NOISE_PSD_AUDIT = (Path(__file__).parent / "pinned"
+                               / "zero_noise_check_psd_audit_outputs.json")
 
 
 def tree_digest(root: Path) -> dict:
@@ -34,7 +36,8 @@ def run_digests(out: Path, run: str) -> dict:
 
 def assert_digests_pinned(pinned: Path, got: dict) -> None:
     # a change that means to move these bits updates the table in the same
-    # commit (report.txt is left out: it holds the dataset path)
+    # commit (a report.txt goes in only with its dataset path replaced and
+    # without its elapsed_s line)
     table = json.loads(pinned.read_text())
     moved = sorted(name for name in table["sha256"].keys() | got.keys()
                    if table["sha256"].get(name) != got.get(name))
@@ -113,6 +116,40 @@ def test_outputs_bits_pinned(mini_dataset, tmp_path):
                      *flags]) == EXIT_OK
         got.update(run_digests(out, run))
     assert_digests_pinned(PINNED_OUTPUTS, got)
+
+
+def image_dataset_digests(ds: Path) -> dict:
+    """Digests of an image dataset's files, with the frames in name order
+    as one stream."""
+    got = {f"dataset/{name}": value for name, value in tree_digest(ds).items()
+           if not name.startswith("frames/")}
+    frames_digest = hashlib.sha256()
+    for p in sorted((ds / "frames").glob("*.pgm")):
+        frames_digest.update(p.read_bytes())
+    got["dataset/frames/*.pgm"] = frames_digest.hexdigest()
+    return got
+
+
+def test_zero_noise_check_psd_and_audit_bits_pinned(mini_dataset, tmp_path, capsys):
+    # a zero-noise image simulate, the report of a --check-psd bearing run
+    # (its covariance minima and counters) and the text of an audit
+    ds = tmp_path / "zero_noise"
+    assert main(["simulate", "--out", str(ds), "--scenario", "mini_loop", "--mode",
+                 "image", "--zero-noise", "--seed", "17"]) == EXIT_OK
+    got = {f"zero-noise/{name}": value for name, value in image_dataset_digests(ds).items()}
+    out = tmp_path / "check_psd"
+    assert main(["run", "--dataset", str(mini_dataset), "--out", str(out),
+                 "--check-psd"]) == EXIT_OK
+    # without the wall-clock line, and with the dataset's temporary path
+    # replaced by a fixed name
+    report = "".join(line for line in (out / "report.txt").read_text().splitlines(True)
+                     if not line.startswith("elapsed_s:"))
+    report = report.replace(str(mini_dataset), "<dataset>")
+    got["check-psd/report.txt"] = hashlib.sha256(report.encode()).hexdigest()
+    capsys.readouterr()
+    assert main(["jacobian-check", "--configs", "20", "--seed", "0"]) == EXIT_OK
+    got["jacobian-check/stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert_digests_pinned(PINNED_ZERO_NOISE_PSD_AUDIT, got)
 
 
 def test_eval_identical_files_zero(mini_dataset, capsys):
@@ -365,12 +402,7 @@ def test_image_mode_end_to_end(tmp_path):
     end_err = np.linalg.norm(traj[-1, 1:4] - gt[-1, 1:4])
     assert end_err < 25.0
     # the dataset files, the frames in name order and the run's outputs
-    got = {f"dataset/{name}": value for name, value in tree_digest(ds).items()
-           if not name.startswith("frames/")}
-    frames_digest = hashlib.sha256()
-    for p in frames:
-        frames_digest.update(p.read_bytes())
-    got["dataset/frames/*.pgm"] = frames_digest.hexdigest()
+    got = image_dataset_digests(ds)
     got.update(run_digests(out, "image"))
     assert_digests_pinned(PINNED_IMAGE_OUTPUTS, got)
 

@@ -3,7 +3,7 @@ import pytest
 
 import viwo.image
 from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
-                        FAST_THRESHOLD, PATCH_GRID, Image, _contiguous_at_least,
+                        FAST_THRESHOLD, PATCH_GRID, Image, PatchLevel, _contiguous_at_least,
                         build_pyramid, detect_features, extract_patch_set,
                         intensity_residual, klt_align, load_pgm, save_pgm)
 from viwo.sim import (IMAGE_NOISE, Straight, TrajectorySpec, generate_trajectory,
@@ -152,11 +152,11 @@ def test_klt_align_recovers_subpixel_shift():
     assert len(pyr) == 2
     patch = extract_patch_set(pyr, 32.0, 30.0)
     moved = build_pyramid(gaussian_blob(64, 64, 33.3, 29.3, sigma=2.0))
-    u, v, converged = klt_align(patch, moved, 32.0, 30.0)
-    assert converged
+    # the second start's footprint leaves the image
+    (u, _), (v, _), converged = klt_align([patch, patch], moved, [(32.0, 30.0), (2.0, 2.0)])
+    assert converged == (True, False)
     assert np.hypot(u - 33.3, v - 29.3) < 0.05
-    # a start whose footprint leaves the image
-    assert not klt_align(patch, moved, 2.0, 2.0)[2]
+    assert klt_align([], moved, []) == ((), (), ())
 
 
 def test_patch_out_of_bounds():
@@ -206,9 +206,10 @@ def test_load_pgm_rejects_pixel_above_maxval(tmp_path):
 
 
 # --- bit-identity with the full-frame implementations -------------------------
-# The three functions below are the earlier full-frame front end, kept as the
-# reference: the detector, the pyramid step and the sampler must return
-# exactly what they return, bit for bit.
+# The four functions below are the earlier front end, kept as the reference:
+# the detector, the pyramid step and the sampler must return exactly what
+# the full-frame implementations return, and the lockstep tracker what the
+# tracker of one template at a time returns, bit for bit.
 
 def reference_contiguous_at_least(mask):
     doubled = np.concatenate([mask, mask], axis=1).astype(np.int16)
@@ -312,6 +313,33 @@ def reference_sample_with_grad(img, u, v):
     return val, du, dv
 
 
+def reference_klt_align(patch, pyramid, u0, v0):
+    u, v = float(u0), float(v0)
+    converged = False
+    for level in reversed(range(len(patch))):
+        g = patch[level].grad
+        gtg = g.T @ g
+        det = gtg[0, 0] * gtg[1, 1] - gtg[0, 1] * gtg[1, 0]
+        if det < 1e-12:
+            return u, v, False
+        ginv = np.array([[gtg[1, 1], -gtg[0, 1]], [-gtg[0, 1], gtg[0, 0]]]) / det
+        for _ in range(12):
+            res = intensity_residual(patch, pyramid, (u, v), level)
+            if res is None:
+                return u, v, False
+            step = ginv @ (g.T @ res)
+            u -= step[0]
+            v -= step[1]
+            if np.hypot(u - u0, v - v0) > 6.0:
+                return u, v, False
+            if np.hypot(step[0], step[1]) < 0.02:
+                converged = True
+                break
+        else:
+            converged = False
+    return u, v, converged
+
+
 def rendered_frames(seed):
     """Two noisy simulated camera frames of a seeded landmark world."""
     truth = generate_trajectory(TrajectorySpec([Straight(30.0, 5.0)]))
@@ -378,29 +406,40 @@ def test_downsample_matches_reference(name):
 
 
 @pytest.mark.parametrize("rows", [range(-40, 3), range(100, 101), range(250, 330),
-                                  range(470, 600), range(-5, 500)])
+                                  range(470, 600), range(-5, 500), (40, 200)])
 def test_downsample_rows_computes_its_strips_as_the_full_level(rows):
     # patches read on a fresh level over the level rows of these image rows
-    # (the top edge, strip boundaries, the bottom edge, every row) sample the
-    # bits of the reference level and compute only the strips holding the
-    # rows read; the level's data then holds the reference bytes
+    # (the top edge, strip boundaries, the bottom edge, every row), one
+    # patch a read, or two patches at the level rows of a tuple in one read,
+    # sample the bits of the reference level and compute only the strips
+    # holding the rows read; the level's data then holds the reference bytes
     img = Image(TEST_IMAGES["random_640x480"])
     want = Image(reference_downsample(img))
     level = img.downsample()
-    top = max(rows.start, 0) // 2
-    bottom = min(rows.stop - 1, img.height - 1) // 2
+    if isinstance(rows, range):
+        top = max(rows.start, 0) // 2
+        bottom = min(rows.stop - 1, img.height - 1) // 2
+        reads = [[cv] for cv in np.arange(top, bottom + 1) + 0.3]
+    else:
+        reads = [np.array(rows) + 0.3]
     read = set()
-    for cv in np.arange(top, bottom + 1) + 0.3:
-        u, v = 100.4 + PATCH_GRID[:, 0], cv + PATCH_GRID[:, 1]
+    for cvs in reads:
+        u = np.tile(100.4 + PATCH_GRID[:, 0], len(cvs))
+        v = (np.asarray(cvs)[:, None] + PATCH_GRID[:, 1]).ravel()
         got = level.sample_with_grad(u, v)
         ref = reference_sample_with_grad(want, u, v)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref], cv
-        assert level.sample(u, v).tobytes() == ref[0].tobytes(), cv
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref], cvs
+        assert level.sample(u, v).tobytes() == ref[0].tobytes(), cvs
         v0 = np.clip(np.floor(v).astype(int), 0, level.height - 2)
         read.update(v0.tolist(), (v0 + 1).tolist())
     strip = viwo.image._STRIP_ROWS
     computed = set(range(0, img.height, strip)) - level._pending
     assert computed == {(2 * r) // strip * strip for r in read}
+    if not isinstance(rows, range):
+        # the strips between the two patches stay pending
+        first, last = sorted(computed)
+        assert last - first >= 4 * strip
+        assert set(range(first + strip, last, strip)) <= level._pending
     assert level.data.tobytes() == want.data.tobytes()
     assert not level._pending
 
@@ -427,3 +466,92 @@ def test_sample_matches_reference(name):
     assert img.sample(u, v).tobytes() == want[0].tobytes()
     # a scalar point, as the patch samplers never pass but callers may
     assert img.sample(3.25, 2.5) == reference_sample_with_grad(img, 3.25, 2.5)[0]
+
+
+RENDERED = [name for name in TEST_IMAGES if name.startswith("rendered_")]
+
+
+def assert_klt_matches_reference(img, patches, starts):
+    # a fresh pyramid for each side, so each computes its own coarse strips
+    got = klt_align(patches, build_pyramid(img), starts)
+    assert all(type(x) is tuple and len(x) == len(patches) for x in got)
+    pyramid = build_pyramid(img)
+    want = [reference_klt_align(patch, pyramid, *start)
+            for patch, start in zip(patches, starts)]
+    assert [(float.hex(u), float.hex(v), ok) for u, v, ok in zip(*got)] == \
+        [(float.hex(u), float.hex(v), ok) for u, v, ok in want]
+    return want
+
+
+@pytest.mark.parametrize("name", RENDERED)
+def test_klt_align_matches_reference_on_detections(name):
+    # every detection's template, started up to 3 px off it, in one batch;
+    # then the first one alone
+    img = Image(TEST_IMAGES[name])
+    pyramid = build_pyramid(img)
+    rng = np.random.default_rng(5)
+    patches, starts = [], []
+    for u, v in detect_features(img):
+        patch = extract_patch_set(pyramid, u, v)
+        if patch is not None:
+            patches.append(patch)
+            starts.append((u, v) + rng.uniform(-3.0, 3.0, 2))
+    assert len(patches) >= 3
+    want = assert_klt_matches_reference(img, patches, starts)
+    assert any(ok for _, _, ok in want)
+    assert_klt_matches_reference(img, patches[:1], starts[:1])
+
+
+def test_klt_align_mixes_every_exit_as_the_reference():
+    img = Image(TEST_IMAGES["rendered_seed1_0"])
+    pyramid = build_pyramid(img)
+    (u, v), (u2, v2) = detect_features(img)[:2]
+    patch = extract_patch_set(pyramid, u, v)
+    second = extract_patch_set(pyramid, u2, v2)
+
+    def scaled(p, factor):
+        return [PatchLevel(lvl.intensities, lvl.grad * factor) for lvl in p]
+
+    flat = extract_patch_set(build_pyramid(Image(TEST_IMAGES["uniform"])), 24.0, 24.0)
+    cases = {
+        "converged": (patch, (u + 0.7, v - 0.4)),
+        # its level-1 footprint leaves the image at the first step
+        "border_level_1": (patch, (7.0, v)),
+        "flat": (flat, (u, v)),
+        # the negated gradient steps away from the optimum
+        "drift": (scaled(patch, -1.0), (u + 0.7, v - 0.4)),
+        # converges onto the detection, just over 6 px from its start: the
+        # last step is tiny, yet the drift exit comes first
+        "drift_small_step": (second, (u2 + 3.6, v2 + 4.8)),
+        # half the gradient doubles each step: it oscillates at both levels
+        "out_of_steps": (scaled(patch, 0.5), (u + 0.7, v - 0.4)),
+        # out of steps at level 1, then converged at level 0
+        "out_of_steps_level_1": (scaled(patch, 0.55), (u + 0.7, v - 0.4)),
+        # converged at level 1, then out of steps at level 0
+        "out_of_steps_level_0": (scaled(second, 0.5), (u2 + 0.7, v2 - 0.4)),
+        "converged_second": (second, (u2 - 1.0, v2 + 0.5)),
+    }
+    want = dict(zip(cases, assert_klt_matches_reference(
+        img, [p for p, _ in cases.values()], [s for _, s in cases.values()])))
+    assert want["converged"][2] and want["converged_second"][2]
+    assert want["out_of_steps_level_1"][2]
+    # each abandoned template shows why: the flat one's gradients are
+    # degenerate, the border one never moved and its level-1 footprint is
+    # off the image, the drifting one is more than 6 px out, and the one out
+    # of steps is none of these
+    assert not flat[1].grad.any()
+    for name, (p, (su, sv)) in cases.items():
+        wu, wv, ok = want[name]
+        moved = np.hypot(wu - su, wv - sv)
+        if name == "flat":
+            assert not ok and (wu, wv) == (su, sv)
+        elif name == "border_level_1":
+            assert not ok and (wu, wv) == (su, sv)
+            assert intensity_residual(p, pyramid, (su, sv), 1) is None
+        elif name in ("drift", "drift_small_step"):
+            assert not ok and moved > 6.0
+        elif name in ("out_of_steps", "out_of_steps_level_0"):
+            assert not ok and moved <= 6.0
+            assert all(intensity_residual(p, pyramid, (wu, wv), lvl) is not None
+                       for lvl in range(2))
+    assert_klt_matches_reference(img, [cases["drift"][0]], [cases["drift"][1]])
