@@ -44,6 +44,15 @@ innovation, and then a recursive-least-squares innovation with forgetting
 factor on the six gyroscope parameters through the regressor matrix
 Omega = H * Upsilon, where Upsilon tracks the sensitivity of the error state
 to the parameters.  Residuals are measured-minus-predicted everywhere.
+The rows reach the update as RowGroups, each a stack of gating units of
+one row type and shape: the vehicle group and the ZUPT group are stacks of
+one, a bearing frame's camera rows one stack of one unit per slot, and in
+image mode each slot's camera rows a stack of one.  gate tests a whole
+stack in one pass: one stacked H C H^T product, whose slices are the 2-D
+products of the units alone, and each unit's closed form on Python floats,
+so no decision or bit depends on the stacking.  The kept units' rows enter
+H in a fixed order (vehicle, ZUPT, then the camera rows by slot), which
+fixes kalman_step's bits.
 
 Feature slots have fixed capacity and stable indices; inactive slots keep a
 placeholder unit variance and zero cross-covariance, and their sensitivity
@@ -56,7 +65,7 @@ With check_psd, min_eig_p and min_eig_s keep the smallest eigenvalue of P
 construction and after every frame; a predict never changes S).
 """
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,7 +80,7 @@ from .image import (Image, build_pyramid, detect_features, extract_patch_set,
                     klt_align)
 from .sensors import (CameraIntrinsics, ProjectionError,
                       VehicleVelocityMeasurement,
-                      camera_measurement_jacobian, project, unproject,
+                      camera_measurement_jacobian, project_rows, unproject,
                       vehicle_measurement_jacobian,
                       vehicle_predicted_measurement,
                       vehicle_velocity_measurement)
@@ -153,20 +162,36 @@ class NoiseConfig:
 
 @dataclass
 class RowGroup:
-    """One gating unit of measurement rows (a feature, or the vehicle block).
+    """A stack of g gating units of one row type and one shape: each unit is
+    m rows over k state columns (a feature's rows, or the vehicle or ZUPT
+    block), gated as a whole.
 
-    Rows are stored sparsely: h_local holds the (m, k) block over the state
-    columns listed in cols; the dense stacked H is materialized per update.
+    Rows are stored sparsely: unit i's rows are h_local over the state
+    columns cols[i], with residual[i] and the variances r_diag (m,) of
+    every unit; h_local is one (m, k) block shared by the units, or one per
+    unit (g, m, k).  The dense stacked H is materialized per update.
     """
-    label: str
-    slot: int | None
-    residual: np.ndarray
-    cols: np.ndarray         # state column indices (k,)
-    h_local: np.ndarray      # (m, k)
-    r_diag: np.ndarray
+    label: str               # row type: vehicle, zupt, bearing or intensity
+    slots: Sequence          # feature slot per unit, None for vehicle and ZUPT
+    residual: np.ndarray     # (g, m)
+    cols: np.ndarray         # (g, k) state column indices
+    h_local: np.ndarray      # (m, k) or (g, m, k)
+    r_diag: np.ndarray       # (m,)
+
+
+# the counter that counts each row type's rows
+_ROW_COUNTER = {"vehicle": "vehicle_rows", "zupt": "zupt_rows",
+                "bearing": "camera_rows", "intensity": "camera_rows"}
 
 
 # --- joint propagation and linearization (also used by the jacobian audit) ---
+
+# p0.m and p0 x m from one product of two takes: columns 0:3 the terms
+# p_i m_i of the dot product, 3:6 minus 6:9 the cross product (the index
+# pairs of geom.CROSS_A and CROSS_B)
+_DOT_CROSS_P = np.concatenate((np.arange(3), geom.CROSS_A, geom.CROSS_B))
+_DOT_CROSS_M = np.concatenate((np.arange(3), geom.CROSS_B, geom.CROSS_A))
+
 
 def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
                     omega: np.ndarray, accel: np.ndarray, dt: float | np.ndarray,
@@ -203,8 +228,11 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
         omega, accel, dt = omega[None], accel[None], [dt]
     navs = rk4_nav(nav, omega, accel, g, dt)
     steps = len(navs) - 1
-    qfs, rhos = [qf], [rho]
-    if qf.shape[0]:
+    cnt = qf.shape[0]
+    qfs = np.empty((steps + 1, cnt, 4))
+    rhos = np.empty((steps + 1, cnt))
+    qfs[0], rhos[0] = qf, rho
+    if cnt:
         frames = geom.quats_to_frames(navs[:, 3:7])
         pos = navs[:, 7:10]
         r0, r1t = frames[:-1], np.swapaxes(frames[1:], 1, 2)
@@ -212,36 +240,43 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
         a_all = r_cb @ (r1t @ r0) @ r_cb.T
         shift = (r1t @ (r0 @ lever + pos[:-1] - pos[1:])[:, :, None])[:, :, 0] - lever
         b_all = (r_cb @ shift[:, :, None])[:, :, 0]
-        norms = []
+        norms = np.empty((steps, cnt))
+        dq = np.empty((cnt, 4))
+        # the geom row kernels quats_to_dirs, cross_rows and quat_mul_batch,
+        # inlined: the same products and sums in the same order (the sign of
+        # a direction entry folded into its scale, exact for a factor of
+        # +-1; a sum over an axis of four adds in sequence)
+        left, right, scale, sign, eye = geom.DIR_TABLE
+        scale = scale * sign
         # a zero range has no direction; it and a non-finite one are caught
         # once the chunk is done, the steps after them only carry inf and nan
         with np.errstate(all="ignore"):
-            for k, (a, b) in enumerate(zip(a_all, b_all)):
-                p0 = geom.quats_to_dirs(qf)
-                m = p0 @ a.T
-                m += rho[:, None] * b
-                norm = np.sqrt((m * m).sum(axis=1))
+            for k in range(steps):
+                terms = qf.take(left, axis=1) * (qf.take(right, axis=1) * scale)
+                p0 = terms[:, 0] + terms[:, 1]
+                p0 += eye
+                m = p0 @ a_all[k].T
+                m += rho[:, None] * b_all[k]
+                norm = np.sqrt((m * m).sum(axis=1), out=norms[k])
                 # minimal rotation p0 -> p1 = m / |m|: the quaternion
-                # [1 + p0.p1, p0 x p1] times |m|, a scale that
-                # quat_mul_batch normalizes away
-                dq = np.empty((qf.shape[0], 4))
-                dq[:, 0] = norm + (p0 * m).sum(axis=1)
-                dq[:, 1:4] = geom.cross_rows(p0, m)
-                qf = geom.quat_mul_batch(dq, qf)
-                rho = rho / norm
+                # [1 + p0.p1, p0 x p1] times |m|, a scale that the
+                # renormalization below removes
+                prod = p0.take(_DOT_CROSS_P, axis=1) * m.take(_DOT_CROSS_M, axis=1)
+                np.add(norm, prod[:, 0:3].sum(axis=1), out=dq[:, 0])
+                np.subtract(prod[:, 3:6], prod[:, 6:9], out=dq[:, 1:4])
+                raw = (dq[:, :, None] * (qf.take(geom.QUAT_PERM, axis=1)
+                                         * geom.QUAT_SIGN)).sum(axis=1)
+                qf = np.divide(raw, np.sqrt((raw * raw).sum(axis=1))[:, None],
+                               out=qfs[k + 1])
+                rho = np.divide(rho, norm, out=rhos[k + 1])
                 if k + 1 < steps:   # np.clip, without its wrapper's cost
-                    rho = np.minimum(np.maximum(rho, RHO_FLOOR), RHO_CEIL)
-                norms.append(norm)
-                qfs.append(qf)
-                rhos.append(rho)
-        norms = np.array(norms)
+                    np.maximum(rho, RHO_FLOOR, out=rho)
+                    np.minimum(rho, RHO_CEIL, out=rho)
         if not (np.isfinite(norms).all() and norms.all()):
             raise FloatingPointError("non-finite feature state after propagation")
-    else:
-        qfs, rhos = qfs * (steps + 1), rhos * (steps + 1)
     if single:
         return NavState.from_row(navs[1]), qfs[1], rhos[1]
-    return navs, np.array(qfs), np.array(rhos)
+    return navs, qfs, rhos
 
 
 def assemble_linearization(nav: NavState | np.ndarray,
@@ -363,33 +398,41 @@ def retract(nav: NavState, dx_nav: np.ndarray) -> NavState:
 # [rad/s], yaw scale, misalignments [rad]
 _PARAM_LOWER = np.array([-0.1, -0.1, -0.1, 0.5, -0.1, -0.1])
 _PARAM_UPPER = np.array([0.1, 0.1, 0.1, 2.0, 0.1, 0.1])
-_VEL_COLS = np.array([0, 1, 2])
+_VEL_COLS = np.array([[0, 1, 2]])   # cols of the vehicle and ZUPT units
+_BEARING_COLS = np.arange(2)        # a slot's tangent columns, from its offset
 _EYE2 = np.eye(2)            # h_local of every bearing group
 _EYE2.flags.writeable = False
+_EYE3 = np.eye(3)            # h_local of the ZUPT group
+_EYE3.flags.writeable = False
 
 
-def _mahalanobis2(sig: np.ndarray, r: np.ndarray) -> float | None:
-    """r^T sig^-1 r for a 2x2 sig in closed form; None unless det > 0."""
-    (a, b), (c, d) = sig.tolist()
+def _mahalanobis2(sig, r) -> float | None:
+    """r^T sig^-1 r for a 2x2 sig (nested rows) in closed form; None unless
+    det > 0."""
+    (a, b), (c, d) = sig
     det = a * d - b * c
     if det <= 0.0:
         return None
-    r0, r1 = r.tolist()
+    r0, r1 = r
     return (d * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / det
 
 
-def _mahalanobis3(sig: np.ndarray, r: np.ndarray) -> float | None:
-    """r^T sig^-1 r for a 3x3 sig by its adjugate; None unless det > 0."""
-    (a, b, c), (d, e, f), (g, h, i) = sig.tolist()
+def _mahalanobis3(sig, r) -> float | None:
+    """r^T sig^-1 r for a 3x3 sig (nested rows) by its adjugate; None unless
+    det > 0."""
+    (a, b, c), (d, e, f), (g, h, i) = sig
     c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * c00 + b * c01 + c * c02
     if det <= 0.0:
         return None
-    r0, r1, r2 = r.tolist()
+    r0, r1, r2 = r
     adj_r0 = c00 * r0 + (c * h - b * i) * r1 + (b * f - c * e) * r2
     adj_r1 = c01 * r0 + (a * i - c * g) * r1 + (c * d - a * f) * r2
     adj_r2 = c02 * r0 + (b * g - a * h) * r1 + (a * e - b * d) * r2
     return (r0 * adj_r0 + r1 * adj_r1 + r2 * adj_r2) / det
+
+
+_MAHALANOBIS = {2: _mahalanobis2, 3: _mahalanobis3}
 
 
 class AdaptiveEkf:
@@ -450,9 +493,6 @@ class AdaptiveEkf:
     def initialize(self, t: float, nav: NavState) -> None:
         self.t = float(t)
         self.nav = nav.copy()
-
-    def active_slots(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self._active)[0]]
 
     def _state_indices(self, act) -> np.ndarray:
         base = NAV_DIM + FEAT_DIM * np.asarray(act, dtype=int)
@@ -515,22 +555,28 @@ class AdaptiveEkf:
                                             omegas, omega_m, self.params,
                                             self.ext, GRAVITY_VEC)
         steps = len(block)
+        # F dt, Psi dt and Q dt of every step, formed in place where they can be
+        f_c *= dts[:, None, None]
+        psi_c *= dts[:, None, None]
+        q_dts = q_rate * dts[:, None]
         if flat is None:     # F covers the whole state
-            phis = f_c * dts[:, None, None]
-            phis += self._eye
+            f_c += self._eye
+            phis = f_c
             rows = slice(None)
         else:
             phis = np.broadcast_to(self._eye, (steps, self.dim, self.dim)).copy()
-            phis.reshape(steps, -1)[:, flat] += f_c.reshape(steps, -1) * dts[:, None]
+            phis.reshape(steps, -1)[:, flat] += f_c.reshape(steps, -1)
             rows = idx
 
         cov, ups = self.cov, self.upsilon
-        for phi, psi, dt in zip(phis, psi_c, dts):
+        diag = slice(None, None, self.dim + 1)
+        for phi, psi_dt, q_dt in zip(phis, psi_c, q_dts):
             cov = phi @ cov @ phi.T
-            cov.reshape(-1)[::self.dim + 1] += q_rate * dt
-            cov = 0.5 * (cov + cov.T)
+            cov.reshape(-1)[diag] += q_dt
+            cov = cov + cov.T
+            cov *= 0.5
             ups = phi @ ups
-            ups[rows] += psi * dt
+            ups[rows] += psi_dt
             if self.check_psd:
                 self.min_eig_p = min(self.min_eig_p, float(np.linalg.eigvalsh(cov)[0]))
         self.cov = cov
@@ -568,12 +614,12 @@ class AdaptiveEkf:
             sig_lat *= self.noise.lateral_inflation
         rows = [0, 1, 2] if self.use_lateral else [0, 2]
         r_map = {0: self.noise.sigma_wheel, 1: sig_lat, 2: self.noise.sigma_vertical}
-        return RowGroup("vehicle", None, residual[rows], _VEL_COLS,
+        return RowGroup("vehicle", (None,), residual[None, rows], _VEL_COLS,
                         hv[rows, :], np.array([r_map[r] ** 2 for r in rows]))
 
     def zupt_group(self) -> RowGroup:
-        return RowGroup("zupt", None, -self.nav.vel.copy(), _VEL_COLS,
-                        np.eye(3), np.full(3, self.noise.sigma_zupt ** 2))
+        return RowGroup("zupt", (None,), -self.nav.vel[None], _VEL_COLS,
+                        _EYE3, np.full(3, self.noise.sigma_zupt ** 2))
 
     def _vehicle_and_zupt_groups(self, t: float,
                                  vehicle: VehicleVelocityMeasurement | None
@@ -584,56 +630,53 @@ class AdaptiveEkf:
             groups.append(self.zupt_group())
         return groups
 
-    def bearing_groups(self, slots: list[int], observed: np.ndarray) -> list[RowGroup]:
-        """One two-row group per slot; observed holds the (m, 4) measured
-        bearings.  The residuals come from one s2_boxminus_rows call."""
+    def bearing_groups(self, slots: list[int], observed: np.ndarray) -> RowGroup:
+        """One stack of two-row units, one unit per slot, in the order of
+        slots; observed holds the (m, 4) measured bearings.  The residuals
+        come from one s2_boxminus_rows call."""
         residuals = geom.s2_boxminus_rows(observed, self._qf[slots])
-        r_diag = np.full(2, self.noise.sigma_bearing ** 2)
-        groups = []
-        for slot, residual in zip(slots, residuals):
-            o = NAV_DIM + FEAT_DIM * slot
-            groups.append(RowGroup("bearing", slot, residual, np.array([o, o + 1]),
-                                   _EYE2, r_diag))
-        return groups
+        offsets = NAV_DIM + FEAT_DIM * np.array(slots)
+        return RowGroup("bearing", slots, residuals, offsets[:, None] + _BEARING_COLS,
+                        _EYE2, np.full(2, self.noise.sigma_bearing ** 2))
 
     def _gate_slots(self, detections: np.ndarray) -> list[tuple]:
         """(slot, predicted (u, v), start) of each active slot with a
-        template and exactly one detection (a row (u, v) of detections)
-        inside its prediction gate, in slot order.  With none or several
-        candidates the slot is skipped this frame, rejecting ambiguous
-        associations between identical-looking targets."""
-        gated = []
-        for slot in self.active_slots():
-            if self.patches[slot] is None:
-                continue
-            try:
-                (u0, v0), _ = project(self._qf[slot], self.intr)
-            except ProjectionError:
-                continue
-            o = NAV_DIM + FEAT_DIM * slot
-            sigma_px = np.sqrt(max(self.cov[o, o], self.cov[o + 1, o + 1])) * self.intr.fx
-            r_gate = min(3.0 * sigma_px + 3.0, KLT_MAX_SHIFT_PX)
-            near = np.flatnonzero(np.hypot(detections[:, 0] - u0,
-                                           detections[:, 1] - v0) <= r_gate)
-            if len(near) == 1:
-                gated.append((slot, (u0, v0), detections[near[0]]))
-        return gated
+        template, in front of the camera and projecting inside the image, and
+        exactly one detection (a row (u, v) of detections) inside its
+        prediction gate, in slot order.  With none or several candidates the
+        slot is skipped this frame, rejecting ambiguous associations between
+        identical-looking targets."""
+        slots = [slot for slot in np.flatnonzero(self._active).tolist()
+                 if self.patches[slot] is not None]
+        uv, seen = project_rows(self._qf[slots], self.intr)
+        slots, uv = np.array(slots, dtype=int)[seen], uv[seen]
+        var = np.diagonal(self.cov)[NAV_DIM:].reshape(-1, FEAT_DIM)[slots]
+        # max() and min() of the scalar gate, elementwise
+        var = np.where(var[:, 1] > var[:, 0], var[:, 1], var[:, 0])
+        r_gate = 3.0 * (np.sqrt(var) * self.intr.fx) + 3.0
+        r_gate = np.where(KLT_MAX_SHIFT_PX < r_gate, KLT_MAX_SHIFT_PX, r_gate)
+        near = np.hypot(detections[:, 0] - uv[:, :1],
+                        detections[:, 1] - uv[:, 1:]) <= r_gate[:, None]
+        one = np.flatnonzero(near.sum(axis=1) == 1)
+        return [(slot, (u0, v0), detections[k]) for slot, (u0, v0), k in zip(
+            slots[one].tolist(), uv[one].tolist(), near[one].argmax(axis=1).tolist())]
 
     def intensity_group(self, slot: int, pyramid: list[Image],
                         predicted: tuple[float, float],
                         aligned: tuple[float, float]) -> RowGroup | None:
-        """Camera rows for one feature in image mode, from the position
-        its template was aligned to.
+        """Camera rows for one feature in image mode, a stack of one unit,
+        from the position its template was aligned to.
 
-        Within the photometric basin of the predicted position the rows are
-        the intensity residuals with the full measurement chain
-        (QR-compressed to two rows); when the prior lands farther out, the
-        aligned position becomes a direct bearing observation so the
-        linearization stays valid.  Returns None when not measurable.
+        Within the photometric basin of the predicted position (the slot's
+        projection this frame) the rows are the intensity residuals with the
+        full measurement chain (QR-compressed to two rows); when the prior
+        lands farther out, the aligned position becomes a direct bearing
+        observation so the linearization stays valid.  Returns None when not
+        measurable.
         """
         bearing = self._qf[slot]
         o = NAV_DIM + FEAT_DIM * slot
-        cols = np.array([o, o + 1])
+        cols = np.array([[o, o + 1]])
         (u0, v0), (u, v) = predicted, aligned
         if np.hypot(u - u0, v - v0) > PHOTOMETRIC_BASIN_PX:
             try:
@@ -641,62 +684,81 @@ class AdaptiveEkf:
             except ProjectionError:
                 return None
             sigma_tan = self.noise.sigma_track_px / self.intr.fx
-            return RowGroup("intensity", slot, geom.s2_boxminus(observed, bearing),
+            return RowGroup("intensity", (slot,), geom.s2_boxminus(observed, bearing)[None],
                             cols, _EYE2, np.full(2, sigma_tan ** 2))
-        out = camera_measurement_jacobian(bearing, self.patches[slot], pyramid, self.intr)
+        out = camera_measurement_jacobian(bearing, self.patches[slot], pyramid, self.intr,
+                                          at=predicted)
         if out is None:
             return None
         residual, h_tan = out
         q, r2 = np.linalg.qr(h_tan)
         if abs(r2[0, 0]) < 1e-9:
             return None  # textureless: no constraint
-        return RowGroup("intensity", slot, q.T @ residual, cols, r2,
+        return RowGroup("intensity", (slot,), (q.T @ residual)[None], cols, r2,
                         np.full(2, self.noise.sigma_intensity ** 2))
 
     # -- update --------------------------------------------------------------
 
-    def gate(self, group: RowGroup) -> bool:
-        """Mahalanobis test at the GATE_QUANTILE chi-square quantile; raises
-        ValueError for a group of other than 2 or 3 rows."""
+    def gate(self, group: RowGroup) -> list[int]:
+        """Mahalanobis test of each unit of a stack at the GATE_QUANTILE
+        chi-square quantile; returns the positions of the units that pass.
+
+        One stacked H C H^T product gives every unit's innovation matrix (its
+        slices are the 2-D products of the unit alone), and each unit's
+        closed form then runs on Python floats, so a unit's decision and bits
+        do not depend on the stack it is in.  Raises ValueError for units of
+        other than 2 or 3 rows."""
+        r = group.residual
+        m = r.shape[1]
+        if m not in _MAHALANOBIS:
+            raise ValueError(f"{group.label} group of {m} rows: gate takes 2 or 3")
         cols = group.cols
         h = group.h_local
-        sig = h @ self.cov[cols[:, None], cols] @ h.T
-        r = group.residual
-        m = len(r)
-        sig.reshape(-1)[::m + 1] += group.r_diag
-        if m == 2:
-            d2 = _mahalanobis2(sig, r)
-        elif m == 3:
-            d2 = _mahalanobis3(sig, r)
-        else:
-            raise ValueError(f"{group.label} group of {m} rows: gate takes 2 or 3")
-        return d2 is not None and d2 <= GATE_LIMIT[m]
+        sig = h @ self.cov[cols[:, :, None], cols[:, None, :]] @ h.swapaxes(-1, -2)
+        sig.reshape(len(r), -1)[:, ::m + 1] += group.r_diag
+        mahalanobis, limit = _MAHALANOBIS[m], GATE_LIMIT[m]
+        return [i for i, (s, res) in enumerate(zip(sig.tolist(), r.tolist()))
+                if (d2 := mahalanobis(s, res)) is not None and d2 <= limit]
 
     def update(self, groups: list[RowGroup]) -> dict:
-        """Stacked EKF + RLS update; returns per-group keep/drop report."""
+        """Stacked EKF + RLS update; returns the (label, slot) of each unit
+        kept and gated.
+
+        H stacks the kept units' rows in the order of groups (vehicle, ZUPT,
+        then the camera rows by slot), each group's in the order of its
+        units; that order fixes kalman_step's bits."""
         report = {"kept": [], "gated": [], "skipped": False}
         kept = []
+        m_total = 0
         for g in groups:
-            if self.gate(g):
-                kept.append(g)
-                report["kept"].append((g.label, g.slot))
-            else:
-                report["gated"].append((g.label, g.slot))
-                self.counters["groups_gated"] += 1
+            keep = self.gate(g)
+            units = len(g.residual)
+            if len(keep) < units:
+                gated = [i for i in range(units) if i not in keep]
+                report["gated"] += [(g.label, g.slots[i]) for i in gated]
+                self.counters["groups_gated"] += len(gated)
+            if keep:
+                report["kept"] += [(g.label, g.slots[i]) for i in keep]
+                n_rows = len(keep) * g.residual.shape[1]
+                kept.append((g, slice(None) if len(keep) == units else keep, n_rows))
+                m_total += n_rows
         if not kept:
             return report
 
-        m_total = sum(len(g.residual) for g in kept)
         h = np.zeros((m_total, self.dim))
         residual = np.empty(m_total)
         r_diag = np.empty(m_total)
         row = 0
-        for g in kept:
-            m = len(g.residual)
-            h[row:row + m, g.cols] = g.h_local
-            residual[row:row + m] = g.residual
-            r_diag[row:row + m] = g.r_diag
-            row += m
+        for g, sel, n_rows in kept:
+            # one fancy-index assignment writes a group's kept H rows
+            res = g.residual[sel]
+            end = row + n_rows
+            rows = np.arange(row, end).reshape(res.shape)
+            h_local = g.h_local if g.h_local.ndim == 2 else g.h_local[sel]
+            h[rows[:, :, None], g.cols[sel][:, None, :]] = h_local
+            residual[row:end] = res.ravel()
+            r_diag[row:end].reshape(res.shape)[:] = g.r_diag
+            row = end
 
         step = kalman_step(self.cov, h, r_diag, residual)
         if step is None:
@@ -724,13 +786,8 @@ class AdaptiveEkf:
             self._qf[act] = geom.s2_boxplus_rows(self._qf[act], dx_feat[:, 0:2])
             self._rho[act] = np.clip(self._rho[act] + dx_feat[:, 2], RHO_FLOOR, RHO_CEIL)
 
-        for g in kept:
-            if g.label in ("bearing", "intensity"):
-                self.counters["camera_rows"] += len(g.residual)
-            elif g.label == "vehicle":
-                self.counters["vehicle_rows"] += len(g.residual)
-            elif g.label == "zupt":
-                self.counters["zupt_rows"] += len(g.residual)
+        for g, _, n_rows in kept:
+            self.counters[_ROW_COUNTER[g.label]] += n_rows
         self.counters["updates"] += 1
         return report
 
@@ -773,29 +830,41 @@ class AdaptiveEkf:
         self._miss[slot] = 0
         self._gated[slot] = 0
 
-    def _age_slots(self, measured: Collection[int], report: dict) -> None:
+    def _age_slots(self, measured: list[int], report: dict) -> None:
         """Count this frame against every active slot: a gated slot counts a
         gating, a measured one clears both counts, any other counts a miss.
-        A slot is dropped at MAX_MISSES of either count or by _health_drop."""
-        gated = {slot for _, slot in report["gated"] if slot is not None}
-        for slot in self.active_slots():
-            if slot in gated:
-                self._gated[slot] += 1
-            elif slot in measured:
-                self._gated[slot] = 0
-                self._miss[slot] = 0
-            else:
-                self._miss[slot] += 1
-            if (self._miss[slot] >= MAX_MISSES or self._gated[slot] >= MAX_MISSES
-                    or self._health_drop(slot)):
+        A slot is dropped at MAX_MISSES of either count or by _health_drop.
+        Array passes over the active mask; a filter without active slots has
+        nothing to count."""
+        act = self._active
+        if not act.any():
+            return
+        hit = np.zeros(self.capacity, dtype=bool)
+        hit[measured] = True
+        gated_slots = [slot for _, slot in report["gated"] if slot is not None]
+        if gated_slots:
+            gated = np.zeros(self.capacity, dtype=bool)
+            gated[gated_slots] = True
+            self._gated += gated
+            hit &= ~gated
+            self._miss += act > (hit | gated)
+        else:
+            self._miss += act > hit
+        self._gated[hit] = 0
+        self._miss[hit] = 0
+        drop = act & ((np.maximum(self._miss, self._gated) >= MAX_MISSES)
+                      | self._health_drop())
+        if drop.any():
+            for slot in np.flatnonzero(drop).tolist():
                 self.drop_feature(slot)
 
-    def _health_drop(self, slot: int) -> bool:
-        """Cull features with degenerate depth or runaway bearing variance."""
-        o = NAV_DIM + FEAT_DIM * slot
-        bear_var = max(self.cov[o, o], self.cov[o + 1, o + 1])
-        return (self._rho[slot] <= RHO_FLOOR or self._rho[slot] >= RHO_CEIL
-                or bear_var > 0.2 ** 2)
+    def _health_drop(self) -> np.ndarray:
+        """Mask of the slots to cull: degenerate depth or runaway bearing
+        variance (the larger of the two tangent variances, as max() picks)."""
+        diag = np.diagonal(self.cov)
+        v0, v1 = diag[NAV_DIM::FEAT_DIM], diag[NAV_DIM + 1::FEAT_DIM]
+        return ((self._rho <= RHO_FLOOR) | (self._rho >= RHO_CEIL)
+                | (np.where(v1 > v0, v1, v0) > 0.2 ** 2))
 
     # -- per-frame orchestration ----------------------------------------------
 
@@ -813,7 +882,8 @@ class AdaptiveEkf:
         groups = self._vehicle_and_zupt_groups(t, vehicle)
         measured = [slot for slot in sorted(obs) if self._active[slot]]
         if measured:
-            groups += self.bearing_groups(measured, np.array([obs[s] for s in measured]))
+            groups.append(self.bearing_groups(measured,
+                                              np.array([obs[s] for s in measured])))
         report = self.update(groups)
         self._age_slots(measured, report)
         # every observed inactive slot starts from this frame's bearing: new
@@ -839,30 +909,26 @@ class AdaptiveEkf:
         gated = self._gate_slots(detections)
         tracks = klt_align([self.patches[slot] for slot, _, _ in gated], pyramid,
                            [start for _, _, start in gated])
-        measured = set()
+        measured = []
         for (slot, predicted, _), u, v, ok in zip(gated, *tracks):
             if not ok:
                 continue
             g = self.intensity_group(slot, pyramid, predicted, (u, v))
             if g is not None:
                 groups.append(g)
-                measured.add(slot)
+                measured.append(slot)
         report = self.update(groups)
         self._age_slots(measured, report)
 
         # top up empty slots from this frame's detections, keeping a margin
         # from the features still being tracked
-        free = [int(i) for i in np.nonzero(~self._active)[0]]
+        free = np.flatnonzero(~self._active).tolist()
         if free:
             # every slot adds at most one taken position
             taken = np.empty((self.capacity, 2))
-            m = 0
-            for slot in self.active_slots():
-                try:
-                    taken[m], _ = project(self._qf[slot], self.intr)
-                except ProjectionError:
-                    continue
-                m += 1
+            uv, seen = project_rows(self._qf[self._active], self.intr)
+            m = int(seen.sum())
+            taken[:m] = uv[seen]
             for u, v in detections:
                 if not free:
                     break

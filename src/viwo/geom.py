@@ -187,8 +187,10 @@ _FRAME_RIGHT = np.array([[2, 2, 3, 2, 1, 3, 3, 3, 1],
 _FRAME_SCALE = 2.0 * np.array([[1.0] * 9, [1, -1, 1, 1, 1, -1, -1, 1, 1]])
 _FRAME_SIGN = np.array([-1.0, 1, 1, 1, -1, 1, 1, 1, -1])
 _FRAME_TABLE = (_FRAME_LEFT, _FRAME_RIGHT, _FRAME_SCALE, _FRAME_SIGN, np.eye(3).reshape(9))
-# column 0 of R (entries 0, 3, 6): the viewing direction
-_DIR_TABLE = tuple(np.ascontiguousarray(t[..., [0, 3, 6]]) for t in _FRAME_TABLE)
+# column 0 of R (entries 0, 3, 6): the viewing direction.  DIR_TABLE,
+# CROSS_A/B and QUAT_PERM/SIGN are public: filter.propagate_joint runs its
+# per-step feature recurrence on them without the kernels' call overhead.
+DIR_TABLE = tuple(np.ascontiguousarray(t[..., [0, 3, 6]]) for t in _FRAME_TABLE)
 
 
 def _frame_entries(qf: np.ndarray, table) -> np.ndarray:
@@ -208,7 +210,7 @@ def quats_to_frames(qf: np.ndarray) -> np.ndarray:
 
 def quats_to_dirs(qf: np.ndarray) -> np.ndarray:
     """Bearing directions p = R(q) e1 of (..., 4) quaternions -> (..., 3)."""
-    return _frame_entries(qf, _DIR_TABLE)
+    return _frame_entries(qf, DIR_TABLE)
 
 
 def quats_to_tangents(qf: np.ndarray) -> np.ndarray:
@@ -216,14 +218,14 @@ def quats_to_tangents(qf: np.ndarray) -> np.ndarray:
     return quats_to_frames(qf)[..., 1:3]
 
 
-_CROSS_A = np.array([1, 2, 0])
-_CROSS_B = np.array([2, 0, 1])
+CROSS_A = np.array([1, 2, 0])
+CROSS_B = np.array([2, 0, 1])
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross products of (..., 3) arrays (either may be one 3-vector)."""
-    return (a.take(_CROSS_A, axis=-1) * b.take(_CROSS_B, axis=-1)
-            - a.take(_CROSS_B, axis=-1) * b.take(_CROSS_A, axis=-1))
+    return (a.take(CROSS_A, axis=-1) * b.take(CROSS_B, axis=-1)
+            - a.take(CROSS_B, axis=-1) * b.take(CROSS_A, axis=-1))
 
 
 def skew_rows(v: np.ndarray) -> np.ndarray:
@@ -246,14 +248,14 @@ def _dot3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # a * b = ((a_w b + a_x (X b)) + a_y (Y b)) + a_z (Z b), with X, Y, Z the
 # signed permutations of the Hamilton product
-_QUAT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_QUAT_SIGN = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
+QUAT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+QUAT_SIGN = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
 
 
 def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamilton products a_i * b_i of (..., 4) arrays, not
     renormalized (for pure-vector a_i, 2 qdot = (0, omega) * q)."""
-    terms = a[..., :, None] * (b.take(_QUAT_PERM, axis=-1) * _QUAT_SIGN)
+    terms = a[..., :, None] * (b.take(QUAT_PERM, axis=-1) * QUAT_SIGN)
     return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
 
 

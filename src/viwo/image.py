@@ -401,6 +401,8 @@ def klt_align(patches: list[list[PatchLevel]], pyramid: list[Image],
             ginvs.append(np.array([[gtg[1, 1], -gtg[0, 1]],
                                    [-gtg[0, 1], gtg[0, 0]]]) / det)
         run = np.array(run, dtype=int)
+        grads = np.array(grads).reshape(-1, PATCH_SIZE ** 2, 2)
+        ginvs = np.array(ginvs).reshape(-1, 2, 2)
         template = np.array([patches[k][level].intensities
                              for k in run.tolist()]).reshape(-1, PATCH_SIZE ** 2)
         act = np.arange(len(run))   # positions in run of the templates stepping
@@ -417,8 +419,11 @@ def klt_align(patches: list[list[PatchLevel]], pyramid: list[Image],
             res = img.sample((cu[:, None] + PATCH_GRID[:, 0]).ravel(),
                              (cv[:, None] + PATCH_GRID[:, 1]).ravel())
             res = res.reshape(-1, PATCH_SIZE ** 2) - template[act]
-            step = np.array([ginvs[j] @ (grads[j].T @ r)
-                             for j, r in zip(act.tolist(), res)])
+            # each template's ginv @ (g.T @ r) in one stacked product: g.T
+            # is a transposed view, as in the 2-D product of the template
+            # alone, which gives its bits (a contiguous copy of g.T does not)
+            g_t = np.swapaxes(grads[act], 1, 2)
+            step = np.matmul(ginvs[act], np.matmul(g_t, res[:, :, None]))[:, :, 0]
             u[k] -= step[:, 0]
             v[k] -= step[:, 1]
             drift = np.hypot(u[k] - u0[k], v[k] - v0[k]) > 6.0

@@ -60,25 +60,24 @@ def distort(rx, ry, intr):
     return rx * s, ry * s, s, r2
 
 
-def project(bearing: np.ndarray, intr: CameraIntrinsics,
-            require_in_image: bool = True):
-    """Pixel position of a bearing plus the 2x2 bearing-tangent Jacobian.
-
-    Returns ((u, v), J) with J = d[u,v]/d(bearing tangent).  Raises
-    ProjectionError behind the camera or (optionally) outside the image.
-    """
-    frame = geom.quats_to_frames(bearing)   # [p N]
-    p = frame[:, 0]
-    if p[0] <= 1e-9:
-        raise ProjectionError("bearing behind the camera")
-    rx = -p[1] / p[0]
-    ry = -p[2] / p[0]
+def _pixel(p, intr):
+    """Pixel position (u, v) of camera-frame directions p (..., 3) in front of
+    the camera, and the normalized coordinates, distortion factor and r^2 it
+    came from; elementwise, so a row of an array gets the bits of the
+    direction alone."""
+    rx = -p[..., 1] / p[..., 0]
+    ry = -p[..., 2] / p[..., 0]
     dx, dy, s, r2 = distort(rx, ry, intr)
-    u = intr.cx + intr.fx * dx
-    v = intr.cy + intr.fy * dy
-    if require_in_image and not (0.0 <= u <= intr.width - 1 and 0.0 <= v <= intr.height - 1):
-        raise ProjectionError(f"projection ({u:.1f}, {v:.1f}) outside image")
+    return (intr.cx + intr.fx * dx, intr.cy + intr.fy * dy), (rx, ry, s, r2)
 
+
+def _in_image(u, v, intr):
+    return (0.0 <= u) & (u <= intr.width - 1) & (0.0 <= v) & (v <= intr.height - 1)
+
+
+def _tangent_jacobian(frame, rx, ry, s, r2, intr):
+    """d[u,v]/d(bearing tangent) of a bearing with frame [p N]."""
+    p = frame[:, 0]
     ds_dr2 = intr.k1 + 2.0 * intr.k2 * r2
     j_dist = np.array([
         [s + 2.0 * rx * rx * ds_dr2, 2.0 * rx * ry * ds_dr2],
@@ -90,7 +89,33 @@ def project(bearing: np.ndarray, intr: CameraIntrinsics,
         [p[2] / p[0] ** 2, 0.0, -1.0 / p[0]],
     ])
     dp_dtan = -geom.skew_rows(p) @ frame[:, 1:3]
-    return (u, v), j_pix @ j_norm @ dp_dtan
+    return j_pix @ j_norm @ dp_dtan
+
+
+def project(bearing: np.ndarray, intr: CameraIntrinsics,
+            require_in_image: bool = True):
+    """Pixel position of a bearing plus the 2x2 bearing-tangent Jacobian.
+
+    Returns ((u, v), J) with J = d[u,v]/d(bearing tangent).  Raises
+    ProjectionError behind the camera or (optionally) outside the image.
+    """
+    frame = geom.quats_to_frames(bearing)   # [p N]
+    if frame[0, 0] <= 1e-9:
+        raise ProjectionError("bearing behind the camera")
+    (u, v), chain = _pixel(frame[:, 0], intr)
+    if require_in_image and not _in_image(u, v, intr):
+        raise ProjectionError(f"projection ({u:.1f}, {v:.1f}) outside image")
+    return (u, v), _tangent_jacobian(frame, *chain, intr)
+
+
+def project_rows(bearings: np.ndarray, intr: CameraIntrinsics):
+    """Pixel positions (m, 2) of (m, 4) bearings and the mask (m,) of those
+    in front of the camera and inside the image: project's arithmetic row
+    by row, without the Jacobian."""
+    p = geom.quats_to_dirs(bearings)
+    with np.errstate(all="ignore"):
+        (u, v), _ = _pixel(p, intr)
+    return np.column_stack((u, v)), (p[:, 0] > 1e-9) & _in_image(u, v, intr)
 
 
 def unproject(u: float, v: float, intr: CameraIntrinsics) -> np.ndarray:
@@ -124,23 +149,30 @@ def unproject(u: float, v: float, intr: CameraIntrinsics) -> np.ndarray:
 
 
 def camera_measurement_jacobian(bearing: np.ndarray, patch: list[PatchLevel],
-                                pyramid: list[Image], intr: CameraIntrinsics):
+                                pyramid: list[Image], intr: CameraIntrinsics,
+                                at: tuple[float, float] | None = None):
     """Intensity residual rows of every pyramid level, stacked, and their
     bearing-tangent Jacobian for one feature.
 
     Chain: d(residual)/d[u,v] from patch gradients, then the projection chain
-    d[u,v]/d(bearing tangent), projected once for all levels.  The
+    d[u,v]/d(bearing tangent), once for all levels.  at is the bearing's
+    pixel position when the caller has projected it already (inside the
+    image); then only the tangent Jacobian is computed here.  The
     inverse-depth column of the measurement is structurally zero and is not
     represented.  Returns (residual, H) or None when the feature is not
     measurable this frame.
     """
-    try:
-        (u, v), j_proj = project(bearing, intr)
-    except ProjectionError:
-        return None
+    if at is None:
+        try:
+            at, j_proj = project(bearing, intr)
+        except ProjectionError:
+            return None
+    else:
+        frame = geom.quats_to_frames(bearing)
+        j_proj = _tangent_jacobian(frame, *_pixel(frame[:, 0], intr)[1], intr)
     res_rows = []
     for level in range(len(patch)):
-        res = intensity_residual(patch, pyramid, (u, v), level)
+        res = intensity_residual(patch, pyramid, at, level)
         if res is None:
             return None
         res_rows.append(res)

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -143,7 +144,7 @@ def test_predict_follows_active_set_changes(rng):
     seen = []
     for change in schedule:
         change()
-        seen.append(tuple(ekf.active_slots()))
+        seen.append(tuple(np.flatnonzero(ekf._active).tolist()))
         omega_m = rng.uniform(-0.3, 0.3, 3)
         dt = rng.uniform(0.005, 0.02)
         expect, expect_ups = _dense_predict_reference(ekf, omega_m, dt)
@@ -286,7 +287,7 @@ def test_zero_residual_changes_nothing():
     params_before = ekf.params.as_vector()
     qf_before = ekf._qf[0].copy()
 
-    groups = ekf.bearing_groups([0], ekf._qf[[0]].copy())
+    groups = [ekf.bearing_groups([0], ekf._qf[[0]].copy())]
     veh = VehicleVelocityMeasurement(0.0, 12.0, 0.0125)
     # craft a vehicle measurement whose residual is exactly zero
     from viwo.sensors import vehicle_predicted_measurement, vehicle_velocity_measurement
@@ -317,21 +318,22 @@ def test_gate_boundary_chi2():
     limit = chi2.ppf(0.99, 2)
     r_keep = np.sqrt(sig2 * (limit - 1e-6))
     r_drop = np.sqrt(sig2 * (limit + 1e-6))
-    keep = RowGroup("bearing", 0, np.array([r_keep, 0.0]),
-                    np.array([o, o + 1]), np.eye(2),
-                    np.full(2, ekf.noise.sigma_bearing ** 2))
-    drop = RowGroup("bearing", 0, np.array([r_drop, 0.0]),
-                    np.array([o, o + 1]), np.eye(2),
-                    np.full(2, ekf.noise.sigma_bearing ** 2))
-    assert ekf.gate(keep)
+    cols = np.array([[o, o + 1]])
+    r_diag = np.full(2, ekf.noise.sigma_bearing ** 2)
+    keep = RowGroup("bearing", (0,), np.array([[r_keep, 0.0]]), cols, np.eye(2), r_diag)
+    drop = RowGroup("bearing", (0,), np.array([[r_drop, 0.0]]), cols, np.eye(2), r_diag)
+    assert ekf.gate(keep) == [0]
     assert not ekf.gate(drop)
-    zero = RowGroup("bearing", 0, np.zeros(2), np.array([o, o + 1]),
-                    np.eye(2), np.full(2, ekf.noise.sigma_bearing ** 2))
-    assert ekf.gate(zero)
-    big = RowGroup("bearing", 0, np.array([10.0 * np.sqrt(sig2), 0.0]),
-                   np.array([o, o + 1]), np.eye(2),
-                   np.full(2, ekf.noise.sigma_bearing ** 2))
+    zero = RowGroup("bearing", (0,), np.zeros((1, 2)), cols, np.eye(2), r_diag)
+    assert ekf.gate(zero) == [0]
+    big = RowGroup("bearing", (0,), np.array([[10.0 * np.sqrt(sig2), 0.0]]), cols,
+                   np.eye(2), r_diag)
     assert not ekf.gate(big)
+    # the four as one stack: the same decisions
+    stack = RowGroup("bearing", (0,) * 4,
+                     np.concatenate([g.residual for g in (keep, drop, zero, big)]),
+                     np.repeat(cols, 4, axis=0), np.eye(2), r_diag)
+    assert ekf.gate(stack) == [0, 2]
 
 
 def test_gate_limit_table_is_the_chi2_quantile():
@@ -341,7 +343,8 @@ def test_gate_limit_table_is_the_chi2_quantile():
 @pytest.mark.parametrize("m", [1, 4])
 def test_gate_rejects_group_sizes_the_filter_never_makes(m):
     ekf = make_filter()
-    group = RowGroup("vehicle", None, np.zeros(m), np.arange(m), np.eye(m), np.ones(m))
+    group = RowGroup("vehicle", (None,), np.zeros((1, m)), np.arange(m)[None], np.eye(m),
+                     np.ones(m))
     with pytest.raises(ValueError, match=f"{m} rows"):
         ekf.gate(group)
 
@@ -379,9 +382,9 @@ def test_not_positive_definite_update_is_skipped_and_changes_nothing():
                  for k in range(1, 6)])
     assert np.abs(ekf.upsilon).max() > 0.0
     p_vel = ekf.cov[0, 0]
-    groups = [RowGroup("vehicle", None, np.zeros(3), np.arange(3), np.eye(3),
+    groups = [RowGroup("vehicle", (None,), np.zeros((1, 3)), np.arange(3)[None], np.eye(3),
                        np.full(3, 0.01 * p_vel)),
-              RowGroup("zupt", None, np.zeros(3), np.arange(3), np.eye(3),
+              RowGroup("zupt", (None,), np.zeros((1, 3)), np.arange(3)[None], np.eye(3),
                        np.full(3, -0.5 * p_vel))]
     assert all(ekf.gate(g) for g in groups)
     before = {name: getattr(ekf, name).copy()
@@ -396,6 +399,117 @@ def test_not_positive_definite_update_is_skipped_and_changes_nothing():
     for name in ("vel", "quat", "pos"):
         assert getattr(ekf.nav, name).tobytes() == getattr(nav, name).tobytes(), name
     assert ekf.params.as_vector().tobytes() == params.tobytes()
+
+
+def _random_stacks(rng, ekf):
+    """Stacks of every shape the gate takes: the vehicle block with and
+    without its lateral row, ZUPT, bearings with the shared identity and
+    camera units with their own h_local.  Residuals are drawn on the scale
+    of each unit's innovation, with zero and far-out ones among them."""
+    def residuals(units, m):
+        r = rng.normal(size=(units, m)) * rng.choice([0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0],
+                                                     size=(units, 1))
+        r[rng.integers(units)] = 0.0
+        return r
+
+    slots = rng.permutation(ekf.capacity)[:rng.integers(2, ekf.capacity + 1)]
+    offsets = NAV_DIM + 3 * np.sort(slots)
+    units = len(offsets)
+    tangent = offsets[:, None] + np.arange(2)
+    return [
+        RowGroup("vehicle", (None,), residuals(1, 3), np.arange(3)[None],
+                 np.eye(3) + rng.normal(0, 0.01, (3, 3)),
+                 rng.uniform(1e-4, 1e-2, 3)),
+        RowGroup("vehicle", (None,) * 2, residuals(2, 2), np.array([[0, 1, 2]] * 2),
+                 rng.normal(size=(2, 2, 3)), rng.uniform(1e-4, 1e-2, 2)),
+        RowGroup("zupt", (None,), residuals(1, 3), np.arange(3)[None], np.eye(3),
+                 np.full(3, 4e-4)),
+        RowGroup("bearing", np.sort(slots).tolist(), residuals(units, 2), tangent,
+                 np.eye(2), np.full(2, 2.25e-6)),
+        RowGroup("intensity", np.sort(slots).tolist(), residuals(units, 2), tangent,
+                 rng.normal(0.0, 50.0, (units, 2, 2)), np.full(2, 16.0)),
+        RowGroup("vehicle", (None,) * 3, residuals(3, 3),
+                 np.array([rng.permutation(ekf.dim)[:3] for _ in range(3)]),
+                 rng.normal(size=(3, 3, 3)), rng.uniform(1e-4, 1e-2, 3)),
+    ]
+
+
+def _units(group):
+    """The units of a stack, each as a stack of one."""
+    return [RowGroup(group.label, (slot,), group.residual[i:i + 1], group.cols[i:i + 1],
+                     group.h_local if group.h_local.ndim == 2 else group.h_local[i],
+                     group.r_diag)
+            for i, slot in enumerate(group.slots)]
+
+
+def _busy_filter(rng, capacity=5):
+    """A filter with every slot active and a predicted, correlated state."""
+    ekf = make_filter(capacity=capacity)
+    ekf.nav.vel = np.array([10.0, 0.2, -0.1])
+    for slot in range(capacity):
+        d = np.array([1.0, *rng.uniform(-0.4, 0.4, 2)])
+        ekf.init_feature(slot, geom.bearing_from_dir(d))
+        ekf._rho[slot] = rng.uniform(0.05, 0.5)
+    ekf.predict([ImuSample(0.01 * k, rng.normal(0, 0.1, 3), GRAV_CANCEL + rng.normal(0, 0.3, 3))
+                 for k in range(1, 21)])
+    return ekf
+
+
+def test_gate_on_stacks_decides_as_units_alone(rng):
+    """A stack's decisions are those of its units gated one per stack: for
+    2- and 3-row units, shared and per-unit h_local, zero residuals, units
+    on either side of the limit and units whose innovation matrix has
+    det <= 0 (from a covariance that is not positive definite)."""
+    seen = {"kept": 0, "gated": 0, "det <= 0": 0}
+    for trial in range(40):
+        ekf = _busy_filter(rng)
+        if trial % 2:
+            a = rng.normal(size=(ekf.dim, ekf.dim))
+            ekf.cov = 1e-3 * (a + a.T)     # indefinite
+        for group in _random_stacks(rng, ekf):
+            singular = []
+            for i, unit in enumerate(_units(group)):
+                h = unit.h_local if unit.h_local.ndim == 2 else unit.h_local[0]
+                sig = h @ ekf.cov[np.ix_(unit.cols[0], unit.cols[0])] @ h.T
+                sig += np.diag(unit.r_diag)
+                det = np.linalg.det(sig)
+                if det <= 0.0:
+                    singular.append(i)
+                elif i % 2:
+                    # on the limit, to the rounding of the unit's own bits:
+                    # a stack whose products differ in the last bit decides
+                    # some of these the other way
+                    d2 = unit.residual[0] @ np.linalg.solve(sig, unit.residual[0])
+                    if d2 > 0.0:
+                        group.residual[i] *= np.sqrt(GATE_LIMIT[len(sig)] / d2)
+            alone = [i for i, unit in enumerate(_units(group)) if ekf.gate(unit)]
+            assert ekf.gate(group) == alone
+            assert not set(singular) & set(alone)
+            seen["kept"] += len(alone)
+            seen["gated"] += len(group.slots) - len(alone) - len(singular)
+            seen["det <= 0"] += len(singular)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_update_from_stacks_matches_units_one_per_stack(rng):
+    """One update from stacks leaves the same bytes of the state, the
+    covariances, the sensitivities and the parameters as the same units
+    passed one per stack, and reports the same units kept and gated."""
+    gated = 0
+    for _ in range(12):
+        ekf = _busy_filter(rng)
+        groups = _random_stacks(rng, ekf)
+        twin = copy.deepcopy(ekf)
+        report = ekf.update(groups)
+        assert twin.update([u for g in groups for u in _units(g)]) == report
+        assert not report["skipped"] and ekf.counters == twin.counters
+        gated += len(report["gated"])
+        for name in ("cov", "upsilon", "param_cov", "_qf", "_rho"):
+            assert getattr(ekf, name).tobytes() == getattr(twin, name).tobytes(), name
+        for name in ("vel", "quat", "pos"):
+            assert getattr(ekf.nav, name).tobytes() == getattr(twin.nav, name).tobytes()
+        assert ekf.params.as_vector().tobytes() == twin.params.as_vector().tobytes()
+    assert gated > 0
 
 
 # the clamp of each gyro parameter: offsets [rad/s], yaw scale, misalignments
@@ -581,9 +695,9 @@ def test_manage_features_miss_and_health(rng):
     # runaway bearing variance marks the slot for dropping
     o = NAV_DIM
     ekf.cov[o, o] = 0.3 ** 2
-    assert ekf._health_drop(0)
+    assert ekf._health_drop()[0]
     ekf.cov[o, o] = 1e-4
-    assert not ekf._health_drop(0)
+    assert not ekf._health_drop()[0]
     # inverse depth pinned at its floor is culled through the frame path;
     # since the slot is still observed it restarts from the fresh bearing
     ekf._rho[0] = 1e-4

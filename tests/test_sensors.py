@@ -92,15 +92,16 @@ def test_bearing_measurement_boxplus_consistency(rng):
         deltas[3] = [0.01, 0.0]    # known offset on the optical axis
         observed = np.array([geom.s2_boxplus(ekf._qf[s], d)
                              for s, d in zip(slots, deltas)])
-        groups = ekf.bearing_groups(slots, observed)
-        assert [g.slot for g in groups] == slots
-        for g, delta in zip(groups, deltas):
-            o = NAV_DIM + 3 * g.slot
-            assert np.array_equal(g.cols, [o, o + 1])
-            assert np.array_equal(g.h_local, np.eye(2))
-            assert np.allclose(g.residual, delta, atol=1e-8)
-        assert np.allclose(groups[0].residual, 0.0, atol=1e-12)
-        assert np.allclose(groups[3].residual, [0.01, 0.0], atol=1e-9)
+        group = ekf.bearing_groups(slots, observed)
+        assert list(group.slots) == slots
+        assert np.array_equal(group.h_local, np.eye(2))
+        for slot, cols, residual, delta in zip(group.slots, group.cols,
+                                               group.residual, deltas):
+            o = NAV_DIM + 3 * slot
+            assert np.array_equal(cols, [o, o + 1])
+            assert np.allclose(residual, delta, atol=1e-8)
+        assert np.allclose(group.residual[0], 0.0, atol=1e-12)
+        assert np.allclose(group.residual[3], [0.01, 0.0], atol=1e-9)
 
 
 def test_camera_chain_jacobian_fd(rng):
