@@ -46,8 +46,8 @@ Omega = H * Upsilon, where Upsilon tracks the sensitivity of the error state
 to the parameters.  Residuals are measured-minus-predicted everywhere.
 The rows reach the update as RowGroups, each a stack of gating units of
 one row type and shape: the vehicle group and the ZUPT group are stacks of
-one, a bearing frame's camera rows one stack of one unit per slot, and in
-image mode each slot's camera rows a stack of one.  gate tests a whole
+one, and a frame's camera rows one stack of one unit per slot (in image
+mode each unit with its own h_local and variances).  gate tests a whole
 stack in one pass: one stacked H C H^T product, whose slices are the 2-D
 products of the units alone, and each unit's closed form on Python floats,
 so no decision or bit depends on the stacking.  The kept units' rows enter
@@ -167,16 +167,16 @@ class RowGroup:
     block), gated as a whole.
 
     Rows are stored sparsely: unit i's rows are h_local over the state
-    columns cols[i], with residual[i] and the variances r_diag (m,) of
-    every unit; h_local is one (m, k) block shared by the units, or one per
-    unit (g, m, k).  The dense stacked H is materialized per update.
+    columns cols[i], with residual[i] and the variances r_diag; h_local
+    (m, k) and r_diag (m,) are shared by every unit, or given per unit as
+    (g, m, k) and (g, m).  The dense stacked H is materialized per update.
     """
     label: str               # row type: vehicle, zupt, bearing or intensity
     slots: Sequence          # feature slot per unit, None for vehicle and ZUPT
     residual: np.ndarray     # (g, m)
     cols: np.ndarray         # (g, k) state column indices
     h_local: np.ndarray      # (m, k) or (g, m, k)
-    r_diag: np.ndarray       # (m,)
+    r_diag: np.ndarray       # (m,) or (g, m)
 
 
 # the counter that counts each row type's rows
@@ -564,8 +564,11 @@ class AdaptiveEkf:
             phis = f_c
             rows = slice(None)
         else:
-            phis = np.broadcast_to(self._eye, (steps, self.dim, self.dim)).copy()
-            phis.reshape(steps, -1)[:, flat] += f_c.reshape(steps, -1)
+            # F dt scattered onto zeros, then the identity added: the sums of
+            # adding F dt onto the identity, in half the memory traffic
+            phis = np.zeros((steps, self.dim, self.dim))
+            phis.reshape(steps, -1)[:, flat] = f_c.reshape(steps, -1)
+            phis += self._eye
             rows = idx
 
         cov, ups = self.cov, self.upsilon
@@ -663,9 +666,10 @@ class AdaptiveEkf:
 
     def intensity_group(self, slot: int, pyramid: list[Image],
                         predicted: tuple[float, float],
-                        aligned: tuple[float, float]) -> RowGroup | None:
-        """Camera rows for one feature in image mode, a stack of one unit,
-        from the position its template was aligned to.
+                        aligned: tuple[float, float]) -> tuple | None:
+        """Camera rows for one feature in image mode, from the position its
+        template was aligned to: the (residual (2,), h_local (2, 2), r_diag
+        (2,)) of its unit over the slot's tangent columns.
 
         Within the photometric basin of the predicted position (the slot's
         projection this frame) the rows are the intensity residuals with the
@@ -675,8 +679,6 @@ class AdaptiveEkf:
         measurable.
         """
         bearing = self._qf[slot]
-        o = NAV_DIM + FEAT_DIM * slot
-        cols = np.array([[o, o + 1]])
         (u0, v0), (u, v) = predicted, aligned
         if np.hypot(u - u0, v - v0) > PHOTOMETRIC_BASIN_PX:
             try:
@@ -684,8 +686,8 @@ class AdaptiveEkf:
             except ProjectionError:
                 return None
             sigma_tan = self.noise.sigma_track_px / self.intr.fx
-            return RowGroup("intensity", (slot,), geom.s2_boxminus(observed, bearing)[None],
-                            cols, _EYE2, np.full(2, sigma_tan ** 2))
+            return (geom.s2_boxminus(observed, bearing), _EYE2,
+                    np.full(2, sigma_tan ** 2))
         out = camera_measurement_jacobian(bearing, self.patches[slot], pyramid, self.intr,
                                           at=predicted)
         if out is None:
@@ -694,8 +696,7 @@ class AdaptiveEkf:
         q, r2 = np.linalg.qr(h_tan)
         if abs(r2[0, 0]) < 1e-9:
             return None  # textureless: no constraint
-        return RowGroup("intensity", (slot,), (q.T @ residual)[None], cols, r2,
-                        np.full(2, self.noise.sigma_intensity ** 2))
+        return q.T @ residual, r2, np.full(2, self.noise.sigma_intensity ** 2)
 
     # -- update --------------------------------------------------------------
 
@@ -757,7 +758,8 @@ class AdaptiveEkf:
             h_local = g.h_local if g.h_local.ndim == 2 else g.h_local[sel]
             h[rows[:, :, None], g.cols[sel][:, None, :]] = h_local
             residual[row:end] = res.ravel()
-            r_diag[row:end].reshape(res.shape)[:] = g.r_diag
+            r_diag[row:end].reshape(res.shape)[:] = (
+                g.r_diag if g.r_diag.ndim == 1 else g.r_diag[sel])
             row = end
 
         step = kalman_step(self.cov, h, r_diag, residual)
@@ -909,14 +911,20 @@ class AdaptiveEkf:
         gated = self._gate_slots(detections)
         tracks = klt_align([self.patches[slot] for slot, _, _ in gated], pyramid,
                            [start for _, _, start in gated])
-        measured = []
+        measured, units = [], []
         for (slot, predicted, _), u, v, ok in zip(gated, *tracks):
             if not ok:
                 continue
-            g = self.intensity_group(slot, pyramid, predicted, (u, v))
-            if g is not None:
-                groups.append(g)
+            unit = self.intensity_group(slot, pyramid, predicted, (u, v))
+            if unit is not None:
                 measured.append(slot)
+                units.append(unit)
+        if units:
+            # one stack, each unit with its own h_local and r_diag
+            residual, h_local, r_diag = (np.array(x) for x in zip(*units))
+            offsets = NAV_DIM + FEAT_DIM * np.array(measured)
+            groups.append(RowGroup("intensity", measured, residual,
+                                   offsets[:, None] + _BEARING_COLS, h_local, r_diag))
         report = self.update(groups)
         self._age_slots(measured, report)
 

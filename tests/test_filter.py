@@ -404,7 +404,7 @@ def test_not_positive_definite_update_is_skipped_and_changes_nothing():
 def _random_stacks(rng, ekf):
     """Stacks of every shape the gate takes: the vehicle block with and
     without its lateral row, ZUPT, bearings with the shared identity and
-    camera units with their own h_local.  Residuals are drawn on the scale
+    camera units with their own h_local and variances.  Residuals are drawn on the scale
     of each unit's innovation, with zero and far-out ones among them."""
     def residuals(units, m):
         r = rng.normal(size=(units, m)) * rng.choice([0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0],
@@ -427,7 +427,8 @@ def _random_stacks(rng, ekf):
         RowGroup("bearing", np.sort(slots).tolist(), residuals(units, 2), tangent,
                  np.eye(2), np.full(2, 2.25e-6)),
         RowGroup("intensity", np.sort(slots).tolist(), residuals(units, 2), tangent,
-                 rng.normal(0.0, 50.0, (units, 2, 2)), np.full(2, 16.0)),
+                 rng.normal(0.0, 50.0, (units, 2, 2)),
+                 rng.choice([16.0, 6.4e-7], size=(units, 1)) * np.ones(2)),
         RowGroup("vehicle", (None,) * 3, residuals(3, 3),
                  np.array([rng.permutation(ekf.dim)[:3] for _ in range(3)]),
                  rng.normal(size=(3, 3, 3)), rng.uniform(1e-4, 1e-2, 3)),
@@ -438,7 +439,7 @@ def _units(group):
     """The units of a stack, each as a stack of one."""
     return [RowGroup(group.label, (slot,), group.residual[i:i + 1], group.cols[i:i + 1],
                      group.h_local if group.h_local.ndim == 2 else group.h_local[i],
-                     group.r_diag)
+                     group.r_diag if group.r_diag.ndim == 1 else group.r_diag[i])
             for i, slot in enumerate(group.slots)]
 
 
