@@ -1,21 +1,21 @@
 """Alternated benchmark pairs of two commits, written as BENCH_<tag>.json.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...]
-        --pairs N --tag T [--first-seed S] [--seconds 5] [--what TEXT]
-        [--workdir DIR]
+        --pairs N --tag T [--first-seed S]
 
 PARENT and CHANGE are commits of this repository.  Each run extracts the
-committed files of its commit with ``git archive`` into a new directory
-under DIR (the system's temporary directory by default), runs the
-benchmark's command from ``BENCHMARK.json`` there (``python3
+committed files of its commit with ``git archive`` into a new temporary
+directory (under ``TMPDIR``), runs the benchmark's command from CHANGE's
+``BENCHMARK.json`` there with its ``run_seconds`` (``python3
 perfbench/run.py --workload W --seed N --seconds 5 --trace 0``) in a fresh
 process, reads the JSON result on the last line of its stdout and deletes
 the directory.  Pair k runs both commits on seed S + k, the parent first in
 even pairs and the change first in odd ones, because the machine's speed
 drifts between fast and slow spells.
 
-The record goes to BENCH_<tag>.json in the current directory: the commits,
-the machine, and per workload the seeds, every run's result and a summary
+The record goes to BENCH_<tag>.json in the current directory: the commits
+and the subjects of the commits between them, the machine, and per
+workload the seeds, every run's result and a summary
 of each end-to-end metric of ``BENCHMARK.json`` (median and quartiles per
 side, and in how many pairs the change was better).  When the file already
 holds a record of the same two commits, the workloads run now replace their
@@ -57,9 +57,9 @@ def machine() -> str:
 
 
 def run_once(commit: str, command: list[str], workload: str, seed: int,
-             seconds: float, workdir: Path) -> dict:
+             seconds: float) -> dict:
     """One benchmark run of commit in a new tree; its JSON result."""
-    tree = Path(tempfile.mkdtemp(prefix="bench-", dir=workdir))
+    tree = Path(tempfile.mkdtemp(prefix="bench-"))
     try:
         with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
             tar.extractall(tree, filter="data")
@@ -106,10 +106,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--tag", required=True)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=5.0)
-    ap.add_argument("--what", default="alternated perfbench pairs of the parent "
-                                      "commit and the change")
-    ap.add_argument("--workdir", type=Path, default=Path(tempfile.gettempdir()))
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -117,11 +113,12 @@ def main(argv=None) -> int:
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
                for side, ref in (("parent", args.parent), ("change", args.change))}
     bench = json.loads(git("show", f"{commits['change']}:BENCHMARK.json"))
-    command = bench["command"]
+    command, seconds = bench["command"], bench["run_seconds"]
+    subjects = git("log", "--reverse", "--format=%s",
+                   f"{commits['parent']}..{commits['change']}").decode().splitlines()
     out = Path(f"BENCH_{args.tag}.json")
     record = json.loads(out.read_text()) if out.is_file() else {}
     workloads = record.get("workloads", {}) if record.get("commits") == commits else {}
-    args.workdir.mkdir(parents=True, exist_ok=True)
 
     for workload in args.workload:
         seeds = list(range(args.first_seed, args.first_seed + args.pairs))
@@ -130,8 +127,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(commits[side], command, workload, seed,
-                                      args.seconds, args.workdir)
+                pair[side] = run_once(commits[side], command, workload, seed, seconds)
             runs.append(pair)
             factors = "  ".join(f"{s} {pair[s]['metrics']['realtime_factor']:.2f}x"
                                 for s in ("parent", "change"))
@@ -143,9 +139,10 @@ def main(argv=None) -> int:
 
     record = {
         "tag": args.tag,
-        "what": args.what,
-        "command": " ".join(command) + f" --workload W --seed N --seconds "
-                                       f"{args.seconds:g} --trace 0",
+        "what": "alternated perfbench pairs of the parent commit and the change: "
+                + "; ".join(subjects),
+        "command": " ".join(command) + f" --workload W --seed N --seconds {seconds:g} "
+                                       f"--trace 0",
         "commits": commits,
         "machine": machine(),
         "pairs": "the side that runs first alternates, parent first in the first pair",

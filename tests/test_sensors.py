@@ -4,9 +4,10 @@ import pytest
 from viwo import geom
 from viwo.filter import NAV_DIM, AdaptiveEkf
 from viwo.image import build_pyramid, extract_patch_set
-from viwo.jacobian_check import fd_camera_chain
+from viwo.jacobian_check import fd_camera_chain, render_smooth_probe
 from viwo.sensors import (CameraIntrinsics, ProjectionError,
-                          camera_measurement_jacobian, project, unproject,
+                          camera_measurement_jacobian, project, project_rows,
+                          unproject,
                           vehicle_measurement_jacobian,
                           vehicle_predicted_measurement,
                           vehicle_velocity_measurement)
@@ -33,6 +34,38 @@ def test_project_behind_camera():
     with pytest.raises(ProjectionError):
         project(geom.bearing_from_dir(np.array([-1.0, 0, 0])), INTR)
 
+
+
+def test_project_rows_match_project(rng):
+    """project_rows gives project's (u, v) bit for bit, and its mask is set
+    exactly where project does not raise: bearings in front and behind,
+    inside the image and out, on a distorted camera."""
+    d = np.column_stack((rng.uniform(-0.2, 1.0, 400), rng.uniform(-1.0, 1.0, (400, 2))))
+    d[:3] = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1e-12, 0.3, 0.0]]
+    bearings = geom.bearing_from_dir_rows(d)
+    uv, ok = project_rows(bearings, INTR_DIST)
+    assert ok.any() and not ok.all()
+    for bearing, row, inside in zip(bearings, uv, ok):
+        try:
+            (u, v), _ = project(bearing, INTR_DIST)
+        except ProjectionError:
+            assert not inside
+            continue
+        assert inside and np.array([u, v]).tobytes() == row.tobytes()
+
+
+def test_camera_rows_at_the_projection_match_their_own_projection(rng):
+    """Handed the bearing's projected (u, v), the camera rows are the bytes
+    of the rows that project the bearing themselves."""
+    pyramid = build_pyramid(render_smooth_probe(INTR_DIST, 322.0, 241.5))
+    patch = extract_patch_set(pyramid, 322.0, 241.5)
+    for _ in range(20):
+        bearing = geom.s2_boxplus(geom.IDENTITY_QUAT, rng.uniform(-0.01, 0.01, 2))
+        (u, v), _ = project(bearing, INTR_DIST)
+        own = camera_measurement_jacobian(bearing, patch, pyramid, INTR_DIST)
+        handed = camera_measurement_jacobian(bearing, patch, pyramid, INTR_DIST, at=(u, v))
+        assert own[0].any()
+        assert [x.tobytes() for x in own] == [x.tobytes() for x in handed]
 
 def test_project_jacobian_fd(rng):
     h = 1e-7
