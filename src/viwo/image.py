@@ -374,8 +374,9 @@ def klt_align(patches: list[list[PatchLevel]], pyramid: list[Image],
     0.02 px.  A template is abandoned when its footprint leaves the image,
     its level's gradients are degenerate or it moves beyond 6 px from its
     start.  Each step samples the points of every template still running
-    in one call; each template's own arithmetic, and so its result, is that
-    of aligning it alone.  Returns the tuples (u, v, converged), one entry
+    in one call and computes their Gauss-Newton steps in one stacked
+    product; each template's own arithmetic, and so its result, is that of
+    aligning it alone.  Returns the tuples (u, v, converged), one entry
     per template.
     """
     n = len(patches)

@@ -60,35 +60,34 @@ def distort(rx, ry, intr):
     return rx * s, ry * s, s, r2
 
 
-def _pixel(p, intr):
-    """Pixel position (u, v) of camera-frame directions p (..., 3) in front of
-    the camera, and the normalized coordinates, distortion factor and r^2 it
-    came from; elementwise, so a row of an array gets the bits of the
-    direction alone."""
-    rx = -p[..., 1] / p[..., 0]
-    ry = -p[..., 2] / p[..., 0]
+def _pixel(px, py, pz, intr):
+    """Pixel position (u, v) of camera-frame directions [px, py, pz] in front
+    of the camera, and the chain it came from (the direction, the
+    normalized coordinates, the distortion factor and r^2); elementwise, so
+    a row of arrays gets the bits of the direction alone."""
+    rx = -py / px
+    ry = -pz / px
     dx, dy, s, r2 = distort(rx, ry, intr)
-    return (intr.cx + intr.fx * dx, intr.cy + intr.fy * dy), (rx, ry, s, r2)
+    return (intr.cx + intr.fx * dx, intr.cy + intr.fy * dy), (px, py, pz, rx, ry, s, r2)
 
 
 def _in_image(u, v, intr):
     return (0.0 <= u) & (u <= intr.width - 1) & (0.0 <= v) & (v <= intr.height - 1)
 
 
-def _tangent_jacobian(frame, rx, ry, s, r2, intr):
-    """d[u,v]/d(bearing tangent) of a bearing with frame [p N]."""
-    p = frame[:, 0]
+def _tangent_jacobian(frame, chain, intr):
+    """d[u,v]/d(bearing tangent) of a bearing with frame [p N] and the
+    chain _pixel gives for p."""
+    px, py, pz, rx, ry, s, r2 = chain
     ds_dr2 = intr.k1 + 2.0 * intr.k2 * r2
     j_dist = np.array([
         [s + 2.0 * rx * rx * ds_dr2, 2.0 * rx * ry * ds_dr2],
         [2.0 * rx * ry * ds_dr2, s + 2.0 * ry * ry * ds_dr2],
     ])
     j_pix = np.array([[intr.fx, 0.0], [0.0, intr.fy]]) @ j_dist
-    j_norm = np.array([
-        [p[1] / p[0] ** 2, -1.0 / p[0], 0.0],
-        [p[2] / p[0] ** 2, 0.0, -1.0 / p[0]],
-    ])
-    dp_dtan = -geom.skew_rows(p) @ frame[:, 1:3]
+    px2, inv = px ** 2, -1.0 / px
+    j_norm = np.array([[py / px2, inv, 0.0], [pz / px2, 0.0, inv]])
+    dp_dtan = -geom.skew_rows(frame[:, 0]) @ frame[:, 1:3]
     return j_pix @ j_norm @ dp_dtan
 
 
@@ -100,12 +99,13 @@ def project(bearing: np.ndarray, intr: CameraIntrinsics,
     ProjectionError behind the camera or (optionally) outside the image.
     """
     frame = geom.quats_to_frames(bearing)   # [p N]
-    if frame[0, 0] <= 1e-9:
+    px, py, pz = frame[:, 0]
+    if px <= 1e-9:
         raise ProjectionError("bearing behind the camera")
-    (u, v), chain = _pixel(frame[:, 0], intr)
+    (u, v), chain = _pixel(px, py, pz, intr)
     if require_in_image and not _in_image(u, v, intr):
         raise ProjectionError(f"projection ({u:.1f}, {v:.1f}) outside image")
-    return (u, v), _tangent_jacobian(frame, *chain, intr)
+    return (u, v), _tangent_jacobian(frame, chain, intr)
 
 
 def project_rows(bearings: np.ndarray, intr: CameraIntrinsics):
@@ -114,7 +114,7 @@ def project_rows(bearings: np.ndarray, intr: CameraIntrinsics):
     by row, without the Jacobian."""
     p = geom.quats_to_dirs(bearings)
     with np.errstate(all="ignore"):
-        (u, v), _ = _pixel(p, intr)
+        (u, v), _ = _pixel(p[:, 0], p[:, 1], p[:, 2], intr)
     return np.column_stack((u, v)), (p[:, 0] > 1e-9) & _in_image(u, v, intr)
 
 
@@ -169,7 +169,7 @@ def camera_measurement_jacobian(bearing: np.ndarray, patch: list[PatchLevel],
             return None
     else:
         frame = geom.quats_to_frames(bearing)
-        j_proj = _tangent_jacobian(frame, *_pixel(frame[:, 0], intr)[1], intr)
+        j_proj = _tangent_jacobian(frame, _pixel(*frame[:, 0], intr)[1], intr)
     res_rows = []
     for level in range(len(patch)):
         res = intensity_residual(patch, pyramid, at, level)
