@@ -565,7 +565,7 @@ class AdaptiveEkf:
             rows = slice(None)
         else:
             # F dt scattered onto zeros, then the identity added: the sums of
-            # adding F dt onto the identity, in half the memory traffic
+            # adding F dt onto the identity, without a copy of it per step
             phis = np.zeros((steps, self.dim, self.dim))
             phis.reshape(steps, -1)[:, flat] = f_c.reshape(steps, -1)
             phis += self._eye
