@@ -545,7 +545,8 @@ class AdaptiveEkf:
         act, idx, flat, q_rate = self._active_set()
         omega_m = np.array([sample.omega_m for sample in block])
         omegas = correct_gyro(omega_m, self.params)
-        dts = np.diff([self.t] + [sample.t for sample in block])
+        stamps = np.array([self.t] + [sample.t for sample in block])
+        dts = stamps[1:] - stamps[:-1]      # np.diff, without its wrapper's cost
         navs, qfs, rhos = propagate_joint(
             self.nav, self._qf[act], self._rho[act], omegas,
             np.array([sample.accel_m for sample in block]), dts, self.ext,
@@ -562,24 +563,26 @@ class AdaptiveEkf:
         if flat is None:     # F covers the whole state
             f_c += self._eye
             phis = f_c
-            rows = slice(None)
         else:
             # F dt scattered onto zeros, then the identity added: the sums of
             # adding F dt onto the identity, without a copy of it per step
             phis = np.zeros((steps, self.dim, self.dim))
             phis.reshape(steps, -1)[:, flat] = f_c.reshape(steps, -1)
             phis += self._eye
-            rows = idx
 
         cov, ups = self.cov, self.upsilon
         diag = slice(None, None, self.dim + 1)
         for phi, psi_dt, q_dt in zip(phis, psi_c, q_dts):
             cov = phi @ cov @ phi.T
-            cov.reshape(-1)[diag] += q_dt
+            cov_diag = cov.reshape(-1)[diag]
+            cov_diag += q_dt
             cov = cov + cov.T
             cov *= 0.5
             ups = phi @ ups
-            ups[rows] += psi_dt
+            if flat is None:
+                ups += psi_dt
+            else:
+                ups[idx] += psi_dt
             if self.check_psd:
                 self.min_eig_p = min(self.min_eig_p, float(np.linalg.eigvalsh(cov)[0]))
         self.cov = cov
