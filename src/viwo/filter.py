@@ -859,9 +859,8 @@ class AdaptiveEkf:
         self._miss[hit] = 0
         drop = act & ((np.maximum(self._miss, self._gated) >= MAX_MISSES)
                       | self._health_drop())
-        if drop.any():
-            for slot in np.flatnonzero(drop).tolist():
-                self.drop_feature(slot)
+        for slot in np.flatnonzero(drop).tolist():
+            self.drop_feature(slot)
 
     def _health_drop(self) -> np.ndarray:
         """Mask of the slots to cull: degenerate depth or runaway bearing
