@@ -29,7 +29,7 @@ without its ``elapsed_s`` line (so the counters and, with ``--check-psd``,
 the ``min_eig_P``/``min_eig_S`` lines too), then the audit's exit code and
 text, and prints one ``identical: yes|no`` line per item.  The
 exit code is 0 when every item is identical, 1 when any differs and 2 when a
-command fails.  Timing comparisons are ``scripts/ab_realtime.py``'s job.
+command fails.  Timing comparisons are ``scripts/bench_pairs.py``'s job.
 """
 
 import argparse

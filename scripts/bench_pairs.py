@@ -20,6 +20,12 @@ of each end-to-end metric of ``BENCHMARK.json`` (median and quartiles per
 side, and in how many pairs the change was better).  When the file already
 holds a record of the same two commits, the workloads run now replace their
 entries and the others are kept, so workloads can be run one at a time.
+
+Last, per workload run, it prints the verdict the benchmark's gate reads
+from the record: for each end-to-end metric, whether the change's median is
+better or worse than the parent's by more than the metric's ``bound`` or
+within it; each side's share of failed operations; and every run whose
+result was not correct.
 """
 
 import argparse
@@ -98,6 +104,33 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def verdict(entry: dict, end_to_end: list[dict]) -> list[str]:
+    """What the benchmark's gate reads from one workload's entry (its
+    summary and runs): per end-to-end metric, whether the change's median is
+    better or worse than the parent's by more than the metric's bound, a
+    fraction of the parent's median, or within it; each side's share of
+    failed operations; and each run whose result was not correct."""
+    lines = []
+    for spec in end_to_end:
+        name, bound = spec["name"], spec["bound"]
+        parent = entry["summary"][name]["parent"]["median"]
+        change = entry["summary"][name]["change"]["median"]
+        gain = change - parent if spec["better"] == "higher" else parent - change
+        word = ("better beyond bound" if gain > bound * abs(parent) else
+                "worse beyond bound" if -gain > bound * abs(parent) else "within bound")
+        moved = f"{(change - parent) / abs(parent):+.1%}" if parent else "parent 0"
+        lines.append(f"{name} median {parent:.6g} -> {change:.6g} {spec['unit']} "
+                     f"({moved}, bound {bound:.0%}): {word}")
+    for side in ("parent", "change"):
+        failed = sum(r[side]["failed"] for r in entry["runs"])
+        attempted = sum(r[side]["attempted"] for r in entry["runs"])
+        share = failed / attempted if attempted else 0.0
+        lines.append(f"{side} failed operations: {failed} of {attempted} ({share:.2%})")
+        lines += [f"{side} seed {r['seed']}: correct is false"
+                  for r in entry["runs"] if not r[side]["correct"]]
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -155,6 +188,8 @@ def main(argv=None) -> int:
         print(f"{workload}: realtime_factor median {rt['parent']['median']:.2f}x -> "
               f"{rt['change']['median']:.2f}x (parent quartiles {rt['parent']['q1']:.2f}-"
               f"{rt['parent']['q3']:.2f}x), change better in {rt['change_better_in']}")
+        for line in verdict(workloads[workload], bench["end_to_end"]):
+            print(f"{workload}: {line}")
     print(f"wrote {out}")
     return 0
 

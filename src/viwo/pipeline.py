@@ -115,6 +115,9 @@ def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]]) -> RunConfi
 def build_scenario(cfg: RunConfig) -> sim.TrajectorySpec:
     if cfg.scenario == "urban_loop":
         return sim.urban_loop(laps=cfg.laps, rho_sg=cfg.rho_sg)
+    if cfg.laps != 1 and cfg.scenario in ("highway", "mini_loop"):
+        raise ValueError(f"laps = {cfg.laps}: scenario '{cfg.scenario}' has one lap; "
+                         f"only urban_loop takes laps")
     if cfg.scenario == "highway":
         return sim.highway_route(rho_sg=cfg.rho_sg)
     if cfg.scenario == "mini_loop":
@@ -157,10 +160,10 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     if cfg.measurement_mode == "image":
         paths.frames_dir.mkdir(exist_ok=True)
         shots = [(k, s) for k, s in enumerate(truth[::sim.CAMERA_STRIDE]) if s.t != 0.0]
-        # One worker is the frame generator's only user.  It draws frame
-        # i+1's noise into one buffer while frame i is rendered from the
-        # other; draws are submitted in frame order, so the stream is the
-        # serial one.  Rendering and writing stay on this thread.
+        # One worker, the frame generator's only user, draws frame i+1's
+        # noise into the buffer frame i-1 used, queued before frame i's is
+        # awaited, while this thread renders and writes frame i.  Draws are
+        # submitted in frame order, so the stream is the serial one.
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 4]))
         buffers = [np.empty((DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width))
                    for _ in range(2)]
@@ -173,8 +176,9 @@ def cmd_simulate(cfg: RunConfig) -> Path:
 
             pending = draw(0)
             for i, (k, s) in enumerate(shots):
+                queued = draw(i + 1)
                 noise = None if pending is None else pending.result()
-                pending = draw(i + 1)
+                pending = queued
                 img = sim.render_frame(s.nav, world, noise)
                 name = f"{k:06d}.pgm"
                 save_pgm(paths.frames_dir / name, img)

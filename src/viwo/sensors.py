@@ -60,7 +60,7 @@ def distort(rx, ry, intr):
     return rx * s, ry * s, s, r2
 
 
-def _pixel(px, py, pz, intr):
+def pixel(px, py, pz, intr):
     """Pixel position (u, v) of camera-frame directions [px, py, pz] in front
     of the camera, and the chain it came from (the direction, the
     normalized coordinates, the distortion factor and r^2); elementwise, so
@@ -77,7 +77,7 @@ def _in_image(u, v, intr):
 
 def _tangent_jacobian(frame, chain, intr):
     """d[u,v]/d(bearing tangent) of a bearing with frame [p N] and the
-    chain _pixel gives for p."""
+    chain that pixel gives for p."""
     px, py, pz, rx, ry, s, r2 = chain
     ds_dr2 = intr.k1 + 2.0 * intr.k2 * r2
     j_dist = np.array([
@@ -102,7 +102,7 @@ def project(bearing: np.ndarray, intr: CameraIntrinsics,
     px, py, pz = frame[:, 0]
     if px <= 1e-9:
         raise ProjectionError("bearing behind the camera")
-    (u, v), chain = _pixel(px, py, pz, intr)
+    (u, v), chain = pixel(px, py, pz, intr)
     if require_in_image and not _in_image(u, v, intr):
         raise ProjectionError(f"projection ({u:.1f}, {v:.1f}) outside image")
     return (u, v), _tangent_jacobian(frame, chain, intr)
@@ -114,7 +114,7 @@ def project_rows(bearings: np.ndarray, intr: CameraIntrinsics):
     by row, without the Jacobian."""
     p = geom.quats_to_dirs(bearings)
     with np.errstate(all="ignore"):
-        (u, v), _ = _pixel(p[:, 0], p[:, 1], p[:, 2], intr)
+        (u, v), _ = pixel(p[:, 0], p[:, 1], p[:, 2], intr)
     return np.column_stack((u, v)), (p[:, 0] > 1e-9) & _in_image(u, v, intr)
 
 
@@ -169,7 +169,7 @@ def camera_measurement_jacobian(bearing: np.ndarray, patch: list[PatchLevel],
             return None
     else:
         frame = geom.quats_to_frames(bearing)
-        j_proj = _tangent_jacobian(frame, _pixel(*frame[:, 0], intr)[1], intr)
+        j_proj = _tangent_jacobian(frame, pixel(*frame[:, 0], intr)[1], intr)
     res_rows = []
     for level in range(len(patch)):
         res = intensity_residual(patch, pyramid, at, level)

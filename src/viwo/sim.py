@@ -55,7 +55,7 @@ from .dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, NavState, apply_gyro_er
                        rk4_nav)
 from .features import CameraExtrinsics, landmark_to_feature
 from .image import Image
-from .sensors import DEFAULT_INTRINSICS, distort, project
+from .sensors import DEFAULT_INTRINSICS, pixel, project_rows
 
 IMU_RATE_HZ = 100.0         # IMU, wheel and ground-truth sample rate
 CAMERA_STRIDE = 10          # IMU samples per camera frame: 10 Hz frames
@@ -339,11 +339,7 @@ def visible_landmarks(world: np.ndarray, nav: NavState) -> list[int]:
     ok = (d_cam[:, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= 80.0)
     if not ok.any():
         return []
-    rx = -d_cam[ok, 1] / d_cam[ok, 0]
-    ry = -d_cam[ok, 2] / d_cam[ok, 0]
-    dx, dy, _, _ = distort(rx, ry, intr)
-    u = intr.cx + intr.fx * dx
-    v = intr.cy + intr.fy * dy
+    (u, v), _ = pixel(d_cam[ok, 0], d_cam[ok, 1], d_cam[ok, 2], intr)
     in_img = ((u >= 8.0) & (u <= intr.width - 1 - 8.0)
               & (v >= 8.0) & (v <= intr.height - 1 - 8.0))
     idx = np.nonzero(ok)[0][in_img]
@@ -450,9 +446,9 @@ def render_frame(nav: NavState, world: np.ndarray, noise: np.ndarray | None) -> 
     caller drew (see draw_image_noise), or none when noise is None."""
     intr = DEFAULT_INTRINSICS
     data = np.full((intr.height, intr.width), 10.0)
-    vis = visible_landmarks(world, nav)
-    for bearing in landmark_to_feature(world[vis], nav, CAMERA_EXTRINSICS).bearing:
-        (u, v), _ = project(bearing, intr, require_in_image=False)
+    bearings = landmark_to_feature(world[visible_landmarks(world, nav)], nav,
+                                   CAMERA_EXTRINSICS).bearing
+    for u, v in project_rows(bearings, intr)[0]:
         lo_u, hi_u = int(max(0, u - 6)), int(min(intr.width, u + 7))
         lo_v, hi_v = int(max(0, v - 6)), int(min(intr.height, v + 7))
         if lo_u >= hi_u or lo_v >= hi_v:

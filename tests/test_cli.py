@@ -256,12 +256,19 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert tree_digest(out) == tree_digest(ref)
 
 
-def test_bad_scenario_exit_config(tmp_path):
+def test_bad_scenario_exit_config(tmp_path, capsys):
     # refused before the output directory is made
     code = main(["simulate", "--out", str(tmp_path / "x"),
                  "--scenario", "urban_loop", "--laps", "0"])
     assert code == EXIT_CONFIG  # zero laps -> empty drive = config error
     assert not (tmp_path / "x").exists()
+    for scenario in ("highway", "mini_loop"):   # one-lap scenarios refuse laps
+        out = tmp_path / scenario
+        code = main(["simulate", "--out", str(out), "--scenario", scenario,
+                     "--laps", "3", "--seed", "3"])
+        assert code == EXIT_CONFIG
+        assert "laps" in capsys.readouterr().err
+        assert not out.exists()
     cfgfile = tmp_path / "bad.txt"
     cfgfile.write_text("scenario = nonsense\n")
     code = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "y")])

@@ -725,8 +725,10 @@ def test_out_of_range_slot_ignored():
     assert not ekf._active.any()
 
 
-def test_reduction_equivalence_bit_identical(rng, tmp_path):
-    """Parameter channel disabled == plain EKF, bit for bit, over 60 s."""
+def test_frozen_parameter_channel_reduces_to_plain_ekf(tmp_path):
+    """With the channel enabled and S0 = 0 the filter is the plain EKF, bit
+    for bit, and the parameters never move.  (The disabled channel against
+    the plain EKF is acceptance criterion 7.)"""
     from viwo.pipeline import RunConfig, cmd_simulate, load_dataset
     from viwo.sim import Arc, Stop, Straight, TrajectorySpec
     import viwo.pipeline as pl
@@ -749,43 +751,28 @@ def test_reduction_equivalence_bit_identical(rng, tmp_path):
     nav0.quat = geom.quat_normalize(ds.gt[0, 4:8].copy())
     nav0.vel = np.array([ds.wheel[0, 1], 0.0, 0.0])
 
-    adaptive = AdaptiveEkf(noise=noise, ext=ds.ext, intr=ds.intr, capacity=6,
-                           rho_sg=ds.rho_sg, calibrate=False)
-    adaptive.initialize(0.0, nav0)
-    plain = PlainEkf(noise, ds.ext, 6, ds.rho_sg, GRAVITY_VEC, nav0, 0.0)
-
-    frames = dict(ds.bearing_frames)
-    poses_a, poses_p = [], []
-    for k in range(ds.imu.shape[0]):
-        imu = ImuSample(ds.imu[k, 0], ds.imu[k, 1:4], ds.imu[k, 4:7])
-        adaptive.predict(imu)
-        plain.predict(imu)
-        adaptive.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
-        plain.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
-        if imu.t in frames:
-            veh = VehicleVelocityMeasurement(imu.t, ds.wheel[k, 1], ds.imu[k, 5])
-            adaptive.process_bearing_frame(imu.t, frames[imu.t], veh)
-            plain.frame(imu.t, frames[imu.t], veh)
-            poses_a.append(adaptive.nav.pos.copy())
-            poses_p.append(plain.nav.pos.copy())
-    assert len(poses_a) > 100
-    assert np.array_equal(np.array(poses_a), np.array(poses_p))
-
-    # S0 = 0 with the channel enabled must also reduce to the plain EKF
     frozen = AdaptiveEkf(noise=noise, ext=ds.ext, intr=ds.intr, capacity=6,
                          rho_sg=ds.rho_sg, calibrate=True)
     frozen.param_cov = np.zeros((6, 6))
     frozen.initialize(0.0, nav0)
-    poses_f = []
+    plain = PlainEkf(noise, ds.ext, 6, ds.rho_sg, GRAVITY_VEC, nav0, 0.0)
+
+    frames = dict(ds.bearing_frames)
+    poses_f, poses_p = [], []
     for k in range(ds.imu.shape[0]):
         imu = ImuSample(ds.imu[k, 0], ds.imu[k, 1:4], ds.imu[k, 4:7])
         frozen.predict(imu)
+        plain.predict(imu)
         frozen.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
+        plain.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
         if imu.t in frames:
             veh = VehicleVelocityMeasurement(imu.t, ds.wheel[k, 1], ds.imu[k, 5])
             frozen.process_bearing_frame(imu.t, frames[imu.t], veh)
+            plain.frame(imu.t, frames[imu.t], veh)
             poses_f.append(frozen.nav.pos.copy())
-    assert np.array_equal(np.array(poses_f), np.array(poses_a))
+            poses_p.append(plain.nav.pos.copy())
+    assert len(poses_f) > 100
+    assert np.array_equal(np.array(poses_f), np.array(poses_p))
     assert np.array_equal(frozen.params.as_vector(), GyroParams().as_vector())
 
 
