@@ -20,7 +20,6 @@ EXIT_NUMERIC = 4
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int, help="deterministic seed")
     p.add_argument("--feature-slots", type=int, dest="feature_slots")
     p.add_argument("--mode", choices=["bearing", "image"], dest="measurement_mode",
                    help="camera measurement mode")
@@ -35,6 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="synthesize a dataset directory")
     _add_common(ps)
+    ps.add_argument("--seed", type=int, help="deterministic seed")
     ps.add_argument("--out", required=True, dest="out_dir")
     ps.add_argument("--scenario", choices=["urban_loop", "highway", "mini_loop"])
     ps.add_argument("--laps", type=int)

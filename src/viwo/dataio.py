@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MIN_YAW_SCALE, GyroParams
+from .dynamics import PARAM_LOWER, PARAM_UPPER, GyroParams
 from .features import CameraExtrinsics
 from .sensors import CameraIntrinsics
 from . import geom
@@ -241,7 +241,8 @@ def save_gyro_params(path, params: GyroParams) -> None:
 
 def load_gyro_params(path) -> GyroParams:
     """The parameters of a gyro-parameter file; a bad key or value, or a
-    yaw scale the error model cannot invert, is a DataError naming the file."""
+    value outside the filter's parameter bounds, is a DataError naming the
+    file."""
     kv = load_kv(path)
     try:
         params = GyroParams(kv_floats(kv, "gyro.bias", 3),
@@ -250,9 +251,11 @@ def load_gyro_params(path) -> GyroParams:
                             float(kv_floats(kv, "gyro.misalign_xy", 1)[0]))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if params.yaw_scale <= MIN_YAW_SCALE:
-        raise DataError(f"{path}: key 'gyro.yaw_scale': {params.yaw_scale} is not "
-                        f"above the minimum yaw scale {MIN_YAW_SCALE}")
+    keys = ["gyro.bias"] * 3 + ["gyro.yaw_scale", "gyro.misalign_yx", "gyro.misalign_xy"]
+    for key, value, lo, hi in zip(keys, params.as_vector(), PARAM_LOWER, PARAM_UPPER):
+        if not lo <= value <= hi:
+            raise DataError(f"{path}: key '{key}': {value} is outside the filter's "
+                            f"parameter bounds [{lo:g}, {hi:g}]")
     return params
 
 

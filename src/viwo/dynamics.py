@@ -33,6 +33,10 @@ GRAVITY_VEC.flags.writeable = False
 
 MAX_STEP_S = 0.1
 MIN_YAW_SCALE = 1e-6
+# bounds of the gyro parameters, in GyroParams.as_vector order: offsets
+# [rad/s], yaw scale, misalignments [rad]
+PARAM_LOWER = np.array([-0.1, -0.1, -0.1, 0.5, -0.1, -0.1])
+PARAM_UPPER = np.array([0.1, 0.1, 0.1, 2.0, 0.1, 0.1])
 
 
 @dataclass

@@ -72,8 +72,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import geom
-from .dynamics import (GRAVITY_VEC, MAX_STEP_S, GyroParams, ImuSample,
-                       NavState, apply_gyro_error, correct_gyro,
+from .dynamics import (GRAVITY_VEC, MAX_STEP_S, PARAM_LOWER, PARAM_UPPER, GyroParams,
+                       ImuSample, NavState, apply_gyro_error, correct_gyro,
                        corrected_rate_param_jacobian, rk4_nav)
 from .features import RHO_CEIL, RHO_FLOOR, CameraExtrinsics, linearize_batch
 from .image import (Image, build_pyramid, detect_features, extract_patch_set,
@@ -394,10 +394,6 @@ def retract(nav: NavState, dx_nav: np.ndarray) -> NavState:
                     nav.pos + dx_nav[6:9])
 
 
-# bounds of the gyro parameters, in GyroParams.as_vector order: offsets
-# [rad/s], yaw scale, misalignments [rad]
-_PARAM_LOWER = np.array([-0.1, -0.1, -0.1, 0.5, -0.1, -0.1])
-_PARAM_UPPER = np.array([0.1, 0.1, 0.1, 2.0, 0.1, 0.1])
 _VEL_COLS = np.array([[0, 1, 2]])   # cols of the vehicle and ZUPT units
 _BEARING_COLS = np.arange(2)        # a slot's tangent columns, from its offset
 _EYE2 = np.eye(2)            # h_local of every bearing group
@@ -798,7 +794,7 @@ class AdaptiveEkf:
 
     def _apply_param_step(self, dtheta: np.ndarray) -> None:
         vec = self.params.as_vector() + dtheta
-        clipped = np.clip(vec, _PARAM_LOWER, _PARAM_UPPER)
+        clipped = np.clip(vec, PARAM_LOWER, PARAM_UPPER)
         # NaN != NaN, so a NaN parameter counts as a clamp
         if (clipped != vec).any():
             self.counters["param_clamps"] += 1

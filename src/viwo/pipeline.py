@@ -56,6 +56,8 @@ class RunConfig:
             raise ValueError("need at least one feature slot")
         if self.laps < 1:
             raise ValueError("need at least one lap")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("rho_sg", "inject_yaw_scale", "inject_bias_dps", "inject_misalign_deg"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
