@@ -69,6 +69,16 @@ def test_simulated_calib_is_the_rig(mini_dataset):
     assert np.array_equal(ext.lever_arm, CAMERA_EXTRINSICS.lever_arm)
 
 
+def test_simulate_deterministic_bytes(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    for out in (a, b):
+        code = main(["simulate", "--out", str(out), "--scenario", "mini_loop",
+                     "--seed", "9"])
+        assert code == EXIT_OK
+    assert tree_digest(a) == tree_digest(b)
+
+
 def test_run_and_eval_end_to_end(mini_dataset, tmp_path):
     out = tmp_path / "run"
     assert main(["run", "--dataset", str(mini_dataset), "--out", str(out)]) == EXIT_OK
