@@ -1,8 +1,11 @@
 """Command-line front-end: simulate, run, eval, jacobian-check.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.  All flags can also be set in a `key = value` config file passed
-via --config; explicit flags override file entries.
+failure.  simulate and run also read a `key = value` file passed via
+--config.  Its keys are the dests of the command's flags (`out_dir` for
+--out, `measurement_mode` for --mode), and for run also `noise.<field>` of
+NoiseConfig; any other key, one of the other command's too, is a data
+error.  Explicit flags override file entries.
 """
 
 import argparse
@@ -10,7 +13,8 @@ import sys
 from dataclasses import fields
 
 from . import dataio
-from .pipeline import RunConfig, apply_config_overrides, cmd_eval, cmd_run, cmd_simulate
+from .filter import NoiseConfig
+from .pipeline import RunConfig, cmd_eval, cmd_run, cmd_simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,15 +78,56 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+
+
+def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]], command: str,
+                           keys: set[str]) -> RunConfig:
+    """Apply 'key = value' entries; 'noise.<field>' reaches the NoiseConfig.
+    A key not in keys, the settings command reads, is a DataError.  A key
+    takes as many values as its field holds (3 for inject_bias_dps, 2 for
+    inject_misalign_deg, 1 otherwise), and a bool key one of
+    true/false/yes/no/1/0 in any case; another count, or a value that does
+    not parse, is a ValueError naming the key."""
+    for key, tokens in kv.items():
+        if key not in keys:
+            raise dataio.DataError(f"config key '{key}': not a setting of {command}")
+        target, name = (cfg.noise, key[6:]) if key.startswith("noise.") else (cfg, key)
+        current = getattr(target, name)
+        count = len(current) if isinstance(current, tuple) else 1
+        if len(tokens) != count:
+            raise ValueError(f"config key '{key}' takes {count} value(s), "
+                             f"found {len(tokens)}")
+        try:
+            if isinstance(current, tuple):
+                value = tuple(float(t) for t in tokens)
+            elif isinstance(current, bool):
+                value = _BOOL_WORDS[tokens[0].lower()]
+            elif isinstance(current, (int, float)):
+                value = type(current)(tokens[0])
+            else:
+                value = tokens[0]
+        except (KeyError, ValueError):
+            raise ValueError(f"config key '{key}': cannot read '{' '.join(tokens)}' "
+                             f"as {type(current).__name__}") from None
+        setattr(target, name, value)
+    return cfg
+
+
 def _config_from_args(args) -> RunConfig:
+    # the command's flags are the settings it reads, each stored under the
+    # name of its RunConfig field
+    settings = vars(args).keys() - {"command", "config"}
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = apply_config_overrides(cfg, dataio.load_kv(args.config))
-    # every flag is stored under the name of its RunConfig field
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
+    if args.config:
+        noise = {f"noise.{f.name}" for f in fields(NoiseConfig) if args.command == "run"}
+        cfg = apply_config_overrides(cfg, dataio.load_kv(args.config), args.command,
+                                     settings | noise)
+    for name in settings:
+        val = getattr(args, name)
         if val is not None:
-            setattr(cfg, f.name, tuple(val) if isinstance(f.default, tuple) else val)
+            setattr(cfg, name, tuple(val) if isinstance(getattr(cfg, name), tuple) else val)
     cfg.validate()
     return cfg
 

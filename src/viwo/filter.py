@@ -803,9 +803,6 @@ class AdaptiveEkf:
     # -- feature lifecycle ----------------------------------------------------
 
     def init_feature(self, slot: int, bearing: np.ndarray, patch=None) -> None:
-        if not 0 <= slot < self.capacity:
-            self.counters["slots_ignored"] += 1
-            return
         self._active[slot] = True
         self._qf[slot] = geom.quat_normalize(np.asarray(bearing, dtype=float))
         self._rho[slot] = self.noise.rho0

@@ -22,7 +22,7 @@ from . import geom
 from .dynamics import (GRAVITY_VEC, GyroParams, NavState, apply_gyro_error,
                        correct_gyro)
 from .features import CameraExtrinsics
-from .filter import NAV_DIM, assemble_f_compact, assemble_psi_compact
+from .filter import assemble_f_compact, assemble_psi_compact
 from .image import Image, build_pyramid, extract_patch_set
 from .sensors import (DEFAULT_INTRINSICS, CameraIntrinsics, ProjectionError,
                       camera_measurement_jacobian, project,

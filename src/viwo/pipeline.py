@@ -7,7 +7,7 @@ timestamp order, and evaluate estimate-vs-truth trajectories.
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,9 @@ from .sensors import DEFAULT_INTRINSICS, CameraIntrinsics, VehicleVelocityMeasur
 
 @dataclass
 class RunConfig:
-    """Shared knob set for simulate/run; mirrored by cli flags and the
-    key = value config file."""
+    """Settings of simulate and run.  Each command reads the fields its cli
+    parser names as flag dests, run also noise, and leaves the others at
+    their defaults."""
     dataset: str = ""
     out_dir: str = ""
     scenario: str = "urban_loop"
@@ -72,46 +73,6 @@ class RunConfig:
                           float(self.inject_yaw_scale),
                           float(np.deg2rad(self.inject_misalign_deg[0])),
                           float(np.deg2rad(self.inject_misalign_deg[1])))
-
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
-
-
-def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]]) -> RunConfig:
-    """Apply 'key = value' entries; 'noise.<field>' reaches the NoiseConfig.
-    An unknown key is a DataError.  A key takes as many values as its field
-    holds (3 for inject_bias_dps, 2 for inject_misalign_deg, 1 otherwise),
-    and a bool key one of true/false/yes/no/1/0 in any case; another count,
-    or a value that does not parse, is a ValueError naming the key."""
-    for key, tokens in kv.items():
-        if key.startswith("noise."):
-            target, name = cfg.noise, key[6:]
-            if name not in {f.name for f in fields(NoiseConfig)}:
-                raise dataio.DataError(f"unknown noise key '{name}'")
-        elif key in {f.name for f in fields(RunConfig)} - {"noise"}:
-            target, name = cfg, key
-        else:
-            raise dataio.DataError(f"unknown config key '{key}'")
-        current = getattr(target, name)
-        count = len(current) if isinstance(current, tuple) else 1
-        if len(tokens) != count:
-            raise ValueError(f"config key '{key}' takes {count} value(s), "
-                             f"found {len(tokens)}")
-        try:
-            if isinstance(current, tuple):
-                value = tuple(float(t) for t in tokens)
-            elif isinstance(current, bool):
-                value = _BOOL_WORDS[tokens[0].lower()]
-            elif isinstance(current, (int, float)):
-                value = type(current)(tokens[0])
-            else:
-                value = tokens[0]
-        except (KeyError, ValueError):
-            raise ValueError(f"config key '{key}': cannot read '{' '.join(tokens)}' "
-                             f"as {type(current).__name__}") from None
-        setattr(target, name, value)
-    return cfg
 
 
 def build_scenario(cfg: RunConfig) -> sim.TrajectorySpec:
@@ -396,7 +357,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
     log_state(t0)
     k = 0
     while k < n_imu:
-        end = n_imu - 1 if frame_idx == len(frames) else max(int(fire[frame_idx]), k)
+        end = n_imu - 1 if frame_idx == len(frames) else int(fire[frame_idx])
         ekf.predict([ImuSample(row[0], row[1:4], row[4:7]) for row in ds.imu[k:end + 1]])
         for j in range(k, end + 1):
             ekf.note_wheel(ds.wheel[j, 0], ds.wheel[j, 1])

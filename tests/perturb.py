@@ -54,6 +54,13 @@ def set_calib(ds, key, value):
     return {}
 
 
+def write_config(ds, text):
+    """Writes cfg.txt, the lines of text, for --config; returns its path."""
+    path = ds / "cfg.txt"
+    path.write_text(text + "\n")
+    return {"cfg": path}
+
+
 def write_init_params(ds, key, value):
     """Writes init-params.txt, truth-params.txt with key set to value, for
     --init-params; returns its path."""

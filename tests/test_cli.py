@@ -5,6 +5,7 @@ import platform
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 import perturb
 from viwo import dataio
-from viwo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from viwo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main
+from viwo.pipeline import RunConfig
 from viwo.sensors import DEFAULT_INTRINSICS
 from viwo.sim import CAMERA_EXTRINSICS
 
@@ -180,8 +182,7 @@ def test_init_params_flag(mini_dataset, tmp_path):
 
 def test_config_file_overridden_by_flags(tmp_path):
     cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text("scenario = mini_loop\nseed = 4\n"
-                       "noise.sigma_bearing = 0.002\n")
+    cfgfile.write_text("scenario = mini_loop\nseed = 4\n")
     out = tmp_path / "ds"
     assert main(["simulate", "--config", str(cfgfile), "--out", str(out),
                  "--seed", "6"]) == EXIT_OK
@@ -192,43 +193,14 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert tree_digest(out) == tree_digest(ref)
 
 
-def test_bad_scenario_exit_config(tmp_path, capsys):
-    # refused before the output directory is made
-    code = main(["simulate", "--out", str(tmp_path / "x"),
-                 "--scenario", "urban_loop", "--laps", "0"])
-    assert code == EXIT_CONFIG  # zero laps -> empty drive = config error
-    assert not (tmp_path / "x").exists()
-    for scenario in ("highway", "mini_loop"):   # one-lap scenarios refuse laps
-        out = tmp_path / scenario
-        code = main(["simulate", "--out", str(out), "--scenario", scenario,
-                     "--laps", "3", "--seed", "3"])
-        assert code == EXIT_CONFIG
-        assert "laps" in capsys.readouterr().err
-        assert not out.exists()
-    cfgfile = tmp_path / "bad.txt"
-    cfgfile.write_text("scenario = nonsense\n")
-    code = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "y")])
-    assert code == EXIT_CONFIG
-    assert not (tmp_path / "y").exists()
-
-
-def test_invalid_settings_after_overrides_exit_config(mini_dataset, tmp_path,
-                                                     capsys):
-    # settings from the config file and from flags are validated after they
-    # are applied; an invalid mode or slot count is no dead-reckoning run
-    bad_file = tmp_path / "bad.txt"
-    bad_file.write_text("measurement_mode = foo\nfeature_slots = 0\n")
-    bad_noise = tmp_path / "bad_noise.txt"
-    bad_noise.write_text("noise.lam = 0\n")
-    cases = [["--config", str(bad_file)], ["--feature-slots", "0"],
-             ["--config", str(bad_noise)]]
-    for i, extra in enumerate(cases):
-        out = tmp_path / f"out{i}"
-        code = main(["run", "--dataset", str(mini_dataset), "--out", str(out)]
-                    + extra)
-        assert code == EXIT_CONFIG, extra
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
+@pytest.mark.parametrize("argv", [["simulate", "--out", "o"],
+                                  ["run", "--dataset", "d", "--out", "o"]],
+                         ids=["simulate", "run"])
+def test_flag_dests_are_settings(argv):
+    # the command reads each flag, and takes it as a config key, under the
+    # name of its RunConfig field
+    dests = vars(build_parser().parse_args(argv)).keys() - {"command", "config"}
+    assert dests - {f.name for f in fields(RunConfig)} == set()
 
 
 def test_eval_missing_file_exit_data(tmp_path):
@@ -237,66 +209,11 @@ def test_eval_missing_file_exit_data(tmp_path):
     assert code == EXIT_DATA
 
 
-def test_unknown_config_key_exit_data(tmp_path):
-    cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text("no_such_key = 1\n")
-    code = main(["simulate", "--config", str(cfgfile),
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_DATA
-
-
-@pytest.mark.parametrize("line, flags, key", [
-    ("seed =", [], "seed"),
-    ("check_psd =", [], "check_psd"),
-    ("inject_misalign_deg = 1", [], "inject_misalign_deg"),
-    ("inject_bias_dps = 0.1 0.2", [], "inject_bias_dps"),
-    ("inject_bias_dps = 0.1 0.2 0.3 0.4", [], "inject_bias_dps"),
-    ("noise.sigma_wheel = nan", [], "noise.sigma_wheel"),
-    ("rho_sg = nan", [], "rho_sg"),
-    ("inject_yaw_scale = inf", [], "inject_yaw_scale"),
-    ("inject_bias_dps = 0.1 nan 0.3", [], "inject_bias_dps"),
-    ("inject_misalign_deg = 0.5 -inf", [], "inject_misalign_deg"),
-    ("", ["--inject-yaw-scale", "inf"], "inject_yaw_scale"),
-    ("zero_noise = ture", [], "zero_noise"),
-    ("seed = 1.5", [], "seed"),
-    ("inject_yaw_scale = 0", [], "inject_yaw_scale"),
-    ("", ["--inject-yaw-scale", "-1"], "inject_yaw_scale"),
-    ("", ["--inject-yaw-scale", "1e-6"], "inject_yaw_scale"),
-    ("seed = -1", [], "seed"),
-    ("", ["--seed", "-3"], "seed"),
-], ids=["no_value", "no_flag_value", "misalign_one", "bias_two", "bias_four",
-        "noise_nan", "rho_sg_nan", "yaw_scale_inf", "bias_nan", "misalign_inf",
-        "yaw_scale_flag_inf", "bool_typo", "int_fraction", "yaw_scale_zero",
-        "yaw_scale_flag_negative", "yaw_scale_flag_at_minimum", "seed_negative",
-        "seed_flag_negative"])
-def test_bad_config_value_exit_config(tmp_path, capsys, line, flags, key):
-    # a config-file value of the wrong count, that does not parse or that is
-    # not finite, a non-finite flag value, an injected yaw scale the gyro
-    # error model cannot invert and a negative seed is a config error naming
-    # its key, found before anything is written
-    cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text(f"scenario = mini_loop\n{line}\n")
-    out = tmp_path / "out"
-    code = main(["simulate", "--config", str(cfgfile), "--out", str(out)] + flags)
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "config error" in err and key in err
-    assert not out.exists()
-
-
 def test_jacobian_check_command(capsys):
     assert main(["jacobian-check", "--configs", "25", "--seed", "3"]) == EXIT_OK
     text = capsys.readouterr().out
     assert "all blocks pass" in text
     assert "camera_chain" in text
-
-
-@pytest.mark.parametrize("n", ["0", "-3"])
-def test_jacobian_check_no_configs_exit_config(capsys, n):
-    # an audit of nothing is no pass
-    assert main(["jacobian-check", "--configs", n]) == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert "--configs" in err and "all blocks pass" not in out
 
 
 def test_jacobian_check_position_rows_far_from_origin():
@@ -389,21 +306,6 @@ def test_check_psd_run_matches_block_run(mini_dataset, tmp_path, monkeypatch):
     assert minima[0] == [] and len(minima[1]) == 2 and minima[1] == minima[2]
 
 
-def test_eval_nonpositive_segment_exit_config(mini_dataset, capsys):
-    # a bad flag: a config error, where the failures on the files exit 3
-    gt = str(mini_dataset / "gt.csv")
-    code = main(["eval", "--estimate", gt, "--ground-truth", gt, "--segment-m", "0"])
-    assert code == EXIT_CONFIG
-    assert "segment length" in capsys.readouterr().err
-
-
-def test_eval_infinite_segment_exit_config(mini_dataset, capsys):
-    gt = str(mini_dataset / "gt.csv")
-    code = main(["eval", "--estimate", gt, "--ground-truth", gt, "--segment-m", "inf"])
-    assert code == EXIT_CONFIG
-    assert "--segment-m" in capsys.readouterr().err
-
-
 def test_predict_blocks_capped_without_frames(mini_dataset, tmp_path, monkeypatch):
     # camera frames end at 5 s: the rest of the log has no frame to end a
     # predict block, so predict's chunk cap bounds every chunk
@@ -442,14 +344,18 @@ def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut):
 
 # Input defects, one row each: the perturbations of a copy of mini_dataset,
 # the command, its exit code and what it must say: whole report.txt lines
-# for exit 0, stderr fragments otherwise.  A perturbation is a function that
-# edits the copy (most are in tests/perturb.py) and its arguments after the
-# copy; the values it returns, with ds (the copy), out (the run's output
-# directory) and clean (the untouched mini_dataset), fill the {} fields of
-# the command and the text.
+# for exit 0, stderr fragments otherwise (after "config error" for exit 2 or
+# "data error" for exit 3, with nothing on stdout).  A perturbation is a
+# function that edits the copy (most are in tests/perturb.py) and its
+# arguments after the copy; the values it returns, with ds (the copy), out
+# (the run's output directory) and clean (the untouched mini_dataset), fill
+# the {} fields of the command and the text.
 RUN = ["run", "--dataset", "{ds}", "--out", "{out}"]
 IMAGE_RUN = [*RUN, "--mode", "image"]
 INIT_RUN = [*RUN, "--init-params", "{params}"]
+RUN_CONFIG = [*RUN, "--config", "{cfg}"]
+SIMULATE = ["simulate", "--out", "{out}"]
+SIMULATE_CONFIG = [*SIMULATE, "--config", "{cfg}"]
 # the copy's gt.csv, edited, as the estimate of the untouched one
 EVAL = ["eval", "--estimate", "{ds}/gt.csv", "--ground-truth", "{clean}/gt.csv"]
 CAM_SIZE = f"{DEFAULT_INTRINSICS.width}x{DEFAULT_INTRINSICS.height}"
@@ -457,6 +363,20 @@ CAM_SIZE = f"{DEFAULT_INTRINSICS.width}x{DEFAULT_INTRINSICS.height}"
 
 def defect(name, perturbations, argv, code, *expected):
     return pytest.param(perturbations, argv, code, expected, id=name)
+
+
+def config(text):
+    return [(perturb.write_config, text)]
+
+
+# a valid value of each key the other command reads
+RUN_ONLY_KEYS = {"dataset": "other", "disable_gyro_calibration": "true",
+                 "disable_lateral_model": "true", "wheel_imu_only": "true",
+                 "init_params": "truth-params.txt", "check_psd": "yes",
+                 "noise.sigma_wheel": "5", "noise.sigma_bearing": "0.002"}
+SIMULATE_ONLY_KEYS = {"seed": "99", "scenario": "highway", "laps": "2", "rho_sg": "0.9",
+                      "zero_noise": "true", "inject_bias_dps": "0.3 0 0",
+                      "inject_yaw_scale": "1.5", "inject_misalign_deg": "0.1 0.1"}
 
 
 INPUT_DEFECTS = [
@@ -545,6 +465,63 @@ INPUT_DEFECTS = [
           ("fx_nan", "cam.fx", "nan"), ("width_nan", "cam.width", "nan"),
           ("width_text", "cam.width", "abc"), ("height_fractional", "cam.height", "480.5"),
           ("height_zero", "cam.height", "0"), ("lever_arm_nan", "ext.lever_arm", "nan 0 1.2"))],
+    # a key of the other command, or of neither, is refused rather than
+    # dropped; the simulate configs name mini_loop, whose drive is short
+    *[defect(f"run_key_{key}", config(f"{key} = {value}"), RUN_CONFIG, EXIT_DATA,
+             f"config key '{key}': not a setting of run")
+      for key, value in SIMULATE_ONLY_KEYS.items()],
+    *[defect(f"simulate_key_{key}", config(f"scenario = mini_loop\n{key} = {value}"),
+             SIMULATE_CONFIG, EXIT_DATA, f"config key '{key}': not a setting of simulate")
+      for key, value in RUN_ONLY_KEYS.items()],
+    defect("config_unknown_key", config("no_such_key = 1"), SIMULATE_CONFIG, EXIT_DATA,
+           "config key 'no_such_key': not a setting of simulate"),
+    # a value of the wrong count, that does not parse or that is not finite,
+    # an injected yaw scale the gyro error model cannot invert and a negative
+    # seed is a config error naming its key or flag, found before anything
+    # is written
+    *[defect(f"config_{name}", config(f"scenario = mini_loop\n{line}"),
+             [*SIMULATE_CONFIG, *flags], EXIT_CONFIG, key)
+      for name, line, flags, key in (
+          ("no_value", "seed =", [], "seed"),
+          ("misalign_one", "inject_misalign_deg = 1", [], "inject_misalign_deg"),
+          ("bias_two", "inject_bias_dps = 0.1 0.2", [], "inject_bias_dps"),
+          ("bias_four", "inject_bias_dps = 0.1 0.2 0.3 0.4", [], "inject_bias_dps"),
+          ("rho_sg_nan", "rho_sg = nan", [], "rho_sg"),
+          ("yaw_scale_inf", "inject_yaw_scale = inf", [], "inject_yaw_scale"),
+          ("bias_nan", "inject_bias_dps = 0.1 nan 0.3", [], "inject_bias_dps"),
+          ("misalign_inf", "inject_misalign_deg = 0.5 -inf", [], "inject_misalign_deg"),
+          ("yaw_scale_flag_inf", "", ["--inject-yaw-scale", "inf"], "inject_yaw_scale"),
+          ("bool_typo", "zero_noise = ture", [], "zero_noise"),
+          ("int_fraction", "seed = 1.5", [], "seed"),
+          ("yaw_scale_zero", "inject_yaw_scale = 0", [], "inject_yaw_scale"),
+          ("yaw_scale_flag_negative", "", ["--inject-yaw-scale", "-1"], "inject_yaw_scale"),
+          ("yaw_scale_flag_at_minimum", "", ["--inject-yaw-scale", "1e-6"],
+           "inject_yaw_scale"),
+          ("seed_negative", "seed = -1", [], "seed"),
+          ("seed_flag_negative", "", ["--seed", "-3"], "seed"))],
+    *[defect(f"config_{name}", config(line), RUN_CONFIG, EXIT_CONFIG, key)
+      for name, line, key in (("no_flag_value", "check_psd =", "check_psd"),
+                              ("noise_nan", "noise.sigma_wheel = nan", "noise.sigma_wheel"))],
+    # settings are validated after the config file and the flags are
+    # applied; an invalid mode or slot count is no dead-reckoning run
+    defect("config_mode_and_slots", config("measurement_mode = foo\nfeature_slots = 0"),
+           RUN_CONFIG, EXIT_CONFIG),
+    defect("feature_slots_flag_zero", [], [*RUN, "--feature-slots", "0"], EXIT_CONFIG),
+    defect("config_noise_lam_zero", config("noise.lam = 0"), RUN_CONFIG, EXIT_CONFIG),
+    # zero laps is an empty drive, and the one-lap scenarios take no laps
+    defect("laps_zero", [], [*SIMULATE, "--scenario", "urban_loop", "--laps", "0"],
+           EXIT_CONFIG),
+    *[defect(f"laps_{scenario}", [],
+             [*SIMULATE, "--scenario", scenario, "--laps", "3", "--seed", "3"],
+             EXIT_CONFIG, "laps") for scenario in ("highway", "mini_loop")],
+    defect("scenario_unknown", config("scenario = nonsense"), SIMULATE_CONFIG, EXIT_CONFIG),
+    # bad flags of eval and jacobian-check: config errors, where the
+    # failures on eval's files exit 3; an audit of nothing is no pass
+    defect("eval_segment_zero", [], [*EVAL, "--segment-m", "0"], EXIT_CONFIG,
+           "segment length"),
+    defect("eval_segment_inf", [], [*EVAL, "--segment-m", "inf"], EXIT_CONFIG, "--segment-m"),
+    *[defect(f"audit_configs_{n}", [], ["jacobian-check", "--configs", n], EXIT_CONFIG,
+             "--configs") for n in ("0", "-3")],
 ]
 
 
@@ -556,12 +533,13 @@ def test_input_defect(mini_dataset, tmp_path, capsys, perturbations, argv, code,
     for fn, *args in perturbations:
         values.update(fn(ds, *args) or {})
     assert main([arg.format(**values) for arg in argv]) == code
-    err = capsys.readouterr().err
+    stdout, err = capsys.readouterr()
     expected = [text.format(**values) for text in expected]
     if code == EXIT_OK:
         report = (out / "report.txt").read_text().splitlines()
         assert [line for line in expected if line not in report] == []
     else:
-        assert "data error" in err, err
+        assert stdout == "", stdout
+        assert {EXIT_CONFIG: "config error", EXIT_DATA: "data error"}[code] in err, err
         assert [text for text in expected if text not in err] == [], err
         assert not out.exists()

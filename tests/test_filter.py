@@ -721,7 +721,7 @@ def test_manage_features_miss_and_health(rng):
 def test_out_of_range_slot_ignored():
     ekf = make_filter(capacity=2)
     ekf.process_bearing_frame(0.1, [(7, geom.IDENTITY_QUAT.copy())], None)
-    assert ekf.counters["slots_ignored"] >= 1
+    assert ekf.counters["slots_ignored"] == 1
     assert not ekf._active.any()
 
 
