@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  simulate and run also read a `key = value` file passed via
---config.  Its keys are the dests of the command's flags (`out_dir` for
---out, `measurement_mode` for --mode), and for run also `noise.<field>` of
-NoiseConfig; any other key, one of the other command's too, is a data
-error.  Explicit flags override file entries.
+--config.  Its keys are the dests of the command's optional flags
+(`measurement_mode` for --mode, `inject_bias_dps` for --inject-bias), and
+for run also `noise.<field>` of NoiseConfig; any other key is a data error:
+one of the other command's, or `out_dir` and `dataset`, which only the
+required flags --out and --dataset set.  Explicit flags override file
+entries.
 """
 
 import argparse
@@ -85,14 +87,15 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]], command: str,
                            keys: set[str]) -> RunConfig:
     """Apply 'key = value' entries; 'noise.<field>' reaches the NoiseConfig.
-    A key not in keys, the settings command reads, is a DataError.  A key
+    A key not in keys, those command's config file may set, is a DataError.  A key
     takes as many values as its field holds (3 for inject_bias_dps, 2 for
     inject_misalign_deg, 1 otherwise), and a bool key one of
     true/false/yes/no/1/0 in any case; another count, or a value that does
     not parse, is a ValueError naming the key."""
     for key, tokens in kv.items():
         if key not in keys:
-            raise dataio.DataError(f"config key '{key}': not a setting of {command}")
+            raise dataio.DataError(f"config key '{key}': not a key of a {command} "
+                                   f"config file")
         target, name = (cfg.noise, key[6:]) if key.startswith("noise.") else (cfg, key)
         current = getattr(target, name)
         count = len(current) if isinstance(current, tuple) else 1
@@ -115,15 +118,17 @@ def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]], command: st
     return cfg
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, parser: argparse.ArgumentParser) -> RunConfig:
     # the command's flags are the settings it reads, each stored under the
-    # name of its RunConfig field
+    # name of its RunConfig field; a file may set those of its optional flags
     settings = vars(args).keys() - {"command", "config"}
     cfg = RunConfig()
     if args.config:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        required = {a.dest for a in sub.choices[args.command]._actions if a.required}
         noise = {f"noise.{f.name}" for f in fields(NoiseConfig) if args.command == "run"}
         cfg = apply_config_overrides(cfg, dataio.load_kv(args.config), args.command,
-                                     settings | noise)
+                                     (settings - required) | noise)
     for name in settings:
         val = getattr(args, name)
         if val is not None:
@@ -133,15 +138,16 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg = _config_from_args(args)
+            cfg = _config_from_args(args, parser)
             out = cmd_simulate(cfg)
             print(f"dataset written to {out}")
             return EXIT_OK
         if args.command == "run":
-            cfg = _config_from_args(args)
+            cfg = _config_from_args(args, parser)
             out = cmd_run(cfg)
             print((out / "report.txt").read_text(), end="")
             return EXIT_OK

@@ -65,11 +65,15 @@ With check_psd, min_eig_p and min_eig_s keep the smallest eigenvalue of P
 construction and after every frame; a predict never changes S).
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+import scipy
 
 from . import geom
 from .dynamics import (GRAVITY_VEC, MAX_STEP_S, PARAM_LOWER, PARAM_UPPER, GyroParams,
@@ -85,13 +89,39 @@ from .sensors import (CameraIntrinsics, ProjectionError,
                       vehicle_predicted_measurement,
                       vehicle_velocity_measurement)
 
+
+def _load_flapack(folder: str):
+    """scipy's compiled LAPACK module, scipy.linalg._flapack, loaded from
+    folder without running the scipy.linalg package's __init__, which takes
+    over half of viwo's import time.  It is registered under its own name, so
+    a later `import scipy.linalg` finds and re-exports this same module."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no compiled scipy.linalg._flapack module in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+
 NAV_DIM = 9
 FEAT_DIM = 3
 
 GATE_QUANTILE = 0.99          # chi-square quantile of the Mahalanobis gate
 # chi2.ppf(GATE_QUANTILE, dof) for every group size the filter makes: vehicle
 # (2 or 3 rows), ZUPT (3), bearing and QR-compressed intensity (2).  Written
-# out, since importing scipy.stats would take most of the package's import time.
+# out, since viwo imports neither scipy.stats nor the scipy.linalg package that
+# scipy.stats loads: either would take most of viwo's import time.
 GATE_LIMIT = {2: 9.21034037197618, 3: 11.344866730144373}
 MAX_MISSES = 3                # frames a slot may go unmeasured or gated
 KLT_MAX_SHIFT_PX = 20.0       # image mode: cap on the detection gate radius

@@ -468,13 +468,21 @@ INPUT_DEFECTS = [
     # a key of the other command, or of neither, is refused rather than
     # dropped; the simulate configs name mini_loop, whose drive is short
     *[defect(f"run_key_{key}", config(f"{key} = {value}"), RUN_CONFIG, EXIT_DATA,
-             f"config key '{key}': not a setting of run")
+             f"config key '{key}': not a key of a run config file")
       for key, value in SIMULATE_ONLY_KEYS.items()],
     *[defect(f"simulate_key_{key}", config(f"scenario = mini_loop\n{key} = {value}"),
-             SIMULATE_CONFIG, EXIT_DATA, f"config key '{key}': not a setting of simulate")
+             SIMULATE_CONFIG, EXIT_DATA,
+             f"config key '{key}': not a key of a simulate config file")
       for key, value in RUN_ONLY_KEYS.items()],
     defect("config_unknown_key", config("no_such_key = 1"), SIMULATE_CONFIG, EXIT_DATA,
-           "config key 'no_such_key': not a setting of simulate"),
+           "config key 'no_such_key': not a key of a simulate config file"),
+    # the required flags --out and --dataset always override a file's value,
+    # so their keys are refused rather than silently ignored
+    *[defect(f"{command}_key_{key}", config(f"{key} = other"), argv, EXIT_DATA,
+             f"config key '{key}': not a key of a {command} config file")
+      for command, key, argv in (("run", "out_dir", RUN_CONFIG),
+                                 ("run", "dataset", RUN_CONFIG),
+                                 ("simulate", "out_dir", SIMULATE_CONFIG))],
     # a value of the wrong count, that does not parse or that is not finite,
     # an injected yaw scale the gyro error model cannot invert and a negative
     # seed is a config error naming its key or flag, found before anything

@@ -14,7 +14,7 @@ from viwo.dynamics import (GRAVITY_VEC, GyroParams, ImuSample, NavState,
                            apply_gyro_error, correct_gyro)
 from viwo.features import CameraExtrinsics, landmark_to_feature
 from viwo.filter import (GATE_LIMIT, GATE_QUANTILE, NAV_DIM, PREDICT_BLOCK_MAX,
-                         AdaptiveEkf, NoiseConfig, RowGroup,
+                         AdaptiveEkf, NoiseConfig, RowGroup, _load_flapack,
                          _mahalanobis3, assemble_linearization, kalman_step,
                          rls_step)
 from viwo.sensors import VehicleVelocityMeasurement
@@ -349,15 +349,34 @@ def test_gate_rejects_group_sizes_the_filter_never_makes(m):
         ekf.gate(group)
 
 
-def test_import_loads_no_scipy_stats():
-    # scipy.stats took most of the package's import time for two numbers
-    probe = ("import sys, viwo, viwo.pipeline, viwo.jacobian_check; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+def run_probe(probe):
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats took most of the package's import time for two numbers, and
+    # the scipy.linalg package over half of the rest for two LAPACK routines
+    probe = ("import sys, viwo, viwo.pipeline, viwo.jacobian_check; "
+             "print([sorted(m for m in sys.modules if m.startswith(prefix)) "
+             "for prefix in ('scipy.stats', 'scipy.linalg')])")
+    assert run_probe(probe) == "[[], ['scipy.linalg._flapack']]"
+
+
+def test_scipy_linalg_imported_later_shares_the_lapack_module():
+    probe = ("import viwo.filter; from scipy.stats import chi2; "
+             "from scipy.linalg.lapack import dpotrf, dpotrs; "
+             "print(dpotrf is viwo.filter.dpotrf, dpotrs is viwo.filter.dpotrs)")
+    assert run_probe(probe) == "True True"
+
+
+def test_missing_lapack_module_names_the_folder(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match=str(tmp_path)):
+        _load_flapack(str(tmp_path))
 
 
 def test_kalman_step_singular_sigma_returns_none():
