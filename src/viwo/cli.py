@@ -87,11 +87,11 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 def apply_config_overrides(cfg: RunConfig, kv: dict[str, list[str]], command: str,
                            keys: set[str]) -> RunConfig:
     """Apply 'key = value' entries; 'noise.<field>' reaches the NoiseConfig.
-    A key not in keys, those command's config file may set, is a DataError.  A key
-    takes as many values as its field holds (3 for inject_bias_dps, 2 for
-    inject_misalign_deg, 1 otherwise), and a bool key one of
-    true/false/yes/no/1/0 in any case; another count, or a value that does
-    not parse, is a ValueError naming the key."""
+    A key not in keys, those a config file of command may set, is a
+    DataError.  A key takes as many values as its field holds (3 for
+    inject_bias_dps, 2 for inject_misalign_deg, 1 otherwise), and a bool key
+    one of true/false/yes/no/1/0 in any case; another count, or a value that
+    does not parse, is a ValueError naming the key."""
     for key, tokens in kv.items():
         if key not in keys:
             raise dataio.DataError(f"config key '{key}': not a key of a {command} "
