@@ -35,16 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .dynamics import NavState
 
 RHO_FLOOR = 1e-4
 RHO_CEIL = 10.0
-
-
-@dataclass
-class FeatureState:
-    bearing: np.ndarray          # unit quaternion(s) (..., 4), camera frame
-    rho: float | np.ndarray      # inverse depth(s) (...) [1/m]
 
 
 @dataclass
@@ -52,32 +45,6 @@ class CameraExtrinsics:
     """Body-to-camera rotation and the body-frame camera lever arm [m]."""
     r_cb: np.ndarray = field(default_factory=lambda: np.eye(3))
     lever_arm: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-
-def landmark_to_feature(landmarks: np.ndarray, s: NavState,
-                        ext: CameraExtrinsics) -> FeatureState:
-    """Exact feature states of (..., 3) world points seen from s: bearings
-    (..., 4) and inverse depths (...), for the simulator and test oracles.
-
-    Each point is rotated by its own matrix-vector product and its range is
-    a 1-D dot, so a row has the bits of a one-point call however many are
-    stacked.  Raises ValueError for the first point behind the camera or
-    nearer than 1 / RHO_CEIL.
-    """
-    r_wb = geom.quat_to_rot(s.quat)
-    cam_world = s.pos + r_wb @ ext.lever_arm
-    rel = np.reshape(landmarks - cam_world, (-1, 3, 1))
-    d_cam = np.matmul(ext.r_cb, np.matmul(r_wb.T, rel))[:, :, 0]
-    rng = np.sqrt(geom.matmul_dot_rows(d_cam, d_cam))
-    bad = (d_cam[:, 0] <= 0.0) | (rng < 1.0 / RHO_CEIL)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if d_cam[k, 0] <= 0.0:
-            raise ValueError("landmark behind the camera")
-        raise ValueError(f"landmark range {rng[k]} below minimum depth {1.0 / RHO_CEIL}")
-    lead = np.shape(landmarks)[:-1]
-    return FeatureState(geom.bearing_from_dir_rows(d_cam / rng[:, None]).reshape(lead + (4,)),
-                        (1.0 / rng).reshape(lead))
 
 
 def linearize_batch(qf: np.ndarray, rho: np.ndarray, v_c: np.ndarray,

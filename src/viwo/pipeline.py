@@ -101,8 +101,10 @@ def cmd_simulate(cfg: RunConfig) -> Path:
                               zero_noise=cfg.zero_noise)
 
     truth = sim.generate_trajectory(spec)
-    world = sim.generate_world(truth, seed=cfg.seed)
-    world = sim.ensure_coverage(world, truth, seed=cfg.seed)
+    cameras = sim.camera_table(truth)
+    world = sim.ensure_coverage(sim.generate_world(truth, seed=cfg.seed), cameras,
+                                seed=cfg.seed)
+    view = sim.camera_view(world, cameras)
 
     dataio.write_csv(paths.imu, dataio.IMU_HEADER, sim.synthesize_imu(truth, err).tolist())
     dataio.write_csv(paths.wheel, dataio.WHEEL_HEADER,
@@ -114,7 +116,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
                       spec.rho_sg)
     dataio.save_gyro_params(paths.truth_params, err.params)
 
-    frames = sim.synthesize_bearings(truth, world, err, n_slots=cfg.feature_slots)
+    frames = sim.synthesize_bearings(cameras, view, err, cfg.feature_slots)
     obs = [(t, slot, bearing) for t, seen in frames for slot, bearing in seen]
     dirs = geom.quats_to_dirs(np.array([b for _, _, b in obs]).reshape(-1, 4))
     dataio.write_csv(paths.bearings, dataio.BEARINGS_HEADER,
@@ -122,7 +124,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
 
     if cfg.measurement_mode == "image":
         paths.frames_dir.mkdir(exist_ok=True)
-        shots = [(k, s) for k, s in enumerate(truth[::sim.CAMERA_STRIDE]) if s.t != 0.0]
+        shots = [(k, s) for k, s in enumerate(cameras.poses) if s.t != 0.0]
         # One worker, the frame generator's only user, draws frame i+1's
         # noise into the buffer frame i-1 used, queued before frame i's is
         # awaited, while this thread renders and writes frame i.  Draws are
@@ -142,7 +144,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
                 queued = draw(i + 1)
                 noise = None if pending is None else pending.result()
                 pending = queued
-                img = sim.render_frame(s.nav, world, noise)
+                img = sim.render_frame(view.bearings[view.rows(k)], noise)
                 name = f"{k:06d}.pgm"
                 save_pgm(paths.frames_dir / name, img)
                 frame_rows.append([s.t, f"frames/{name}"])

@@ -20,6 +20,15 @@ The rates are fixed: ground truth, IMU and wheel speed at IMU_RATE_HZ
 (100 Hz), camera frames (bearings or rendered images) at every
 CAMERA_STRIDE-th sample (10 Hz).
 
+The camera's view is worked out once per dataset, in array passes:
+camera_table holds each camera pose's rotations and position, and
+camera_view finds the landmarks every pose sees, nearest first, and their
+bearings.  Visibility is one (n, 3) @ (3, 3) product per pose, stacked
+VIEW_BLOCK_POSES poses at a time so that its arrays stay small.
+ensure_coverage counts from one such pass over the generated world and
+one per added point; synthesize_bearings and render_frame read the view of
+the densified world and project nothing again.
+
 A rendered frame takes its image noise as an argument: render_frame adds a
 given (height, width) array, which draw_image_noise fills from the frame
 generator, so the caller decides where and when the noise is drawn.
@@ -42,7 +51,8 @@ per-sample and per-landmark loops kept in tests/test_sim.py, in the same
 order, and must match them bit for bit: rotations of stacked vectors are
 one matrix-vector product per row, norms one 1-D dot per row, powers go
 through the scalar pow (np.float_power, not the array ``**``, which
-squares), and each stream's normal draws are taken in the serial order.
+squares), each stream's normal draws are taken in the serial order, and
+overlapping blobs add at a pixel in landmark order.
 scripts/ab_outputs.py checks the written datasets against another tree.
 """
 
@@ -53,7 +63,7 @@ import numpy as np
 from . import geom
 from .dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, NavState, apply_gyro_error,
                        rk4_nav)
-from .features import CameraExtrinsics, landmark_to_feature
+from .features import CameraExtrinsics
 from .image import Image
 from .sensors import DEFAULT_INTRINSICS, pixel, project_rows
 
@@ -328,40 +338,107 @@ def generate_world(truth: list[TrajectorySample], seed: int = 0) -> np.ndarray:
     return np.array(pts)
 
 
-def visible_landmarks(world: np.ndarray, nav: NavState) -> list[int]:
-    """Indices of world points 2-80 m from the camera that project at
-    least 8 px inside the image, nearest first."""
-    intr, ext = DEFAULT_INTRINSICS, CAMERA_EXTRINSICS
-    r_wb = geom.quat_to_rot(nav.quat)
-    cam_world = nav.pos + r_wb @ ext.lever_arm
-    d_cam = (world - cam_world) @ (ext.r_cb @ r_wb.T).T
-    rng_m = np.sqrt((d_cam * d_cam).sum(axis=1))
-    ok = (d_cam[:, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= 80.0)
-    if not ok.any():
-        return []
-    (u, v), _ = pixel(d_cam[ok, 0], d_cam[ok, 1], d_cam[ok, 2], intr)
-    in_img = ((u >= 8.0) & (u <= intr.width - 1 - 8.0)
-              & (v >= 8.0) & (v <= intr.height - 1 - 8.0))
-    idx = np.nonzero(ok)[0][in_img]
-    order = np.argsort(rng_m[idx], kind="stable")
-    return [int(i) for i in idx[order]]
+# --- the camera's view ----------------------------------------------------------
+
+VIEW_BLOCK_POSES = 64   # poses per stacked visibility pass, which bounds its arrays
+NOISE_BLOCK_ROWS = 1024  # bearings per noise retraction, which bounds its arrays
 
 
-def ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
-                    seed: int = 1) -> np.ndarray:
-    """Densify the world until every camera pose sees at least 8 landmarks."""
+@dataclass
+class CameraTable:
+    """The camera poses of a trajectory, truth[::CAMERA_STRIDE], and per pose
+    the body-to-world rotation, the world-to-camera rotation and the
+    camera's world position."""
+    poses: list[TrajectorySample]
+    r_wb: np.ndarray       # (m, 3, 3)
+    r_cw: np.ndarray       # (m, 3, 3)
+    centers: np.ndarray    # (m, 3)
+
+
+def camera_table(truth: list[TrajectorySample]) -> CameraTable:
+    """The camera table of every CAMERA_STRIDE-th sample, t = 0 included."""
+    poses = truth[::CAMERA_STRIDE]
+    ext = CAMERA_EXTRINSICS
+    r_wb = np.array([geom.quat_to_rot(s.nav.quat) for s in poses])
+    centers = np.array([s.nav.pos for s in poses]) + np.matmul(r_wb, ext.lever_arm)
+    return CameraTable(poses, r_wb, np.matmul(ext.r_cb, r_wb.transpose(0, 2, 1)), centers)
+
+
+def _visible(world: np.ndarray, r_cw: np.ndarray, centers: np.ndarray):
+    """For each block of at most VIEW_BLOCK_POSES cameras (rotations r_cw,
+    positions centers), the (pose, landmark) index pairs of the (n, 3)
+    world points 2-80 m from the camera that project at least 8 px inside
+    the image, pose by pose and nearest first, ties in landmark order."""
+    intr = DEFAULT_INTRINSICS
+    for b in range(0, len(centers), VIEW_BLOCK_POSES):
+        e = b + VIEW_BLOCK_POSES
+        # one (n, 3) @ (3, 3) product per pose
+        d_cam = np.matmul(world[None] - centers[b:e, None], r_cw[b:e].transpose(0, 2, 1))
+        rng_m = np.sqrt((d_cam * d_cam).sum(axis=2))
+        pose, lm = np.nonzero((d_cam[:, :, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= 80.0))
+        d_ok = d_cam[pose, lm]
+        (u, v), _ = pixel(d_ok[:, 0], d_ok[:, 1], d_ok[:, 2], intr)
+        in_img = ((u >= 8.0) & (u <= intr.width - 1 - 8.0)
+                  & (v >= 8.0) & (v <= intr.height - 1 - 8.0))
+        pose, lm = pose[in_img], lm[in_img]
+        order = np.lexsort((rng_m[pose, lm], pose))
+        yield pose[order] + b, lm[order]
+
+
+def _count_visible(world: np.ndarray, r_cw: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """How many of the world points each camera sees."""
+    return np.bincount(np.concatenate([pose for pose, _ in _visible(world, r_cw, centers)]),
+                       minlength=len(centers))
+
+
+@dataclass
+class CameraView:
+    """What each pose of a CameraTable sees of a world: pose k sees the
+    landmarks landmarks[rows(k)], nearest first, along bearings[rows(k)]."""
+    start: np.ndarray       # (m + 1,) row offsets
+    landmarks: np.ndarray   # (total,) world indices
+    bearings: np.ndarray    # (total, 4)
+
+    def rows(self, k: int) -> slice:
+        return slice(int(self.start[k]), int(self.start[k + 1]))
+
+
+def camera_view(world: np.ndarray, cameras: CameraTable) -> CameraView:
+    """The landmarks each camera pose sees and their exact bearings.  A
+    bearing is the camera-frame direction of its landmark: a world-to-body
+    then a body-to-camera matrix-vector product and a 1-D dot for the
+    range, row by row, so that a row has the bits of a one-point pass."""
+    blocks = []
+    for pose, lm in _visible(world, cameras.r_cw, cameras.centers):
+        rel = (world[lm] - cameras.centers[pose])[:, :, None]
+        d_cam = np.matmul(CAMERA_EXTRINSICS.r_cb,
+                          np.matmul(cameras.r_wb[pose].transpose(0, 2, 1), rel))[:, :, 0]
+        blocks.append((pose, lm, geom.bearing_from_dir_rows(
+            d_cam / np.sqrt(geom.matmul_dot_rows(d_cam, d_cam))[:, None])))
+    pose, lm, bearings = (np.concatenate(part) for part in zip(*blocks))
+    return CameraView(np.searchsorted(pose, np.arange(len(cameras.poses) + 1)), lm, bearings)
+
+
+def ensure_coverage(world: np.ndarray, cameras: CameraTable, seed: int = 1) -> np.ndarray:
+    """Densify the world until every camera pose sees at least 8 landmarks,
+    pose by pose, adding at most 40 points per pose.  The counts come from
+    one visibility pass over the given world; each added point is then
+    checked against the poses that remain."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
-    pts = np.array(world, dtype=float)
-    for s in truth[::CAMERA_STRIDE]:
+    pts = [np.array(world, dtype=float)]
+    seen = _count_visible(pts[0], cameras.r_cw, cameras.centers)
+    for k, s in enumerate(cameras.poses):
         for _ in range(40):
-            if len(visible_landmarks(pts, s.nav)) >= 8:
+            if seen[k] >= 8:
                 break
             heading = geom.quats_to_dirs(s.nav.quat)
             lateral_dir = np.array([-heading[1], heading[0], 0.0])
-            pts = np.vstack([pts, s.nav.pos + heading * rng.uniform(8, 35)
-                             + lateral_dir * rng.uniform(-12, 12)
-                             + np.array([0, 0, rng.uniform(0.0, 6.0)])])
-    return pts
+            pt = (s.nav.pos + heading * rng.uniform(8, 35)
+                  + lateral_dir * rng.uniform(-12, 12)
+                  + np.array([0, 0, rng.uniform(0.0, 6.0)]))[None]
+            pts.append(pt)
+            seen[k:] += _count_visible(pt, cameras.r_cw[k:], cameras.centers[k:])
+    return np.vstack(pts)
 
 
 # --- sensor synthesis -----------------------------------------------------------
@@ -401,20 +478,24 @@ def synthesize_wheel(truth: list[TrajectorySample], err: SensorErrorSpec) -> np.
     return np.column_stack(([s.t for s in samples], v_m))
 
 
-def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
-                        err: SensorErrorSpec, n_slots: int = 16):
-    """Per-frame (t, slot, bearing) observations with persistent slot ids."""
+def synthesize_bearings(cameras: CameraTable, view: CameraView, err: SensorErrorSpec,
+                        n_slots: int):
+    """Per-frame (t, [(slot, bearing)]) observations with persistent slot
+    ids, from the view of the camera poses after t = 0.  The bearing noise
+    is one normal draw of every observation's two tangent values, which is
+    the frame-by-frame draws joined."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 3]))
     sigma_tan = PIXEL_NOISE / DEFAULT_INTRINSICS.fx
     slot_of: dict[int, int] = {}
-    frames = []
-    for s in truth[::CAMERA_STRIDE]:
+    frames = []    # (t, slots, view rows)
+    for k, s in enumerate(cameras.poses):
         if s.t == 0.0:
             continue
-        vis = visible_landmarks(world, s.nav)
-        vis_set = set(vis)
+        rows = view.rows(k)
+        vis = view.landmarks[rows].tolist()
+        row_of = dict(zip(vis, range(rows.start, rows.stop)))
         for lm, slot in list(slot_of.items()):
-            if lm not in vis_set:
+            if lm not in row_of:
                 del slot_of[lm]
         free = sorted(set(range(n_slots)) - set(slot_of.values()))
         # assign fresh slots to far landmarks: they stay in view longest
@@ -422,13 +503,20 @@ def synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
             if lm not in slot_of and free:
                 slot_of[lm] = free.pop(0)
         observed = sorted(slot_of.items(), key=lambda kv: kv[1])
-        bearings = landmark_to_feature(world[[lm for lm, _ in observed]], s.nav,
-                                       CAMERA_EXTRINSICS).bearing
-        if not err.zero_noise and observed:
-            bearings = geom.s2_boxplus_rows(
-                bearings, rng.normal(0.0, sigma_tan, (len(observed), 2)))
-        frames.append((s.t, [(slot, q) for (_, slot), q in zip(observed, bearings)]))
-    return frames
+        frames.append((s.t, [slot for _, slot in observed], [row_of[lm] for lm, _ in observed]))
+    observed_rows = [r for _, _, frame_rows in frames for r in frame_rows]
+    bearings = view.bearings[observed_rows]
+    if not err.zero_noise:
+        noise = rng.normal(0.0, sigma_tan, (len(observed_rows), 2))
+        for i in range(0, len(noise), NOISE_BLOCK_ROWS):
+            block = slice(i, i + NOISE_BLOCK_ROWS)
+            bearings[block] = geom.s2_boxplus_rows(bearings[block], noise[block])
+    out = []
+    first = 0
+    for t, slots, frame_rows in frames:
+        out.append((t, list(zip(slots, bearings[first:first + len(slots)]))))
+        first += len(slots)
+    return out
 
 
 def draw_image_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -440,23 +528,28 @@ def draw_image_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def render_frame(nav: NavState, world: np.ndarray, noise: np.ndarray | None) -> Image:
-    """Landmarks drawn as Gaussian blobs (sigma 1.5 px, peak 200) on a
-    uniform background of 10, plus noise, a (height, width) array that the
-    caller drew (see draw_image_noise), or none when noise is None."""
+def render_frame(bearings: np.ndarray, noise: np.ndarray | None) -> Image:
+    """The landmarks seen along (m, 4) bearings, the view rows of one camera
+    pose, drawn as Gaussian blobs (sigma 1.5 px, peak 200) on a uniform
+    background of 10, plus noise, a (height, width) array that the caller
+    drew (see draw_image_noise), or none when noise is None.  A blob at
+    (u, v) covers columns int(u - 6) to int(u + 7) and rows int(v - 6) to
+    int(v + 7), the end excluded and clipped to the image; where blobs
+    overlap, a pixel adds them in bearing order."""
     intr = DEFAULT_INTRINSICS
     data = np.full((intr.height, intr.width), 10.0)
-    bearings = landmark_to_feature(world[visible_landmarks(world, nav)], nav,
-                                   CAMERA_EXTRINSICS).bearing
-    for u, v in project_rows(bearings, intr)[0]:
-        lo_u, hi_u = int(max(0, u - 6)), int(min(intr.width, u + 7))
-        lo_v, hi_v = int(max(0, v - 6)), int(min(intr.height, v + 7))
-        if lo_u >= hi_u or lo_v >= hi_v:
-            continue
-        uu, vv = np.meshgrid(np.arange(lo_u, hi_u, dtype=float),
-                             np.arange(lo_v, hi_v, dtype=float))
-        data[lo_v:hi_v, lo_u:hi_u] += 200.0 * np.exp(
-            -((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 1.5 ** 2))
+    uv = project_rows(bearings, intr)[0]
+    lo = np.maximum(0.0, uv - 6.0).astype(int)
+    size = np.minimum([intr.width, intr.height], uv + 7.0).astype(int) - lo
+    span = np.arange(size.max(initial=0))
+    cols = lo[:, 0:1] + span
+    rows = lo[:, 1:2] + span
+    du2 = (cols - uv[:, 0:1]) ** 2
+    dv2 = (rows - uv[:, 1:2]) ** 2
+    blobs = 200.0 * np.exp(-(du2[:, None, :] + dv2[:, :, None]) / (2.0 * 1.5 ** 2))
+    inside = (span < size[:, 1:2])[:, :, None] & (span < size[:, 0:1])[:, None, :]
+    np.add.at(data.reshape(-1), (rows[:, :, None] * intr.width + cols[:, None, :])[inside],
+              blobs[inside])
     if noise is not None:
         data += noise
     return Image(np.clip(data, 0.0, 255.0, out=data))

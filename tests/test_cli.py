@@ -22,6 +22,7 @@ PINNED_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed5_outputs.jso
 PINNED_IMAGE_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed2_image_outputs.json"
 PINNED_ZERO_NOISE_PSD_AUDIT = (Path(__file__).parent / "pinned"
                                / "zero_noise_check_psd_audit_outputs.json")
+PINNED_REFERENCE_DATASET = Path(__file__).parent / "pinned" / "urban_loop_seed17_dataset.json"
 
 
 def tree_digest(root: Path) -> dict:
@@ -107,6 +108,17 @@ def test_outputs_bits_pinned(mini_dataset, tmp_path):
                      *flags]) == EXIT_OK
         got.update(run_digests(out, run))
     assert_digests_pinned(PINNED_OUTPUTS, got)
+
+
+def test_reference_dataset_bits_pinned(tmp_path):
+    # the benchmark's reference dataset: urban_loop's 1083 camera poses and
+    # its coverage densification, which the mini_loop pins do not reach
+    ds = tmp_path / "urban_loop"
+    assert main(["simulate", "--out", str(ds), "--scenario", "urban_loop", "--seed", "17",
+                 "--inject-bias", "0.3", "-0.2", "0.5", "--inject-yaw-scale", "1.01",
+                 "--inject-misalign", "0.5", "0.5"]) == EXIT_OK
+    assert_digests_pinned(PINNED_REFERENCE_DATASET,
+                          {f"dataset/{name}": value for name, value in tree_digest(ds).items()})
 
 
 def image_dataset_digests(ds: Path) -> dict:

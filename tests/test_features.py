@@ -4,8 +4,8 @@ import pytest
 from viwo import geom
 from viwo.dynamics import (GRAVITY_VEC, GyroParams, NavState, correct_gyro,
                            corrected_rate_param_jacobian)
-from viwo.features import (RHO_CEIL, RHO_FLOOR, CameraExtrinsics,
-                           FeatureState, landmark_to_feature, linearize_batch)
+from landmarks import FeatureState, landmark_to_feature
+from viwo.features import RHO_CEIL, RHO_FLOOR, CameraExtrinsics, linearize_batch
 from viwo.filter import propagate_joint
 
 

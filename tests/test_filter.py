@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from landmarks import landmark_to_feature
 from oracles import PlainEkf, batch_rls
 from viwo import geom
 from viwo.dynamics import (GRAVITY_VEC, GyroParams, ImuSample, NavState,
                            apply_gyro_error, correct_gyro)
-from viwo.features import CameraExtrinsics, landmark_to_feature
+from viwo.features import CameraExtrinsics
 from viwo.filter import (GATE_LIMIT, GATE_QUANTILE, NAV_DIM, PREDICT_BLOCK_MAX,
                          AdaptiveEkf, NoiseConfig, RowGroup, _load_flapack,
                          _mahalanobis3, assemble_linearization, kalman_step,

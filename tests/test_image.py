@@ -6,8 +6,8 @@ from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
                         FAST_THRESHOLD, PATCH_GRID, Image, PatchLevel, _contiguous_at_least,
                         build_pyramid, detect_features, extract_patch_set,
                         intensity_residual, klt_align, load_pgm, save_pgm)
-from viwo.sim import (IMAGE_NOISE, Straight, TrajectorySpec, generate_trajectory,
-                      generate_world, render_frame)
+from viwo.sim import (IMAGE_NOISE, Straight, TrajectorySpec, camera_table, camera_view,
+                      generate_trajectory, generate_world, render_frame)
 
 
 def gaussian_blob(width, height, u0, v0, sigma=1.5, amp=200.0, bg=10.0):
@@ -343,10 +343,11 @@ def reference_klt_align(patch, pyramid, u0, v0):
 def rendered_frames(seed):
     """Two noisy simulated camera frames of a seeded landmark world."""
     truth = generate_trajectory(TrajectorySpec([Straight(30.0, 5.0)]))
-    world = generate_world(truth, seed=seed)
+    cameras = camera_table(truth)
+    view = camera_view(generate_world(truth, seed=seed), cameras)
     rng = np.random.default_rng(seed)
-    return [render_frame(truth[k].nav, world, rng.normal(0.0, IMAGE_NOISE, (480, 640)))
-            for k in (0, len(truth) // 2)]
+    return [render_frame(view.bearings[view.rows(k)], rng.normal(0.0, IMAGE_NOISE, (480, 640)))
+            for k in (0, len(cameras.poses) // 2)]
 
 
 def _test_images():

@@ -5,18 +5,19 @@ import threading
 import numpy as np
 import pytest
 
+from landmarks import FeatureState, landmark_to_feature
 from viwo import geom, pipeline, sim
 from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample, NavState,
                            apply_gyro_error, correct_gyro, rk4_nav)
-from viwo.features import RHO_CEIL, FeatureState, landmark_to_feature
+from viwo.features import RHO_CEIL
 from viwo.image import Image, save_pgm
-from viwo.sensors import DEFAULT_INTRINSICS, project
+from viwo.sensors import DEFAULT_INTRINSICS, pixel, project
 from viwo.sim import (ACCEL_NOISE, CAMERA_EXTRINSICS, CAMERA_STRIDE, GYRO_NOISE, IMAGE_NOISE,
-                      IMU_RATE_HZ, PIXEL_NOISE, WHEEL_NOISE, Arc, Phase, SensorErrorSpec, Stop,
-                      Straight, TrajectorySample, TrajectorySpec, ensure_coverage,
-                      generate_trajectory, generate_world, highway_route, mini_loop,
-                      render_frame, synthesize_bearings, synthesize_imu,
-                      synthesize_wheel, urban_loop, visible_landmarks)
+                      IMU_RATE_HZ, PIXEL_NOISE, VIEW_BLOCK_POSES, WHEEL_NOISE, Arc, Phase,
+                      SensorErrorSpec, Stop, Straight, TrajectorySample, TrajectorySpec,
+                      camera_table, camera_view, ensure_coverage, generate_trajectory,
+                      generate_world, highway_route, mini_loop, render_frame,
+                      synthesize_bearings, synthesize_imu, synthesize_wheel, urban_loop)
 
 
 def test_single_straight_duration_and_heading():
@@ -145,13 +146,20 @@ def test_determinism_bit_identical():
     assert np.array_equal(w1, w2)
 
 
+def bearings_of(truth, world, err, n_slots):
+    """synthesize_bearings on the camera view of truth's poses."""
+    cameras = camera_table(truth)
+    return synthesize_bearings(cameras, camera_view(world, cameras), err, n_slots)
+
+
 def test_world_coverage_invariant():
     spec = urban_loop()
     truth = generate_trajectory(spec)
-    world = generate_world(truth, seed=0)
-    world = ensure_coverage(world, truth)
+    cameras = camera_table(truth)
+    world = ensure_coverage(generate_world(truth, seed=0), cameras)
+    assert np.diff(camera_view(world, cameras).start).min() >= 8
     for s in truth[::CAMERA_STRIDE * 5]:
-        assert len(visible_landmarks(world, s.nav)) >= 8
+        assert len(reference_visible_landmarks(world, s.nav)) >= 8
 
 
 def test_bearings_match_landmark_oracle():
@@ -159,7 +167,7 @@ def test_bearings_match_landmark_oracle():
     truth = generate_trajectory(spec)
     world = generate_world(truth, seed=1)
     err = SensorErrorSpec(GyroParams(), seed=0, zero_noise=True)
-    frames = synthesize_bearings(truth, world, err, n_slots=8)
+    frames = bearings_of(truth, world, err, 8)
     t_by_time = {round(s.t, 6): s for s in truth}
     checked = 0
     for t, rows in frames[::4]:
@@ -184,7 +192,7 @@ def test_bearing_slot_persistence():
     truth = generate_trajectory(spec)
     world = generate_world(truth, seed=3)
     err = SensorErrorSpec(GyroParams(), zero_noise=True)
-    frames = synthesize_bearings(truth, world, err, n_slots=6)
+    frames = bearings_of(truth, world, err, 6)
     # slots persist: most frame-to-frame transitions track one landmark
     # smoothly; occasional jumps mark slot reuse after a track ends
     prev = {}
@@ -214,7 +222,7 @@ def test_render_frame_blob_positions():
     truth = generate_trajectory(spec)
     world = np.array([[25.0, 2.0, 1.5]])
     nav = truth[0].nav
-    img = render_frame(nav, world, None)
+    img = render_frame(camera_view(world, camera_table(truth[:1])).bearings, None)
     from viwo.image import detect_features
     from viwo.sensors import project
     feat = landmark_to_feature(world[0], nav, CAMERA_EXTRINSICS)
@@ -238,16 +246,19 @@ def test_simulated_frames_match_a_serial_render(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     truth = generate_trajectory(mini_loop())
-    world = ensure_coverage(generate_world(truth, seed=seed), truth, seed=seed)
+    cameras = camera_table(truth)
+    view = camera_view(ensure_coverage(generate_world(truth, seed=seed), cameras, seed=seed),
+                       cameras)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     shape = (DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width)
     serial = tmp_path / "serial.pgm"
     names = []
-    for k, s in enumerate(truth[::CAMERA_STRIDE]):
+    for k, s in enumerate(cameras.poses):
         if s.t == 0.0:
             continue
         names.append(f"{k:06d}.pgm")
-        save_pgm(serial, render_frame(s.nav, world, rng.normal(0.0, IMAGE_NOISE, shape)))
+        save_pgm(serial, render_frame(view.bearings[view.rows(k)],
+                                      rng.normal(0.0, IMAGE_NOISE, shape)))
         assert serial.read_bytes() == (out / "frames" / names[-1]).read_bytes(), names[-1]
     assert sorted(p.name for p in (out / "frames").iterdir()) == names
 
@@ -406,13 +417,30 @@ def reference_generate_world(truth: list[TrajectorySample], seed: int = 0) -> np
     return np.array(pts)
 
 
+def reference_visible_landmarks(world: np.ndarray, nav: NavState) -> list[int]:
+    intr, ext = DEFAULT_INTRINSICS, CAMERA_EXTRINSICS
+    r_wb = geom.quat_to_rot(nav.quat)
+    cam_world = nav.pos + r_wb @ ext.lever_arm
+    d_cam = (world - cam_world) @ (ext.r_cb @ r_wb.T).T
+    rng_m = np.sqrt((d_cam * d_cam).sum(axis=1))
+    ok = (d_cam[:, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= 80.0)
+    if not ok.any():
+        return []
+    (u, v), _ = pixel(d_cam[ok, 0], d_cam[ok, 1], d_cam[ok, 2], intr)
+    in_img = ((u >= 8.0) & (u <= intr.width - 1 - 8.0)
+              & (v >= 8.0) & (v <= intr.height - 1 - 8.0))
+    idx = np.nonzero(ok)[0][in_img]
+    order = np.argsort(rng_m[idx], kind="stable")
+    return [int(i) for i in idx[order]]
+
+
 def reference_ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
                               seed: int = 1) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     pts = list(world)
     for s in truth[::CAMERA_STRIDE]:
         for _ in range(40):
-            vis = visible_landmarks(np.array(pts), s.nav)
+            vis = reference_visible_landmarks(np.array(pts), s.nav)
             if len(vis) >= 8:
                 break
             heading = geom.quats_to_dirs(s.nav.quat)
@@ -467,7 +495,7 @@ def reference_landmark_to_feature(landmark_world: np.ndarray, s: NavState,
 
 
 def reference_synthesize_bearings(truth: list[TrajectorySample], world: np.ndarray,
-                                  err: SensorErrorSpec, n_slots: int = 16):
+                                  err: SensorErrorSpec, n_slots: int):
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 3]))
     sigma_tan = PIXEL_NOISE / DEFAULT_INTRINSICS.fx
     slot_of: dict[int, int] = {}
@@ -475,7 +503,7 @@ def reference_synthesize_bearings(truth: list[TrajectorySample], world: np.ndarr
     for s in truth[::CAMERA_STRIDE]:
         if s.t == 0.0:
             continue
-        vis = visible_landmarks(world, s.nav)
+        vis = reference_visible_landmarks(world, s.nav)
         vis_set = set(vis)
         for lm, slot in list(slot_of.items()):
             if lm not in vis_set:
@@ -499,7 +527,7 @@ def reference_synthesize_bearings(truth: list[TrajectorySample], world: np.ndarr
 def reference_render_frame(nav: NavState, world: np.ndarray, noise: np.ndarray | None) -> Image:
     intr = DEFAULT_INTRINSICS
     data = np.full((intr.height, intr.width), 10.0)
-    for idx in visible_landmarks(world, nav):
+    for idx in reference_visible_landmarks(world, nav):
         feat = reference_landmark_to_feature(world[idx], nav, CAMERA_EXTRINSICS)
         (u, v), _ = project(feat.bearing, intr, require_in_image=False)
         lo_u, hi_u = int(max(0, u - 6)), int(min(intr.width, u + 7))
@@ -540,10 +568,13 @@ def simulated(request):
     ref_truth = reference_generate_trajectory(spec)
     world = generate_world(truth, seed=17)
     ref_world = reference_generate_world(ref_truth, seed=17)
+    cameras = camera_table(truth)
+    covered = ensure_coverage(world, cameras, seed=17)
     return {"truth": truth, "ref_truth": ref_truth,
             "world": world, "ref_world": ref_world,
-            "covered": ensure_coverage(world, truth, seed=17),
-            "ref_covered": reference_ensure_coverage(ref_world, ref_truth, seed=17)}
+            "covered": covered,
+            "ref_covered": reference_ensure_coverage(ref_world, ref_truth, seed=17),
+            "cameras": cameras, "view": camera_view(covered, cameras)}
 
 
 def test_truth_and_world_match_the_reference_loops(simulated):
@@ -563,16 +594,59 @@ def test_sensor_streams_match_the_reference_loops(simulated, zero_noise):
                                       for m in ref_imu]).tobytes()
     assert synthesize_wheel(truth, err).tobytes() == np.array(
         reference_synthesize_wheel(truth, err)).tobytes()
-    frames = synthesize_bearings(truth, world, err, n_slots=14)
+    frames = synthesize_bearings(simulated["cameras"], simulated["view"], err, 14)
     assert _frame_bytes(frames) == _frame_bytes(
         reference_synthesize_bearings(truth, world, err, n_slots=14))
 
 
 def test_rendered_frames_match_the_reference_loop(simulated):
-    truth, world = simulated["truth"], simulated["covered"]
-    for s in truth[CAMERA_STRIDE::CAMERA_STRIDE * 40]:
-        assert (render_frame(s.nav, world, None).data.tobytes()
-                == reference_render_frame(s.nav, world, None).data.tobytes())
+    world, cameras, view = simulated["covered"], simulated["cameras"], simulated["view"]
+    for k in range(1, len(cameras.poses), 40):
+        assert (render_frame(view.bearings[view.rows(k)], None).data.tobytes()
+                == reference_render_frame(cameras.poses[k].nav, world, None).data.tobytes())
+
+
+def test_overlapping_blobs_add_in_bearing_order():
+    # two landmarks under 3 px apart in the image: the pixels both blobs
+    # cover take 10 + near + far, in that order, as the reference loop adds
+    # them
+    truth = generate_trajectory(TrajectorySpec([Straight(30.0, 5.0)]))
+    world = np.array([[25.5, 2.1, 1.45], [25.0, 2.0, 1.5], [60.0, -3.0, 4.0]])
+    view = camera_view(world, camera_table(truth[:1]))
+    assert view.landmarks.tolist() == [1, 0, 2]
+    near, far = (project(q, DEFAULT_INTRINSICS)[0] for q in view.bearings[:2])
+    assert 0.0 < np.hypot(near[0] - far[0], near[1] - far[1]) < 3.0
+    assert (render_frame(view.bearings, None).data.tobytes()
+            == reference_render_frame(truth[0].nav, world, None).data.tobytes())
+
+
+@pytest.fixture(scope="module")
+def urban_worlds():
+    """Seed-17 urban_loop's camera table and three worlds: the generated
+    one, the densified one, and the first station's four points alone."""
+    truth = generate_trajectory(urban_loop())
+    cameras = camera_table(truth)
+    world = generate_world(truth, seed=17)
+    return cameras, {"generated": world, "densified": ensure_coverage(world, cameras, seed=17),
+                     "first_station": world[:4]}
+
+
+@pytest.mark.parametrize("name", ["generated", "densified", "first_station"])
+def test_view_matches_the_scalar_visibility(urban_worlds, name):
+    cameras, worlds = urban_worlds
+    world = worlds[name]
+    view = camera_view(world, cameras)
+    seen = np.diff(view.start)
+    assert len(cameras.poses) > 16 * VIEW_BLOCK_POSES
+    assert seen.max() > 0
+    if name == "first_station":
+        assert (seen == 0).any()
+    for k, s in enumerate(cameras.poses):
+        vis = reference_visible_landmarks(world, s.nav)
+        assert view.landmarks[view.rows(k)].tolist() == vis, k
+        if vis:
+            assert (view.bearings[view.rows(k)].tobytes()
+                    == landmark_to_feature(world[vis], s.nav, CAMERA_EXTRINSICS).bearing.tobytes())
 
 
 @pytest.mark.parametrize("offset", [[-5.0, 0.3, 0.2], [0.05, 0.0, 0.01]],
