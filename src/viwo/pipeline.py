@@ -109,22 +109,20 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     dataio.write_csv(paths.imu, dataio.IMU_HEADER, sim.synthesize_imu(truth, err).tolist())
     dataio.write_csv(paths.wheel, dataio.WHEEL_HEADER,
                      sim.synthesize_wheel(truth, err).tolist())
-    dataio.write_csv(paths.gt, dataio.POSE_HEADER, np.column_stack((
-        [s.t for s in truth], [s.nav.pos for s in truth],
-        [s.nav.quat for s in truth])).tolist())
+    dataio.write_csv(paths.gt, dataio.POSE_HEADER,
+                     np.column_stack((truth.t, truth.pos, truth.quat)).tolist())
     dataio.save_calib(paths.calib, DEFAULT_INTRINSICS, sim.CAMERA_EXTRINSICS,
                       spec.rho_sg)
     dataio.save_gyro_params(paths.truth_params, err.params)
 
-    frames = sim.synthesize_bearings(cameras, view, err, cfg.feature_slots)
-    obs = [(t, slot, bearing) for t, seen in frames for slot, bearing in seen]
-    dirs = geom.quats_to_dirs(np.array([b for _, _, b in obs]).reshape(-1, 4))
+    t_obs, slots, bearings = sim.synthesize_bearings(cameras, view, err, cfg.feature_slots)
     dataio.write_csv(paths.bearings, dataio.BEARINGS_HEADER,
-                     [(t, slot, *p) for (t, slot, _), p in zip(obs, dirs.tolist())])
+                     list(zip(t_obs.tolist(), slots.tolist(),
+                              *geom.quats_to_dirs(bearings).T.tolist())))
 
     if cfg.measurement_mode == "image":
         paths.frames_dir.mkdir(exist_ok=True)
-        shots = [(k, s) for k, s in enumerate(cameras.poses) if s.t != 0.0]
+        shots = [(k, t) for k, t in enumerate(cameras.t.tolist()) if t != 0.0]
         # One worker, the frame generator's only user, draws frame i+1's
         # noise into the buffer frame i-1 used, queued before frame i's is
         # awaited, while this thread renders and writes frame i.  Draws are
@@ -140,14 +138,14 @@ def cmd_simulate(cfg: RunConfig) -> Path:
                 return pool.submit(sim.draw_image_noise, rng, buffers[i % 2])
 
             pending = draw(0)
-            for i, (k, s) in enumerate(shots):
+            for i, (k, t) in enumerate(shots):
                 queued = draw(i + 1)
                 noise = None if pending is None else pending.result()
                 pending = queued
                 img = sim.render_frame(view.bearings[view.rows(k)], noise)
                 name = f"{k:06d}.pgm"
                 save_pgm(paths.frames_dir / name, img)
-                frame_rows.append([s.t, f"frames/{name}"])
+                frame_rows.append([t, f"frames/{name}"])
         dataio.write_csv(paths.frames_csv, dataio.FRAMES_HEADER, frame_rows)
     return out
 

@@ -14,7 +14,9 @@ emitted rate/force samples (sampled mid-interval): one dynamics.rk4_nav
 call over the whole trajectory, the kernel the filter's predict runs.
 Sensors synthesized from that flow are therefore exactly kinematically
 consistent with it: a filter fed noise-free streams reproduces the truth to
-integrator precision.
+integrator precision.  The truth is one Trajectory of arrays, the sample
+times, the rk4_nav rows and the rates and forces, which the world, the
+camera table, the sensor streams and the gt.csv write read row by row.
 
 The rates are fixed: ground truth, IMU and wheel speed at IMU_RATE_HZ
 (100 Hz), camera frames (bearings or rendered images) at every
@@ -24,10 +26,18 @@ The camera's view is worked out once per dataset, in array passes:
 camera_table holds each camera pose's rotations and position, and
 camera_view finds the landmarks every pose sees, nearest first, and their
 bearings.  Visibility is one (n, 3) @ (3, 3) product per pose, stacked
-VIEW_BLOCK_POSES poses at a time so that its arrays stay small.
+VIEW_BLOCK_POSES poses at a time so that its arrays stay small.  A block
+takes only the world points within MAX_RANGE + its reach (+ 1 m) of its
+middle camera, where reach is the farthest of its cameras from that one:
+by the triangle inequality no other point is in range of any of them, and
+the kept points stay in index order, so the view is the one of the whole
+world, bit for bit.  The blocks keep 5 % of the (pose, point) pairs on
+the highway route and 27 % on urban_loop.
 ensure_coverage counts from one such pass over the generated world and
-one per added point; synthesize_bearings and render_frame read the view of
-the densified world and project nothing again.
+one per added point over the poses within MAX_RANGE of it;
+synthesize_bearings and render_frame read the view of the densified world
+and project nothing again, and synthesize_bearings returns the observations
+as arrays, which bearings.csv takes with one direction conversion.
 
 A rendered frame takes its image noise as an argument: render_frame adds a
 given (height, width) array, which draw_image_noise fills from the frame
@@ -129,11 +139,23 @@ class SensorErrorSpec:
 
 
 @dataclass
-class TrajectorySample:
-    t: float
-    nav: NavState
-    omega: np.ndarray    # true body rate over the interval ending at t
-    accel: np.ndarray    # true specific force over the same interval
+class Trajectory:
+    """Ground truth at IMU_RATE_HZ.  Sample i, at time t[i], has the nav
+    state nav[i], a [vel, quat, pos] row of rk4_nav, reached under the true
+    body rate omega[i] and specific force accel[i] of the interval ending at
+    t[i] (sample 0: the inputs at t = 0)."""
+    t: np.ndarray        # (n,)
+    nav: np.ndarray      # (n, 10)
+    omega: np.ndarray    # (n, 3)
+    accel: np.ndarray    # (n, 3)
+
+    @property
+    def quat(self) -> np.ndarray:
+        return self.nav[:, 3:7]
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self.nav[:, 7:10]
 
 
 @dataclass
@@ -276,7 +298,7 @@ class _Profile:
         return v, vdot, k0 + kd * tau, kd, chi
 
 
-def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
+def generate_trajectory(spec: TrajectorySpec) -> Trajectory:
     """Ground-truth stream: RK4 flow of the analytic rate/force profiles."""
     profile = _Profile(_compile_phases(spec))
     dt = 1.0 / IMU_RATE_HZ
@@ -303,98 +325,121 @@ def generate_trajectory(spec: TrajectorySpec) -> list[TrajectorySample]:
     beta0 = np.arctan(-rho * a_lat[0]) if v0 > 0 else 0.0
     nav = NavState(np.array([v0 * np.cos(beta0), v0 * np.sin(beta0), 0.0]),
                    geom.so3_exp(np.array([0.0, 0.0, psi[0]])), np.zeros(3))
-    # step i runs on the inputs of sample i; each sample's state is a view
-    # of its row
+    # step i runs on the inputs of sample i
     navs = rk4_nav(nav, omega[1:], accel[1:], GRAVITY_VEC, np.full(steps, dt))
-    return [TrajectorySample(i * dt, NavState.from_row(y), omega[i], accel[i])
-            for i, y in enumerate(navs)]
+    return Trajectory(np.arange(steps + 1) * dt, navs, omega, accel)
 
 
 # --- worlds -------------------------------------------------------------------
 
-def generate_world(truth: list[TrajectorySample], seed: int = 0) -> np.ndarray:
+def generate_world(truth: Trajectory, seed: int = 0) -> np.ndarray:
     """(n, 3) world points, a corridor of landmarks along the driven path:
     every 10 m, four points 3-30 m to either side and 1 m below to 10 m
     above the axle."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
-    pos = np.array([s.nav.pos for s in truth])
+    pos = truth.pos
     delta = np.diff(pos, axis=0, prepend=pos[:1])
-    pts = []
+    drops = []
     dist = 0.0
     # the path length since the last drop, step by step in sample order
-    for s, step in zip(truth, np.sqrt(geom.matmul_dot_rows(delta, delta)).tolist()):
+    for i, step in enumerate(np.sqrt(geom.matmul_dot_rows(delta, delta)).tolist()):
         dist += step
-        if dist >= 10.0 or not pts:
+        if dist >= 10.0 or not drops:
             dist = 0.0
-            heading = geom.quats_to_dirs(s.nav.quat)
-            lateral_dir = np.array([-heading[1], heading[0], 0.0])
-            for _ in range(4):
-                side = rng.choice([-1.0, 1.0])
-                off = rng.uniform(3.0, 30.0)
-                h = rng.uniform(-1.0, 10.0)
-                ahead = rng.uniform(5.0, 40.0)
-                pts.append(s.nav.pos + heading * ahead
-                           + lateral_dir * side * off + np.array([0, 0, h]))
-    return np.array(pts)
+            drops.append(i)
+    # per point, in drop order: side, offset, height, distance ahead; the
+    # side as rng.choice([-1.0, 1.0]) draws it, 5x faster
+    draws = np.array([((-1.0, 1.0)[rng.integers(2)], rng.uniform(3.0, 30.0),
+                       rng.uniform(-1.0, 10.0), rng.uniform(5.0, 40.0))
+                      for _ in range(4 * len(drops))])
+    side, off, h, ahead = draws.T[:, :, None]
+    i = np.repeat(drops, 4)
+    heading = geom.quats_to_dirs(truth.quat[i])
+    lateral_dir = np.column_stack((-heading[:, 1], heading[:, 0], np.zeros(len(i))))
+    up = np.zeros((len(i), 3))
+    up[:, 2:] = h
+    return pos[i] + heading * ahead + lateral_dir * side * off + up
 
 
 # --- the camera's view ----------------------------------------------------------
 
 VIEW_BLOCK_POSES = 64   # poses per stacked visibility pass, which bounds its arrays
 NOISE_BLOCK_ROWS = 1024  # bearings per noise retraction, which bounds its arrays
+MAX_RANGE = 80.0        # m, the farthest a camera sees a landmark
 
 
 @dataclass
 class CameraTable:
-    """The camera poses of a trajectory, truth[::CAMERA_STRIDE], and per pose
-    the body-to-world rotation, the world-to-camera rotation and the
-    camera's world position."""
-    poses: list[TrajectorySample]
+    """The camera poses of a trajectory, every CAMERA_STRIDE-th sample from
+    t = 0, and per pose its time and truth row, the body-to-world rotation,
+    the world-to-camera rotation and the camera's world position."""
+    t: np.ndarray          # (m,)
+    nav: np.ndarray        # (m, 10)
     r_wb: np.ndarray       # (m, 3, 3)
     r_cw: np.ndarray       # (m, 3, 3)
     centers: np.ndarray    # (m, 3)
 
 
-def camera_table(truth: list[TrajectorySample]) -> CameraTable:
+def camera_table(truth: Trajectory) -> CameraTable:
     """The camera table of every CAMERA_STRIDE-th sample, t = 0 included."""
-    poses = truth[::CAMERA_STRIDE]
+    nav = truth.nav[::CAMERA_STRIDE]
     ext = CAMERA_EXTRINSICS
-    r_wb = np.array([geom.quat_to_rot(s.nav.quat) for s in poses])
-    centers = np.array([s.nav.pos for s in poses]) + np.matmul(r_wb, ext.lever_arm)
-    return CameraTable(poses, r_wb, np.matmul(ext.r_cb, r_wb.transpose(0, 2, 1)), centers)
+    r_wb = geom.quats_to_frames(nav[:, 3:7])
+    centers = nav[:, 7:10] + np.matmul(r_wb, ext.lever_arm)
+    return CameraTable(truth.t[::CAMERA_STRIDE], nav, r_wb,
+                       np.matmul(ext.r_cb, r_wb.transpose(0, 2, 1)), centers)
+
+
+def _near(points: np.ndarray, hub: np.ndarray, radius: float) -> np.ndarray:
+    """The indices, in increasing order, of the (n, 3) points within radius
+    of hub, with 1 m to spare for rounding."""
+    d = points - hub
+    return np.nonzero((d * d).sum(axis=1) <= (radius + 1.0) ** 2)[0]
+
+
+def _pairs(world: np.ndarray, r_cw: np.ndarray, centers: np.ndarray):
+    """The (pose, landmark) index pairs of the (n, 3) world points 2 m to
+    MAX_RANGE from the cameras (rotations r_cw, positions centers) that
+    project at least 8 px inside the image, pose by pose in landmark order,
+    and their ranges."""
+    intr = DEFAULT_INTRINSICS
+    # one (n, 3) @ (3, 3) product per pose
+    d_cam = np.matmul(world[None] - centers[:, None], r_cw.transpose(0, 2, 1))
+    rng_m = np.sqrt((d_cam * d_cam).sum(axis=2))
+    pose, lm = np.nonzero((d_cam[:, :, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= MAX_RANGE))
+    d_ok = d_cam[pose, lm]
+    (u, v), _ = pixel(d_ok[:, 0], d_ok[:, 1], d_ok[:, 2], intr)
+    in_img = ((u >= 8.0) & (u <= intr.width - 1 - 8.0)
+              & (v >= 8.0) & (v <= intr.height - 1 - 8.0))
+    pose, lm = pose[in_img], lm[in_img]
+    return pose, lm, rng_m[pose, lm]
 
 
 def _visible(world: np.ndarray, r_cw: np.ndarray, centers: np.ndarray):
-    """For each block of at most VIEW_BLOCK_POSES cameras (rotations r_cw,
-    positions centers), the (pose, landmark) index pairs of the (n, 3)
-    world points 2-80 m from the camera that project at least 8 px inside
-    the image, pose by pose and nearest first, ties in landmark order."""
-    intr = DEFAULT_INTRINSICS
+    """The _pairs of the world, a block of at most VIEW_BLOCK_POSES cameras
+    at a time."""
     for b in range(0, len(centers), VIEW_BLOCK_POSES):
         e = b + VIEW_BLOCK_POSES
-        # one (n, 3) @ (3, 3) product per pose
-        d_cam = np.matmul(world[None] - centers[b:e, None], r_cw[b:e].transpose(0, 2, 1))
-        rng_m = np.sqrt((d_cam * d_cam).sum(axis=2))
-        pose, lm = np.nonzero((d_cam[:, :, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= 80.0))
-        d_ok = d_cam[pose, lm]
-        (u, v), _ = pixel(d_ok[:, 0], d_ok[:, 1], d_ok[:, 2], intr)
-        in_img = ((u >= 8.0) & (u <= intr.width - 1 - 8.0)
-                  & (v >= 8.0) & (v <= intr.height - 1 - 8.0))
-        pose, lm = pose[in_img], lm[in_img]
-        order = np.lexsort((rng_m[pose, lm], pose))
-        yield pose[order] + b, lm[order]
-
-
-def _count_visible(world: np.ndarray, r_cw: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """How many of the world points each camera sees."""
-    return np.bincount(np.concatenate([pose for pose, _ in _visible(world, r_cw, centers)]),
-                       minlength=len(centers))
+        cams = centers[b:e]
+        hub = cams[len(cams) // 2]
+        # a point a camera sees is within MAX_RANGE of it, so within
+        # MAX_RANGE + reach of the hub; the rest are left out, the others
+        # kept in index order
+        reach = np.sqrt(((cams - hub) ** 2).sum(axis=1).max())
+        near = _near(world, hub, MAX_RANGE + reach)
+        if len(near) == 1 < len(world):
+            # numpy multiplies one row with BLAS's vector kernel, whose last
+            # bits differ from those of the matrix kernel the world takes
+            near = np.union1d(near, [0, 1])
+        pose, lm, rng_m = _pairs(world[near], r_cw[b:e], cams)
+        yield pose + b, near[lm], rng_m
 
 
 @dataclass
 class CameraView:
     """What each pose of a CameraTable sees of a world: pose k sees the
-    landmarks landmarks[rows(k)], nearest first, along bearings[rows(k)]."""
+    landmarks landmarks[rows(k)], nearest first and ties in landmark order,
+    along bearings[rows(k)]."""
     start: np.ndarray       # (m + 1,) row offsets
     landmarks: np.ndarray   # (total,) world indices
     bearings: np.ndarray    # (total, 4)
@@ -409,114 +454,113 @@ def camera_view(world: np.ndarray, cameras: CameraTable) -> CameraView:
     then a body-to-camera matrix-vector product and a 1-D dot for the
     range, row by row, so that a row has the bits of a one-point pass."""
     blocks = []
-    for pose, lm in _visible(world, cameras.r_cw, cameras.centers):
+    for pose, lm, rng_m in _visible(world, cameras.r_cw, cameras.centers):
+        order = np.lexsort((rng_m, pose))
+        pose, lm = pose[order], lm[order]
         rel = (world[lm] - cameras.centers[pose])[:, :, None]
         d_cam = np.matmul(CAMERA_EXTRINSICS.r_cb,
                           np.matmul(cameras.r_wb[pose].transpose(0, 2, 1), rel))[:, :, 0]
         blocks.append((pose, lm, geom.bearing_from_dir_rows(
             d_cam / np.sqrt(geom.matmul_dot_rows(d_cam, d_cam))[:, None])))
     pose, lm, bearings = (np.concatenate(part) for part in zip(*blocks))
-    return CameraView(np.searchsorted(pose, np.arange(len(cameras.poses) + 1)), lm, bearings)
+    return CameraView(np.searchsorted(pose, np.arange(len(cameras.t) + 1)), lm, bearings)
 
 
 def ensure_coverage(world: np.ndarray, cameras: CameraTable, seed: int = 1) -> np.ndarray:
     """Densify the world until every camera pose sees at least 8 landmarks,
     pose by pose, adding at most 40 points per pose.  The counts come from
     one visibility pass over the given world; each added point is then
-    checked against the poses that remain."""
+    checked against the poses that remain within MAX_RANGE of it."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     pts = [np.array(world, dtype=float)]
-    seen = _count_visible(pts[0], cameras.r_cw, cameras.centers)
-    for k, s in enumerate(cameras.poses):
+    seen = np.bincount(np.concatenate([pose for pose, _, _ in _visible(
+        pts[0], cameras.r_cw, cameras.centers)]), minlength=len(cameras.t))
+    for k in np.nonzero(seen < 8)[0].tolist():
+        pos, heading = cameras.nav[k, 7:10], geom.quats_to_dirs(cameras.nav[k, 3:7])
+        lateral_dir = np.array([-heading[1], heading[0], 0.0])
         for _ in range(40):
             if seen[k] >= 8:
                 break
-            heading = geom.quats_to_dirs(s.nav.quat)
-            lateral_dir = np.array([-heading[1], heading[0], 0.0])
-            pt = (s.nav.pos + heading * rng.uniform(8, 35)
+            pt = (pos + heading * rng.uniform(8, 35)
                   + lateral_dir * rng.uniform(-12, 12)
                   + np.array([0, 0, rng.uniform(0.0, 6.0)]))[None]
             pts.append(pt)
-            seen[k:] += _count_visible(pt, cameras.r_cw[k:], cameras.centers[k:])
+            near = k + _near(cameras.centers[k:], pt[0], MAX_RANGE)
+            seen[near[_pairs(pt, cameras.r_cw[near], cameras.centers[near])[0]]] += 1
     return np.vstack(pts)
 
 
 # --- sensor synthesis -----------------------------------------------------------
 
-def synthesize_imu(truth: list[TrajectorySample], err: SensorErrorSpec) -> np.ndarray:
+def synthesize_imu(truth: Trajectory, err: SensorErrorSpec) -> np.ndarray:
     """imu.csv rows (n, 7) for the samples after the first: t, measured
     rates (the forward gyro error model) and measured forces, each plus
     white noise (none with zero_noise).  The noise is one draw per row of
     three gyro then three accelerometer values, as sample-by-sample draws
     take them."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 1]))
-    samples = truth[1:]
-    omega_m = apply_gyro_error(np.array([s.omega for s in samples]), err.params)
-    accel = np.array([s.accel for s in samples])
+    omega_m = apply_gyro_error(truth.omega[1:], err.params)
+    accel = truth.accel[1:]
     if err.zero_noise:
         accel_m = accel + 0.0    # as the per-sample form: a -0.0 force is written 0
     else:
         sg = GYRO_NOISE * np.sqrt(IMU_RATE_HZ)
         sa = ACCEL_NOISE * np.sqrt(IMU_RATE_HZ)
-        noise = rng.normal(0.0, [sg, sg, sg, sa, sa, sa], (len(samples), 6))
+        noise = rng.normal(0.0, [sg, sg, sg, sa, sa, sa], (len(accel), 6))
         omega_m = omega_m + noise[:, :3]
         accel_m = accel + noise[:, 3:]
-    return np.column_stack(([s.t for s in samples], omega_m, accel_m))
+    return np.column_stack((truth.t[1:], omega_m, accel_m))
 
 
-def synthesize_wheel(truth: list[TrajectorySample], err: SensorErrorSpec) -> np.ndarray:
+def synthesize_wheel(truth: Trajectory, err: SensorErrorSpec) -> np.ndarray:
     """wheel.csv rows (n, 2) for the samples after the first: t and the
     measured v_x, exact zero at standstill and otherwise plus one noise draw
     (none with zero_noise), in sample order."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 2]))
-    samples = truth[1:]
-    v = np.array([s.nav.vel[0] for s in samples])
+    v = truth.nav[1:, 0]
     moving = ~(np.abs(v) < 5e-3)
-    v_m = np.zeros(len(samples))
+    v_m = np.zeros(len(v))
     v_m[moving] = v[moving] if err.zero_noise else (
         v[moving] + rng.normal(0.0, WHEEL_NOISE, int(moving.sum())))
-    return np.column_stack(([s.t for s in samples], v_m))
+    return np.column_stack((truth.t[1:], v_m))
 
 
 def synthesize_bearings(cameras: CameraTable, view: CameraView, err: SensorErrorSpec,
-                        n_slots: int):
-    """Per-frame (t, [(slot, bearing)]) observations with persistent slot
-    ids, from the view of the camera poses after t = 0.  The bearing noise
-    is one normal draw of every observation's two tangent values, which is
-    the frame-by-frame draws joined."""
+                        n_slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bearing observations of the camera poses after t = 0, with
+    persistent slot ids: per observation the frame time (N,), the slot (N,)
+    and the bearing (N, 4), frame by frame and by slot within a frame.  The
+    bearing noise is one normal draw of every observation's two tangent
+    values, which is the frame-by-frame draws joined."""
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 3]))
     sigma_tan = PIXEL_NOISE / DEFAULT_INTRINSICS.fx
-    slot_of: dict[int, int] = {}
-    frames = []    # (t, slots, view rows)
-    for k, s in enumerate(cameras.poses):
-        if s.t == 0.0:
+    tracked: list[int | None] = [None] * n_slots    # the landmark in each slot
+    start, landmarks = view.start.tolist(), view.landmarks.tolist()
+    counts, slots, observed_rows = [], [], []
+    for k, t in enumerate(cameras.t.tolist()):
+        if t == 0.0:
+            counts.append(0)
             continue
-        rows = view.rows(k)
-        vis = view.landmarks[rows].tolist()
-        row_of = dict(zip(vis, range(rows.start, rows.stop)))
-        for lm, slot in list(slot_of.items()):
-            if lm not in row_of:
-                del slot_of[lm]
-        free = sorted(set(range(n_slots)) - set(slot_of.values()))
-        # assign fresh slots to far landmarks: they stay in view longest
-        for lm in reversed(vis):
-            if lm not in slot_of and free:
-                slot_of[lm] = free.pop(0)
-        observed = sorted(slot_of.items(), key=lambda kv: kv[1])
-        frames.append((s.t, [slot for _, slot in observed], [row_of[lm] for lm, _ in observed]))
-    observed_rows = [r for _, _, frame_rows in frames for r in frame_rows]
-    bearings = view.bearings[observed_rows]
+        vis = landmarks[start[k]:start[k + 1]]
+        row_of = dict(zip(vis, range(start[k], start[k + 1])))
+        tracked = [lm if lm in row_of else None for lm in tracked]
+        free = [slot for slot, lm in enumerate(tracked) if lm is None]
+        # fill the free slots in order with the farthest new landmarks: they
+        # stay in view longest
+        new = (lm for lm in reversed(vis) if lm not in tracked)
+        for slot, lm in zip(free, new):
+            tracked[slot] = lm
+        observed = [slot for slot, lm in enumerate(tracked) if lm is not None]
+        counts.append(len(observed))
+        slots += observed
+        observed_rows += [row_of[tracked[slot]] for slot in observed]
+    bearings = view.bearings[np.array(observed_rows, dtype=int)]
     if not err.zero_noise:
         noise = rng.normal(0.0, sigma_tan, (len(observed_rows), 2))
         for i in range(0, len(noise), NOISE_BLOCK_ROWS):
             block = slice(i, i + NOISE_BLOCK_ROWS)
             bearings[block] = geom.s2_boxplus_rows(bearings[block], noise[block])
-    out = []
-    first = 0
-    for t, slots, frame_rows in frames:
-        out.append((t, list(zip(slots, bearings[first:first + len(slots)]))))
-        first += len(slots)
-    return out
+    return np.repeat(cameras.t, counts), np.array(slots, dtype=int), bearings
 
 
 def draw_image_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ PINNED_IMAGE_OUTPUTS = Path(__file__).parent / "pinned" / "mini_loop_seed2_image
 PINNED_ZERO_NOISE_PSD_AUDIT = (Path(__file__).parent / "pinned"
                                / "zero_noise_check_psd_audit_outputs.json")
 PINNED_REFERENCE_DATASET = Path(__file__).parent / "pinned" / "urban_loop_seed17_dataset.json"
+PINNED_HIGHWAY_DATASET = Path(__file__).parent / "pinned" / "highway_seed17_dataset.json"
 
 
 def tree_digest(root: Path) -> dict:
@@ -110,15 +111,27 @@ def test_outputs_bits_pinned(mini_dataset, tmp_path):
     assert_digests_pinned(PINNED_OUTPUTS, got)
 
 
+def seed17_dataset_digests(ds: Path, scenario: str) -> dict:
+    """The digests of a seed-17 bearing-mode dataset of scenario with all
+    six gyro errors injected."""
+    assert main(["simulate", "--out", str(ds), "--scenario", scenario, "--seed", "17",
+                 "--inject-bias", "0.3", "-0.2", "0.5", "--inject-yaw-scale", "1.01",
+                 "--inject-misalign", "0.5", "0.5"]) == EXIT_OK
+    return {f"dataset/{name}": value for name, value in tree_digest(ds).items()}
+
+
 def test_reference_dataset_bits_pinned(tmp_path):
     # the benchmark's reference dataset: urban_loop's 1083 camera poses and
     # its coverage densification, which the mini_loop pins do not reach
-    ds = tmp_path / "urban_loop"
-    assert main(["simulate", "--out", str(ds), "--scenario", "urban_loop", "--seed", "17",
-                 "--inject-bias", "0.3", "-0.2", "0.5", "--inject-yaw-scale", "1.01",
-                 "--inject-misalign", "0.5", "0.5"]) == EXIT_OK
     assert_digests_pinned(PINNED_REFERENCE_DATASET,
-                          {f"dataset/{name}": value for name, value in tree_digest(ds).items()})
+                          seed17_dataset_digests(tmp_path / "urban_loop", "urban_loop"))
+
+
+def test_highway_dataset_bits_pinned(tmp_path):
+    # highway's 4157 camera poses along 5 km, where each pose sees about 1 %
+    # of the world points, so the visibility prefilter drops the most
+    assert_digests_pinned(PINNED_HIGHWAY_DATASET,
+                          seed17_dataset_digests(tmp_path / "highway", "highway"))
 
 
 def image_dataset_digests(ds: Path) -> dict:

@@ -347,7 +347,7 @@ def rendered_frames(seed):
     view = camera_view(generate_world(truth, seed=seed), cameras)
     rng = np.random.default_rng(seed)
     return [render_frame(view.bearings[view.rows(k)], rng.normal(0.0, IMAGE_NOISE, (480, 640)))
-            for k in (0, len(cameras.poses) // 2)]
+            for k in (0, len(cameras.t) // 2)]
 
 
 def _test_images():

@@ -1,6 +1,7 @@
 import errno
 import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,41 +14,50 @@ from viwo.features import RHO_CEIL
 from viwo.image import Image, save_pgm
 from viwo.sensors import DEFAULT_INTRINSICS, pixel, project
 from viwo.sim import (ACCEL_NOISE, CAMERA_EXTRINSICS, CAMERA_STRIDE, GYRO_NOISE, IMAGE_NOISE,
-                      IMU_RATE_HZ, PIXEL_NOISE, VIEW_BLOCK_POSES, WHEEL_NOISE, Arc, Phase,
-                      SensorErrorSpec, Stop, Straight, TrajectorySample, TrajectorySpec,
+                      IMU_RATE_HZ, MAX_RANGE, PIXEL_NOISE, VIEW_BLOCK_POSES, WHEEL_NOISE, Arc,
+                      Phase, SensorErrorSpec, Stop, Straight, Trajectory, TrajectorySpec,
                       camera_table, camera_view, ensure_coverage, generate_trajectory,
                       generate_world, highway_route, mini_loop, render_frame,
                       synthesize_bearings, synthesize_imu, synthesize_wheel, urban_loop)
 
 
+def nav_at(truth: Trajectory, i: int) -> NavState:
+    return NavState.from_row(truth.nav[i])
+
+
+def one_sample(truth: Trajectory, i: int) -> Trajectory:
+    """The trajectory of truth's sample i alone: one camera pose."""
+    return Trajectory(truth.t[i:i + 1], truth.nav[i:i + 1], truth.omega[i:i + 1],
+                      truth.accel[i:i + 1])
+
+
 def test_single_straight_duration_and_heading():
     spec = TrajectorySpec([Straight(100.0, 10.0)])
     truth = generate_trajectory(spec)
-    assert abs(truth[-1].t - 10.0) < 1e-9
-    headings = [geom.so3_log(s.nav.quat)[2] for s in truth]
+    assert abs(truth.t[-1] - 10.0) < 1e-9
+    headings = [geom.so3_log(q)[2] for q in truth.quat]
     assert np.allclose(headings, headings[0], atol=1e-12)
-    assert abs(truth[-1].nav.pos[0] - 100.0) < 1e-3
+    assert abs(truth.pos[-1, 0] - 100.0) < 1e-3
 
 
 def test_arc_yaw_rate_plateau():
     spec = TrajectorySpec([Arc(20.0, 90.0, 10.0)])
     truth = generate_trajectory(spec)
-    rates = np.array([s.omega[2] for s in truth[1:]])
+    rates = truth.omega[1:, 2]
     plateau = np.isclose(rates, 0.5, atol=1e-9)
     assert plateau.mean() > 0.9  # whole arc is a plateau without neighbours
-    turn = (geom.so3_log(truth[-1].nav.quat)[2]
-            - geom.so3_log(truth[0].nav.quat)[2])
+    turn = geom.so3_log(truth.quat[-1])[2] - geom.so3_log(truth.quat[0])[2]
     assert abs(turn - np.pi / 2) < 2e-3
 
 
 def test_stop_segment_standstill():
     spec = TrajectorySpec([Stop(3.0), Straight(50.0, 8.0)])
     truth = generate_trajectory(spec)
-    for s in truth:
-        if s.t < 2.9:
-            assert np.allclose(s.omega, 0.0)
-            assert np.linalg.norm(s.nav.vel) < 1e-12
-    assert np.linalg.norm(truth[-1].nav.vel) > 7.0
+    still = truth.t < 2.9
+    assert still.sum() > 200
+    assert np.allclose(truth.omega[still], 0.0)
+    assert np.linalg.norm(truth.nav[still, 0:3], axis=1).max() < 1e-12
+    assert np.linalg.norm(truth.nav[-1, 0:3]) > 7.0
 
 
 def test_infeasible_arc_rejected():
@@ -62,10 +72,9 @@ def test_infeasible_arc_rejected():
 def test_kinematic_consistency_invariant():
     truth = generate_trajectory(urban_loop())
     worst = 0.0
-    for k in range(1, len(truth) - 1, 7):
-        pdot = (truth[k + 1].nav.pos - truth[k - 1].nav.pos) / (
-            truth[k + 1].t - truth[k - 1].t)
-        rv = geom.quat_to_rot(truth[k].nav.quat) @ truth[k].nav.vel
+    for k in range(1, len(truth.t) - 1, 7):
+        pdot = (truth.pos[k + 1] - truth.pos[k - 1]) / (truth.t[k + 1] - truth.t[k - 1])
+        rv = geom.quat_to_rot(truth.quat[k]) @ truth.nav[k, 0:3]
         worst = max(worst, float(np.max(np.abs(pdot - rv))))
     assert worst < 1e-4
 
@@ -73,15 +82,11 @@ def test_kinematic_consistency_invariant():
 def test_lateral_model_self_consistency():
     spec = urban_loop()
     truth = generate_trajectory(spec)
-    rates = np.array([s.omega[2] for s in truth])
-    steady = np.abs(rates - 0.4) < 1e-9
+    steady = np.abs(truth.omega[:, 2] - 0.4) < 1e-9
     assert steady.sum() > 500
-    worst = 0.0
-    for k in np.nonzero(steady)[0]:
-        s = truth[k]
-        pred = -spec.rho_sg * s.accel[1] * s.nav.vel[0]
-        worst = max(worst, abs(s.nav.vel[1] - pred) / abs(s.nav.vel[1]))
-    assert worst < 0.02
+    vel, accel = truth.nav[steady, 0:3], truth.accel[steady]
+    pred = -spec.rho_sg * accel[:, 1] * vel[:, 0]
+    assert np.max(np.abs(vel[:, 1] - pred) / np.abs(vel[:, 1])) < 0.02
 
 
 def test_closed_loop_zero_noise():
@@ -89,14 +94,14 @@ def test_closed_loop_zero_noise():
     truth = generate_trajectory(spec)
     err = SensorErrorSpec(GyroParams(), zero_noise=True)
     imu = synthesize_imu(truth, err)
-    nav = truth[0].nav.copy()
+    nav = nav_at(truth, 0).copy()
     t = 0.0
     worst = 0.0
-    for s, m in zip(truth[1:], imu):
+    for pos, m in zip(truth.pos[1:], imu):
         nav = NavState.from_row(rk4_nav(nav, correct_gyro(m[1:4], GyroParams())[None],
                                         m[None, 4:7], GRAVITY_VEC, np.array([m[0] - t]))[1])
         t = m[0]
-        worst = max(worst, float(np.max(np.abs(nav.pos - s.nav.pos))))
+        worst = max(worst, float(np.max(np.abs(nav.pos - pos))))
     assert worst < 1e-3
 
 
@@ -106,8 +111,8 @@ def test_imu_forward_error_model(rng):
     params = GyroParams(np.array([0.01, -0.02, 0.005]), 1.02, 0.01, -0.015)
     err = SensorErrorSpec(params, zero_noise=True)
     imu = synthesize_imu(truth, err)
-    for s, m in list(zip(truth[1:], imu))[::37]:
-        assert np.allclose(correct_gyro(m[1:4], params), s.omega, atol=1e-12)
+    for omega, m in list(zip(truth.omega[1:], imu))[::37]:
+        assert np.allclose(correct_gyro(m[1:4], params), omega, atol=1e-12)
 
 
 def test_injected_standstill_bias_visible():
@@ -136,7 +141,7 @@ def test_determinism_bit_identical():
     spec = TrajectorySpec([Straight(80.0, 10.0), Arc(30.0, 30.0, 8.0)])
     t1 = generate_trajectory(spec)
     t2 = generate_trajectory(spec)
-    assert all(np.array_equal(a.nav.pos, b.nav.pos) for a, b in zip(t1, t2))
+    assert np.array_equal(t1.nav, t2.nav)
     err = SensorErrorSpec(GyroParams(), seed=9)
     i1 = synthesize_imu(t1, err)
     i2 = synthesize_imu(t2, err)
@@ -147,9 +152,15 @@ def test_determinism_bit_identical():
 
 
 def bearings_of(truth, world, err, n_slots):
-    """synthesize_bearings on the camera view of truth's poses."""
+    """synthesize_bearings on the camera view of truth's poses, as frames
+    (t, [(slot, bearing)])."""
     cameras = camera_table(truth)
-    return synthesize_bearings(cameras, camera_view(world, cameras), err, n_slots)
+    t_obs, slots, bearings = synthesize_bearings(cameras, camera_view(world, cameras), err,
+                                                 n_slots)
+    frames = {}
+    for t, slot, q in zip(t_obs.tolist(), slots.tolist(), bearings):
+        frames.setdefault(t, []).append((slot, q))
+    return list(frames.items())
 
 
 def test_world_coverage_invariant():
@@ -158,8 +169,8 @@ def test_world_coverage_invariant():
     cameras = camera_table(truth)
     world = ensure_coverage(generate_world(truth, seed=0), cameras)
     assert np.diff(camera_view(world, cameras).start).min() >= 8
-    for s in truth[::CAMERA_STRIDE * 5]:
-        assert len(reference_visible_landmarks(world, s.nav)) >= 8
+    for row in truth.nav[::CAMERA_STRIDE * 5]:
+        assert len(reference_visible_landmarks(world, NavState.from_row(row))) >= 8
 
 
 def test_bearings_match_landmark_oracle():
@@ -168,10 +179,9 @@ def test_bearings_match_landmark_oracle():
     world = generate_world(truth, seed=1)
     err = SensorErrorSpec(GyroParams(), seed=0, zero_noise=True)
     frames = bearings_of(truth, world, err, 8)
-    t_by_time = {round(s.t, 6): s for s in truth}
     checked = 0
     for t, rows in frames[::4]:
-        nav = t_by_time[round(t, 6)].nav
+        nav = nav_at(truth, int(np.nonzero(truth.t == t)[0][0]))
         for slot, bearing in rows:
             p_obs = geom.quats_to_dirs(bearing)
             angles = []
@@ -221,8 +231,8 @@ def test_render_frame_blob_positions():
     spec = TrajectorySpec([Straight(30.0, 5.0)])
     truth = generate_trajectory(spec)
     world = np.array([[25.0, 2.0, 1.5]])
-    nav = truth[0].nav
-    img = render_frame(camera_view(world, camera_table(truth[:1])).bearings, None)
+    nav = nav_at(truth, 0)
+    img = render_frame(camera_view(world, camera_table(one_sample(truth, 0))).bearings, None)
     from viwo.image import detect_features
     from viwo.sensors import project
     feat = landmark_to_feature(world[0], nav, CAMERA_EXTRINSICS)
@@ -253,8 +263,8 @@ def test_simulated_frames_match_a_serial_render(tmp_path):
     shape = (DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width)
     serial = tmp_path / "serial.pgm"
     names = []
-    for k, s in enumerate(cameras.poses):
-        if s.t == 0.0:
+    for k, t in enumerate(cameras.t):
+        if t == 0.0:
             continue
         names.append(f"{k:06d}.pgm")
         save_pgm(serial, render_frame(view.bearings[view.rows(k)],
@@ -287,12 +297,10 @@ def test_simulate_leaves_no_thread_after_a_failed_write(tmp_path, monkeypatch):
 def test_highway_route_length_and_validity():
     spec = highway_route()
     truth = generate_trajectory(spec)
-    d = 0.0
-    for k in range(len(truth) - 1):
-        d += np.linalg.norm(truth[k + 1].nav.pos - truth[k].nav.pos)
+    d = np.linalg.norm(np.diff(truth.pos, axis=0), axis=1).sum()
     assert d > 4900.0
-    speeds = np.array([np.linalg.norm(s.nav.vel) for s in truth if s.t > 15.0])
-    lat = np.array([abs(s.accel[1]) for s in truth])
+    speeds = np.linalg.norm(truth.nav[truth.t > 15.0, 0:3], axis=1)
+    lat = np.abs(truth.accel[:, 1])
     assert speeds.min() > 10.0     # stays inside the lateral-model validity
     assert lat.max() < 4.0
 
@@ -304,6 +312,14 @@ def test_highway_route_length_and_validity():
 # bearings in array passes.  The functions below are the loops those passes
 # replaced, kept verbatim (a Phase's polynomials were its methods); every
 # array pass must give their bytes.
+
+@dataclass
+class TrajectorySample:
+    t: float
+    nav: NavState
+    omega: np.ndarray    # true body rate over the interval ending at t
+    accel: np.ndarray    # true specific force over the same interval
+
 
 class ReferencePhase(Phase):
     @property
@@ -543,14 +559,25 @@ def reference_render_frame(nav: NavState, world: np.ndarray, noise: np.ndarray |
     return Image(np.clip(data, 0.0, 255.0, out=data))
 
 
-def _truth_bytes(truth) -> bytes:
+def _truth_bytes(truth: Trajectory) -> bytes:
+    return np.column_stack((truth.t, truth.nav, truth.omega, truth.accel)).tobytes()
+
+
+def _reference_truth_bytes(truth: list[TrajectorySample]) -> bytes:
     return np.array([[s.t, *s.nav.vel, *s.nav.quat, *s.nav.pos, *s.omega, *s.accel]
                      for s in truth]).tobytes()
 
 
-def _frame_bytes(frames) -> tuple:
-    return ([t for t, _ in frames], [[slot for slot, _ in seen] for _, seen in frames],
-            np.array([q for _, seen in frames for _, q in seen]).tobytes())
+def _observation_bytes(t_obs, slots, bearings) -> tuple:
+    return t_obs.tobytes(), slots.tolist(), bearings.tobytes()
+
+
+def _reference_observation_bytes(frames) -> tuple:
+    """The reference's frames (t, [(slot, bearing)]) as one row per
+    observation, as synthesize_bearings gives them."""
+    return _observation_bytes(np.array([t for t, seen in frames for _ in seen]),
+                              np.array([slot for _, seen in frames for slot, _ in seen]),
+                              np.array([q for _, seen in frames for _, q in seen]))
 
 
 # mini_loop, and highway's standstill, first straight and first curve
@@ -578,7 +605,7 @@ def simulated(request):
 
 
 def test_truth_and_world_match_the_reference_loops(simulated):
-    assert _truth_bytes(simulated["truth"]) == _truth_bytes(simulated["ref_truth"])
+    assert _truth_bytes(simulated["truth"]) == _reference_truth_bytes(simulated["ref_truth"])
     assert simulated["world"].tobytes() == simulated["ref_world"].tobytes()
     assert simulated["covered"].shape[0] > simulated["world"].shape[0]   # points added
     assert simulated["covered"].tobytes() == simulated["ref_covered"].tobytes()
@@ -586,24 +613,25 @@ def test_truth_and_world_match_the_reference_loops(simulated):
 
 @pytest.mark.parametrize("zero_noise", [False, True], ids=["noisy", "zero_noise"])
 def test_sensor_streams_match_the_reference_loops(simulated, zero_noise):
-    truth, world = simulated["truth"], simulated["covered"]
+    truth, ref_truth, world = simulated["truth"], simulated["ref_truth"], simulated["covered"]
     err = SensorErrorSpec(INJECTED.copy(), seed=17, zero_noise=zero_noise)
     imu = synthesize_imu(truth, err)
-    ref_imu = reference_synthesize_imu(truth, err)
+    ref_imu = reference_synthesize_imu(ref_truth, err)
     assert imu.tobytes() == np.array([[m.t, *m.omega_m, *m.accel_m]
                                       for m in ref_imu]).tobytes()
     assert synthesize_wheel(truth, err).tobytes() == np.array(
-        reference_synthesize_wheel(truth, err)).tobytes()
-    frames = synthesize_bearings(simulated["cameras"], simulated["view"], err, 14)
-    assert _frame_bytes(frames) == _frame_bytes(
-        reference_synthesize_bearings(truth, world, err, n_slots=14))
+        reference_synthesize_wheel(ref_truth, err)).tobytes()
+    observations = synthesize_bearings(simulated["cameras"], simulated["view"], err, 14)
+    assert _observation_bytes(*observations) == _reference_observation_bytes(
+        reference_synthesize_bearings(ref_truth, world, err, n_slots=14))
 
 
 def test_rendered_frames_match_the_reference_loop(simulated):
     world, cameras, view = simulated["covered"], simulated["cameras"], simulated["view"]
-    for k in range(1, len(cameras.poses), 40):
+    for k in range(1, len(cameras.t), 40):
         assert (render_frame(view.bearings[view.rows(k)], None).data.tobytes()
-                == reference_render_frame(cameras.poses[k].nav, world, None).data.tobytes())
+                == reference_render_frame(NavState.from_row(cameras.nav[k]), world,
+                                          None).data.tobytes())
 
 
 def test_overlapping_blobs_add_in_bearing_order():
@@ -612,12 +640,12 @@ def test_overlapping_blobs_add_in_bearing_order():
     # them
     truth = generate_trajectory(TrajectorySpec([Straight(30.0, 5.0)]))
     world = np.array([[25.5, 2.1, 1.45], [25.0, 2.0, 1.5], [60.0, -3.0, 4.0]])
-    view = camera_view(world, camera_table(truth[:1]))
+    view = camera_view(world, camera_table(one_sample(truth, 0)))
     assert view.landmarks.tolist() == [1, 0, 2]
     near, far = (project(q, DEFAULT_INTRINSICS)[0] for q in view.bearings[:2])
     assert 0.0 < np.hypot(near[0] - far[0], near[1] - far[1]) < 3.0
     assert (render_frame(view.bearings, None).data.tobytes()
-            == reference_render_frame(truth[0].nav, world, None).data.tobytes())
+            == reference_render_frame(nav_at(truth, 0), world, None).data.tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -637,22 +665,74 @@ def test_view_matches_the_scalar_visibility(urban_worlds, name):
     world = worlds[name]
     view = camera_view(world, cameras)
     seen = np.diff(view.start)
-    assert len(cameras.poses) > 16 * VIEW_BLOCK_POSES
+    assert len(cameras.t) > 16 * VIEW_BLOCK_POSES
     assert seen.max() > 0
     if name == "first_station":
         assert (seen == 0).any()
-    for k, s in enumerate(cameras.poses):
-        vis = reference_visible_landmarks(world, s.nav)
+    assert_view_is_the_scalar_visibility(world, cameras, view)
+
+
+def test_view_keeps_the_points_at_the_range_limits():
+    # points at 79.9, 80.0 and 80.1 m and near 2 m from the first and the
+    # last camera of a 64-pose block; on a straight, the last camera's far
+    # points are the block's farthest visible ones from its hub, which the
+    # range prefilter must keep
+    truth = generate_trajectory(TrajectorySpec([Straight(300.0, 14.0)]))
+    cameras = camera_table(truth)
+    assert len(cameras.t) > 2 * VIEW_BLOCK_POSES
+    dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.3, -0.1], [1.0, -0.35, 0.2]])
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]      # camera frame, all in the image
+    ranges = [1.99, 2.0, 2.01, MAX_RANGE - 0.1, MAX_RANGE, MAX_RANGE + 0.1]
+    poses = (VIEW_BLOCK_POSES, 2 * VIEW_BLOCK_POSES - 1)
+    pts = [cameras.centers[k] + cameras.r_cw[k].T @ (d * r)
+           for k in poses for r in ranges for d in dirs]
+    world = np.array(pts + pts[9:12])     # repeated points tie in range
+    view = camera_view(world, cameras)
+    assert_view_is_the_scalar_visibility(world, cameras, view)
+    per_pose = len(ranges) * len(dirs)
+    for i, k in enumerate(poses):
+        seen = set(view.landmarks[view.rows(k)].tolist())
+        first = i * per_pose
+        assert set(range(first + 6, first + 12)) <= seen, k      # 2.01 and 79.9 m
+        assert not seen & set(range(first, first + 3)), k        # 1.99 m
+        assert not seen & set(range(first + 15, first + 18)), k  # 80.1 m
+
+
+def test_view_of_a_lone_nearby_point_at_the_range_limit():
+    # the range prefilter leaves one point in the block of a camera turned
+    # by about 45 degrees; one-row and many-row products round the camera
+    # frame apart in the last bit for some of these points 80 m away, so the
+    # view must take the product the whole world takes
+    truth = generate_trajectory(mini_loop())
+    cameras = camera_table(truth)
+    k = int(np.argmin(np.abs(np.abs(cameras.r_cw[:, 0, 1]) - 0.7)))
+    i = CAMERA_STRIDE * k
+    one_pose = camera_table(one_sample(truth, i))
+    nav, center, r_wc = nav_at(truth, i), one_pose.centers[0], one_pose.r_cw[0].T
+    far = center + np.array([1e4, 0.0, 0.0])
+    dirs = np.random.default_rng(0).normal(size=(20, 3)) * [0.05, 0.3, 0.2] + [1.0, 0.0, 0.0]
+    for d in dirs / np.linalg.norm(dirs, axis=1)[:, None]:
+        at_limit = r_wc @ (d * MAX_RANGE)
+        for ulps in range(-6, 7):
+            world = np.array([center + at_limit * (1.0 + ulps * 1.1e-16), far])
+            assert (camera_view(world, one_pose).landmarks.tolist()
+                    == reference_visible_landmarks(world, nav)), (d, ulps)
+
+
+def assert_view_is_the_scalar_visibility(world, cameras, view):
+    for k, row in enumerate(cameras.nav):
+        nav = NavState.from_row(row)
+        vis = reference_visible_landmarks(world, nav)
         assert view.landmarks[view.rows(k)].tolist() == vis, k
         if vis:
             assert (view.bearings[view.rows(k)].tobytes()
-                    == landmark_to_feature(world[vis], s.nav, CAMERA_EXTRINSICS).bearing.tobytes())
+                    == landmark_to_feature(world[vis], nav, CAMERA_EXTRINSICS).bearing.tobytes())
 
 
 @pytest.mark.parametrize("offset", [[-5.0, 0.3, 0.2], [0.05, 0.0, 0.01]],
                          ids=["behind_the_camera", "below_minimum_depth"])
 def test_landmark_kernel_raises_like_the_scalar(offset):
-    nav = generate_trajectory(mini_loop())[500].nav
+    nav = nav_at(generate_trajectory(mini_loop()), 500)
     r_wb = geom.quat_to_rot(nav.quat)
     cam = nav.pos + r_wb @ CAMERA_EXTRINSICS.lever_arm
     bad = cam + r_wb @ CAMERA_EXTRINSICS.r_cb.T @ np.array(offset)
