@@ -461,6 +461,17 @@ def _mahalanobis3(sig, r) -> float | None:
 _MAHALANOBIS = {2: _mahalanobis2, 3: _mahalanobis3}
 
 
+def prepare_frame(img: Image) -> tuple[list[Image], np.ndarray]:
+    """The part of an image frame that reads no filter state: the frame's
+    pyramid, with every level computed, and its FAST detections on level 0.
+    A level's strips give the same bits in any order, so the filter reads
+    the pyramid as if its samplers had computed the strips they read."""
+    pyramid = build_pyramid(img)
+    for level in pyramid[1:]:
+        level.data
+    return pyramid, detect_features(img)
+
+
 class AdaptiveEkf:
     """Single-writer filter instance; see module docstring for conventions."""
 
@@ -678,6 +689,8 @@ class AdaptiveEkf:
         prediction gate, in slot order.  With none or several candidates the
         slot is skipped this frame, rejecting ambiguous associations between
         identical-looking targets."""
+        if not len(detections):
+            return []   # a featureless frame: no slot has a candidate
         slots = [slot for slot in np.flatnonzero(self._active).tolist()
                  if self.patches[slot] is not None]
         uv, seen = project_rows(self._qf[slots], self.intr)
@@ -922,14 +935,16 @@ class AdaptiveEkf:
         self._check_covariances()
         return report
 
-    def process_image_frame(self, t: float, img: Image,
+    def process_image_frame(self, t: float, pyramid: list[Image], detections: np.ndarray,
                             vehicle: VehicleVelocityMeasurement | None = None
                             ) -> dict:
-        """Rendered/recorded-frame update via patch intensity residuals."""
+        """Rendered/recorded-frame update via patch intensity residuals,
+        from a frame's pyramid and detections (prepare_frame's products):
+        update then feature management.  Neither is kept after the call:
+        the stored templates are new arrays, so the caller may reuse the
+        pyramid's memory for another frame."""
         if self.intr is None:
             raise ValueError("image mode requires camera intrinsics")
-        pyramid = build_pyramid(img)
-        detections = detect_features(img)
         groups = self._vehicle_and_zupt_groups(t, vehicle)
         # every gated template is aligned in one lockstep call; the groups
         # keep slot order, which fixes the order of the stacked rows

@@ -5,6 +5,9 @@ shell): simulate a dataset directory, run the filter over a dataset in
 timestamp order, and evaluate estimate-vs-truth trajectories.
 """
 
+import os
+import pickle
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -16,8 +19,8 @@ from . import dataio, geom, sim
 from .dynamics import MAX_STEP_S, MIN_YAW_SCALE, GyroParams, ImuSample, NavState
 from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
-from .filter import AdaptiveEkf, NoiseConfig
-from .image import load_pgm, save_pgm
+from .filter import AdaptiveEkf, NoiseConfig, prepare_frame
+from .image import Image, load_pgm, save_pgm
 from .sensors import DEFAULT_INTRINSICS, CameraIntrinsics, VehicleVelocityMeasurement
 
 
@@ -276,6 +279,129 @@ def _bearing_frames(path, rows: np.ndarray) -> list:
     return [(t[a], list(zip(slots[a:b], quats[a:b]))) for a, b in zip(starts, ends)]
 
 
+def _read_frame(path, intr: CameraIntrinsics) -> Image:
+    """The PGM frame at path, checked against calib.txt's image size."""
+    try:
+        img = load_pgm(path)
+    except ValueError as exc:
+        raise dataio.DataError(f"{path}: {exc}") from None
+    if (img.width, img.height) != (intr.width, intr.height):
+        raise dataio.DataError(
+            f"{path}: frame is {img.width}x{img.height} px, calib.txt "
+            f"cam.width x cam.height is {intr.width}x{intr.height}")
+    return img
+
+
+FRAME_SLOTS = 3   # ring slots: the frame the filter reads and two prepared ahead
+
+
+class FrameRing:
+    """FRAME_SLOTS slots, each one frame's level-0 and level-1 pixels, in
+    one anonymous shared mapping: made before a fork, it is the same memory
+    in both processes."""
+
+    def __init__(self, width: int, height: int):
+        import mmap   # here, so that importing viwo.pipeline does not load it
+        shapes = ((height, width), (height // 2, width // 2))
+        split = height * width
+        size = split + shapes[1][0] * shapes[1][1]
+        self.pixels = np.frombuffer(mmap.mmap(-1, FRAME_SLOTS * size * 8), dtype=float)
+        self.levels = [(row[:split].reshape(shapes[0]), row[split:].reshape(shapes[1]))
+                       for row in self.pixels.reshape(FRAME_SLOTS, size)]
+
+    def store(self, slot: int, pyramid: list[Image]) -> None:
+        """Copy a two-level pyramid's pixels into a slot."""
+        for slot_level, level in zip(self.levels[slot], pyramid):
+            slot_level[...] = level.data
+
+    def pyramid(self, slot: int) -> list[Image]:
+        """The levels of a slot as a pyramid that shares the ring's memory."""
+        return [Image(level) for level in self.levels[slot]]
+
+
+class FrameWorker:
+    """A forked process that reads, checks and prepares (prepare_frame) the
+    frames at paths in order, each into the next slot of a FrameRing.
+
+    Per frame it sends the detections, or the exception the frame raised
+    (after which it stops), over a pipe; next raises that exception when
+    the run reaches the frame.  Before it fills a slot again it waits for
+    the run to release it, so it is at most FRAME_SLOTS - 1 frames ahead.
+    At EOF on that wait, the parent being gone, it exits.  close kills and
+    reaps it.  The slots are copied from the same arrays the filter would
+    compute itself, so a run's outputs do not depend on the worker.  The
+    worker runs file reads and numpy's elementwise passes, no BLAS call, so
+    BLAS's own threads in the parent do not make the fork unsafe.
+    """
+
+    def __init__(self, paths: list, intr: CameraIntrinsics):
+        self.ring = FrameRing(intr.width, intr.height)
+        self._count = len(paths)
+        self._next = 0
+        results_r, results_w = os.pipe()
+        release_r, self._release = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (results_r, results_w, release_r, self._release):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(results_r)
+                os.close(self._release)
+                self._prepare(paths, intr, os.fdopen(results_w, "wb"), release_r)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(results_w)
+        os.close(release_r)
+        self._results = os.fdopen(results_r, "rb")
+
+    def _prepare(self, paths: list, intr: CameraIntrinsics, out, release: int) -> None:
+        """The worker's loop."""
+        for i, path in enumerate(paths):
+            if i >= FRAME_SLOTS and not os.read(release, 1):
+                return
+            try:
+                pyramid, detections = prepare_frame(_read_frame(path, intr))
+                self.ring.store(i % FRAME_SLOTS, pyramid)
+            except Exception as exc:
+                pickle.dump(exc, out)
+                out.flush()
+                return
+            pickle.dump(detections, out)
+            out.flush()
+
+    def next(self) -> tuple[list[Image], np.ndarray]:
+        """The next frame's pyramid, backed by its slot, and detections; or
+        the exception the worker sent for the frame, raised."""
+        try:
+            got = pickle.load(self._results)
+        except EOFError:
+            raise RuntimeError(f"the frame worker exited before frame {self._next + 1} "
+                               f"of {self._count}") from None
+        if isinstance(got, BaseException):
+            raise got
+        pyramid = self.ring.pyramid(self._next % FRAME_SLOTS)
+        self._next += 1
+        return pyramid, got
+
+    def release(self) -> None:
+        """Hand the slot of the frame next returned last back to the worker,
+        if a frame is still to go in it."""
+        if self._next - 1 + FRAME_SLOTS < self._count:
+            os.write(self._release, b"\0")
+
+    def close(self) -> None:
+        """Kill and reap the worker, and close the pipes."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self._results.close()
+        os.close(self._release)
+
+
 @dataclass
 class RunResult:
     t: np.ndarray
@@ -317,28 +443,26 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
     nav0.vel = np.array([ds.wheel[0, 1], 0.0, 0.0])
     ekf.initialize(t0, nav0)
 
-    # (time, payload) per frame and the filter step that consumes it; a
-    # wheel-IMU-only run updates with vehicle rows alone at 10 Hz
+    # (time, payload) per frame; a wheel-IMU-only run updates with vehicle
+    # rows alone at 10 Hz
+    image = not cfg.wheel_imu_only and cfg.measurement_mode == "image"
     if cfg.wheel_imu_only:
         stride = max(1, int(round(0.1 / max(np.median(np.diff(ds.imu[:, 0])), 1e-3))))
         frames = [(ds.imu[k, 0], []) for k in range(stride - 1, ds.imu.shape[0], stride)]
-        process = ekf.process_bearing_frame
-    elif cfg.measurement_mode == "bearing":
-        frames = ds.bearing_frames
-        process = ekf.process_bearing_frame
-    else:
+    elif image:
         frames = ds.image_frames
+    else:
+        frames = ds.bearing_frames
 
-        def process(t, path, veh):
-            try:
-                img = load_pgm(path)
-            except ValueError as exc:
-                raise dataio.DataError(f"{path}: {exc}") from None
-            if (img.width, img.height) != (ds.intr.width, ds.intr.height):
-                raise dataio.DataError(
-                    f"{path}: frame is {img.width}x{img.height} px, calib.txt "
-                    f"cam.width x cam.height is {ds.intr.width}x{ds.intr.height}")
-            return ekf.process_image_frame(t, img, veh)
+    # a frame fires after the predict up to the first IMU sample stamped
+    # t >= t_frame - 1e-9 (or the last one): the samples up to it are one
+    # block.  The frame is used when that sample is at most 5 ms from it;
+    # one stamped after the last sample is never reached.
+    n_imu = ds.imu.shape[0]
+    stamps = np.array([f[0] for f in frames], dtype=float)
+    fire = np.searchsorted(ds.imu[:-1, 0] + 1e-9, stamps, side="left")
+    at = ds.imu[fire, 0]
+    used = ((stamps <= at + 1e-9) & (np.abs(stamps - at) <= 5e-3)).tolist()
 
     frame_idx = 0
     frames_skipped = 0
@@ -350,27 +474,40 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         vec = ekf.params.as_vector()
         param_rows.append((t, vec, np.diag(ekf.param_cov).copy()))
 
-    # a frame fires after the predict up to the first IMU sample stamped
-    # t >= t_frame - 1e-9 (or the last one): the samples up to it are one block
-    n_imu = ds.imu.shape[0]
-    fire = np.searchsorted(ds.imu[:-1, 0] + 1e-9, [f[0] for f in frames], side="left")
     log_state(t0)
     k = 0
-    while k < n_imu:
-        end = n_imu - 1 if frame_idx == len(frames) else int(fire[frame_idx])
-        ekf.predict([ImuSample(row[0], row[1:4], row[4:7]) for row in ds.imu[k:end + 1]])
-        for j in range(k, end + 1):
-            ekf.note_wheel(ds.wheel[j, 0], ds.wheel[j, 1])
-        k, row = end + 1, ds.imu[end]
-        while frame_idx < len(frames) and frames[frame_idx][0] <= row[0] + 1e-9:
-            ft, payload = frames[frame_idx]
-            frame_idx += 1
-            if abs(ft - row[0]) > 5e-3:
-                frames_skipped += 1  # next imu sample more than 5 ms later
-                continue
-            veh = VehicleVelocityMeasurement(ft, float(ds.wheel[end, 1]), float(row[5]))
-            process(ft, payload, veh)
-            log_state(ft)
+    worker = None
+    if image:
+        # the worker reads and prepares the frames the run uses, in order,
+        # ahead of the filter
+        worker = FrameWorker([path for (_, path), ok in zip(frames, used) if ok], ds.intr)
+
+        def process(t, path, veh):
+            pyramid, detections = worker.next()
+            report = ekf.process_image_frame(t, pyramid, detections, veh)
+            worker.release()
+            return report
+    else:
+        process = ekf.process_bearing_frame
+    try:
+        while k < n_imu:
+            end = n_imu - 1 if frame_idx == len(frames) else int(fire[frame_idx])
+            ekf.predict([ImuSample(row[0], row[1:4], row[4:7]) for row in ds.imu[k:end + 1]])
+            for j in range(k, end + 1):
+                ekf.note_wheel(ds.wheel[j, 0], ds.wheel[j, 1])
+            k, row = end + 1, ds.imu[end]
+            while frame_idx < len(frames) and frames[frame_idx][0] <= row[0] + 1e-9:
+                ft, payload = frames[frame_idx]
+                frame_idx += 1
+                if not used[frame_idx - 1]:
+                    frames_skipped += 1  # next imu sample more than 5 ms later
+                    continue
+                veh = VehicleVelocityMeasurement(ft, float(ds.wheel[end, 1]), float(row[5]))
+                process(ft, payload, veh)
+                log_state(ft)
+    finally:
+        if worker is not None:
+            worker.close()
     frames_skipped += len(frames) - frame_idx   # stamped after the last imu sample
     if traj_rows[-1][0] < ds.imu[-1, 0]:
         log_state(ds.imu[-1, 0])

@@ -486,7 +486,13 @@ def ensure_coverage(world: np.ndarray, cameras: CameraTable, seed: int = 1) -> n
                   + np.array([0, 0, rng.uniform(0.0, 6.0)]))[None]
             pts.append(pt)
             near = k + _near(cameras.centers[k:], pt[0], MAX_RANGE)
-            seen[near[_pairs(pt, cameras.r_cw[near], cameras.centers[near])[0]]] += 1
+            # with points 0 and 1 along, as in _visible: the point's pairs
+            # take the matrix kernel of camera_view's pass, not the vector
+            # kernel of a lone row, whose last bits can decide a pair at the
+            # range limit or the image border
+            probe = np.vstack((pts[0][:2], pt))
+            pose, lm, _ = _pairs(probe, cameras.r_cw[near], cameras.centers[near])
+            seen[near[pose[lm == len(probe) - 1]]] += 1
     return np.vstack(pts)
 
 

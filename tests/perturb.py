@@ -41,6 +41,13 @@ def drop(ds, name):
     return {}
 
 
+def truncate(ds, name, size):
+    """Cuts the file name to its first size bytes."""
+    path = ds / name
+    path.write_bytes(path.read_bytes()[:size])
+    return {}
+
+
 def _set_key(path, key, value):
     kv = dataio.load_kv(path)
     kv[key] = value.split()

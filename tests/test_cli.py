@@ -13,7 +13,8 @@ import pytest
 
 import perturb
 from viwo import dataio
-from viwo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main
+from viwo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from viwo.filter import AdaptiveEkf
 from viwo.pipeline import RunConfig
 from viwo.sensors import DEFAULT_INTRINSICS
 from viwo.sim import CAMERA_EXTRINSICS
@@ -367,6 +368,48 @@ def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut):
     assert "data error" in proc.stderr and "000001.pgm" in proc.stderr
 
 
+@pytest.mark.parametrize("case, code", [("clean", EXIT_OK), ("bad_frame", EXIT_DATA),
+                                        ("numerical", EXIT_NUMERIC)])
+def test_image_run_leaves_no_process(mini_dataset, tmp_path, monkeypatch, case, code):
+    # the run forks one frame worker and reaps it whether it ends normally,
+    # on a frame's data error or on a numerical failure, both raised on the
+    # fourth of six frames, with the worker ahead of the filter
+    ds = shutil.copytree(mini_dataset, tmp_path / "ds")
+    t = perturb.add_frames(ds, (480, 640), lambda t: t[100:400:50])["t"]
+    if case == "bad_frame":
+        shutil.copyfile(ds / "frames" / "000001.pgm", ds / "frames" / "000002.pgm")
+        perturb.truncate(ds, "frames/000002.pgm", 1000)
+        names = ["frames/000001.pgm"] * len(t)
+        names[3] = "frames/000002.pgm"
+        dataio.write_csv(ds / "frames.csv", dataio.FRAMES_HEADER, list(zip(t, names)))
+    calls = []
+    process_image_frame = AdaptiveEkf.process_image_frame
+
+    def counting(self, *args):
+        calls.append(args)
+        if case == "numerical" and len(calls) == 4:
+            raise FloatingPointError("raised by the test")
+        return process_image_frame(self, *args)
+
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(AdaptiveEkf, "process_image_frame", counting)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out"),
+                 "--mode", "image"]) == code
+    assert len(pids) == 1
+    assert len(calls) == {"clean": 6, "bad_frame": 3, "numerical": 4}[case]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # Input defects, one row each: the perturbations of a copy of mini_dataset,
 # the command, its exit code and what it must say: whole report.txt lines
 # for exit 0, stderr fragments otherwise (after "config error" for exit 2 or
@@ -474,6 +517,16 @@ INPUT_DEFECTS = [
     # a frame cropped to 320x240 against the 640x480 of calib.txt
     defect("frame_size", [(perturb.add_frames, (240, 320), lambda t: t[100:101])],
            IMAGE_RUN, EXIT_DATA, "000001.pgm", "320x240", CAM_SIZE),
+    # refused when the run reaches it, with the file named
+    defect("frame_missing", [(perturb.add_frames, (480, 640), lambda t: t[100:101]),
+                             (perturb.drop, "frames/000001.pgm")],
+           IMAGE_RUN, EXIT_DATA, "000001.pgm"),
+    # stamped 4 ms after an IMU sample, so 6 ms before the next: the run
+    # skips the frame, and a frame it skips is never read
+    defect("frame_truncated_skipped",
+           [(perturb.add_frames, (480, 640), lambda t: t[100:101] + 0.004),
+            (perturb.truncate, "frames/000001.pgm", 10)],
+           IMAGE_RUN, EXIT_OK, "frames_skipped: 1", "camera_rows: 0"),
     # refused with its row named, rather than every later frame skipped
     defect("frame_stamp_nan", [(perturb.add_frames, (480, 640),
                                 lambda t: np.r_[t[100:140:10], np.nan, t[150:180:10]])],

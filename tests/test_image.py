@@ -6,6 +6,8 @@ from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
                         FAST_THRESHOLD, PATCH_GRID, Image, PatchLevel, _contiguous_at_least,
                         build_pyramid, detect_features, extract_patch_set,
                         intensity_residual, klt_align, load_pgm, save_pgm)
+from viwo.filter import prepare_frame
+from viwo.pipeline import FrameRing
 from viwo.sim import (IMAGE_NOISE, Straight, TrajectorySpec, camera_table, camera_view,
                       generate_trajectory, generate_world, render_frame)
 
@@ -556,3 +558,35 @@ def test_klt_align_mixes_every_exit_as_the_reference():
             assert all(intensity_residual(p, pyramid, (wu, wv), lvl) is not None
                        for lvl in range(2))
     assert_klt_matches_reference(img, [cases["drift"][0]], [cases["drift"][1]])
+
+
+def test_ring_slot_pyramid_shares_no_memory_with_templates_or_tracks():
+    # an image run reads each frame from a slot of the frame worker's ring,
+    # which a later frame rewrites: what the filter keeps of a frame, the
+    # templates and the tracks, must be new memory, with the bits of the
+    # frame's own pyramid
+    img = Image(TEST_IMAGES["rendered_seed1_0"])
+    ring = FrameRing(img.width, img.height)
+    pyramid, detections = prepare_frame(img)
+    ring.store(1, pyramid)
+    slot = ring.pyramid(1)
+    assert all(np.shares_memory(level.data, ring.pixels) for level in slot)
+    patches = [extract_patch_set(slot, u, v) for u, v in detections]
+    own = [extract_patch_set(pyramid, u, v) for u, v in detections]
+    assert [p is None for p in patches] == [p is None for p in own]
+    patches = [p for p in patches if p is not None]
+    own = [p for p in own if p is not None]
+    assert len(patches) >= 3
+    arrays = [a for patch in patches for level in patch for a in (level.intensities, level.grad)]
+    assert not any(np.shares_memory(a, ring.pixels) for a in arrays)
+    assert [a.tobytes() for a in arrays] == \
+        [a.tobytes() for patch in own for level in patch for a in (level.intensities, level.grad)]
+    starts = detections[:len(patches)] + 0.5
+    tracks = klt_align(patches, slot, starts)
+    assert tracks == klt_align(own, pyramid, starts)
+    assert all(type(x) is float for x in tracks[0] + tracks[1])
+    # the slot taken by another frame leaves the templates as they were
+    kept = [a.copy() for a in arrays]
+    ring.levels[1][0][...] = 0.0
+    ring.levels[1][1][...] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))

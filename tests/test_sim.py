@@ -719,6 +719,36 @@ def test_view_of_a_lone_nearby_point_at_the_range_limit():
                     == reference_visible_landmarks(world, nav)), (d, ulps)
 
 
+def test_coverage_counts_an_added_point_at_the_range_limit_as_the_view_does():
+    # a second camera 80 m (to within 4 ulps) from the first point that
+    # ensure_coverage adds for the first, which looks at that point from all
+    # around: the coverage count of the second camera is the view's, so the
+    # view gives it the 8 landmarks ensure_coverage promises.  One-row and
+    # many-row products round the camera frame apart in the last bit, which
+    # decides the pair for some of these cameras.
+    seed = 1
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
+    first = np.array([rng.uniform(8, 35), rng.uniform(-12, 12), rng.uniform(0.0, 6.0)])
+    far = np.array([[1e4, 1e4, 0.0], [1e4 + 1.0, 1e4, 0.0]])   # seen by neither camera
+    nav = np.zeros((CAMERA_STRIDE + 1, 10))
+    nav[:, 3] = 1.0
+    short = []
+    for yaw in np.linspace(0.0, 2.0 * np.pi, 144, endpoint=False):
+        axis = np.array([np.cos(yaw), np.sin(yaw), 0.0])
+        r_wb = np.array([axis, [-axis[1], axis[0], 0.0], [0.0, 0.0, 1.0]]).T
+        nav[-1, 3:7] = [np.cos(yaw / 2.0), 0.0, 0.0, np.sin(yaw / 2.0)]
+        for ulps in range(-4, 5):
+            center = first - (MAX_RANGE + ulps * np.spacing(MAX_RANGE)) * axis
+            nav[-1, 7:10] = center - r_wb @ CAMERA_EXTRINSICS.lever_arm
+            cameras = camera_table(Trajectory(np.arange(len(nav)) * 0.01, nav,
+                                              np.zeros((len(nav), 3)), np.zeros((len(nav), 3))))
+            world = ensure_coverage(far, cameras, seed=seed)
+            assert world[2].tobytes() == first.tobytes()
+            if np.diff(camera_view(world, cameras).start).min() < 8:
+                short.append((float(yaw), ulps))
+    assert short == []
+
+
 def assert_view_is_the_scalar_visibility(world, cameras, view):
     for k, row in enumerate(cameras.nav):
         nav = NavState.from_row(row)
