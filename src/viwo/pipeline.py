@@ -20,7 +20,7 @@ from .dynamics import MAX_STEP_S, MIN_YAW_SCALE, GyroParams, ImuSample, NavState
 from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
 from .filter import AdaptiveEkf, NoiseConfig, prepare_frame
-from .image import Image, load_pgm, save_pgm
+from .image import PYRAMID_LEVELS, Image, load_pgm, save_pgm
 from .sensors import DEFAULT_INTRINSICS, CameraIntrinsics, VehicleVelocityMeasurement
 
 
@@ -296,21 +296,22 @@ FRAME_SLOTS = 3   # ring slots: the frame the filter reads and two prepared ahea
 
 
 class FrameRing:
-    """FRAME_SLOTS slots, each one frame's level-0 and level-1 pixels, in
-    one anonymous shared mapping: made before a fork, it is the same memory
-    in both processes."""
+    """FRAME_SLOTS slots, each the pixels of one frame's PYRAMID_LEVELS
+    levels, in one anonymous shared mapping: made before a fork, it is the
+    same memory in both processes."""
 
     def __init__(self, width: int, height: int):
         import mmap   # here, so that importing viwo.pipeline does not load it
-        shapes = ((height, width), (height // 2, width // 2))
-        split = height * width
-        size = split + shapes[1][0] * shapes[1][1]
-        self.pixels = np.frombuffer(mmap.mmap(-1, FRAME_SLOTS * size * 8), dtype=float)
-        self.levels = [(row[:split].reshape(shapes[0]), row[split:].reshape(shapes[1]))
-                       for row in self.pixels.reshape(FRAME_SLOTS, size)]
+        # each level halves the one before, rounding down (Image.downsample)
+        shapes = [(height >> level, width >> level) for level in range(PYRAMID_LEVELS)]
+        bounds = np.cumsum([0] + [h * w for h, w in shapes]).tolist()
+        self.pixels = np.frombuffer(mmap.mmap(-1, FRAME_SLOTS * bounds[-1] * 8), dtype=float)
+        self.levels = [[row[a:b].reshape(shape) for a, b, shape in
+                        zip(bounds, bounds[1:], shapes)]
+                       for row in self.pixels.reshape(FRAME_SLOTS, -1)]
 
     def store(self, slot: int, pyramid: list[Image]) -> None:
-        """Copy a two-level pyramid's pixels into a slot."""
+        """Copy a pyramid's pixels into a slot."""
         for slot_level, level in zip(self.levels[slot], pyramid):
             slot_level[...] = level.data
 
