@@ -463,13 +463,8 @@ _MAHALANOBIS = {2: _mahalanobis2, 3: _mahalanobis3}
 
 def prepare_frame(img: Image) -> tuple[list[Image], np.ndarray]:
     """The part of an image frame that reads no filter state: the frame's
-    pyramid, with every level computed, and its FAST detections on level 0.
-    A level's strips give the same bits in any order, so the filter reads
-    the pyramid as if its samplers had computed the strips they read."""
-    pyramid = build_pyramid(img)
-    for level in pyramid[1:]:
-        level.data
-    return pyramid, detect_features(img)
+    pyramid and its FAST detections on level 0."""
+    return build_pyramid(img), detect_features(img)
 
 
 class AdaptiveEkf:

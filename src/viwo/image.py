@@ -14,9 +14,7 @@ match them bit for bit; they only make fewer elements go through them, by
 working on flat indices, at the candidate pixels and in strips of rows that
 stay in cache.  Likewise the tracker aligns a frame's templates in lockstep,
 one sampler call per step for all of them, and must match the tracker of
-one template at a time kept there.  A pyramid's coarse level computes each strip the first time
-a sampler reads one of its rows, from rows of the finer image alone, so its
-bits do not depend on which strips are ever computed, or in which order.
+one template at a time kept there.
 """
 
 import os
@@ -34,38 +32,19 @@ class Image:
 
     def __init__(self, data: np.ndarray):
         # C order, so the samplers and the detector can index the flat buffer
-        self._data = np.ascontiguousarray(data, dtype=float)
-        if self._data.ndim != 2:
+        self.data = np.ascontiguousarray(data, dtype=float)
+        if self.data.ndim != 2:
             raise ValueError("image data must be 2-D")
-        self.height, self.width = self._data.shape
-        # first finer-image rows of the strips still to compute (downsample)
-        self._pending: set[int] = set()
-
-    @property
-    def data(self) -> np.ndarray:
-        """The pixel grid, every strip computed."""
-        for r0 in sorted(self._pending):
-            self._compute_strip(r0)
-        return self._data
+        self.height, self.width = self.data.shape
 
     def _cells(self, u, v):
         """Corner values i00, i01, i10, i11 of the bilinear cell holding each
-        (u, v), clipped to the grid, and the offsets fu, fv inside it.  The
-        only place where pixels are read by sub-pixel access, so a
-        downsampled level computes here the strips holding the rows read."""
+        (u, v), clipped to the grid, and the offsets fu, fv inside it."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         u0 = np.minimum(np.maximum(np.floor(u).astype(int), 0), self.width - 2)
         v0 = np.minimum(np.maximum(np.floor(v).astype(int), 0), self.height - 2)
-        if self._pending:
-            # the strips holding a level row v0 or v0 + 1
-            hit = np.zeros(2 * self.height // _STRIP_ROWS + 1, dtype=bool)
-            hit[2 * v0 // _STRIP_ROWS] = True
-            hit[(2 * v0 + 2) // _STRIP_ROWS] = True
-            for strip in np.flatnonzero(hit).tolist():
-                if strip * _STRIP_ROWS in self._pending:
-                    self._compute_strip(strip * _STRIP_ROWS)
-        flat = self._data.ravel()
+        flat = self.data.ravel()
         i00 = v0 * self.width + u0
         i10 = i00 + self.width
         return flat[i00], flat[i00 + 1], flat[i10], flat[i10 + 1], u - u0, v - v0
@@ -91,53 +70,45 @@ class Image:
         The pre-smoothing widens structures relative to the coarser grid so
         coarse-to-fine alignment keeps a useful pull-in basin.  Each 5-tap
         pass sums its terms left to right over edge-replicated borders.
-
-        The level is computed in strips of _STRIP_ROWS rows of this image:
-        each as the samplers first read it, and all left when data is read.
+        The level is computed in strips of _STRIP_ROWS rows of this image.
         """
-        hh = (self.height // 2) * 2
-        level = Image(np.empty((hh // 2, self.width // 2)))
-        level._source = self
-        level._pending = set(range(0, hh, _STRIP_ROWS))
-        return level
-
-    def _compute_strip(self, r0: int) -> None:
-        """Compute the level rows of the finer image's strip from row r0."""
-        self._pending.discard(r0)
-        d = self._source.data
+        d = self.data
         h, w = d.shape
         k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
         hh = (h // 2) * 2
         ww = (w // 2) * 2
-        # The strip of rows is smoothed on a flat copy with 2 edge pixels
+        level = np.empty((hh // 2, w // 2))
+        # Each strip of rows is smoothed on a flat copy with 2 edge pixels
         # added on every side, so that the taps of both passes are
         # contiguous slices.  The 4 added columns of a row take sums across
         # row ends and are never read; the 4 zeros after the last row keep
         # those sums finite.
         pw = w + 4
-        r1 = min(r0 + _STRIP_ROWS, hh)
-        n = r1 - r0
-        m = (n + 4) * pw
-        flat = np.empty(m + 4)
-        flat[m:] = 0.0
-        pad = flat[:m].reshape(n + 4, pw)
-        np.take(d, np.arange(r0 - 2, r1 + 2), axis=0, mode="clip", out=pad[:, 2:w + 2])
-        pad[:, :2] = pad[:, 2:3]
-        pad[:, w + 2:] = pad[:, w + 1:w + 2]
-        term = np.empty(m)
-        across = np.multiply(flat[0:m], k[0])
-        for i in range(1, 5):
-            across += np.multiply(flat[i:i + m], k[i], out=term)
-        term = term[:n * pw]
-        down = np.multiply(across[0:n * pw], k[0])
-        for i in range(1, 5):
-            down += np.multiply(across[i * pw:(i + n) * pw], k[i], out=term)
-        down = down.reshape(n, pw)
-        quad = self._data[r0 // 2:r1 // 2]
-        np.add(down[0::2, 0:ww:2], down[0::2, 1:ww:2], out=quad)
-        quad += down[1::2, 0:ww:2]
-        quad += down[1::2, 1:ww:2]
-        quad *= 0.25
+        for r0 in range(0, hh, _STRIP_ROWS):
+            r1 = min(r0 + _STRIP_ROWS, hh)
+            n = r1 - r0
+            m = (n + 4) * pw
+            flat = np.empty(m + 4)
+            flat[m:] = 0.0
+            pad = flat[:m].reshape(n + 4, pw)
+            np.take(d, np.arange(r0 - 2, r1 + 2), axis=0, mode="clip", out=pad[:, 2:w + 2])
+            pad[:, :2] = pad[:, 2:3]
+            pad[:, w + 2:] = pad[:, w + 1:w + 2]
+            term = np.empty(m)
+            across = np.multiply(flat[0:m], k[0])
+            for i in range(1, 5):
+                across += np.multiply(flat[i:i + m], k[i], out=term)
+            term = term[:n * pw]
+            down = np.multiply(across[0:n * pw], k[0])
+            for i in range(1, 5):
+                down += np.multiply(across[i * pw:(i + n) * pw], k[i], out=term)
+            down = down.reshape(n, pw)
+            quad = level[r0 // 2:r1 // 2]
+            np.add(down[0::2, 0:ww:2], down[0::2, 1:ww:2], out=quad)
+            quad += down[1::2, 0:ww:2]
+            quad += down[1::2, 1:ww:2]
+            quad *= 0.25
+        return Image(level)
 
 
 def load_pgm(path) -> Image:
@@ -153,7 +124,8 @@ def load_pgm(path) -> Image:
             idx += 1
             continue
         if raw[idx:idx + 1] == b"#":
-            idx = raw.index(b"\n", idx) + 1
+            # to the end of the comment's line, or of a header cut inside it
+            idx = raw.find(b"\n", idx) + 1 or len(raw)
             continue
         end = idx
         while end < len(raw) and not raw[end:end + 1].isspace():
@@ -162,13 +134,23 @@ def load_pgm(path) -> Image:
         idx = end
     if tokens[0] != b"P5":
         raise ValueError(f"not a binary PGM: magic {tokens[0]!r}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    fields = []
+    for name, token in zip(("width", "height", "maxval"), tokens[1:]):
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise ValueError(f"PGM {name} {token.decode(errors='replace')!r} "
+                             "is not an integer") from None
+    width, height, maxval = fields
     for name, size in (("width", width), ("height", height)):
         if size < 1:
             raise ValueError(f"PGM {name} {size}: must be at least 1")
     if not 1 <= maxval <= 255:
         raise ValueError(f"PGM maxval {maxval}: only 8-bit PGM (maxval 1 to 255) supported")
     idx += 1  # single whitespace after maxval
+    if len(raw) - idx < width * height:
+        raise ValueError(f"truncated PGM data: {max(len(raw) - idx, 0)} of "
+                         f"{width * height} pixel bytes")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=idx)
     top = int(pixels.max())
     if top > maxval:

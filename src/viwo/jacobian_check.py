@@ -251,7 +251,8 @@ def _central_diff(f, dim: int) -> np.ndarray:
 # half side [px] of the rendered square of a probe.  fd_camera_chain's patch
 # lies 2.5 px from the blob centre, and the pixels the chain reads through
 # both pyramid levels (patch, bilinear cells, the 5-tap smoothing and the
-# 2x2 averaging) lie within 16 px of it.
+# 2x2 averaging) lie within 16 px of it, so inside the square and clear of
+# the probe's bottom and right edges.
 _PROBE_RADIUS = 32
 
 
@@ -259,8 +260,9 @@ def render_smooth_probe(intr: CameraIntrinsics, u: float, v: float) -> Image:
     """Blob at (u, v) plus tilted plane: smooth scene with gradient
     everywhere near the blob.
 
-    Only the square of pixels within _PROBE_RADIUS of (u, v) along each axis
-    is rendered; the rest of the frame holds 0.
+    Only the top-left part of the frame is returned, ending at the
+    bottom-right corner of the square of pixels within _PROBE_RADIUS of
+    (u, v) along each axis; the square is rendered and the rest holds 0.
     """
     cu, cv = math.floor(u), math.floor(v)
     c0, r0 = max(cu - _PROBE_RADIUS, 0), max(cv - _PROBE_RADIUS, 0)
@@ -270,8 +272,8 @@ def render_smooth_probe(intr: CameraIntrinsics, u: float, v: float) -> Image:
                          np.arange(r0, r1, dtype=float))
     blob = 120.0 * np.exp(-((uu - u) ** 2 + (vv - v) ** 2) / (2.0 * 6.0 ** 2))
     plane = 40.0 + 0.12 * uu + 0.07 * vv
-    data = np.zeros((intr.height, intr.width))
-    data[r0:r1, c0:c1] = np.clip(plane + blob, 0.0, 255.0)
+    data = np.zeros((r1, c1))
+    data[r0:, c0:] = np.clip(plane + blob, 0.0, 255.0)
     return Image(data)
 
 

@@ -41,6 +41,22 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside image")
+        # the distorted radius r + k1 r^3 + k2 r^5 must keep increasing until
+        # it reaches the farthest image corner, or unproject has no inverse
+        # there; its slope 1 + 3 k1 x + 5 k2 x^2 (x = r^2) first vanishes at
+        # the least positive root
+        corner = max(np.hypot((u - self.cx) / self.fx, (v - self.cy) / self.fy)
+                     for u in (0, self.width - 1) for v in (0, self.height - 1))
+        roots = np.roots([5.0 * self.k2, 3.0 * self.k1, 1.0])
+        folds = roots[(roots.imag == 0) & (roots.real > 0)].real
+        if len(folds):
+            r = np.sqrt(folds.min())
+            peak = r + self.k1 * r ** 3 + self.k2 * r ** 5
+            if peak <= corner:
+                raise ValueError(
+                    f"radial distortion k1 {self.k1}, k2 {self.k2} folds inside the "
+                    f"image: the distorted radius peaks at {peak:.3f}, short of the "
+                    f"farthest corner's {corner:.3f}")
 
 
 # the camera of every simulated dataset and of the Jacobian audit

@@ -352,8 +352,12 @@ def test_predict_blocks_capped_without_frames(mini_dataset, tmp_path, monkeypatc
     assert max(sizes) == PREDICT_BLOCK_MAX
 
 
-@pytest.mark.parametrize("cut", [10, 1000], ids=["header", "pixels"])
-def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut):
+@pytest.mark.parametrize("cut, message", [
+    (10, "truncated PGM header"),
+    # past the 15-byte header of a 640x480 frame
+    (1000, "truncated PGM data: 985 of 307200 pixel bytes"),
+], ids=["header", "pixels"])
+def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut, message):
     ds = shutil.copytree(mini_dataset, tmp_path / "frames")
     frame = perturb.add_frames(ds, (480, 640), lambda t: t[100:101])["frame"]
     frame.write_bytes(frame.read_bytes()[:cut])
@@ -366,6 +370,7 @@ def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut):
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == EXIT_DATA, proc.stderr
     assert "data error" in proc.stderr and "000001.pgm" in proc.stderr
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize("case, code", [("clean", EXIT_OK), ("bad_frame", EXIT_DATA),
@@ -543,6 +548,10 @@ INPUT_DEFECTS = [
           ("fx_nan", "cam.fx", "nan"), ("width_nan", "cam.width", "nan"),
           ("width_text", "cam.width", "abc"), ("height_fractional", "cam.height", "480.5"),
           ("height_zero", "cam.height", "0"), ("lever_arm_nan", "ext.lever_arm", "nan 0 1.2"))],
+    # a radial distortion whose radius folds back before the farthest image
+    # corner, which unproject cannot invert there
+    defect("calib_distortion_folds", [(perturb.set_calib, "cam.k1", "-0.6")],
+           RUN, EXIT_DATA, "calib.txt", "folds inside the image"),
     # a key of the other command, or of neither, is refused rather than
     # dropped; the simulate configs name mini_loop, whose drive is short
     *[defect(f"run_key_{key}", config(f"{key} = {value}"), RUN_CONFIG, EXIT_DATA,

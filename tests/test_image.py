@@ -3,7 +3,7 @@ import pytest
 
 import viwo.image
 from viwo.image import (_FAST_OFFSETS, FAST_MAX_CORNERS, FAST_MIN_DISTANCE_PX,
-                        FAST_THRESHOLD, PATCH_GRID, Image, PatchLevel, _contiguous_at_least,
+                        FAST_THRESHOLD, Image, PatchLevel, _contiguous_at_least,
                         build_pyramid, detect_features, extract_patch_set,
                         intensity_residual, klt_align, load_pgm, save_pgm)
 from viwo.filter import prepare_frame
@@ -182,7 +182,12 @@ def test_load_pgm_rejects_bad_magic(tmp_path):
     (b"P5 0 0 255\n", "width"),
     (b"P5 2 2 0\n", "maxval"),
     (b"P5 2 2 256\n", "maxval"),
-], ids=["negative_width", "negative_height", "zero_size", "maxval_zero", "maxval_16bit"])
+    (b"P5 abc 2 255\n", "PGM width 'abc' is not an integer"),
+    (b"P5 2 2 2.5\n", "PGM maxval '2.5' is not an integer"),
+    (b"P5 2 2 # cut inside a comment", "truncated PGM header"),
+    (b"P5 5 5 255\n", "truncated PGM data: 16 of 25 pixel bytes"),
+], ids=["negative_width", "negative_height", "zero_size", "maxval_zero", "maxval_16bit",
+        "width_text", "maxval_fraction", "header_cut_in_comment", "pixels_cut"])
 def test_load_pgm_rejects_bad_size_or_maxval(tmp_path, header, field):
     path = tmp_path / "bad.pgm"
     path.write_bytes(header + bytes(16))
@@ -406,45 +411,6 @@ def test_downsample_matches_reference(name):
     got = img.downsample().data
     want = reference_downsample(img)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("rows", [range(-40, 3), range(100, 101), range(250, 330),
-                                  range(470, 600), range(-5, 500), (40, 200)])
-def test_downsample_rows_computes_its_strips_as_the_full_level(rows):
-    # patches read on a fresh level over the level rows of these image rows
-    # (the top edge, strip boundaries, the bottom edge, every row), one
-    # patch a read, or two patches at the level rows of a tuple in one read,
-    # sample the bits of the reference level and compute only the strips
-    # holding the rows read; the level's data then holds the reference bytes
-    img = Image(TEST_IMAGES["random_640x480"])
-    want = Image(reference_downsample(img))
-    level = img.downsample()
-    if isinstance(rows, range):
-        top = max(rows.start, 0) // 2
-        bottom = min(rows.stop - 1, img.height - 1) // 2
-        reads = [[cv] for cv in np.arange(top, bottom + 1) + 0.3]
-    else:
-        reads = [np.array(rows) + 0.3]
-    read = set()
-    for cvs in reads:
-        u = np.tile(100.4 + PATCH_GRID[:, 0], len(cvs))
-        v = (np.asarray(cvs)[:, None] + PATCH_GRID[:, 1]).ravel()
-        got = level.sample_with_grad(u, v)
-        ref = reference_sample_with_grad(want, u, v)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref], cvs
-        assert level.sample(u, v).tobytes() == ref[0].tobytes(), cvs
-        v0 = np.clip(np.floor(v).astype(int), 0, level.height - 2)
-        read.update(v0.tolist(), (v0 + 1).tolist())
-    strip = viwo.image._STRIP_ROWS
-    computed = set(range(0, img.height, strip)) - level._pending
-    assert computed == {(2 * r) // strip * strip for r in read}
-    if not isinstance(rows, range):
-        # the strips between the two patches stay pending
-        first, last = sorted(computed)
-        assert last - first >= 4 * strip
-        assert set(range(first + strip, last, strip)) <= level._pending
-    assert level.data.tobytes() == want.data.tobytes()
-    assert not level._pending
 
 
 @pytest.mark.parametrize("name", ["8x8", "odd", "float", "rendered_seed1_0"])

@@ -62,36 +62,6 @@ def test_windowed_probe_reads_as_full_frame(seed):
     assert chains[0] == chains[1]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_probe_pyramid_reads_as_full_pyramid(seed):
-    # the chain of fd_camera_chain on a probe pyramid whose level 1 computes
-    # its strips as the chain reads them, and on one whose level 1 was
-    # computed whole first: every residual and Jacobian byte agrees.  Even
-    # seeds put the patch near the top or bottom of the frame.
-    intr = DEFAULT_INTRINSICS
-    rng = np.random.default_rng(100 + seed)
-    u = rng.uniform(16.5, intr.width - 16.5)
-    if seed % 2 == 0:
-        v = rng.choice([rng.uniform(16.5, 40.0), rng.uniform(intr.height - 40.0, intr.height - 16.5)])
-    else:
-        v = rng.uniform(16.5, intr.height - 16.5)
-    bearing = unproject(u, v, intr)
-    (u, v), _ = project(bearing, intr)
-    img = jc.render_smooth_probe(intr, u + 2.0, v + 1.5)
-    whole = build_pyramid(img)
-    assert whole[1].data.shape == (intr.height // 2, intr.width // 2)
-    chains = []
-    for pyramid in (build_pyramid(img), whole):
-        patch = extract_patch_set(pyramid, u, v)
-        assert patch is not None
-        bearings = [bearing] + [geom.s2_boxplus(bearing, d)
-                                for d in np.vstack([np.eye(2), -np.eye(2)]) * 1e-6]
-        chains.append([b"".join(x.tobytes() for x in
-                                camera_measurement_jacobian(b, patch, pyramid, intr))
-                       for b in bearings])
-    assert chains[0] == chains[1]
-
-
 def test_audit_bits_pinned():
     # a change to any audited Jacobian, FD reference or random draw moves
     # these bits; one that means to updates the table in the same commit
