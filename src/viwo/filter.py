@@ -14,18 +14,19 @@ step (propagate_joint); it propagates the covariance with the Euler
 transition matrix Phi = I + F dt of the joint nav/feature ODE, whose F the
 Jacobian audit differences against the ODE flow.
 Between two camera frames only the IMU changes the state: the active slots
-and the gyro parameters stay fixed.  So predict takes the whole block of IMU
-samples up to the next frame, in chunks of at most PREDICT_BLOCK_MAX.  Per
-chunk one propagate_joint call runs the RK4 nav steps, forms every step's
-rigid transform in one stacked pass and keeps only the per-feature
-recurrence in a per-step loop; one stacked assemble_linearization call forms
-every step's F and Psi; all Phi are built at once; and then the per-step
-Phi P Phi^T + Q and Phi Upsilon + Psi dt recursion runs.  F is assembled
-over the active slots only.  When they cover the whole state (every slot
-active, or a filter without slots) Phi is F dt plus the identity; otherwise
-F dt is scattered onto the identity through flat indices, which are cached
-per active-slot set together with the state indices and the process-noise
-diagonal.
+and the gyro parameters stay fixed.  So predict takes the whole block of
+imu.csv rows up to the next frame, a (T, 7) array, in chunks of at most
+PREDICT_BLOCK_MAX; a chunk's stamps, rates and specific forces are column
+slices of it.  Per chunk one propagate_joint call runs the RK4 nav steps,
+forms every step's rigid transform in one stacked pass and keeps only the
+per-feature recurrence in a per-step loop; one stacked
+assemble_linearization call forms every step's F and Psi; all Phi are built
+at once; and then the per-step Phi P Phi^T + Q and Phi Upsilon + Psi dt
+recursion runs.  F is assembled over the active slots only.  When they cover
+the whole state (every slot active, or a filter without slots) Phi is F dt
+plus the identity; otherwise F dt is scattered onto the identity through
+flat indices, which are cached per active-slot set together with the state
+indices and the process-noise diagonal.
 
 Batch invariance: step k's states, F and Psi are bit-identical whatever the
 chunk length, so a block predict equals the same samples predicted one at a
@@ -553,36 +554,38 @@ class AdaptiveEkf:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(self, imu: ImuSample | Sequence[ImuSample]) -> None:
-        """Propagate through one IMU sample or a block of them.
+    def predict(self, imu: ImuSample | np.ndarray) -> None:
+        """Propagate through one IMU sample or a (T, 7) block of imu.csv rows
+        [t, omega_m, accel_m].
 
         Over a block the active set and the gyro parameters stay fixed, so
         the states of a chunk come from one propagate_joint call, the
         linearizations of all its steps from one stacked call, and the
         covariance and sensitivity recursion then runs step by step.  A
-        block is processed in chunks of at most PREDICT_BLOCK_MAX samples;
-        a FloatingPointError leaves the chunk it is raised in unapplied.
+        block is processed in chunks of at most PREDICT_BLOCK_MAX rows; a
+        step outside (0, MAX_STEP_S] anywhere in the block raises ValueError
+        before any state changes, and a FloatingPointError leaves the chunk
+        it is raised in unapplied.
         """
-        block = [imu] if isinstance(imu, ImuSample) else list(imu)
-        t_prev = self.t
-        for sample in block:   # check the whole block before changing state
-            dt = sample.t - t_prev
-            if not 0.0 < dt <= MAX_STEP_S:
-                raise ValueError(f"IMU step dt={dt:.4f} outside (0, {MAX_STEP_S}]")
-            t_prev = sample.t
-        for start in range(0, len(block), PREDICT_BLOCK_MAX):
-            self._predict_chunk(block[start:start + PREDICT_BLOCK_MAX])
+        if isinstance(imu, ImuSample):
+            imu = np.concatenate(([imu.t], imu.omega_m, imu.accel_m))[None]
+        stamps = np.concatenate(([self.t], imu[:, 0]))
+        dts = stamps[1:] - stamps[:-1]
+        ok = (dts > 0.0) & (dts <= MAX_STEP_S)
+        if not ok.all():
+            raise ValueError(f"IMU step dt={dts[ok.argmin()]:.4f} outside (0, {MAX_STEP_S}]")
+        for start in range(0, len(imu), PREDICT_BLOCK_MAX):
+            self._predict_chunk(imu[start:start + PREDICT_BLOCK_MAX])
 
-    def _predict_chunk(self, block: list[ImuSample]) -> None:
+    def _predict_chunk(self, block: np.ndarray) -> None:
         act, idx, flat, q_rate = self._active_set()
-        omega_m = np.array([sample.omega_m for sample in block])
+        t, omega_m = block[:, 0], block[:, 1:4]
         omegas = correct_gyro(omega_m, self.params)
-        stamps = np.array([self.t] + [sample.t for sample in block])
+        stamps = np.concatenate(([self.t], t))
         dts = stamps[1:] - stamps[:-1]      # np.diff, without its wrapper's cost
         navs, qfs, rhos = propagate_joint(
-            self.nav, self._qf[act], self._rho[act], omegas,
-            np.array([sample.accel_m for sample in block]), dts, self.ext,
-            GRAVITY_VEC)
+            self.nav, self._qf[act], self._rho[act], omegas, block[:, 4:7], dts,
+            self.ext, GRAVITY_VEC)
 
         f_c, psi_c = assemble_linearization(navs[:-1], qfs[:-1], rhos[:-1],
                                             omegas, omega_m, self.params,
@@ -624,7 +627,7 @@ class AdaptiveEkf:
         if len(act):
             self._qf[act] = qfs[-1]
             self._rho[act] = np.clip(rhos[-1], RHO_FLOOR, RHO_CEIL)
-        self.t = block[-1].t
+        self.t = t[-1]
         self.counters["predicts"] += steps
 
     # -- measurement row construction ----------------------------------------
@@ -907,10 +910,13 @@ class AdaptiveEkf:
                               vehicle: VehicleVelocityMeasurement | None = None
                               ) -> dict:
         """Direct-bearing camera frame: update then feature management.  With
-        no observations it is a vehicle-only update (wheel-IMU-only runs)."""
+        no observations it is a vehicle-only update (wheel-IMU-only runs).
+        An observation of a slot out of range, and one that a later
+        observation of its slot replaces, counts in slots_ignored."""
         obs = {}
         for slot, q_obs in observations:
             if 0 <= slot < self.capacity:
+                self.counters["slots_ignored"] += slot in obs
                 obs[slot] = np.asarray(q_obs, dtype=float)
             else:
                 self.counters["slots_ignored"] += 1

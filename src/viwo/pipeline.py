@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, geom, sim
-from .dynamics import MAX_STEP_S, MIN_YAW_SCALE, GyroParams, ImuSample, NavState
+from .dynamics import MAX_STEP_S, MIN_YAW_SCALE, GyroParams, NavState
 from .evaluate import TrajectoryRecord, ate_rmse, rpe
 from .features import CameraExtrinsics
 from .filter import AdaptiveEkf, NoiseConfig, prepare_frame
@@ -456,17 +456,15 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         frames = ds.bearing_frames
 
     # a frame fires after the predict up to the first IMU sample stamped
-    # t >= t_frame - 1e-9 (or the last one): the samples up to it are one
-    # block.  The frame is used when that sample is at most 5 ms from it;
-    # one stamped after the last sample is never reached.
-    n_imu = ds.imu.shape[0]
+    # t >= t_frame - 1e-9 (or the last one).  The frame is used when that
+    # sample is at most 5 ms from it; one stamped after the last sample is
+    # never reached.  The schedule is (frame index, fire index) per used frame.
     stamps = np.array([f[0] for f in frames], dtype=float)
     fire = np.searchsorted(ds.imu[:-1, 0] + 1e-9, stamps, side="left")
     at = ds.imu[fire, 0]
-    used = ((stamps <= at + 1e-9) & (np.abs(stamps - at) <= 5e-3)).tolist()
+    used = np.flatnonzero((stamps <= at + 1e-9) & (np.abs(stamps - at) <= 5e-3))
+    schedule = zip(used.tolist(), fire[used].tolist())
 
-    frame_idx = 0
-    frames_skipped = 0
     traj_rows = []
     param_rows = []
 
@@ -477,39 +475,29 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
 
     log_state(t0)
     k = 0
-    worker = None
-    if image:
-        # the worker reads and prepares the frames the run uses, in order,
-        # ahead of the filter
-        worker = FrameWorker([path for (_, path), ok in zip(frames, used) if ok], ds.intr)
-
-        def process(t, path, veh):
-            pyramid, detections = worker.next()
-            report = ekf.process_image_frame(t, pyramid, detections, veh)
-            worker.release()
-            return report
-    else:
-        process = ekf.process_bearing_frame
+    # the worker reads and prepares the frames the run uses, in order, ahead
+    # of the filter
+    worker = FrameWorker([frames[i][1] for i in used], ds.intr) if image else None
     try:
-        while k < n_imu:
-            end = n_imu - 1 if frame_idx == len(frames) else int(fire[frame_idx])
-            ekf.predict([ImuSample(row[0], row[1:4], row[4:7]) for row in ds.imu[k:end + 1]])
-            for j in range(k, end + 1):
-                ekf.note_wheel(ds.wheel[j, 0], ds.wheel[j, 1])
-            k, row = end + 1, ds.imu[end]
-            while frame_idx < len(frames) and frames[frame_idx][0] <= row[0] + 1e-9:
-                ft, payload = frames[frame_idx]
-                frame_idx += 1
-                if not used[frame_idx - 1]:
-                    frames_skipped += 1  # next imu sample more than 5 ms later
-                    continue
-                veh = VehicleVelocityMeasurement(ft, float(ds.wheel[end, 1]), float(row[5]))
-                process(ft, payload, veh)
-                log_state(ft)
+        for i, end in schedule:
+            ekf.predict(ds.imu[k:end + 1])
+            for t, v_x in ds.wheel[k:end + 1].tolist():
+                ekf.note_wheel(t, v_x)
+            k = end + 1
+            ft, payload = frames[i]
+            veh = VehicleVelocityMeasurement(ft, float(ds.wheel[end, 1]),
+                                             float(ds.imu[end, 5]))
+            if worker is None:
+                ekf.process_bearing_frame(ft, payload, veh)
+            else:
+                pyramid, detections = worker.next()
+                ekf.process_image_frame(ft, pyramid, detections, veh)
+                worker.release()
+            log_state(ft)
     finally:
         if worker is not None:
             worker.close()
-    frames_skipped += len(frames) - frame_idx   # stamped after the last imu sample
+    ekf.predict(ds.imu[k:])
     if traj_rows[-1][0] < ds.imu[-1, 0]:
         log_state(ds.imu[-1, 0])
 
@@ -520,7 +508,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
         np.array([r[0] for r in param_rows]),
         np.array([r[1] for r in param_rows]),
         np.array([r[2] for r in param_rows]),
-        {**ekf.counters, "frames_skipped": frames_skipped},
+        {**ekf.counters, "frames_skipped": len(frames) - len(used)},
         ekf.min_eig_p, ekf.min_eig_s,
         time.perf_counter() - start)
 

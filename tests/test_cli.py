@@ -332,6 +332,42 @@ def test_check_psd_run_matches_block_run(mini_dataset, tmp_path, monkeypatch):
     assert minima[0] == [] and len(minima[1]) == 2 and minima[1] == minima[2]
 
 
+def test_skipped_frames_change_nothing(mini_dataset, tmp_path):
+    # every third camera frame stamped 4 ms late, so 6 ms before its next
+    # IMU sample: the run skips those frames and writes the files of a run
+    # whose bearings.csv lacks them
+    rows = dataio.read_csv(mini_dataset / "bearings.csv", dataio.BEARINGS_HEADER)
+    moved = np.unique(rows[:, 0])[::3]
+    late = np.isin(rows[:, 0], moved)
+    outs = []
+    for name, edit in (("late", lambda r: np.column_stack((r[:, 0] + 0.004 * late, r[:, 1:]))),
+                       ("deleted", lambda r: r[~late])):
+        ds = shutil.copytree(mini_dataset, tmp_path / name)
+        perturb.edit_rows(ds, "bearings.csv", edit)
+        outs.append(tmp_path / f"{name}_run")
+        assert main(["run", "--dataset", str(ds), "--out", str(outs[-1])]) == EXIT_OK
+    for name in ("trajectory.csv", "params.csv", "final-params.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    skipped = [[line for line in (out / "report.txt").read_text().splitlines()
+                if line.startswith("frames_skipped:")] for out in outs]
+    assert skipped == [[f"frames_skipped: {len(moved)}"], ["frames_skipped: 0"]]
+
+
+@pytest.mark.parametrize("value, expected", [(None, "1 1 1"), ("3", "3 1 1")])
+def test_import_sets_one_blas_thread(value, expected):
+    # importing viwo sets each BLAS thread count the environment leaves unset
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: val for key, val in os.environ.items() if key not in names}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    probe = f"import os, viwo; print(*(os.environ[name] for name in {names}))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
 def test_predict_blocks_capped_without_frames(mini_dataset, tmp_path, monkeypatch):
     # camera frames end at 5 s: the rest of the log has no frame to end a
     # predict block, so predict's chunk cap bounds every chunk
@@ -463,6 +499,12 @@ INPUT_DEFECTS = [
     # 6 ms away, and the last frame comes after the last IMU sample
     defect("bearings_late", [(perturb.shift_stamps, "bearings.csv", 0.004)],
            RUN, EXIT_OK, "frames_skipped: {stamps}", "camera_rows: 0"),
+    # a slot observed twice at one stamp (two track ids in one slot): the
+    # later row is used and the earlier one counted
+    defect("bearings_repeated_slot",
+           [(perturb.edit_rows, "bearings.csv",
+             lambda r: np.insert(r, 501, r[500] * [1, 1, 1, -1, 1], axis=0))],
+           RUN, EXIT_OK, "slots_ignored: 1"),
     defect("missing_dataset", [(shutil.rmtree,)], RUN, EXIT_DATA),
     # an --init-params yaw scale the gyro error model cannot invert, and values
     # outside the bounds the filter clamps its parameters to

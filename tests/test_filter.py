@@ -31,6 +31,12 @@ def make_filter(capacity=4, **kw):
     return ekf
 
 
+def imu_rows(samples):
+    """A (T, 7) block of imu.csv rows [t, omega_m, accel_m] from (t,
+    omega_m, accel_m) triples."""
+    return np.array([[t, *omega_m, *accel_m] for t, omega_m, accel_m in samples])
+
+
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(lam=0.0)
@@ -52,6 +58,21 @@ def test_predict_rejects_bad_dt():
         ekf.predict(ImuSample(0.0, np.zeros(3), GRAV_CANCEL))
     with pytest.raises(ValueError):
         ekf.predict(ImuSample(0.5, np.zeros(3), GRAV_CANCEL))
+    # a block whose third row repeats the second row's stamp is refused
+    # before any of its steps is applied
+    ekf.predict(imu_rows((k * 0.01, np.array([0.01, -0.02, 0.1]), GRAV_CANCEL)
+                         for k in range(1, 4)))
+    before = {name: getattr(ekf, name).copy() for name in ("cov", "upsilon")}
+    t, nav, predicts = ekf.t, ekf.nav.copy(), ekf.counters["predicts"]
+    block = imu_rows((t, np.array([0.01, -0.02, 0.1]), GRAV_CANCEL)
+                     for t in (0.04, 0.05, 0.05, 0.06))
+    with pytest.raises(ValueError, match=r"dt=0\.0000 "):
+        ekf.predict(block)
+    assert ekf.t == t and ekf.counters["predicts"] == predicts
+    for name in ("vel", "quat", "pos"):
+        assert np.array_equal(getattr(ekf.nav, name), getattr(nav, name))
+    for name, value in before.items():
+        assert np.array_equal(getattr(ekf, name), value), name
 
 
 def test_transition_structure_nav_to_feature_zero(rng):
@@ -216,11 +237,10 @@ def test_block_predict_matches_single_samples(rng):
         block = []
         for _ in range(length):
             t += 0.01
-            block.append(ImuSample(t, rng.normal(0.0, 0.2, 3),
-                                   GRAV_CANCEL + rng.normal(0.0, 0.5, 3)))
-        filters[0].predict(block)
+            block.append((t, rng.normal(0.0, 0.2, 3), GRAV_CANCEL + rng.normal(0.0, 0.5, 3)))
+        filters[0].predict(imu_rows(block))
         for imu in block:
-            filters[1].predict(imu)
+            filters[1].predict(ImuSample(*imu))
         a, b = filters
         assert a.t == b.t
         for name in ("vel", "quat", "pos"):
@@ -241,7 +261,7 @@ def test_zero_range_predict_raises_and_changes_nothing():
     ekf.init_feature(2, geom.bearing_from_dir(np.array([1.0, 0.2, 0.1])))
     before = {name: getattr(ekf, name).copy() for name in ("_qf", "_rho", "cov", "upsilon")}
     nav = ekf.nav.copy()
-    block = [ImuSample(k / 16.0, np.zeros(3), GRAV_CANCEL) for k in range(1, 5)]
+    block = imu_rows((k / 16.0, np.zeros(3), GRAV_CANCEL) for k in range(1, 5))
     with pytest.raises(FloatingPointError, match="feature state"):
         ekf.predict(block)
     assert ekf.t == 0.0 and ekf.counters["predicts"] == 0
@@ -258,8 +278,8 @@ def test_non_finite_nav_predict_raises_and_changes_nothing():
     ekf.nav.vel = np.array([8.0, 0.0, 0.0])
     before = {name: getattr(ekf, name).copy() for name in ("cov", "upsilon")}
     nav = ekf.nav.copy()
-    block = [ImuSample(k * 0.01, np.zeros(3), GRAV_CANCEL) for k in range(1, 6)]
-    block[2] = ImuSample(0.03, np.zeros(3), np.array([1e308, 0.0, 9.81]))
+    block = imu_rows((k * 0.01, np.zeros(3), GRAV_CANCEL) for k in range(1, 6))
+    block[2, 4:7] = [1e308, 0.0, 9.81]
     with pytest.raises(FloatingPointError, match="non-finite nav state"):
         ekf.predict(block)
     assert ekf.t == 0.0 and ekf.counters["predicts"] == 0
@@ -399,8 +419,8 @@ def test_not_positive_definite_update_is_skipped_and_changes_nothing():
     innovation matrix is not positive definite: the update is counted as
     skipped and leaves the state as it was."""
     ekf = make_filter(capacity=0)
-    ekf.predict([ImuSample(k * 0.01, np.array([0.01, -0.02, 0.1]), GRAV_CANCEL)
-                 for k in range(1, 6)])
+    ekf.predict(imu_rows((k * 0.01, np.array([0.01, -0.02, 0.1]), GRAV_CANCEL)
+                         for k in range(1, 6)))
     assert np.abs(ekf.upsilon).max() > 0.0
     p_vel = ekf.cov[0, 0]
     groups = [RowGroup("vehicle", (None,), np.zeros((1, 3)), np.arange(3)[None], np.eye(3),
@@ -472,8 +492,8 @@ def _busy_filter(rng, capacity=5):
         d = np.array([1.0, *rng.uniform(-0.4, 0.4, 2)])
         ekf.init_feature(slot, geom.bearing_from_dir(d))
         ekf._rho[slot] = rng.uniform(0.05, 0.5)
-    ekf.predict([ImuSample(0.01 * k, rng.normal(0, 0.1, 3), GRAV_CANCEL + rng.normal(0, 0.3, 3))
-                 for k in range(1, 21)])
+    ekf.predict(imu_rows((0.01 * k, rng.normal(0, 0.1, 3), GRAV_CANCEL + rng.normal(0, 0.3, 3))
+                         for k in range(1, 21)))
     return ekf
 
 
@@ -846,11 +866,11 @@ def test_check_psd_minima_match_per_step_reference(rng):
         for _ in range(length):
             t += 0.01
             omega_m = np.array([0.01, -0.02, 0.2]) + rng.normal(0, 0.2, 3)
-            block.append(ImuSample(t, omega_m, GRAV_CANCEL + rng.normal(0, 0.5, 3)))
-        checked.predict(block)
+            block.append((t, omega_m, GRAV_CANCEL + rng.normal(0, 0.5, 3)))
+        checked.predict(imu_rows(block))
         eigs = []
         for imu in block:
-            ref.predict(imu)
+            ref.predict(ImuSample(*imu))
             eigs.append(float(np.linalg.eigvalsh(ref.cov)[0]))
         chunk_ends = eigs[PREDICT_BLOCK_MAX - 1::PREDICT_BLOCK_MAX] + eigs[-1:]
         inner_minima += min(eigs) < min(ref_p, *chunk_ends)
