@@ -21,13 +21,16 @@ tree runs the command-line front end as a subprocess with its own
   ``--check-psd`` and with ``--wheel-imu-only``, and both mini_loop datasets
   in image mode (with injected errors the image run diverges, so the clean
   one is the run whose numbers mean something);
+* ``viwo eval`` of each run's ``trajectory.csv`` against its dataset's
+  ``gt.csv``;
 * ``viwo jacobian-check --configs 200 --seed 0``.
 
 It compares the simulated dataset trees file by file, then each run's
 ``trajectory.csv``, ``params.csv``, ``final-params.txt`` and ``report.txt``
 without its ``elapsed_s`` line (so the counters and, with ``--check-psd``,
-the ``min_eig_P``/``min_eig_S`` lines too), then the audit's exit code and
-text, and prints one ``identical: yes|no`` line per item.  The
+the ``min_eig_P``/``min_eig_S`` lines too), then each eval's and the
+audit's exit code and text, and prints one ``identical: yes|no`` line per
+item.  The
 exit code is 0 when every item is identical, 1 when any differs and 2 when a
 command fails.  Timing comparisons are ``scripts/bench_pairs.py``'s job.
 """
@@ -95,6 +98,11 @@ def differences(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
             if old.get(name) != new.get(name)]
 
 
+def outcome(done: subprocess.CompletedProcess) -> dict[str, bytes]:
+    """A command's exit code and stdout, as the items differences compares."""
+    return {"exit code": str(done.returncode).encode(), "text": done.stdout.encode()}
+
+
 def report(item: str, diff: list[str]) -> bool:
     """Print the item's line, naming at most five differing files."""
     named = ", ".join(diff[:5]) + (f" and {len(diff) - 5} more" if len(diff) > 5 else "")
@@ -131,11 +139,14 @@ def main(argv=None) -> int:
                      | {"report.txt": without_elapsed((out / "report.txt").read_bytes())}
                      for label, out in outs.items()}
             ok &= report(f"run {name}", differences(files["old"], files["new"]))
-        audits = {label: viwo(src, AUDIT, check=False) for label, src in trees.items()}
-        texts = {label: {"exit code": str(done.returncode).encode(),
-                         "text": done.stdout.encode()}
-                 for label, done in audits.items()}
-        ok &= report("jacobian-check", differences(texts["old"], texts["new"]))
+            gt = work / "old" / "sim" / dataset / "gt.csv"
+            evals = {label: outcome(viwo(src, ["eval", "--estimate",
+                                               str(outs[label] / "trajectory.csv"),
+                                               "--ground-truth", str(gt)], check=False))
+                     for label, src in trees.items()}
+            ok &= report(f"eval {name}", differences(evals["old"], evals["new"]))
+        audits = {label: outcome(viwo(src, AUDIT, check=False)) for label, src in trees.items()}
+        ok &= report("jacobian-check", differences(audits["old"], audits["new"]))
     return 0 if ok else 1
 
 

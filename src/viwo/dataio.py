@@ -222,7 +222,7 @@ def load_calib(path):
             width=_kv_size(kv, "cam.width"),
             height=_kv_size(kv, "cam.height"))
         ext = CameraExtrinsics(
-            geom.quat_to_rot(geom.so3_exp(kv_floats(kv, "ext.rotvec_cb", 3))),
+            geom.quats_to_frames(geom.so3_exp(kv_floats(kv, "ext.rotvec_cb", 3))),
             kv_floats(kv, "ext.lever_arm", 3))
         rho_sg = float(kv_floats(kv, "vehicle.rho_sg", 1)[0])
     except ValueError as exc:

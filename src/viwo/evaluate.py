@@ -76,13 +76,15 @@ def rpe(est: TrajectoryRecord, gt: TrajectoryRecord,
 
     errors = []
     ends = np.searchsorted(dist, dist + segment_length_m)
+    r_gt = geom.quats_to_frames(q_gt)
+    r_est = geom.quats_to_frames(q_est)
     for a in range(len(dist)):
         b = ends[a]
         if b >= len(dist):
             break
         # relative displacement in each start frame
-        d_gt = geom.quat_to_rot(q_gt[a]).T @ (p_gt[b] - p_gt[a])
-        d_est = geom.quat_to_rot(q_est[a]).T @ (p_est[b] - p_est[a])
+        d_gt = r_gt[a].T @ (p_gt[b] - p_gt[a])
+        d_est = r_est[a].T @ (p_est[b] - p_est[a])
         seg_len = dist[b] - dist[a]
         errors.append(np.linalg.norm(d_est - d_gt) / seg_len * 100.0)
     if not errors:

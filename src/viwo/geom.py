@@ -12,13 +12,11 @@ Conventions used across the package (stated once, asserted in tests):
   ``q_f <- exp(N @ delta) * q_f``.
 
 Each map is written once, as a row kernel over ``(..., k)`` arrays, except
-five scalar maps kept beside their row twins for a measured reason:
+four scalar maps kept beside their row twins for a measured reason:
 
-* ``quat_to_rot`` and ``bearing_from_dir`` are single-item hot paths,
-  where a one-row call of the row kernel costs 2-4x as much.  The image
-  front end calls ``bearing_from_dir`` once per pixel it turns into a
-  bearing (``sensors.unproject``), the simulator ``quat_to_rot`` once per
-  camera pose, and ``evaluate.rpe`` ``quat_to_rot`` twice per segment.
+* ``bearing_from_dir`` is a single-item hot path, where a one-row call of
+  the row kernel costs 2-4x as much: the image front end calls it once per
+  pixel it turns into a bearing (``sensors.unproject``).
 * ``so3_exp``, ``quat_mul`` and ``quat_normalize`` take their norms with
   ``@``, which differs in the last bit from the row kernels' elementwise
   sums (in 2007 of 20 000 random rows for ``so3_exp``, 1127 of 10 000 for
@@ -51,20 +49,6 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.sqrt(q @ q)
-
-
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (body-to-world for attitudes)."""
-    # Python floats: the same IEEE arithmetic as numpy scalars, faster
-    w, x, y, z = q.tolist()
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    return np.array([
-        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-    ])
 
 
 def so3_exp(theta: np.ndarray) -> np.ndarray:

@@ -309,12 +309,18 @@ class PatchLevel:
     grad: np.ndarray          # (p*p, 2) d(intensity)/d(level-0 pixel)
 
 
+def _fits(img: Image, cu, cv):
+    """Whether a patch centred at level pixel (cu, cv), elementwise for
+    arrays, keeps every sample at least one pixel from the image border
+    (nearer, the bilinear cell would run off the grid)."""
+    return ((1.0 <= cu - _HALF) & (cu + _HALF <= img.width - 2.0)
+            & (1.0 <= cv - _HALF) & (cv + _HALF <= img.height - 2.0))
+
+
 def _patch_points(img: Image, cu: float, cv: float):
     """Sample points of a patch centred at level pixel (cu, cv), or None
-    when any of them lies within one pixel of the image border (where the
-    bilinear cell would run off the grid)."""
-    if not (1.0 <= cu - _HALF and cu + _HALF <= img.width - 2.0
-            and 1.0 <= cv - _HALF and cv + _HALF <= img.height - 2.0):
+    when it does not fit the image (_fits)."""
+    if not _fits(img, cu, cv):
         return None
     return cu + PATCH_GRID[:, 0], cv + PATCH_GRID[:, 1]
 
@@ -393,8 +399,7 @@ def klt_align(patches: list[list[PatchLevel]], pyramid: list[Image],
             k = run[act]
             cu = u[k] / scale
             cv = v[k] / scale
-            inside = ((1.0 <= cu - _HALF) & (cu + _HALF <= img.width - 2.0)
-                      & (1.0 <= cv - _HALF) & (cv + _HALF <= img.height - 2.0))
+            inside = _fits(img, cu, cv)
             abandoned[k[~inside]] = True
             act, k, cu, cv = act[inside], k[inside], cu[inside], cv[inside]
             if not len(act):

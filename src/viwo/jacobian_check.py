@@ -55,7 +55,7 @@ def random_sample(rng: np.random.Generator) -> JointSample:
                         rng.uniform(0.97, 1.03),
                         rng.uniform(-0.02, 0.02),
                         rng.uniform(-0.02, 0.02))
-    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
+    ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
                            rng.uniform(-2, 2, 3))
     omega_m = apply_gyro_error(rng.uniform(-0.6, 0.6, 3), params)
     accel = rng.uniform(-3, 3, 3)

@@ -208,6 +208,7 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     if paths.gt.exists():
         ds.gt = dataio.read_csv(paths.gt, dataio.POSE_HEADER)
         _check_finite(paths.gt, ds.gt, dataio.POSE_HEADER)
+        _check_unit_quats(paths.gt, ds.gt)
         # the filter starts at the first ground-truth pose and steps to the
         # first IMU sample from there
         if ds.gt.shape[0] == 0:
@@ -237,6 +238,23 @@ def _check_finite(path, rows: np.ndarray, header: str) -> None:
         col = header.split(",")[int(np.flatnonzero(~np.isfinite(rows[k]))[0])]
         raise dataio.DataError(f"{path}: data row {k + 1} (t={rows[k, 0]:.6f}): "
                                f"{col} is not finite")
+
+
+# the gt.csv and trajectory.csv files viwo writes are within 2.3e-16 of unit norm
+QUAT_NORM_TOL = 1e-6
+
+
+def _check_unit_quats(path, poses: np.ndarray) -> None:
+    """A DataError naming the first data row of a pose file whose quaternion
+    is farther than QUAT_NORM_TOL from unit norm (NaN included): its
+    rotation matrix would not be a rotation."""
+    quats = poses[:, 4:8]
+    norm = np.sqrt((quats * quats).sum(axis=1))
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= QUAT_NORM_TOL))
+    if bad.size:
+        k = int(bad[0])
+        raise dataio.DataError(f"{path}: data row {k + 1} (t={poses[k, 0]:.6f}): quaternion "
+                               f"norm {norm[k]:.9g} is not within {QUAT_NORM_TOL:g} of 1")
 
 
 def _check_steps(path, t: np.ndarray, max_step: float = np.inf) -> None:
@@ -554,6 +572,7 @@ def load_pose_csv(path) -> TrajectoryRecord:
     arr = dataio.read_csv(path, dataio.POSE_HEADER)
     if arr.shape[0] == 0:
         raise dataio.DataError(f"{path}: empty trajectory")
+    _check_unit_quats(path, arr)
     try:
         return TrajectoryRecord(arr[:, 0], arr[:, 1:4], arr[:, 4:8])
     except ValueError as exc:

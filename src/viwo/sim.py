@@ -403,8 +403,12 @@ def _pairs(world: np.ndarray, r_cw: np.ndarray, centers: np.ndarray):
     project at least 8 px inside the image, pose by pose in landmark order,
     and their ranges."""
     intr = DEFAULT_INTRINSICS
-    # one (n, 3) @ (3, 3) product per pose
-    d_cam = np.matmul(world[None] - centers[:, None], r_cw.transpose(0, 2, 1))
+    # one (n, 3) @ (3, 3) product per pose.  numpy multiplies a lone row
+    # with BLAS's vector kernel, whose last bits differ from the matrix
+    # kernel's and can decide a pair at the range limit or the image border,
+    # so a lone point goes in twice and its first row is kept
+    rows = np.vstack((world, world)) if len(world) == 1 else world
+    d_cam = np.matmul(rows[None] - centers[:, None], r_cw.transpose(0, 2, 1))[:, :len(world)]
     rng_m = np.sqrt((d_cam * d_cam).sum(axis=2))
     pose, lm = np.nonzero((d_cam[:, :, 0] > 1e-6) & (rng_m >= 2.0) & (rng_m <= MAX_RANGE))
     d_ok = d_cam[pose, lm]
@@ -427,10 +431,6 @@ def _visible(world: np.ndarray, r_cw: np.ndarray, centers: np.ndarray):
         # kept in index order
         reach = np.sqrt(((cams - hub) ** 2).sum(axis=1).max())
         near = _near(world, hub, MAX_RANGE + reach)
-        if len(near) == 1 < len(world):
-            # numpy multiplies one row with BLAS's vector kernel, whose last
-            # bits differ from those of the matrix kernel the world takes
-            near = np.union1d(near, [0, 1])
         pose, lm, rng_m = _pairs(world[near], r_cw[b:e], cams)
         yield pose + b, near[lm], rng_m
 
@@ -486,13 +486,8 @@ def ensure_coverage(world: np.ndarray, cameras: CameraTable, seed: int = 1) -> n
                   + np.array([0, 0, rng.uniform(0.0, 6.0)]))[None]
             pts.append(pt)
             near = k + _near(cameras.centers[k:], pt[0], MAX_RANGE)
-            # with points 0 and 1 along, as in _visible: the point's pairs
-            # take the matrix kernel of camera_view's pass, not the vector
-            # kernel of a lone row, whose last bits can decide a pair at the
-            # range limit or the image border
-            probe = np.vstack((pts[0][:2], pt))
-            pose, lm, _ = _pairs(probe, cameras.r_cw[near], cameras.centers[near])
-            seen[near[pose[lm == len(probe) - 1]]] += 1
+            pose, _, _ = _pairs(pt, cameras.r_cw[near], cameras.centers[near])
+            seen[near[pose]] += 1
     return np.vstack(pts)
 
 

@@ -27,7 +27,7 @@ def landmark_to_feature(landmarks: np.ndarray, s: NavState,
     stacked.  Raises ValueError for the first point behind the camera or
     nearer than 1 / RHO_CEIL.
     """
-    r_wb = geom.quat_to_rot(s.quat)
+    r_wb = geom.quats_to_frames(s.quat)
     cam_world = s.pos + r_wb @ ext.lever_arm
     rel = np.reshape(landmarks - cam_world, (-1, 3, 1))
     d_cam = np.matmul(ext.r_cb, np.matmul(r_wb.T, rel))[:, :, 0]

@@ -25,6 +25,7 @@ PINNED_ZERO_NOISE_PSD_AUDIT = (Path(__file__).parent / "pinned"
                                / "zero_noise_check_psd_audit_outputs.json")
 PINNED_REFERENCE_DATASET = Path(__file__).parent / "pinned" / "urban_loop_seed17_dataset.json"
 PINNED_HIGHWAY_DATASET = Path(__file__).parent / "pinned" / "highway_seed17_dataset.json"
+PINNED_REFERENCE_RUNS = Path(__file__).parent / "pinned" / "urban_loop_seed17_runs.json"
 
 
 def tree_digest(root: Path) -> dict:
@@ -112,27 +113,55 @@ def test_outputs_bits_pinned(mini_dataset, tmp_path):
     assert_digests_pinned(PINNED_OUTPUTS, got)
 
 
-def seed17_dataset_digests(ds: Path, scenario: str) -> dict:
-    """The digests of a seed-17 bearing-mode dataset of scenario with all
-    six gyro errors injected."""
+def simulate_seed17(ds: Path, scenario: str) -> Path:
+    """ds, made a seed-17 bearing-mode dataset of scenario with all six gyro
+    errors injected."""
     assert main(["simulate", "--out", str(ds), "--scenario", scenario, "--seed", "17",
                  "--inject-bias", "0.3", "-0.2", "0.5", "--inject-yaw-scale", "1.01",
                  "--inject-misalign", "0.5", "0.5"]) == EXIT_OK
+    return ds
+
+
+def dataset_digests(ds: Path) -> dict:
     return {f"dataset/{name}": value for name, value in tree_digest(ds).items()}
 
 
-def test_reference_dataset_bits_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def reference_dataset(tmp_path_factory):
     # the benchmark's reference dataset: urban_loop's 1083 camera poses and
     # its coverage densification, which the mini_loop pins do not reach
-    assert_digests_pinned(PINNED_REFERENCE_DATASET,
-                          seed17_dataset_digests(tmp_path / "urban_loop", "urban_loop"))
+    return simulate_seed17(tmp_path_factory.mktemp("reference") / "urban_loop", "urban_loop")
+
+
+def test_reference_dataset_bits_pinned(reference_dataset):
+    assert_digests_pinned(PINNED_REFERENCE_DATASET, dataset_digests(reference_dataset))
+
+
+def test_reference_runs_bits_pinned(reference_dataset, tmp_path, capsys):
+    # the runs behind the benchmark's urban_bearing and urban_wheel_imu
+    # accuracy figures: their output files, their reports without the
+    # dataset path and the wall-clock line, and what eval prints of them
+    got = {}
+    for run, flags in (("bearing", []), ("wheel-imu-only", ["--wheel-imu-only"])):
+        out = tmp_path / run
+        assert main(["run", "--dataset", str(reference_dataset), "--out", str(out),
+                     *flags]) == EXIT_OK
+        got.update(run_digests(out, run))
+        report = "".join(line for line in (out / "report.txt").read_text().splitlines(True)
+                         if not line.startswith(("dataset:", "elapsed_s:")))
+        got[f"{run}/report.txt"] = hashlib.sha256(report.encode()).hexdigest()
+        capsys.readouterr()
+        assert main(["eval", "--estimate", str(out / "trajectory.csv"),
+                     "--ground-truth", str(reference_dataset / "gt.csv")]) == EXIT_OK
+        got[f"{run}/eval"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert_digests_pinned(PINNED_REFERENCE_RUNS, got)
 
 
 def test_highway_dataset_bits_pinned(tmp_path):
     # highway's 4157 camera poses along 5 km, where each pose sees about 1 %
     # of the world points, so the visibility prefilter drops the most
     assert_digests_pinned(PINNED_HIGHWAY_DATASET,
-                          seed17_dataset_digests(tmp_path / "highway", "highway"))
+                          dataset_digests(simulate_seed17(tmp_path / "highway", "highway")))
 
 
 def image_dataset_digests(ds: Path) -> dict:
@@ -547,6 +576,15 @@ INPUT_DEFECTS = [
            RUN, EXIT_DATA, "imu.csv: data row 1 (t=0.010000): 0.5100 s after"),
     defect("gt_header_only", [(perturb.edit_rows, "gt.csv", lambda r: r[:0])],
            RUN, EXIT_DATA, "gt.csv: no data rows"),
+    # a quaternion off unit norm is no attitude: refused with its row named,
+    # rather than failing as a numerical error (the first pose starts the
+    # filter) or scored as if it were a rotation
+    defect("gt_quat_zero", [(perturb.set_value, "gt.csv", 0, slice(4, 8), 0.0)],
+           RUN, EXIT_DATA, "gt.csv: data row 1 (t={t:.6f}): quaternion norm 0 is not within"),
+    defect("eval_quat_scaled",
+           [(perturb.edit_rows, "gt.csv",
+             lambda r: np.vstack((r[:10], r[10] * [1, 1, 1, 1, 2, 2, 2, 2], r[11:])))],
+           EVAL, EXIT_DATA, "{ds}/gt.csv: data row 11 (t=", "quaternion norm 2 is not within"),
     # refused with its row named, rather than gated or its slot truncated
     *[defect(f"bearing_{name}", [(perturb.set_value, "bearings.csv", 40, cols, value)],
              RUN, EXIT_DATA, "bearings.csv: data row 41 (t={t:.6f}", message)

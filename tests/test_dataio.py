@@ -139,7 +139,7 @@ def test_kv_parse_and_errors():
 
 def test_calib_round_trip(tmp_path):
     intr = CameraIntrinsics(501.0, 499.0, 321.5, 239.5, -0.21, 0.035, 640, 480)
-    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(np.array([0.02, -0.3, 0.1]))),
+    ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(np.array([0.02, -0.3, 0.1]))),
                            np.array([1.8, 0.05, 1.2]))
     path = tmp_path / "calib.txt"
     dataio.save_calib(path, intr, ext, 0.0031)

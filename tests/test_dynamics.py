@@ -126,7 +126,7 @@ def test_nav_derivative_matches_model(rng):
         s = NavState(rng.normal(size=3) * 5, geom.so3_exp(rng.uniform(-2, 2, 3)),
                      rng.normal(size=3) * 50)
         omega, accel = rng.normal(size=3), rng.normal(size=3) * 3
-        r = geom.quat_to_rot(s.quat)
+        r = geom.quats_to_frames(s.quat)
         vdot, qdot, pdot = nav_derivative(s, omega, accel)
         assert np.allclose(vdot, accel + r.T @ GRAVITY_VEC - np.cross(omega, s.vel),
                            atol=1e-12)
@@ -172,7 +172,7 @@ def test_propagate_free_fall_closed_form():
     # zero specific force, zero rates: v follows the gravity projection
     q0 = geom.so3_exp(np.array([0.3, -0.2, 0.9]))
     s = NavState(np.array([1.0, 2.0, 3.0]), q0, np.zeros(3))
-    g_body = geom.quat_to_rot(q0).T @ np.array([0, 0, -GRAVITY])
+    g_body = geom.quats_to_frames(q0).T @ np.array([0, 0, -GRAVITY])
     for _ in range(200):
         s = nav_step(s, correct_gyro(np.zeros(3), GyroParams()), np.zeros(3), 0.005)
     assert np.allclose(s.vel, np.array([1.0, 2.0, 3.0]) + g_body * 1.0, atol=1e-9)

@@ -54,7 +54,7 @@ def test_rpe_constant_offset_invariant():
 
 def test_rpe_rigid_transform_invariant():
     gt = curved_record()
-    r = geom.quat_to_rot(geom.so3_exp(np.array([0.1, -0.2, 0.7])))
+    r = geom.quats_to_frames(geom.so3_exp(np.array([0.1, -0.2, 0.7])))
     est = transform_record(gt, r, np.array([5.0, -3.0, 1.0]))
     report = rpe(est, gt)
     assert report.maximum < 1e-8
@@ -106,7 +106,7 @@ def test_ate_identical_zero():
 
 def test_ate_rigid_motion_absorbed():
     gt = curved_record()
-    r = geom.quat_to_rot(geom.so3_exp(np.array([0.0, 0.0, 1.2])))
+    r = geom.quats_to_frames(geom.so3_exp(np.array([0.0, 0.0, 1.2])))
     est = transform_record(gt, r, np.array([100.0, -50.0, 3.0]))
     assert ate_rmse(est, gt) < 1e-9
 

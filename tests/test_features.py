@@ -93,7 +93,7 @@ def test_feature_jacobians_match_fd_sweep(rng):
     for _ in range(1000):
         f = random_feature(rng)
         v_c, w_c = rng.uniform(-15, 15, 3), rng.uniform(-0.6, 0.6, 3)
-        r_cb = geom.quat_to_rot(geom.so3_exp(ext_rng.uniform(-0.3, 0.3, 3)))
+        r_cb = geom.quats_to_frames(geom.so3_exp(ext_rng.uniform(-0.3, 0.3, 3)))
         lever = ext_rng.uniform(-2, 2, 3)
         params = GyroParams(ext_rng.normal(size=3) * 0.01, ext_rng.uniform(0.95, 1.05),
                             ext_rng.uniform(-0.03, 0.03), ext_rng.uniform(-0.03, 0.03))
@@ -109,7 +109,7 @@ def test_linearize_batch_edge_cases(rng):
     60 deg off the axis."""
     params = GyroParams(rng.normal(size=3) * 0.01, 1.02, 0.01, -0.02)
     omega_m = rng.normal(size=3)
-    r_cb = geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3)))
+    r_cb = geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.3, 0.3, 3)))
     v_c = rng.uniform(-10, 10, 3)
     w_c = rng.uniform(-0.5, 0.5, 3)
     off_axis = []
@@ -206,7 +206,7 @@ def test_feature_derivative_far_feature_pure_rotation(rng):
     f.rho = 1e-3
     omega = rng.normal(size=3) * 0.4
     qf, rho = _one_step(f, np.zeros(3), omega)
-    expect = geom.quat_to_rot(geom.so3_exp(-omega * 0.01)) @ geom.quats_to_dirs(f.bearing)
+    expect = geom.quats_to_frames(geom.so3_exp(-omega * 0.01)) @ geom.quats_to_dirs(f.bearing)
     assert np.allclose(geom.quats_to_dirs(qf), expect, atol=1e-12)
     assert rho == pytest.approx(f.rho, rel=4 * np.finfo(float).eps, abs=0)
 
@@ -220,10 +220,10 @@ def test_transport_is_the_exact_rigid_motion(rng):
         nav = NavState(geom.quats_to_dirs(geom.so3_exp(rng.uniform(-np.pi, np.pi, 3)))
                        * rng.uniform(0.0, 21.0),
                        geom.so3_exp(rng.uniform(-1, 1, 3)), rng.normal(size=3) * 10)
-        ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
+        ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
                                rng.uniform(-2, 2, 3))
-        r_wc = geom.quat_to_rot(nav.quat) @ ext.r_cb.T
-        cam_world = nav.pos + geom.quat_to_rot(nav.quat) @ ext.lever_arm
+        r_wc = geom.quats_to_frames(nav.quat) @ ext.r_cb.T
+        cam_world = nav.pos + geom.quats_to_frames(nav.quat) @ ext.lever_arm
         landmarks = []
         for _ in range(6):
             d = np.array([1.0, *rng.uniform(-0.6, 0.6, 2)])
@@ -245,7 +245,7 @@ def test_chunk_transport_matches_single_steps(rng):
     single-step calls with the rho clip between them; one feature, 0.27 m
     ahead of a camera moving at 10 m/s, passes RHO_CEIL mid-chunk."""
     steps = 12
-    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.02, 0.02, 3))),
+    ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.02, 0.02, 3))),
                            rng.uniform(-0.05, 0.05, 3))
     nav = NavState(np.array([10.0, 0.1, 0.0]), geom.so3_exp(rng.uniform(-0.1, 0.1, 3)),
                    rng.normal(size=3) * 10)
@@ -285,15 +285,15 @@ def test_landmark_round_trip(rng):
         nav = NavState(rng.normal(size=3), geom.so3_exp(rng.uniform(-1, 1, 3)),
                        rng.normal(size=3) * 10)
         ext = CameraExtrinsics(
-            geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.2, 0.2, 3))),
+            geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.2, 0.2, 3))),
             rng.uniform(-1, 1, 3))
-        cam_world = nav.pos + geom.quat_to_rot(nav.quat) @ ext.lever_arm
-        fwd_world = geom.quat_to_rot(nav.quat) @ ext.r_cb.T @ np.array([1.0, 0, 0])
+        cam_world = nav.pos + geom.quats_to_frames(nav.quat) @ ext.lever_arm
+        fwd_world = geom.quats_to_frames(nav.quat) @ ext.r_cb.T @ np.array([1.0, 0, 0])
         landmark = (cam_world + fwd_world * rng.uniform(2, 50)
                     + rng.normal(size=3) * 0.5)
         f = landmark_to_feature(landmark, nav, ext)
         d_cam = geom.quats_to_dirs(f.bearing) / f.rho
-        back = cam_world + geom.quat_to_rot(nav.quat) @ ext.r_cb.T @ d_cam
+        back = cam_world + geom.quats_to_frames(nav.quat) @ ext.r_cb.T @ d_cam
         assert np.allclose(back, landmark, atol=1e-9)
 
 
@@ -324,7 +324,7 @@ def test_geometric_consistency_oracle():
     g = np.array([0.0, 0.0, -9.81])
     dt = 0.001
     for _ in range(1000):
-        r = geom.quat_to_rot(nav.quat)
+        r = geom.quats_to_frames(nav.quat)
         accel = -r.T @ g + np.cross(omega, nav.vel)  # hold speed constant
         nav, qf, rho = propagate_joint(nav, qf, rho, omega, accel, dt, ext, g)
         assert rho[0] > 0.0

@@ -182,7 +182,7 @@ def test_predict_follows_active_set_changes(rng):
 def test_stacked_linearization_matches_single_steps(rng, cnt):
     """Step k of a stacked call is bit-identical to the single-step call,
     whatever the number of stacked steps."""
-    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
+    ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
                            rng.uniform(-2, 2, 3))
     params = GyroParams(rng.normal(size=3) * 0.01, 1.02, 0.01, -0.02)
     for steps in (1, 3, 10):
@@ -209,7 +209,7 @@ def test_block_predict_matches_single_samples(rng):
     feature initialization and drops between blocks, a block longer than
     the cap and blocks with every slot active."""
     params = GyroParams(np.array([0.01, -0.005, 0.008]), 1.01, 0.004, -0.003)
-    ext = CameraExtrinsics(geom.quat_to_rot(geom.so3_exp(np.array([0.05, -0.1, 0.02]))),
+    ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(np.array([0.05, -0.1, 0.02]))),
                            np.array([1.8, 0.1, 1.2]))
     filters = []
     for _ in range(2):

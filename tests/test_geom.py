@@ -29,21 +29,21 @@ def test_quat_mul_identity_and_inverse(rng):
 def test_quat_mul_matches_matrix_product(rng):
     for _ in range(200):
         a, b = random_quat(rng), random_quat(rng)
-        left = geom.quat_to_rot(geom.quat_mul(a, b))
-        right = geom.quat_to_rot(a) @ geom.quat_to_rot(b)
+        left = geom.quats_to_frames(geom.quat_mul(a, b))
+        right = geom.quats_to_frames(a) @ geom.quats_to_frames(b)
         assert np.allclose(left, right, atol=1e-12)
 
 
-def test_quat_to_rot_identity_and_yaw():
-    assert np.allclose(geom.quat_to_rot(geom.IDENTITY_QUAT), np.eye(3))
+def test_quats_to_frames_identity_and_yaw():
+    assert np.allclose(geom.quats_to_frames(geom.IDENTITY_QUAT), np.eye(3))
     yaw90 = geom.so3_exp(np.array([0.0, 0.0, np.pi / 2]))
-    assert np.allclose(geom.quat_to_rot(yaw90) @ [1, 0, 0], [0, 1, 0], atol=1e-12)
+    assert np.allclose(geom.quats_to_frames(yaw90) @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
 
-def test_quat_to_rot_orthonormal_and_sandwich(rng):
+def test_quats_to_frames_orthonormal_and_sandwich(rng):
     for _ in range(200):
         q = random_quat(rng)
-        r = geom.quat_to_rot(q)
+        r = geom.quats_to_frames(q)
         assert np.allclose(r.T @ r, np.eye(3), atol=1e-9)
         assert np.isclose(np.linalg.det(r), 1.0, atol=1e-9)
         v = rng.normal(size=3)
@@ -52,7 +52,7 @@ def test_quat_to_rot_orthonormal_and_sandwich(rng):
 
 def test_double_cover(rng):
     q = random_quat(rng)
-    assert np.allclose(geom.quat_to_rot(q), geom.quat_to_rot(-q), atol=1e-12)
+    assert np.allclose(geom.quats_to_frames(q), geom.quats_to_frames(-q), atol=1e-12)
 
 
 def test_skew():
@@ -100,8 +100,8 @@ def test_so3_small_angle_round_trip(rng):
 def test_rot_to_quat_round_trip(rng):
     for _ in range(200):
         q = random_quat(rng)
-        r = geom.quat_to_rot(q)
-        assert np.allclose(geom.quat_to_rot(geom.rot_to_quat(r)), r, atol=1e-9)
+        r = geom.quats_to_frames(q)
+        assert np.allclose(geom.quats_to_frames(geom.rot_to_quat(r)), r, atol=1e-9)
 
 
 def test_projection_n_basis_case():
@@ -191,7 +191,7 @@ def test_frame_convention_body_to_world():
     # yaw the body x axis points along world y.
     q_b = geom.so3_exp(np.array([0.0, 0.0, np.pi / 2]))
     body_forward = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(geom.quat_to_rot(q_b) @ body_forward, [0, 1, 0], atol=1e-12)
+    assert np.allclose(geom.quats_to_frames(q_b) @ body_forward, [0, 1, 0], atol=1e-12)
 
 
 def test_vectorized_helpers_match_scalar(rng):

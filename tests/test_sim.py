@@ -74,7 +74,7 @@ def test_kinematic_consistency_invariant():
     worst = 0.0
     for k in range(1, len(truth.t) - 1, 7):
         pdot = (truth.pos[k + 1] - truth.pos[k - 1]) / (truth.t[k + 1] - truth.t[k - 1])
-        rv = geom.quat_to_rot(truth.quat[k]) @ truth.nav[k, 0:3]
+        rv = geom.quats_to_frames(truth.quat[k]) @ truth.nav[k, 0:3]
         worst = max(worst, float(np.max(np.abs(pdot - rv))))
     assert worst < 1e-4
 
@@ -435,7 +435,7 @@ def reference_generate_world(truth: list[TrajectorySample], seed: int = 0) -> np
 
 def reference_visible_landmarks(world: np.ndarray, nav: NavState) -> list[int]:
     intr, ext = DEFAULT_INTRINSICS, CAMERA_EXTRINSICS
-    r_wb = geom.quat_to_rot(nav.quat)
+    r_wb = geom.quats_to_frames(nav.quat)
     cam_world = nav.pos + r_wb @ ext.lever_arm
     d_cam = (world - cam_world) @ (ext.r_cb @ r_wb.T).T
     rng_m = np.sqrt((d_cam * d_cam).sum(axis=1))
@@ -499,7 +499,7 @@ def reference_synthesize_wheel(truth: list[TrajectorySample],
 
 def reference_landmark_to_feature(landmark_world: np.ndarray, s: NavState,
                                   ext) -> FeatureState:
-    r_wb = geom.quat_to_rot(s.quat)
+    r_wb = geom.quats_to_frames(s.quat)
     cam_world = s.pos + r_wb @ ext.lever_arm
     d_cam = ext.r_cb @ (r_wb.T @ (landmark_world - cam_world))
     rng = np.sqrt(d_cam @ d_cam)
@@ -763,7 +763,7 @@ def assert_view_is_the_scalar_visibility(world, cameras, view):
                          ids=["behind_the_camera", "below_minimum_depth"])
 def test_landmark_kernel_raises_like_the_scalar(offset):
     nav = nav_at(generate_trajectory(mini_loop()), 500)
-    r_wb = geom.quat_to_rot(nav.quat)
+    r_wb = geom.quats_to_frames(nav.quat)
     cam = nav.pos + r_wb @ CAMERA_EXTRINSICS.lever_arm
     bad = cam + r_wb @ CAMERA_EXTRINSICS.r_cb.T @ np.array(offset)
     good = cam + r_wb @ np.array([20.0, 1.0, 0.5])
