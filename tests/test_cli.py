@@ -718,3 +718,21 @@ def test_input_defect(mini_dataset, tmp_path, capsys, perturbations, argv, code,
         assert {EXIT_CONFIG: "config error", EXIT_DATA: "data error"}[code] in err, err
         assert [text for text in expected if text not in err] == [], err
         assert not out.exists()
+
+
+def test_rounded_gt_quaternions_run_and_eval(mini_dataset, tmp_path, capsys):
+    # a gt.csv from another tool that keeps 4 decimals is a rotation to
+    # within its rounding, not a defect: run starts from it and eval scores
+    # against it
+    ds = shutil.copytree(mini_dataset, tmp_path / "ds")
+    perturb.edit_rows(ds, "gt.csv",
+                      lambda r: np.column_stack([r[:, :4], np.round(r[:, 4:8], 4)]))
+    quats = dataio.read_csv(ds / "gt.csv", dataio.POSE_HEADER)[:, 4:8]
+    assert np.abs(np.linalg.norm(quats, axis=1) - 1.0).max() > 1e-5
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(ds), "--out", str(out)]) == EXIT_OK
+    for estimate, truth in ((out / "trajectory.csv", ds / "gt.csv"),
+                            (ds / "gt.csv", mini_dataset / "gt.csv")):
+        assert main(["eval", "--estimate", str(estimate),
+                     "--ground-truth", str(truth)]) == EXIT_OK
+    assert "data error" not in capsys.readouterr().err
