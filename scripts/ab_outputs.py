@@ -18,9 +18,10 @@ tree runs the command-line front end as a subprocess with its own
   closed-loop (criterion 6) dataset, and mini_loop in image mode, the
   rendering path that draws no image noise;
 * ``viwo run`` on OLD's datasets: urban_loop in bearing mode, with
-  ``--check-psd`` and with ``--wheel-imu-only``, and both mini_loop datasets
-  in image mode (with injected errors the image run diverges, so the clean
-  one is the run whose numbers mean something);
+  ``--check-psd`` and with ``--wheel-imu-only``, highway in bearing mode
+  (the yardstick of the gyro calibration on a fast drive), and both
+  mini_loop datasets in image mode (with injected errors the image run
+  diverges, so the clean one is the run whose numbers mean something);
 * ``viwo eval`` of each run's ``trajectory.csv`` against its dataset's
   ``gt.csv``;
 * ``viwo jacobian-check --configs 200 --seed 0``.
@@ -59,6 +60,7 @@ SIMULATIONS = {"urban_loop": ["--scenario", "urban_loop", *INJECT, *SEED_17],
 RUNS = {"urban_loop bearing": ("urban_loop", []),
         "urban_loop bearing check-psd": ("urban_loop", ["--check-psd"]),
         "urban_loop wheel-imu-only": ("urban_loop", ["--wheel-imu-only"]),
+        "highway bearing": ("highway", []),
         "mini_loop image": ("mini_loop", ["--mode", "image"]),
         "mini_loop_clean image": ("mini_loop_clean", ["--mode", "image"])}
 RUN_FILES = ("trajectory.csv", "params.csv", "final-params.txt")

@@ -10,14 +10,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .dynamics import GyroParams, ImuSample, NavState
+from .dynamics import GyroParams, NavState
 from .features import CameraExtrinsics
 from .filter import AdaptiveEkf, NoiseConfig
 from .sensors import CameraIntrinsics
 
 __all__ = [
-    "AdaptiveEkf", "CameraExtrinsics", "CameraIntrinsics", "GyroParams", "ImuSample",
-    "NavState", "NoiseConfig",
+    "AdaptiveEkf", "CameraExtrinsics", "CameraIntrinsics", "GyroParams", "NavState",
+    "NoiseConfig",
 ]
 
 __version__ = "0.1.0"

@@ -60,13 +60,6 @@ class NavState:
 
 
 @dataclass
-class ImuSample:
-    t: float
-    omega_m: np.ndarray   # measured angular rate [rad/s]
-    accel_m: np.ndarray   # measured specific force [m/s^2]
-
-
-@dataclass
 class GyroParams:
     """Gyroscope offsets [rad/s], yaw-rate scale, yaw-rate cross coupling (small angles)."""
     bias: np.ndarray = field(default_factory=lambda: np.zeros(3))

@@ -29,15 +29,14 @@ flat indices, which are cached per active-slot set together with the state
 indices and the process-noise diagonal.
 
 Batch invariance: step k's states, F and Psi are bit-identical whatever the
-chunk length, so a block predict equals the same samples predicted one at a
-time.  The stacked transport and linearization use only elementwise
-arithmetic and products whose per-step operands have the shapes of a single
-step; a stacked array never goes through one BLAS product whose kernel could
-depend on its row count.  The single-step calls are the stacked code with
-one step.  The frame update keeps the same rule for its bearings: the
-residuals come from one geom.s2_boxminus_rows call and the retraction from
-one s2_boxplus_rows call, and those row kernels are elementwise, so they
-equal the scalar S^2 maps row by row.
+chunk length, so a block predict equals the same rows predicted one at a
+time, as one-row blocks.  The stacked transport and linearization use only
+elementwise arithmetic and products whose per-step operands have the shapes
+of a single step; a stacked array never goes through one BLAS product whose
+kernel could depend on its row count.  The frame update keeps the same rule
+for its bearings: the residuals come from one geom.s2_boxminus_rows call and
+the retraction from one s2_boxplus_rows call, and those row kernels are
+elementwise, so they equal the scalar S^2 maps row by row.
 
 The update stacks all measurement rows of a frame (vehicle and ZUPT rows,
 plus the camera rows of the active slots), performs a standard EKF
@@ -78,8 +77,8 @@ import scipy
 
 from . import geom
 from .dynamics import (GRAVITY_VEC, MAX_STEP_S, PARAM_LOWER, PARAM_UPPER, GyroParams,
-                       ImuSample, NavState, apply_gyro_error, correct_gyro,
-                       corrected_rate_param_jacobian, rk4_nav)
+                       NavState, apply_gyro_error, correct_gyro, corrected_rate_param_jacobian,
+                       rk4_nav)
 from .features import RHO_CEIL, RHO_FLOOR, CameraExtrinsics, linearize_batch
 from .image import (Image, build_pyramid, detect_features, extract_patch_set,
                     klt_align)
@@ -225,18 +224,17 @@ _DOT_CROSS_M = np.concatenate((np.arange(3), geom.CROSS_B, geom.CROSS_A))
 
 
 def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
-                    omega: np.ndarray, accel: np.ndarray, dt: float | np.ndarray,
+                    omega: np.ndarray, accel: np.ndarray, dt: np.ndarray,
                     ext: CameraExtrinsics, g: np.ndarray):
-    """The nav state and the features it carries over one IMU step or a
-    chunk of them (corrected rates).
+    """The nav state and the features it carries over a chunk of IMU steps
+    (corrected rates).
 
-    Single step: omega and accel (3,), dt a float -> (nav', qf' (n, 4),
-    rho' (n,)).  Chunk: omega and accel (T, 3), dt (T,) -> (navs (T + 1,
+    omega and accel (T, 3), dt (T,), qf (n, 4), rho (n,) -> (navs (T + 1,
     10), qfs (T + 1, n, 4), rhos (T + 1, n)), the states before each step
     and after the last, navs as [vel, quat, pos] rows.  Between the steps of
     a chunk rho is clipped to [RHO_FLOOR, RHO_CEIL], as the filter clips
     after every step; the last rho is returned unclipped.  So a chunk gives,
-    bit for bit, the states of T single steps with the clip between them.
+    bit for bit, the states of T one-step chunks with the clip between them.
 
     The nav block is one dynamics.rk4_nav call over all steps.  A feature is a
     static point p / rho in the camera frame, so it moves with the exact
@@ -254,9 +252,6 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
     rotation taking p onto p', matching the left N-lift tangent convention
     to O(dt^3).  Raises FloatingPointError on a non-finite or zero range.
     """
-    single = np.ndim(dt) == 0
-    if single:
-        omega, accel, dt = omega[None], accel[None], [dt]
     navs = rk4_nav(nav, omega, accel, g, dt)
     steps = len(navs) - 1
     cnt = qf.shape[0]
@@ -305,31 +300,21 @@ def propagate_joint(nav: NavState, qf: np.ndarray, rho: np.ndarray,
                     np.minimum(rho, RHO_CEIL, out=rho)
         if not (np.isfinite(norms).all() and norms.all()):
             raise FloatingPointError("non-finite feature state after propagation")
-    if single:
-        return NavState.from_row(navs[1]), qfs[1], rhos[1]
     return navs, qfs, rhos
 
 
-def assemble_linearization(nav: NavState | np.ndarray,
-                           qf: np.ndarray, rho: np.ndarray,
+def assemble_linearization(navs: np.ndarray, qf: np.ndarray, rho: np.ndarray,
                            omega: np.ndarray, omega_m: np.ndarray,
                            params: GyroParams, ext: CameraExtrinsics,
                            g: np.ndarray):
-    """(F, Psi) over [nav, features] in one pass (compact layout).
+    """(F, Psi) over [nav, features] of T steps in one pass (compact layout).
 
-    Single step: nav a NavState, qf (n, 4), rho (n,), omega and omega_m (3,)
-    -> F (dim, dim), Psi (dim, 6).  Stacked: nav (T, 10) [vel, quat, pos]
-    rows, qf (T, n, 4), rho (T, n), omega and omega_m (T, 3) -> F (T, dim,
-    dim), Psi (T, dim, 6).  The single step is the stacked code with T = 1,
-    and step k's matrices are bit-identical whatever T is: every operation
-    is elementwise or a product per step (see the module docstring).
+    navs (T, 10) [vel, quat, pos] rows, qf (T, n, 4), rho (T, n), omega and
+    omega_m (T, 3) -> F (T, dim, dim), Psi (T, dim, 6).  Step k's matrices
+    are bit-identical whatever T is: every operation is elementwise or a
+    product per step (see the module docstring).
     """
-    single = isinstance(nav, NavState)
-    if single:
-        vel, quat = nav.vel[None], nav.quat[None]
-        qf, rho, omega, omega_m = qf[None], rho[None], omega[None], omega_m[None]
-    else:
-        vel, quat = nav[:, 0:3], nav[:, 3:7]
+    vel, quat = navs[:, 0:3], navs[:, 3:7]
     steps, cnt = qf.shape[0], qf.shape[1]
     n = NAV_DIM + FEAT_DIM * cnt
     r = geom.quats_to_frames(quat)
@@ -354,7 +339,7 @@ def assemble_linearization(nav: NavState | np.ndarray,
         f[:, rows, cols] = diag
         f[:, NAV_DIM:, 0:3] = coupling.reshape(steps, -1, 3)
         psi[:, NAV_DIM:] = psi_blocks.reshape(steps, -1, 6)
-    return (f[0], psi[0]) if single else (f, psi)
+    return f, psi
 
 
 def _feature_diag_indices(cnt: int):
@@ -368,8 +353,9 @@ def assemble_f_compact(nav: NavState, qf: np.ndarray, rho: np.ndarray,
                        omega: np.ndarray, ext: CameraExtrinsics) -> np.ndarray:
     """Error-state dynamics matrix over [nav, features] (compact layout)."""
     omega_m = apply_gyro_error(omega, GyroParams())
-    return assemble_linearization(nav, qf, rho, omega, omega_m, GyroParams(),
-                                  ext, GRAVITY_VEC)[0]
+    row = np.concatenate((nav.vel, nav.quat, nav.pos))[None]
+    return assemble_linearization(row, qf[None], rho[None], omega[None], omega_m[None],
+                                  GyroParams(), ext, GRAVITY_VEC)[0][0]
 
 
 def assemble_psi_compact(nav: NavState, qf: np.ndarray, rho: np.ndarray,
@@ -377,8 +363,9 @@ def assemble_psi_compact(nav: NavState, qf: np.ndarray, rho: np.ndarray,
                          ext: CameraExtrinsics) -> np.ndarray:
     """Parameter-sensitivity matrix Psi over [nav, features] (compact)."""
     omega = correct_gyro(omega_m, params)
-    return assemble_linearization(nav, qf, rho, omega, omega_m, params, ext,
-                                  GRAVITY_VEC)[1]
+    row = np.concatenate((nav.vel, nav.quat, nav.pos))[None]
+    return assemble_linearization(row, qf[None], rho[None], omega[None], omega_m[None],
+                                  params, ext, GRAVITY_VEC)[1][0]
 
 
 def kalman_step(p: np.ndarray, h: np.ndarray, r_diag: np.ndarray,
@@ -554,9 +541,9 @@ class AdaptiveEkf:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(self, imu: ImuSample | np.ndarray) -> None:
-        """Propagate through one IMU sample or a (T, 7) block of imu.csv rows
-        [t, omega_m, accel_m].
+    def predict(self, imu: np.ndarray) -> None:
+        """Propagate through a (T, 7) block of imu.csv rows [t, omega_m,
+        accel_m]; one sample is a one-row block.
 
         Over a block the active set and the gyro parameters stay fixed, so
         the states of a chunk come from one propagate_joint call, the
@@ -567,8 +554,6 @@ class AdaptiveEkf:
         before any state changes, and a FloatingPointError leaves the chunk
         it is raised in unapplied.
         """
-        if isinstance(imu, ImuSample):
-            imu = np.concatenate(([imu.t], imu.omega_m, imu.accel_m))[None]
         stamps = np.concatenate(([self.t], imu[:, 0]))
         dts = stamps[1:] - stamps[:-1]
         ok = (dts > 0.0) & (dts <= MAX_STEP_S)

@@ -506,8 +506,7 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
                 ekf.note_wheel(t, v_x)
             k = end + 1
             ft, payload = frames[i]
-            veh = VehicleVelocityMeasurement(ft, float(ds.wheel[end, 1]),
-                                             float(ds.imu[end, 5]))
+            veh = VehicleVelocityMeasurement(float(ds.wheel[end, 1]), float(ds.imu[end, 5]))
             if worker is None:
                 ekf.process_bearing_frame(ft, payload, veh)
             else:
@@ -575,6 +574,7 @@ def load_pose_csv(path) -> TrajectoryRecord:
     arr = dataio.read_csv(path, dataio.POSE_HEADER)
     if arr.shape[0] == 0:
         raise dataio.DataError(f"{path}: empty trajectory")
+    _check_finite(path, arr, dataio.POSE_HEADER)
     _check_unit_quats(path, arr)
     try:
         return TrajectoryRecord(arr[:, 0], arr[:, 1:4], arr[:, 4:8])

@@ -199,7 +199,6 @@ def camera_measurement_jacobian(bearing: np.ndarray, patch: list[PatchLevel],
 
 @dataclass
 class VehicleVelocityMeasurement:
-    t: float
     v_x_m: float      # wheel-derived longitudinal speed [m/s]
     a_y_m: float      # lateral accelerometer channel [m/s^2]
 

@@ -1,4 +1,5 @@
-"""Reference implementations used as test oracles.
+"""Reference implementations used as test oracles, and imu_rows, the
+imu.csv rows that the tests feed them and the filter.
 
 PlainEkf is a from-scratch error-state EKF with no parameter-estimation
 machinery at all; it shares the package's linear algebra (propagation,
@@ -10,7 +11,7 @@ channel disabled.
 import numpy as np
 
 from viwo import geom
-from viwo.dynamics import GyroParams, correct_gyro
+from viwo.dynamics import GyroParams, NavState, correct_gyro
 from viwo.features import RHO_CEIL, RHO_FLOOR
 from viwo.filter import (FEAT_DIM, NAV_DIM, assemble_linearization,
                          kalman_step, propagate_joint, retract)
@@ -18,6 +19,12 @@ from viwo.sensors import (vehicle_measurement_jacobian,
                           vehicle_predicted_measurement,
                           vehicle_velocity_measurement)
 from scipy.stats import chi2
+
+
+def imu_rows(samples):
+    """A (T, 7) block of imu.csv rows [t, omega_m, accel_m] from (t,
+    omega_m, accel_m) triples."""
+    return np.array([[t, *omega_m, *accel_m] for t, omega_m, accel_m in samples])
 
 
 class PlainEkf:
@@ -48,13 +55,17 @@ class PlainEkf:
         self.params = GyroParams()  # fixed identity: no calibration channel
 
     def predict(self, imu):
-        dt = imu.t - self.t
-        omega = correct_gyro(imu.omega_m, self.params)
+        """One step to a (1, 7) block of imu.csv rows [t, omega_m, accel_m]."""
+        t, omega_m = imu[0, 0], imu[:, 1:4]
+        dt = t - self.t
+        omega = correct_gyro(omega_m, self.params)
         act = np.nonzero(self.active)[0]
         qf = self.qf[act]
         rho = self.rho[act]
-        f_c, _ = assemble_linearization(self.nav, qf, rho, omega, imu.omega_m,
+        nav = np.concatenate((self.nav.vel, self.nav.quat, self.nav.pos))[None]
+        f_c, _ = assemble_linearization(nav, qf[None], rho[None], omega, omega_m,
                                         self.params, self.ext, self.g)
+        f_c = f_c[0]
         idx = np.concatenate([np.arange(NAV_DIM)]
                              + [NAV_DIM + FEAT_DIM * i + np.arange(3) for i in act]
                              ).astype(int) if len(act) else np.arange(NAV_DIM)
@@ -68,17 +79,16 @@ class PlainEkf:
             o = NAV_DIM + FEAT_DIM * i
             q_diag[o:o + 2] = self.noise.bearing_process ** 2 * dt
             q_diag[o + 2] = self.noise.rho_process ** 2 * dt
-        nav_new, qf_new, rho_new = propagate_joint(self.nav, qf, rho, omega,
-                                                   imu.accel_m, dt, self.ext,
-                                                   self.g)
+        navs, qfs, rhos = propagate_joint(self.nav, qf, rho, omega, imu[:, 4:7],
+                                          np.array([dt]), self.ext, self.g)
         cov = phi @ self.cov @ phi.T
         cov[np.diag_indices_from(cov)] += q_diag
         self.cov = 0.5 * (cov + cov.T)
-        self.nav = nav_new
+        self.nav = NavState.from_row(navs[1])
         if len(act):
-            self.qf[act] = qf_new
-            self.rho[act] = np.clip(rho_new, RHO_FLOOR, RHO_CEIL)
-        self.t = imu.t
+            self.qf[act] = qfs[1]
+            self.rho[act] = np.clip(rhos[1], RHO_FLOOR, RHO_CEIL)
+        self.t = t
 
     def note_wheel(self, t, v):
         if v != 0.0:

@@ -195,7 +195,7 @@ def test_criterion_6_closed_loop(ws):
 
 def test_criterion_7_reduction_equivalence(ws):
     import viwo.pipeline as pl
-    from viwo.dynamics import GRAVITY_VEC, ImuSample, NavState
+    from viwo.dynamics import GRAVITY_VEC, NavState
     from viwo.filter import AdaptiveEkf
     from viwo.sensors import VehicleVelocityMeasurement
     from viwo.sim import Arc, Stop, Straight, TrajectorySpec
@@ -226,15 +226,15 @@ def test_criterion_7_reduction_equivalence(ws):
     frames = dict(ds.bearing_frames)
     pos_a, pos_p = [], []
     for k in range(ds.imu.shape[0]):
-        imu = ImuSample(ds.imu[k, 0], ds.imu[k, 1:4], ds.imu[k, 4:7])
-        adaptive.predict(imu)
-        plain.predict(imu)
+        t = ds.imu[k, 0]
+        adaptive.predict(ds.imu[k:k + 1])
+        plain.predict(ds.imu[k:k + 1])
         adaptive.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
         plain.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
-        if imu.t in frames:
-            veh = VehicleVelocityMeasurement(imu.t, ds.wheel[k, 1], ds.imu[k, 5])
-            adaptive.process_bearing_frame(imu.t, frames[imu.t], veh)
-            plain.frame(imu.t, frames[imu.t], veh)
+        if t in frames:
+            veh = VehicleVelocityMeasurement(ds.wheel[k, 1], ds.imu[k, 5])
+            adaptive.process_bearing_frame(t, frames[t], veh)
+            plain.frame(t, frames[t], veh)
             pos_a.append(adaptive.nav.pos.copy())
             pos_p.append(plain.nav.pos.copy())
     identical = np.array_equal(np.array(pos_a), np.array(pos_p))

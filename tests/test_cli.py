@@ -585,6 +585,11 @@ INPUT_DEFECTS = [
            [(perturb.edit_rows, "gt.csv",
              lambda r: np.vstack((r[:10], r[10] * [1, 1, 1, 1, 2, 2, 2, 2], r[11:])))],
            EVAL, EXIT_DATA, "{ds}/gt.csv: data row 11 (t=", "quaternion norm 2 is not within"),
+    # a non-finite position is refused with its row named, rather than
+    # scored into NaN percentiles
+    *[defect(f"eval_px_{value}", [(perturb.set_value, "gt.csv", 500, 1, value)], EVAL,
+             EXIT_DATA, "{ds}/gt.csv: data row 501 (t={t:.6f}): px is not finite")
+      for value in (np.nan, np.inf)],
     # refused with its row named, rather than gated or its slot truncated
     *[defect(f"bearing_{name}", [(perturb.set_value, "bearings.csv", 40, cols, value)],
              RUN, EXIT_DATA, "bearings.csv: data row 41 (t={t:.6f}", message)

@@ -14,13 +14,14 @@ def level_gravity_cancel():
 
 
 def nav_linearization(nav, omega_m, params, ext=None):
-    """(F, Psi) of the nav error state: assemble_linearization with no
-    features."""
-    f, psi = assemble_linearization(nav, np.zeros((0, 4)), np.zeros(0),
-                                    correct_gyro(omega_m, params), omega_m,
+    """(F, Psi) of the nav error state: assemble_linearization over one step
+    with no features."""
+    f, psi = assemble_linearization(np.concatenate((nav.vel, nav.quat, nav.pos))[None],
+                                    np.zeros((1, 0, 4)), np.zeros((1, 0)),
+                                    correct_gyro(omega_m, params)[None], omega_m[None],
                                     params, ext or CameraExtrinsics(), GRAVITY_VEC)
-    assert f.shape == (NAV_DIM, NAV_DIM) and psi.shape == (NAV_DIM, 6)
-    return f, psi
+    assert f.shape == (1, NAV_DIM, NAV_DIM) and psi.shape == (1, NAV_DIM, 6)
+    return f[0], psi[0]
 
 
 def test_apply_gyro_error_identity(rng):
@@ -246,9 +247,10 @@ def test_propagate_nav_matches_joint_propagator(rng):
         accel = rng.uniform(-2, 2, 3)
         dt = rng.uniform(0.001, 0.02)
         a = nav_step(s, correct_gyro(omega_m, params), accel, dt)
-        b, _, _ = propagate_joint(s, np.zeros((0, 4)), np.zeros(0),
-                                  correct_gyro(omega_m, params), accel, dt,
-                                  CameraExtrinsics(), GRAVITY_VEC)
+        navs, _, _ = propagate_joint(s, np.zeros((0, 4)), np.zeros(0),
+                                     correct_gyro(omega_m, params)[None], accel[None],
+                                     np.array([dt]), CameraExtrinsics(), GRAVITY_VEC)
+        b = NavState.from_row(navs[1])
         assert np.allclose(a.vel, b.vel, atol=1e-13)
         assert np.allclose(a.quat, b.quat, atol=1e-13)
         assert np.allclose(a.pos, b.pos, atol=1e-13)

@@ -179,9 +179,10 @@ def _one_step(f, vel, omega, dt=0.01):
     body origin; without gravity, the specific force omega x v holds the body
     velocity constant."""
     nav = NavState(vel, geom.IDENTITY_QUAT.copy(), np.zeros(3))
-    _, qf, rho = propagate_joint(nav, f.bearing[None].copy(), np.array([f.rho]), omega,
-                                 np.cross(omega, vel), dt, CameraExtrinsics(), np.zeros(3))
-    return qf[0], rho[0]
+    _, qf, rho = propagate_joint(nav, f.bearing[None].copy(), np.array([f.rho]), omega[None],
+                                 np.cross(omega, vel)[None], np.array([dt]), CameraExtrinsics(),
+                                 np.zeros(3))
+    return qf[1, 0], rho[1, 0]
 
 
 def test_feature_derivative_stationary():
@@ -230,10 +231,12 @@ def test_transport_is_the_exact_rigid_motion(rng):
             landmarks.append(cam_world + r_wc @ (d / np.linalg.norm(d))
                              / rng.uniform(0.02, 1.9))
         feats = [landmark_to_feature(x, nav, ext) for x in landmarks]
-        nav_new, qf, rho = propagate_joint(
+        navs, qfs, rhos = propagate_joint(
             nav, np.array([f.bearing for f in feats]), np.array([f.rho for f in feats]),
-            rng.normal(size=3) * 0.5, rng.normal(size=3) * 3, dt, ext, GRAVITY_VEC)
-        for x, q, r in zip(landmarks, qf, rho):
+            rng.normal(size=(1, 3)) * 0.5, rng.normal(size=(1, 3)) * 3, np.array([dt]), ext,
+            GRAVITY_VEC)
+        nav_new = NavState.from_row(navs[1])
+        for x, q, r in zip(landmarks, qfs[1], rhos[1]):
             truth = landmark_to_feature(x, nav_new, ext)
             # the chord between unit vectors is the angle to O(angle^3)
             assert np.linalg.norm(geom.quats_to_dirs(q) - geom.quats_to_dirs(truth.bearing)) < 1e-12
@@ -242,7 +245,7 @@ def test_transport_is_the_exact_rigid_motion(rng):
 
 def test_chunk_transport_matches_single_steps(rng):
     """A T-step propagate_joint call returns, bit for bit, the states of T
-    single-step calls with the rho clip between them; one feature, 0.27 m
+    one-step calls with the rho clip between them; one feature, 0.27 m
     ahead of a camera moving at 10 m/s, passes RHO_CEIL mid-chunk."""
     steps = 12
     ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.02, 0.02, 3))),
@@ -269,8 +272,10 @@ def test_chunk_transport_matches_single_steps(rng):
         assert np.array_equal(navs[k], np.concatenate((s.vel, s.quat, s.pos))), k
         assert np.array_equal(qfs[k], q) and np.array_equal(rhos[k], r), k
         if k < steps:
-            s, q, r = propagate_joint(s, q, r, omega[k], accel[k], dts[k], ext,
-                                      GRAVITY_VEC)
+            one = slice(k, k + 1)
+            n1, q1, r1 = propagate_joint(s, q, r, omega[one], accel[one], dts[one], ext,
+                                         GRAVITY_VEC)
+            s, q, r = NavState.from_row(n1[1]), q1[1], r1[1]
     assert past_ceil and 1 < past_ceil[0] < steps - 1
 
     # without features a chunk still steps the nav state
@@ -326,7 +331,9 @@ def test_geometric_consistency_oracle():
     for _ in range(1000):
         r = geom.quats_to_frames(nav.quat)
         accel = -r.T @ g + np.cross(omega, nav.vel)  # hold speed constant
-        nav, qf, rho = propagate_joint(nav, qf, rho, omega, accel, dt, ext, g)
+        navs, qfs, rhos = propagate_joint(nav, qf, rho, omega[None], accel[None],
+                                          np.array([dt]), ext, g)
+        nav, qf, rho = NavState.from_row(navs[1]), qfs[1], rhos[1]
         assert rho[0] > 0.0
     truth = landmark_to_feature(landmark, nav, ext)
     angle = np.arccos(np.clip(geom.quats_to_dirs(qf[0]) @ geom.quats_to_dirs(truth.bearing),

@@ -10,9 +10,9 @@ import pytest
 from scipy.stats import chi2
 
 from landmarks import landmark_to_feature
-from oracles import PlainEkf, batch_rls
+from oracles import PlainEkf, batch_rls, imu_rows
 from viwo import geom
-from viwo.dynamics import (GRAVITY_VEC, GyroParams, ImuSample, NavState,
+from viwo.dynamics import (GRAVITY_VEC, GyroParams, NavState,
                            apply_gyro_error, correct_gyro)
 from viwo.features import CameraExtrinsics
 from viwo.filter import (GATE_LIMIT, GATE_QUANTILE, NAV_DIM, PREDICT_BLOCK_MAX,
@@ -29,12 +29,6 @@ def make_filter(capacity=4, **kw):
                       capacity=capacity, rho_sg=0.004, **kw)
     ekf.initialize(0.0, NavState.identity())
     return ekf
-
-
-def imu_rows(samples):
-    """A (T, 7) block of imu.csv rows [t, omega_m, accel_m] from (t,
-    omega_m, accel_m) triples."""
-    return np.array([[t, *omega_m, *accel_m] for t, omega_m, accel_m in samples])
 
 
 def test_noise_config_validation():
@@ -55,9 +49,9 @@ def test_noise_config_validation():
 def test_predict_rejects_bad_dt():
     ekf = make_filter()
     with pytest.raises(ValueError):
-        ekf.predict(ImuSample(0.0, np.zeros(3), GRAV_CANCEL))
+        ekf.predict(imu_rows([(0.0, np.zeros(3), GRAV_CANCEL)]))
     with pytest.raises(ValueError):
-        ekf.predict(ImuSample(0.5, np.zeros(3), GRAV_CANCEL))
+        ekf.predict(imu_rows([(0.5, np.zeros(3), GRAV_CANCEL)]))
     # a block whose third row repeats the second row's stamp is refused
     # before any of its steps is applied
     ekf.predict(imu_rows((k * 0.01, np.array([0.01, -0.02, 0.1]), GRAV_CANCEL)
@@ -84,11 +78,12 @@ def test_transition_structure_nav_to_feature_zero(rng):
         ekf._rho[i] = 0.2
     qf = ekf._qf[0:3]
     rho = ekf._rho[0:3]
-    nav = NavState(np.array([10.0, 0.5, 0.0]), geom.so3_exp(rng.uniform(-1, 1, 3)),
-                   np.zeros(3))
-    f, psi = assemble_linearization(nav, qf, rho, np.array([0.1, 0.0, 0.4]),
-                                    np.array([0.1, 0.0, 0.4]), GyroParams(),
+    nav = np.concatenate(([10.0, 0.5, 0.0], geom.so3_exp(rng.uniform(-1, 1, 3)),
+                          np.zeros(3)))[None]
+    f, psi = assemble_linearization(nav, qf[None], rho[None], np.array([[0.1, 0.0, 0.4]]),
+                                    np.array([[0.1, 0.0, 0.4]]), GyroParams(),
                                     ekf.ext, GRAVITY_VEC)
+    f, psi = f[0], psi[0]
     assert np.allclose(f[0:NAV_DIM, NAV_DIM:], 0.0)
     # feature rows couple only through the velocity columns of the nav block
     assert np.allclose(f[NAV_DIM:, 3:NAV_DIM], 0.0)
@@ -104,9 +99,11 @@ def _dense_predict_reference(ekf, omega_m, dt):
     from viwo.dynamics import correct_gyro
     omega = correct_gyro(omega_m, ekf.params)
     act = np.nonzero(ekf._active)[0]
-    f_c, psi_c = assemble_linearization(ekf.nav, ekf._qf[act], ekf._rho[act],
-                                        omega, omega_m, ekf.params, ekf.ext,
+    nav = np.concatenate((ekf.nav.vel, ekf.nav.quat, ekf.nav.pos))[None]
+    f_c, psi_c = assemble_linearization(nav, ekf._qf[act][None], ekf._rho[act][None],
+                                        omega[None], omega_m[None], ekf.params, ekf.ext,
                                         GRAVITY_VEC)
+    f_c, psi_c = f_c[0], psi_c[0]
     idx = list(range(NAV_DIM))
     for i in act:
         idx.extend(NAV_DIM + 3 * i + k for k in range(3))
@@ -139,7 +136,7 @@ def test_predict_covariance_matches_dense_oracle(rng):
     omega_m = np.array([0.02, -0.01, 0.3])
     dt = 0.01
     expect, expect_ups = _dense_predict_reference(ekf, omega_m, dt)
-    ekf.predict(ImuSample(dt, omega_m, GRAV_CANCEL))
+    ekf.predict(imu_rows([(dt, omega_m, GRAV_CANCEL)]))
     assert np.allclose(ekf.cov, expect, atol=1e-18, rtol=0)
     assert np.allclose(ekf.upsilon, expect_ups, atol=1e-18, rtol=0)
 
@@ -171,7 +168,7 @@ def test_predict_follows_active_set_changes(rng):
         omega_m = rng.uniform(-0.3, 0.3, 3)
         dt = rng.uniform(0.005, 0.02)
         expect, expect_ups = _dense_predict_reference(ekf, omega_m, dt)
-        ekf.predict(ImuSample(ekf.t + dt, omega_m, GRAV_CANCEL))
+        ekf.predict(imu_rows([(ekf.t + dt, omega_m, GRAV_CANCEL)]))
         assert np.max(np.abs(ekf.cov - expect)) <= 1e-14 * np.max(np.abs(expect))
         assert (np.max(np.abs(ekf.upsilon - expect_ups))
                 <= 1e-14 * np.max(np.abs(expect_ups)))
@@ -180,7 +177,7 @@ def test_predict_follows_active_set_changes(rng):
 
 @pytest.mark.parametrize("cnt", [0, 14])
 def test_stacked_linearization_matches_single_steps(rng, cnt):
-    """Step k of a stacked call is bit-identical to the single-step call,
+    """Step k of a stacked call is bit-identical to the one-step call,
     whatever the number of stacked steps."""
     ext = CameraExtrinsics(geom.quats_to_frames(geom.so3_exp(rng.uniform(-0.3, 0.3, 3))),
                            rng.uniform(-2, 2, 3))
@@ -198,10 +195,11 @@ def test_stacked_linearization_matches_single_steps(rng, cnt):
                                         GRAVITY_VEC)
         assert f.shape == (steps, NAV_DIM + 3 * cnt, NAV_DIM + 3 * cnt)
         for k in range(steps):
-            f_k, psi_k = assemble_linearization(navs[k], qf[k], rho[k], omega[k],
-                                                omega_m[k], params, ext, GRAVITY_VEC)
-            assert np.array_equal(f[k], f_k)
-            assert np.array_equal(psi[k], psi_k)
+            one = slice(k, k + 1)
+            f_k, psi_k = assemble_linearization(rows[one], qf[one], rho[one], omega[one],
+                                                omega_m[one], params, ext, GRAVITY_VEC)
+            assert np.array_equal(f[k], f_k[0])
+            assert np.array_equal(psi[k], psi_k[0])
 
 
 def test_block_predict_matches_single_samples(rng):
@@ -240,7 +238,7 @@ def test_block_predict_matches_single_samples(rng):
             block.append((t, rng.normal(0.0, 0.2, 3), GRAV_CANCEL + rng.normal(0.0, 0.5, 3)))
         filters[0].predict(imu_rows(block))
         for imu in block:
-            filters[1].predict(ImuSample(*imu))
+            filters[1].predict(imu_rows([imu]))
         a, b = filters
         assert a.t == b.t
         for name in ("vel", "quat", "pos"):
@@ -310,7 +308,7 @@ def test_zero_residual_changes_nothing():
     qf_before = ekf._qf[0].copy()
 
     groups = [ekf.bearing_groups([0], ekf._qf[[0]].copy())]
-    veh = VehicleVelocityMeasurement(0.0, 12.0, 0.0125)
+    veh = VehicleVelocityMeasurement(12.0, 0.0125)
     # craft a vehicle measurement whose residual is exactly zero
     from viwo.sensors import vehicle_predicted_measurement, vehicle_velocity_measurement
     pred = vehicle_predicted_measurement(ekf.nav.vel, 12.0, 0.0125, ekf.rho_sg)
@@ -320,7 +318,7 @@ def test_zero_residual_changes_nothing():
         ekf.nav.vel[1] = -ekf.rho_sg * 0.0125 * 12.0
         ekf.nav.vel[2] = 0.0
         nav_before = ekf.nav.copy()
-    groups.append(ekf.vehicle_group(VehicleVelocityMeasurement(0.0, ekf.nav.vel[0], 0.0125)))
+    groups.append(ekf.vehicle_group(VehicleVelocityMeasurement(ekf.nav.vel[0], 0.0125)))
     for g in groups:
         assert np.allclose(g.residual, 0, atol=1e-12)
     ekf.update(groups)
@@ -672,7 +670,7 @@ def test_parameter_stationarity_with_truth_supplied(rng):
     omega_m = apply_gyro_error(np.zeros(3), true_params)
     for step in range(100):
         t += 0.01
-        ekf.predict(ImuSample(t, omega_m, GRAV_CANCEL))
+        ekf.predict(imu_rows([(t, omega_m, GRAV_CANCEL)]))
         if step % 10 == 9:
             obs = []
             for i, lm in enumerate(landmarks):
@@ -697,12 +695,12 @@ def test_standstill_bias_convergence(rng):
     omega_m = apply_gyro_error(np.zeros(3), true_params)
     for step in range(1000):
         t += 0.01
-        ekf.predict(ImuSample(t, omega_m, GRAV_CANCEL))
+        ekf.predict(imu_rows([(t, omega_m, GRAV_CANCEL)]))
         ekf.note_wheel(t, 0.0)
         if step % 10 == 9:
             obs = [(i, landmark_to_feature(lm, NavState.identity(), ext).bearing)
                    for i, lm in enumerate(landmarks)]
-            veh = VehicleVelocityMeasurement(t, 0.0, 0.0)
+            veh = VehicleVelocityMeasurement(0.0, 0.0)
             ekf.process_bearing_frame(t, obs, veh)
     err0 = np.linalg.norm(bias)
     err = np.linalg.norm(ekf.params.bias - bias)
@@ -801,15 +799,15 @@ def test_frozen_parameter_channel_reduces_to_plain_ekf(tmp_path):
     frames = dict(ds.bearing_frames)
     poses_f, poses_p = [], []
     for k in range(ds.imu.shape[0]):
-        imu = ImuSample(ds.imu[k, 0], ds.imu[k, 1:4], ds.imu[k, 4:7])
-        frozen.predict(imu)
-        plain.predict(imu)
+        t = ds.imu[k, 0]
+        frozen.predict(ds.imu[k:k + 1])
+        plain.predict(ds.imu[k:k + 1])
         frozen.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
         plain.note_wheel(ds.wheel[k, 0], ds.wheel[k, 1])
-        if imu.t in frames:
-            veh = VehicleVelocityMeasurement(imu.t, ds.wheel[k, 1], ds.imu[k, 5])
-            frozen.process_bearing_frame(imu.t, frames[imu.t], veh)
-            plain.frame(imu.t, frames[imu.t], veh)
+        if t in frames:
+            veh = VehicleVelocityMeasurement(ds.wheel[k, 1], ds.imu[k, 5])
+            frozen.process_bearing_frame(t, frames[t], veh)
+            plain.frame(t, frames[t], veh)
             poses_f.append(frozen.nav.pos.copy())
             poses_p.append(plain.nav.pos.copy())
     assert len(poses_f) > 100
@@ -826,8 +824,7 @@ def _noisy_frame(rng, ekf, landmarks, t):
         except ValueError:
             continue
         obs.append((i, geom.s2_boxplus(f.bearing, rng.normal(0, 1e-3, 2))))
-    veh = VehicleVelocityMeasurement(t, ekf.nav.vel[0] + rng.normal(0, 0.05),
-                                     rng.normal(0, 0.2))
+    veh = VehicleVelocityMeasurement(ekf.nav.vel[0] + rng.normal(0, 0.05), rng.normal(0, 0.2))
     return obs, veh
 
 
@@ -840,7 +837,7 @@ def test_covariance_psd_over_cycles(rng):
     for step in range(400):
         t += 0.01
         omega_m = np.array([0.01, -0.02, 0.2]) + rng.normal(0, 1e-3, 3)
-        ekf.predict(ImuSample(t, omega_m, GRAV_CANCEL + rng.normal(0, 1e-3, 3)))
+        ekf.predict(imu_rows([(t, omega_m, GRAV_CANCEL + rng.normal(0, 1e-3, 3))]))
         if step % 10 == 9:
             ekf.process_bearing_frame(t, *_noisy_frame(rng, ekf, landmarks, t))
     assert -1e-9 <= ekf.min_eig_p < np.inf
@@ -870,7 +867,7 @@ def test_check_psd_minima_match_per_step_reference(rng):
         checked.predict(imu_rows(block))
         eigs = []
         for imu in block:
-            ref.predict(ImuSample(*imu))
+            ref.predict(imu_rows([imu]))
             eigs.append(float(np.linalg.eigvalsh(ref.cov)[0]))
         chunk_ends = eigs[PREDICT_BLOCK_MAX - 1::PREDICT_BLOCK_MAX] + eigs[-1:]
         inner_minima += min(eigs) < min(ref_p, *chunk_ends)
@@ -906,9 +903,9 @@ def test_zero_slot_filter_matches_empty_slot(rng):
         speed = 8.0 - 4.0 * min(max(t - 1.0, 0.0), 2.0)
         omega = np.array([0.0, 0.0, 0.1 if speed else 0.0])
         accel = GRAV_CANCEL + np.array([-4.0 if braking else 0.0, 0.1 * speed, 0.0])
-        imu = ImuSample(t, apply_gyro_error(omega, params) + rng.normal(0, 1e-3, 3),
-                        accel + rng.normal(0, 1e-2, 3))
-        veh = VehicleVelocityMeasurement(t, speed + rng.normal(0, 0.02), imu.accel_m[1])
+        imu = imu_rows([(t, apply_gyro_error(omega, params) + rng.normal(0, 1e-3, 3),
+                         accel + rng.normal(0, 1e-2, 3))])
+        veh = VehicleVelocityMeasurement(speed + rng.normal(0, 0.02), imu[0, 5])
         for ekf in ekfs:
             ekf.predict(imu)
             ekf.note_wheel(t, speed)

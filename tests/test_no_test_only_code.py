@@ -121,3 +121,24 @@ def test_every_defaulted_parameter_is_passed():
                     and param not in keywords.get(call, ())
                     and (pos is None or positions[call] <= pos)]
     assert not never_passed, f"defaulted parameters that no caller passes: {never_passed}"
+
+
+def test_every_public_class_is_constructed_in_src():
+    """Every public module-level class is called or raised somewhere in
+    src/viwo: a class that only tests construct is a second form of an input
+    that the package takes in another one."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    made = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            target = (node.func if isinstance(node, ast.Call)
+                      else node.exc if isinstance(node, ast.Raise) else None)
+            if isinstance(target, ast.Name):
+                made.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                made.add(target.attr)
+    never = [f"{name.removesuffix('.py')}:{node.name}"
+             for name, tree in trees.items() for node in tree.body
+             if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+             and node.name not in made]
+    assert not never, f"public classes that src/viwo never constructs: {never}"

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from landmarks import FeatureState, landmark_to_feature
+from oracles import imu_rows
 from viwo import geom, pipeline, sim
-from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, ImuSample, NavState,
+from viwo.dynamics import (GRAVITY, GRAVITY_VEC, GyroParams, NavState,
                            apply_gyro_error, correct_gyro, rk4_nav)
 from viwo.features import RHO_CEIL
 from viwo.image import Image, save_pgm
@@ -468,7 +469,7 @@ def reference_ensure_coverage(world: np.ndarray, truth: list[TrajectorySample],
 
 
 def reference_synthesize_imu(truth: list[TrajectorySample],
-                             err: SensorErrorSpec) -> list[ImuSample]:
+                             err: SensorErrorSpec) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([err.seed, 1]))
     noisy = not err.zero_noise
     sg = GYRO_NOISE * np.sqrt(IMU_RATE_HZ)
@@ -479,8 +480,8 @@ def reference_synthesize_imu(truth: list[TrajectorySample],
         if noisy:
             omega_m = omega_m + rng.normal(0.0, sg, 3)
         accel_m = s.accel + (rng.normal(0.0, sa, 3) if noisy else 0.0)
-        out.append(ImuSample(s.t, omega_m, accel_m))
-    return out
+        out.append((s.t, omega_m, accel_m))
+    return imu_rows(out)
 
 
 def reference_synthesize_wheel(truth: list[TrajectorySample],
@@ -615,10 +616,8 @@ def test_truth_and_world_match_the_reference_loops(simulated):
 def test_sensor_streams_match_the_reference_loops(simulated, zero_noise):
     truth, ref_truth, world = simulated["truth"], simulated["ref_truth"], simulated["covered"]
     err = SensorErrorSpec(INJECTED.copy(), seed=17, zero_noise=zero_noise)
-    imu = synthesize_imu(truth, err)
-    ref_imu = reference_synthesize_imu(ref_truth, err)
-    assert imu.tobytes() == np.array([[m.t, *m.omega_m, *m.accel_m]
-                                      for m in ref_imu]).tobytes()
+    assert synthesize_imu(truth, err).tobytes() == reference_synthesize_imu(
+        ref_truth, err).tobytes()
     assert synthesize_wheel(truth, err).tobytes() == np.array(
         reference_synthesize_wheel(ref_truth, err)).tobytes()
     observations = synthesize_bearings(simulated["cameras"], simulated["view"], err, 14)
