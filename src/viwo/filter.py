@@ -713,8 +713,7 @@ class AdaptiveEkf:
             sigma_tan = self.noise.sigma_track_px / self.intr.fx
             return (geom.s2_boxminus(observed, bearing), _EYE2,
                     np.full(2, sigma_tan ** 2))
-        out = camera_measurement_jacobian(bearing, self.patches[slot], pyramid, self.intr,
-                                          at=predicted)
+        out = camera_measurement_jacobian(bearing, self.patches[slot], pyramid, self.intr)
         if out is None:
             return None
         residual, h_tan = out

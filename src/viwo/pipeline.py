@@ -2,7 +2,9 @@
 
 Everything here is also usable in-process (tests drive it without touching a
 shell): simulate a dataset directory, run the filter over a dataset in
-timestamp order, and evaluate estimate-vs-truth trajectories.
+timestamp order, and evaluate estimate-vs-truth trajectories.  An image run
+takes its frames from prepared_frames, a generator that owns a forked worker
+reading and preparing them ahead of the filter.
 """
 
 import os
@@ -207,8 +209,7 @@ def load_dataset(root, mode: str | None = "bearing") -> Dataset:
     ds = Dataset(imu, wheel, intr, ext, rho_sg)
     if paths.gt.exists():
         ds.gt = dataio.read_csv(paths.gt, dataio.POSE_HEADER)
-        _check_finite(paths.gt, ds.gt, dataio.POSE_HEADER)
-        _check_unit_quats(paths.gt, ds.gt)
+        _check_poses(paths.gt, ds.gt)
         # the filter starts at the first ground-truth pose and steps to the
         # first IMU sample from there
         if ds.gt.shape[0] == 0:
@@ -245,12 +246,27 @@ def _check_finite(path, rows: np.ndarray, header: str) -> None:
 # norm by at most 1e-4 (each of four components at most 5e-5 off), a tenth of
 # the bound.  The files viwo writes are within 2.3e-16 of unit norm.
 QUAT_NORM_TOL = 1e-3
+# Earth-fixed coordinates stay under about 1e7 m (ECEF at most 6.4e6 m, a UTM
+# northing under 1e7 m), so a coordinate beyond 1e9 m is a defect, not a
+# place; refused here, it cannot overflow eval's alignment sums.
+POSITION_BOUND_M = 1e9
 
 
-def _check_unit_quats(path, poses: np.ndarray) -> None:
-    """A DataError naming the first data row of a pose file whose quaternion
-    is farther than QUAT_NORM_TOL from unit norm (NaN included): its
-    rotation matrix would not be a rotation."""
+def _check_poses(path, poses: np.ndarray) -> None:
+    """A DataError naming the first data row of a pose file that holds a
+    non-finite value, then the first whose position has a coordinate beyond
+    POSITION_BOUND_M, then the first whose quaternion is farther than
+    QUAT_NORM_TOL from unit norm: its rotation matrix would not be a
+    rotation."""
+    _check_finite(path, poses, dataio.POSE_HEADER)
+    far = np.abs(poses[:, 1:4]) > POSITION_BOUND_M
+    bad = np.flatnonzero(far.any(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        j = 1 + int(far[k].argmax())
+        col = dataio.POSE_HEADER.split(",")[j]
+        raise dataio.DataError(f"{path}: data row {k + 1} (t={poses[k, 0]:.6f}): {col} "
+                               f"{poses[k, j]:g} m is beyond {POSITION_BOUND_M:g} m")
     quats = poses[:, 4:8]
     norm = np.sqrt((quats * quats).sum(axis=1))
     bad = np.flatnonzero(~(np.abs(norm - 1.0) <= QUAT_NORM_TOL))
@@ -341,87 +357,73 @@ class FrameRing:
         return [Image(level) for level in self.levels[slot]]
 
 
-class FrameWorker:
-    """A forked process that reads, checks and prepares (prepare_frame) the
-    frames at paths in order, each into the next slot of a FrameRing.
+def prepared_frames(paths: list, intr: CameraIntrinsics):
+    """Yield (pyramid, detections) of the frames at paths, in order, each
+    read, checked and prepared (prepare_frame) by a forked worker process.
 
-    Per frame it sends the detections, or the exception the frame raised
-    (after which it stops), over a pipe; next raises that exception when
-    the run reaches the frame.  Before it fills a slot again it waits for
-    the run to release it, so it is at most FRAME_SLOTS - 1 frames ahead.
-    At EOF on that wait, the parent being gone, it exits.  close kills and
-    reaps it.  The slots are copied from the same arrays the filter would
-    compute itself, so a run's outputs do not depend on the worker.  The
-    worker runs file reads and numpy's elementwise passes, no BLAS call, so
-    BLAS's own threads in the parent do not make the fork unsafe.
+    The first request forks the worker; it puts frame i into slot
+    i % FRAME_SLOTS of a FrameRing and pickles its detections, or the
+    exception the frame raised (after which it stops), over a pipe.  A
+    frame's exception is raised when that frame is requested.  The pyramid
+    yielded is backed by the frame's slot, which goes back to the worker
+    when the next frame is requested, so the worker is at most
+    FRAME_SLOTS - 1 frames ahead; at EOF on that hand-back pipe, the parent
+    being gone, it exits.  Closing the generator kills and reaps it.  The
+    slots are copied from the same arrays the filter would compute itself,
+    so a run's outputs do not depend on the worker.  The worker runs file
+    reads and numpy's elementwise passes, no BLAS call, so BLAS's own
+    threads in the parent do not make the fork unsafe.
     """
-
-    def __init__(self, paths: list, intr: CameraIntrinsics):
-        self.ring = FrameRing(intr.width, intr.height)
-        self._count = len(paths)
-        self._next = 0
-        results_r, results_w = os.pipe()
-        release_r, self._release = os.pipe()
+    ring = FrameRing(intr.width, intr.height)
+    results_r, results_w = os.pipe()
+    release_r, release_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (results_r, results_w, release_r, release_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
         try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (results_r, results_w, release_r, self._release):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(results_r)
-                os.close(self._release)
-                self._prepare(paths, intr, os.fdopen(results_w, "wb"), release_r)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(results_w)
-        os.close(release_r)
-        self._results = os.fdopen(results_r, "rb")
-
-    def _prepare(self, paths: list, intr: CameraIntrinsics, out, release: int) -> None:
-        """The worker's loop."""
-        for i, path in enumerate(paths):
-            if i >= FRAME_SLOTS and not os.read(release, 1):
-                return
-            try:
-                pyramid, detections = prepare_frame(_read_frame(path, intr))
-                self.ring.store(i % FRAME_SLOTS, pyramid)
-            except Exception as exc:
-                pickle.dump(exc, out)
+            os.close(results_r)
+            os.close(release_w)
+            out = os.fdopen(results_w, "wb")
+            for i, path in enumerate(paths):
+                if i >= FRAME_SLOTS and not os.read(release_r, 1):
+                    break
+                try:
+                    pyramid, detections = prepare_frame(_read_frame(path, intr))
+                    ring.store(i % FRAME_SLOTS, pyramid)
+                except Exception as exc:
+                    pickle.dump(exc, out)
+                    out.flush()
+                    break
+                pickle.dump(detections, out)
                 out.flush()
-                return
-            pickle.dump(detections, out)
-            out.flush()
-
-    def next(self) -> tuple[list[Image], np.ndarray]:
-        """The next frame's pyramid, backed by its slot, and detections; or
-        the exception the worker sent for the frame, raised."""
-        try:
-            got = pickle.load(self._results)
-        except EOFError:
-            raise RuntimeError(f"the frame worker exited before frame {self._next + 1} "
-                               f"of {self._count}") from None
-        if isinstance(got, BaseException):
-            raise got
-        pyramid = self.ring.pyramid(self._next % FRAME_SLOTS)
-        self._next += 1
-        return pyramid, got
-
-    def release(self) -> None:
-        """Hand the slot of the frame next returned last back to the worker,
-        if a frame is still to go in it."""
-        if self._next - 1 + FRAME_SLOTS < self._count:
-            os.write(self._release, b"\0")
-
-    def close(self) -> None:
-        """Kill and reap the worker, and close the pipes."""
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self._results.close()
-        os.close(self._release)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(results_w)
+    os.close(release_r)
+    results = os.fdopen(results_r, "rb")
+    try:
+        for i in range(len(paths)):
+            if 0 < i and i - 1 + FRAME_SLOTS < len(paths):
+                os.write(release_w, b"\0")
+            try:
+                got = pickle.load(results)
+            except EOFError:
+                raise RuntimeError(f"the frame worker exited before frame {i + 1} "
+                                   f"of {len(paths)}") from None
+            if isinstance(got, BaseException):
+                raise got
+            yield ring.pyramid(i % FRAME_SLOTS), got
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        results.close()
+        os.close(release_w)
 
 
 @dataclass
@@ -496,9 +498,9 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
 
     log_state(t0)
     k = 0
-    # the worker reads and prepares the frames the run uses, in order, ahead
+    # a worker reads and prepares the frames the run uses, in order, ahead
     # of the filter
-    worker = FrameWorker([frames[i][1] for i in used], ds.intr) if image else None
+    prepared = prepared_frames([frames[i][1] for i in used] if image else [], ds.intr)
     try:
         for i, end in schedule:
             ekf.predict(ds.imu[k:end + 1])
@@ -507,16 +509,13 @@ def run_filter(ds: Dataset, cfg: RunConfig) -> RunResult:
             k = end + 1
             ft, payload = frames[i]
             veh = VehicleVelocityMeasurement(float(ds.wheel[end, 1]), float(ds.imu[end, 5]))
-            if worker is None:
-                ekf.process_bearing_frame(ft, payload, veh)
+            if image:
+                ekf.process_image_frame(ft, *next(prepared), veh)
             else:
-                pyramid, detections = worker.next()
-                ekf.process_image_frame(ft, pyramid, detections, veh)
-                worker.release()
+                ekf.process_bearing_frame(ft, payload, veh)
             log_state(ft)
     finally:
-        if worker is not None:
-            worker.close()
+        prepared.close()
     ekf.predict(ds.imu[k:])
     if traj_rows[-1][0] < ds.imu[-1, 0]:
         log_state(ds.imu[-1, 0])
@@ -574,8 +573,7 @@ def load_pose_csv(path) -> TrajectoryRecord:
     arr = dataio.read_csv(path, dataio.POSE_HEADER)
     if arr.shape[0] == 0:
         raise dataio.DataError(f"{path}: empty trajectory")
-    _check_finite(path, arr, dataio.POSE_HEADER)
-    _check_unit_quats(path, arr)
+    _check_poses(path, arr)
     try:
         return TrajectoryRecord(arr[:, 0], arr[:, 1:4], arr[:, 4:8])
     except ValueError as exc:

@@ -165,27 +165,21 @@ def unproject(u: float, v: float, intr: CameraIntrinsics) -> np.ndarray:
 
 
 def camera_measurement_jacobian(bearing: np.ndarray, patch: list[PatchLevel],
-                                pyramid: list[Image], intr: CameraIntrinsics,
-                                at: tuple[float, float] | None = None):
+                                pyramid: list[Image], intr: CameraIntrinsics):
     """Intensity residual rows of every pyramid level, stacked, and their
     bearing-tangent Jacobian for one feature.
 
-    Chain: d(residual)/d[u,v] from patch gradients, then the projection chain
-    d[u,v]/d(bearing tangent), once for all levels.  at is the bearing's
-    pixel position when the caller has projected it already (inside the
-    image); then only the tangent Jacobian is computed here.  The
-    inverse-depth column of the measurement is structurally zero and is not
-    represented.  Returns (residual, H) or None when the feature is not
-    measurable this frame.
+    Chain: d(residual)/d[u,v] from patch gradients at the bearing's pixel
+    (project, the pixel project_rows gives), then the projection chain
+    d[u,v]/d(bearing tangent), once for all levels.  The inverse-depth
+    column of the measurement is structurally zero and is not represented.
+    Returns (residual, H) or None when the feature is not measurable this
+    frame.
     """
-    if at is None:
-        try:
-            at, j_proj = project(bearing, intr)
-        except ProjectionError:
-            return None
-    else:
-        frame = geom.quats_to_frames(bearing)
-        j_proj = _tangent_jacobian(frame, pixel(*frame[:, 0], intr)[1], intr)
+    try:
+        at, j_proj = project(bearing, intr)
+    except ProjectionError:
+        return None
     res_rows = []
     for level in range(len(patch)):
         res = intensity_residual(patch, pyramid, at, level)

@@ -5,6 +5,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -294,7 +295,7 @@ def test_jacobian_check_detects_perturbed_block(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_image_mode_end_to_end(tmp_path):
+def test_image_mode_end_to_end(tmp_path, monkeypatch):
     ds = tmp_path / "imds"
     code = main(["simulate", "--out", str(ds), "--scenario", "mini_loop",
                  "--seed", "2", "--mode", "image"])
@@ -302,21 +303,36 @@ def test_image_mode_end_to_end(tmp_path):
     assert (ds / "frames.csv").exists()
     frames = sorted((ds / "frames").glob("*.pgm"))
     assert len(frames) > 50
-    out = tmp_path / "imrun"
-    code = main(["run", "--dataset", str(ds), "--out", str(out),
-                 "--mode", "image", "--feature-slots", "8"])
-    assert code == EXIT_OK
-    report = (out / "report.txt").read_text()
-    assert "camera_rows:" in report
-    traj = dataio.read_csv(out / "trajectory.csv", dataio.POSE_HEADER)
-    gt = dataio.read_csv(ds / "gt.csv", dataio.POSE_HEADER)
-    # image mode stays on track at desk scale
-    end_err = np.linalg.norm(traj[-1, 1:4] - gt[-1, 1:4])
-    assert end_err < 25.0
-    # the dataset files, the frames in name order and the run's outputs
-    got = image_dataset_digests(ds)
-    got.update(run_digests(out, "image"))
-    assert_digests_pinned(PINNED_IMAGE_OUTPUTS, got)
+    # a run, then one with the filter slowed on its first ten frames, so the
+    # frame worker runs as far ahead as the ring lets it: a slot refilled
+    # before the filter is done with it would move the outputs
+    calls = []
+    process_image_frame = AdaptiveEkf.process_image_frame
+
+    def slowed(self, *args):
+        calls.append(None)
+        if len(calls) <= 10:
+            time.sleep(0.02)
+        return process_image_frame(self, *args)
+
+    dataset = image_dataset_digests(ds)
+    for run in ("image", "image_slow_filter"):
+        if run == "image_slow_filter":
+            monkeypatch.setattr(AdaptiveEkf, "process_image_frame", slowed)
+        out = tmp_path / run
+        code = main(["run", "--dataset", str(ds), "--out", str(out),
+                     "--mode", "image", "--feature-slots", "8"])
+        assert code == EXIT_OK
+        report = (out / "report.txt").read_text()
+        assert "camera_rows:" in report
+        traj = dataio.read_csv(out / "trajectory.csv", dataio.POSE_HEADER)
+        gt = dataio.read_csv(ds / "gt.csv", dataio.POSE_HEADER)
+        # image mode stays on track at desk scale
+        end_err = np.linalg.norm(traj[-1, 1:4] - gt[-1, 1:4])
+        assert end_err < 25.0
+        # the dataset files, the frames in name order and the run's outputs
+        assert_digests_pinned(PINNED_IMAGE_OUTPUTS, {**dataset, **run_digests(out, "image")})
+    assert len(calls) > 10
 
 
 def test_resimulated_bearing_dataset_has_no_old_frames(tmp_path):
@@ -439,13 +455,19 @@ def test_truncated_frame_exit_data(mini_dataset, tmp_path, cut, message):
 
 
 @pytest.mark.parametrize("case, code", [("clean", EXIT_OK), ("bad_frame", EXIT_DATA),
-                                        ("numerical", EXIT_NUMERIC)])
+                                        ("numerical", EXIT_NUMERIC),
+                                        ("no_frame_used", EXIT_OK)])
 def test_image_run_leaves_no_process(mini_dataset, tmp_path, monkeypatch, case, code):
-    # the run forks one frame worker and reaps it whether it ends normally,
-    # on a frame's data error or on a numerical failure, both raised on the
-    # fourth of six frames, with the worker ahead of the filter
+    # the run forks one frame worker, at its first used frame, and reaps it
+    # whether it ends normally, on a frame's data error or on a numerical
+    # failure, both raised on the fourth of six frames, with the worker
+    # ahead of the filter; six frames stamped after the last IMU sample are
+    # all skipped, and a run that uses no frame forks no worker
     ds = shutil.copytree(mini_dataset, tmp_path / "ds")
-    t = perturb.add_frames(ds, (480, 640), lambda t: t[100:400:50])["t"]
+    if case == "no_frame_used":
+        t = perturb.add_frames(ds, (480, 640), lambda t: t[-1] + 0.1 * np.arange(1, 7))["t"]
+    else:
+        t = perturb.add_frames(ds, (480, 640), lambda t: t[100:400:50])["t"]
     if case == "bad_frame":
         shutil.copyfile(ds / "frames" / "000001.pgm", ds / "frames" / "000002.pgm")
         perturb.truncate(ds, "frames/000002.pgm", 1000)
@@ -472,10 +494,12 @@ def test_image_run_leaves_no_process(mini_dataset, tmp_path, monkeypatch, case, 
 
     monkeypatch.setattr(AdaptiveEkf, "process_image_frame", counting)
     monkeypatch.setattr(os, "fork", recording_fork)
-    assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "out"),
-                 "--mode", "image"]) == code
-    assert len(pids) == 1
-    assert len(calls) == {"clean": 6, "bad_frame": 3, "numerical": 4}[case]
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(ds), "--out", str(out), "--mode", "image"]) == code
+    assert len(pids) == (0 if case == "no_frame_used" else 1)
+    assert len(calls) == {"clean": 6, "bad_frame": 3, "numerical": 4, "no_frame_used": 0}[case]
+    if case == "no_frame_used":
+        assert f"frames_skipped: {len(t)}" in (out / "report.txt").read_text().splitlines()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -590,6 +614,11 @@ INPUT_DEFECTS = [
     *[defect(f"eval_px_{value}", [(perturb.set_value, "gt.csv", 500, 1, value)], EVAL,
              EXIT_DATA, "{ds}/gt.csv: data row 501 (t={t:.6f}): px is not finite")
       for value in (np.nan, np.inf)],
+    # so is a finite position far off the Earth, rather than overflowing
+    # eval's alignment sums into a rank-deficient fit that names no row
+    *[defect(name, [(perturb.set_value, "gt.csv", 500, 1, 1e300)], argv, EXIT_DATA,
+             "{ds}/gt.csv: data row 501 (t={t:.6f}): px 1e+300 m is beyond 1e+09 m")
+      for name, argv in (("eval_px_1e300", EVAL), ("gt_px_1e300", RUN))],
     # refused with its row named, rather than gated or its slot truncated
     *[defect(f"bearing_{name}", [(perturb.set_value, "bearings.csv", 40, cols, value)],
              RUN, EXIT_DATA, "bearings.csv: data row 41 (t={t:.6f}", message)
